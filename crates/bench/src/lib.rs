@@ -1,26 +1,13 @@
 //! # domino-bench
 //!
-//! Benchmarks and experiment entry points:
-//!
-//! * `benches/*` — micro-benchmarks of the substrates (engine, PHY DSP,
-//!   scheduling, medium, end-to-end), run via `cargo bench` or the
-//!   testkit harness (`TESTKIT_BENCH_JSON` writes machine-readable
-//!   results).
-//! * `src/bin/*` — one thin binary per table and figure of the paper's
-//!   evaluation, kept for `cargo run --bin <name>` muscle memory. Each
-//!   delegates to [`domino_runner::single::run_single`]; the experiment
-//!   logic itself (sharding, seed derivation, rendering) lives in
-//!   `domino_runner::experiments`, and `run_all` forwards to
-//!   `domino-run all`.
-//!
-//! The flag surface is unchanged from the old in-binary harness —
-//! `--full` for paper scale, `--seed <n>` — plus `--jobs <n>` for the
-//! worker count. Output bytes are a pure function of
-//! `(experiment, scale, seed)`.
+//! Micro-benchmarks of the substrates (engine, PHY DSP, scheduling,
+//! medium, controller scaling, end-to-end, lint), run via `cargo bench`
+//! on the testkit harness (`TESTKIT_BENCH_JSON` writes machine-readable
+//! results). The paper's tables and figures are regenerated by
+//! `domino-run <name>` (see `domino_runner::experiments`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-// The crate's substance is in `benches/` and `src/bin/`; the library
-// target exists so the doc above has a home and the bins share an edition.
-pub use domino_runner as runner;
+// The crate's substance is in `benches/`; the library target exists so
+// the doc above has a home.

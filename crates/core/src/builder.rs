@@ -15,11 +15,11 @@
 
 use crate::report::RunReport;
 use domino_faults::FaultConfig;
-use domino_mac::centaur::{CentaurConfig, CentaurSim};
-use domino_mac::domino::{DominoConfig, DominoSim};
-use domino_mac::omniscient::OmniscientSim;
-use domino_mac::{DcfSim, Workload};
-use domino_obs::{ProfHandle, TraceHandle};
+use domino_mac::centaur::CentaurConfig;
+use domino_mac::domino::DominoConfig;
+use domino_mac::run::{run, Checkpoints, RunInputs};
+use domino_mac::{CentaurWorld, DcfWorld, DominoWorld, OmniWorld, Workload};
+use domino_obs::{ProfHandle, Probe, TraceHandle};
 use domino_sim::snapshot::{self, SnapError};
 use domino_sim::SimTime;
 use domino_topology::{Direction, Network};
@@ -151,129 +151,29 @@ impl SimulationBuilder {
 
     /// Run under the given scheme.
     pub fn run(&self, scheme: Scheme) -> RunReport {
-        self.run_traced(scheme, TraceHandle::off())
+        self.run_profiled(scheme, TraceHandle::off(), ProfHandle::off())
     }
 
-    /// [`SimulationBuilder::run`] with a trace sink attached. Tracing is
-    /// observation only — it draws no randomness and schedules no events,
-    /// so a run with the handle off is byte-identical to [`run`].
+    /// [`SimulationBuilder::run`] with a trace sink and a cost profiler
+    /// attached. Both are observation only: they draw no randomness,
+    /// schedule no events, and allocate nothing on the hot path, so a run
+    /// with the handles off is byte-identical to [`run`].
     ///
-    /// The handle is passed per call (rather than stored on the builder)
-    /// so the builder itself stays `Send`: trace sinks are `Rc`-based and
-    /// must be created inside the thread that runs the simulation.
-    ///
-    /// [`run`]: SimulationBuilder::run
-    pub fn run_traced(&self, scheme: Scheme, tracer: TraceHandle) -> RunReport {
-        let workload = self
-            .workload
-            .clone()
-            // lint: allow(D005) builder misuse: no run exists to return an Err through
-            .expect("no workload configured: call udp()/tcp()/workload() first");
-        let stats = match scheme {
-            Scheme::Dcf => DcfSim::run_traced(
-                &self.network,
-                &workload,
-                self.duration_s,
-                self.seed,
-                &self.faults,
-                tracer,
-            ),
-            Scheme::Centaur => CentaurSim::run_traced(
-                &self.network,
-                &workload,
-                self.duration_s,
-                self.seed,
-                self.centaur.clone(),
-                &self.faults,
-                tracer,
-            ),
-            Scheme::Domino => DominoSim::run_traced(
-                &self.network,
-                &workload,
-                self.duration_s,
-                self.seed,
-                self.domino.clone(),
-                &self.faults,
-                tracer,
-            ),
-            Scheme::Omniscient => OmniscientSim::run_traced(
-                &self.network,
-                &workload,
-                self.duration_s,
-                self.seed,
-                &self.faults,
-                tracer,
-            ),
-        };
-        RunReport::new(scheme, workload.flow_links(), stats)
-    }
-
-    /// [`SimulationBuilder::run_traced`] with a cost profiler attached.
-    /// Profiling is observation only, exactly like tracing: it draws no
-    /// randomness, schedules no events, and allocates nothing on the hot
-    /// path, so a run with the handle off is byte-identical to [`run`].
-    /// Like the trace handle, the profiler handle is `Rc`-based and passed
-    /// per call so the builder stays `Send`.
+    /// The handles are passed per call (rather than stored on the
+    /// builder) so the builder itself stays `Send`: they are `Rc`-based
+    /// and must be created inside the thread that runs the simulation.
     ///
     /// [`run`]: SimulationBuilder::run
     pub fn run_profiled(&self, scheme: Scheme, tracer: TraceHandle, prof: ProfHandle) -> RunReport {
-        let workload = self
-            .workload
-            .clone()
-            // lint: allow(D005) builder misuse: no run exists to return an Err through
-            .expect("no workload configured: call udp()/tcp()/workload() first");
-        let stats = match scheme {
-            Scheme::Dcf => DcfSim::run_profiled(
-                &self.network,
-                &workload,
-                self.duration_s,
-                self.seed,
-                &self.faults,
-                tracer,
-                prof,
-            ),
-            Scheme::Centaur => CentaurSim::run_profiled(
-                &self.network,
-                &workload,
-                self.duration_s,
-                self.seed,
-                self.centaur.clone(),
-                &self.faults,
-                tracer,
-                prof,
-            ),
-            Scheme::Domino => DominoSim::run_profiled(
-                &self.network,
-                &workload,
-                self.duration_s,
-                self.seed,
-                self.domino.clone(),
-                &self.faults,
-                tracer,
-                prof,
-            ),
-            Scheme::Omniscient => OmniscientSim::run_profiled(
-                &self.network,
-                &workload,
-                self.duration_s,
-                self.seed,
-                &self.faults,
-                tracer,
-                prof,
-            ),
-        };
-        RunReport::new(scheme, workload.flow_links(), stats)
-    }
-
-    /// Run all four schemes with the same configuration.
-    pub fn run_all(&self) -> Vec<RunReport> {
-        Scheme::ALL.iter().map(|&s| self.run(s)).collect()
+        self.execute(scheme, Probe::new(tracer, prof), None, None)
+            // lint: allow(D005) only a restore payload can fail, and this run has none
+            .expect("a run without a restore payload cannot fail")
     }
 
     /// SHA-256 binding of the complete run configuration under `scheme`.
     ///
-    /// Snapshots sealed by [`SimulationBuilder::run_checkpointed`] carry
-    /// this digest, and [`SimulationBuilder::resume`] rejects any payload
+    /// Snapshots sealed by a checkpointed [`SimulationBuilder::run_with`]
+    /// carry this digest, and a restoring `run_with` rejects any payload
     /// whose binding differs — a world rebuilt from different static
     /// state would silently diverge instead of failing loudly.
     pub fn binding(&self, scheme: Scheme) -> [u8; 32] {
@@ -294,147 +194,119 @@ impl SimulationBuilder {
         ])
     }
 
-    /// [`SimulationBuilder::run`] with crash-resumable checkpoints: at
-    /// each boundary in `boundaries` (sim time, ascending), the complete
-    /// dynamic state is serialized, sealed into the versioned
-    /// digest-verified container, and handed to `sink`. The run itself is
-    /// byte-identical to [`SimulationBuilder::run`] — snapshotting reads
-    /// state but never draws randomness or schedules events.
-    pub fn run_checkpointed(
-        &self,
-        scheme: Scheme,
-        boundaries: &[SimTime],
-        sink: &mut dyn FnMut(SimTime, Vec<u8>),
-    ) -> RunReport {
-        self.run_checkpointed_traced(scheme, TraceHandle::off(), boundaries, sink)
+    /// Run under `scheme` with every mode `opts` selects — tracing,
+    /// profiling, crash-resumable checkpoints, restore — through the one
+    /// run path of [`domino_mac::run`]. Each checkpoint is sealed into the
+    /// versioned, digest-verified container before it reaches the sink. A
+    /// restore opens a sealed checkpoint taken under the *same*
+    /// configuration and finishes the run. Neither changes the run: the
+    /// report is byte-identical to the uninterrupted, unprobed run's.
+    ///
+    /// Fails only on a restore payload that does not open or decode.
+    pub fn run_with(&self, scheme: Scheme, opts: RunOpts<'_>) -> Result<RunReport, SnapError> {
+        if opts.checkpoints.is_none() && opts.restore.is_none() {
+            return self.execute(scheme, opts.probe, None, None);
+        }
+        // The binding costs a formatted dump of the whole configuration:
+        // computed only when a snapshot is sealed or opened.
+        let binding = self.binding(scheme);
+        let restore = match opts.restore {
+            Some(sealed) => {
+                let (t, payload) = snapshot::open(sealed, &binding)?;
+                Some((SimTime::from_nanos(t), payload))
+            }
+            None => None,
+        };
+        let mut seal;
+        let checkpoints = match opts.checkpoints {
+            Some(Checkpoints { at, sink }) => {
+                seal = |t: SimTime, payload: Vec<u8>| {
+                    sink(t, snapshot::seal(&binding, t.as_nanos(), &payload));
+                };
+                Some(Checkpoints { at, sink: &mut seal })
+            }
+            None => None,
+        };
+        self.execute(scheme, opts.probe, checkpoints, restore)
     }
 
-    /// [`SimulationBuilder::run_checkpointed`] with a trace sink attached.
-    /// Snapshotting is observation-only, so the captured trace is
-    /// byte-identical to [`SimulationBuilder::run_traced`]'s.
-    pub fn run_checkpointed_traced(
+    /// The one dispatch on `Scheme`: build the scheme's world and drive it
+    /// through [`domino_mac::run`] with unsealed checkpoints and restore.
+    fn execute(
         &self,
         scheme: Scheme,
-        tracer: TraceHandle,
-        boundaries: &[SimTime],
-        sink: &mut dyn FnMut(SimTime, Vec<u8>),
-    ) -> RunReport {
+        probe: Probe,
+        checkpoints: Option<Checkpoints<'_>>,
+        restore: Option<(SimTime, &[u8])>,
+    ) -> Result<RunReport, SnapError> {
         let workload = self
             .workload
-            .clone()
+            .as_ref()
             // lint: allow(D005) builder misuse: no run exists to return an Err through
             .expect("no workload configured: call udp()/tcp()/workload() first");
-        let binding = self.binding(scheme);
-        let mut seal = |t: SimTime, payload: Vec<u8>| {
-            sink(t, snapshot::seal(&binding, t.as_nanos(), &payload));
+        let inputs = RunInputs {
+            net: &self.network,
+            workload,
+            duration_s: self.duration_s,
+            seed: self.seed,
+            faults: &self.faults,
         };
         let stats = match scheme {
-            Scheme::Dcf => DcfSim::run_ckpt(
-                &self.network,
-                &workload,
-                self.duration_s,
-                self.seed,
-                &self.faults,
-                tracer,
-                boundaries,
-                &mut seal,
-            ),
-            Scheme::Centaur => CentaurSim::run_ckpt(
-                &self.network,
-                &workload,
-                self.duration_s,
-                self.seed,
-                self.centaur.clone(),
-                &self.faults,
-                tracer,
-                boundaries,
-                &mut seal,
-            ),
-            Scheme::Domino => DominoSim::run_ckpt(
-                &self.network,
-                &workload,
-                self.duration_s,
-                self.seed,
-                self.domino.clone(),
-                &self.faults,
-                tracer,
-                boundaries,
-                &mut seal,
-            ),
-            Scheme::Omniscient => OmniscientSim::run_ckpt(
-                &self.network,
-                &workload,
-                self.duration_s,
-                self.seed,
-                &self.faults,
-                tracer,
-                boundaries,
-                &mut seal,
-            ),
-        };
-        RunReport::new(scheme, workload.flow_links(), stats)
-    }
-
-    /// Open a sealed checkpoint produced by
-    /// [`SimulationBuilder::run_checkpointed`] under the *same*
-    /// configuration and run it to completion. The finished report is
-    /// byte-identical to the uninterrupted run's.
-    pub fn resume(&self, scheme: Scheme, sealed: &[u8]) -> Result<RunReport, SnapError> {
-        let workload = self
-            .workload
-            .clone()
-            // lint: allow(D005) builder misuse: no run exists to return an Err through
-            .expect("no workload configured: call udp()/tcp()/workload() first");
-        let binding = self.binding(scheme);
-        let (_t, payload) = snapshot::open(sealed, &binding)?;
-        let stats = match scheme {
-            Scheme::Dcf => DcfSim::resume(
-                &self.network,
-                &workload,
-                self.duration_s,
-                self.seed,
-                &self.faults,
-                TraceHandle::off(),
-                payload,
-            )?,
-            Scheme::Centaur => CentaurSim::resume(
-                &self.network,
-                &workload,
-                self.duration_s,
-                self.seed,
-                self.centaur.clone(),
-                &self.faults,
-                TraceHandle::off(),
-                payload,
-            )?,
-            Scheme::Domino => DominoSim::resume(
-                &self.network,
-                &workload,
-                self.duration_s,
-                self.seed,
-                self.domino.clone(),
-                &self.faults,
-                TraceHandle::off(),
-                payload,
-            )?,
-            Scheme::Omniscient => OmniscientSim::resume(
-                &self.network,
-                &workload,
-                self.duration_s,
-                self.seed,
-                &self.faults,
-                TraceHandle::off(),
-                payload,
-            )?,
-        };
+            Scheme::Dcf => run::<DcfWorld>(&inputs, (), probe, checkpoints, restore),
+            Scheme::Centaur => {
+                run::<CentaurWorld>(&inputs, self.centaur.clone(), probe, checkpoints, restore)
+            }
+            Scheme::Domino => {
+                run::<DominoWorld>(&inputs, self.domino.clone(), probe, checkpoints, restore)
+            }
+            Scheme::Omniscient => run::<OmniWorld>(&inputs, (), probe, checkpoints, restore),
+        }?;
         Ok(RunReport::new(scheme, workload.flow_links(), stats))
     }
+}
+
+/// How one [`SimulationBuilder::run_with`] call is observed, checkpointed
+/// and resumed. The default is a plain run from t = 0.
+#[derive(Debug, Default)]
+pub struct RunOpts<'a> {
+    /// Trace sink and cost profiler (both off by default).
+    pub probe: Probe,
+    /// Checkpoint boundaries plus the sink each *sealed* snapshot is
+    /// handed to. The run continues past every boundary.
+    pub checkpoints: Option<Checkpoints<'a>>,
+    /// A sealed checkpoint to resume from instead of starting at t = 0.
+    /// Boundaries at or before its own are skipped.
+    pub restore: Option<&'a [u8]>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenarios;
+
+    /// A plain run with `probe` attached.
+    fn probed(b: &SimulationBuilder, scheme: Scheme, probe: Probe) -> RunReport {
+        b.run_with(scheme, RunOpts { probe, ..RunOpts::default() }).expect("no restore")
+    }
+
+    /// A run checkpointed at `at`, returning the sealed snapshots.
+    fn checkpointed(
+        b: &SimulationBuilder,
+        scheme: Scheme,
+        probe: Probe,
+        at: &[SimTime],
+    ) -> (RunReport, Vec<Vec<u8>>) {
+        let mut sealed = Vec::new();
+        let checkpoints = Some(Checkpoints { at, sink: &mut |_, bytes| sealed.push(bytes) });
+        let report =
+            b.run_with(scheme, RunOpts { probe, checkpoints, restore: None }).expect("no restore");
+        (report, sealed)
+    }
+
+    /// Resume a sealed snapshot.
+    fn resume(b: &SimulationBuilder, scheme: Scheme, sealed: &[u8]) -> Result<RunReport, SnapError> {
+        b.run_with(scheme, RunOpts { restore: Some(sealed), ..RunOpts::default() })
+    }
 
     #[test]
     fn builder_runs_every_scheme() {
@@ -503,8 +375,8 @@ mod tests {
             .faults(FaultConfig::chaos(0.8));
         for scheme in Scheme::ALL {
             let plain = b.run(scheme);
-            let (handle, sink) = domino_obs::TraceHandle::mem();
-            let traced = b.run_traced(scheme, handle);
+            let (handle, sink) = TraceHandle::mem();
+            let traced = probed(&b, scheme, Probe::new(handle, ProfHandle::off()));
             assert_eq!(plain.stats.delivered_bits, traced.stats.delivered_bits, "{scheme:?}");
             assert_eq!(plain.stats.events, traced.stats.events, "{scheme:?}");
             assert_eq!(plain.stats.faults, traced.stats.faults, "{scheme:?}");
@@ -518,49 +390,69 @@ mod tests {
         // The determinism pin for the cost profiler, the profiling twin
         // of `tracing_is_observation_only`: attaching a collecting
         // profiler must not perturb event order, timing, RNG state, or
-        // the emitted trace — even under an active fault plane. Seeds and
-        // schemes sweep via the testkit property harness so the pin holds
-        // across schemes × fault schedules, not one lucky configuration.
+        // the emitted trace — even under an active fault plane. A
+        // profiled run that also checkpoints at a random boundary must
+        // match too, profile included: snapshotting rebuilds the timer
+        // wheel, and its `engine;wheel;*` counts must survive that.
+        // Seeds and schemes sweep via the testkit property harness so the
+        // pin holds across schemes × fault schedules (half the cases
+        // fault-free), not one lucky configuration.
         let net = scenarios::fig1();
         let config = domino_testkit::prop::Config {
-            cases: 24, // two full sims per case: bound the runtime
+            cases: 24, // three full sims per case: bound the runtime
             ..Default::default()
         };
         domino_testkit::prop::check_with(config, "profiling_never_perturbs_a_run", |g| {
             let seed = g.u64(1, 1 << 40);
-            let chaos = g.f64(0.0, 1.0);
+            let chaos = if g.bool() { 0.0 } else { g.f64(0.0, 1.0) };
             let scheme = *g.pick(&Scheme::ALL);
+            let boundary = SimTime::from_nanos(g.u64(1, 199) * 1_000_000);
             let b = SimulationBuilder::new(net.clone())
                 .udp(3e6, 1e6)
                 .duration_s(0.2)
                 .seed(seed)
                 .faults(FaultConfig::chaos(chaos));
-            let (plain_tr, plain_sink) = domino_obs::TraceHandle::mem();
-            let plain = b.run_profiled(scheme, plain_tr, domino_obs::ProfHandle::off());
-            let (prof_tr, prof_sink) = domino_obs::TraceHandle::mem();
-            let (handle, profiler) = domino_obs::ProfHandle::collecting();
+            let (plain_tr, plain_sink) = TraceHandle::mem();
+            let plain = b.run_profiled(scheme, plain_tr, ProfHandle::off());
+            let plain_trace = plain_sink.take();
+            let (prof_tr, prof_sink) = TraceHandle::mem();
+            let (handle, profiler) = ProfHandle::collecting();
             let profiled = b.run_profiled(scheme, prof_tr, handle);
-            domino_testkit::prop_assert!(
-                plain.stats.delivered_bits == profiled.stats.delivered_bits,
-                "{scheme:?} seed={seed}: profiling changed throughput"
-            );
-            domino_testkit::prop_assert!(
-                plain.stats.events == profiled.stats.events,
-                "{scheme:?} seed={seed}: profiling changed the event count"
-            );
-            domino_testkit::prop_assert!(
-                plain.stats.faults == profiled.stats.faults,
-                "{scheme:?} seed={seed}: profiling changed fault accounting"
-            );
-            domino_testkit::prop_assert!(
-                plain.stats.domino == profiled.stats.domino,
-                "{scheme:?} seed={seed}: profiling changed trigger diagnostics"
-            );
-            domino_testkit::prop_assert!(
-                plain_sink.take() == prof_sink.take(),
-                "{scheme:?} seed={seed}: profiling changed the trace"
-            );
+            let (ckpt_tr, ckpt_sink) = TraceHandle::mem();
+            let (ckpt_handle, ckpt_profiler) = ProfHandle::collecting();
+            let ckpt_probe = Probe::new(ckpt_tr, ckpt_handle);
+            let (ckpt, sealed) = checkpointed(&b, scheme, ckpt_probe, &[boundary]);
+            domino_testkit::prop_assert!(sealed.len() == 1, "{scheme:?} seed={seed}: no checkpoint");
+            let runs = [("profiled", &profiled, &prof_sink), ("checkpointed", &ckpt, &ckpt_sink)];
+            for (mode, run, sink) in runs {
+                domino_testkit::prop_assert!(
+                    plain.stats.delivered_bits == run.stats.delivered_bits,
+                    "{scheme:?} seed={seed}: {mode} run changed throughput"
+                );
+                domino_testkit::prop_assert!(
+                    plain.stats.events == run.stats.events,
+                    "{scheme:?} seed={seed}: {mode} run changed the event count"
+                );
+                domino_testkit::prop_assert!(
+                    plain.stats.faults == run.stats.faults,
+                    "{scheme:?} seed={seed}: {mode} run changed fault accounting"
+                );
+                domino_testkit::prop_assert!(
+                    plain.stats.domino == run.stats.domino,
+                    "{scheme:?} seed={seed}: {mode} run changed trigger diagnostics"
+                );
+                domino_testkit::prop_assert!(
+                    plain_trace == sink.take(),
+                    "{scheme:?} seed={seed}: {mode} run changed the trace"
+                );
+            }
             let profile = profiler.snapshot();
+            let ckpt_profile = ckpt_profiler.snapshot();
+            domino_testkit::prop_assert!(
+                profile == ckpt_profile,
+                "{scheme:?} seed={seed}: checkpointing changed the profile: {:?}",
+                profile.diff(&ckpt_profile)
+            );
             domino_testkit::prop_assert!(
                 profile.total_events() == plain.stats.events,
                 "{scheme:?} seed={seed}: engine pops ({}) != run events ({})",
@@ -583,48 +475,56 @@ mod tests {
             .duration_s(0.4)
             .seed(21)
             .faults(FaultConfig::chaos(0.5));
-        let boundary = domino_sim::SimTime::from_nanos(200_000_000);
+        let boundaries = [SimTime::from_nanos(200_000_000), SimTime::from_nanos(300_000_000)];
         for scheme in Scheme::ALL {
             let baseline = b.run(scheme);
-            let mut sealed = Vec::new();
-            let ckpt_run = b.run_checkpointed(scheme, &[boundary], &mut |_, bytes| {
-                sealed.push(bytes)
-            });
-            assert_eq!(sealed.len(), 1, "{scheme:?}");
+            let (ckpt_run, sealed) = checkpointed(&b, scheme, Probe::default(), &boundaries);
+            assert_eq!(sealed.len(), 2, "{scheme:?}");
             assert_eq!(
                 baseline.stats.delivered_bits, ckpt_run.stats.delivered_bits,
                 "{scheme:?}: snapshotting perturbed the run"
             );
             assert_eq!(baseline.stats.events, ckpt_run.stats.events, "{scheme:?}");
-            let resumed = b.resume(scheme, &sealed[0]).expect("restore");
+            let resumed = resume(&b, scheme, &sealed[0]).expect("restore");
             assert_eq!(
                 baseline.stats.delivered_bits, resumed.stats.delivered_bits,
                 "{scheme:?}: restored run diverged"
             );
             assert_eq!(baseline.stats.events, resumed.stats.events, "{scheme:?}");
             assert_eq!(baseline.stats.faults, resumed.stats.faults, "{scheme:?}");
+            // A resumed run checkpoints too: boundaries up to its own are
+            // skipped, and a later one seals exactly the bytes the
+            // uninterrupted run sealed there.
+            let mut again = Vec::new();
+            let opts = RunOpts {
+                checkpoints: Some(Checkpoints {
+                    at: &boundaries,
+                    sink: &mut |_, bytes| again.push(bytes),
+                }),
+                restore: Some(&sealed[0]),
+                ..RunOpts::default()
+            };
+            let resumed = b.run_with(scheme, opts).expect("restore");
+            assert_eq!(again, sealed[1..], "{scheme:?}: resumed checkpoint differs");
+            assert_eq!(baseline.stats.events, resumed.stats.events, "{scheme:?}");
         }
     }
 
     #[test]
     fn resume_rejects_foreign_and_corrupt_snapshots() {
-        use domino_sim::snapshot::SnapError;
         let net = scenarios::fig1();
         let b = SimulationBuilder::new(net).udp(3e6, 1e6).duration_s(0.3).seed(5);
-        let boundary = domino_sim::SimTime::from_nanos(100_000_000);
-        let mut sealed = Vec::new();
-        let _ = b.run_checkpointed(Scheme::Domino, &[boundary], &mut |_, bytes| {
-            sealed.push(bytes)
-        });
+        let boundary = SimTime::from_nanos(100_000_000);
+        let (_, mut sealed) = checkpointed(&b, Scheme::Domino, Probe::default(), &[boundary]);
         let snap = sealed.pop().unwrap();
         // Any configuration difference flips the binding digest.
         let other = b.clone().seed(6);
         assert_eq!(
-            other.resume(Scheme::Domino, &snap).err(),
+            resume(&other, Scheme::Domino, &snap).err(),
             Some(SnapError::BindingMismatch)
         );
         assert_eq!(
-            b.resume(Scheme::Dcf, &snap).err(),
+            resume(&b, Scheme::Dcf, &snap).err(),
             Some(SnapError::BindingMismatch)
         );
         // A flipped payload byte is a digest error, never a wrong run.
@@ -632,10 +532,10 @@ mod tests {
         let mid = torn.len() / 2;
         torn[mid] ^= 0x40;
         assert_eq!(
-            b.resume(Scheme::Domino, &torn).err(),
+            resume(&b, Scheme::Domino, &torn).err(),
             Some(SnapError::DigestMismatch)
         );
-        let ok = b.resume(Scheme::Domino, &snap).expect("clean restore");
+        let ok = resume(&b, Scheme::Domino, &snap).expect("clean restore");
         assert!(ok.aggregate_mbps() > 0.0);
     }
 

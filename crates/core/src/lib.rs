@@ -35,17 +35,17 @@ pub mod builder;
 pub mod report;
 pub mod scenarios;
 
-pub use builder::{Scheme, SimulationBuilder};
+pub use builder::{RunOpts, Scheme, SimulationBuilder};
 pub use report::RunReport;
 
 // Re-export the substrate crates a downstream user needs.
 pub use domino_faults as faults;
 pub use domino_faults::{FaultConfig, FaultStats};
 pub use domino_mac as mac;
-pub use domino_mac::{RunStats, Workload};
+pub use domino_mac::{Checkpoints, RunStats, Workload};
 pub use domino_medium as medium;
 pub use domino_obs as obs;
-pub use domino_obs::{MemTracer, MetricsRegistry, TraceEvent, TraceHandle};
+pub use domino_obs::{MemTracer, MetricsRegistry, ProfHandle, Probe, TraceEvent, TraceHandle};
 pub use domino_phy as phy;
 pub use domino_scheduler as scheduler;
 pub use domino_sim as sim;

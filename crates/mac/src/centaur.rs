@@ -26,11 +26,12 @@
 
 use crate::dcf::{sync_rto, CsmaCore, Ev};
 use crate::flows::{FlowEngine, TCP_TICK};
+use crate::run::{RunInputs, World};
 use crate::timing::{ack_timeout, data_airtime, DIFS, MAC_OVERHEAD_BYTES, RETRY_LIMIT};
-use crate::workload::{client_indices, RunStats, Workload};
-use domino_faults::{FaultConfig, FaultPlane, NodeFaults};
+use crate::workload::{client_indices, RunStats};
+use domino_faults::{FaultPlane, NodeFaults};
 use domino_medium::{Frame, FrameBody, Medium, Reception};
-use domino_obs::{FaultKind, TraceEvent, TraceHandle};
+use domino_obs::{FaultKind, Probe, TraceEvent};
 use domino_scheduler::RandScheduler;
 use domino_sim::engine::{DEFAULT_EVENT_BUDGET, DEFAULT_LIVENESS_WINDOW};
 use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter, Snapshot};
@@ -269,139 +270,16 @@ impl SnapValue for ApState {
     }
 }
 
-/// The CENTAUR engine.
-#[derive(Debug)]
-pub struct CentaurSim;
-
-impl CentaurSim {
-    /// Run `workload` over `net` for `duration_s` seconds.
-    pub fn run(net: &Network, workload: &Workload, duration_s: f64, seed: u64) -> RunStats {
-        Self::run_with(net, workload, duration_s, seed, CentaurConfig::default())
-    }
-
-    /// Run with explicit CENTAUR parameters.
-    pub fn run_with(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        cfg: CentaurConfig,
-    ) -> RunStats {
-        Self::run_faulted(net, workload, duration_s, seed, cfg, &FaultConfig::off())
-    }
-
-    /// [`CentaurSim::run_with`] under a fault plane: backbone loss/spikes
-    /// on the epoch wire, AP crashes at epoch delivery, controller compute
-    /// stalls, primary-controller crashes (warm standby or cold restart),
-    /// and the medium-resident churn class. Lost epoch or Done messages
-    /// are recovered by a fallback [`EPOCH_TIMEOUT`] on the batch barrier
-    /// (scheduled only when faults are enabled, so fault-free runs stay
-    /// byte-identical).
-    pub fn run_faulted(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        cfg: CentaurConfig,
-        faults: &FaultConfig,
-    ) -> RunStats {
-        Self::run_traced(net, workload, duration_s, seed, cfg, faults, TraceHandle::off())
-    }
-
-    /// [`CentaurSim::run_faulted`] with a trace sink attached. Tracing is
-    /// observation only — it draws no randomness and schedules no events,
-    /// so a run with the handle off is byte-identical to one that never
-    /// attached a tracer.
-    pub fn run_traced(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        cfg: CentaurConfig,
-        faults: &FaultConfig,
-        tracer: TraceHandle,
-    ) -> RunStats {
-        Self::run_ckpt(net, workload, duration_s, seed, cfg, faults, tracer, &[], &mut |_, _| {})
-    }
-
-    /// [`CentaurSim::run_traced`] with a cost profiler attached.
-    /// Profiling is observation only — no draws, no events, no hot-path
-    /// allocation — so a run with the handle off is byte-identical to a
-    /// profiled one.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_profiled(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        cfg: CentaurConfig,
-        faults: &FaultConfig,
-        tracer: TraceHandle,
-        prof: domino_obs::ProfHandle,
-    ) -> RunStats {
-        let mut world = CentaurWorld::new(net, workload, duration_s, seed, cfg, faults, tracer);
-        world.set_profiler(prof);
-        let horizon = SimTime::ZERO + SimDuration::from_secs_f64(duration_s);
-        world.drive(horizon);
-        world.finalize()
-    }
-
-    /// [`CentaurSim::run_traced`] with snapshot boundaries; see
-    /// [`crate::DcfSim::run_ckpt`] for the contract.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_ckpt(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        cfg: CentaurConfig,
-        faults: &FaultConfig,
-        tracer: TraceHandle,
-        boundaries: &[SimTime],
-        sink: &mut dyn FnMut(SimTime, Vec<u8>),
-    ) -> RunStats {
-        let mut world = CentaurWorld::new(net, workload, duration_s, seed, cfg, faults, tracer);
-        let horizon = SimTime::ZERO + SimDuration::from_secs_f64(duration_s);
-        for &b in boundaries.iter().filter(|&&b| b <= horizon) {
-            if b > SimTime::ZERO && !world.drive(b - SimDuration::from_nanos(1)) {
-                return world.finalize();
-            }
-            let mut w = SnapWriter::new();
-            world.snapshot_save(&mut w);
-            sink(b, w.into_bytes());
-        }
-        world.drive(horizon);
-        world.finalize()
-    }
-
-    /// Rebuild a run from a [`CentaurSim::run_ckpt`] payload and run it to
-    /// completion; see [`crate::DcfSim::resume`] for the contract.
-    #[allow(clippy::too_many_arguments)]
-    pub fn resume(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        cfg: CentaurConfig,
-        faults: &FaultConfig,
-        tracer: TraceHandle,
-        payload: &[u8],
-    ) -> Result<RunStats, SnapError> {
-        let mut world = CentaurWorld::new(net, workload, duration_s, seed, cfg, faults, tracer);
-        let mut r = SnapReader::new(payload);
-        world.snapshot_restore(&mut r)?;
-        if !r.is_exhausted() {
-            return Err(SnapError::Corrupt("trailing snapshot bytes"));
-        }
-        let horizon = SimTime::ZERO + SimDuration::from_secs_f64(duration_s);
-        world.drive(horizon);
-        Ok(world.finalize())
-    }
-}
-
 /// The complete state of a CENTAUR run between events.
+///
+/// Under a fault plane: backbone loss/spikes on the epoch wire, AP
+/// crashes at epoch delivery, controller compute stalls, primary-controller
+/// crashes (warm standby or cold restart), and the medium-resident churn
+/// class. Lost epoch or Done messages are recovered by a fallback
+/// `EPOCH_TIMEOUT` on the batch barrier (scheduled only when faults are
+/// enabled, so fault-free runs stay byte-identical).
 #[derive(Debug)]
-struct CentaurWorld {
+pub struct CentaurWorld {
     net: Network,
     engine: Engine<Ev<CentaurEv>>,
     medium: Medium,
@@ -437,21 +315,16 @@ struct CentaurWorld {
     faults_on: bool,
     rate: domino_phy::error_model::DataRate,
     packets_per_round: usize,
-    tracer: TraceHandle,
-    /// Observation-only cost profiler (off by default).
-    prof: domino_obs::ProfHandle,
+    /// Observation-only trace sink and cost profiler (off by default).
+    probe: Probe,
 }
 
-impl CentaurWorld {
-    fn new(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        cfg: CentaurConfig,
-        faults: &FaultConfig,
-        tracer: TraceHandle,
-    ) -> CentaurWorld {
+impl World for CentaurWorld {
+    type Config = CentaurConfig;
+    type Event = Ev<CentaurEv>;
+
+    fn new(inputs: &RunInputs<'_>, cfg: CentaurConfig, probe: Probe) -> CentaurWorld {
+        let RunInputs { net, workload, duration_s, seed, faults } = *inputs;
         let mut engine: Engine<Ev<CentaurEv>> = Engine::new();
         let mut medium = Medium::new(net.clone(), seed);
         let plane = FaultPlane::new(faults, seed, &client_indices(net), duration_s);
@@ -460,14 +333,14 @@ impl CentaurWorld {
         if faults_on {
             medium.set_faults(plane.medium);
         }
-        medium.set_tracer(tracer.clone());
+        medium.set_probe(probe.clone());
         engine.set_liveness(DEFAULT_EVENT_BUDGET, DEFAULT_LIVENESS_WINDOW);
-        engine.set_tracer(tracer.clone());
+        engine.set_probe(probe.clone());
         let fe = FlowEngine::new(net, workload, duration_s);
         let mut backbone = Backbone::new(cfg.wired.clone(), seed);
         backbone.set_loss(faults.wired_loss);
         backbone.set_spikes(faults.wired_spike, faults.wired_spike_us);
-        backbone.set_tracer(tracer.clone());
+        backbone.set_tracer(probe.trace.clone());
         let graph = ConflictGraph::build_for_scheduling(net);
         let sched = RandScheduler::new(net.links().len());
         let rto_gen: Vec<u64> = vec![0; workload.flows.len()];
@@ -533,8 +406,7 @@ impl CentaurWorld {
             faults_on,
             rate,
             packets_per_round: cfg.packets_per_round,
-            tracer,
-            prof: domino_obs::ProfHandle::off(),
+            probe,
         };
 
         for flow in world.fe.udp_flows() {
@@ -549,29 +421,16 @@ impl CentaurWorld {
         world
     }
 
-    /// Attach a cost profiler to the engine, the medium and the world's
-    /// own event dispatch.
-    fn set_profiler(&mut self, prof: domino_obs::ProfHandle) {
-        self.engine.set_profiler(prof.clone());
-        self.medium.set_profiler(prof.clone());
-        self.prof = prof;
+    fn engine(&mut self) -> &mut Engine<Ev<CentaurEv>> {
+        &mut self.engine
     }
 
-    fn drive(&mut self, horizon: SimTime) -> bool {
-        loop {
-            match self.engine.pop_until_checked(horizon) {
-                Ok(Some((now, ev))) => self.handle(now, ev),
-                Ok(None) => return true,
-                Err(_livelock) => {
-                    self.fe.stats.faults.livelocks += 1;
-                    return false;
-                }
-            }
-        }
+    fn stats(&mut self) -> &mut RunStats {
+        &mut self.fe.stats
     }
 
     fn handle(&mut self, now: SimTime, ev: Ev<CentaurEv>) {
-        self.prof.tick(ev.cost_class());
+        self.probe.prof.tick(ev.cost_class());
         match ev {
             Ev::UdpArrival { flow } => {
                 let _ = self.fe.udp_arrive(flow);
@@ -701,7 +560,7 @@ impl CentaurWorld {
                     self.pending_done -= 1;
                     if self.pending_done == 0 {
                         let epoch = self.epoch_counter;
-                        self.tracer.emit(now.as_nanos(), move || TraceEvent::EpochBarrier {
+                        self.probe.trace.emit(now.as_nanos(), move || TraceEvent::EpochBarrier {
                             epoch,
                             pending: 0,
                         });
@@ -715,7 +574,7 @@ impl CentaurWorld {
                     // Barrier released by the timeout, not by Done
                     // reports: `pending` records how many were missing.
                     let pending = self.pending_done as u32;
-                    self.tracer.emit(now.as_nanos(), move || TraceEvent::EpochBarrier {
+                    self.probe.trace.emit(now.as_nanos(), move || TraceEvent::EpochBarrier {
                         epoch,
                         pending,
                     });
@@ -726,6 +585,92 @@ impl CentaurWorld {
         }
     }
 
+    fn finalize(mut self) -> RunStats {
+        // End-of-run profile flush (no-ops when the handle is off).
+        self.engine.profile_wheel();
+        self.probe.prof.add(domino_obs::CostPath::RngPhyError, self.medium.phy_rng_draws());
+        self.probe.prof.add(domino_obs::CostPath::RngDcfBackoff, self.csma.rng_draws());
+        self.probe.prof.add(domino_obs::CostPath::RngWired, self.backbone.rng_draws());
+        self.probe.prof.add(
+            domino_obs::CostPath::RngFaults,
+            self.node_faults.rng_draws()
+                + self.medium.faults().map(|f| f.rng_draws()).unwrap_or(0),
+        );
+        self.fe.stats.events = self.engine.events_processed();
+        self.fe.stats.tcp_retransmissions = self.fe.tcp_retransmissions();
+        self.fe.stats.faults.merge_node(&self.node_faults);
+        self.fe
+            .stats
+            .faults
+            .merge_backbone(self.backbone.messages_lost(), self.backbone.spikes_injected());
+        if let Some(mf) = self.medium.faults() {
+            self.fe.stats.faults.merge_medium(mf);
+        }
+        self.fe.stats
+    }
+
+    fn snapshot_save(&mut self, w: &mut SnapWriter) {
+        self.engine.snapshot_save(w);
+        self.medium.snapshot_save(w);
+        self.fe.snapshot_save(w);
+        self.backbone.save(w);
+        self.csma.save(w);
+        self.sched.save(w);
+        self.node_faults.save(w);
+        self.rto_gen.put(w);
+        self.ap_states.put(w);
+        w.put_u64(self.epoch_counter);
+        w.put_u64(self.pending_done as u64);
+        self.ap_dark_until.put(w);
+        self.ap_crashed.put(w);
+        self.ctrl_dark_until.put(w);
+        self.standby_ckpt.put(w);
+        self.next_ckpt_at.put(w);
+    }
+
+    fn snapshot_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.engine.snapshot_restore(r)?;
+        self.medium.snapshot_restore(r)?;
+        self.fe.snapshot_restore(r)?;
+        self.backbone.restore(r)?;
+        self.csma.restore(r)?;
+        self.sched.restore(r)?;
+        self.node_faults.restore(r)?;
+        let rto_gen: Vec<u64> = SnapValue::thaw(r)?;
+        if rto_gen.len() != self.rto_gen.len() {
+            return Err(SnapError::Corrupt("rto gen table length"));
+        }
+        self.rto_gen = rto_gen;
+        let ap_states: Vec<Option<ApState>> = SnapValue::thaw(r)?;
+        if ap_states.len() != self.ap_states.len() {
+            return Err(SnapError::Corrupt("ap state table length"));
+        }
+        for (restored, built) in ap_states.iter().zip(&self.ap_states) {
+            if restored.is_some() != built.is_some() {
+                return Err(SnapError::Corrupt("ap state table shape"));
+            }
+        }
+        self.ap_states = ap_states;
+        self.epoch_counter = r.get_u64()?;
+        self.pending_done = r.get_u64()? as usize;
+        let dark: Vec<SimTime> = SnapValue::thaw(r)?;
+        if dark.len() != self.ap_dark_until.len() {
+            return Err(SnapError::Corrupt("ap dark table length"));
+        }
+        self.ap_dark_until = dark;
+        let crashed: Vec<bool> = SnapValue::thaw(r)?;
+        if crashed.len() != self.ap_crashed.len() {
+            return Err(SnapError::Corrupt("ap crash table length"));
+        }
+        self.ap_crashed = crashed;
+        self.ctrl_dark_until = SnapValue::thaw(r)?;
+        self.standby_ckpt = SnapValue::thaw(r)?;
+        self.next_ckpt_at = SnapValue::thaw(r)?;
+        Ok(())
+    }
+}
+
+impl CentaurWorld {
     fn on_tx_end(&mut self, tx: domino_medium::TxId, now: SimTime) {
         let receptions = self.medium.end(tx, now);
         self.csma.scan(now, &mut self.engine, &self.medium);
@@ -815,7 +760,7 @@ impl CentaurWorld {
         if let Some(downtime) = self.node_faults.crash() {
             // Crash with state loss: forget everything, go dark for the
             // downtime.
-            self.tracer.emit(now.as_nanos(), || TraceEvent::FaultInject {
+            self.probe.trace.emit(now.as_nanos(), || TraceEvent::FaultInject {
                 kind: FaultKind::ApCrash,
                 node: ap,
             });
@@ -834,7 +779,7 @@ impl CentaurWorld {
         if self.ap_crashed[apx] {
             self.ap_crashed[apx] = false;
             self.node_faults.recovered();
-            self.tracer.emit(now.as_nanos(), || TraceEvent::FaultRecover {
+            self.probe.trace.emit(now.as_nanos(), || TraceEvent::FaultRecover {
                 kind: FaultKind::ApCrash,
                 node: ap,
             });
@@ -877,7 +822,8 @@ impl CentaurWorld {
             self.sched.save(&mut cw);
             let bytes = cw.into_bytes();
             let len = bytes.len() as u32;
-            self.tracer
+            self.probe
+                .trace
                 .emit(now.as_nanos(), move || TraceEvent::CtrlCheckpoint { bytes: len });
             self.standby_ckpt = bytes;
             self.next_ckpt_at = now + self.ckpt_every;
@@ -915,7 +861,7 @@ impl CentaurWorld {
         let stall = match self.node_faults.compute_stall() {
             Some(d) => {
                 // The controller is not a radio node; u32::MAX marks it.
-                self.tracer.emit(now.as_nanos(), || TraceEvent::FaultInject {
+                self.probe.trace.emit(now.as_nanos(), || TraceEvent::FaultInject {
                     kind: FaultKind::ComputeStall,
                     node: u32::MAX,
                 });
@@ -967,7 +913,7 @@ impl CentaurWorld {
     /// controller cold-restarts after its configured downtime with the
     /// order lost.
     fn crash_controller(&mut self, now: SimTime, downtime: SimDuration) {
-        self.tracer.emit(now.as_nanos(), || TraceEvent::FaultInject {
+        self.probe.trace.emit(now.as_nanos(), || TraceEvent::FaultInject {
             kind: FaultKind::CtrlCrash,
             node: u32::MAX,
         });
@@ -979,7 +925,8 @@ impl CentaurWorld {
                 self.sched.restore(&mut r).expect("standby checkpoint bytes");
             }
             self.fe.stats.faults.standby_promotions += 1;
-            self.tracer
+            self.probe
+                .trace
                 .emit(now.as_nanos(), || TraceEvent::StandbyPromote { replayed: 0 });
             self.detect_delay
         } else {
@@ -989,93 +936,6 @@ impl CentaurWorld {
         self.ctrl_dark_until = now + recovery;
         self.engine
             .schedule_at(self.ctrl_dark_until, Ev::Scheme(CentaurEv::ControllerCheck));
-    }
-
-    fn finalize(mut self) -> RunStats {
-        // End-of-run profile flush (no-ops when the handle is off).
-        self.engine.profile_wheel();
-        self.prof
-            .add(domino_obs::CostPath::RngPhyError, self.medium.phy_rng_draws());
-        self.prof
-            .add(domino_obs::CostPath::RngDcfBackoff, self.csma.rng_draws());
-        self.prof
-            .add(domino_obs::CostPath::RngWired, self.backbone.rng_draws());
-        self.prof.add(
-            domino_obs::CostPath::RngFaults,
-            self.node_faults.rng_draws()
-                + self.medium.faults().map(|f| f.rng_draws()).unwrap_or(0),
-        );
-        self.fe.stats.events = self.engine.events_processed();
-        self.fe.stats.tcp_retransmissions = self.fe.tcp_retransmissions();
-        self.fe.stats.faults.merge_node(&self.node_faults);
-        self.fe
-            .stats
-            .faults
-            .merge_backbone(self.backbone.messages_lost(), self.backbone.spikes_injected());
-        if let Some(mf) = self.medium.faults() {
-            self.fe.stats.faults.merge_medium(mf);
-        }
-        self.fe.stats
-    }
-
-    fn snapshot_save(&mut self, w: &mut SnapWriter) {
-        self.engine.snapshot_save(w);
-        self.medium.snapshot_save(w);
-        self.fe.snapshot_save(w);
-        self.backbone.save(w);
-        self.csma.save(w);
-        self.sched.save(w);
-        self.node_faults.save(w);
-        self.rto_gen.put(w);
-        self.ap_states.put(w);
-        w.put_u64(self.epoch_counter);
-        w.put_u64(self.pending_done as u64);
-        self.ap_dark_until.put(w);
-        self.ap_crashed.put(w);
-        self.ctrl_dark_until.put(w);
-        self.standby_ckpt.put(w);
-        self.next_ckpt_at.put(w);
-    }
-
-    fn snapshot_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.engine.snapshot_restore(r)?;
-        self.medium.snapshot_restore(r)?;
-        self.fe.snapshot_restore(r)?;
-        self.backbone.restore(r)?;
-        self.csma.restore(r)?;
-        self.sched.restore(r)?;
-        self.node_faults.restore(r)?;
-        let rto_gen: Vec<u64> = SnapValue::thaw(r)?;
-        if rto_gen.len() != self.rto_gen.len() {
-            return Err(SnapError::Corrupt("rto gen table length"));
-        }
-        self.rto_gen = rto_gen;
-        let ap_states: Vec<Option<ApState>> = SnapValue::thaw(r)?;
-        if ap_states.len() != self.ap_states.len() {
-            return Err(SnapError::Corrupt("ap state table length"));
-        }
-        for (restored, built) in ap_states.iter().zip(&self.ap_states) {
-            if restored.is_some() != built.is_some() {
-                return Err(SnapError::Corrupt("ap state table shape"));
-            }
-        }
-        self.ap_states = ap_states;
-        self.epoch_counter = r.get_u64()?;
-        self.pending_done = r.get_u64()? as usize;
-        let dark: Vec<SimTime> = SnapValue::thaw(r)?;
-        if dark.len() != self.ap_dark_until.len() {
-            return Err(SnapError::Corrupt("ap dark table length"));
-        }
-        self.ap_dark_until = dark;
-        let crashed: Vec<bool> = SnapValue::thaw(r)?;
-        if crashed.len() != self.ap_crashed.len() {
-            return Err(SnapError::Corrupt("ap crash table length"));
-        }
-        self.ap_crashed = crashed;
-        self.ctrl_dark_until = SnapValue::thaw(r)?;
-        self.standby_ckpt = SnapValue::thaw(r)?;
-        self.next_ckpt_at = SnapValue::thaw(r)?;
-        Ok(())
     }
 }
 
@@ -1277,7 +1137,10 @@ fn advance_ap(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dcf::DcfSim;
+    use crate::dcf::DcfWorld;
+    use crate::run::testing::{assert_checkpoint_resume_matches, run_faulted, run_plain};
+    use crate::workload::Workload;
+    use domino_faults::FaultConfig;
     use domino_topology::presets::{fig13a, fig13b, fig1};
     use domino_topology::PhyParams;
 
@@ -1285,24 +1148,20 @@ mod tests {
         net.links().iter().filter(|l| l.is_downlink()).map(|l| l.id).collect()
     }
 
-    fn assert_stats_eq(a: &RunStats, b: &RunStats) {
-        assert_eq!(a.delivered_bits, b.delivered_bits);
-        assert_eq!(a.events, b.events);
-        assert_eq!(a.drops, b.drops);
-        assert_eq!(a.retries, b.retries);
-        assert_eq!(a.ack_timeouts, b.ack_timeouts);
-        assert_eq!(a.faults, b.faults);
-        for (da, db) in a.delays.iter().zip(&b.delays) {
-            assert_eq!(da.samples(), db.samples());
-        }
+    fn centaur(net: &Network, w: &Workload, duration_s: f64, seed: u64) -> RunStats {
+        run_plain::<CentaurWorld>(net, w, duration_s, seed, CentaurConfig::default())
+    }
+
+    fn dcf(net: &Network, w: &Workload, duration_s: f64, seed: u64) -> RunStats {
+        run_plain::<DcfWorld>(net, w, duration_s, seed, ())
     }
 
     #[test]
     fn exposed_set_runs_concurrently_fig13a() {
         let net = fig13a(PhyParams::default());
         let w = Workload::udp_saturated(&downlinks(&net));
-        let centaur = CentaurSim::run(&net, &w, 3.0, 1).aggregate_mbps();
-        let dcf = DcfSim::run(&net, &w, 3.0, 1).aggregate_mbps();
+        let centaur = centaur(&net, &w, 3.0, 1).aggregate_mbps();
+        let dcf = dcf(&net, &w, 3.0, 1).aggregate_mbps();
         // Table 3 row 1: CENTAUR ≈ 3x DCF on mutually exposed links.
         assert!(
             centaur > dcf * 2.0,
@@ -1315,8 +1174,8 @@ mod tests {
     fn common_exposed_neighbour_breaks_alignment_fig13b() {
         let net = fig13b(PhyParams::default());
         let w = Workload::udp_saturated(&downlinks(&net));
-        let centaur = CentaurSim::run(&net, &w, 3.0, 1);
-        let dcf = DcfSim::run(&net, &w, 3.0, 1);
+        let centaur = centaur(&net, &w, 3.0, 1);
+        let dcf = dcf(&net, &w, 3.0, 1);
         // Table 3 row 2: CENTAUR falls below DCF.
         assert!(
             centaur.aggregate_mbps() < dcf.aggregate_mbps(),
@@ -1332,8 +1191,8 @@ mod tests {
         // Only the two hidden downlinks (AP1->C1 and AP3->C3).
         let d = downlinks(&net);
         let w = Workload::udp_saturated(&[d[0], d[2]]);
-        let centaur = CentaurSim::run(&net, &w, 3.0, 2);
-        let dcf = DcfSim::run(&net, &w, 3.0, 2);
+        let centaur = centaur(&net, &w, 3.0, 2);
+        let dcf = dcf(&net, &w, 3.0, 2);
         // The scheduler never puts the conflicting pair in one round, so
         // CENTAUR rescues the hidden-terminal victim (AP3->C3) that DCF
         // starves, and collision timeouts all but disappear.
@@ -1359,9 +1218,9 @@ mod tests {
         let net = fig1(PhyParams::default());
         let d = downlinks(&net);
         let down_only = Workload::udp_saturated(&[d[0], d[2]]);
-        let down = CentaurSim::run(&net, &down_only, 2.0, 3);
+        let down = centaur(&net, &down_only, 2.0, 3);
         let with_up = Workload::udp_updown(&net, 10e6, 10e6);
-        let both = CentaurSim::run(&net, &with_up, 2.0, 3);
+        let both = centaur(&net, &with_up, 2.0, 3);
         let down_tput_alone = down.link_mbps(d[0]) + down.link_mbps(d[2]);
         let down_tput_disturbed = both.link_mbps(d[0]) + both.link_mbps(d[2]);
         assert!(
@@ -1374,43 +1233,9 @@ mod tests {
     fn deterministic() {
         let net = fig13a(PhyParams::default());
         let w = Workload::udp_saturated(&downlinks(&net));
-        let a = CentaurSim::run(&net, &w, 1.0, 5);
-        let b = CentaurSim::run(&net, &w, 1.0, 5);
+        let a = centaur(&net, &w, 1.0, 5);
+        let b = centaur(&net, &w, 1.0, 5);
         assert_eq!(a.delivered_bits, b.delivered_bits);
-    }
-
-    #[test]
-    fn checkpoint_and_resume_match_uninterrupted_run() {
-        let net = fig13a(PhyParams::default());
-        let w = Workload::udp_saturated(&downlinks(&net));
-        let off = FaultConfig::off();
-        let baseline = CentaurSim::run(&net, &w, 1.0, 5);
-        let boundary = SimTime::from_nanos(400_000_000);
-        let mut snap: Option<Vec<u8>> = None;
-        let ckpt = CentaurSim::run_ckpt(
-            &net,
-            &w,
-            1.0,
-            5,
-            CentaurConfig::default(),
-            &off,
-            TraceHandle::off(),
-            &[boundary],
-            &mut |_, bytes| snap = Some(bytes),
-        );
-        assert_stats_eq(&ckpt, &baseline);
-        let resumed = CentaurSim::resume(
-            &net,
-            &w,
-            1.0,
-            5,
-            CentaurConfig::default(),
-            &off,
-            TraceHandle::off(),
-            &snap.unwrap(),
-        )
-        .unwrap();
-        assert_stats_eq(&resumed, &baseline);
     }
 
     #[test]
@@ -1423,35 +1248,13 @@ mod tests {
             standby: true,
             ..FaultConfig::off()
         };
-        let baseline =
-            CentaurSim::run_faulted(&net, &w, 2.0, 9, CentaurConfig::default(), &faults);
-        assert!(baseline.faults.ctrl_crashes > 0, "seed must exercise the crash path");
-        let boundary = SimTime::from_nanos(900_000_000);
-        let mut snap: Option<Vec<u8>> = None;
-        let ckpt = CentaurSim::run_ckpt(
-            &net,
-            &w,
-            2.0,
-            9,
+        let inputs = RunInputs { net: &net, workload: &w, duration_s: 2.0, seed: 9, faults: &faults };
+        let baseline = assert_checkpoint_resume_matches::<CentaurWorld>(
+            &inputs,
             CentaurConfig::default(),
-            &faults,
-            TraceHandle::off(),
-            &[boundary],
-            &mut |_, bytes| snap = Some(bytes),
+            SimTime::from_nanos(900_000_000),
         );
-        assert_stats_eq(&ckpt, &baseline);
-        let resumed = CentaurSim::resume(
-            &net,
-            &w,
-            2.0,
-            9,
-            CentaurConfig::default(),
-            &faults,
-            TraceHandle::off(),
-            &snap.unwrap(),
-        )
-        .unwrap();
-        assert_stats_eq(&resumed, &baseline);
+        assert!(baseline.faults.ctrl_crashes > 0, "seed must exercise the crash path");
     }
 
     #[test]
@@ -1464,8 +1267,10 @@ mod tests {
             ..FaultConfig::off()
         };
         let warm_cfg = FaultConfig { standby: true, ..cold_cfg.clone() };
-        let cold = CentaurSim::run_faulted(&net, &w, 3.0, 7, CentaurConfig::default(), &cold_cfg);
-        let warm = CentaurSim::run_faulted(&net, &w, 3.0, 7, CentaurConfig::default(), &warm_cfg);
+        let cold =
+            run_faulted::<CentaurWorld>(&net, &w, 3.0, 7, &cold_cfg, CentaurConfig::default());
+        let warm =
+            run_faulted::<CentaurWorld>(&net, &w, 3.0, 7, &warm_cfg, CentaurConfig::default());
         assert!(cold.faults.ctrl_crashes > 0, "crashes: {}", cold.faults.ctrl_crashes);
         assert_eq!(cold.faults.standby_promotions, 0);
         assert!(warm.faults.standby_promotions > 0);

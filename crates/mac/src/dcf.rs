@@ -6,15 +6,17 @@
 //! Hidden- and exposed-terminal behaviour emerges from the medium's RSS
 //! physics, not from special cases.
 //!
-//! [`CsmaCore`] is the per-node contention machine; [`DcfSim`] wires it
+//! [`CsmaCore`] is the per-node contention machine; [`DcfWorld`] wires it
 //! to the traffic engine for a pure-DCF run. CENTAUR reuses `CsmaCore`
 //! for its unscheduled uplink.
 
 use crate::flows::{FlowEngine, TCP_TICK};
+use crate::run::{RunInputs, World};
 use crate::timing::{ack_airtime, ack_timeout, data_airtime, CW_MAX, CW_MIN, DIFS, RETRY_LIMIT, SIFS, SLOT_TIME};
-use crate::workload::{client_indices, RunStats, Workload};
-use domino_faults::{FaultConfig, FaultPlane};
+use crate::workload::{client_indices, RunStats};
+use domino_faults::FaultPlane;
 use domino_medium::{Frame, FrameBody, Medium, Reception, TxId};
+use domino_obs::Probe;
 use domino_phy::error_model::DataRate;
 use domino_sim::engine::{DEFAULT_EVENT_BUDGET, DEFAULT_LIVENESS_WINDOW};
 use domino_sim::rng::streams;
@@ -577,151 +579,36 @@ impl Snapshot for CsmaCore {
     }
 }
 
-/// A pure-DCF simulation run.
+/// The complete state of a pure-DCF run between events.
 #[derive(Debug)]
-pub struct DcfSim;
-
-impl DcfSim {
-    /// Run `workload` over `net` for `duration_s` seconds of simulated
-    /// time.
-    pub fn run(net: &Network, workload: &Workload, duration_s: f64, seed: u64) -> RunStats {
-        DcfSim::run_faulted(net, workload, duration_s, seed, &FaultConfig::off())
-    }
-
-    /// [`DcfSim::run`] under a fault plane. With `faults` all off this is
-    /// byte-identical to the plain run (the plane makes zero draws and the
-    /// medium hook is never installed).
-    pub fn run_faulted(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        faults: &FaultConfig,
-    ) -> RunStats {
-        Self::run_traced(net, workload, duration_s, seed, faults, domino_obs::TraceHandle::off())
-    }
-
-    /// [`DcfSim::run_faulted`] with a trace sink attached. DCF has no
-    /// scheduler, so only the engine's liveness events and the medium's
-    /// fault injections appear in its trace. Tracing is observation only —
-    /// with the handle off this is byte-identical to the untraced run.
-    pub fn run_traced(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        faults: &FaultConfig,
-        tracer: domino_obs::TraceHandle,
-    ) -> RunStats {
-        DcfSim::run_ckpt(net, workload, duration_s, seed, faults, tracer, &[], &mut |_, _| {})
-    }
-
-    /// [`DcfSim::run_traced`] with a cost profiler attached. Profiling is
-    /// observation only — no draws, no events, no hot-path allocation —
-    /// so a run with the handle off is byte-identical to a profiled one.
-    pub fn run_profiled(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        faults: &FaultConfig,
-        tracer: domino_obs::TraceHandle,
-        prof: domino_obs::ProfHandle,
-    ) -> RunStats {
-        let mut world = DcfWorld::new(net, workload, duration_s, seed, faults, tracer);
-        world.set_profiler(prof);
-        let horizon = SimTime::ZERO + domino_sim::SimDuration::from_secs_f64(duration_s);
-        world.drive(horizon);
-        world.finalize()
-    }
-
-    /// [`DcfSim::run_traced`] with snapshot boundaries: at each instant in
-    /// `boundaries` (sorted, within the run) the full world state is
-    /// serialized and handed to `sink`, then the run *continues* — the
-    /// returned stats are byte-identical to a boundary-free run.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_ckpt(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        faults: &FaultConfig,
-        tracer: domino_obs::TraceHandle,
-        boundaries: &[SimTime],
-        sink: &mut dyn FnMut(SimTime, Vec<u8>),
-    ) -> RunStats {
-        let mut world = DcfWorld::new(net, workload, duration_s, seed, faults, tracer);
-        let horizon = SimTime::ZERO + domino_sim::SimDuration::from_secs_f64(duration_s);
-        for &b in boundaries.iter().filter(|&&b| b <= horizon) {
-            // Events at exactly `b` land after the snapshot: drive the
-            // engine through b−1ns (pop_until is horizon-inclusive).
-            if b > SimTime::ZERO && !world.drive(b - domino_sim::SimDuration::from_nanos(1)) {
-                return world.finalize(); // livelocked mid-run
-            }
-            let mut w = SnapWriter::new();
-            world.snapshot_save(&mut w);
-            sink(b, w.into_bytes());
-        }
-        world.drive(horizon);
-        world.finalize()
-    }
-
-    /// Rebuild a run from a [`DcfSim::run_ckpt`] payload taken at some
-    /// boundary and run it to completion. The world is reconstructed from
-    /// the same `(net, workload, duration, seed, faults)` the original
-    /// run used; the payload supplies only the dynamic state.
-    pub fn resume(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        faults: &FaultConfig,
-        tracer: domino_obs::TraceHandle,
-        payload: &[u8],
-    ) -> Result<RunStats, SnapError> {
-        let mut world = DcfWorld::new(net, workload, duration_s, seed, faults, tracer);
-        let mut r = SnapReader::new(payload);
-        world.snapshot_restore(&mut r)?;
-        if !r.is_exhausted() {
-            return Err(SnapError::Corrupt("trailing snapshot bytes"));
-        }
-        let horizon = SimTime::ZERO + domino_sim::SimDuration::from_secs_f64(duration_s);
-        world.drive(horizon);
-        Ok(world.finalize())
-    }
-}
-
-/// The complete state of a DCF run between events.
-#[derive(Debug)]
-struct DcfWorld {
+pub struct DcfWorld {
     net: Network,
     engine: Engine<Ev<()>>,
     medium: Medium,
     fe: FlowEngine,
     csma: CsmaCore,
     rto_gen: Vec<u64>,
-    /// Observation-only cost profiler (off by default).
-    prof: domino_obs::ProfHandle,
+    /// Observation-only trace sink and cost profiler (off by default).
+    probe: Probe,
 }
 
-impl DcfWorld {
-    fn new(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        faults: &FaultConfig,
-        tracer: domino_obs::TraceHandle,
-    ) -> DcfWorld {
+impl World for DcfWorld {
+    type Config = ();
+    type Event = Ev<()>;
+
+    /// DCF has no scheduler, so only the engine's liveness events and the
+    /// medium's fault injections appear in its trace.
+    fn new(inputs: &RunInputs<'_>, (): (), probe: Probe) -> DcfWorld {
+        let RunInputs { net, workload, duration_s, seed, faults } = *inputs;
         let mut engine: Engine<Ev<()>> = Engine::new();
         let mut medium = Medium::new(net.clone(), seed);
         let plane = FaultPlane::new(faults, seed, &client_indices(net), duration_s);
         if plane.cfg.enabled() {
             medium.set_faults(plane.medium);
         }
-        medium.set_tracer(tracer.clone());
+        medium.set_probe(probe.clone());
         engine.set_liveness(DEFAULT_EVENT_BUDGET, DEFAULT_LIVENESS_WINDOW);
-        engine.set_tracer(tracer);
+        engine.set_probe(probe.clone());
         let fe = FlowEngine::new(net, workload, duration_s);
         let contenders: Vec<NodeId> = (0..net.num_nodes() as u32).map(NodeId).collect();
         let csma = CsmaCore::new(net, &contenders, seed);
@@ -733,42 +620,19 @@ impl DcfWorld {
         for flow in fe.tcp_flows() {
             engine.schedule_at(SimTime::ZERO + TCP_TICK, Ev::TcpTick { flow });
         }
-        DcfWorld {
-            net: net.clone(),
-            engine,
-            medium,
-            fe,
-            csma,
-            rto_gen,
-            prof: domino_obs::ProfHandle::off(),
-        }
+        DcfWorld { net: net.clone(), engine, medium, fe, csma, rto_gen, probe }
     }
 
-    /// Attach a cost profiler to the engine, the medium and the world's
-    /// own event dispatch.
-    fn set_profiler(&mut self, prof: domino_obs::ProfHandle) {
-        self.engine.set_profiler(prof.clone());
-        self.medium.set_profiler(prof.clone());
-        self.prof = prof;
+    fn engine(&mut self) -> &mut Engine<Ev<()>> {
+        &mut self.engine
     }
 
-    /// Process events through `horizon` (inclusive). Returns false when
-    /// the liveness monitor aborted the run.
-    fn drive(&mut self, horizon: SimTime) -> bool {
-        loop {
-            match self.engine.pop_until_checked(horizon) {
-                Ok(Some((now, ev))) => self.handle(now, ev),
-                Ok(None) => return true,
-                Err(_livelock) => {
-                    self.fe.stats.faults.livelocks += 1;
-                    return false;
-                }
-            }
-        }
+    fn stats(&mut self) -> &mut RunStats {
+        &mut self.fe.stats
     }
 
     fn handle(&mut self, now: SimTime, ev: Ev<()>) {
-        self.prof.tick(ev.cost_class());
+        self.probe.prof.tick(ev.cost_class());
         match ev {
             Ev::UdpArrival { flow } => {
                 let _ = self.fe.udp_arrive(flow);
@@ -853,11 +717,9 @@ impl DcfWorld {
     fn finalize(mut self) -> RunStats {
         // End-of-run profile flush (no-ops when the handle is off).
         self.engine.profile_wheel();
-        self.prof
-            .add(domino_obs::CostPath::RngPhyError, self.medium.phy_rng_draws());
-        self.prof
-            .add(domino_obs::CostPath::RngDcfBackoff, self.csma.rng_draws());
-        self.prof.add(
+        self.probe.prof.add(domino_obs::CostPath::RngPhyError, self.medium.phy_rng_draws());
+        self.probe.prof.add(domino_obs::CostPath::RngDcfBackoff, self.csma.rng_draws());
+        self.probe.prof.add(
             domino_obs::CostPath::RngFaults,
             self.medium.faults().map(|f| f.rng_draws()).unwrap_or(0),
         );
@@ -869,8 +731,6 @@ impl DcfWorld {
         self.fe.stats
     }
 
-    /// Serialize every dynamic component, in a fixed order. `&mut`
-    /// because the engine drains and rebuilds its wheel in place.
     fn snapshot_save(&mut self, w: &mut SnapWriter) {
         self.engine.snapshot_save(w);
         self.medium.snapshot_save(w);
@@ -919,12 +779,19 @@ fn _suppress(_: PacketId) {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::{FlowKind, FlowSpec};
+    use crate::run::testing::{assert_checkpoint_resume_matches, run_plain};
+    use crate::run::{run, Checkpoints};
+    use crate::workload::{FlowKind, FlowSpec, Workload};
+    use domino_faults::FaultConfig;
     use domino_phy::units::Dbm;
     use domino_topology::network::{make_node, PhyParams};
     use domino_topology::node::{NodeRole, Position};
     use domino_topology::presets::fig1;
     use domino_topology::rss::RssMatrix;
+
+    fn dcf(net: &Network, w: &Workload, duration_s: f64, seed: u64) -> RunStats {
+        run_plain::<DcfWorld>(net, w, duration_s, seed, ())
+    }
 
     fn one_pair() -> Network {
         let nodes = vec![
@@ -940,7 +807,7 @@ mod tests {
     fn saturated_single_pair_throughput() {
         let net = one_pair();
         let w = Workload::udp_saturated(&[LinkId(0)]);
-        let stats = DcfSim::run(&net, &w, 2.0, 1);
+        let stats = dcf(&net, &w, 2.0, 1);
         let mbps = stats.aggregate_mbps();
         // 512 B at 12 Mb/s with DIFS + mean backoff + SIFS + ACK
         // overhead lands around 7-8 Mb/s.
@@ -952,8 +819,8 @@ mod tests {
     fn deterministic_per_seed() {
         let net = one_pair();
         let w = Workload::udp_updown(&net, 3e6, 1e6);
-        let a = DcfSim::run(&net, &w, 1.0, 7);
-        let b = DcfSim::run(&net, &w, 1.0, 7);
+        let a = dcf(&net, &w, 1.0, 7);
+        let b = dcf(&net, &w, 1.0, 7);
         assert_eq!(a.delivered_bits, b.delivered_bits);
         assert_eq!(a.events, b.events);
     }
@@ -962,7 +829,7 @@ mod tests {
     fn light_load_is_served_fully() {
         let net = one_pair();
         let w = Workload::udp_updown(&net, 1e6, 0.5e6);
-        let stats = DcfSim::run(&net, &w, 2.0, 3);
+        let stats = dcf(&net, &w, 2.0, 3);
         let down = stats.link_mbps(LinkId(0));
         let up = stats.link_mbps(LinkId(1));
         assert!((down - 1.0).abs() < 0.08, "downlink served: {down}");
@@ -980,7 +847,7 @@ mod tests {
         let l_c2 = net.links().iter().find(|l| !l.is_downlink() && l.ap == domino_topology::NodeId(2)).unwrap().id;
         let l_ap3 = net.links().iter().find(|l| l.is_downlink() && l.sender == domino_topology::NodeId(4)).unwrap().id;
         let w = Workload::udp_saturated(&[l_ap1, l_c2, l_ap3]);
-        let stats = DcfSim::run(&net, &w, 3.0, 5);
+        let stats = dcf(&net, &w, 3.0, 5);
         let t1 = stats.link_mbps(l_ap1);
         let t3 = stats.link_mbps(l_ap3);
         // AP3's downlink is the hidden-terminal victim: far below AP1.
@@ -994,7 +861,7 @@ mod tests {
         let l_ap1 = LinkId(0);
         let l_c2 = net.links().iter().find(|l| !l.is_downlink() && l.ap == domino_topology::NodeId(2)).unwrap().id;
         let w = Workload::udp_saturated(&[l_ap1, l_c2]);
-        let stats = DcfSim::run(&net, &w, 2.0, 9);
+        let stats = dcf(&net, &w, 2.0, 9);
         let total = stats.link_mbps(l_ap1) + stats.link_mbps(l_c2);
         // The two links are exposed (could run concurrently at ~8 each)
         // but DCF serializes them: aggregate stays near single-link
@@ -1003,71 +870,23 @@ mod tests {
         assert!(total > 5.0, "but they do share the channel: {total}");
     }
 
-    /// Field-by-field equality of two runs' stats (RunStats holds delay
-    /// meters, so no derived PartialEq).
-    fn assert_stats_eq(a: &RunStats, b: &RunStats) {
-        assert_eq!(a.delivered_bits, b.delivered_bits);
-        assert_eq!(a.events, b.events);
-        assert_eq!(a.drops, b.drops);
-        assert_eq!(a.retries, b.retries);
-        assert_eq!(a.ack_timeouts, b.ack_timeouts);
-        assert_eq!(a.tcp_retransmissions, b.tcp_retransmissions);
-        for (da, db) in a.delays.iter().zip(&b.delays) {
-            assert_eq!(da.samples(), db.samples());
-        }
-    }
-
     #[test]
     fn checkpoint_and_resume_match_uninterrupted_run() {
         let net = one_pair();
         let w = Workload::udp_updown(&net, 3e6, 1e6);
         let off = FaultConfig::off();
-        let baseline = DcfSim::run(&net, &w, 1.0, 7);
-
-        let mut snaps: Vec<(SimTime, Vec<u8>)> = Vec::new();
+        let inputs = RunInputs { net: &net, workload: &w, duration_s: 1.0, seed: 7, faults: &off };
         let boundary = SimTime::from_nanos(500_000_000);
-        let ckpt = DcfSim::run_ckpt(
-            &net,
-            &w,
-            1.0,
-            7,
-            &off,
-            domino_obs::TraceHandle::off(),
-            &[boundary],
-            &mut |t, bytes| snaps.push((t, bytes)),
-        );
-        // Taking a snapshot mid-run must not perturb the run.
-        assert_stats_eq(&ckpt, &baseline);
-        assert_eq!(snaps.len(), 1);
-        assert_eq!(snaps[0].0, boundary);
-
-        // Restoring into a fresh process-equivalent world and finishing
-        // reproduces the uninterrupted run exactly.
-        let resumed = DcfSim::resume(
-            &net,
-            &w,
-            1.0,
-            7,
-            &off,
-            domino_obs::TraceHandle::off(),
-            &snaps[0].1,
-        )
-        .unwrap();
-        assert_stats_eq(&resumed, &baseline);
+        assert_checkpoint_resume_matches::<DcfWorld>(&inputs, (), boundary);
 
         // A payload for a different configuration is rejected, not
         // silently mis-restored.
+        let mut snap = Vec::new();
+        let ckpt = Checkpoints { at: &[boundary], sink: &mut |_, bytes| snap = bytes };
+        run::<DcfWorld>(&inputs, (), Probe::default(), Some(ckpt), None).unwrap();
         let other = Workload::udp_updown(&net, 3e6, 0.0);
-        assert!(DcfSim::resume(
-            &net,
-            &other,
-            1.0,
-            7,
-            &off,
-            domino_obs::TraceHandle::off(),
-            &snaps[0].1,
-        )
-        .is_err());
+        let foreign = RunInputs { workload: &other, ..inputs };
+        assert!(run::<DcfWorld>(&foreign, (), Probe::default(), None, Some((boundary, &snap))).is_err());
     }
 
     #[test]
@@ -1075,32 +894,8 @@ mod tests {
         let net = one_pair();
         let w = Workload::tcp_updown(&net, 6e6, 0.0);
         let chaos = FaultConfig::chaos(0.7);
-        let baseline = DcfSim::run_faulted(&net, &w, 1.0, 21, &chaos);
-        let mut snap: Option<Vec<u8>> = None;
-        let boundary = SimTime::from_nanos(300_000_000);
-        let ckpt = DcfSim::run_ckpt(
-            &net,
-            &w,
-            1.0,
-            21,
-            &chaos,
-            domino_obs::TraceHandle::off(),
-            &[boundary],
-            &mut |_, bytes| snap = Some(bytes),
-        );
-        assert_stats_eq(&ckpt, &baseline);
-        let resumed = DcfSim::resume(
-            &net,
-            &w,
-            1.0,
-            21,
-            &chaos,
-            domino_obs::TraceHandle::off(),
-            &snap.unwrap(),
-        )
-        .unwrap();
-        assert_stats_eq(&resumed, &baseline);
-        assert_eq!(resumed.faults.injections(), baseline.faults.injections());
+        let inputs = RunInputs { net: &net, workload: &w, duration_s: 1.0, seed: 21, faults: &chaos };
+        assert_checkpoint_resume_matches::<DcfWorld>(&inputs, (), SimTime::from_nanos(300_000_000));
     }
 
     #[test]
@@ -1113,7 +908,7 @@ mod tests {
             }],
             packet_bytes: 512,
         };
-        let stats = DcfSim::run(&net, &w, 2.0, 11);
+        let stats = dcf(&net, &w, 2.0, 11);
         let mbps = stats.link_mbps(LinkId(0));
         assert!(mbps > 3.0, "TCP over clean DCF: {mbps} Mb/s");
     }

@@ -25,14 +25,15 @@
 //!   chain) starts by the APs individually, then heals.
 
 use crate::flows::{FlowEngine, TCP_TICK};
+use crate::run::{RunInputs, World};
 use crate::timing::{
     fake_airtime, poll_airtime, rop_slot_duration, slot_geometry, SlotGeometry, ACK_BYTES,
     MAC_OVERHEAD_BYTES, POLL_BYTES, ROP_SYMBOL, SIFS, SLOT_TIME,
 };
-use crate::workload::{client_indices, DominoCounters, RunStats, Workload, WATCHDOG_STORM_THRESHOLD};
-use domino_faults::{FaultConfig, FaultPlane, NodeFaults};
+use crate::workload::{client_indices, DominoCounters, RunStats, WATCHDOG_STORM_THRESHOLD};
+use domino_faults::{FaultPlane, NodeFaults};
 use domino_medium::{Burst, BurstMarker, Frame, FrameBody, InlineVec, Medium, Reception, TxId};
-use domino_obs::{CostPath, FaultKind, ProfHandle, TraceEvent, TraceHandle};
+use domino_obs::{CostPath, FaultKind, Probe, TraceEvent};
 use domino_scheduler::{
     BacklogView, BurstAssignment, ConversionOutcome, Converter, ConverterConfig, RandScheduler,
     RelativeBatch,
@@ -120,9 +121,9 @@ struct ApAction {
 /// action: `(slot, own burst, client burst)`.
 type RetainedUpdate = (u64, Option<Burst>, Option<Burst>);
 
-/// Wired message to one AP.
+/// Wired message to one AP (opaque outside the DOMINO engine).
 #[derive(Debug)]
-struct ApMessage {
+pub struct ApMessage {
     first_slot: u64,
     actions: Vec<ApAction>,
     /// Replacement burst info for already-delivered retained-slot
@@ -132,32 +133,102 @@ struct ApMessage {
 
 /// DOMINO scheme events.
 #[derive(Debug)]
-enum DEv {
-    UdpArrival { flow: usize },
-    TcpTick { flow: usize },
-    TcpRto { flow: usize, gen: u64 },
-    TxEnd { tx: TxId },
+pub enum DEv {
+    /// A UDP flow's next packet is due.
+    UdpArrival {
+        /// Flow index.
+        flow: usize,
+    },
+    /// Periodic TCP application tick.
+    TcpTick {
+        /// Flow index.
+        flow: usize,
+    },
+    /// TCP retransmission-timer check.
+    TcpRto {
+        /// Flow index.
+        flow: usize,
+        /// Staleness guard.
+        gen: u64,
+    },
+    /// A transmission leaves the air.
+    TxEnd {
+        /// Medium handle.
+        tx: TxId,
+    },
     /// Wired delivery of a batch program to an AP.
-    BatchArrive { ap: u32, msg: ApMessage },
+    BatchArrive {
+        /// Destination AP node index.
+        ap: u32,
+        /// The AP's program.
+        msg: ApMessage,
+    },
     /// Wired delivery of a queue report to the controller.
-    ReportArrive { link: u32, queue: u32 },
+    ReportArrive {
+        /// Reported link id.
+        link: u32,
+        /// Its queue length.
+        queue: u32,
+    },
     /// Controller computes and dispatches the next batch (stale
     /// generations are ignored).
-    ControllerCompute { gen: u64 },
+    ControllerCompute {
+        /// Compute generation.
+        gen: u64,
+    },
     /// A triggered node's slot begins.
-    SlotStart { node: u32, gen: u64, slot: u64 },
+    SlotStart {
+        /// Node index.
+        node: u32,
+        /// Staleness guard.
+        gen: u64,
+        /// Slot id.
+        slot: u64,
+    },
     /// A node's scheduled burst goes on the air.
-    SendBurst { node: u32, burst: Burst },
+    SendBurst {
+        /// Node index.
+        node: u32,
+        /// The burst.
+        burst: Burst,
+    },
     /// A receiver's ACK is due.
-    SendAck { rx: u32, packet: Packet, client_burst: Option<Burst> },
+    SendAck {
+        /// Acknowledging node.
+        rx: u32,
+        /// The packet being acknowledged.
+        packet: Packet,
+        /// Burst instruction for the client, embedded in the ACK.
+        client_burst: Option<Burst>,
+    },
     /// A sender checks whether its data was ACKed.
-    AckCheck { node: u32, gen: u64 },
+    AckCheck {
+        /// Sender node index.
+        node: u32,
+        /// Staleness guard.
+        gen: u64,
+    },
     /// A client answers a poll with its share of the ROP symbol.
-    RopAnswer { client: u32, ap: u32 },
+    RopAnswer {
+        /// Answering client node index.
+        client: u32,
+        /// Polling AP node index.
+        ap: u32,
+    },
     /// An AP with pending work got no trigger for too long.
-    Watchdog { ap: u32, gen: u64 },
+    Watchdog {
+        /// AP node index.
+        ap: u32,
+        /// Staleness guard.
+        gen: u64,
+    },
     /// An untriggerable entry's estimated slot time arrived.
-    KickOff { ap: u32, slot: u64 },
+    KickOff {
+        /// AP node index.
+        ap: u32,
+        /// Slot id.
+        slot: u64,
+    },
     /// The acting controller's heartbeat timer (warm-standby plane; the
     /// timer always reschedules itself, a dead controller just emits
     /// nothing).
@@ -168,14 +239,23 @@ enum DEv {
     /// A heartbeat reaches the standby.
     HeartbeatArrive,
     /// A state checkpoint reaches the standby.
-    CkptArrive { state: Vec<u8> },
+    CkptArrive {
+        /// The serialized controller image.
+        state: Vec<u8>,
+    },
     /// The ROP relay's copy of a queue report reaches the standby.
-    StandbyReport { link: u32, queue: u32 },
+    StandbyReport {
+        /// Reported link id.
+        link: u32,
+        /// Its queue length.
+        queue: u32,
+    },
     /// The standby's deterministic failure detector ticks.
     StandbyProbe,
 }
 
 /// Per-node runtime state.
+#[derive(Debug)]
 struct NodeRt {
     /// AP program (empty for clients).
     program: VecDeque<ApAction>,
@@ -415,166 +495,16 @@ impl SnapValue for DEv {
     }
 }
 
-/// The DOMINO engine.
+/// The complete state of a DOMINO run between events.
+///
+/// Under a fault plane: backbone loss/spikes under the batch programs and
+/// ROP relays, AP crashes with state loss, controller compute stalls that
+/// overrun the batch fallback timer, stale ROP reports, primary-controller
+/// crashes (warm standby or cold restart), plus the medium-resident fade
+/// and churn classes. With faults all off the run is byte-identical to
+/// one without a fault plane.
 #[derive(Debug)]
-pub struct DominoSim;
-
-impl DominoSim {
-    /// Run `workload` over `net` for `duration_s` seconds with default
-    /// parameters.
-    pub fn run(net: &Network, workload: &Workload, duration_s: f64, seed: u64) -> RunStats {
-        Self::run_with(net, workload, duration_s, seed, DominoConfig::default())
-    }
-
-    /// Run with explicit DOMINO parameters.
-    pub fn run_with(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        cfg: DominoConfig,
-    ) -> RunStats {
-        Self::run_faulted(net, workload, duration_s, seed, cfg, &FaultConfig::off())
-    }
-
-    /// [`DominoSim::run_with`] under a fault plane: backbone loss/spikes
-    /// under the batch programs and ROP relays, AP crashes with state
-    /// loss, controller compute stalls that overrun the batch fallback
-    /// timer, stale ROP reports, plus the medium-resident fade and churn
-    /// classes. With `faults` all off this is byte-identical to the plain
-    /// run.
-    pub fn run_faulted(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        cfg: DominoConfig,
-        faults: &FaultConfig,
-    ) -> RunStats {
-        Self::run_traced(net, workload, duration_s, seed, cfg, faults, TraceHandle::off())
-    }
-
-    /// [`DominoSim::run_faulted`] with a trace sink attached. Tracing is
-    /// observation only — it draws no randomness and schedules no events,
-    /// so a run with the handle off is byte-identical to one that never
-    /// attached a tracer.
-    pub fn run_traced(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        cfg: DominoConfig,
-        faults: &FaultConfig,
-        tracer: TraceHandle,
-    ) -> RunStats {
-        Self::run_ckpt(net, workload, duration_s, seed, cfg, faults, tracer, &[], &mut |_, _| {})
-    }
-
-    /// [`DominoSim::run_traced`] with a cost profiler attached. Profiling
-    /// is observation only, exactly like tracing: it draws no randomness,
-    /// schedules no events, and allocates nothing on the hot path, so a
-    /// run with the handle off is byte-identical to a profiled one.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_profiled(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        cfg: DominoConfig,
-        faults: &FaultConfig,
-        tracer: TraceHandle,
-        prof: ProfHandle,
-    ) -> RunStats {
-        Self::run_core(
-            net, workload, duration_s, seed, cfg, faults, tracer, prof, &[], &mut |_, _| {},
-        )
-    }
-
-    /// [`DominoSim::run_traced`] with snapshot boundaries; see
-    /// [`crate::DcfSim::run_ckpt`] for the contract.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_ckpt(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        cfg: DominoConfig,
-        faults: &FaultConfig,
-        tracer: TraceHandle,
-        boundaries: &[SimTime],
-        sink: &mut dyn FnMut(SimTime, Vec<u8>),
-    ) -> RunStats {
-        Self::run_core(
-            net,
-            workload,
-            duration_s,
-            seed,
-            cfg,
-            faults,
-            tracer,
-            ProfHandle::off(),
-            boundaries,
-            sink,
-        )
-    }
-
-    /// The innermost entry: every public run path funnels here.
-    #[allow(clippy::too_many_arguments)]
-    fn run_core(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        cfg: DominoConfig,
-        faults: &FaultConfig,
-        tracer: TraceHandle,
-        prof: ProfHandle,
-        boundaries: &[SimTime],
-        sink: &mut dyn FnMut(SimTime, Vec<u8>),
-    ) -> RunStats {
-        let mut world = World::new(net, workload, duration_s, seed, cfg, faults, tracer, prof);
-        let horizon = SimTime::ZERO + SimDuration::from_secs_f64(duration_s);
-        for &b in boundaries.iter().filter(|&&b| b <= horizon) {
-            if b > SimTime::ZERO && !world.drive(b - SimDuration::from_nanos(1)) {
-                return world.finalize();
-            }
-            let mut w = SnapWriter::new();
-            world.snapshot_save(&mut w);
-            sink(b, w.into_bytes());
-        }
-        world.drive(horizon);
-        world.finalize()
-    }
-
-    /// Rebuild a run from a [`DominoSim::run_ckpt`] payload and run it to
-    /// completion; see [`crate::DcfSim::resume`] for the contract.
-    #[allow(clippy::too_many_arguments)]
-    pub fn resume(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        cfg: DominoConfig,
-        faults: &FaultConfig,
-        tracer: TraceHandle,
-        payload: &[u8],
-    ) -> Result<RunStats, SnapError> {
-        // Profiling state is never part of a snapshot: a restored run
-        // counts from zero.
-        let mut world =
-            World::new(net, workload, duration_s, seed, cfg, faults, tracer, ProfHandle::off());
-        let mut r = SnapReader::new(payload);
-        world.snapshot_restore(&mut r)?;
-        if !r.is_exhausted() {
-            return Err(SnapError::Corrupt("trailing snapshot bytes"));
-        }
-        let horizon = SimTime::ZERO + SimDuration::from_secs_f64(duration_s);
-        world.drive(horizon);
-        Ok(world.finalize())
-    }
-}
-
-struct World {
+pub struct DominoWorld {
     net: Network,
     cfg: DominoConfig,
     engine: Engine<DEv>,
@@ -619,11 +549,9 @@ struct World {
     /// Consecutive watchdog restarts with zero deliveries in between
     /// (storm detection, see `DominoCounters::watchdog_storms`).
     wd_streak: u64,
-    /// Observation-only trace sink (off by default).
-    tracer: TraceHandle,
-    /// Observation-only cost profiler (off by default; excluded from
-    /// snapshots — a restored run profiles from zero).
-    prof: ProfHandle,
+    /// Observation-only trace sink and cost profiler (off by default;
+    /// excluded from snapshots — a restored run profiles from zero).
+    probe: Probe,
     /// Monotone batch id for BatchBegin/BatchEnd trace pairing.
     batch_seq: u64,
     // ---- warm-standby control plane (inert unless `faults.standby`) ----
@@ -676,18 +604,12 @@ struct World {
     retained_pool: Vec<Vec<RetainedUpdate>>,
 }
 
-impl World {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        cfg: DominoConfig,
-        faults: &FaultConfig,
-        tracer: TraceHandle,
-        prof: ProfHandle,
-    ) -> World {
+impl World for DominoWorld {
+    type Config = DominoConfig;
+    type Event = DEv;
+
+    fn new(inputs: &RunInputs<'_>, cfg: DominoConfig, probe: Probe) -> DominoWorld {
+        let RunInputs { net, workload, duration_s, seed, faults } = *inputs;
         let geo = slot_geometry(net.phy().data_rate, workload.packet_bytes);
         let rop_dur = rop_slot_duration(net.phy().data_rate);
         let plane = FaultPlane::new(faults, seed, &client_indices(net), duration_s);
@@ -695,12 +617,11 @@ impl World {
         if plane.cfg.enabled() {
             medium.set_faults(plane.medium);
         }
-        medium.set_tracer(tracer.clone());
-        medium.set_profiler(prof.clone());
+        medium.set_probe(probe.clone());
         let mut backbone = Backbone::new(cfg.wired.clone(), seed);
         backbone.set_loss(faults.wired_loss);
         backbone.set_spikes(faults.wired_spike, faults.wired_spike_us);
-        backbone.set_tracer(tracer.clone());
+        backbone.set_tracer(probe.trace.clone());
         let mut standby_bb = Backbone::on_streams(
             cfg.wired.clone(),
             seed,
@@ -711,8 +632,7 @@ impl World {
         standby_bb.set_spikes(faults.wired_spike, faults.wired_spike_us);
         let mut engine = Engine::new();
         engine.set_liveness(DEFAULT_EVENT_BUDGET, DEFAULT_LIVENESS_WINDOW);
-        engine.set_tracer(tracer.clone());
-        engine.set_profiler(prof.clone());
+        engine.set_probe(probe.clone());
         let fe = FlowEngine::new(net, workload, duration_s);
         for flow in fe.udp_flows() {
             engine.schedule_at(fe.udp_next_arrival(flow), DEv::UdpArrival { flow });
@@ -751,7 +671,7 @@ impl World {
         let clients = (0..net.num_nodes())
             .map(|n| net.clients_of(NodeId(n as u32)))
             .collect();
-        World {
+        DominoWorld {
             engine,
             medium,
             fe,
@@ -777,8 +697,7 @@ impl World {
             ap_crashed: vec![false; net.num_nodes()],
             last_rop: vec![0; net.links().len()],
             wd_streak: 0,
-            tracer,
-            prof,
+            probe,
             batch_seq: 0,
             standby_on: faults.standby,
             standby_bb,
@@ -807,19 +726,12 @@ impl World {
         }
     }
 
-    /// Run every event up to and including `horizon`. Returns false on a
-    /// livelock abort (the caller should finalize immediately).
-    fn drive(&mut self, horizon: SimTime) -> bool {
-        loop {
-            match self.engine.pop_until_checked(horizon) {
-                Ok(Some((now, ev))) => self.handle(now, ev),
-                Ok(None) => return true,
-                Err(_livelock) => {
-                    self.fe.stats.faults.livelocks += 1;
-                    return false;
-                }
-            }
-        }
+    fn engine(&mut self) -> &mut Engine<DEv> {
+        &mut self.engine
+    }
+
+    fn stats(&mut self) -> &mut RunStats {
+        &mut self.fe.stats
     }
 
     fn finalize(mut self) -> RunStats {
@@ -828,12 +740,12 @@ impl World {
         // plain counters — no draws, no allocation, no behavior change —
         // and `add` is a no-op when the handle is off.
         self.engine.profile_wheel();
-        self.prof.add(CostPath::RngPhyError, self.medium.phy_rng_draws());
-        self.prof.add(
+        self.probe.prof.add(CostPath::RngPhyError, self.medium.phy_rng_draws());
+        self.probe.prof.add(
             CostPath::RngWired,
             self.backbone.rng_draws() + self.standby_bb.rng_draws(),
         );
-        self.prof.add(
+        self.probe.prof.add(
             CostPath::RngFaults,
             self.node_faults.rng_draws()
                 + self.medium.faults().map(|f| f.rng_draws()).unwrap_or(0),
@@ -947,6 +859,134 @@ impl World {
         Ok(())
     }
 
+    fn handle(&mut self, now: SimTime, ev: DEv) {
+        self.probe.prof.tick(Self::classify(&ev));
+        match ev {
+            DEv::UdpArrival { flow } => {
+                let _ = self.fe.udp_arrive(flow);
+                self.engine
+                    .schedule_at(self.fe.udp_next_arrival(flow), DEv::UdpArrival { flow });
+            }
+            DEv::TcpTick { flow } => {
+                self.fe.tcp_tick(flow, now);
+                self.engine.schedule_in(TCP_TICK, DEv::TcpTick { flow });
+                self.sync_all_rto(now);
+            }
+            DEv::TcpRto { flow, gen } => {
+                if self.rto_gen[flow] == gen {
+                    self.fe.tcp_timer(flow, now);
+                    self.sync_all_rto(now);
+                }
+            }
+            DEv::TxEnd { tx } => self.on_tx_end(now, tx),
+            DEv::BatchArrive { ap, msg } => self.on_batch_arrive(now, ap as usize, msg),
+            DEv::ReportArrive { link, queue } => {
+                if !self.ctrl_alive(now) {
+                    return; // a dead controller loses the report
+                }
+                self.backlog.report(LinkId(link), queue);
+                // The report wave is execution-anchored: schedule the
+                // next compute so it lands one wired delay before this
+                // batch drains. Stragglers of the previous wave arriving
+                // right after a dispatch must not consume the new batch's
+                // wave slot.
+                let batch_age = now.saturating_since(self.dispatch_time);
+                if self.awaiting_report && batch_age >= SimDuration::from_micros(400) {
+                    self.awaiting_report = false;
+                    let batch_id = self.batch_seq;
+                    self.probe.trace.emit(now.as_nanos(), move || TraceEvent::BatchEnd {
+                        batch: batch_id,
+                    });
+                    let lead = SimDuration::from_micros_f64(self.cfg.wired.mean_us)
+                        + self.geo.total;
+                    let at = (now + self.post_poll_exec.saturating_sub(lead))
+                        .max(now + SimDuration::from_micros(150));
+                    self.compute_gen += 1;
+                    self.engine
+                        .schedule_at(at, DEv::ControllerCompute { gen: self.compute_gen });
+                }
+            }
+            DEv::ControllerCompute { gen } => {
+                if gen == self.compute_gen && self.ctrl_alive(now) {
+                    // The crash draw sits at the accept site so the class
+                    // costs zero RNG draws when it is off.
+                    if let Some(downtime) = self.node_faults.ctrl_crash() {
+                        self.on_ctrl_crash(now, downtime);
+                    } else {
+                        self.controller_compute(now);
+                    }
+                }
+            }
+            DEv::SlotStart { node, gen, slot } => {
+                self.on_slot_start(now, node as usize, gen, slot)
+            }
+            DEv::SendBurst { node, burst } => self.on_send_burst(now, node as usize, burst),
+            DEv::SendAck { rx, packet, client_burst } => {
+                self.on_send_ack(now, rx as usize, packet, client_burst)
+            }
+            DEv::AckCheck { node, gen } => self.on_ack_check(now, node as usize, gen),
+            DEv::RopAnswer { client, ap } => {
+                self.on_rop_answer(now, client as usize, ap as usize)
+            }
+            DEv::Watchdog { ap, gen } => self.on_watchdog(now, ap as usize, gen),
+            DEv::KickOff { ap, slot } => self.on_kick_off(now, ap as usize, slot),
+            DEv::CtrlHeartbeat => {
+                // The timer survives crashes; a dead controller just
+                // emits nothing until its successor takes over.
+                if self.ctrl_alive(now) {
+                    if let Some(m) = self.standby_bb.try_send(now, ()) {
+                        self.engine.schedule_at(m.deliver_at, DEv::HeartbeatArrive);
+                    }
+                }
+                self.engine.schedule_at(now + self.hb_every, DEv::CtrlHeartbeat);
+            }
+            DEv::CtrlCheckpoint => {
+                if self.ctrl_alive(now) {
+                    let mut w = SnapWriter::new();
+                    self.scheduler.save(&mut w);
+                    self.backlog.save(&mut w);
+                    self.converter.save(&mut w);
+                    let state = w.into_bytes();
+                    let len = state.len() as u32;
+                    self.probe.trace.emit(now.as_nanos(), move || TraceEvent::CtrlCheckpoint {
+                        bytes: len,
+                    });
+                    if let Some(m) = self.standby_bb.try_send(now, ()) {
+                        self.engine.schedule_at(m.deliver_at, DEv::CkptArrive { state });
+                    }
+                    // A lost checkpoint is not re-sent: the next period's
+                    // image supersedes it anyway.
+                }
+                self.engine.schedule_at(now + self.ckpt_every, DEv::CtrlCheckpoint);
+            }
+            DEv::HeartbeatArrive => self.hb_seen = true,
+            DEv::CkptArrive { state } => {
+                self.standby_ckpt = state;
+                // The delta restarts relative to this image.
+                self.standby_buf.clear();
+            }
+            DEv::StandbyReport { link, queue } => {
+                if self.standby_buf.len() < STANDBY_BUF_CAP {
+                    self.standby_buf.push((link, queue));
+                }
+            }
+            DEv::StandbyProbe => {
+                if self.hb_seen {
+                    self.hb_seen = false;
+                    self.hb_missed = 0;
+                } else {
+                    self.hb_missed += 1;
+                }
+                if self.ctrl_down && self.hb_missed >= self.missed_k {
+                    self.promote_standby(now);
+                }
+                self.engine.schedule_at(now + self.hb_every, DEv::StandbyProbe);
+            }
+        }
+    }
+}
+
+impl DominoWorld {
     // ---------------------------------------------------- warm standby
 
     /// The acting controller exists and is not mid-restart.
@@ -959,7 +999,7 @@ impl World {
     /// promotes it; without it, a cold restart loses the scheduler,
     /// backlog and converter state and sits out the full downtime.
     fn on_ctrl_crash(&mut self, now: SimTime, downtime: SimDuration) {
-        self.tracer.emit(now.as_nanos(), || TraceEvent::FaultInject {
+        self.probe.trace.emit(now.as_nanos(), || TraceEvent::FaultInject {
             kind: FaultKind::CtrlCrash,
             node: u32::MAX, // the controller is not a radio node
         });
@@ -1007,8 +1047,7 @@ impl World {
         self.fe.stats.faults.standby_promotions += 1;
         self.fe.stats.faults.replayed_reports += replayed;
         self.fe.stats.faults.recovery_ns += recovery.as_nanos();
-        self.tracer
-            .emit(now.as_nanos(), move || TraceEvent::StandbyPromote { replayed });
+        self.probe.trace.emit(now.as_nanos(), move || TraceEvent::StandbyPromote { replayed });
         self.ctrl_down = false;
         self.ctrl_dark_until = promotion_end;
         self.hb_missed = 0;
@@ -1021,9 +1060,9 @@ impl World {
     // ------------------------------------------------------- controller
 
     fn controller_compute(&mut self, now: SimTime) {
-        self.prof.tick(CostPath::CtrlCompute);
+        self.probe.prof.tick(CostPath::CtrlCompute);
         // Downlink queues are known instantly over the wire; uplinks only
-        // through ROP reports. All three working buffers are World scratch
+        // through ROP reports. All three working buffers are world scratch
         // recycled across computes.
         let mut backlog = std::mem::take(&mut self.backlog_buf);
         backlog.clear();
@@ -1037,7 +1076,7 @@ impl World {
         let mut strict = self
             .scheduler
             .schedule_batch(&self.graph, &mut backlog, self.cfg.batch_slots);
-        self.prof.tick(CostPath::CtrlSchedule);
+        self.probe.prof.tick(CostPath::CtrlSchedule);
         if strict.is_empty() {
             // Idle heartbeat: fake-only slots keep the trigger chains and
             // the ROP polling alive so new uplink backlog is discovered
@@ -1070,9 +1109,9 @@ impl World {
         let mut outcome = std::mem::take(&mut self.outcome_buf);
         self.converter
             .convert_into(&self.net, &self.graph, &strict, polling, &mut outcome);
-        self.prof.tick(CostPath::CtrlConvert);
-        self.prof.add_with(CostPath::CtrlSlots, || outcome.batch.slots.len() as u64);
-        self.prof.add_with(CostPath::CtrlActions, || {
+        self.probe.prof.tick(CostPath::CtrlConvert);
+        self.probe.prof.add_with(CostPath::CtrlSlots, || outcome.batch.slots.len() as u64);
+        self.probe.prof.add_with(CostPath::CtrlActions, || {
             outcome.batch.slots.iter().map(|s| s.entries.len() as u64).sum()
         });
         self.scheduler.recycle(strict);
@@ -1123,7 +1162,7 @@ impl World {
         let stall = match self.node_faults.compute_stall() {
             Some(d) => {
                 // The controller is not a radio node; u32::MAX marks it.
-                self.tracer.emit(now.as_nanos(), || TraceEvent::FaultInject {
+                self.probe.trace.emit(now.as_nanos(), || TraceEvent::FaultInject {
                     kind: FaultKind::ComputeStall,
                     node: u32::MAX,
                 });
@@ -1160,13 +1199,13 @@ impl World {
     /// Turn a converted batch into per-AP wired messages, each delayed by
     /// `stall` (the controller's injected compute stall; zero normally).
     fn dispatch_batch(&mut self, now: SimTime, batch: &RelativeBatch, stall: SimDuration) {
-        self.prof.tick(CostPath::CtrlDispatch);
+        self.probe.prof.tick(CostPath::CtrlDispatch);
         let first_slot = self.next_slot_id;
         let retained_slot = first_slot.wrapping_sub(1);
         self.next_slot_id += batch.slots.len() as u64;
         self.batch_seq += 1;
         let batch_id = self.batch_seq;
-        self.tracer.emit(now.as_nanos(), || TraceEvent::BatchBegin {
+        self.probe.trace.emit(now.as_nanos(), || TraceEvent::BatchBegin {
             batch: batch_id,
             first_slot,
             slots: batch.slots.len() as u32,
@@ -1192,11 +1231,11 @@ impl World {
         // Senders of each batch slot (for the `continues` self-trigger
         // flag: a broadcaster is deaf during the simultaneous burst
         // phase, so the controller tells it in-band that it transmits
-        // again). Inner Vecs are World scratch recycled across batches.
+        // again). Inner Vecs are world scratch recycled across batches.
         let mut sender_bufs = std::mem::take(&mut self.slot_senders);
         for (i, s) in batch.slots.iter().enumerate() {
             if sender_bufs.len() <= i {
-                // lint: allow(D007) one-time pool growth; buffers recycled across batches via World::slot_senders
+                // lint: allow(D007) one-time pool growth; buffers recycled across batches via DominoWorld::slot_senders
                 sender_bufs.push(Vec::new());
             }
             let buf = &mut sender_bufs[i];
@@ -1324,7 +1363,7 @@ impl World {
                 continue;
             }
             if let Some(m) = self.backbone.try_send(now, ()) {
-                self.prof.tick(CostPath::CtrlDispatchMsgs);
+                self.probe.prof.tick(CostPath::CtrlDispatchMsgs);
                 let msg = ApMessage { first_slot, actions, retained_updates };
                 self.engine
                     .schedule_at(m.deliver_at + stall, DEv::BatchArrive { ap: ap.0, msg });
@@ -1353,7 +1392,7 @@ impl World {
             // unacked frame are gone; generation bumps retire every timer
             // the old incarnation armed. The AP rejoins lazily — the
             // first batch delivered after the downtime restarts it.
-            self.tracer.emit(now.as_nanos(), || TraceEvent::FaultInject {
+            self.probe.trace.emit(now.as_nanos(), || TraceEvent::FaultInject {
                 kind: FaultKind::ApCrash,
                 node: ap as u32,
             });
@@ -1371,7 +1410,7 @@ impl World {
         if self.ap_crashed[ap] {
             self.ap_crashed[ap] = false;
             self.node_faults.recovered();
-            self.tracer.emit(now.as_nanos(), || TraceEvent::FaultRecover {
+            self.probe.trace.emit(now.as_nanos(), || TraceEvent::FaultRecover {
                 kind: FaultKind::ApCrash,
                 node: ap as u32,
             });
@@ -1478,7 +1517,7 @@ impl World {
             (BurstMarker::Rop, false) => self.rop_dur + SLOT_TIME,
             (BurstMarker::Start, _) => SLOT_TIME,
         };
-        self.tracer.emit(now.as_nanos(), || TraceEvent::TriggerFire {
+        self.probe.trace.emit(now.as_nanos(), || TraceEvent::TriggerFire {
             node: node as u32,
             slot,
         });
@@ -1684,7 +1723,7 @@ impl World {
             link,
             fake: packet.is_none(),
         });
-        self.tracer.emit(now.as_nanos(), || TraceEvent::SlotStart {
+        self.probe.trace.emit(now.as_nanos(), || TraceEvent::SlotStart {
             slot,
             link: link.0,
             fake: packet.is_none(),
@@ -1736,8 +1775,8 @@ impl World {
         if self.medium.is_transmitting(ap) {
             return;
         }
-        self.prof.tick(CostPath::RopPoll);
-        self.tracer.emit(now.as_nanos(), || TraceEvent::RopPoll { ap: ap.0 });
+        self.probe.prof.tick(CostPath::RopPoll);
+        self.probe.trace.emit(now.as_nanos(), || TraceEvent::RopPoll { ap: ap.0 });
         let frame = Frame { src: ap, body: FrameBody::Poll { ap }, bits: POLL_BYTES * 8 };
         let tx = self.medium.begin(now, frame);
         self.engine
@@ -1759,7 +1798,7 @@ impl World {
                     let l = *self.net.link(packet.link);
                     let intended = if l.is_downlink() { l.client() } else { l.ap };
                     if r.rx == intended {
-                        self.tracer.emit(now.as_nanos(), || TraceEvent::SlotEnd {
+                        self.probe.trace.emit(now.as_nanos(), || TraceEvent::SlotEnd {
                             link: packet.link.0,
                             delivered: r.success && !*fake,
                         });
@@ -1870,8 +1909,8 @@ impl World {
                     if !r.success {
                         continue;
                     }
-                    self.prof.tick(CostPath::RopReport);
-                    self.tracer.emit(now.as_nanos(), || TraceEvent::RopReport {
+                    self.probe.prof.tick(CostPath::RopReport);
+                    self.probe.trace.emit(now.as_nanos(), || TraceEvent::RopReport {
                         client: client.0,
                         ap: ap.0,
                         queue: *queue,
@@ -1904,16 +1943,16 @@ impl World {
                 FrameBody::SignatureBurst(b) => {
                     if !r.success {
                         self.counters.triggers_failed += 1;
-                        self.prof.tick(CostPath::SigMiss);
-                        self.tracer.emit(now.as_nanos(), || TraceEvent::SigMiss {
+                        self.probe.prof.tick(CostPath::SigMiss);
+                        self.probe.trace.emit(now.as_nanos(), || TraceEvent::SigMiss {
                             node: r.rx.0,
                             slot: b.slot,
                         });
                         continue;
                     }
                     self.counters.triggers_detected += 1;
-                    self.prof.tick(CostPath::SigDetect);
-                    self.tracer.emit(now.as_nanos(), || TraceEvent::SigDetect {
+                    self.probe.prof.tick(CostPath::SigDetect);
+                    self.probe.trace.emit(now.as_nanos(), || TraceEvent::SigDetect {
                         node: r.rx.0,
                         slot: b.slot,
                     });
@@ -1984,8 +2023,8 @@ impl World {
             bits: 0,
         };
         self.counters.bursts_sent += 1;
-        self.prof.tick(CostPath::SigEmit);
-        self.prof.add_with(CostPath::SigTargets, || {
+        self.probe.prof.tick(CostPath::SigEmit);
+        self.probe.prof.add_with(CostPath::SigTargets, || {
             if let FrameBody::SignatureBurst(b) = &frame.body {
                 b.targets.len() as u64
             } else {
@@ -1993,7 +2032,7 @@ impl World {
             }
         });
         if let FrameBody::SignatureBurst(b) = &frame.body {
-            self.tracer.emit(now.as_nanos(), || TraceEvent::SigEmit {
+            self.probe.trace.emit(now.as_nanos(), || TraceEvent::SigEmit {
                 node: node as u32,
                 slot: b.slot,
                 targets: b.targets.iter().map(|t| t.0).collect(),
@@ -2033,7 +2072,7 @@ impl World {
         // value instead of the live queue state.
         let stale = self.node_faults.report_stale();
         if stale {
-            self.tracer.emit(now.as_nanos(), || TraceEvent::FaultInject {
+            self.probe.trace.emit(now.as_nanos(), || TraceEvent::FaultInject {
                 kind: FaultKind::StaleRop,
                 node: client as u32,
             });
@@ -2176,138 +2215,22 @@ impl World {
         }
     }
 
-    fn handle(&mut self, now: SimTime, ev: DEv) {
-        self.prof.tick(Self::classify(&ev));
-        match ev {
-            DEv::UdpArrival { flow } => {
-                let _ = self.fe.udp_arrive(flow);
-                self.engine
-                    .schedule_at(self.fe.udp_next_arrival(flow), DEv::UdpArrival { flow });
-            }
-            DEv::TcpTick { flow } => {
-                self.fe.tcp_tick(flow, now);
-                self.engine.schedule_in(TCP_TICK, DEv::TcpTick { flow });
-                self.sync_all_rto(now);
-            }
-            DEv::TcpRto { flow, gen } => {
-                if self.rto_gen[flow] == gen {
-                    self.fe.tcp_timer(flow, now);
-                    self.sync_all_rto(now);
-                }
-            }
-            DEv::TxEnd { tx } => self.on_tx_end(now, tx),
-            DEv::BatchArrive { ap, msg } => self.on_batch_arrive(now, ap as usize, msg),
-            DEv::ReportArrive { link, queue } => {
-                if !self.ctrl_alive(now) {
-                    return; // a dead controller loses the report
-                }
-                self.backlog.report(LinkId(link), queue);
-                // The report wave is execution-anchored: schedule the
-                // next compute so it lands one wired delay before this
-                // batch drains. Stragglers of the previous wave arriving
-                // right after a dispatch must not consume the new batch's
-                // wave slot.
-                let batch_age = now.saturating_since(self.dispatch_time);
-                if self.awaiting_report && batch_age >= SimDuration::from_micros(400) {
-                    self.awaiting_report = false;
-                    let batch_id = self.batch_seq;
-                    self.tracer
-                        .emit(now.as_nanos(), move || TraceEvent::BatchEnd { batch: batch_id });
-                    let lead = SimDuration::from_micros_f64(self.cfg.wired.mean_us)
-                        + self.geo.total;
-                    let at = (now + self.post_poll_exec.saturating_sub(lead))
-                        .max(now + SimDuration::from_micros(150));
-                    self.compute_gen += 1;
-                    self.engine
-                        .schedule_at(at, DEv::ControllerCompute { gen: self.compute_gen });
-                }
-            }
-            DEv::ControllerCompute { gen } => {
-                if gen == self.compute_gen && self.ctrl_alive(now) {
-                    // The crash draw sits at the accept site so the class
-                    // costs zero RNG draws when it is off.
-                    if let Some(downtime) = self.node_faults.ctrl_crash() {
-                        self.on_ctrl_crash(now, downtime);
-                    } else {
-                        self.controller_compute(now);
-                    }
-                }
-            }
-            DEv::SlotStart { node, gen, slot } => {
-                self.on_slot_start(now, node as usize, gen, slot)
-            }
-            DEv::SendBurst { node, burst } => self.on_send_burst(now, node as usize, burst),
-            DEv::SendAck { rx, packet, client_burst } => {
-                self.on_send_ack(now, rx as usize, packet, client_burst)
-            }
-            DEv::AckCheck { node, gen } => self.on_ack_check(now, node as usize, gen),
-            DEv::RopAnswer { client, ap } => {
-                self.on_rop_answer(now, client as usize, ap as usize)
-            }
-            DEv::Watchdog { ap, gen } => self.on_watchdog(now, ap as usize, gen),
-            DEv::KickOff { ap, slot } => self.on_kick_off(now, ap as usize, slot),
-            DEv::CtrlHeartbeat => {
-                // The timer survives crashes; a dead controller just
-                // emits nothing until its successor takes over.
-                if self.ctrl_alive(now) {
-                    if let Some(m) = self.standby_bb.try_send(now, ()) {
-                        self.engine.schedule_at(m.deliver_at, DEv::HeartbeatArrive);
-                    }
-                }
-                self.engine.schedule_at(now + self.hb_every, DEv::CtrlHeartbeat);
-            }
-            DEv::CtrlCheckpoint => {
-                if self.ctrl_alive(now) {
-                    let mut w = SnapWriter::new();
-                    self.scheduler.save(&mut w);
-                    self.backlog.save(&mut w);
-                    self.converter.save(&mut w);
-                    let state = w.into_bytes();
-                    let len = state.len() as u32;
-                    self.tracer
-                        .emit(now.as_nanos(), move || TraceEvent::CtrlCheckpoint { bytes: len });
-                    if let Some(m) = self.standby_bb.try_send(now, ()) {
-                        self.engine.schedule_at(m.deliver_at, DEv::CkptArrive { state });
-                    }
-                    // A lost checkpoint is not re-sent: the next period's
-                    // image supersedes it anyway.
-                }
-                self.engine.schedule_at(now + self.ckpt_every, DEv::CtrlCheckpoint);
-            }
-            DEv::HeartbeatArrive => self.hb_seen = true,
-            DEv::CkptArrive { state } => {
-                self.standby_ckpt = state;
-                // The delta restarts relative to this image.
-                self.standby_buf.clear();
-            }
-            DEv::StandbyReport { link, queue } => {
-                if self.standby_buf.len() < STANDBY_BUF_CAP {
-                    self.standby_buf.push((link, queue));
-                }
-            }
-            DEv::StandbyProbe => {
-                if self.hb_seen {
-                    self.hb_seen = false;
-                    self.hb_missed = 0;
-                } else {
-                    self.hb_missed += 1;
-                }
-                if self.ctrl_down && self.hb_missed >= self.missed_k {
-                    self.promote_standby(now);
-                }
-                self.engine.schedule_at(now + self.hb_every, DEv::StandbyProbe);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dcf::DcfSim;
-    use crate::omniscient::OmniscientSim;
+    use crate::dcf::DcfWorld;
+    use crate::omniscient::OmniWorld;
+    use crate::run::testing::{assert_checkpoint_resume_matches, run_faulted, run_plain};
+    use crate::workload::Workload;
+    use domino_faults::FaultConfig;
     use domino_topology::presets::{fig1, fig7};
     use domino_topology::{NodeId, PhyParams};
+
+    fn domino(net: &Network, w: &Workload, duration_s: f64, seed: u64) -> RunStats {
+        run_plain::<DominoWorld>(net, w, duration_s, seed, DominoConfig::default())
+    }
 
     fn fig1_links(net: &Network) -> (LinkId, LinkId, LinkId) {
         let dl = |ap: u32| {
@@ -2332,7 +2255,7 @@ mod tests {
         let net = fig1(PhyParams::default());
         let (l1, _, _) = fig1_links(&net);
         let w = Workload::udp_saturated(&[l1]);
-        let stats = DominoSim::run(&net, &w, 2.0, 1);
+        let stats = domino(&net, &w, 2.0, 1);
         let mbps = stats.link_mbps(l1);
         // One link per slot: 4096 bits / ~492 us slot ≈ 8.3 Mb/s (minus
         // ROP overhead).
@@ -2354,9 +2277,9 @@ mod tests {
         let net = fig1(PhyParams::default());
         let (l1, l2, l3) = fig1_links(&net);
         let w = Workload::udp_saturated(&[l1, l2, l3]);
-        let domino = DominoSim::run(&net, &w, 3.0, 1);
-        let dcf = DcfSim::run(&net, &w, 3.0, 1);
-        let omni = OmniscientSim::run(&net, &w, 3.0, 1);
+        let domino = domino(&net, &w, 3.0, 1);
+        let dcf = run_plain::<DcfWorld>(&net, &w, 3.0, 1, ());
+        let omni = run_plain::<OmniWorld>(&net, &w, 3.0, 1, ());
         let (d, c, o) =
             (domino.aggregate_mbps(), dcf.aggregate_mbps(), omni.aggregate_mbps());
         // Fig 2: DOMINO performs close to the omniscient scheme and far
@@ -2379,7 +2302,7 @@ mod tests {
             .map(|l| l.id)
             .collect();
         let w = Workload::udp_saturated(&ups);
-        let stats = DominoSim::run(&net, &w, 3.0, 2);
+        let stats = domino(&net, &w, 3.0, 2);
         let total = stats.aggregate_mbps();
         // Client-driven slots lean on relayed triggers and carry more
         // per-slot control overhead than downlinks; the healthy signal is
@@ -2402,7 +2325,7 @@ mod tests {
             wired: WiredLatency::with_std(60.0),
             ..DominoConfig::default()
         };
-        let stats = DominoSim::run_with(&net, &w, 1.0, 3, cfg);
+        let stats = run_plain::<DominoWorld>(&net, &w, 1.0, 3, cfg);
         let mis = stats.misalignment_by_slot();
         assert!(mis.len() > 10, "not enough slots recorded: {}", mis.len());
         // Steady state must be tightly aligned even though slot 0 starts
@@ -2417,8 +2340,8 @@ mod tests {
     fn deterministic() {
         let net = fig7(PhyParams::default());
         let w = Workload::udp_updown(&net, 5e6, 5e6);
-        let a = DominoSim::run(&net, &w, 1.0, 9);
-        let b = DominoSim::run(&net, &w, 1.0, 9);
+        let a = domino(&net, &w, 1.0, 9);
+        let b = domino(&net, &w, 1.0, 9);
         assert_eq!(a.delivered_bits, b.delivered_bits);
         assert_eq!(a.events, b.events);
     }
@@ -2427,7 +2350,7 @@ mod tests {
     fn tcp_over_domino_progresses() {
         let net = fig1(PhyParams::default());
         let w = Workload::tcp_updown(&net, 10e6, 0.0);
-        let stats = DominoSim::run(&net, &w, 3.0, 4);
+        let stats = domino(&net, &w, 3.0, 4);
         // Modest by design: the paper treats the TCP ACK as a regular
         // packet occupying a whole slot (§4.2.3), which halves the slot
         // budget of a single flow; the healthy signal is progress with
@@ -2455,58 +2378,10 @@ mod tests {
             },
             ..DominoConfig::default()
         };
-        let without = DominoSim::run_with(&net, &w, 2.0, 5, cfg);
-        let with = DominoSim::run(&net, &w, 2.0, 5);
+        let without = run_plain::<DominoWorld>(&net, &w, 2.0, 5, cfg);
+        let with = domino(&net, &w, 2.0, 5);
         assert!(without.aggregate_mbps() > 0.0);
         assert!(with.aggregate_mbps() > 0.0);
-    }
-
-    fn assert_stats_eq(a: &RunStats, b: &RunStats) {
-        assert_eq!(a.delivered_bits, b.delivered_bits);
-        assert_eq!(a.events, b.events);
-        assert_eq!(a.drops, b.drops);
-        assert_eq!(a.retries, b.retries);
-        assert_eq!(a.ack_timeouts, b.ack_timeouts);
-        assert_eq!(a.domino, b.domino);
-        assert_eq!(a.faults, b.faults);
-        assert_eq!(a.slot_starts, b.slot_starts);
-        for (da, db) in a.delays.iter().zip(&b.delays) {
-            assert_eq!(da.samples(), db.samples());
-        }
-    }
-
-    #[test]
-    fn checkpoint_and_resume_match_uninterrupted_run() {
-        let net = fig7(PhyParams::default());
-        let w = Workload::udp_updown(&net, 8e6, 8e6);
-        let baseline = DominoSim::run(&net, &w, 1.0, 11);
-        let boundary = SimTime::from_nanos(400_000_000);
-        let mut captured = Vec::new();
-        let ckpt_run = DominoSim::run_ckpt(
-            &net,
-            &w,
-            1.0,
-            11,
-            DominoConfig::default(),
-            &FaultConfig::off(),
-            TraceHandle::off(),
-            &[boundary],
-            &mut |_, bytes| captured.push(bytes),
-        );
-        assert_stats_eq(&baseline, &ckpt_run);
-        assert_eq!(captured.len(), 1);
-        let resumed = DominoSim::resume(
-            &net,
-            &w,
-            1.0,
-            11,
-            DominoConfig::default(),
-            &FaultConfig::off(),
-            TraceHandle::off(),
-            &captured[0],
-        )
-        .expect("snapshot restores");
-        assert_stats_eq(&baseline, &resumed);
     }
 
     #[test]
@@ -2522,41 +2397,13 @@ mod tests {
             standby: true,
             ..FaultConfig::chaos(0.5)
         };
-        let baseline = DominoSim::run_faulted(
-            &net,
-            &w,
-            2.0,
-            13,
+        let inputs = RunInputs { net: &net, workload: &w, duration_s: 2.0, seed: 13, faults: &faults };
+        let baseline = assert_checkpoint_resume_matches::<DominoWorld>(
+            &inputs,
             DominoConfig::default(),
-            &faults,
+            SimTime::from_nanos(900_000_000),
         );
         assert!(baseline.faults.ctrl_crashes > 0, "no crash drawn: {:?}", baseline.faults);
-        let boundary = SimTime::from_nanos(900_000_000);
-        let mut captured = Vec::new();
-        let ckpt_run = DominoSim::run_ckpt(
-            &net,
-            &w,
-            2.0,
-            13,
-            DominoConfig::default(),
-            &faults,
-            TraceHandle::off(),
-            &[boundary],
-            &mut |_, bytes| captured.push(bytes),
-        );
-        assert_stats_eq(&baseline, &ckpt_run);
-        let resumed = DominoSim::resume(
-            &net,
-            &w,
-            2.0,
-            13,
-            DominoConfig::default(),
-            &faults,
-            TraceHandle::off(),
-            &captured[0],
-        )
-        .expect("chaos snapshot restores");
-        assert_stats_eq(&baseline, &resumed);
     }
 
     #[test]
@@ -2570,9 +2417,9 @@ mod tests {
         };
         let warm_cfg = FaultConfig { standby: true, ..cold_cfg.clone() };
         let cold =
-            DominoSim::run_faulted(&net, &w, 3.0, 17, DominoConfig::default(), &cold_cfg);
+            run_faulted::<DominoWorld>(&net, &w, 3.0, 17, &cold_cfg, DominoConfig::default());
         let warm =
-            DominoSim::run_faulted(&net, &w, 3.0, 17, DominoConfig::default(), &warm_cfg);
+            run_faulted::<DominoWorld>(&net, &w, 3.0, 17, &warm_cfg, DominoConfig::default());
         assert!(cold.faults.ctrl_crashes > 0, "no cold crashes: {:?}", cold.faults);
         assert!(warm.faults.ctrl_crashes > 0, "no warm crashes: {:?}", warm.faults);
         assert_eq!(cold.faults.standby_promotions, 0);

@@ -13,6 +13,9 @@
 //!   through signature triggers, with ROP polling, fake-link keep-alives
 //!   and missed-ACK retransmission.
 //!
+//! Each scheme is a [`World`]; [`run`](run::run) is the one driver that
+//! takes any of them through faults, probes, checkpoints and restore.
+//!
 //! Shared pieces: [`timing`] (802.11g constants and DOMINO slot
 //! geometry), [`workload`] (flow specs and run statistics), [`flows`]
 //! (traffic drive and metering).
@@ -25,8 +28,13 @@ pub mod dcf;
 pub mod domino;
 pub mod flows;
 pub mod omniscient;
+pub mod run;
 pub mod timing;
 pub mod workload;
 
-pub use dcf::DcfSim;
+pub use centaur::CentaurWorld;
+pub use dcf::DcfWorld;
+pub use domino::DominoWorld;
+pub use omniscient::OmniWorld;
+pub use run::{Checkpoints, RunInputs, World};
 pub use workload::{FlowKind, FlowSpec, RunStats, Workload};

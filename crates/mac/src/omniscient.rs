@@ -10,11 +10,12 @@
 
 use crate::dcf::{sync_rto, Ev};
 use crate::flows::{FlowEngine, TCP_TICK};
+use crate::run::{RunInputs, World};
 use crate::timing::{ack_airtime, data_airtime, SIFS};
-use crate::workload::{client_indices, RunStats, Workload};
-use domino_faults::{FaultConfig, FaultPlane};
+use crate::workload::{client_indices, RunStats};
+use domino_faults::FaultPlane;
 use domino_medium::{Frame, FrameBody, Medium};
-use domino_obs::{TraceEvent, TraceHandle};
+use domino_obs::{Probe, TraceEvent};
 use domino_scheduler::RandScheduler;
 use domino_sim::engine::{DEFAULT_EVENT_BUDGET, DEFAULT_LIVENESS_WINDOW};
 use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter, Snapshot};
@@ -40,118 +41,13 @@ impl SnapValue for OmniEv {
     }
 }
 
-/// The omniscient engine.
-#[derive(Debug)]
-pub struct OmniscientSim;
-
-impl OmniscientSim {
-    /// Run `workload` over `net` for `duration_s` seconds.
-    pub fn run(net: &Network, workload: &Workload, duration_s: f64, seed: u64) -> RunStats {
-        OmniscientSim::run_faulted(net, workload, duration_s, seed, &FaultConfig::off())
-    }
-
-    /// [`OmniscientSim::run`] under a fault plane. Only the medium-resident
-    /// classes (churn dark intervals; fades are moot without signature
-    /// bursts) touch this idealized scheme — its control plane is free and
-    /// lossless by definition.
-    pub fn run_faulted(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        faults: &FaultConfig,
-    ) -> RunStats {
-        Self::run_traced(net, workload, duration_s, seed, faults, TraceHandle::off())
-    }
-
-    /// [`OmniscientSim::run_faulted`] with a trace sink attached. Tracing
-    /// is observation only — it draws no randomness and schedules no
-    /// events, so a run with the handle off is byte-identical to one that
-    /// never attached a tracer.
-    pub fn run_traced(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        faults: &FaultConfig,
-        tracer: TraceHandle,
-    ) -> RunStats {
-        OmniscientSim::run_ckpt(net, workload, duration_s, seed, faults, tracer, &[], &mut |_, _| {})
-    }
-
-    /// [`OmniscientSim::run_traced`] with a cost profiler attached.
-    /// Profiling is observation only — no draws, no events, no hot-path
-    /// allocation — so a run with the handle off is byte-identical to a
-    /// profiled one.
-    pub fn run_profiled(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        faults: &FaultConfig,
-        tracer: TraceHandle,
-        prof: domino_obs::ProfHandle,
-    ) -> RunStats {
-        let mut world = OmniWorld::new(net, workload, duration_s, seed, faults, tracer);
-        world.set_profiler(prof);
-        let horizon = SimTime::ZERO + SimDuration::from_secs_f64(duration_s);
-        world.drive(horizon);
-        world.finalize()
-    }
-
-    /// [`OmniscientSim::run_traced`] with snapshot boundaries; see
-    /// [`crate::DcfSim::run_ckpt`] for the contract.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_ckpt(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        faults: &FaultConfig,
-        tracer: TraceHandle,
-        boundaries: &[SimTime],
-        sink: &mut dyn FnMut(SimTime, Vec<u8>),
-    ) -> RunStats {
-        let mut world = OmniWorld::new(net, workload, duration_s, seed, faults, tracer);
-        let horizon = SimTime::ZERO + SimDuration::from_secs_f64(duration_s);
-        for &b in boundaries.iter().filter(|&&b| b <= horizon) {
-            if b > SimTime::ZERO && !world.drive(b - SimDuration::from_nanos(1)) {
-                return world.finalize();
-            }
-            let mut w = SnapWriter::new();
-            world.snapshot_save(&mut w);
-            sink(b, w.into_bytes());
-        }
-        world.drive(horizon);
-        world.finalize()
-    }
-
-    /// Rebuild a run from a [`OmniscientSim::run_ckpt`] payload and run it
-    /// to completion; see [`crate::DcfSim::resume`] for the contract.
-    pub fn resume(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        faults: &FaultConfig,
-        tracer: TraceHandle,
-        payload: &[u8],
-    ) -> Result<RunStats, SnapError> {
-        let mut world = OmniWorld::new(net, workload, duration_s, seed, faults, tracer);
-        let mut r = SnapReader::new(payload);
-        world.snapshot_restore(&mut r)?;
-        if !r.is_exhausted() {
-            return Err(SnapError::Corrupt("trailing snapshot bytes"));
-        }
-        let horizon = SimTime::ZERO + SimDuration::from_secs_f64(duration_s);
-        world.drive(horizon);
-        Ok(world.finalize())
-    }
-}
-
 /// The complete state of an omniscient run between events.
+///
+/// Only the medium-resident fault classes (churn dark intervals; fades are
+/// moot without signature bursts) touch this idealized scheme — its
+/// control plane is free and lossless by definition.
 #[derive(Debug)]
-struct OmniWorld {
+pub struct OmniWorld {
     net: Network,
     engine: Engine<Ev<OmniEv>>,
     medium: Medium,
@@ -164,29 +60,25 @@ struct OmniWorld {
     rate: domino_phy::error_model::DataRate,
     /// Fixed slot: data + SIFS + ack + SIFS turnaround.
     slot: SimDuration,
-    tracer: TraceHandle,
-    /// Observation-only cost profiler (off by default).
-    prof: domino_obs::ProfHandle,
+    /// Observation-only trace sink and cost profiler (off by default).
+    probe: Probe,
 }
 
-impl OmniWorld {
-    fn new(
-        net: &Network,
-        workload: &Workload,
-        duration_s: f64,
-        seed: u64,
-        faults: &FaultConfig,
-        tracer: TraceHandle,
-    ) -> OmniWorld {
+impl World for OmniWorld {
+    type Config = ();
+    type Event = Ev<OmniEv>;
+
+    fn new(inputs: &RunInputs<'_>, (): (), probe: Probe) -> OmniWorld {
+        let RunInputs { net, workload, duration_s, seed, faults } = *inputs;
         let mut engine: Engine<Ev<OmniEv>> = Engine::new();
         let mut medium = Medium::new(net.clone(), seed);
         let plane = FaultPlane::new(faults, seed, &client_indices(net), duration_s);
         if plane.cfg.enabled() {
             medium.set_faults(plane.medium);
         }
-        medium.set_tracer(tracer.clone());
+        medium.set_probe(probe.clone());
         engine.set_liveness(DEFAULT_EVENT_BUDGET, DEFAULT_LIVENESS_WINDOW);
-        engine.set_tracer(tracer.clone());
+        engine.set_probe(probe.clone());
         let fe = FlowEngine::new(net, workload, duration_s);
         let graph = ConflictGraph::build_for_scheduling(net);
         let sched = RandScheduler::new(net.links().len());
@@ -212,34 +104,20 @@ impl OmniWorld {
             graph,
             rate,
             slot,
-            tracer,
-            prof: domino_obs::ProfHandle::off(),
+            probe,
         }
     }
 
-    /// Attach a cost profiler to the engine, the medium and the world's
-    /// own event dispatch.
-    fn set_profiler(&mut self, prof: domino_obs::ProfHandle) {
-        self.engine.set_profiler(prof.clone());
-        self.medium.set_profiler(prof.clone());
-        self.prof = prof;
+    fn engine(&mut self) -> &mut Engine<Ev<OmniEv>> {
+        &mut self.engine
     }
 
-    fn drive(&mut self, horizon: SimTime) -> bool {
-        loop {
-            match self.engine.pop_until_checked(horizon) {
-                Ok(Some((now, ev))) => self.handle(now, ev),
-                Ok(None) => return true,
-                Err(_livelock) => {
-                    self.fe.stats.faults.livelocks += 1;
-                    return false;
-                }
-            }
-        }
+    fn stats(&mut self) -> &mut RunStats {
+        &mut self.fe.stats
     }
 
     fn handle(&mut self, now: SimTime, ev: Ev<OmniEv>) {
-        self.prof.tick(ev.cost_class());
+        self.probe.prof.tick(ev.cost_class());
         match ev {
             Ev::UdpArrival { flow } => {
                 let _ = self.fe.udp_arrive(flow);
@@ -268,7 +146,7 @@ impl OmniWorld {
                     let mut txs = Vec::new();
                     for &l in links {
                         let slot_idx = self.slot_idx;
-                        self.tracer.emit(now.as_nanos(), || TraceEvent::SlotStart {
+                        self.probe.trace.emit(now.as_nanos(), || TraceEvent::SlotStart {
                             slot: slot_idx,
                             link: l.0,
                             fake: false,
@@ -297,7 +175,7 @@ impl OmniWorld {
                         let l = *self.net.link(packet.link);
                         let intended = if l.is_downlink() { l.client() } else { l.ap };
                         if r.rx == intended {
-                            self.tracer.emit(now.as_nanos(), || TraceEvent::SlotEnd {
+                            self.probe.trace.emit(now.as_nanos(), || TraceEvent::SlotEnd {
                                 link: packet.link.0,
                                 delivered: r.success,
                             });
@@ -328,9 +206,8 @@ impl OmniWorld {
     fn finalize(mut self) -> RunStats {
         // End-of-run profile flush (no-ops when the handle is off).
         self.engine.profile_wheel();
-        self.prof
-            .add(domino_obs::CostPath::RngPhyError, self.medium.phy_rng_draws());
-        self.prof.add(
+        self.probe.prof.add(domino_obs::CostPath::RngPhyError, self.medium.phy_rng_draws());
+        self.probe.prof.add(
             domino_obs::CostPath::RngFaults,
             self.medium.faults().map(|f| f.rng_draws()).unwrap_or(0),
         );
@@ -369,6 +246,10 @@ impl OmniWorld {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dcf::DcfWorld;
+    use crate::run::testing::{assert_checkpoint_resume_matches, run_plain};
+    use crate::workload::Workload;
+    use domino_faults::FaultConfig;
     use domino_topology::presets::fig1;
     use domino_topology::{NodeId, PhyParams};
 
@@ -394,12 +275,16 @@ mod tests {
         (l_ap1, l_c2, l_ap3)
     }
 
+    fn omni(net: &Network, w: &Workload, duration_s: f64, seed: u64) -> RunStats {
+        run_plain::<OmniWorld>(net, w, duration_s, seed, ())
+    }
+
     #[test]
     fn fig2_shape_exposed_link_runs_continuously() {
         let net = fig1(PhyParams::default());
         let (l_ap1, l_c2, l_ap3) = fig1_links(&net);
         let w = Workload::udp_saturated(&[l_ap1, l_c2, l_ap3]);
-        let stats = OmniscientSim::run(&net, &w, 3.0, 1);
+        let stats = omni(&net, &w, 3.0, 1);
         let (t1, t2, t3) = (
             stats.link_mbps(l_ap1),
             stats.link_mbps(l_c2),
@@ -415,12 +300,11 @@ mod tests {
 
     #[test]
     fn omniscient_beats_dcf_on_fig1() {
-        use crate::dcf::DcfSim;
         let net = fig1(PhyParams::default());
         let (l_ap1, l_c2, l_ap3) = fig1_links(&net);
         let w = Workload::udp_saturated(&[l_ap1, l_c2, l_ap3]);
-        let omni = OmniscientSim::run(&net, &w, 3.0, 1).aggregate_mbps();
-        let dcf = DcfSim::run(&net, &w, 3.0, 1).aggregate_mbps();
+        let omni = omni(&net, &w, 3.0, 1).aggregate_mbps();
+        let dcf = run_plain::<DcfWorld>(&net, &w, 3.0, 1, ()).aggregate_mbps();
         // The paper's Fig 2: the omniscient scheme is ~76% above DCF.
         assert!(omni > dcf * 1.4, "omniscient {omni} should clearly beat DCF {dcf}");
     }
@@ -430,8 +314,8 @@ mod tests {
         let net = fig1(PhyParams::default());
         let (l_ap1, l_c2, _) = fig1_links(&net);
         let w = Workload::udp_saturated(&[l_ap1, l_c2]);
-        let a = OmniscientSim::run(&net, &w, 1.0, 3);
-        let b = OmniscientSim::run(&net, &w, 1.0, 3);
+        let a = omni(&net, &w, 1.0, 3);
+        let b = omni(&net, &w, 1.0, 3);
         assert_eq!(a.delivered_bits, b.delivered_bits);
     }
 
@@ -441,36 +325,7 @@ mod tests {
         let (l_ap1, l_c2, l_ap3) = fig1_links(&net);
         let w = Workload::udp_saturated(&[l_ap1, l_c2, l_ap3]);
         let off = FaultConfig::off();
-        let baseline = OmniscientSim::run(&net, &w, 1.0, 3);
-        let mut snap: Option<Vec<u8>> = None;
-        let boundary = SimTime::from_nanos(400_000_000);
-        let ckpt = OmniscientSim::run_ckpt(
-            &net,
-            &w,
-            1.0,
-            3,
-            &off,
-            TraceHandle::off(),
-            &[boundary],
-            &mut |_, bytes| snap = Some(bytes),
-        );
-        assert_eq!(ckpt.delivered_bits, baseline.delivered_bits);
-        assert_eq!(ckpt.events, baseline.events);
-        let resumed = OmniscientSim::resume(
-            &net,
-            &w,
-            1.0,
-            3,
-            &off,
-            TraceHandle::off(),
-            &snap.unwrap(),
-        )
-        .unwrap();
-        assert_eq!(resumed.delivered_bits, baseline.delivered_bits);
-        assert_eq!(resumed.events, baseline.events);
-        assert_eq!(resumed.retries, baseline.retries);
-        for (da, db) in resumed.delays.iter().zip(&baseline.delays) {
-            assert_eq!(da.samples(), db.samples());
-        }
+        let inputs = RunInputs { net: &net, workload: &w, duration_s: 1.0, seed: 3, faults: &off };
+        assert_checkpoint_resume_matches::<OmniWorld>(&inputs, (), SimTime::from_nanos(400_000_000));
     }
 }

@@ -1,0 +1,215 @@
+//! The one run path every scheme shares.
+//!
+//! A scheme is a [`World`]: the complete state of one run between
+//! events, built from the [`RunInputs`], its own config and a [`Probe`].
+//! [`run`] is the only driver. It restores a world from a snapshot when
+//! asked, hands a snapshot to the caller at each checkpoint boundary,
+//! drives the engine to the horizon and finalizes. Any combination of
+//! faults, tracing, profiling, checkpoints and restore therefore takes
+//! the same path. The driver is generic, so each world gets its own
+//! monomorphised event loop with no dynamic dispatch per event.
+
+use crate::workload::{RunStats, Workload};
+use domino_faults::FaultConfig;
+use domino_obs::Probe;
+use domino_sim::snapshot::{SnapError, SnapReader, SnapWriter};
+use domino_sim::{Engine, SimDuration, SimTime};
+use domino_topology::Network;
+
+/// What every run needs, whatever its scheme.
+#[derive(Clone, Copy, Debug)]
+pub struct RunInputs<'a> {
+    /// The network under simulation.
+    pub net: &'a Network,
+    /// Offered traffic.
+    pub workload: &'a Workload,
+    /// Simulated horizon in seconds.
+    pub duration_s: f64,
+    /// Master seed.
+    pub seed: u64,
+    /// Fault plane (all off is byte-identical to no plane at all).
+    pub faults: &'a FaultConfig,
+}
+
+/// The complete state of one scheme's run between events.
+pub trait World: Sized {
+    /// Scheme-specific parameters (`()` for schemes without any).
+    type Config;
+    /// The scheme's event type.
+    type Event;
+
+    /// Build the world at t = 0 with its initial events queued, the
+    /// probe attached to the engine, the medium and the world itself.
+    fn new(inputs: &RunInputs<'_>, cfg: Self::Config, probe: Probe) -> Self;
+
+    /// The world's event engine.
+    fn engine(&mut self) -> &mut Engine<Self::Event>;
+
+    /// The statistics the run accumulates.
+    fn stats(&mut self) -> &mut RunStats;
+
+    /// Process one event delivered at `now`.
+    fn handle(&mut self, now: SimTime, ev: Self::Event);
+
+    /// Flush end-of-run counters into the stats (and the profiler).
+    fn finalize(self) -> RunStats;
+
+    /// Serialize every dynamic component, in a fixed order. `&mut`
+    /// because the engine drains and rebuilds its wheel in place.
+    fn snapshot_save(&mut self, w: &mut SnapWriter);
+
+    /// Overwrite the dynamic state of a freshly built world from a
+    /// [`World::snapshot_save`] payload of the same configuration.
+    fn snapshot_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
+}
+
+/// Snapshot boundaries plus the sink each snapshot is handed to.
+pub struct Checkpoints<'a> {
+    /// Boundaries in ascending sim time; any past the horizon are ignored.
+    pub at: &'a [SimTime],
+    /// Receives `(boundary, payload)`. The run then continues exactly as
+    /// if no snapshot had been taken.
+    pub sink: &'a mut dyn FnMut(SimTime, Vec<u8>),
+}
+
+impl std::fmt::Debug for Checkpoints<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Checkpoints").field("at", &self.at).finish_non_exhaustive()
+    }
+}
+
+/// Run one `W` world to its horizon.
+///
+/// With `restore = Some((t, payload))` the world is rebuilt from the
+/// same inputs and config the snapshot was taken under, overwritten with
+/// the payload a checkpoint sink received at boundary `t`, and driven on
+/// from there; boundaries at or before `t` are skipped. Each remaining
+/// boundary `b` snapshots the state after every event before `b`.
+/// Neither snapshotting nor the probe changes the run: the stats are
+/// byte-identical to a plain run's. Only a restore can fail.
+pub fn run<W: World>(
+    inputs: &RunInputs<'_>,
+    cfg: W::Config,
+    probe: Probe,
+    checkpoints: Option<Checkpoints<'_>>,
+    restore: Option<(SimTime, &[u8])>,
+) -> Result<RunStats, SnapError> {
+    let mut world = W::new(inputs, cfg, probe);
+    let mut resumed_at = None;
+    if let Some((t, payload)) = restore {
+        let mut r = SnapReader::new(payload);
+        world.snapshot_restore(&mut r)?;
+        if !r.is_exhausted() {
+            return Err(SnapError::Corrupt("trailing snapshot bytes"));
+        }
+        resumed_at = Some(t);
+    }
+    let horizon = SimTime::ZERO + SimDuration::from_secs_f64(inputs.duration_s);
+    if let Some(Checkpoints { at, sink }) = checkpoints {
+        for &b in at.iter().filter(|&&b| b <= horizon && resumed_at.is_none_or(|t| b > t)) {
+            // Events at exactly `b` land after the snapshot: drive the
+            // engine through b−1ns (pop_until is horizon-inclusive).
+            if b > SimTime::ZERO && !drive(&mut world, b - SimDuration::from_nanos(1)) {
+                return Ok(world.finalize()); // livelocked mid-run
+            }
+            let mut w = SnapWriter::new();
+            world.snapshot_save(&mut w);
+            sink(b, w.into_bytes());
+        }
+    }
+    drive(&mut world, horizon);
+    Ok(world.finalize())
+}
+
+/// Process events through `horizon` (inclusive). Returns false when the
+/// liveness monitor aborted the run.
+fn drive<W: World>(world: &mut W, horizon: SimTime) -> bool {
+    loop {
+        match world.engine().pop_until_checked(horizon) {
+            Ok(Some((now, ev))) => world.handle(now, ev),
+            Ok(None) => return true,
+            Err(_livelock) => {
+                world.stats().faults.livelocks += 1;
+                return false;
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod testing {
+    //! Shorthands for the scheme modules' unit tests.
+
+    use super::*;
+
+    /// A fault-free, unprobed run.
+    pub(crate) fn run_plain<W: World>(
+        net: &Network,
+        workload: &Workload,
+        duration_s: f64,
+        seed: u64,
+        cfg: W::Config,
+    ) -> RunStats {
+        run_faulted::<W>(net, workload, duration_s, seed, &FaultConfig::off(), cfg)
+    }
+
+    /// An unprobed run under `faults`.
+    pub(crate) fn run_faulted<W: World>(
+        net: &Network,
+        workload: &Workload,
+        duration_s: f64,
+        seed: u64,
+        faults: &FaultConfig,
+        cfg: W::Config,
+    ) -> RunStats {
+        let inputs = RunInputs { net, workload, duration_s, seed, faults };
+        run::<W>(&inputs, cfg, Probe::default(), None, None).expect("no restore to fail")
+    }
+
+    /// Checkpoint a run at `boundary`, then resume the snapshot in a
+    /// fresh world. Asserts that both match the uninterrupted run and
+    /// returns it.
+    pub(crate) fn assert_checkpoint_resume_matches<W: World>(
+        inputs: &RunInputs<'_>,
+        cfg: W::Config,
+        boundary: SimTime,
+    ) -> RunStats
+    where
+        W::Config: Clone,
+    {
+        let plain = run::<W>(inputs, cfg.clone(), Probe::default(), None, None).unwrap();
+        let mut snaps: Vec<(SimTime, Vec<u8>)> = Vec::new();
+        let at = [boundary];
+        let sink = &mut |t, bytes| snaps.push((t, bytes));
+        let ckpt =
+            run::<W>(inputs, cfg.clone(), Probe::default(), Some(Checkpoints { at: &at, sink }), None)
+                .unwrap();
+        // Taking a snapshot mid-run must not perturb the run.
+        assert_stats_eq(&ckpt, &plain);
+        assert_eq!(snaps.len(), 1);
+        assert_eq!(snaps[0].0, boundary);
+        // Restoring into a fresh world and finishing reproduces the
+        // uninterrupted run exactly.
+        let resumed =
+            run::<W>(inputs, cfg, Probe::default(), None, Some((boundary, &snaps[0].1))).unwrap();
+        assert_stats_eq(&resumed, &plain);
+        plain
+    }
+
+    /// Field-by-field equality of two runs' stats (`RunStats` holds delay
+    /// meters, so no derived `PartialEq`).
+    fn assert_stats_eq(a: &RunStats, b: &RunStats) {
+        assert_eq!(a.delivered_bits, b.delivered_bits);
+        assert_eq!(a.events, b.events);
+        assert_eq!(a.drops, b.drops);
+        assert_eq!(a.retries, b.retries);
+        assert_eq!(a.ack_timeouts, b.ack_timeouts);
+        assert_eq!(a.tcp_retransmissions, b.tcp_retransmissions);
+        assert_eq!(a.domino, b.domino);
+        assert_eq!(a.faults, b.faults);
+        assert_eq!(a.slot_starts, b.slot_starts);
+        for (da, db) in a.delays.iter().zip(&b.delays) {
+            assert_eq!(da.samples(), db.samples());
+        }
+    }
+}

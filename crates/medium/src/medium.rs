@@ -12,7 +12,7 @@
 use crate::frames::{Frame, FrameBody};
 use crate::signatures::{rop_decode_probability, signature_detection_probability};
 use domino_faults::MediumFaults;
-use domino_obs::{CostPath, FaultKind, ProfHandle, TraceEvent, TraceHandle};
+use domino_obs::{CostPath, FaultKind, Probe, TraceEvent};
 use domino_phy::units::Dbm;
 use domino_sim::rng::streams;
 use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter, Snapshot};
@@ -167,10 +167,9 @@ pub struct Medium {
     /// `None` (the default) costs nothing and draws nothing, so fault-free
     /// runs adjudicate byte-identically to a plane-free build.
     faults: Option<MediumFaults>,
-    tracer: TraceHandle,
-    /// Cost profiler handle; observation-only like the tracer and, like
-    /// it, scratch state — never part of a snapshot.
-    prof: ProfHandle,
+    /// Trace sink and cost profiler: observation-only scratch state,
+    /// never part of a snapshot.
+    probe: Probe,
 }
 
 impl Medium {
@@ -211,24 +210,18 @@ impl Medium {
             track_pool: Vec::new(),
             rx_scratch: Vec::new(),
             faults: None,
-            tracer: TraceHandle::off(),
-            prof: ProfHandle::off(),
+            probe: Probe::default(),
         }
     }
 
-    /// Attach a trace sink. Observation only — attaching never changes
-    /// adjudication or RNG state; the medium emits
-    /// [`TraceEvent::FaultInject`] when an installed fault class (churn,
-    /// fade, ROP corruption) actually fires.
-    pub fn set_tracer(&mut self, tracer: TraceHandle) {
-        self.tracer = tracer;
-    }
-
-    /// Attach a cost profiler. Observation only — a disabled handle costs
-    /// one branch per begin/end/adjudication; an enabled one increments
-    /// integer cells and never draws or allocates.
-    pub fn set_profiler(&mut self, prof: ProfHandle) {
-        self.prof = prof;
+    /// Attach a trace sink and cost profiler. Observation only —
+    /// attaching never changes adjudication or RNG state. The medium
+    /// emits [`TraceEvent::FaultInject`] when an installed fault class
+    /// (churn, fade, ROP corruption) actually fires, and counts
+    /// begins, ends and adjudications (one branch each when off; never a
+    /// draw or an allocation when on).
+    pub fn set_probe(&mut self, probe: Probe) {
+        self.probe = probe;
     }
 
     /// Raw draws taken from the PHY-error stream so far (profiler food:
@@ -325,7 +318,7 @@ impl Medium {
         let id = TxId(self.next_tx);
         self.next_tx += 1;
         self.counters.started += 1;
-        self.prof.tick(CostPath::MediumBegin);
+        self.probe.prof.tick(CostPath::MediumBegin);
         // ROP round bookkeeping: record the strongest reporter per (ap,
         // start instant).
         if let FrameBody::RopReport { client, ap, .. } = frame.body {
@@ -413,7 +406,7 @@ impl Medium {
             .unwrap_or_else(|| panic!("ending unknown transmission {tx:?}"));
         let done = self.active.swap_remove(pos);
         debug_assert!(now >= done.start, "transmission ends before it starts");
-        self.prof.tick(CostPath::MediumEnd);
+        self.probe.prof.tick(CostPath::MediumEnd);
 
         // Remove the signal from the ambient field (same split-at-source
         // traversal as `begin`; element order and arithmetic unchanged).
@@ -450,7 +443,7 @@ impl Medium {
     /// their interference tracks), the ambient power field, the PHY RNG,
     /// the transmission counter, reception counters, ROP round peaks and
     /// the fault classes. The RSS matrices, the PER memo cache (a pure
-    /// function of its key), the recycling pools and the tracer are
+    /// function of its key), the recycling pools and the probe are
     /// configuration or scratch and are reconstructed, not saved.
     pub fn snapshot_save(&self, w: &mut SnapWriter) {
         w.put_u64(self.active.len() as u64);
@@ -545,7 +538,7 @@ impl Medium {
     }
 
     fn adjudicate(&mut self, done: &ActiveTx, track: &RxTrack, now: SimTime) -> Reception {
-        self.prof.tick(match &done.frame.body {
+        self.probe.prof.tick(match &done.frame.body {
             FrameBody::Data { .. } => CostPath::AdjData,
             FrameBody::MacAck { .. } => CostPath::AdjMacAck,
             FrameBody::Poll { .. } => CostPath::AdjPoll,
@@ -575,7 +568,7 @@ impl Medium {
             let src_dark = f.churn.check_dark(src.index() as u32, now);
             if src_dark || f.churn.check_dark(rx.index() as u32, now) {
                 let node = if src_dark { src.0 } else { rx.0 };
-                self.tracer.emit(now.as_nanos(), || TraceEvent::FaultInject {
+                self.probe.trace.emit(now.as_nanos(), || TraceEvent::FaultInject {
                     kind: FaultKind::ChurnDrop,
                     node,
                 });
@@ -631,7 +624,7 @@ impl Medium {
                         // the AP discards it, same as a decode failure.
                         if f.channel.rop_corrupts() {
                             ok = false;
-                            self.tracer.emit(now.as_nanos(), || TraceEvent::FaultInject {
+                            self.probe.trace.emit(now.as_nanos(), || TraceEvent::FaultInject {
                                 kind: FaultKind::RopCorrupt,
                                 node: client.0,
                             });
@@ -649,7 +642,7 @@ impl Medium {
                         // fade_len − 1 would-be detections.
                         if f.channel.fade_suppresses() {
                             ok = false;
-                            self.tracer.emit(now.as_nanos(), || TraceEvent::FaultInject {
+                            self.probe.trace.emit(now.as_nanos(), || TraceEvent::FaultInject {
                                 kind: FaultKind::Fade,
                                 node: rx.0,
                             });

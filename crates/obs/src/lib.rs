@@ -24,16 +24,20 @@
 //!   adjudications, controller/converter work and per-stream RNG draws
 //!   against the fixed [`CostPath`] taxonomy, under the same
 //!   observation-only contract as tracing (`profiled ≡ unprofiled`).
+//! * [`Probe`] — the trace and profiler handles bundled: the one value a
+//!   run threads through its engine, medium and MAC world.
 
 pub mod analysis;
 pub mod event;
 pub mod jsonl;
 pub mod metrics;
+pub mod probe;
 pub mod profile;
 pub mod tracer;
 
 pub use event::{FaultKind, TraceEvent};
 pub use jsonl::{TraceMeta, SCHEMA_NAME, SCHEMA_VERSION};
 pub use metrics::{Histogram, MetricsRegistry};
+pub use probe::Probe;
 pub use profile::{CostPath, CostProfile, CostProfiler, ProfHandle};
 pub use tracer::{MemTracer, NoopTracer, TraceHandle, TraceRecord, Tracer};

@@ -17,7 +17,7 @@ use crate::plan::{Plan, RunDigest};
 use crate::scale::Scale;
 use domino_core::{scenarios, FaultConfig, FaultStats, Scheme, SimulationBuilder};
 use domino_obs::jsonl::{self, TraceMeta};
-use domino_obs::TraceHandle;
+use domino_obs::{ProfHandle, TraceHandle};
 use domino_stats::Table;
 
 /// Registry key.
@@ -215,7 +215,7 @@ pub fn trace(scale: Scale, seed: u64) -> String {
         .duration_s(scale.duration(2.0))
         .seed(seed)
         .faults(faults)
-        .run_traced(Scheme::Domino, handle);
+        .run_profiled(Scheme::Domino, handle, ProfHandle::off());
     let meta = TraceMeta {
         experiment: NAME.to_string(),
         scheme: "domino".to_string(),

@@ -10,7 +10,7 @@ use crate::plan::Plan;
 use crate::scale::Scale;
 use domino_core::{scenarios, Scheme, SimulationBuilder};
 use domino_obs::jsonl::{self, TraceMeta};
-use domino_obs::TraceHandle;
+use domino_obs::{ProfHandle, TraceHandle};
 
 /// Registry key.
 pub const NAME: &str = "fig10_timeline";
@@ -29,7 +29,7 @@ pub fn trace(scale: Scale, seed: u64) -> String {
         .udp(10e6, 10e6)
         .duration_s(scale.duration(0.2))
         .seed(seed)
-        .run_traced(Scheme::Domino, handle);
+        .run_profiled(Scheme::Domino, handle, ProfHandle::off());
     let meta = TraceMeta {
         experiment: NAME.to_string(),
         scheme: "domino".to_string(),

@@ -21,7 +21,8 @@
 //! The library renders; the binary prints. That split keeps every
 //! rendered byte inside lint rule D006's render-path crates.
 
-use domino_core::{scenarios, FaultConfig, Scheme, SimulationBuilder};
+use crate::simcmd::{RunSpec, Scenario};
+use domino_core::Scheme;
 use domino_obs::{CostProfile, ProfHandle, TraceHandle};
 use std::fmt::Write as _;
 
@@ -34,18 +35,9 @@ pub const USAGE: &str = "usage: domino-profile report [--scheme <dcf|centaur|dom
 /// Parsed `domino-profile report …` invocation.
 #[derive(Clone, Debug)]
 pub struct ReportArgs {
-    /// MAC scheme to profile.
-    pub scheme: Scheme,
-    /// Network scenario (same set as `domino-run sim`).
-    pub scenario: crate::simcmd::Scenario,
-    /// Master seed.
-    pub seed: u64,
-    /// Simulated horizon in seconds.
-    pub duration_s: f64,
-    /// UDP workload `(down_bps, up_bps)`.
-    pub udp: (f64, f64),
-    /// Chaos fault intensity (0 = fault plane off).
-    pub chaos: f64,
+    /// Scheme, scenario, seed, horizon, workload and chaos (the flags
+    /// `domino-run sim` takes too).
+    pub spec: RunSpec,
     /// Emit the folded-stack form instead of the table.
     pub folded: bool,
 }
@@ -55,12 +47,14 @@ impl Default for ReportArgs {
     /// DOMINO scheme, 200 ms horizon, default workload, no faults.
     fn default() -> ReportArgs {
         ReportArgs {
-            scheme: Scheme::Domino,
-            scenario: crate::simcmd::Scenario::Fig7,
-            seed: 1,
-            duration_s: 0.2,
-            udp: (8e6, 2e6),
-            chaos: 0.0,
+            spec: RunSpec {
+                scheme: Scheme::Domino,
+                scenario: Scenario::Fig7,
+                seed: 1,
+                duration_s: 0.2,
+                udp: (8e6, 2e6),
+                chaos: 0.0,
+            },
             folded: false,
         }
     }
@@ -70,42 +64,11 @@ impl Default for ReportArgs {
 pub fn parse_report(args: &[String]) -> Result<ReportArgs, String> {
     let mut out = ReportArgs::default();
     let mut it = args.iter();
-    let need = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-        it.next().cloned().ok_or_else(|| format!("{flag} needs a value"))
-    };
     while let Some(a) = it.next() {
+        if out.spec.parse_flag(a, &mut it)? {
+            continue;
+        }
         match a.as_str() {
-            "--scheme" => {
-                out.scheme = match need(&mut it, "--scheme")?.as_str() {
-                    "dcf" => Scheme::Dcf,
-                    "centaur" => Scheme::Centaur,
-                    "domino" => Scheme::Domino,
-                    "omniscient" => Scheme::Omniscient,
-                    other => return Err(format!("unknown scheme {other}")),
-                };
-            }
-            "--scenario" => {
-                out.scenario = match need(&mut it, "--scenario")?.as_str() {
-                    "fig1" => crate::simcmd::Scenario::Fig1,
-                    "fig7" => crate::simcmd::Scenario::Fig7,
-                    "t6x2" => crate::simcmd::Scenario::T6x2,
-                    other => return Err(format!("unknown scenario {other}")),
-                };
-            }
-            "--seed" => {
-                out.seed = need(&mut it, "--seed")?
-                    .parse()
-                    .map_err(|_| "--seed needs an integer".to_string())?;
-            }
-            "--duration-s" => {
-                out.duration_s = parse_f64(&need(&mut it, "--duration-s")?, "--duration-s")?;
-            }
-            "--udp" => {
-                let v = need(&mut it, "--udp")?;
-                let (down, up) = v.split_once(',').ok_or("--udp needs <down_bps>,<up_bps>")?;
-                out.udp = (parse_f64(down, "--udp")?, parse_f64(up, "--udp")?);
-            }
-            "--chaos" => out.chaos = parse_f64(&need(&mut it, "--chaos")?, "--chaos")?,
             "--folded" => out.folded = true,
             "--help" | "-h" => return Err(String::new()),
             flag => return Err(format!("unknown flag {flag}")),
@@ -114,30 +77,12 @@ pub fn parse_report(args: &[String]) -> Result<ReportArgs, String> {
     Ok(out)
 }
 
-fn parse_f64(v: &str, flag: &str) -> Result<f64, String> {
-    v.parse::<f64>()
-        .ok()
-        .filter(|x| x.is_finite() && *x >= 0.0)
-        .ok_or_else(|| format!("{flag} needs a non-negative number"))
-}
-
 /// Run the configured simulation with the profiler attached and render
 /// the requested form. The text is a pure function of the arguments.
 pub fn run_report(args: &ReportArgs) -> String {
-    let net = match args.scenario {
-        crate::simcmd::Scenario::Fig1 => scenarios::fig1(),
-        crate::simcmd::Scenario::Fig7 => scenarios::fig7(),
-        crate::simcmd::Scenario::T6x2 => scenarios::standard_t(6, 2, args.seed),
-    };
-    let faults =
-        if args.chaos > 0.0 { FaultConfig::chaos(args.chaos) } else { FaultConfig::off() };
-    let builder = SimulationBuilder::new(net)
-        .udp(args.udp.0, args.udp.1)
-        .duration_s(args.duration_s)
-        .seed(args.seed)
-        .faults(faults);
+    let spec = &args.spec;
     let (handle, profiler) = ProfHandle::collecting();
-    let report = builder.run_profiled(args.scheme, TraceHandle::off(), handle);
+    let report = spec.builder(spec.faults()).run_profiled(spec.scheme, TraceHandle::off(), handle);
     let profile = profiler.snapshot();
     if args.folded {
         return profile.render_folded();
@@ -146,10 +91,10 @@ pub fn run_report(args: &ReportArgs) -> String {
     let _ = writeln!(
         out,
         "# {} / {} seed={} duration_s={:.6} events={}",
-        args.scenario.name(),
+        spec.scenario.name(),
         report.scheme.label(),
-        args.seed,
-        args.duration_s,
+        spec.seed,
+        spec.duration_s,
         report.stats.events,
     );
     out.push_str(&profile.render_table());
@@ -316,8 +261,8 @@ mod tests {
             "--folded",
         ]))
         .unwrap();
-        assert_eq!(a.scheme, Scheme::Dcf);
-        assert_eq!(a.seed, 7);
+        assert_eq!(a.spec.scheme, Scheme::Dcf);
+        assert_eq!(a.spec.seed, 7);
         assert!(a.folded);
     }
 

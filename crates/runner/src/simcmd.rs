@@ -10,7 +10,7 @@
 //! function of the run — a restored run's block byte-matches the
 //! uninterrupted run's, which is exactly what the CI gate diffs.
 
-use domino_core::{scenarios, FaultConfig, RunReport, Scheme, SimulationBuilder};
+use domino_core::{scenarios, Checkpoints, FaultConfig, RunOpts, RunReport, Scheme, SimulationBuilder};
 use domino_sim::SimTime;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -44,9 +44,11 @@ impl Scenario {
     }
 }
 
-/// Parsed `domino-run sim …` invocation.
+/// The run-defining flags `domino-run sim` and `domino-profile report`
+/// share: `--scheme`, `--scenario`, `--seed`, `--duration-s`, `--udp` and
+/// `--chaos`. Each command supplies its own defaults.
 #[derive(Clone, Debug)]
-pub struct SimArgs {
+pub struct RunSpec {
     /// MAC scheme to run.
     pub scheme: Scheme,
     /// Network scenario.
@@ -59,6 +61,94 @@ pub struct SimArgs {
     pub udp: (f64, f64),
     /// Chaos fault intensity (0 = fault plane off).
     pub chaos: f64,
+}
+
+impl RunSpec {
+    /// Consume `flag` (and its value from `it`) if it is one of the shared
+    /// flags. Returns whether it was.
+    pub fn parse_flag(
+        &mut self,
+        flag: &str,
+        it: &mut std::slice::Iter<'_, String>,
+    ) -> Result<bool, String> {
+        match flag {
+            "--scheme" => {
+                self.scheme = match need(it, flag)?.as_str() {
+                    "dcf" => Scheme::Dcf,
+                    "centaur" => Scheme::Centaur,
+                    "domino" => Scheme::Domino,
+                    "omniscient" => Scheme::Omniscient,
+                    other => return Err(format!("unknown scheme {other}")),
+                };
+            }
+            "--scenario" => {
+                self.scenario = match need(it, flag)?.as_str() {
+                    "fig1" => Scenario::Fig1,
+                    "fig7" => Scenario::Fig7,
+                    "t6x2" => Scenario::T6x2,
+                    other => return Err(format!("unknown scenario {other}")),
+                };
+            }
+            "--seed" => {
+                self.seed = need(it, flag)?
+                    .parse()
+                    .map_err(|_| "--seed needs an integer".to_string())?;
+            }
+            "--duration-s" => self.duration_s = parse_f64(&need(it, flag)?, flag)?,
+            "--udp" => {
+                let v = need(it, flag)?;
+                let (down, up) =
+                    v.split_once(',').ok_or("--udp needs <down_bps>,<up_bps>")?;
+                self.udp = (parse_f64(down, flag)?, parse_f64(up, flag)?);
+            }
+            "--chaos" => self.chaos = parse_f64(&need(it, flag)?, flag)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The fault plane `--chaos` selects.
+    pub fn faults(&self) -> FaultConfig {
+        if self.chaos > 0.0 {
+            FaultConfig::chaos(self.chaos)
+        } else {
+            FaultConfig::off()
+        }
+    }
+
+    /// The configured run under `faults`.
+    pub fn builder(&self, faults: FaultConfig) -> SimulationBuilder {
+        let net = match self.scenario {
+            Scenario::Fig1 => scenarios::fig1(),
+            Scenario::Fig7 => scenarios::fig7(),
+            Scenario::T6x2 => scenarios::standard_t(6, 2, self.seed),
+        };
+        SimulationBuilder::new(net)
+            .udp(self.udp.0, self.udp.1)
+            .duration_s(self.duration_s)
+            .seed(self.seed)
+            .faults(faults)
+    }
+}
+
+/// The value following `flag`.
+fn need(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<String, String> {
+    it.next().cloned().ok_or_else(|| format!("{flag} needs a value"))
+}
+
+/// A finite, non-negative number.
+fn parse_f64(v: &str, flag: &str) -> Result<f64, String> {
+    v.parse::<f64>()
+        .ok()
+        .filter(|x| x.is_finite() && *x >= 0.0)
+        .ok_or_else(|| format!("{flag} needs a non-negative number"))
+}
+
+/// Parsed `domino-run sim …` invocation.
+#[derive(Clone, Debug)]
+pub struct SimArgs {
+    /// Scheme, scenario, seed, horizon, workload and chaos.
+    pub spec: RunSpec,
     /// Enable the warm-standby controller.
     pub standby: bool,
     /// Per-compute controller crash probability.
@@ -76,12 +166,14 @@ pub struct SimArgs {
 /// Parse the subcommand's arguments (everything after `sim`).
 pub fn parse(args: &[String]) -> Result<SimArgs, String> {
     let mut out = SimArgs {
-        scheme: Scheme::Domino,
-        scenario: Scenario::T6x2,
-        seed: 1,
-        duration_s: 1.0,
-        udp: (8e6, 2e6),
-        chaos: 0.0,
+        spec: RunSpec {
+            scheme: Scheme::Domino,
+            scenario: Scenario::T6x2,
+            seed: 1,
+            duration_s: 1.0,
+            udp: (8e6, 2e6),
+            chaos: 0.0,
+        },
         standby: false,
         ctrl_crash: 0.0,
         checkpoint_every_us: None,
@@ -90,43 +182,11 @@ pub fn parse(args: &[String]) -> Result<SimArgs, String> {
         restore: None,
     };
     let mut it = args.iter();
-    let need = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-        it.next().cloned().ok_or_else(|| format!("{flag} needs a value"))
-    };
     while let Some(a) = it.next() {
+        if out.spec.parse_flag(a, &mut it)? {
+            continue;
+        }
         match a.as_str() {
-            "--scheme" => {
-                out.scheme = match need(&mut it, "--scheme")?.as_str() {
-                    "dcf" => Scheme::Dcf,
-                    "centaur" => Scheme::Centaur,
-                    "domino" => Scheme::Domino,
-                    "omniscient" => Scheme::Omniscient,
-                    other => return Err(format!("unknown scheme {other}")),
-                };
-            }
-            "--scenario" => {
-                out.scenario = match need(&mut it, "--scenario")?.as_str() {
-                    "fig1" => Scenario::Fig1,
-                    "fig7" => Scenario::Fig7,
-                    "t6x2" => Scenario::T6x2,
-                    other => return Err(format!("unknown scenario {other}")),
-                };
-            }
-            "--seed" => {
-                out.seed = need(&mut it, "--seed")?
-                    .parse()
-                    .map_err(|_| "--seed needs an integer".to_string())?;
-            }
-            "--duration-s" => {
-                out.duration_s = parse_f64(&need(&mut it, "--duration-s")?, "--duration-s")?;
-            }
-            "--udp" => {
-                let v = need(&mut it, "--udp")?;
-                let (down, up) =
-                    v.split_once(',').ok_or("--udp needs <down_bps>,<up_bps>")?;
-                out.udp = (parse_f64(down, "--udp")?, parse_f64(up, "--udp")?);
-            }
-            "--chaos" => out.chaos = parse_f64(&need(&mut it, "--chaos")?, "--chaos")?,
             "--standby" => out.standby = true,
             "--ctrl-crash" => {
                 out.ctrl_crash = parse_f64(&need(&mut it, "--ctrl-crash")?, "--ctrl-crash")?;
@@ -148,13 +208,6 @@ pub fn parse(args: &[String]) -> Result<SimArgs, String> {
     Ok(out)
 }
 
-fn parse_f64(v: &str, flag: &str) -> Result<f64, String> {
-    v.parse::<f64>()
-        .ok()
-        .filter(|x| x.is_finite() && *x >= 0.0)
-        .ok_or_else(|| format!("{flag} needs a non-negative number"))
-}
-
 /// The run's outcome: the deterministic stats block, plus the sealed
 /// checkpoint files for the caller to write (the library never prints).
 #[derive(Debug)]
@@ -169,7 +222,7 @@ pub struct SimOutcome {
 /// Ascending checkpoint boundaries from `--checkpoint-every-us` and
 /// `--checkpoint-at-us`, capped at the horizon.
 fn boundaries(args: &SimArgs) -> Vec<SimTime> {
-    let horizon_ns = (args.duration_s * 1e9).round() as u64;
+    let horizon_ns = (args.spec.duration_s * 1e9).round() as u64;
     let mut ns: Vec<u64> = args
         .checkpoint_at_us
         .iter()
@@ -191,46 +244,36 @@ fn boundaries(args: &SimArgs) -> Vec<SimTime> {
     ns.into_iter().map(SimTime::from_nanos).collect()
 }
 
-fn builder(args: &SimArgs) -> SimulationBuilder {
-    let net = match args.scenario {
-        Scenario::Fig1 => scenarios::fig1(),
-        Scenario::Fig7 => scenarios::fig7(),
-        Scenario::T6x2 => scenarios::standard_t(6, 2, args.seed),
-    };
-    let mut faults = if args.chaos > 0.0 {
-        FaultConfig::chaos(args.chaos)
-    } else {
-        FaultConfig::off()
-    };
+/// Execute the parsed invocation: run from t=0, or restore-and-finish
+/// when `--restore` is given, sealing a checkpoint at each boundary after
+/// the start.
+pub fn run(args: &SimArgs) -> Result<SimOutcome, String> {
+    let mut faults = args.spec.faults();
     faults.ctrl_crash = args.ctrl_crash;
     faults.standby = args.standby;
-    SimulationBuilder::new(net)
-        .udp(args.udp.0, args.udp.1)
-        .duration_s(args.duration_s)
-        .seed(args.seed)
-        .faults(faults)
-}
-
-/// Execute the parsed invocation: restore-and-finish when `--restore` is
-/// given, otherwise run from t=0, sealing a checkpoint at each boundary.
-pub fn run(args: &SimArgs) -> Result<SimOutcome, String> {
-    let b = builder(args);
-    let mut checkpoints = Vec::new();
-    let report = match &args.restore {
-        Some(path) => {
-            let sealed = std::fs::read(path)
-                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            b.resume(args.scheme, &sealed)
-                .map_err(|e| format!("cannot resume from {}: {e:?}", path.display()))?
-        }
-        None => {
-            let state_dir = args.state_dir.clone();
-            b.run_checkpointed(args.scheme, &boundaries(args), &mut |t, sealed| {
-                let file = state_dir.join(format!("ckpt_{:012}.dsnp", t.as_nanos()));
-                checkpoints.push((file, sealed));
-            })
-        }
+    let b = args.spec.builder(faults);
+    let sealed = match &args.restore {
+        Some(path) => Some(
+            std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?,
+        ),
+        None => None,
     };
+    let mut checkpoints = Vec::new();
+    let at = boundaries(args);
+    let state_dir = &args.state_dir;
+    let sink = &mut |t: SimTime, sealed: Vec<u8>| {
+        let file = state_dir.join(format!("ckpt_{:012}.dsnp", t.as_nanos()));
+        checkpoints.push((file, sealed));
+    };
+    let opts = RunOpts {
+        checkpoints: Some(Checkpoints { at: &at, sink }),
+        restore: sealed.as_deref(),
+        ..RunOpts::default()
+    };
+    let report = b.run_with(args.spec.scheme, opts).map_err(|e| match &args.restore {
+        Some(path) => format!("cannot resume from {}: {e:?}", path.display()),
+        None => format!("run failed: {e:?}"),
+    })?;
     Ok(SimOutcome { text: render_stats(args, &report), checkpoints })
 }
 
@@ -242,9 +285,9 @@ pub fn render_stats(args: &SimArgs, r: &RunReport) -> String {
     let s = &r.stats;
     let mut out = String::new();
     let _ = writeln!(out, "scheme: {}", r.scheme.label());
-    let _ = writeln!(out, "scenario: {}", args.scenario.name());
-    let _ = writeln!(out, "seed: {}", args.seed);
-    let _ = writeln!(out, "duration_s: {:.6}", args.duration_s);
+    let _ = writeln!(out, "scenario: {}", args.spec.scenario.name());
+    let _ = writeln!(out, "seed: {}", args.spec.seed);
+    let _ = writeln!(out, "duration_s: {:.6}", args.spec.duration_s);
     let _ = writeln!(out, "events: {}", s.events);
     let delivered: Vec<String> = s.delivered_bits.iter().map(u64::to_string).collect();
     let _ = writeln!(out, "delivered_bits: [{}]", delivered.join(", "));
@@ -283,9 +326,9 @@ mod tests {
             "--checkpoint-every-us", "100000", "--checkpoint-at-us", "250000",
         ]))
         .unwrap();
-        assert_eq!(a.scheme, Scheme::Dcf);
-        assert_eq!(a.scenario, Scenario::Fig7);
-        assert_eq!(a.seed, 9);
+        assert_eq!(a.spec.scheme, Scheme::Dcf);
+        assert_eq!(a.spec.scenario, Scenario::Fig7);
+        assert_eq!(a.spec.seed, 9);
         let b = boundaries(&a);
         assert!(!b.is_empty());
         assert!(b.windows(2).all(|w| w[0] < w[1]));

@@ -44,7 +44,7 @@
 use crate::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter};
 use crate::time::{SimDuration, SimTime};
 use crate::wheel::{TimerWheel, WheelHandle};
-use domino_obs::{CostPath, ProfHandle, TraceEvent, TraceHandle};
+use domino_obs::{CostPath, Probe, TraceEvent};
 
 /// Opaque handle identifying a scheduled event, used for cancellation.
 ///
@@ -120,10 +120,9 @@ pub struct Engine<E> {
     wheel: TimerWheel<E>,
     processed: u64,
     liveness: Option<Liveness>,
-    tracer: TraceHandle,
-    /// Cost profiler handle. Like the tracer it is observation-only and
-    /// excluded from snapshots: a restored engine profiles from zero.
-    prof: ProfHandle,
+    /// Trace sink and cost profiler: observation-only and excluded from
+    /// snapshots, so a restored engine profiles from zero.
+    probe: Probe,
 }
 
 impl<E> std::fmt::Debug for Engine<E> {
@@ -150,24 +149,17 @@ impl<E> Engine<E> {
             wheel: TimerWheel::new(),
             processed: 0,
             liveness: None,
-            tracer: TraceHandle::off(),
-            prof: ProfHandle::off(),
+            probe: Probe::default(),
         }
     }
 
-    /// Attach a trace sink. Observation only — attaching never changes
-    /// event order, timing, or RNG state; the engine emits
-    /// [`TraceEvent::LivelockCheck`] at every liveness-window roll and
-    /// [`TraceEvent::Livelock`] when the budget trips.
-    pub fn set_tracer(&mut self, tracer: TraceHandle) {
-        self.tracer = tracer;
-    }
-
-    /// Attach a cost profiler. Observation only: a disabled handle costs
-    /// one branch per pop, an enabled one increments integer cells —
-    /// neither changes event order, timing, or RNG state.
-    pub fn set_profiler(&mut self, prof: ProfHandle) {
-        self.prof = prof;
+    /// Attach a trace sink and cost profiler. Observation only —
+    /// attaching never changes event order, timing, or RNG state. The
+    /// engine emits [`TraceEvent::LivelockCheck`] at every liveness-window
+    /// roll and [`TraceEvent::Livelock`] when the budget trips, and counts
+    /// one `engine;pop` per delivery (one branch per pop when off).
+    pub fn set_probe(&mut self, probe: Probe) {
+        self.probe = probe;
     }
 
     /// Flush the timer wheel's lifetime operation counters into the
@@ -176,9 +168,9 @@ impl<E> Engine<E> {
     /// flushing twice would double-count.
     pub fn profile_wheel(&self) {
         let (inserts, cancels, cascaded) = self.wheel.op_counts();
-        self.prof.add(CostPath::WheelInsert, inserts);
-        self.prof.add(CostPath::WheelCancel, cancels);
-        self.prof.add(CostPath::WheelCascade, cascaded);
+        self.probe.prof.add(CostPath::WheelInsert, inserts);
+        self.probe.prof.add(CostPath::WheelCancel, cancels);
+        self.probe.prof.add(CostPath::WheelCascade, cascaded);
     }
 
     /// Arm the liveness monitor: more than `budget` events delivered while
@@ -264,7 +256,7 @@ impl<E> Engine<E> {
     pub fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
         let (time, payload) = self.wheel.pop_min_until(horizon.as_nanos())?;
         self.processed += 1;
-        self.prof.tick(CostPath::EnginePop);
+        self.probe.prof.tick(CostPath::EnginePop);
         Some((SimTime::from_nanos(time), payload))
     }
 
@@ -287,7 +279,7 @@ impl<E> Engine<E> {
         if let (Some((t, _)), Some(liv)) = (&popped, &mut self.liveness) {
             if *t >= liv.window_start + liv.window {
                 let closed = liv.window_events;
-                self.tracer.emit(t.as_nanos(), move || TraceEvent::LivelockCheck {
+                self.probe.trace.emit(t.as_nanos(), move || TraceEvent::LivelockCheck {
                     events_in_window: closed,
                 });
                 liv.window_start = *t;
@@ -296,7 +288,7 @@ impl<E> Engine<E> {
             liv.window_events += 1;
             if liv.window_events > liv.budget {
                 let (events, budget) = (liv.window_events, liv.budget);
-                self.tracer.emit(t.as_nanos(), move || TraceEvent::Livelock {
+                self.probe.trace.emit(t.as_nanos(), move || TraceEvent::Livelock {
                     events_in_window: events,
                     budget,
                 });
@@ -319,7 +311,10 @@ impl<E> Engine<E> {
     /// wheel's FIFO-tie rule makes an in-order re-insertion reproduce the
     /// exact delivery sequence, so a run that snapshots and *continues*
     /// stays byte-identical to one that never snapshotted (pinned by the
-    /// `snapshot_preserves_delivery` tests below). Outstanding
+    /// `snapshot_preserves_delivery` tests below). The rebuilt wheel
+    /// inherits the old one's lifetime op counters and the re-inserts are
+    /// not counted, so a profiled run that checkpoints reports the same
+    /// `engine;wheel;*` costs as one that never did. Outstanding
     /// [`EventHandle`]s go stale across a save; the MAC worlds use
     /// generation guards, not stored handles, so nothing holds one across
     /// a checkpoint boundary.
@@ -328,6 +323,7 @@ impl<E> Engine<E> {
         E: SnapValue,
     {
         let cursor = self.wheel.cursor();
+        let op_counts = self.wheel.op_counts();
         w.put_u64(cursor);
         w.put_u64(self.processed);
         match &self.liveness {
@@ -350,15 +346,18 @@ impl<E> Engine<E> {
             p.put(w);
             fresh.insert(t, p);
         }
+        fresh.set_op_counts(op_counts);
         self.wheel = fresh;
     }
 
     /// Overwrite this engine's dynamic state from a snapshot written by
     /// [`Engine::snapshot_save`]. Any events already queued (a freshly
     /// constructed world schedules its initial events) are discarded —
-    /// the snapshot's queue replaces them wholesale. Liveness *progress*
-    /// is restored only when the monitor is armed; its budget and window
-    /// are configuration and stay as [`Engine::set_liveness`] set them.
+    /// the snapshot's queue replaces them wholesale, and the re-inserts
+    /// are not counted: a restored engine profiles from zero. Liveness
+    /// *progress* is restored only when the monitor is armed; its budget
+    /// and window are configuration and stay as [`Engine::set_liveness`]
+    /// set them.
     pub fn snapshot_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>
     where
         E: SnapValue,
@@ -390,6 +389,7 @@ impl<E> Engine<E> {
             last = t;
             fresh.insert(t, E::thaw(r)?);
         }
+        fresh.set_op_counts((0, 0, 0));
         self.wheel = fresh;
         Ok(())
     }
@@ -422,10 +422,10 @@ mod tests {
 
     #[test]
     fn profiler_counts_pops_and_wheel_ops_without_perturbing() {
-        use domino_obs::ProfHandle;
+        use domino_obs::{ProfHandle, TraceHandle};
         let drive = |prof: ProfHandle| {
             let mut e = Engine::new();
-            e.set_profiler(prof);
+            e.set_probe(Probe::new(TraceHandle::off(), prof));
             for i in 0..10u64 {
                 // Spread across wheel levels so cascades happen.
                 e.schedule_at(SimTime::from_nanos(i * 1000), Ev::A(i as u32));
@@ -665,7 +665,8 @@ mod tests {
 
     #[test]
     fn snapshot_preserves_delivery() {
-        // Saving and *continuing* must not change delivery order.
+        // Saving and *continuing* must not change delivery order, nor the
+        // wheel's op counters the profiler reports.
         let mut plain = half_run_engine();
         let mut saved = half_run_engine();
         let mut w = SnapWriter::new();
@@ -673,6 +674,7 @@ mod tests {
         assert_eq!(drain(&mut saved), drain(&mut plain));
         assert_eq!(saved.now(), plain.now());
         assert_eq!(saved.events_processed(), plain.events_processed());
+        assert_eq!(saved.wheel.op_counts(), plain.wheel.op_counts());
     }
 
     #[test]

@@ -121,6 +121,15 @@ impl<E> TimerWheel<E> {
         (self.inserts, self.cancels, self.cascaded)
     }
 
+    /// Overwrite the lifetime op counters: a wheel rebuilt in place
+    /// carries its predecessor's counts forward instead of its own
+    /// re-inserts.
+    pub(crate) fn set_op_counts(&mut self, (inserts, cancels, cascaded): (u64, u64, u64)) {
+        self.inserts = inserts;
+        self.cancels = cancels;
+        self.cascaded = cascaded;
+    }
+
     /// Current wheel position (nanoseconds).
     #[inline]
     pub(crate) fn cursor(&self) -> u64 {

@@ -66,13 +66,15 @@ echo "== source fingerprint: committed manifest matches the tree =="
 echo "== profile gate: cost attribution pinned at zero tolerance =="
 # The cost profiler counts exact integers over simulated work (engine
 # pops, wheel cascades, adjudications, RNG draws — no wall clock), so
-# the committed fig7/DOMINO snapshot is held to a zero-threshold diff:
-# any hot-path cost growth fails here and must be reviewed as part of
-# the change that caused it.
+# the committed fig7 snapshot of every scheme is held to a
+# zero-threshold diff: any hot-path cost growth fails here and must be
+# reviewed as part of the change that caused it.
 PROF_TMP="$(mktemp)"
-./target/release/domino-profile report --folded > "$PROF_TMP"
-./target/release/domino-profile diff results/profile_fig7_domino.txt "$PROF_TMP" \
-    || { echo "ERROR: cost profile drifted from results/profile_fig7_domino.txt; if the change is intended, regenerate with: ./target/release/domino-profile report --folded > results/profile_fig7_domino.txt" >&2; exit 1; }
+for scheme in domino dcf centaur omniscient; do
+    ./target/release/domino-profile report --folded --scheme "$scheme" > "$PROF_TMP"
+    ./target/release/domino-profile diff "results/profile_fig7_$scheme.txt" "$PROF_TMP" \
+        || { echo "ERROR: cost profile drifted from results/profile_fig7_$scheme.txt; if the change is intended, regenerate with: ./target/release/domino-profile report --folded --scheme $scheme > results/profile_fig7_$scheme.txt" >&2; exit 1; }
+done
 rm -f "$PROF_TMP"
 
 echo "== warm-cache gate: cold fill, then zero-execution rerun =="

@@ -4,7 +4,10 @@
 //! [`prop::Gen`]; failures shrink to a minimal choice sequence that can be
 //! pinned with `prop::replay` (see the regression tests at the bottom).
 
-use domino::core::{scenarios, FaultConfig, RunReport, Scheme, SimulationBuilder};
+use domino::core::{
+    scenarios, Checkpoints, FaultConfig, ProfHandle, Probe, RunOpts, RunReport, Scheme,
+    SimulationBuilder, TraceHandle,
+};
 use domino::mac::FlowKind;
 use domino::phy::gold::{m_sequence, GoldFamily};
 use domino::phy::units::{Db, Dbm};
@@ -379,8 +382,8 @@ fn tracing_never_perturbs_a_run() {
                 .faults(faults);
             for &scheme in &Scheme::ALL {
                 let plain = b.run(scheme);
-                let (handle, sink) = domino::obs::TraceHandle::mem();
-                let traced = b.run_traced(scheme, handle);
+                let (handle, sink) = TraceHandle::mem();
+                let traced = b.run_profiled(scheme, handle, ProfHandle::off());
                 let eq_fields = |r: &RunReport| {
                     (
                         r.stats.delivered_bits.clone(),
@@ -449,10 +452,13 @@ fn eq_fields(
 
 #[test]
 fn snapshot_restore_reproduces_any_run() {
-    // For ANY scheme, fault schedule and snapshot time: (1) taking a
-    // checkpoint perturbs neither the run stats nor the trace bytes, and
-    // (2) restoring that checkpoint in a fresh world and driving to the
-    // horizon reproduces the uninterrupted run exactly.
+    // For ANY scheme, fault schedule (or none) and snapshot time: (1)
+    // taking a checkpoint perturbs neither the run stats nor the trace
+    // bytes, and (2) restoring that checkpoint in a fresh world — traced
+    // and profiled — and driving to the horizon reproduces the
+    // uninterrupted run exactly: the same stats, the uninterrupted trace
+    // from the boundary on, and a profile that attributes every event it
+    // counts.
     prop::check_with(
         prop::Config { cases: 4, seed: 0x5A9D, max_shrink_replays: 24 },
         "snapshot_restore_reproduces_any_run",
@@ -464,38 +470,69 @@ fn snapshot_restore_reproduces_any_run() {
             let b = SimulationBuilder::new(scenarios::fig1())
                 .udp(4e6, 1e6)
                 .duration_s(0.1)
-                .seed(seed)
-                .faults(faults);
-            for &scheme in &Scheme::ALL {
-                let (plain_handle, plain_sink) = domino::obs::TraceHandle::mem();
-                let plain = b.run_traced(scheme, plain_handle);
-                let (ckpt_handle, ckpt_sink) = domino::obs::TraceHandle::mem();
-                let mut snaps = Vec::new();
-                let ckpt = b.run_checkpointed_traced(scheme, ckpt_handle, &[t], &mut |bt, s| {
-                    snaps.push((bt, s));
-                });
-                prop_assert_eq!(
-                    eq_fields(&plain),
-                    eq_fields(&ckpt),
-                    "{}: checkpointing perturbed the run",
-                    scheme.label()
-                );
-                prop_assert_eq!(
-                    plain_sink.take(),
-                    ckpt_sink.take(),
-                    "{}: checkpointing perturbed the trace",
-                    scheme.label()
-                );
-                prop_assert_eq!(snaps.len(), 1, "{}: missing checkpoint", scheme.label());
-                let restored = b
-                    .resume(scheme, &snaps[0].1)
-                    .unwrap_or_else(|e| panic!("{}: resume failed: {e:?}", scheme.label()));
-                prop_assert_eq!(
-                    eq_fields(&plain),
-                    eq_fields(&restored),
-                    "{}: restored run diverged",
-                    scheme.label()
-                );
+                .seed(seed);
+            for faults in [faults, FaultConfig::off()] {
+                let b = b.clone().faults(faults);
+                for &scheme in &Scheme::ALL {
+                    let (plain_handle, plain_sink) = TraceHandle::mem();
+                    let plain = b.run_profiled(scheme, plain_handle, ProfHandle::off());
+                    let plain_trace = plain_sink.take();
+                    let (ckpt_handle, ckpt_sink) = TraceHandle::mem();
+                    let mut snaps = Vec::new();
+                    let opts = RunOpts {
+                        probe: Probe::new(ckpt_handle, ProfHandle::off()),
+                        checkpoints: Some(Checkpoints {
+                            at: &[t],
+                            sink: &mut |bt, s| snaps.push((bt, s)),
+                        }),
+                        restore: None,
+                    };
+                    let ckpt = b.run_with(scheme, opts).expect("no restore");
+                    prop_assert_eq!(
+                        eq_fields(&plain),
+                        eq_fields(&ckpt),
+                        "{}: checkpointing perturbed the run",
+                        scheme.label()
+                    );
+                    prop_assert_eq!(
+                        &plain_trace,
+                        &ckpt_sink.take(),
+                        "{}: checkpointing perturbed the trace",
+                        scheme.label()
+                    );
+                    prop_assert_eq!(snaps.len(), 1, "{}: missing checkpoint", scheme.label());
+                    let (res_handle, res_sink) = TraceHandle::mem();
+                    let (res_prof, profiler) = ProfHandle::collecting();
+                    let opts = RunOpts {
+                        probe: Probe::new(res_handle, res_prof),
+                        restore: Some(&snaps[0].1),
+                        ..RunOpts::default()
+                    };
+                    let restored = b
+                        .run_with(scheme, opts)
+                        .unwrap_or_else(|e| panic!("{}: resume failed: {e:?}", scheme.label()));
+                    prop_assert_eq!(
+                        eq_fields(&plain),
+                        eq_fields(&restored),
+                        "{}: restored run diverged",
+                        scheme.label()
+                    );
+                    let tail: Vec<_> =
+                        plain_trace.iter().filter(|r| r.t_ns >= t.as_nanos()).cloned().collect();
+                    prop_assert_eq!(
+                        res_sink.take(),
+                        tail,
+                        "{}: restored trace diverged from the uninterrupted one",
+                        scheme.label()
+                    );
+                    let profile = profiler.snapshot();
+                    prop_assert_eq!(
+                        profile.attributed_percent(),
+                        100,
+                        "{}: restored run left events unattributed",
+                        scheme.label()
+                    );
+                }
             }
         },
     );
