@@ -20,7 +20,7 @@ use domino_mac::domino::DominoConfig;
 use domino_mac::run::{run, Checkpoints, RunInputs};
 use domino_mac::{CentaurWorld, DcfWorld, DominoWorld, OmniWorld, Workload};
 use domino_obs::{ProfHandle, Probe, TraceHandle};
-use domino_sim::snapshot::{self, SnapError};
+use domino_sim::snapshot::{self, SnapError, SnapReader, SnapValue, SnapWriter};
 use domino_sim::SimTime;
 use domino_topology::{Direction, Network};
 
@@ -49,6 +49,17 @@ impl Scheme {
             Scheme::Domino => "DOMINO",
             Scheme::Omniscient => "Omniscient",
         }
+    }
+}
+
+/// One byte: the scheme's index in [`Scheme::ALL`].
+impl SnapValue for Scheme {
+    fn put(&self, w: &mut SnapWriter) {
+        let idx = Scheme::ALL.iter().position(|s| s == self).unwrap_or(0);
+        w.put_u8(idx as u8);
+    }
+    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Scheme::ALL.get(usize::from(r.get_u8()?)).copied().ok_or(SnapError::Corrupt("scheme tag"))
     }
 }
 
@@ -283,6 +294,14 @@ pub struct RunOpts<'a> {
 mod tests {
     use super::*;
     use crate::scenarios;
+
+    #[test]
+    fn schemes_roundtrip_and_unknown_tags_are_corrupt() {
+        for scheme in Scheme::ALL {
+            assert_eq!(Scheme::from_bytes(&scheme.to_bytes()), Ok(scheme));
+        }
+        assert_eq!(Scheme::from_bytes(&[200]), Err(SnapError::Corrupt("scheme tag")));
+    }
 
     /// A plain run with `probe` attached.
     fn probed(b: &SimulationBuilder, scheme: Scheme, probe: Probe) -> RunReport {

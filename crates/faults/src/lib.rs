@@ -283,9 +283,9 @@ impl FaultStats {
     }
 }
 
-impl Snapshot for FaultStats {
-    /// Every counter is dynamic state; field order is declaration order.
-    fn save(&self, w: &mut SnapWriter) {
+impl SnapValue for FaultStats {
+    /// Every counter, in declaration order.
+    fn put(&self, w: &mut SnapWriter) {
         for (_, v) in self.classes() {
             w.put_u64(v);
         }
@@ -293,26 +293,27 @@ impl Snapshot for FaultStats {
             w.put_u64(v);
         }
     }
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.wired_msgs_lost = r.get_u64()?;
-        self.wired_spikes = r.get_u64()?;
-        self.ap_crashes = r.get_u64()?;
-        self.crash_recoveries = r.get_u64()?;
-        self.compute_stalls = r.get_u64()?;
-        self.fades_opened = r.get_u64()?;
-        self.detections_suppressed = r.get_u64()?;
-        self.rops_corrupted = r.get_u64()?;
-        self.stale_reports = r.get_u64()?;
-        self.churn_events = r.get_u64()?;
-        self.churn_drops = r.get_u64()?;
-        self.livelocks = r.get_u64()?;
-        self.wired_retries = r.get_u64()?;
-        self.wired_retry_drops = r.get_u64()?;
-        self.ctrl_crashes = r.get_u64()?;
-        self.standby_promotions = r.get_u64()?;
-        self.replayed_reports = r.get_u64()?;
-        self.recovery_ns = r.get_u64()?;
-        Ok(())
+    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(FaultStats {
+            wired_msgs_lost: r.get_u64()?,
+            wired_spikes: r.get_u64()?,
+            ap_crashes: r.get_u64()?,
+            crash_recoveries: r.get_u64()?,
+            compute_stalls: r.get_u64()?,
+            fades_opened: r.get_u64()?,
+            detections_suppressed: r.get_u64()?,
+            rops_corrupted: r.get_u64()?,
+            stale_reports: r.get_u64()?,
+            churn_events: r.get_u64()?,
+            churn_drops: r.get_u64()?,
+            livelocks: r.get_u64()?,
+            wired_retries: r.get_u64()?,
+            wired_retry_drops: r.get_u64()?,
+            ctrl_crashes: r.get_u64()?,
+            standby_promotions: r.get_u64()?,
+            replayed_reports: r.get_u64()?,
+            recovery_ns: r.get_u64()?,
+        })
     }
 }
 
@@ -878,6 +879,36 @@ mod tests {
             other.medium.restore(&mut r),
             Err(SnapError::Corrupt("churn schedule mismatch"))
         ));
+    }
+
+    #[test]
+    fn fault_stats_roundtrip_through_bytes() {
+        let stats = FaultStats {
+            wired_msgs_lost: 1,
+            wired_spikes: 2,
+            ap_crashes: 3,
+            crash_recoveries: 4,
+            compute_stalls: 5,
+            fades_opened: 6,
+            detections_suppressed: 7,
+            rops_corrupted: 8,
+            stale_reports: 9,
+            churn_events: 10,
+            churn_drops: 11,
+            livelocks: 12,
+            wired_retries: 13,
+            wired_retry_drops: 14,
+            ctrl_crashes: 15,
+            standby_promotions: 16,
+            replayed_reports: 17,
+            recovery_ns: 18,
+        };
+        let bytes = stats.to_bytes();
+        assert_eq!(bytes.len(), 18 * 8);
+        assert_eq!(FaultStats::from_bytes(&bytes), Ok(stats));
+        for cut in 0..bytes.len() {
+            assert!(FaultStats::from_bytes(&bytes[..cut]).is_err(), "prefix {cut} decoded");
+        }
     }
 
     #[test]

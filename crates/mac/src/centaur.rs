@@ -24,18 +24,16 @@
 //! that restores the last shipped order. With the standby off, a crash
 //! cold-restarts the controller after its downtime with the order lost.
 
-use crate::dcf::{sync_rto, CsmaCore, Ev};
-use crate::flows::{FlowEngine, TCP_TICK};
+use crate::dcf::{CsmaCore, CsmaEv};
+use crate::plant::{restore_table, Ev, Plant, RtoScope, SchemeEvent, Step};
 use crate::run::{RunInputs, World};
 use crate::timing::{ack_timeout, data_airtime, DIFS, MAC_OVERHEAD_BYTES, RETRY_LIMIT};
-use crate::workload::{client_indices, RunStats};
-use domino_faults::{FaultPlane, NodeFaults};
-use domino_medium::{Frame, FrameBody, Medium, Reception};
-use domino_obs::{FaultKind, Probe, TraceEvent};
+use crate::workload::RunStats;
+use domino_medium::{Frame, FrameBody, Reception, TxId};
+use domino_obs::{CostPath, FaultKind, Probe, TraceEvent};
 use domino_scheduler::RandScheduler;
-use domino_sim::engine::{DEFAULT_EVENT_BUDGET, DEFAULT_LIVENESS_WINDOW};
 use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter, Snapshot};
-use domino_sim::{Engine, SimDuration, SimTime};
+use domino_sim::{SimDuration, SimTime};
 use domino_topology::{ConflictGraph, Direction, LinkId, Network, NodeId};
 use domino_traffic::Packet;
 use domino_wired::{Backbone, WiredLatency};
@@ -66,6 +64,8 @@ impl Default for CentaurConfig {
 /// CENTAUR scheme events.
 #[derive(Debug)]
 pub enum CentaurEv {
+    /// The clients' DCF uplink contention.
+    Csma(CsmaEv),
     /// An epoch assignment reaches an AP over the wire.
     EpochArrive {
         /// Destination AP node index.
@@ -107,38 +107,59 @@ pub enum CentaurEv {
     },
 }
 
+impl From<CsmaEv> for CentaurEv {
+    fn from(ev: CsmaEv) -> CentaurEv {
+        CentaurEv::Csma(ev)
+    }
+}
+
+impl SchemeEvent for CentaurEv {
+    /// The uplink's contention is slot work; the epochs are the
+    /// controller plane.
+    fn cost_class(&self) -> CostPath {
+        match self {
+            CentaurEv::Csma(ev) => ev.cost_class(),
+            CentaurEv::EpochArrive { .. }
+            | CentaurEv::ApArm { .. }
+            | CentaurEv::ApAckTimeout { .. }
+            | CentaurEv::DoneArrive { .. }
+            | CentaurEv::ControllerCheck
+            | CentaurEv::EpochTimeout { .. } => CostPath::EvController,
+        }
+    }
+}
+
 impl SnapValue for CentaurEv {
     fn put(&self, w: &mut SnapWriter) {
         match self {
-            CentaurEv::EpochArrive { ap, epoch, assignments } => {
+            CentaurEv::Csma(ev) => {
                 w.put_u8(0);
-                w.put_u32(*ap);
-                w.put_u64(*epoch);
-                // `LinkId` and the snapshot traits are both foreign here,
-                // so the orphan rule forces an inline raw-id encoding.
-                w.put_u64(assignments.len() as u64);
-                for l in assignments {
-                    w.put_u32(l.0);
-                }
+                ev.put(w);
             }
-            CentaurEv::ApArm { ap, gen } => {
+            CentaurEv::EpochArrive { ap, epoch, assignments } => {
                 w.put_u8(1);
                 w.put_u32(*ap);
-                w.put_u64(*gen);
+                w.put_u64(*epoch);
+                assignments.put(w);
             }
-            CentaurEv::ApAckTimeout { ap, gen } => {
+            CentaurEv::ApArm { ap, gen } => {
                 w.put_u8(2);
                 w.put_u32(*ap);
                 w.put_u64(*gen);
             }
-            CentaurEv::DoneArrive { ap, epoch } => {
+            CentaurEv::ApAckTimeout { ap, gen } => {
                 w.put_u8(3);
+                w.put_u32(*ap);
+                w.put_u64(*gen);
+            }
+            CentaurEv::DoneArrive { ap, epoch } => {
+                w.put_u8(4);
                 w.put_u32(*ap);
                 w.put_u64(*epoch);
             }
-            CentaurEv::ControllerCheck => w.put_u8(4),
+            CentaurEv::ControllerCheck => w.put_u8(5),
             CentaurEv::EpochTimeout { epoch } => {
-                w.put_u8(5);
+                w.put_u8(6);
                 w.put_u64(*epoch);
             }
         }
@@ -146,21 +167,17 @@ impl SnapValue for CentaurEv {
 
     fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(match r.get_u8()? {
-            0 => {
-                let ap = r.get_u32()?;
-                let epoch = r.get_u64()?;
-                let n = r.get_len()?;
-                let mut assignments = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    assignments.push(LinkId(r.get_u32()?));
-                }
-                CentaurEv::EpochArrive { ap, epoch, assignments }
-            }
-            1 => CentaurEv::ApArm { ap: r.get_u32()?, gen: r.get_u64()? },
-            2 => CentaurEv::ApAckTimeout { ap: r.get_u32()?, gen: r.get_u64()? },
-            3 => CentaurEv::DoneArrive { ap: r.get_u32()?, epoch: r.get_u64()? },
-            4 => CentaurEv::ControllerCheck,
-            5 => CentaurEv::EpochTimeout { epoch: r.get_u64()? },
+            0 => CentaurEv::Csma(SnapValue::thaw(r)?),
+            1 => CentaurEv::EpochArrive {
+                ap: r.get_u32()?,
+                epoch: r.get_u64()?,
+                assignments: SnapValue::thaw(r)?,
+            },
+            2 => CentaurEv::ApArm { ap: r.get_u32()?, gen: r.get_u64()? },
+            3 => CentaurEv::ApAckTimeout { ap: r.get_u32()?, gen: r.get_u64()? },
+            4 => CentaurEv::DoneArrive { ap: r.get_u32()?, epoch: r.get_u64()? },
+            5 => CentaurEv::ControllerCheck,
+            6 => CentaurEv::EpochTimeout { epoch: r.get_u64()? },
             _ => return Err(SnapError::Corrupt("centaur event tag")),
         })
     }
@@ -234,14 +251,11 @@ impl ApState {
 
 impl SnapValue for ApState {
     fn put(&self, w: &mut SnapWriter) {
-        w.put_u64(self.assignments.len() as u64);
-        for l in &self.assignments {
-            w.put_u32(l.0);
-        }
+        self.assignments.put(w);
         w.put_u64(self.epoch);
         self.phase.put(w);
         self.current.put(w);
-        self.current_link.map(|l| l.0).put(w);
+        self.current_link.put(w);
         w.put_u32(self.retries);
         w.put_u64(self.gen);
         self.arm_expiry.put(w);
@@ -250,17 +264,12 @@ impl SnapValue for ApState {
     }
 
     fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let n = r.get_len()?;
-        let mut assignments = VecDeque::with_capacity(n.min(4096));
-        for _ in 0..n {
-            assignments.push_back(LinkId(r.get_u32()?));
-        }
         Ok(ApState {
-            assignments,
+            assignments: SnapValue::thaw(r)?,
             epoch: r.get_u64()?,
             phase: SnapValue::thaw(r)?,
             current: SnapValue::thaw(r)?,
-            current_link: Option::<u32>::thaw(r)?.map(LinkId),
+            current_link: SnapValue::thaw(r)?,
             retries: r.get_u32()?,
             gen: r.get_u64()?,
             arm_expiry: SnapValue::thaw(r)?,
@@ -281,22 +290,13 @@ impl SnapValue for ApState {
 #[derive(Debug)]
 pub struct CentaurWorld {
     net: Network,
-    engine: Engine<Ev<CentaurEv>>,
-    medium: Medium,
-    node_faults: NodeFaults,
-    fe: FlowEngine,
+    plant: Plant<CentaurEv>,
     backbone: Backbone,
     sched: RandScheduler,
-    rto_gen: Vec<u64>,
     csma: CsmaCore,
     ap_states: Vec<Option<ApState>>,
     epoch_counter: u64,
     pending_done: usize,
-    /// Crash bookkeeping: a dark AP ignores epoch traffic until its
-    /// downtime elapses; the first epoch it accepts afterwards counts
-    /// as the recovery.
-    ap_dark_until: Vec<SimTime>,
-    ap_crashed: Vec<bool>,
     /// Controller failover: while dark, the controller ignores its own
     /// check events until the promotion (or cold restart) scheduled at
     /// the dark end.
@@ -315,35 +315,19 @@ pub struct CentaurWorld {
     faults_on: bool,
     rate: domino_phy::error_model::DataRate,
     packets_per_round: usize,
-    /// Observation-only trace sink and cost profiler (off by default).
-    probe: Probe,
 }
 
 impl World for CentaurWorld {
     type Config = CentaurConfig;
-    type Event = Ev<CentaurEv>;
+    type Event = CentaurEv;
 
     fn new(inputs: &RunInputs<'_>, cfg: CentaurConfig, probe: Probe) -> CentaurWorld {
-        let RunInputs { net, workload, duration_s, seed, faults } = *inputs;
-        let mut engine: Engine<Ev<CentaurEv>> = Engine::new();
-        let mut medium = Medium::new(net.clone(), seed);
-        let plane = FaultPlane::new(faults, seed, &client_indices(net), duration_s);
-        let faults_on = plane.cfg.enabled();
-        let node_faults = plane.node;
-        if faults_on {
-            medium.set_faults(plane.medium);
-        }
-        medium.set_probe(probe.clone());
-        engine.set_liveness(DEFAULT_EVENT_BUDGET, DEFAULT_LIVENESS_WINDOW);
-        engine.set_probe(probe.clone());
-        let fe = FlowEngine::new(net, workload, duration_s);
+        let RunInputs { net, seed, faults, .. } = *inputs;
+        let mut plant = Plant::new(inputs, probe);
         let mut backbone = Backbone::new(cfg.wired.clone(), seed);
         backbone.set_loss(faults.wired_loss);
         backbone.set_spikes(faults.wired_spike, faults.wired_spike_us);
-        backbone.set_tracer(probe.trace.clone());
-        let graph = ConflictGraph::build_for_scheduling(net);
-        let sched = RandScheduler::new(net.links().len());
-        let rto_gen: Vec<u64> = vec![0; workload.flows.len()];
+        backbone.set_tracer(plant.probe.trace.clone());
         let rate = net.phy().data_rate;
 
         // Clients contend with DCF; APs follow the schedule.
@@ -371,26 +355,16 @@ impl World for CentaurWorld {
                 nav_anchor: SimTime::ZERO,
             });
         }
-        // NAV window of a data frame: SIFS + ACK. An AP that hears a data
-        // frame end (but maybe not the ACK) and an AP that hears the ACK
-        // end must compute the same aligned fire time.
-        let nav_window = crate::timing::SIFS + crate::timing::ack_airtime(rate);
-
-        let mut world = CentaurWorld {
+        plant.schedule(SimTime::ZERO, CentaurEv::ControllerCheck);
+        CentaurWorld {
             net: net.clone(),
-            engine,
-            medium,
-            node_faults,
-            fe,
+            plant,
             backbone,
-            sched,
-            rto_gen,
+            sched: RandScheduler::new(net.links().len()),
             csma,
             ap_states,
             epoch_counter: 0,
             pending_done: 0,
-            ap_dark_until: vec![SimTime::ZERO; net.num_nodes()],
-            ap_crashed: vec![false; net.num_nodes()],
             ctrl_dark_until: SimTime::ZERO,
             standby_ckpt: Vec::new(),
             next_ckpt_at: SimTime::ZERO,
@@ -399,270 +373,130 @@ impl World for CentaurWorld {
             detect_delay: SimDuration::from_secs_f64(
                 faults.standby_heartbeat_us * f64::from(faults.standby_missed_k) * 1e-6,
             ),
-            graph,
+            graph: ConflictGraph::build_for_scheduling(net),
             aps,
-            nav_window,
+            // NAV window of a data frame: SIFS + ACK. An AP that hears a
+            // data frame end (but maybe not the ACK) and an AP that hears
+            // the ACK end must compute the same aligned fire time.
+            nav_window: crate::timing::SIFS + crate::timing::ack_airtime(rate),
             fixed: cfg.fixed_backoff,
-            faults_on,
+            faults_on: faults.enabled(),
             rate,
             packets_per_round: cfg.packets_per_round,
-            probe,
-        };
-
-        for flow in world.fe.udp_flows() {
-            world
-                .engine
-                .schedule_at(world.fe.udp_next_arrival(flow), Ev::UdpArrival { flow });
         }
-        for flow in world.fe.tcp_flows() {
-            world.engine.schedule_at(SimTime::ZERO + TCP_TICK, Ev::TcpTick { flow });
-        }
-        world.engine.schedule_at(SimTime::ZERO, Ev::Scheme(CentaurEv::ControllerCheck));
-        world
     }
 
-    fn engine(&mut self) -> &mut Engine<Ev<CentaurEv>> {
-        &mut self.engine
-    }
-
-    fn stats(&mut self) -> &mut RunStats {
-        &mut self.fe.stats
+    fn plant(&mut self) -> &mut Plant<CentaurEv> {
+        &mut self.plant
     }
 
     fn handle(&mut self, now: SimTime, ev: Ev<CentaurEv>) {
-        self.probe.prof.tick(ev.cost_class());
+        let ev = match self.plant.step(now, ev, RtoScope::Flow) {
+            Step::Arrived(link) => {
+                let sender = self.net.link(link).sender.index();
+                return self.csma.try_start(sender, now, &mut self.plant);
+            }
+            Step::Released => return self.csma.try_start_all(now, &mut self.plant),
+            Step::Stale => return,
+            Step::TxEnd(tx) => return self.on_tx_end(tx, now),
+            Step::Scheme(ev) => ev,
+        };
         match ev {
-            Ev::UdpArrival { flow } => {
-                let _ = self.fe.udp_arrive(flow);
-                self.engine.schedule_at(self.fe.udp_next_arrival(flow), Ev::UdpArrival { flow });
-                let sender = self.net.link(self.fe.flow_link(flow)).sender;
-                self.csma.try_start(sender.index(), now, &mut self.engine, &self.medium, &self.fe);
-            }
-            Ev::TcpTick { flow } => {
-                self.fe.tcp_tick(flow, now);
-                self.engine.schedule_in(TCP_TICK, Ev::TcpTick { flow });
-                sync_rto(&mut self.engine, &self.fe, &mut self.rto_gen, flow, now);
-                self.csma.try_start_all(now, &mut self.engine, &self.medium, &self.fe);
-            }
-            Ev::TcpRto { flow, gen } => {
-                if self.rto_gen[flow] == gen {
-                    self.fe.tcp_timer(flow, now);
-                    sync_rto(&mut self.engine, &self.fe, &mut self.rto_gen, flow, now);
-                    self.csma.try_start_all(now, &mut self.engine, &self.medium, &self.fe);
+            CentaurEv::Csma(ev) => {
+                // Only a transmission start can move the APs' carrier
+                // sense; an ACK timeout starts none.
+                let rescan = !matches!(ev, CsmaEv::AckTimeout { .. });
+                self.csma.handle(now, ev, &mut self.plant);
+                if rescan {
+                    self.scan_aps(now, SimDuration::ZERO);
                 }
             }
-            Ev::BackoffExpire { node, gen } => {
-                self.csma.on_backoff_expire(
-                    node as usize,
-                    gen,
-                    now,
-                    &mut self.engine,
-                    &mut self.medium,
-                    &mut self.fe,
-                );
-                scan_aps(
-                    &mut self.ap_states,
-                    &self.aps,
-                    now,
-                    &mut self.engine,
-                    &self.medium,
-                    self.fixed,
-                    SimDuration::ZERO,
-                );
-            }
-            Ev::SendAck { rx, packet } => {
-                self.csma.send_ack(rx as usize, &packet, now, &mut self.engine, &mut self.medium);
-                scan_aps(
-                    &mut self.ap_states,
-                    &self.aps,
-                    now,
-                    &mut self.engine,
-                    &self.medium,
-                    self.fixed,
-                    SimDuration::ZERO,
-                );
-            }
-            Ev::AckTimeout { node, gen } => {
-                self.csma.on_ack_timeout(
-                    node as usize,
-                    gen,
-                    now,
-                    &mut self.engine,
-                    &self.medium,
-                    &mut self.fe,
-                );
-            }
-            Ev::TxEnd { tx } => self.on_tx_end(tx, now),
-            Ev::Scheme(CentaurEv::EpochArrive { ap, epoch, assignments }) => {
+            CentaurEv::EpochArrive { ap, epoch, assignments } => {
                 self.on_epoch_arrive(ap, epoch, assignments, now);
             }
-            Ev::Scheme(CentaurEv::ApArm { ap, gen }) => {
-                ap_arm_fired(
-                    &self.net,
-                    ap as usize,
-                    gen,
-                    now,
-                    &mut self.engine,
-                    &mut self.medium,
-                    &mut self.fe,
-                    &mut self.ap_states,
-                    &mut self.backbone,
-                    self.rate,
-                    self.fixed,
-                );
-                self.csma.scan(now, &mut self.engine, &self.medium);
-                scan_aps(
-                    &mut self.ap_states,
-                    &self.aps,
-                    now,
-                    &mut self.engine,
-                    &self.medium,
-                    self.fixed,
-                    SimDuration::ZERO,
-                );
+            CentaurEv::ApArm { ap, gen } => {
+                self.ap_arm_fired(ap as usize, gen, now);
+                self.csma.scan(now, &mut self.plant);
+                self.scan_aps(now, SimDuration::ZERO);
             }
-            Ev::Scheme(CentaurEv::ApAckTimeout { ap, gen }) => {
-                let needs = {
-                    // lint: allow(D005) ack timeouts are armed only for AP indices
-                    let st = self.ap_states[ap as usize].as_mut().unwrap();
-                    if st.gen != gen || st.phase != ApPhase::AwaitAck {
-                        false
-                    } else {
-                        self.fe.stats.ack_timeouts += 1;
-                        st.retries += 1;
-                        if st.retries > RETRY_LIMIT {
-                            self.fe.stats.drops += 1;
-                            st.current = None;
-                            st.current_link = None;
-                            st.retries = 0;
-                        } else {
-                            self.fe.stats.retries += 1;
-                        }
-                        st.phase = ApPhase::WaitIdle;
-                        true
-                    }
-                };
-                if needs {
-                    advance_ap(
-                        &self.net,
-                        ap as usize,
-                        now,
-                        &mut self.engine,
-                        &self.medium,
-                        &mut self.ap_states,
-                        &mut self.backbone,
-                        self.fixed,
-                    );
+            CentaurEv::ApAckTimeout { ap, gen } => {
+                // lint: allow(D005) ack timeouts are armed only for AP indices
+                let st = self.ap_states[ap as usize].as_mut().expect("ack timeout for non-AP");
+                if st.gen != gen || st.phase != ApPhase::AwaitAck {
+                    return;
                 }
+                self.plant.fe.stats.ack_timeouts += 1;
+                st.retries += 1;
+                if st.retries > RETRY_LIMIT {
+                    self.plant.fe.stats.drops += 1;
+                    st.current = None;
+                    st.current_link = None;
+                    st.retries = 0;
+                } else {
+                    self.plant.fe.stats.retries += 1;
+                }
+                self.advance_ap(ap as usize, now);
             }
-            Ev::Scheme(CentaurEv::DoneArrive { ap: _, epoch }) => {
+            CentaurEv::DoneArrive { ap: _, epoch } => {
                 if epoch == self.epoch_counter && self.pending_done > 0 {
                     self.pending_done -= 1;
                     if self.pending_done == 0 {
                         let epoch = self.epoch_counter;
-                        self.probe.trace.emit(now.as_nanos(), move || TraceEvent::EpochBarrier {
-                            epoch,
-                            pending: 0,
+                        self.plant.probe.trace.emit(now.as_nanos(), move || {
+                            TraceEvent::EpochBarrier { epoch, pending: 0 }
                         });
-                        self.engine.schedule_now(Ev::Scheme(CentaurEv::ControllerCheck));
+                        self.plant.schedule(now, CentaurEv::ControllerCheck);
                     }
                 }
             }
-            Ev::Scheme(CentaurEv::ControllerCheck) => self.on_controller_check(now),
-            Ev::Scheme(CentaurEv::EpochTimeout { epoch }) => {
+            CentaurEv::ControllerCheck => self.on_controller_check(now),
+            CentaurEv::EpochTimeout { epoch } => {
                 if epoch == self.epoch_counter && self.pending_done > 0 {
                     // Barrier released by the timeout, not by Done
                     // reports: `pending` records how many were missing.
                     let pending = self.pending_done as u32;
-                    self.probe.trace.emit(now.as_nanos(), move || TraceEvent::EpochBarrier {
-                        epoch,
-                        pending,
+                    self.plant.probe.trace.emit(now.as_nanos(), move || {
+                        TraceEvent::EpochBarrier { epoch, pending }
                     });
                     self.pending_done = 0;
-                    self.engine.schedule_now(Ev::Scheme(CentaurEv::ControllerCheck));
+                    self.plant.schedule(now, CentaurEv::ControllerCheck);
                 }
             }
         }
     }
 
     fn finalize(mut self) -> RunStats {
-        // End-of-run profile flush (no-ops when the handle is off).
-        self.engine.profile_wheel();
-        self.probe.prof.add(domino_obs::CostPath::RngPhyError, self.medium.phy_rng_draws());
-        self.probe.prof.add(domino_obs::CostPath::RngDcfBackoff, self.csma.rng_draws());
-        self.probe.prof.add(domino_obs::CostPath::RngWired, self.backbone.rng_draws());
-        self.probe.prof.add(
-            domino_obs::CostPath::RngFaults,
-            self.node_faults.rng_draws()
-                + self.medium.faults().map(|f| f.rng_draws()).unwrap_or(0),
-        );
-        self.fe.stats.events = self.engine.events_processed();
-        self.fe.stats.tcp_retransmissions = self.fe.tcp_retransmissions();
-        self.fe.stats.faults.merge_node(&self.node_faults);
-        self.fe
-            .stats
-            .faults
-            .merge_backbone(self.backbone.messages_lost(), self.backbone.spikes_injected());
-        if let Some(mf) = self.medium.faults() {
-            self.fe.stats.faults.merge_medium(mf);
-        }
-        self.fe.stats
+        let prof = &self.plant.probe.prof;
+        prof.add(CostPath::RngDcfBackoff, self.csma.rng_draws());
+        prof.add(CostPath::RngWired, self.backbone.rng_draws());
+        let faults = &mut self.plant.fe.stats.faults;
+        faults.merge_backbone(self.backbone.messages_lost(), self.backbone.spikes_injected());
+        self.plant.finish()
     }
 
-    fn snapshot_save(&mut self, w: &mut SnapWriter) {
-        self.engine.snapshot_save(w);
-        self.medium.snapshot_save(w);
-        self.fe.snapshot_save(w);
+    fn snapshot_save(&self, w: &mut SnapWriter) {
         self.backbone.save(w);
         self.csma.save(w);
         self.sched.save(w);
-        self.node_faults.save(w);
-        self.rto_gen.put(w);
         self.ap_states.put(w);
         w.put_u64(self.epoch_counter);
         w.put_u64(self.pending_done as u64);
-        self.ap_dark_until.put(w);
-        self.ap_crashed.put(w);
         self.ctrl_dark_until.put(w);
         self.standby_ckpt.put(w);
         self.next_ckpt_at.put(w);
     }
 
     fn snapshot_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.engine.snapshot_restore(r)?;
-        self.medium.snapshot_restore(r)?;
-        self.fe.snapshot_restore(r)?;
         self.backbone.restore(r)?;
         self.csma.restore(r)?;
         self.sched.restore(r)?;
-        self.node_faults.restore(r)?;
-        let rto_gen: Vec<u64> = SnapValue::thaw(r)?;
-        if rto_gen.len() != self.rto_gen.len() {
-            return Err(SnapError::Corrupt("rto gen table length"));
+        let built: Vec<bool> = self.ap_states.iter().map(Option::is_some).collect();
+        restore_table(&mut self.ap_states, r, "ap state table length")?;
+        if self.ap_states.iter().map(Option::is_some).ne(built) {
+            return Err(SnapError::Corrupt("ap state table shape"));
         }
-        self.rto_gen = rto_gen;
-        let ap_states: Vec<Option<ApState>> = SnapValue::thaw(r)?;
-        if ap_states.len() != self.ap_states.len() {
-            return Err(SnapError::Corrupt("ap state table length"));
-        }
-        for (restored, built) in ap_states.iter().zip(&self.ap_states) {
-            if restored.is_some() != built.is_some() {
-                return Err(SnapError::Corrupt("ap state table shape"));
-            }
-        }
-        self.ap_states = ap_states;
         self.epoch_counter = r.get_u64()?;
         self.pending_done = r.get_u64()? as usize;
-        let dark: Vec<SimTime> = SnapValue::thaw(r)?;
-        if dark.len() != self.ap_dark_until.len() {
-            return Err(SnapError::Corrupt("ap dark table length"));
-        }
-        self.ap_dark_until = dark;
-        let crashed: Vec<bool> = SnapValue::thaw(r)?;
-        if crashed.len() != self.ap_crashed.len() {
-            return Err(SnapError::Corrupt("ap crash table length"));
-        }
-        self.ap_crashed = crashed;
         self.ctrl_dark_until = SnapValue::thaw(r)?;
         self.standby_ckpt = SnapValue::thaw(r)?;
         self.next_ckpt_at = SnapValue::thaw(r)?;
@@ -671,24 +505,16 @@ impl World for CentaurWorld {
 }
 
 impl CentaurWorld {
-    fn on_tx_end(&mut self, tx: domino_medium::TxId, now: SimTime) {
-        let receptions = self.medium.end(tx, now);
-        self.csma.scan(now, &mut self.engine, &self.medium);
+    fn on_tx_end(&mut self, tx: TxId, now: SimTime) {
+        let receptions = self.plant.medium.end(tx, now);
+        self.csma.scan(now, &mut self.plant);
         // A data frame's NAV reserves the channel through its ACK; an
         // idle transition it causes is anchored past that window.
         let nav = match receptions.first().map(|r| &r.frame.body) {
             Some(FrameBody::Data { .. }) => self.nav_window,
             _ => SimDuration::ZERO,
         };
-        scan_aps(
-            &mut self.ap_states,
-            &self.aps,
-            now,
-            &mut self.engine,
-            &self.medium,
-            self.fixed,
-            nav,
-        );
+        self.scan_aps(now, nav);
         if let Some(first) = receptions.first() {
             let src = first.frame.src;
             match &first.frame.body {
@@ -699,90 +525,51 @@ impl CentaurWorld {
                     if let Some(st) = scheduled_ap {
                         st.phase = ApPhase::AwaitAck;
                         let gen = st.invalidate();
-                        self.engine.schedule_at(
+                        self.plant.schedule(
                             now + ack_timeout(self.rate),
-                            Ev::Scheme(CentaurEv::ApAckTimeout { ap: src.0, gen }),
+                            CentaurEv::ApAckTimeout { ap: src.0, gen },
                         );
                     } else if self.ap_states[src.index()].is_none() {
-                        self.csma.after_data_tx(src.index(), now, &mut self.engine);
+                        self.csma.after_data_tx(src.index(), now, &mut self.plant);
                     }
                     // An AP whose state was torn down mid-air
                     // (fault-plane crash) gets neither path: its frame
                     // still delivers, nobody waits for the ACK.
-                    CsmaCore::handle_data_receptions(
-                        &receptions,
-                        now,
-                        &mut self.engine,
-                        &self.medium,
-                        &mut self.fe,
-                    );
-                    for flow in self.fe.tcp_flows() {
-                        sync_rto(&mut self.engine, &self.fe, &mut self.rto_gen, flow, now);
-                    }
+                    CsmaCore::handle_data_receptions(&receptions, now, &mut self.plant);
                 }
                 FrameBody::MacAck { .. } => {
                     for r in &receptions {
-                        if !self.csma.on_ack_reception(
-                            r,
-                            now,
-                            &mut self.engine,
-                            &self.medium,
-                            &mut self.fe,
-                        ) || self.ap_states[r.rx.index()].is_some()
+                        if !self.csma.on_ack_reception(r, now, &mut self.plant)
+                            || self.ap_states[r.rx.index()].is_some()
                         {
-                            handle_ap_ack(
-                                &self.net,
-                                r,
-                                now,
-                                &mut self.engine,
-                                &self.medium,
-                                &mut self.fe,
-                                &mut self.ap_states,
-                                &mut self.backbone,
-                                self.fixed,
-                            );
+                            self.handle_ap_ack(r, now);
                         }
                     }
                 }
                 _ => {}
             }
         }
-        self.csma.try_start_all(now, &mut self.engine, &self.medium, &self.fe);
+        self.csma.try_start_all(now, &mut self.plant);
     }
 
     fn on_epoch_arrive(&mut self, ap: u32, epoch: u64, assignments: Vec<LinkId>, now: SimTime) {
         let apx = ap as usize;
-        if now < self.ap_dark_until[apx] {
-            // The AP is crashed: the assignment dies with it; the epoch
-            // timeout will release the barrier.
-            return;
-        }
-        if let Some(downtime) = self.node_faults.crash() {
-            // Crash with state loss: forget everything, go dark for the
-            // downtime.
-            self.probe.trace.emit(now.as_nanos(), || TraceEvent::FaultInject {
-                kind: FaultKind::ApCrash,
-                node: ap,
-            });
+        let ap_states = &mut self.ap_states;
+        let accepted = self.plant.ap_accepts(now, apx, || {
+            // Crash with state loss: forget everything. A dark AP's
+            // assignment dies with it; the epoch timeout releases the
+            // barrier.
             // lint: allow(D005) controller addresses epochs to APs only; a miss is a wiring bug worth a crash
-            let st = self.ap_states[apx].as_mut().expect("epoch for non-AP");
+            let st = ap_states[apx].as_mut().expect("epoch for non-AP");
             st.assignments.clear();
             st.current = None;
             st.current_link = None;
             st.retries = 0;
             st.phase = ApPhase::Idle;
             st.invalidate();
-            self.ap_dark_until[apx] = now + downtime;
-            self.ap_crashed[apx] = true;
+        });
+        if !accepted {
             return;
-        }
-        if self.ap_crashed[apx] {
-            self.ap_crashed[apx] = false;
-            self.node_faults.recovered();
-            self.probe.trace.emit(now.as_nanos(), || TraceEvent::FaultRecover {
-                kind: FaultKind::ApCrash,
-                node: ap,
-            });
         }
         // lint: allow(D005) controller addresses epochs to APs only; a miss is a wiring bug worth a crash
         let st = self.ap_states[apx].as_mut().expect("epoch for non-AP");
@@ -793,18 +580,10 @@ impl CentaurWorld {
             // the barrier early): keep the current exchange; the
             // completion path advances into the new assignments.
             ApPhase::Transmitting | ApPhase::AwaitAck => {}
-            _ if st.assignments.is_empty() => {
-                // Nothing to do: report done immediately.
-                if let Some(m) = self.backbone.try_send(now, ()) {
-                    self.engine.schedule_at(
-                        m.deliver_at,
-                        Ev::Scheme(CentaurEv::DoneArrive { ap, epoch }),
-                    );
-                }
-            }
+            _ if st.assignments.is_empty() => self.report_done(now, apx, epoch),
             _ => {
                 st.phase = ApPhase::WaitIdle;
-                arm_if_idle(st, apx, now, &mut self.engine, &self.medium, self.fixed);
+                self.arm_if_idle(apx, now);
             }
         }
     }
@@ -822,13 +601,14 @@ impl CentaurWorld {
             self.sched.save(&mut cw);
             let bytes = cw.into_bytes();
             let len = bytes.len() as u32;
-            self.probe
+            self.plant
+                .probe
                 .trace
                 .emit(now.as_nanos(), move || TraceEvent::CtrlCheckpoint { bytes: len });
             self.standby_ckpt = bytes;
             self.next_ckpt_at = now + self.ckpt_every;
         }
-        if let Some(downtime) = self.node_faults.ctrl_crash() {
+        if let Some(downtime) = self.plant.node_faults.ctrl_crash() {
             self.crash_controller(now, downtime);
             return;
         }
@@ -841,7 +621,7 @@ impl CentaurWorld {
             .iter()
             .map(|l| {
                 if l.direction == Direction::Downlink {
-                    self.fe.queue(l.id).len() as u32
+                    self.plant.fe.queue(l.id).len() as u32
                 } else {
                     0
                 }
@@ -850,25 +630,14 @@ impl CentaurWorld {
         let queue_lens = backlog.clone();
         let batch = self.sched.schedule_batch(&self.graph, &mut backlog, 1);
         let Some(round) = batch.slots.first() else {
-            self.engine
-                .schedule_in(SimDuration::from_millis(1), Ev::Scheme(CentaurEv::ControllerCheck));
+            self.plant.schedule(now + SimDuration::from_millis(1), CentaurEv::ControllerCheck);
             return;
         };
         self.epoch_counter += 1;
         self.pending_done = self.aps.len();
         // A stalled controller computes the round late; every assignment
         // ships after the stall.
-        let stall = match self.node_faults.compute_stall() {
-            Some(d) => {
-                // The controller is not a radio node; u32::MAX marks it.
-                self.probe.trace.emit(now.as_nanos(), || TraceEvent::FaultInject {
-                    kind: FaultKind::ComputeStall,
-                    node: u32::MAX,
-                });
-                d
-            }
-            None => SimDuration::ZERO,
-        };
+        let stall = self.plant.compute_stall(now);
         // Each scheduled link gets a quota of up to `packets_per_round`
         // back-to-back packets; the next round is released only when
         // every AP reports done (the CENTAUR batch barrier).
@@ -884,13 +653,9 @@ impl CentaurWorld {
                 })
                 .collect();
             if let Some(m) = self.backbone.try_send(now, ()) {
-                self.engine.schedule_at(
+                self.plant.schedule(
                     m.deliver_at + stall,
-                    Ev::Scheme(CentaurEv::EpochArrive {
-                        ap: ap.0,
-                        epoch: self.epoch_counter,
-                        assignments,
-                    }),
+                    CentaurEv::EpochArrive { ap: ap.0, epoch: self.epoch_counter, assignments },
                 );
             }
         }
@@ -898,10 +663,7 @@ impl CentaurWorld {
             // Fallback: a lost assignment or Done would hang the barrier
             // forever without this.
             let epoch = self.epoch_counter;
-            self.engine.schedule_at(
-                now + stall + EPOCH_TIMEOUT,
-                Ev::Scheme(CentaurEv::EpochTimeout { epoch }),
-            );
+            self.plant.schedule(now + stall + EPOCH_TIMEOUT, CentaurEv::EpochTimeout { epoch });
         }
     }
 
@@ -913,7 +675,7 @@ impl CentaurWorld {
     /// controller cold-restarts after its configured downtime with the
     /// order lost.
     fn crash_controller(&mut self, now: SimTime, downtime: SimDuration) {
-        self.probe.trace.emit(now.as_nanos(), || TraceEvent::FaultInject {
+        self.plant.probe.trace.emit(now.as_nanos(), || TraceEvent::FaultInject {
             kind: FaultKind::CtrlCrash,
             node: u32::MAX,
         });
@@ -924,111 +686,92 @@ impl CentaurWorld {
                 // lint: allow(D005) the checkpoint bytes were produced by this very scheduler's save
                 self.sched.restore(&mut r).expect("standby checkpoint bytes");
             }
-            self.fe.stats.faults.standby_promotions += 1;
-            self.probe
+            self.plant.fe.stats.faults.standby_promotions += 1;
+            self.plant
+                .probe
                 .trace
                 .emit(now.as_nanos(), || TraceEvent::StandbyPromote { replayed: 0 });
             self.detect_delay
         } else {
             downtime
         };
-        self.fe.stats.faults.recovery_ns += recovery.as_nanos();
+        self.plant.fe.stats.faults.recovery_ns += recovery.as_nanos();
         self.ctrl_dark_until = now + recovery;
-        self.engine
-            .schedule_at(self.ctrl_dark_until, Ev::Scheme(CentaurEv::ControllerCheck));
+        self.plant.schedule(self.ctrl_dark_until, CentaurEv::ControllerCheck);
     }
-}
 
-/// Arm an AP's fixed backoff if its channel is idle.
-fn arm_if_idle(
-    st: &mut ApState,
-    ap: usize,
-    now: SimTime,
-    engine: &mut Engine<Ev<CentaurEv>>,
-    medium: &Medium,
-    fixed_wait: SimDuration,
-) {
-    if st.phase != ApPhase::WaitIdle {
-        return;
+    /// Report this AP's epoch done to the controller (lost if the
+    /// backbone drops it).
+    fn report_done(&mut self, now: SimTime, ap: usize, epoch: u64) {
+        if let Some(m) = self.backbone.try_send(now, ()) {
+            self.plant.schedule(m.deliver_at, CentaurEv::DoneArrive { ap: ap as u32, epoch });
+        }
     }
-    if medium.is_busy(NodeId(ap as u32)) {
-        st.last_busy = true;
-        return;
-    }
-    st.phase = ApPhase::Armed;
-    // Anchor the fixed wait to the shared NAV reference, not to this AP's
-    // private ready time; that is what lets every AP of an exposed set
-    // fire at the same instant regardless of which frames each could
-    // hear.
-    st.arm_expiry = (st.nav_anchor + fixed_wait).max(now);
-    let gen = st.invalidate();
-    engine.schedule_at(st.arm_expiry, Ev::Scheme(CentaurEv::ApArm { ap: ap as u32, gen }));
-}
 
-/// Busy/idle scan for all scheduled APs. `nav_extension` is added to the
-/// idle-transition anchor when the frame that just left the air was a
-/// data frame (its NAV reserves the ACK window); pass zero for scans
-/// triggered by transmission starts.
-fn scan_aps(
-    ap_states: &mut [Option<ApState>],
-    aps: &[NodeId],
-    now: SimTime,
-    engine: &mut Engine<Ev<CentaurEv>>,
-    medium: &Medium,
-    fixed_wait: SimDuration,
-    nav_extension: SimDuration,
-) {
-    for &ap in aps {
-        let busy = medium.is_busy(ap);
-        let st = match ap_states[ap.index()].as_mut() {
-            Some(s) => s,
-            None => continue,
+    /// Arm an AP's fixed backoff if it waits for an idle channel and has
+    /// one.
+    fn arm_if_idle(&mut self, ap: usize, now: SimTime) {
+        let Some(st) = self.ap_states[ap].as_mut().filter(|st| st.phase == ApPhase::WaitIdle)
+        else {
+            return;
         };
-        if busy == st.last_busy {
-            continue;
+        if self.plant.medium.is_busy(NodeId(ap as u32)) {
+            st.last_busy = true;
+            return;
         }
-        st.last_busy = busy;
-        if !busy {
-            st.nav_anchor = now + nav_extension;
-        }
-        if busy {
-            // Cancel a pending arm — unless the busy-makers started at
-            // this very instant and our arm fires now too (simultaneous
-            // aligned starts must not suppress each other).
-            let simultaneous_start =
-                st.arm_expiry == now && !medium.is_busy_before_instant(ap, now);
-            if st.phase == ApPhase::Armed && !simultaneous_start {
-                st.phase = ApPhase::WaitIdle;
-                st.invalidate();
+        st.phase = ApPhase::Armed;
+        // Anchor the fixed wait to the shared NAV reference, not to this
+        // AP's private ready time; that is what lets every AP of an
+        // exposed set fire at the same instant regardless of which frames
+        // each could hear.
+        st.arm_expiry = (st.nav_anchor + self.fixed).max(now);
+        let gen = st.invalidate();
+        self.plant.schedule(st.arm_expiry, CentaurEv::ApArm { ap: ap as u32, gen });
+    }
+
+    /// Busy/idle scan for all scheduled APs. `nav_extension` is added to
+    /// the idle-transition anchor when the frame that just left the air
+    /// was a data frame (its NAV reserves the ACK window); pass zero for
+    /// scans triggered by transmission starts.
+    fn scan_aps(&mut self, now: SimTime, nav_extension: SimDuration) {
+        for i in 0..self.aps.len() {
+            let ap = self.aps[i];
+            let busy = self.plant.medium.is_busy(ap);
+            let Some(st) = self.ap_states[ap.index()].as_mut() else {
+                continue;
+            };
+            if busy == st.last_busy {
+                continue;
             }
-        } else if st.phase == ApPhase::WaitIdle {
-            arm_if_idle(st, ap.index(), now, engine, medium, fixed_wait);
+            st.last_busy = busy;
+            if !busy {
+                st.nav_anchor = now + nav_extension;
+            }
+            if busy {
+                // Cancel a pending arm — unless the busy-makers started
+                // at this very instant and our arm fires now too
+                // (simultaneous aligned starts must not suppress each
+                // other).
+                let simultaneous_start =
+                    st.arm_expiry == now && !self.plant.medium.is_busy_before_instant(ap, now);
+                if st.phase == ApPhase::Armed && !simultaneous_start {
+                    st.phase = ApPhase::WaitIdle;
+                    st.invalidate();
+                }
+            } else if st.phase == ApPhase::WaitIdle {
+                self.arm_if_idle(ap.index(), now);
+            }
         }
     }
-}
 
-/// The fixed backoff expired: transmit the next assignment.
-#[allow(clippy::too_many_arguments)]
-fn ap_arm_fired(
-    _net: &Network,
-    ap: usize,
-    gen: u64,
-    now: SimTime,
-    engine: &mut Engine<Ev<CentaurEv>>,
-    medium: &mut Medium,
-    fe: &mut FlowEngine,
-    ap_states: &mut [Option<ApState>],
-    backbone: &mut Backbone,
-    rate: domino_phy::error_model::DataRate,
-    fixed_wait: SimDuration,
-) {
-    let packet = {
+    /// The fixed backoff expired: transmit the next assignment.
+    fn ap_arm_fired(&mut self, ap: usize, gen: u64, now: SimTime) {
         // lint: allow(D005) ApArm events are scheduled for AP indices only
-        let st = ap_states[ap].as_mut().unwrap();
+        let st = self.ap_states[ap].as_mut().expect("arm for non-AP");
         if st.gen != gen || st.phase != ApPhase::Armed {
             return;
         }
-        if medium.is_busy_before_instant(NodeId(ap as u32), now) {
+        if self.plant.medium.is_busy_before_instant(NodeId(ap as u32), now) {
             st.phase = ApPhase::WaitIdle;
             return;
         }
@@ -1036,7 +779,7 @@ fn ap_arm_fired(
         // assignment with data.
         if st.current.is_none() {
             while let Some(link) = st.assignments.pop_front() {
-                if let Some(p) = fe.queue_mut(link).pop() {
+                if let Some(p) = self.plant.fe.queue_mut(link).pop() {
                     st.current = Some(p);
                     st.current_link = Some(link);
                     break;
@@ -1046,91 +789,54 @@ fn ap_arm_fired(
         }
         let Some(packet) = st.current else {
             st.phase = ApPhase::Idle;
-            if let Some(m) = backbone.try_send(now, ()) {
-                engine.schedule_at(
-                    m.deliver_at,
-                    Ev::Scheme(CentaurEv::DoneArrive { ap: ap as u32, epoch: st.epoch }),
-                );
-            }
-            return;
+            let epoch = st.epoch;
+            return self.report_done(now, ap, epoch);
         };
         st.phase = ApPhase::Transmitting;
-        packet
-    };
-    let frame = Frame {
-        src: NodeId(ap as u32),
-        body: FrameBody::Data { packet, fake: false, client_burst: None },
-        bits: (packet.payload_bytes + MAC_OVERHEAD_BYTES) * 8,
-    };
-    let tx = medium.begin(now, frame);
-    engine.schedule_at(now + data_airtime(rate, packet.payload_bytes), Ev::TxEnd { tx });
-    let _ = fixed_wait;
-}
-
-/// An ACK reached an AP in `AwaitAck`: advance to its next assignment.
-#[allow(clippy::too_many_arguments)]
-fn handle_ap_ack(
-    net: &Network,
-    r: &Reception,
-    now: SimTime,
-    engine: &mut Engine<Ev<CentaurEv>>,
-    medium: &Medium,
-    _fe: &mut FlowEngine,
-    ap_states: &mut [Option<ApState>],
-    backbone: &mut Backbone,
-    fixed_wait: SimDuration,
-) {
-    let FrameBody::MacAck { packet, .. } = &r.frame.body else {
-        return;
-    };
-    if !r.success {
-        return;
+        let frame = Frame {
+            src: NodeId(ap as u32),
+            body: FrameBody::Data { packet, fake: false, client_burst: None },
+            bits: (packet.payload_bytes + MAC_OVERHEAD_BYTES) * 8,
+        };
+        self.plant.transmit(now, frame, data_airtime(self.rate, packet.payload_bytes));
     }
-    let ap = r.rx.index();
-    let needs_advance = match ap_states[ap].as_mut() {
-        Some(st)
-            if st.phase == ApPhase::AwaitAck
-                && st.current.is_some_and(|p| p.id == *packet) =>
-        {
-            st.current = None;
-            st.current_link = None;
-            st.retries = 0;
+
+    /// An ACK reached an AP in `AwaitAck`: advance to its next assignment.
+    fn handle_ap_ack(&mut self, r: &Reception, now: SimTime) {
+        let FrameBody::MacAck { packet, .. } = &r.frame.body else {
+            return;
+        };
+        if !r.success {
+            return;
+        }
+        let ap = r.rx.index();
+        match self.ap_states[ap].as_mut() {
+            Some(st)
+                if st.phase == ApPhase::AwaitAck
+                    && st.current.is_some_and(|p| p.id == *packet) =>
+            {
+                st.current = None;
+                st.current_link = None;
+                st.retries = 0;
+                st.invalidate();
+            }
+            _ => return,
+        }
+        self.advance_ap(ap, now);
+    }
+
+    /// Move an AP to its next assignment or report epoch completion.
+    fn advance_ap(&mut self, ap: usize, now: SimTime) {
+        // lint: allow(D005) callers index this helper with AP node ids only
+        let st = self.ap_states[ap].as_mut().expect("advance for non-AP");
+        if st.current.is_none() && st.assignments.is_empty() {
+            st.phase = ApPhase::Idle;
+            let epoch = st.epoch;
+            self.report_done(now, ap, epoch);
+        } else {
             st.phase = ApPhase::WaitIdle;
-            st.invalidate();
-            true
+            self.arm_if_idle(ap, now);
         }
-        _ => false,
-    };
-    if needs_advance {
-        advance_ap(net, ap, now, engine, medium, ap_states, backbone, fixed_wait);
-    }
-}
-
-/// Move an AP to its next assignment or report epoch completion.
-#[allow(clippy::too_many_arguments)]
-fn advance_ap(
-    _net: &Network,
-    ap: usize,
-    now: SimTime,
-    engine: &mut Engine<Ev<CentaurEv>>,
-    medium: &Medium,
-    ap_states: &mut [Option<ApState>],
-    backbone: &mut Backbone,
-    fixed_wait: SimDuration,
-) {
-    // lint: allow(D005) callers index this helper with AP node ids only
-    let st = ap_states[ap].as_mut().unwrap();
-    if st.current.is_none() && st.assignments.is_empty() {
-        st.phase = ApPhase::Idle;
-        if let Some(m) = backbone.try_send(now, ()) {
-            engine.schedule_at(
-                m.deliver_at,
-                Ev::Scheme(CentaurEv::DoneArrive { ap: ap as u32, epoch: st.epoch }),
-            );
-        }
-    } else {
-        st.phase = ApPhase::WaitIdle;
-        arm_if_idle(st, ap, now, engine, medium, fixed_wait);
     }
 }
 
@@ -1154,6 +860,24 @@ mod tests {
 
     fn dcf(net: &Network, w: &Workload, duration_s: f64, seed: u64) -> RunStats {
         run_plain::<DcfWorld>(net, w, duration_s, seed, ())
+    }
+
+    #[test]
+    fn every_event_roundtrips() {
+        use crate::plant::testing::{assert_events_roundtrip, sample_packet};
+        let ev = |x: CentaurEv| Ev::Scheme(x);
+        assert_events_roundtrip(&[
+            ev(CsmaEv::BackoffExpire { node: 3, gen: 7 }.into()),
+            ev(CsmaEv::AckTimeout { node: 1, gen: 2 }.into()),
+            ev(CsmaEv::SendAck { rx: 2, packet: sample_packet() }.into()),
+            ev(CentaurEv::EpochArrive { ap: 4, epoch: 9, assignments: vec![LinkId(1), LinkId(6)] }),
+            ev(CentaurEv::EpochArrive { ap: 0, epoch: 1, assignments: Vec::new() }),
+            ev(CentaurEv::ApArm { ap: 2, gen: 5 }),
+            ev(CentaurEv::ApAckTimeout { ap: 2, gen: 6 }),
+            ev(CentaurEv::DoneArrive { ap: 4, epoch: 9 }),
+            ev(CentaurEv::ControllerCheck),
+            ev(CentaurEv::EpochTimeout { epoch: 11 }),
+        ]);
     }
 
     #[test]

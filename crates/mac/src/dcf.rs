@@ -6,51 +6,28 @@
 //! Hidden- and exposed-terminal behaviour emerges from the medium's RSS
 //! physics, not from special cases.
 //!
-//! [`CsmaCore`] is the per-node contention machine; [`DcfWorld`] wires it
-//! to the traffic engine for a pure-DCF run. CENTAUR reuses `CsmaCore`
-//! for its unscheduled uplink.
+//! [`CsmaCore`] is the per-node contention machine and [`CsmaEv`] its
+//! events; [`DcfWorld`] runs it on the plant for a pure-DCF run. CENTAUR
+//! reuses both for its unscheduled uplink.
 
-use crate::flows::{FlowEngine, TCP_TICK};
+use crate::flows::FlowEngine;
+use crate::plant::{Ev, Plant, RtoScope, SchemeEvent, Step};
 use crate::run::{RunInputs, World};
 use crate::timing::{ack_airtime, ack_timeout, data_airtime, CW_MAX, CW_MIN, DIFS, RETRY_LIMIT, SIFS, SLOT_TIME};
-use crate::workload::{client_indices, RunStats};
-use domino_faults::FaultPlane;
-use domino_medium::{Frame, FrameBody, Medium, Reception, TxId};
-use domino_obs::Probe;
+use crate::workload::RunStats;
+use domino_medium::{Frame, FrameBody, Reception};
+use domino_obs::{CostPath, Probe};
 use domino_phy::error_model::DataRate;
-use domino_sim::engine::{DEFAULT_EVENT_BUDGET, DEFAULT_LIVENESS_WINDOW};
 use domino_sim::rng::streams;
 use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter, Snapshot};
-use domino_sim::{Engine, SimRng, SimTime};
+use domino_sim::{SimRng, SimTime};
 use domino_topology::{LinkId, Network, NodeId};
-use domino_traffic::{Packet, PacketId};
+use domino_traffic::Packet;
 
-/// Events of a CSMA-based run. `X` is the scheme extension (unit for pure
-/// DCF; CENTAUR adds epoch events).
+/// The CSMA/CA contention events: all of DCF's own events, and CENTAUR's
+/// unscheduled uplink.
 #[derive(Debug)]
-pub enum Ev<X> {
-    /// A UDP flow's next packet is due.
-    UdpArrival {
-        /// Flow index.
-        flow: usize,
-    },
-    /// Periodic TCP application tick.
-    TcpTick {
-        /// Flow index.
-        flow: usize,
-    },
-    /// TCP retransmission-timer check.
-    TcpRto {
-        /// Flow index.
-        flow: usize,
-        /// Staleness guard.
-        gen: u64,
-    },
-    /// A transmission leaves the air.
-    TxEnd {
-        /// Medium handle.
-        tx: TxId,
-    },
+pub enum CsmaEv {
     /// A node's backoff may have reached zero.
     BackoffExpire {
         /// Node index.
@@ -72,81 +49,39 @@ pub enum Ev<X> {
         /// The packet being acknowledged.
         packet: Packet,
     },
-    /// Scheme-specific event.
-    Scheme(X),
 }
 
-impl<X> Ev<X> {
-    /// Cost-attribution class of one CSMA-family event. The scheme
-    /// extension `X` is the controller plane (CENTAUR's epochs,
-    /// OMNISCIENT's oracle steps), so `Scheme(_)` bills as controller
-    /// work. Exhaustive on purpose: a new variant must pick its bucket.
-    pub(crate) fn cost_class(&self) -> domino_obs::CostPath {
-        use domino_obs::CostPath;
-        match self {
-            Ev::UdpArrival { .. } | Ev::TcpTick { .. } | Ev::TcpRto { .. } => {
-                CostPath::EvTraffic
-            }
-            Ev::TxEnd { .. } => CostPath::EvMedium,
-            Ev::BackoffExpire { .. } | Ev::AckTimeout { .. } | Ev::SendAck { .. } => {
-                CostPath::EvSlot
-            }
-            Ev::Scheme(_) => CostPath::EvController,
-        }
+impl SchemeEvent for CsmaEv {
+    fn cost_class(&self) -> CostPath {
+        CostPath::EvSlot
     }
 }
 
-impl<X: SnapValue> SnapValue for Ev<X> {
+impl SnapValue for CsmaEv {
     fn put(&self, w: &mut SnapWriter) {
         match self {
-            Ev::UdpArrival { flow } => {
+            CsmaEv::BackoffExpire { node, gen } => {
                 w.put_u8(0);
-                flow.put(w);
+                w.put_u32(*node);
+                w.put_u64(*gen);
             }
-            Ev::TcpTick { flow } => {
+            CsmaEv::AckTimeout { node, gen } => {
                 w.put_u8(1);
-                flow.put(w);
+                w.put_u32(*node);
+                w.put_u64(*gen);
             }
-            Ev::TcpRto { flow, gen } => {
+            CsmaEv::SendAck { rx, packet } => {
                 w.put_u8(2);
-                flow.put(w);
-                w.put_u64(*gen);
-            }
-            Ev::TxEnd { tx } => {
-                w.put_u8(3);
-                tx.put(w);
-            }
-            Ev::BackoffExpire { node, gen } => {
-                w.put_u8(4);
-                w.put_u32(*node);
-                w.put_u64(*gen);
-            }
-            Ev::AckTimeout { node, gen } => {
-                w.put_u8(5);
-                w.put_u32(*node);
-                w.put_u64(*gen);
-            }
-            Ev::SendAck { rx, packet } => {
-                w.put_u8(6);
                 w.put_u32(*rx);
                 packet.put(w);
-            }
-            Ev::Scheme(x) => {
-                w.put_u8(7);
-                x.put(w);
             }
         }
     }
     fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(match r.get_u8()? {
-            0 => Ev::UdpArrival { flow: SnapValue::thaw(r)? },
-            1 => Ev::TcpTick { flow: SnapValue::thaw(r)? },
-            2 => Ev::TcpRto { flow: SnapValue::thaw(r)?, gen: r.get_u64()? },
-            3 => Ev::TxEnd { tx: SnapValue::thaw(r)? },
-            4 => Ev::BackoffExpire { node: r.get_u32()?, gen: r.get_u64()? },
-            5 => Ev::AckTimeout { node: r.get_u32()?, gen: r.get_u64()? },
-            6 => Ev::SendAck { rx: r.get_u32()?, packet: SnapValue::thaw(r)? },
-            7 => Ev::Scheme(SnapValue::thaw(r)?),
+            0 => CsmaEv::BackoffExpire { node: r.get_u32()?, gen: r.get_u64()? },
+            1 => CsmaEv::AckTimeout { node: r.get_u32()?, gen: r.get_u64()? },
+            2 => CsmaEv::SendAck { rx: r.get_u32()?, packet: SnapValue::thaw(r)? },
             _ => return Err(SnapError::Corrupt("csma event tag")),
         })
     }
@@ -264,19 +199,23 @@ impl CsmaCore {
             .min_by_key(|p| p.created_at)
     }
 
+    /// Process one of the contention machine's own events.
+    pub fn handle<X: From<CsmaEv>>(&mut self, now: SimTime, ev: CsmaEv, plant: &mut Plant<X>) {
+        match ev {
+            CsmaEv::BackoffExpire { node, gen } => {
+                self.on_backoff_expire(node as usize, gen, now, plant)
+            }
+            CsmaEv::AckTimeout { node, gen } => self.on_ack_timeout(node as usize, gen, now, plant),
+            CsmaEv::SendAck { rx, packet } => self.send_ack(rx as usize, &packet, now, plant),
+        }
+    }
+
     /// Kick a node: if it is idle and has traffic, enter backoff.
-    pub fn try_start<X>(
-        &mut self,
-        node: usize,
-        now: SimTime,
-        engine: &mut Engine<Ev<X>>,
-        medium: &Medium,
-        fe: &FlowEngine,
-    ) {
+    pub fn try_start<X: From<CsmaEv>>(&mut self, node: usize, now: SimTime, plant: &mut Plant<X>) {
         if !self.contender[node] || self.nodes[node].state != NodeState::Idle {
             return;
         }
-        if self.head_packet(node, fe).is_none() {
+        if self.head_packet(node, &plant.fe).is_none() {
             return;
         }
         if self.nodes[node].remaining_slots.is_none() {
@@ -284,24 +223,18 @@ impl CsmaCore {
             self.nodes[node].remaining_slots = Some(self.rng.below(u64::from(cw) + 1) as u32);
         }
         self.nodes[node].state = NodeState::Counting { anchor: None };
-        self.resume(node, now, engine, medium);
+        self.resume(node, now, plant);
     }
 
-    fn resume<X>(
-        &mut self,
-        node: usize,
-        now: SimTime,
-        engine: &mut Engine<Ev<X>>,
-        medium: &Medium,
-    ) {
-        if medium.is_busy(NodeId(node as u32)) {
+    fn resume<X: From<CsmaEv>>(&mut self, node: usize, now: SimTime, plant: &mut Plant<X>) {
+        if plant.medium.is_busy(NodeId(node as u32)) {
             return; // stay frozen; the busy→idle scan resumes us
         }
         let remaining = self.nodes[node].remaining_slots.unwrap_or(0);
         self.nodes[node].state = NodeState::Counting { anchor: Some(now) };
         let gen = self.nodes[node].invalidate();
         let expire = now + DIFS + SLOT_TIME * u64::from(remaining);
-        engine.schedule_at(expire, Ev::BackoffExpire { node: node as u32, gen });
+        plant.schedule(expire, CsmaEv::BackoffExpire { node: node as u32, gen });
     }
 
     fn freeze(&mut self, node: usize, now: SimTime) {
@@ -320,12 +253,12 @@ impl CsmaCore {
 
     /// Re-scan channel state after any medium change, freezing or
     /// resuming counters.
-    pub fn scan<X>(&mut self, now: SimTime, engine: &mut Engine<Ev<X>>, medium: &Medium) {
+    pub fn scan<X: From<CsmaEv>>(&mut self, now: SimTime, plant: &mut Plant<X>) {
         for node in 0..self.nodes.len() {
             if !self.contender[node] {
                 continue;
             }
-            let busy = medium.is_busy(NodeId(node as u32));
+            let busy = plant.medium.is_busy(NodeId(node as u32));
             if busy == self.last_busy[node] {
                 continue;
             }
@@ -333,20 +266,18 @@ impl CsmaCore {
             if busy {
                 self.freeze(node, now);
             } else if matches!(self.nodes[node].state, NodeState::Counting { anchor: None }) {
-                self.resume(node, now, engine, medium);
+                self.resume(node, now, plant);
             }
         }
     }
 
     /// A backoff timer fired: transmit if still valid.
-    pub fn on_backoff_expire<X>(
+    fn on_backoff_expire<X: From<CsmaEv>>(
         &mut self,
         node: usize,
         gen: u64,
         now: SimTime,
-        engine: &mut Engine<Ev<X>>,
-        medium: &mut Medium,
-        fe: &mut FlowEngine,
+        plant: &mut Plant<X>,
     ) {
         if self.nodes[node].gen != gen
             || !matches!(self.nodes[node].state, NodeState::Counting { anchor: Some(_) })
@@ -357,7 +288,7 @@ impl CsmaCore {
         // to carrier sense (sensing is causal): we transmit into it —
         // that is exactly how same-slot DCF collisions happen. Busy from
         // *earlier* transmissions means our freeze lost a race; re-wait.
-        if medium.is_busy_before_instant(NodeId(node as u32), now) {
+        if plant.medium.is_busy_before_instant(NodeId(node as u32), now) {
             self.freeze(node, now);
             return;
         }
@@ -366,8 +297,9 @@ impl CsmaCore {
             Some(p) => p,
             None => {
                 // lint: allow(D005) backoff countdown only runs while a head packet is queued
-                let head = self.head_packet(node, fe).expect("counting without a packet");
-                let popped = fe
+                let head = self.head_packet(node, &plant.fe).expect("counting without a packet");
+                let popped = plant
+                    .fe
                     .queue_mut(head.link)
                     .pop()
                     .expect("head packet vanished"); // lint: allow(D005) head_packet just returned it; a miss is queue corruption
@@ -383,66 +315,58 @@ impl CsmaCore {
             body: FrameBody::Data { packet, fake: false, client_burst: None },
             bits: (packet.payload_bytes + crate::timing::MAC_OVERHEAD_BYTES) * 8,
         };
-        let airtime = data_airtime(self.rate, packet.payload_bytes);
-        let tx = medium.begin(now, frame);
-        engine.schedule_at(now + airtime, Ev::TxEnd { tx });
-        self.scan(now, engine, medium);
+        plant.transmit(now, frame, data_airtime(self.rate, packet.payload_bytes));
+        self.scan(now, plant);
     }
 
     /// Shared handling of a finished *data* frame sent by a CSMA node:
     /// arm the sender's ACK timeout. (Reception side is in
     /// [`CsmaCore::handle_data_receptions`].)
-    pub fn after_data_tx<X>(
+    pub fn after_data_tx<X: From<CsmaEv>>(
         &mut self,
         sender: usize,
         now: SimTime,
-        engine: &mut Engine<Ev<X>>,
+        plant: &mut Plant<X>,
     ) {
         debug_assert_eq!(self.nodes[sender].state, NodeState::Transmitting);
         self.nodes[sender].state = NodeState::AwaitAck;
         let gen = self.nodes[sender].invalidate();
-        engine.schedule_at(
-            now + ack_timeout(self.rate),
-            Ev::AckTimeout { node: sender as u32, gen },
-        );
+        let timeout = CsmaEv::AckTimeout { node: sender as u32, gen };
+        plant.schedule(now + ack_timeout(self.rate), timeout);
     }
 
-    /// Deliver data receptions and schedule ACKs (used for any data
-    /// frame, whether a CSMA node or a scheduled AP sent it).
-    pub fn handle_data_receptions<X>(
+    /// Deliver data receptions, schedule their ACKs and re-arm the TCP
+    /// timers the deliveries moved (used for any data frame, whether a
+    /// CSMA node or a scheduled AP sent it).
+    pub fn handle_data_receptions<X: From<CsmaEv>>(
         receptions: &[Reception],
         now: SimTime,
-        engine: &mut Engine<Ev<X>>,
-        medium: &Medium,
-        fe: &mut FlowEngine,
+        plant: &mut Plant<X>,
     ) {
         for r in receptions {
             if !r.success {
                 continue;
             }
             if let FrameBody::Data { packet, fake: false, .. } = &r.frame.body {
-                fe.deliver(packet, now);
-                if !medium.is_transmitting(r.rx) {
-                    engine.schedule_at(
-                        now + SIFS,
-                        Ev::SendAck { rx: r.rx.0, packet: *packet },
-                    );
+                plant.fe.deliver(packet, now);
+                if !plant.medium.is_transmitting(r.rx) {
+                    plant.schedule(now + SIFS, CsmaEv::SendAck { rx: r.rx.0, packet: *packet });
                 }
             }
         }
+        plant.rearm_all_rtos(now);
     }
 
     /// Transmit a MAC ACK (fired SIFS after a successful data
     /// reception).
-    pub fn send_ack<X>(
+    fn send_ack<X: From<CsmaEv>>(
         &mut self,
         rx: usize,
         packet: &Packet,
         now: SimTime,
-        engine: &mut Engine<Ev<X>>,
-        medium: &mut Medium,
+        plant: &mut Plant<X>,
     ) {
-        if medium.is_transmitting(NodeId(rx as u32)) {
+        if plant.medium.is_transmitting(NodeId(rx as u32)) {
             return; // cannot ack while transmitting
         }
         let frame = Frame {
@@ -450,20 +374,17 @@ impl CsmaCore {
             body: FrameBody::MacAck { packet: packet.id, link: packet.link, client_burst: None },
             bits: crate::timing::ACK_BYTES * 8,
         };
-        let tx = medium.begin(now, frame);
-        engine.schedule_at(now + ack_airtime(self.rate), Ev::TxEnd { tx });
-        self.scan(now, engine, medium);
+        plant.transmit(now, frame, ack_airtime(self.rate));
+        self.scan(now, plant);
     }
 
     /// An ACK reception reached a CSMA sender: resolve its pending frame.
     /// Returns true if this reception was consumed.
-    pub fn on_ack_reception<X>(
+    pub fn on_ack_reception<X: From<CsmaEv>>(
         &mut self,
         r: &Reception,
         now: SimTime,
-        engine: &mut Engine<Ev<X>>,
-        medium: &Medium,
-        fe: &mut FlowEngine,
+        plant: &mut Plant<X>,
     ) -> bool {
         let FrameBody::MacAck { packet, .. } = &r.frame.body else {
             return false;
@@ -483,7 +404,7 @@ impl CsmaCore {
                 self.nodes[node].remaining_slots = None;
                 self.nodes[node].state = NodeState::Idle;
                 self.nodes[node].invalidate(); // cancels the pending timeout
-                self.try_start(node, now, engine, medium, fe);
+                self.try_start(node, now, plant);
                 true
             }
             _ => true,
@@ -491,52 +412,38 @@ impl CsmaCore {
     }
 
     /// The ACK wait expired: retry or drop.
-    pub fn on_ack_timeout<X>(
+    fn on_ack_timeout<X: From<CsmaEv>>(
         &mut self,
         node: usize,
         gen: u64,
         now: SimTime,
-        engine: &mut Engine<Ev<X>>,
-        medium: &Medium,
-        fe: &mut FlowEngine,
+        plant: &mut Plant<X>,
     ) {
         if self.nodes[node].gen != gen || self.nodes[node].state != NodeState::AwaitAck {
             return;
         }
-        fe.stats.ack_timeouts += 1;
+        plant.fe.stats.ack_timeouts += 1;
         self.nodes[node].retries += 1;
         if self.nodes[node].retries > RETRY_LIMIT {
-            fe.stats.drops += 1;
+            plant.fe.stats.drops += 1;
             self.nodes[node].current = None;
             self.nodes[node].cw = CW_MIN;
             self.nodes[node].retries = 0;
         } else {
-            fe.stats.retries += 1;
+            plant.fe.stats.retries += 1;
             self.nodes[node].cw = (self.nodes[node].cw * 2 + 1).min(CW_MAX);
         }
         self.nodes[node].remaining_slots = None;
         self.nodes[node].state = NodeState::Idle;
         self.nodes[node].invalidate();
-        self.try_start(node, now, engine, medium, fe);
+        self.try_start(node, now, plant);
     }
 
     /// Kick every contender (after deliveries released new packets).
-    pub fn try_start_all<X>(
-        &mut self,
-        now: SimTime,
-        engine: &mut Engine<Ev<X>>,
-        medium: &Medium,
-        fe: &FlowEngine,
-    ) {
+    pub fn try_start_all<X: From<CsmaEv>>(&mut self, now: SimTime, plant: &mut Plant<X>) {
         for node in 0..self.nodes.len() {
-            self.try_start(node, now, engine, medium, fe);
+            self.try_start(node, now, plant);
         }
-    }
-
-    /// Whether `node`'s data frame is on the air (used by scheme engines
-    /// routing TxEnd events).
-    pub fn is_node_transmitting_data(&self, node: usize) -> bool {
-        self.nodes[node].state == NodeState::Transmitting
     }
 }
 
@@ -583,198 +490,71 @@ impl Snapshot for CsmaCore {
 #[derive(Debug)]
 pub struct DcfWorld {
     net: Network,
-    engine: Engine<Ev<()>>,
-    medium: Medium,
-    fe: FlowEngine,
+    plant: Plant<CsmaEv>,
     csma: CsmaCore,
-    rto_gen: Vec<u64>,
-    /// Observation-only trace sink and cost profiler (off by default).
-    probe: Probe,
 }
 
 impl World for DcfWorld {
     type Config = ();
-    type Event = Ev<()>;
+    type Event = CsmaEv;
 
     /// DCF has no scheduler, so only the engine's liveness events and the
     /// medium's fault injections appear in its trace.
     fn new(inputs: &RunInputs<'_>, (): (), probe: Probe) -> DcfWorld {
-        let RunInputs { net, workload, duration_s, seed, faults } = *inputs;
-        let mut engine: Engine<Ev<()>> = Engine::new();
-        let mut medium = Medium::new(net.clone(), seed);
-        let plane = FaultPlane::new(faults, seed, &client_indices(net), duration_s);
-        if plane.cfg.enabled() {
-            medium.set_faults(plane.medium);
-        }
-        medium.set_probe(probe.clone());
-        engine.set_liveness(DEFAULT_EVENT_BUDGET, DEFAULT_LIVENESS_WINDOW);
-        engine.set_probe(probe.clone());
-        let fe = FlowEngine::new(net, workload, duration_s);
+        let net = inputs.net;
         let contenders: Vec<NodeId> = (0..net.num_nodes() as u32).map(NodeId).collect();
-        let csma = CsmaCore::new(net, &contenders, seed);
-        let rto_gen: Vec<u64> = vec![0; workload.flows.len()];
-
-        for flow in fe.udp_flows() {
-            engine.schedule_at(fe.udp_next_arrival(flow), Ev::UdpArrival { flow });
-        }
-        for flow in fe.tcp_flows() {
-            engine.schedule_at(SimTime::ZERO + TCP_TICK, Ev::TcpTick { flow });
-        }
-        DcfWorld { net: net.clone(), engine, medium, fe, csma, rto_gen, probe }
+        let csma = CsmaCore::new(net, &contenders, inputs.seed);
+        DcfWorld { net: net.clone(), plant: Plant::new(inputs, probe), csma }
     }
 
-    fn engine(&mut self) -> &mut Engine<Ev<()>> {
-        &mut self.engine
+    fn plant(&mut self) -> &mut Plant<CsmaEv> {
+        &mut self.plant
     }
 
-    fn stats(&mut self) -> &mut RunStats {
-        &mut self.fe.stats
-    }
-
-    fn handle(&mut self, now: SimTime, ev: Ev<()>) {
-        self.probe.prof.tick(ev.cost_class());
-        match ev {
-            Ev::UdpArrival { flow } => {
-                let _ = self.fe.udp_arrive(flow);
-                self.engine.schedule_at(self.fe.udp_next_arrival(flow), Ev::UdpArrival { flow });
-                let sender = sender_of_flow(&self.net, &self.fe, flow);
-                self.csma.try_start(sender, now, &mut self.engine, &self.medium, &self.fe);
+    fn handle(&mut self, now: SimTime, ev: Ev<CsmaEv>) {
+        match self.plant.step(now, ev, RtoScope::Flow) {
+            Step::Arrived(link) => {
+                let sender = self.net.link(link).sender.index();
+                self.csma.try_start(sender, now, &mut self.plant);
             }
-            Ev::TcpTick { flow } => {
-                self.fe.tcp_tick(flow, now);
-                self.engine.schedule_in(TCP_TICK, Ev::TcpTick { flow });
-                sync_rto(&mut self.engine, &self.fe, &mut self.rto_gen, flow, now);
-                self.csma.try_start_all(now, &mut self.engine, &self.medium, &self.fe);
-            }
-            Ev::TcpRto { flow, gen } => {
-                if self.rto_gen[flow] == gen {
-                    self.fe.tcp_timer(flow, now);
-                    sync_rto(&mut self.engine, &self.fe, &mut self.rto_gen, flow, now);
-                    self.csma.try_start_all(now, &mut self.engine, &self.medium, &self.fe);
-                }
-            }
-            Ev::BackoffExpire { node, gen } => {
-                self.csma.on_backoff_expire(
-                    node as usize,
-                    gen,
-                    now,
-                    &mut self.engine,
-                    &mut self.medium,
-                    &mut self.fe,
-                );
-            }
-            Ev::TxEnd { tx } => {
-                let receptions = self.medium.end(tx, now);
-                self.csma.scan(now, &mut self.engine, &self.medium);
+            Step::Released => self.csma.try_start_all(now, &mut self.plant),
+            Step::Stale => {}
+            Step::TxEnd(tx) => {
+                let receptions = self.plant.medium.end(tx, now);
+                self.csma.scan(now, &mut self.plant);
                 if let Some(first) = receptions.first() {
                     match &first.frame.body {
                         FrameBody::Data { .. } => {
-                            self.csma.after_data_tx(first.frame.src.index(), now, &mut self.engine);
-                            CsmaCore::handle_data_receptions(
-                                &receptions,
-                                now,
-                                &mut self.engine,
-                                &self.medium,
-                                &mut self.fe,
-                            );
-                            for flow in self.fe.tcp_flows() {
-                                sync_rto(&mut self.engine, &self.fe, &mut self.rto_gen, flow, now);
-                            }
+                            self.csma.after_data_tx(first.frame.src.index(), now, &mut self.plant);
+                            CsmaCore::handle_data_receptions(&receptions, now, &mut self.plant);
                         }
                         FrameBody::MacAck { .. } => {
                             for r in &receptions {
-                                self.csma.on_ack_reception(
-                                    r,
-                                    now,
-                                    &mut self.engine,
-                                    &self.medium,
-                                    &mut self.fe,
-                                );
+                                self.csma.on_ack_reception(r, now, &mut self.plant);
                             }
                         }
                         _ => {}
                     }
                 }
-                self.csma.try_start_all(now, &mut self.engine, &self.medium, &self.fe);
+                self.csma.try_start_all(now, &mut self.plant);
             }
-            Ev::SendAck { rx, packet } => {
-                self.csma.send_ack(rx as usize, &packet, now, &mut self.engine, &mut self.medium);
-            }
-            Ev::AckTimeout { node, gen } => {
-                self.csma.on_ack_timeout(
-                    node as usize,
-                    gen,
-                    now,
-                    &mut self.engine,
-                    &self.medium,
-                    &mut self.fe,
-                );
-            }
-            Ev::Scheme(()) => {}
+            Step::Scheme(ev) => self.csma.handle(now, ev, &mut self.plant),
         }
     }
 
-    fn finalize(mut self) -> RunStats {
-        // End-of-run profile flush (no-ops when the handle is off).
-        self.engine.profile_wheel();
-        self.probe.prof.add(domino_obs::CostPath::RngPhyError, self.medium.phy_rng_draws());
-        self.probe.prof.add(domino_obs::CostPath::RngDcfBackoff, self.csma.rng_draws());
-        self.probe.prof.add(
-            domino_obs::CostPath::RngFaults,
-            self.medium.faults().map(|f| f.rng_draws()).unwrap_or(0),
-        );
-        self.fe.stats.events = self.engine.events_processed();
-        self.fe.stats.tcp_retransmissions = self.fe.tcp_retransmissions();
-        if let Some(mf) = self.medium.faults() {
-            self.fe.stats.faults.merge_medium(mf);
-        }
-        self.fe.stats
+    fn finalize(self) -> RunStats {
+        self.plant.probe.prof.add(CostPath::RngDcfBackoff, self.csma.rng_draws());
+        self.plant.finish()
     }
 
-    fn snapshot_save(&mut self, w: &mut SnapWriter) {
-        self.engine.snapshot_save(w);
-        self.medium.snapshot_save(w);
-        self.fe.snapshot_save(w);
+    fn snapshot_save(&self, w: &mut SnapWriter) {
         self.csma.save(w);
-        self.rto_gen.put(w);
     }
 
     fn snapshot_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.engine.snapshot_restore(r)?;
-        self.medium.snapshot_restore(r)?;
-        self.fe.snapshot_restore(r)?;
-        self.csma.restore(r)?;
-        let rto_gen: Vec<u64> = SnapValue::thaw(r)?;
-        if rto_gen.len() != self.rto_gen.len() {
-            return Err(SnapError::Corrupt("rto gen table length"));
-        }
-        self.rto_gen = rto_gen;
-        Ok(())
+        self.csma.restore(r)
     }
 }
-
-/// The sender node of a flow's link.
-fn sender_of_flow(net: &Network, fe: &FlowEngine, flow: usize) -> usize {
-    net.link(fe.flow_link(flow)).sender.index()
-}
-
-/// Re-arm a TCP flow's RTO event after its deadline may have moved.
-pub(crate) fn sync_rto<X>(
-    engine: &mut Engine<Ev<X>>,
-    fe: &FlowEngine,
-    rto_gen: &mut [u64],
-    flow: usize,
-    now: SimTime,
-) {
-    rto_gen[flow] += 1;
-    if let Some(deadline) = fe.tcp_rto_deadline(flow) {
-        let at = deadline.max(now);
-        engine.schedule_at(at, Ev::TcpRto { flow, gen: rto_gen[flow] });
-    }
-}
-
-#[allow(unused)]
-fn _suppress(_: PacketId) {}
 
 #[cfg(test)]
 mod tests {
@@ -791,6 +571,16 @@ mod tests {
 
     fn dcf(net: &Network, w: &Workload, duration_s: f64, seed: u64) -> RunStats {
         run_plain::<DcfWorld>(net, w, duration_s, seed, ())
+    }
+
+    #[test]
+    fn every_event_roundtrips() {
+        use crate::plant::testing::{assert_events_roundtrip, sample_packet};
+        assert_events_roundtrip(&[
+            Ev::Scheme(CsmaEv::BackoffExpire { node: 3, gen: 7 }),
+            Ev::Scheme(CsmaEv::AckTimeout { node: 1, gen: u64::MAX }),
+            Ev::Scheme(CsmaEv::SendAck { rx: 2, packet: sample_packet() }),
+        ]);
     }
 
     fn one_pair() -> Network {

@@ -24,24 +24,22 @@
 //! * watchdog self-start: the very first batch (and any fully broken
 //!   chain) starts by the APs individually, then heals.
 
-use crate::flows::{FlowEngine, TCP_TICK};
+use crate::plant::{restore_table, Ev, Plant, RtoScope, SchemeEvent, Step};
 use crate::run::{RunInputs, World};
 use crate::timing::{
     fake_airtime, poll_airtime, rop_slot_duration, slot_geometry, SlotGeometry, ACK_BYTES,
     MAC_OVERHEAD_BYTES, POLL_BYTES, ROP_SYMBOL, SIFS, SLOT_TIME,
 };
-use crate::workload::{client_indices, DominoCounters, RunStats, WATCHDOG_STORM_THRESHOLD};
-use domino_faults::{FaultPlane, NodeFaults};
-use domino_medium::{Burst, BurstMarker, Frame, FrameBody, InlineVec, Medium, Reception, TxId};
+use crate::workload::{DominoCounters, RunStats, WATCHDOG_STORM_THRESHOLD};
+use domino_medium::{Burst, BurstMarker, Frame, FrameBody, InlineVec, Reception, TxId};
 use domino_obs::{CostPath, FaultKind, Probe, TraceEvent};
 use domino_scheduler::{
     BacklogView, BurstAssignment, ConversionOutcome, Converter, ConverterConfig, RandScheduler,
     RelativeBatch,
 };
-use domino_sim::engine::{DEFAULT_EVENT_BUDGET, DEFAULT_LIVENESS_WINDOW};
 use domino_sim::rng::streams;
 use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter, Snapshot};
-use domino_sim::{Engine, SimDuration, SimTime};
+use domino_sim::{SimDuration, SimTime};
 use domino_topology::{ConflictGraph, Direction, LinkId, Network, NodeId};
 use domino_traffic::{Packet, PacketKind};
 use domino_wired::{Backbone, WiredLatency};
@@ -134,28 +132,6 @@ pub struct ApMessage {
 /// DOMINO scheme events.
 #[derive(Debug)]
 pub enum DEv {
-    /// A UDP flow's next packet is due.
-    UdpArrival {
-        /// Flow index.
-        flow: usize,
-    },
-    /// Periodic TCP application tick.
-    TcpTick {
-        /// Flow index.
-        flow: usize,
-    },
-    /// TCP retransmission-timer check.
-    TcpRto {
-        /// Flow index.
-        flow: usize,
-        /// Staleness guard.
-        gen: u64,
-    },
-    /// A transmission leaves the air.
-    TxEnd {
-        /// Medium handle.
-        tx: TxId,
-    },
     /// Wired delivery of a batch program to an AP.
     BatchArrive {
         /// Destination AP node index.
@@ -286,20 +262,17 @@ impl NodeRt {
 }
 
 // ------------------------------------------------- snapshot encodings
-//
-// `LinkId` and `SnapValue` are both foreign here, so links are encoded
-// inline as their raw u32 instead of through a blanket impl.
 
 impl SnapValue for ApActionKind {
     fn put(&self, w: &mut SnapWriter) {
         match self {
             ApActionKind::TxData { link } => {
                 w.put_u8(0);
-                w.put_u32(link.0);
+                link.put(w);
             }
             ApActionKind::RxData { link } => {
                 w.put_u8(1);
-                w.put_u32(link.0);
+                link.put(w);
             }
             ApActionKind::Poll => w.put_u8(2),
         }
@@ -307,8 +280,8 @@ impl SnapValue for ApActionKind {
 
     fn thaw(r: &mut SnapReader<'_>) -> Result<ApActionKind, SnapError> {
         Ok(match r.get_u8()? {
-            0 => ApActionKind::TxData { link: LinkId(r.get_u32()?) },
-            1 => ApActionKind::RxData { link: LinkId(r.get_u32()?) },
+            0 => ApActionKind::TxData { link: SnapValue::thaw(r)? },
+            1 => ApActionKind::RxData { link: SnapValue::thaw(r)? },
             2 => ApActionKind::Poll,
             _ => return Err(SnapError::Corrupt("ap action kind tag")),
         })
@@ -380,116 +353,95 @@ impl SnapValue for NodeRt {
 impl SnapValue for DEv {
     fn put(&self, w: &mut SnapWriter) {
         match self {
-            DEv::UdpArrival { flow } => {
-                w.put_u8(0);
-                flow.put(w);
-            }
-            DEv::TcpTick { flow } => {
-                w.put_u8(1);
-                flow.put(w);
-            }
-            DEv::TcpRto { flow, gen } => {
-                w.put_u8(2);
-                flow.put(w);
-                w.put_u64(*gen);
-            }
-            DEv::TxEnd { tx } => {
-                w.put_u8(3);
-                tx.put(w);
-            }
             DEv::BatchArrive { ap, msg } => {
-                w.put_u8(4);
+                w.put_u8(0);
                 w.put_u32(*ap);
                 msg.put(w);
             }
             DEv::ReportArrive { link, queue } => {
-                w.put_u8(5);
+                w.put_u8(1);
                 w.put_u32(*link);
                 w.put_u32(*queue);
             }
             DEv::ControllerCompute { gen } => {
-                w.put_u8(6);
+                w.put_u8(2);
                 w.put_u64(*gen);
             }
             DEv::SlotStart { node, gen, slot } => {
-                w.put_u8(7);
+                w.put_u8(3);
                 w.put_u32(*node);
                 w.put_u64(*gen);
                 w.put_u64(*slot);
             }
             DEv::SendBurst { node, burst } => {
-                w.put_u8(8);
+                w.put_u8(4);
                 w.put_u32(*node);
                 burst.put(w);
             }
             DEv::SendAck { rx, packet, client_burst } => {
-                w.put_u8(9);
+                w.put_u8(5);
                 w.put_u32(*rx);
                 packet.put(w);
                 client_burst.put(w);
             }
             DEv::AckCheck { node, gen } => {
-                w.put_u8(10);
+                w.put_u8(6);
                 w.put_u32(*node);
                 w.put_u64(*gen);
             }
             DEv::RopAnswer { client, ap } => {
-                w.put_u8(11);
+                w.put_u8(7);
                 w.put_u32(*client);
                 w.put_u32(*ap);
             }
             DEv::Watchdog { ap, gen } => {
-                w.put_u8(12);
+                w.put_u8(8);
                 w.put_u32(*ap);
                 w.put_u64(*gen);
             }
             DEv::KickOff { ap, slot } => {
-                w.put_u8(13);
+                w.put_u8(9);
                 w.put_u32(*ap);
                 w.put_u64(*slot);
             }
-            DEv::CtrlHeartbeat => w.put_u8(14),
-            DEv::CtrlCheckpoint => w.put_u8(15),
-            DEv::HeartbeatArrive => w.put_u8(16),
+            DEv::CtrlHeartbeat => w.put_u8(10),
+            DEv::CtrlCheckpoint => w.put_u8(11),
+            DEv::HeartbeatArrive => w.put_u8(12),
             DEv::CkptArrive { state } => {
-                w.put_u8(17);
+                w.put_u8(13);
                 state.put(w);
             }
             DEv::StandbyReport { link, queue } => {
-                w.put_u8(18);
+                w.put_u8(14);
                 w.put_u32(*link);
                 w.put_u32(*queue);
             }
-            DEv::StandbyProbe => w.put_u8(19),
+            DEv::StandbyProbe => w.put_u8(15),
         }
     }
 
     fn thaw(r: &mut SnapReader<'_>) -> Result<DEv, SnapError> {
         Ok(match r.get_u8()? {
-            0 => DEv::UdpArrival { flow: SnapValue::thaw(r)? },
-            1 => DEv::TcpTick { flow: SnapValue::thaw(r)? },
-            2 => DEv::TcpRto { flow: SnapValue::thaw(r)?, gen: r.get_u64()? },
-            3 => DEv::TxEnd { tx: SnapValue::thaw(r)? },
-            4 => DEv::BatchArrive { ap: r.get_u32()?, msg: SnapValue::thaw(r)? },
-            5 => DEv::ReportArrive { link: r.get_u32()?, queue: r.get_u32()? },
-            6 => DEv::ControllerCompute { gen: r.get_u64()? },
-            7 => DEv::SlotStart { node: r.get_u32()?, gen: r.get_u64()?, slot: r.get_u64()? },
-            8 => DEv::SendBurst { node: r.get_u32()?, burst: SnapValue::thaw(r)? },
-            9 => DEv::SendAck {
+            0 => DEv::BatchArrive { ap: r.get_u32()?, msg: SnapValue::thaw(r)? },
+            1 => DEv::ReportArrive { link: r.get_u32()?, queue: r.get_u32()? },
+            2 => DEv::ControllerCompute { gen: r.get_u64()? },
+            3 => DEv::SlotStart { node: r.get_u32()?, gen: r.get_u64()?, slot: r.get_u64()? },
+            4 => DEv::SendBurst { node: r.get_u32()?, burst: SnapValue::thaw(r)? },
+            5 => DEv::SendAck {
                 rx: r.get_u32()?,
                 packet: SnapValue::thaw(r)?,
                 client_burst: SnapValue::thaw(r)?,
             },
-            10 => DEv::AckCheck { node: r.get_u32()?, gen: r.get_u64()? },
-            11 => DEv::RopAnswer { client: r.get_u32()?, ap: r.get_u32()? },
-            12 => DEv::Watchdog { ap: r.get_u32()?, gen: r.get_u64()? },
-            13 => DEv::KickOff { ap: r.get_u32()?, slot: r.get_u64()? },
-            14 => DEv::CtrlHeartbeat,
-            15 => DEv::CtrlCheckpoint,
-            16 => DEv::HeartbeatArrive,
-            17 => DEv::CkptArrive { state: SnapValue::thaw(r)? },
-            18 => DEv::StandbyReport { link: r.get_u32()?, queue: r.get_u32()? },
-            19 => DEv::StandbyProbe,
+            6 => DEv::AckCheck { node: r.get_u32()?, gen: r.get_u64()? },
+            7 => DEv::RopAnswer { client: r.get_u32()?, ap: r.get_u32()? },
+            8 => DEv::Watchdog { ap: r.get_u32()?, gen: r.get_u64()? },
+            9 => DEv::KickOff { ap: r.get_u32()?, slot: r.get_u64()? },
+            10 => DEv::CtrlHeartbeat,
+            11 => DEv::CtrlCheckpoint,
+            12 => DEv::HeartbeatArrive,
+            13 => DEv::CkptArrive { state: SnapValue::thaw(r)? },
+            14 => DEv::StandbyReport { link: r.get_u32()?, queue: r.get_u32()? },
+            15 => DEv::StandbyProbe,
             _ => return Err(SnapError::Corrupt("domino event tag")),
         })
     }
@@ -507,16 +459,13 @@ impl SnapValue for DEv {
 pub struct DominoWorld {
     net: Network,
     cfg: DominoConfig,
-    engine: Engine<DEv>,
-    medium: Medium,
-    fe: FlowEngine,
+    plant: Plant<DEv>,
     backbone: Backbone,
     graph: ConflictGraph,
     scheduler: RandScheduler,
     converter: Converter,
     backlog: BacklogView,
     nodes: Vec<NodeRt>,
-    rto_gen: Vec<u64>,
     geo: SlotGeometry,
     rop_dur: SimDuration,
     next_slot_id: u64,
@@ -535,23 +484,11 @@ pub struct DominoWorld {
     /// report wave is the execution-anchored clock that paces the next
     /// compute.
     post_poll_exec: SimDuration,
-    /// Node-class fault source (AP crashes, compute stalls, stale
-    /// reports). All draws short-circuit when the class is off.
-    node_faults: NodeFaults,
-    /// Until when each crashed AP stays dark (ignores batch programs and
-    /// triggers).
-    ap_dark_until: Vec<SimTime>,
-    /// Crash flag per AP: the first batch accepted after the downtime
-    /// counts as the recovery.
-    ap_crashed: Vec<bool>,
     /// Per-link last truthful ROP value — what a stale report replays.
     last_rop: Vec<u32>,
     /// Consecutive watchdog restarts with zero deliveries in between
     /// (storm detection, see `DominoCounters::watchdog_storms`).
     wd_streak: u64,
-    /// Observation-only trace sink and cost profiler (off by default;
-    /// excluded from snapshots — a restored run profiles from zero).
-    probe: Probe,
     /// Monotone batch id for BatchBegin/BatchEnd trace pairing.
     batch_seq: u64,
     // ---- warm-standby control plane (inert unless `faults.standby`) ----
@@ -609,19 +546,14 @@ impl World for DominoWorld {
     type Event = DEv;
 
     fn new(inputs: &RunInputs<'_>, cfg: DominoConfig, probe: Probe) -> DominoWorld {
-        let RunInputs { net, workload, duration_s, seed, faults } = *inputs;
+        let RunInputs { net, workload, seed, faults, .. } = *inputs;
         let geo = slot_geometry(net.phy().data_rate, workload.packet_bytes);
         let rop_dur = rop_slot_duration(net.phy().data_rate);
-        let plane = FaultPlane::new(faults, seed, &client_indices(net), duration_s);
-        let mut medium = Medium::new(net.clone(), seed);
-        if plane.cfg.enabled() {
-            medium.set_faults(plane.medium);
-        }
-        medium.set_probe(probe.clone());
+        let mut plant = Plant::new(inputs, probe);
         let mut backbone = Backbone::new(cfg.wired.clone(), seed);
         backbone.set_loss(faults.wired_loss);
         backbone.set_spikes(faults.wired_spike, faults.wired_spike_us);
-        backbone.set_tracer(probe.trace.clone());
+        backbone.set_tracer(plant.probe.trace.clone());
         let mut standby_bb = Backbone::on_streams(
             cfg.wired.clone(),
             seed,
@@ -630,25 +562,15 @@ impl World for DominoWorld {
         );
         standby_bb.set_loss(faults.wired_loss);
         standby_bb.set_spikes(faults.wired_spike, faults.wired_spike_us);
-        let mut engine = Engine::new();
-        engine.set_liveness(DEFAULT_EVENT_BUDGET, DEFAULT_LIVENESS_WINDOW);
-        engine.set_probe(probe.clone());
-        let fe = FlowEngine::new(net, workload, duration_s);
-        for flow in fe.udp_flows() {
-            engine.schedule_at(fe.udp_next_arrival(flow), DEv::UdpArrival { flow });
-        }
-        for flow in fe.tcp_flows() {
-            engine.schedule_at(SimTime::ZERO + TCP_TICK, DEv::TcpTick { flow });
-        }
-        engine.schedule_at(SimTime::ZERO, DEv::ControllerCompute { gen: 0 });
+        plant.schedule(SimTime::ZERO, DEv::ControllerCompute { gen: 0 });
         let hb_every = SimDuration::from_secs_f64(faults.standby_heartbeat_us * 1e-6);
         let ckpt_every = SimDuration::from_secs_f64(faults.standby_checkpoint_us * 1e-6);
         if faults.standby {
-            engine.schedule_at(SimTime::ZERO + hb_every, DEv::CtrlHeartbeat);
-            engine.schedule_at(SimTime::ZERO + ckpt_every, DEv::CtrlCheckpoint);
+            plant.schedule(SimTime::ZERO + hb_every, DEv::CtrlHeartbeat);
+            plant.schedule(SimTime::ZERO + ckpt_every, DEv::CtrlCheckpoint);
             // The probe runs half a period out of phase so an in-flight
             // heartbeat lands before it is judged missing.
-            engine.schedule_at(
+            plant.schedule(
                 SimTime::ZERO
                     + SimDuration::from_secs_f64(faults.standby_heartbeat_us * 1.5e-6),
                 DEv::StandbyProbe,
@@ -666,22 +588,18 @@ impl World for DominoWorld {
             })
             .collect();
         let signature_of = net.nodes().iter().map(|n| n.signature as u32).collect();
-        let num_flows = workload.flows.len();
         let ap_list = net.aps();
         let clients = (0..net.num_nodes())
             .map(|n| net.clients_of(NodeId(n as u32)))
             .collect();
         DominoWorld {
-            engine,
-            medium,
-            fe,
+            plant,
             backbone,
             graph: ConflictGraph::build(net),
             scheduler: RandScheduler::new(net.links().len()),
             converter: Converter::new(cfg.converter.clone()),
             backlog: BacklogView::new(net.links().len()),
             nodes,
-            rto_gen: vec![0; num_flows],
             geo,
             rop_dur,
             next_slot_id: 0,
@@ -692,12 +610,8 @@ impl World for DominoWorld {
             dispatch_time: SimTime::ZERO,
             exec_estimate: SimDuration::ZERO,
             post_poll_exec: SimDuration::ZERO,
-            node_faults: plane.node,
-            ap_dark_until: vec![SimTime::ZERO; net.num_nodes()],
-            ap_crashed: vec![false; net.num_nodes()],
             last_rop: vec![0; net.links().len()],
             wd_streak: 0,
-            probe,
             batch_seq: 0,
             standby_on: faults.standby,
             standby_bb,
@@ -726,64 +640,34 @@ impl World for DominoWorld {
         }
     }
 
-    fn engine(&mut self) -> &mut Engine<DEv> {
-        &mut self.engine
-    }
-
-    fn stats(&mut self) -> &mut RunStats {
-        &mut self.fe.stats
+    fn plant(&mut self) -> &mut Plant<DEv> {
+        &mut self.plant
     }
 
     fn finalize(mut self) -> RunStats {
-        // End-of-run profile flush: timer-wheel op counts and the raw
-        // draw totals of every live RNG stream. These accessors read
-        // plain counters — no draws, no allocation, no behavior change —
-        // and `add` is a no-op when the handle is off.
-        self.engine.profile_wheel();
-        self.probe.prof.add(CostPath::RngPhyError, self.medium.phy_rng_draws());
-        self.probe.prof.add(
+        self.plant.probe.prof.add(
             CostPath::RngWired,
             self.backbone.rng_draws() + self.standby_bb.rng_draws(),
         );
-        self.probe.prof.add(
-            CostPath::RngFaults,
-            self.node_faults.rng_draws()
-                + self.medium.faults().map(|f| f.rng_draws()).unwrap_or(0),
-        );
-        self.fe.stats.events = self.engine.events_processed();
-        self.fe.stats.tcp_retransmissions = self.fe.tcp_retransmissions();
-        self.fe.stats.domino = self.counters;
-        self.fe.stats.faults.merge_node(&self.node_faults);
-        self.fe.stats.faults.merge_backbone(
-            self.backbone.messages_lost(),
-            self.backbone.spikes_injected(),
-        );
-        self.fe.stats.faults.merge_backbone(
-            self.standby_bb.messages_lost(),
-            self.standby_bb.spikes_injected(),
-        );
-        if let Some(mf) = self.medium.faults() {
-            self.fe.stats.faults.merge_medium(mf);
+        let stats = &mut self.plant.fe.stats;
+        stats.domino = self.counters;
+        for bb in [&self.backbone, &self.standby_bb] {
+            stats.faults.merge_backbone(bb.messages_lost(), bb.spikes_injected());
         }
-        self.fe.stats
+        self.plant.finish()
     }
 
     /// Serialize everything the run's future depends on. Scratch storage
     /// (`rx_buf`, the controller's compute buffers, the dispatch pools)
     /// is empty between events and rebuilt on demand, so it is
     /// deliberately not part of the image.
-    fn snapshot_save(&mut self, w: &mut SnapWriter) {
-        self.engine.snapshot_save(w);
-        self.medium.snapshot_save(w);
-        self.fe.snapshot_save(w);
+    fn snapshot_save(&self, w: &mut SnapWriter) {
         self.backbone.save(w);
         self.standby_bb.save(w);
         self.scheduler.save(w);
         self.converter.save(w);
         self.backlog.save(w);
-        self.node_faults.save(w);
         self.nodes.put(w);
-        self.rto_gen.put(w);
         w.put_u64(self.next_slot_id);
         self.counters.put(w);
         w.put_u64(self.compute_gen);
@@ -791,8 +675,6 @@ impl World for DominoWorld {
         self.dispatch_time.put(w);
         self.exec_estimate.put(w);
         self.post_poll_exec.put(w);
-        self.ap_dark_until.put(w);
-        self.ap_crashed.put(w);
         self.last_rop.put(w);
         w.put_u64(self.wd_streak);
         w.put_u64(self.batch_seq);
@@ -806,25 +688,12 @@ impl World for DominoWorld {
     }
 
     fn snapshot_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.engine.snapshot_restore(r)?;
-        self.medium.snapshot_restore(r)?;
-        self.fe.snapshot_restore(r)?;
         self.backbone.restore(r)?;
         self.standby_bb.restore(r)?;
         self.scheduler.restore(r)?;
         self.converter.restore(r)?;
         self.backlog.restore(r)?;
-        self.node_faults.restore(r)?;
-        let nodes: Vec<NodeRt> = SnapValue::thaw(r)?;
-        if nodes.len() != self.nodes.len() {
-            return Err(SnapError::Corrupt("node table length"));
-        }
-        self.nodes = nodes;
-        let rto_gen: Vec<u64> = SnapValue::thaw(r)?;
-        if rto_gen.len() != self.rto_gen.len() {
-            return Err(SnapError::Corrupt("rto gen table length"));
-        }
-        self.rto_gen = rto_gen;
+        restore_table(&mut self.nodes, r, "node table length")?;
         self.next_slot_id = r.get_u64()?;
         self.counters = SnapValue::thaw(r)?;
         self.compute_gen = r.get_u64()?;
@@ -832,21 +701,7 @@ impl World for DominoWorld {
         self.dispatch_time = SnapValue::thaw(r)?;
         self.exec_estimate = SnapValue::thaw(r)?;
         self.post_poll_exec = SnapValue::thaw(r)?;
-        let dark: Vec<SimTime> = SnapValue::thaw(r)?;
-        if dark.len() != self.ap_dark_until.len() {
-            return Err(SnapError::Corrupt("ap dark table length"));
-        }
-        self.ap_dark_until = dark;
-        let crashed: Vec<bool> = SnapValue::thaw(r)?;
-        if crashed.len() != self.ap_crashed.len() {
-            return Err(SnapError::Corrupt("ap crash table length"));
-        }
-        self.ap_crashed = crashed;
-        let last_rop: Vec<u32> = SnapValue::thaw(r)?;
-        if last_rop.len() != self.last_rop.len() {
-            return Err(SnapError::Corrupt("rop table length"));
-        }
-        self.last_rop = last_rop;
+        restore_table(&mut self.last_rop, r, "rop table length")?;
         self.wd_streak = r.get_u64()?;
         self.batch_seq = r.get_u64()?;
         self.ctrl_down = SnapValue::thaw(r)?;
@@ -859,26 +714,14 @@ impl World for DominoWorld {
         Ok(())
     }
 
-    fn handle(&mut self, now: SimTime, ev: DEv) {
-        self.probe.prof.tick(Self::classify(&ev));
+    fn handle(&mut self, now: SimTime, ev: Ev<DEv>) {
+        // Every tick and RTO re-arms every flow's RTO.
+        let ev = match self.plant.step(now, ev, RtoScope::All) {
+            Step::Arrived(_) | Step::Released | Step::Stale => return,
+            Step::TxEnd(tx) => return self.on_tx_end(now, tx),
+            Step::Scheme(ev) => ev,
+        };
         match ev {
-            DEv::UdpArrival { flow } => {
-                let _ = self.fe.udp_arrive(flow);
-                self.engine
-                    .schedule_at(self.fe.udp_next_arrival(flow), DEv::UdpArrival { flow });
-            }
-            DEv::TcpTick { flow } => {
-                self.fe.tcp_tick(flow, now);
-                self.engine.schedule_in(TCP_TICK, DEv::TcpTick { flow });
-                self.sync_all_rto(now);
-            }
-            DEv::TcpRto { flow, gen } => {
-                if self.rto_gen[flow] == gen {
-                    self.fe.tcp_timer(flow, now);
-                    self.sync_all_rto(now);
-                }
-            }
-            DEv::TxEnd { tx } => self.on_tx_end(now, tx),
             DEv::BatchArrive { ap, msg } => self.on_batch_arrive(now, ap as usize, msg),
             DEv::ReportArrive { link, queue } => {
                 if !self.ctrl_alive(now) {
@@ -894,7 +737,7 @@ impl World for DominoWorld {
                 if self.awaiting_report && batch_age >= SimDuration::from_micros(400) {
                     self.awaiting_report = false;
                     let batch_id = self.batch_seq;
-                    self.probe.trace.emit(now.as_nanos(), move || TraceEvent::BatchEnd {
+                    self.plant.probe.trace.emit(now.as_nanos(), move || TraceEvent::BatchEnd {
                         batch: batch_id,
                     });
                     let lead = SimDuration::from_micros_f64(self.cfg.wired.mean_us)
@@ -902,15 +745,14 @@ impl World for DominoWorld {
                     let at = (now + self.post_poll_exec.saturating_sub(lead))
                         .max(now + SimDuration::from_micros(150));
                     self.compute_gen += 1;
-                    self.engine
-                        .schedule_at(at, DEv::ControllerCompute { gen: self.compute_gen });
+                    self.plant.schedule(at, DEv::ControllerCompute { gen: self.compute_gen });
                 }
             }
             DEv::ControllerCompute { gen } => {
                 if gen == self.compute_gen && self.ctrl_alive(now) {
                     // The crash draw sits at the accept site so the class
                     // costs zero RNG draws when it is off.
-                    if let Some(downtime) = self.node_faults.ctrl_crash() {
+                    if let Some(downtime) = self.plant.node_faults.ctrl_crash() {
                         self.on_ctrl_crash(now, downtime);
                     } else {
                         self.controller_compute(now);
@@ -935,10 +777,10 @@ impl World for DominoWorld {
                 // emits nothing until its successor takes over.
                 if self.ctrl_alive(now) {
                     if let Some(m) = self.standby_bb.try_send(now, ()) {
-                        self.engine.schedule_at(m.deliver_at, DEv::HeartbeatArrive);
+                        self.plant.schedule(m.deliver_at, DEv::HeartbeatArrive);
                     }
                 }
-                self.engine.schedule_at(now + self.hb_every, DEv::CtrlHeartbeat);
+                self.plant.schedule(now + self.hb_every, DEv::CtrlHeartbeat);
             }
             DEv::CtrlCheckpoint => {
                 if self.ctrl_alive(now) {
@@ -948,16 +790,16 @@ impl World for DominoWorld {
                     self.converter.save(&mut w);
                     let state = w.into_bytes();
                     let len = state.len() as u32;
-                    self.probe.trace.emit(now.as_nanos(), move || TraceEvent::CtrlCheckpoint {
+                    self.plant.probe.trace.emit(now.as_nanos(), move || TraceEvent::CtrlCheckpoint {
                         bytes: len,
                     });
                     if let Some(m) = self.standby_bb.try_send(now, ()) {
-                        self.engine.schedule_at(m.deliver_at, DEv::CkptArrive { state });
+                        self.plant.schedule(m.deliver_at, DEv::CkptArrive { state });
                     }
                     // A lost checkpoint is not re-sent: the next period's
                     // image supersedes it anyway.
                 }
-                self.engine.schedule_at(now + self.ckpt_every, DEv::CtrlCheckpoint);
+                self.plant.schedule(now + self.ckpt_every, DEv::CtrlCheckpoint);
             }
             DEv::HeartbeatArrive => self.hb_seen = true,
             DEv::CkptArrive { state } => {
@@ -980,7 +822,7 @@ impl World for DominoWorld {
                 if self.ctrl_down && self.hb_missed >= self.missed_k {
                     self.promote_standby(now);
                 }
-                self.engine.schedule_at(now + self.hb_every, DEv::StandbyProbe);
+                self.plant.schedule(now + self.hb_every, DEv::StandbyProbe);
             }
         }
     }
@@ -999,7 +841,7 @@ impl DominoWorld {
     /// promotes it; without it, a cold restart loses the scheduler,
     /// backlog and converter state and sits out the full downtime.
     fn on_ctrl_crash(&mut self, now: SimTime, downtime: SimDuration) {
-        self.probe.trace.emit(now.as_nanos(), || TraceEvent::FaultInject {
+        self.plant.probe.trace.emit(now.as_nanos(), || TraceEvent::FaultInject {
             kind: FaultKind::CtrlCrash,
             node: u32::MAX, // the controller is not a radio node
         });
@@ -1014,10 +856,9 @@ impl DominoWorld {
         self.scheduler = RandScheduler::new(self.net.links().len());
         self.backlog = BacklogView::new(self.net.links().len());
         self.converter = Converter::new(self.cfg.converter.clone());
-        self.fe.stats.faults.recovery_ns += downtime.as_nanos();
+        self.plant.fe.stats.faults.recovery_ns += downtime.as_nanos();
         self.ctrl_dark_until = now + downtime;
-        self.engine
-            .schedule_at(self.ctrl_dark_until, DEv::ControllerCompute { gen: self.compute_gen });
+        self.plant.schedule(self.ctrl_dark_until, DEv::ControllerCompute { gen: self.compute_gen });
     }
 
     /// The standby's failure detector fired: take over. Rebuild the
@@ -1044,30 +885,30 @@ impl DominoWorld {
         self.standby_buf.clear();
         let promotion_end = now + REPLAY_COST * replayed;
         let recovery = promotion_end.saturating_since(self.last_crash_at);
-        self.fe.stats.faults.standby_promotions += 1;
-        self.fe.stats.faults.replayed_reports += replayed;
-        self.fe.stats.faults.recovery_ns += recovery.as_nanos();
-        self.probe.trace.emit(now.as_nanos(), move || TraceEvent::StandbyPromote { replayed });
+        self.plant.fe.stats.faults.standby_promotions += 1;
+        self.plant.fe.stats.faults.replayed_reports += replayed;
+        self.plant.fe.stats.faults.recovery_ns += recovery.as_nanos();
+        let promote = move || TraceEvent::StandbyPromote { replayed };
+        self.plant.probe.trace.emit(now.as_nanos(), promote);
         self.ctrl_down = false;
         self.ctrl_dark_until = promotion_end;
         self.hb_missed = 0;
         self.hb_seen = false;
         self.compute_gen += 1;
-        self.engine
-            .schedule_at(promotion_end, DEv::ControllerCompute { gen: self.compute_gen });
+        self.plant.schedule(promotion_end, DEv::ControllerCompute { gen: self.compute_gen });
     }
 
     // ------------------------------------------------------- controller
 
     fn controller_compute(&mut self, now: SimTime) {
-        self.probe.prof.tick(CostPath::CtrlCompute);
+        self.plant.probe.prof.tick(CostPath::CtrlCompute);
         // Downlink queues are known instantly over the wire; uplinks only
         // through ROP reports. All three working buffers are world scratch
         // recycled across computes.
         let mut backlog = std::mem::take(&mut self.backlog_buf);
         backlog.clear();
         backlog.extend(self.net.links().iter().map(|l| match l.direction {
-            Direction::Downlink => self.fe.queue(l.id).len() as u32,
+            Direction::Downlink => self.plant.fe.queue(l.id).len() as u32,
             Direction::Uplink => self.backlog.estimate(l.id),
         }));
         let mut before = std::mem::take(&mut self.before_buf);
@@ -1076,7 +917,7 @@ impl DominoWorld {
         let mut strict = self
             .scheduler
             .schedule_batch(&self.graph, &mut backlog, self.cfg.batch_slots);
-        self.probe.prof.tick(CostPath::CtrlSchedule);
+        self.plant.probe.prof.tick(CostPath::CtrlSchedule);
         if strict.is_empty() {
             // Idle heartbeat: fake-only slots keep the trigger chains and
             // the ROP polling alive so new uplink backlog is discovered
@@ -1109,9 +950,9 @@ impl DominoWorld {
         let mut outcome = std::mem::take(&mut self.outcome_buf);
         self.converter
             .convert_into(&self.net, &self.graph, &strict, polling, &mut outcome);
-        self.probe.prof.tick(CostPath::CtrlConvert);
-        self.probe.prof.add_with(CostPath::CtrlSlots, || outcome.batch.slots.len() as u64);
-        self.probe.prof.add_with(CostPath::CtrlActions, || {
+        self.plant.probe.prof.tick(CostPath::CtrlConvert);
+        self.plant.probe.prof.add_with(CostPath::CtrlSlots, || outcome.batch.slots.len() as u64);
+        self.plant.probe.prof.add_with(CostPath::CtrlActions, || {
             outcome.batch.slots.iter().map(|s| s.entries.len() as u64).sum()
         });
         self.scheduler.recycle(strict);
@@ -1127,8 +968,8 @@ impl DominoWorld {
         if n_slots == 0 && outcome.batch.connecting_rop.is_none() {
             self.outcome_buf = outcome;
             self.compute_gen += 1;
-            self.engine.schedule_in(
-                SimDuration::from_millis(1),
+            self.plant.schedule(
+                now + SimDuration::from_millis(1),
                 DEv::ControllerCompute { gen: self.compute_gen },
             );
             return;
@@ -1159,17 +1000,7 @@ impl DominoWorld {
         // below is deliberately NOT extended: overrunning it — the next
         // compute firing while the late batch is still in flight — is the
         // injected failure mode.
-        let stall = match self.node_faults.compute_stall() {
-            Some(d) => {
-                // The controller is not a radio node; u32::MAX marks it.
-                self.probe.trace.emit(now.as_nanos(), || TraceEvent::FaultInject {
-                    kind: FaultKind::ComputeStall,
-                    node: u32::MAX,
-                });
-                d
-            }
-            None => SimDuration::ZERO,
-        };
+        let stall = self.plant.compute_stall(now);
         self.dispatch_batch(now, &outcome.batch, stall);
 
         // Pacing: the next batch is computed when this batch's first ROP
@@ -1191,21 +1022,20 @@ impl DominoWorld {
         self.dispatch_time = now;
         self.exec_estimate = exec;
         self.compute_gen += 1;
-        self.engine
-            .schedule_in(fallback, DEv::ControllerCompute { gen: self.compute_gen });
+        self.plant.schedule(now + fallback, DEv::ControllerCompute { gen: self.compute_gen });
         self.outcome_buf = outcome;
     }
 
     /// Turn a converted batch into per-AP wired messages, each delayed by
     /// `stall` (the controller's injected compute stall; zero normally).
     fn dispatch_batch(&mut self, now: SimTime, batch: &RelativeBatch, stall: SimDuration) {
-        self.probe.prof.tick(CostPath::CtrlDispatch);
+        self.plant.probe.prof.tick(CostPath::CtrlDispatch);
         let first_slot = self.next_slot_id;
         let retained_slot = first_slot.wrapping_sub(1);
         self.next_slot_id += batch.slots.len() as u64;
         self.batch_seq += 1;
         let batch_id = self.batch_seq;
-        self.probe.trace.emit(now.as_nanos(), || TraceEvent::BatchBegin {
+        self.plant.probe.trace.emit(now.as_nanos(), || TraceEvent::BatchBegin {
             batch: batch_id,
             first_slot,
             slots: batch.slots.len() as u32,
@@ -1363,10 +1193,9 @@ impl DominoWorld {
                 continue;
             }
             if let Some(m) = self.backbone.try_send(now, ()) {
-                self.probe.prof.tick(CostPath::CtrlDispatchMsgs);
+                self.plant.probe.prof.tick(CostPath::CtrlDispatchMsgs);
                 let msg = ApMessage { first_slot, actions, retained_updates };
-                self.engine
-                    .schedule_at(m.deliver_at + stall, DEv::BatchArrive { ap: ap.0, msg });
+                self.plant.schedule(m.deliver_at + stall, DEv::BatchArrive { ap: ap.0, msg });
             } else {
                 // A lost program is not re-sent: the controller's
                 // fallback timer paces the next compute regardless, and
@@ -1384,36 +1213,22 @@ impl DominoWorld {
     // --------------------------------------------------------- AP logic
 
     fn on_batch_arrive(&mut self, now: SimTime, ap: usize, msg: ApMessage) {
-        if now < self.ap_dark_until[ap] {
-            return; // crashed AP: the program dies with it
-        }
-        if let Some(downtime) = self.node_faults.crash() {
+        let rt = &mut self.nodes[ap];
+        let accepted = self.plant.ap_accepts(now, ap, || {
             // Crash with state loss: the program, pending starts, and the
             // unacked frame are gone; generation bumps retire every timer
             // the old incarnation armed. The AP rejoins lazily — the
-            // first batch delivered after the downtime restarts it.
-            self.probe.trace.emit(now.as_nanos(), || TraceEvent::FaultInject {
-                kind: FaultKind::ApCrash,
-                node: ap as u32,
-            });
-            let rt = &mut self.nodes[ap];
+            // first batch delivered after the downtime restarts it. A
+            // dark AP's program dies with it.
             rt.program.clear();
             rt.pending_start = false;
             rt.unacked = None;
             rt.acked = false;
             rt.bump();
             rt.wd_gen += 1;
-            self.ap_dark_until[ap] = now + downtime;
-            self.ap_crashed[ap] = true;
+        });
+        if !accepted {
             return;
-        }
-        if self.ap_crashed[ap] {
-            self.ap_crashed[ap] = false;
-            self.node_faults.recovered();
-            self.probe.trace.emit(now.as_nanos(), || TraceEvent::FaultRecover {
-                kind: FaultKind::ApCrash,
-                node: ap as u32,
-            });
         }
         let ApMessage { first_slot, mut actions, mut retained_updates } = msg;
         // Apply retained-slot burst updates to still-pending actions.
@@ -1439,8 +1254,7 @@ impl DominoWorld {
         for a in &actions {
             if a.kick_off {
                 let offset = self.geo.total * a.slot.saturating_sub(first_slot);
-                self.engine
-                    .schedule_at(now + offset, DEv::KickOff { ap: ap as u32, slot: a.slot });
+                self.plant.schedule(now + offset, DEv::KickOff { ap: ap as u32, slot: a.slot });
             }
         }
         self.counters.actions_dispatched += actions.len() as u64;
@@ -1491,17 +1305,16 @@ impl DominoWorld {
         }
         self.nodes[ap].wd_gen += 1;
         let gen = self.nodes[ap].wd_gen;
-        self.engine
-            .schedule_at(now + self.cfg.watchdog, DEv::Watchdog { ap: ap as u32, gen });
+        self.plant.schedule(now + self.cfg.watchdog, DEv::Watchdog { ap: ap as u32, gen });
     }
 
     /// A node detected its own signature in a burst: (re-)anchor its slot
     /// start to this (the last) trigger (§3.4).
     fn on_trigger(&mut self, now: SimTime, node: usize, marker: BurstMarker, slot: u64) {
-        if self.medium.is_transmitting(NodeId(node as u32)) {
+        if self.plant.medium.is_transmitting(NodeId(node as u32)) {
             return; // a transmitting radio cannot run its correlator
         }
-        if now < self.ap_dark_until[node] {
+        if self.plant.ap_dark(node, now) {
             return; // crashed: the radio is down
         }
         if now < self.nodes[node].busy_until {
@@ -1517,7 +1330,7 @@ impl DominoWorld {
             (BurstMarker::Rop, false) => self.rop_dur + SLOT_TIME,
             (BurstMarker::Start, _) => SLOT_TIME,
         };
-        self.probe.trace.emit(now.as_nanos(), || TraceEvent::TriggerFire {
+        self.plant.probe.trace.emit(now.as_nanos(), || TraceEvent::TriggerFire {
             node: node as u32,
             slot,
         });
@@ -1529,8 +1342,7 @@ impl DominoWorld {
     fn schedule_start(&mut self, at: SimTime, node: usize, slot: u64) {
         let gen = self.nodes[node].bump();
         self.nodes[node].pending_start = true;
-        self.engine
-            .schedule_at(at, DEv::SlotStart { node: node as u32, gen, slot });
+        self.plant.schedule(at, DEv::SlotStart { node: node as u32, gen, slot });
     }
 
     /// Self-trigger: the node finishing slot `s` (which started at
@@ -1553,7 +1365,7 @@ impl DominoWorld {
             return;
         }
         self.nodes[node].pending_start = false;
-        if self.medium.is_transmitting(NodeId(node as u32)) {
+        if self.plant.medium.is_transmitting(NodeId(node as u32)) {
             return;
         }
         // The node is now committed to this slot's exchange; its
@@ -1663,7 +1475,7 @@ impl DominoWorld {
         // its next trigger arrives.
         let packet = match self.nodes[client].unacked.take() {
             Some(p) => Some(p),
-            None => self.fe.queue_mut(uplink).pop(),
+            None => self.plant.fe.queue_mut(uplink).pop(),
         };
         self.transmit_exchange(now, NodeId(client as u32), uplink, packet, None, slot);
     }
@@ -1685,15 +1497,15 @@ impl DominoWorld {
             Some(p) => {
                 // Different destination: back to its queue for the
                 // scheduler.
-                let _ = self.fe.queue_mut(p.link).push_front(p);
-                self.fe.queue_mut(link).pop()
+                let _ = self.plant.fe.queue_mut(p.link).push_front(p);
+                self.plant.fe.queue_mut(link).pop()
             }
-            None => self.fe.queue_mut(link).pop(),
+            None => self.plant.fe.queue_mut(link).pop(),
         };
         // The AP's burst goes out at the fixed offset regardless of the
         // exchange outcome (its job is to trigger the next slot).
         if let Some(b) = own_burst {
-            self.engine.schedule_at(
+            self.plant.schedule(
                 now + self.geo.burst_start,
                 DEv::SendBurst { node: sender.0, burst: b },
             );
@@ -1711,19 +1523,19 @@ impl DominoWorld {
         client_burst: Option<Burst>,
         slot: u64,
     ) {
-        if self.medium.is_transmitting(sender) {
+        if self.plant.medium.is_transmitting(sender) {
             if let Some(p) = packet {
-                let _ = self.fe.queue_mut(link).push_front(p);
+                let _ = self.plant.fe.queue_mut(link).push_front(p);
             }
             return;
         }
-        self.fe.stats.slot_starts.push(crate::workload::SlotStartRecord {
+        self.plant.fe.stats.slot_starts.push(crate::workload::SlotStartRecord {
             slot,
             start_ns: now.as_nanos(),
             link,
             fake: packet.is_none(),
         });
-        self.probe.trace.emit(now.as_nanos(), || TraceEvent::SlotStart {
+        self.plant.probe.trace.emit(now.as_nanos(), || TraceEvent::SlotStart {
             slot,
             link: link.0,
             fake: packet.is_none(),
@@ -1733,7 +1545,7 @@ impl DominoWorld {
                 self.nodes[sender.index()].unacked = Some(p);
                 self.nodes[sender.index()].acked = false;
                 let gen = self.nodes[sender.index()].gen;
-                self.engine.schedule_at(
+                self.plant.schedule(
                     now + self.geo.ack_start + self.geo.ack_airtime + SLOT_TIME,
                     DEv::AckCheck { node: sender.0, gen },
                 );
@@ -1767,20 +1579,17 @@ impl DominoWorld {
                 fake_airtime(self.net.phy().data_rate) + crate::timing::INSTRUCTION_APPENDIX,
             ),
         };
-        let tx = self.medium.begin(now, frame);
-        self.engine.schedule_at(now + airtime, DEv::TxEnd { tx });
+        self.plant.transmit(now, frame, airtime);
     }
 
     fn start_poll(&mut self, now: SimTime, ap: NodeId) {
-        if self.medium.is_transmitting(ap) {
+        if self.plant.medium.is_transmitting(ap) {
             return;
         }
-        self.probe.prof.tick(CostPath::RopPoll);
-        self.probe.trace.emit(now.as_nanos(), || TraceEvent::RopPoll { ap: ap.0 });
+        self.plant.probe.prof.tick(CostPath::RopPoll);
+        self.plant.probe.trace.emit(now.as_nanos(), || TraceEvent::RopPoll { ap: ap.0 });
         let frame = Frame { src: ap, body: FrameBody::Poll { ap }, bits: POLL_BYTES * 8 };
-        let tx = self.medium.begin(now, frame);
-        self.engine
-            .schedule_at(now + poll_airtime(self.net.phy().data_rate), DEv::TxEnd { tx });
+        self.plant.transmit(now, frame, poll_airtime(self.net.phy().data_rate));
     }
 
     // ------------------------------------------------------- receptions
@@ -1790,7 +1599,7 @@ impl DominoWorld {
         // here and the storage goes back on `self.rx_buf` below.
         let mut receptions = std::mem::take(&mut self.rx_buf);
         receptions.clear();
-        self.medium.end_into(tx, now, &mut receptions);
+        self.plant.medium.end_into(tx, now, &mut receptions);
         for r in &receptions {
             let rx = r.rx.index();
             match &r.frame.body {
@@ -1798,7 +1607,7 @@ impl DominoWorld {
                     let l = *self.net.link(packet.link);
                     let intended = if l.is_downlink() { l.client() } else { l.ap };
                     if r.rx == intended {
-                        self.probe.trace.emit(now.as_nanos(), || TraceEvent::SlotEnd {
+                        self.plant.probe.trace.emit(now.as_nanos(), || TraceEvent::SlotEnd {
                             link: packet.link.0,
                             delivered: r.success && !*fake,
                         });
@@ -1807,8 +1616,8 @@ impl DominoWorld {
                         continue;
                     }
                     if !*fake {
-                        self.fe.deliver(packet, now);
-                        self.sync_all_rto(now);
+                        self.plant.fe.deliver(packet, now);
+                        self.plant.rearm_all_rtos(now);
                         self.wd_streak = 0; // progress: the storm streak ends
                     }
                     let ap_is_receiver = self.net.node(r.rx).is_ap();
@@ -1826,8 +1635,7 @@ impl DominoWorld {
                     if !ap_is_receiver {
                         if let Some(b) = client_burst {
                             let at = now + (self.geo.burst_start - elapsed);
-                            self.engine
-                                .schedule_at(at, DEv::SendBurst { node: r.rx.0, burst: *b });
+                            self.plant.schedule(at, DEv::SendBurst { node: r.rx.0, burst: *b });
                             if b.continues {
                                 let rop = b.marker == BurstMarker::Rop;
                                 self.self_trigger_after_slot(now - elapsed, rx, b.slot, rop);
@@ -1849,9 +1657,9 @@ impl DominoWorld {
                     // fake exchange's header ends early, and an early ACK
                     // would land inside concurrent links' data phases.
                     let must_ack = !*fake || (ap_is_receiver && reply_burst.is_some());
-                    if must_ack && !self.medium.is_transmitting(r.rx) {
+                    if must_ack && !self.plant.medium.is_transmitting(r.rx) {
                         let ack_at = now + (self.geo.ack_start - elapsed);
-                        self.engine.schedule_at(
+                        self.plant.schedule(
                             ack_at,
                             DEv::SendAck { rx: r.rx.0, packet: *packet, client_burst: reply_burst },
                         );
@@ -1872,7 +1680,7 @@ impl DominoWorld {
                     // ACK; it bursts one slot later.
                     if let Some(b) = client_burst {
                         if !self.net.node(r.rx).is_ap() {
-                            self.engine.schedule_at(
+                            self.plant.schedule(
                                 now + SLOT_TIME,
                                 DEv::SendBurst { node: r.rx.0, burst: *b },
                             );
@@ -1902,15 +1710,15 @@ impl DominoWorld {
                     if !r.success {
                         continue;
                     }
-                    self.engine
-                        .schedule_at(now + SLOT_TIME, DEv::RopAnswer { client: r.rx.0, ap: ap.0 });
+                    let answer = DEv::RopAnswer { client: r.rx.0, ap: ap.0 };
+                    self.plant.schedule(now + SLOT_TIME, answer);
                 }
                 FrameBody::RopReport { client, ap, queue } => {
                     if !r.success {
                         continue;
                     }
-                    self.probe.prof.tick(CostPath::RopReport);
-                    self.probe.trace.emit(now.as_nanos(), || TraceEvent::RopReport {
+                    self.plant.probe.prof.tick(CostPath::RopReport);
+                    self.plant.probe.trace.emit(now.as_nanos(), || TraceEvent::RopReport {
                         client: client.0,
                         ap: ap.0,
                         queue: *queue,
@@ -1923,7 +1731,7 @@ impl DominoWorld {
                         .map(|l| l.id);
                     if let Some(link) = uplink {
                         if let Some(m) = self.backbone.try_send(now, ()) {
-                            self.engine.schedule_at(
+                            self.plant.schedule(
                                 m.deliver_at,
                                 DEv::ReportArrive { link: link.0, queue: *queue },
                             );
@@ -1932,7 +1740,7 @@ impl DominoWorld {
                         // so its post-checkpoint delta stays current.
                         if self.standby_on {
                             if let Some(m) = self.standby_bb.try_send(now, ()) {
-                                self.engine.schedule_at(
+                                self.plant.schedule(
                                     m.deliver_at,
                                     DEv::StandbyReport { link: link.0, queue: *queue },
                                 );
@@ -1943,16 +1751,16 @@ impl DominoWorld {
                 FrameBody::SignatureBurst(b) => {
                     if !r.success {
                         self.counters.triggers_failed += 1;
-                        self.probe.prof.tick(CostPath::SigMiss);
-                        self.probe.trace.emit(now.as_nanos(), || TraceEvent::SigMiss {
+                        self.plant.probe.prof.tick(CostPath::SigMiss);
+                        self.plant.probe.trace.emit(now.as_nanos(), || TraceEvent::SigMiss {
                             node: r.rx.0,
                             slot: b.slot,
                         });
                         continue;
                     }
                     self.counters.triggers_detected += 1;
-                    self.probe.prof.tick(CostPath::SigDetect);
-                    self.probe.trace.emit(now.as_nanos(), || TraceEvent::SigDetect {
+                    self.plant.probe.prof.tick(CostPath::SigDetect);
+                    self.plant.probe.trace.emit(now.as_nanos(), || TraceEvent::SigDetect {
                         node: r.rx.0,
                         slot: b.slot,
                     });
@@ -1986,7 +1794,7 @@ impl DominoWorld {
             // The data phase consumed `elapsed`; the burst sits at the
             // slot's fixed offset.
             let at = now + (self.geo.burst_start - elapsed);
-            self.engine.schedule_at(at, DEv::SendBurst { node: ap as u32, burst: b });
+            self.plant.schedule(at, DEv::SendBurst { node: ap as u32, burst: b });
         }
         self.maybe_self_trigger(now - elapsed, ap, action.slot);
         action.client_burst
@@ -2001,7 +1809,7 @@ impl DominoWorld {
         packet: Packet,
         client_burst: Option<Burst>,
     ) {
-        if self.medium.is_transmitting(NodeId(rx as u32)) {
+        if self.plant.medium.is_transmitting(NodeId(rx as u32)) {
             return;
         }
         let frame = Frame {
@@ -2009,12 +1817,11 @@ impl DominoWorld {
             body: FrameBody::MacAck { packet: packet.id, link: packet.link, client_burst },
             bits: ACK_BYTES * 8,
         };
-        let tx = self.medium.begin(now, frame);
-        self.engine.schedule_at(now + self.geo.ack_airtime, DEv::TxEnd { tx });
+        self.plant.transmit(now, frame, self.geo.ack_airtime);
     }
 
     fn on_send_burst(&mut self, now: SimTime, node: usize, burst: Burst) {
-        if burst.targets.is_empty() || self.medium.is_transmitting(NodeId(node as u32)) {
+        if burst.targets.is_empty() || self.plant.medium.is_transmitting(NodeId(node as u32)) {
             return;
         }
         let frame = Frame {
@@ -2023,8 +1830,8 @@ impl DominoWorld {
             bits: 0,
         };
         self.counters.bursts_sent += 1;
-        self.probe.prof.tick(CostPath::SigEmit);
-        self.probe.prof.add_with(CostPath::SigTargets, || {
+        self.plant.probe.prof.tick(CostPath::SigEmit);
+        self.plant.probe.prof.add_with(CostPath::SigTargets, || {
             if let FrameBody::SignatureBurst(b) = &frame.body {
                 b.targets.len() as u64
             } else {
@@ -2032,15 +1839,13 @@ impl DominoWorld {
             }
         });
         if let FrameBody::SignatureBurst(b) = &frame.body {
-            self.probe.trace.emit(now.as_nanos(), || TraceEvent::SigEmit {
+            self.plant.probe.trace.emit(now.as_nanos(), || TraceEvent::SigEmit {
                 node: node as u32,
                 slot: b.slot,
                 targets: b.targets.iter().map(|t| t.0).collect(),
             });
         }
-        let tx = self.medium.begin(now, frame);
-        self.engine
-            .schedule_at(now + crate::timing::BURST_DURATION, DEv::TxEnd { tx });
+        self.plant.transmit(now, frame, crate::timing::BURST_DURATION);
     }
 
     fn on_ack_check(&mut self, _now: SimTime, node: usize, _gen: u64) {
@@ -2050,13 +1855,13 @@ impl DominoWorld {
         }
         if self.nodes[node].unacked.is_some() {
             // Kept for the §3.5 retransmission paths; count the miss.
-            self.fe.stats.ack_timeouts += 1;
-            self.fe.stats.retries += 1;
+            self.plant.fe.stats.ack_timeouts += 1;
+            self.plant.fe.stats.retries += 1;
         }
     }
 
     fn on_rop_answer(&mut self, now: SimTime, client: usize, ap: usize) {
-        if self.medium.is_transmitting(NodeId(client as u32)) {
+        if self.plant.medium.is_transmitting(NodeId(client as u32)) {
             return;
         }
         let uplink = self
@@ -2066,13 +1871,13 @@ impl DominoWorld {
             .find(|l| l.sender == NodeId(client as u32))
             .map(|l| l.id);
         let Some(link) = uplink else { return };
-        let fresh =
-            self.fe.queue(link).rop_report() + u32::from(self.nodes[client].unacked.is_some());
+        let unacked = u32::from(self.nodes[client].unacked.is_some());
+        let fresh = self.plant.fe.queue(link).rop_report() + unacked;
         // Stale-report fault: the client replays the previous round's
         // value instead of the live queue state.
-        let stale = self.node_faults.report_stale();
+        let stale = self.plant.node_faults.report_stale();
         if stale {
-            self.probe.trace.emit(now.as_nanos(), || TraceEvent::FaultInject {
+            self.plant.probe.trace.emit(now.as_nanos(), || TraceEvent::FaultInject {
                 kind: FaultKind::StaleRop,
                 node: client as u32,
             });
@@ -2088,8 +1893,7 @@ impl DominoWorld {
             },
             bits: 0,
         };
-        let tx = self.medium.begin(now, frame);
-        self.engine.schedule_at(now + ROP_SYMBOL, DEv::TxEnd { tx });
+        self.plant.transmit(now, frame, ROP_SYMBOL);
     }
 
     fn on_watchdog(&mut self, now: SimTime, ap: usize, gen: u64) {
@@ -2103,9 +1907,9 @@ impl DominoWorld {
         // Never restart into an active channel: the "stall" may be an
         // exchange we are part of (e.g. the uplink data we are waiting
         // for is in flight right now — a burst would deafen us to it).
-        if self.medium.is_busy(NodeId(ap as u32)) {
+        if self.plant.medium.is_busy(NodeId(ap as u32)) {
             let gen = self.nodes[ap].wd_gen;
-            self.engine.schedule_at(
+            self.plant.schedule(
                 now + SimDuration::from_micros(200),
                 DEv::Watchdog { ap: ap as u32, gen },
             );
@@ -2151,8 +1955,8 @@ impl DominoWorld {
         if head.slot > slot {
             return; // already past it
         }
-        if self.medium.is_busy(NodeId(ap as u32)) {
-            self.engine.schedule_at(
+        if self.plant.medium.is_busy(NodeId(ap as u32)) {
+            self.plant.schedule(
                 now + SimDuration::from_micros(100),
                 DEv::KickOff { ap: ap as u32, slot },
             );
@@ -2174,28 +1978,11 @@ impl DominoWorld {
             _ => self.schedule_start(now, ap, slot),
         }
     }
+}
 
-    // ---------------------------------------------------------- traffic
-
-    fn sync_all_rto(&mut self, now: SimTime) {
-        for flow in self.fe.tcp_flows() {
-            self.rto_gen[flow] += 1;
-            if let Some(deadline) = self.fe.tcp_rto_deadline(flow) {
-                self.engine
-                    .schedule_at(deadline.max(now), DEv::TcpRto { flow, gen: self.rto_gen[flow] });
-            }
-        }
-    }
-
-    /// Cost-attribution class of one event (see `domino_obs::CostPath`).
-    /// Exhaustive on purpose: a new `DEv` variant must pick its bucket,
-    /// which keeps the profiler's event attribution at 100%.
-    fn classify(ev: &DEv) -> CostPath {
-        match ev {
-            DEv::UdpArrival { .. } | DEv::TcpTick { .. } | DEv::TcpRto { .. } => {
-                CostPath::EvTraffic
-            }
-            DEv::TxEnd { .. } => CostPath::EvMedium,
+impl SchemeEvent for DEv {
+    fn cost_class(&self) -> CostPath {
+        match self {
             DEv::BatchArrive { .. }
             | DEv::ReportArrive { .. }
             | DEv::ControllerCompute { .. } => CostPath::EvController,
@@ -2214,7 +2001,6 @@ impl DominoWorld {
             | DEv::StandbyProbe => CostPath::EvStandby,
         }
     }
-
 }
 
 #[cfg(test)]
@@ -2230,6 +2016,57 @@ mod tests {
 
     fn domino(net: &Network, w: &Workload, duration_s: f64, seed: u64) -> RunStats {
         run_plain::<DominoWorld>(net, w, duration_s, seed, DominoConfig::default())
+    }
+
+    /// Every variant, standby events included: those are rarely pending
+    /// at a checkpoint boundary, so no resume test reaches their encoding.
+    #[test]
+    fn every_event_roundtrips() {
+        use crate::plant::testing::{assert_events_roundtrip, sample_packet};
+        let burst = Burst {
+            codes: [3, 7].into_iter().collect(),
+            targets: [NodeId(3), NodeId(7)].into_iter().collect(),
+            marker: BurstMarker::Rop,
+            slot: 42,
+            continues: true,
+        };
+        let action = |slot, kind| ApAction {
+            slot,
+            kind,
+            rop_before: slot % 2 == 0,
+            kick_off: slot % 3 == 0,
+            own_burst: Some(burst),
+            client_burst: None,
+        };
+        let msg = ApMessage {
+            first_slot: 8,
+            actions: vec![
+                action(8, ApActionKind::TxData { link: LinkId(1) }),
+                action(9, ApActionKind::RxData { link: LinkId(2) }),
+                action(10, ApActionKind::Poll),
+            ],
+            retained_updates: vec![(7, Some(burst), None), (7, None, Some(burst))],
+        };
+        let ev = |x: DEv| Ev::Scheme(x);
+        assert_events_roundtrip(&[
+            ev(DEv::BatchArrive { ap: 0, msg }),
+            ev(DEv::ReportArrive { link: 3, queue: 12 }),
+            ev(DEv::ControllerCompute { gen: 4 }),
+            ev(DEv::SlotStart { node: 5, gen: 6, slot: 7 }),
+            ev(DEv::SendBurst { node: 1, burst }),
+            ev(DEv::SendAck { rx: 2, packet: sample_packet(), client_burst: Some(burst) }),
+            ev(DEv::SendAck { rx: 2, packet: sample_packet(), client_burst: None }),
+            ev(DEv::AckCheck { node: 3, gen: 9 }),
+            ev(DEv::RopAnswer { client: 4, ap: 0 }),
+            ev(DEv::Watchdog { ap: 2, gen: 10 }),
+            ev(DEv::KickOff { ap: 2, slot: 11 }),
+            ev(DEv::CtrlHeartbeat),
+            ev(DEv::CtrlCheckpoint),
+            ev(DEv::HeartbeatArrive),
+            ev(DEv::CkptArrive { state: vec![1, 2, 3, 255] }),
+            ev(DEv::StandbyReport { link: 6, queue: 63 }),
+            ev(DEv::StandbyProbe),
+        ]);
     }
 
     fn fig1_links(net: &Network) -> (LinkId, LinkId, LinkId) {

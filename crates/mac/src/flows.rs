@@ -1,10 +1,12 @@
-//! Traffic glue shared by every scheme engine: per-link queues, UDP/TCP
-//! flow drive, delivery accounting.
+//! Traffic state shared by every scheme: per-link queues, UDP/TCP flow
+//! state, delivery accounting.
 //!
 //! The scheme engines (DCF, CENTAUR, Omniscient, DOMINO) differ only in
 //! *when* a link gets to transmit; everything about packet arrivals,
 //! TCP feedback, queue occupancy and goodput/delay metering is identical
-//! and lives here.
+//! and lives here. The [`Plant`](crate::plant::Plant) owns the one
+//! `FlowEngine` of a run and drives it: arrival and tick events, RTO
+//! timers, the end-of-run flush.
 
 use crate::workload::{FlowKind, RunStats, Workload};
 use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter, Snapshot};

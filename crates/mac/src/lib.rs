@@ -13,12 +13,15 @@
 //!   through signature triggers, with ROP polling, fake-link keep-alives
 //!   and missed-ACK retransmission.
 //!
-//! Each scheme is a [`World`]; [`run`](run::run) is the one driver that
-//! takes any of them through faults, probes, checkpoints and restore.
+//! Each scheme is a [`World`]: one [`Plant`](plant::Plant) plus the
+//! scheme's own state. [`run`](run::run) is the one driver that takes
+//! any of them through faults, probes, checkpoints and restore.
 //!
-//! Shared pieces: [`timing`] (802.11g constants and DOMINO slot
-//! geometry), [`workload`] (flow specs and run statistics), [`flows`]
-//! (traffic drive and metering).
+//! Shared pieces: [`plant`] (what every run has, whatever its scheme:
+//! engine, medium, fault plane, flows, RTO timers, the end-of-run flush
+//! and the shared head of every snapshot), [`timing`] (802.11g constants
+//! and DOMINO slot geometry), [`workload`] (flow specs and run
+//! statistics), [`flows`] (queues, transport and metering).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,6 +31,7 @@ pub mod dcf;
 pub mod domino;
 pub mod flows;
 pub mod omniscient;
+pub mod plant;
 pub mod run;
 pub mod timing;
 pub mod workload;

@@ -8,18 +8,15 @@
 //! microsecond synchronization were free — the bar DOMINO is measured
 //! against.
 
-use crate::dcf::{sync_rto, Ev};
-use crate::flows::{FlowEngine, TCP_TICK};
+use crate::plant::{Ev, Plant, RtoScope, SchemeEvent, Step};
 use crate::run::{RunInputs, World};
 use crate::timing::{ack_airtime, data_airtime, SIFS};
-use crate::workload::{client_indices, RunStats};
-use domino_faults::FaultPlane;
-use domino_medium::{Frame, FrameBody, Medium};
-use domino_obs::{Probe, TraceEvent};
+use crate::workload::RunStats;
+use domino_medium::{Frame, FrameBody, TxId};
+use domino_obs::{CostPath, Probe, TraceEvent};
 use domino_scheduler::RandScheduler;
-use domino_sim::engine::{DEFAULT_EVENT_BUDGET, DEFAULT_LIVENESS_WINDOW};
 use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter, Snapshot};
-use domino_sim::{Engine, SimDuration, SimTime};
+use domino_sim::{SimDuration, SimTime};
 use domino_topology::{ConflictGraph, LinkId, Network};
 
 /// Scheme events for the omniscient engine.
@@ -27,6 +24,13 @@ use domino_topology::{ConflictGraph, LinkId, Network};
 pub enum OmniEv {
     /// A synchronized slot begins.
     SlotStart,
+}
+
+impl SchemeEvent for OmniEv {
+    /// The oracle's slots are controller work.
+    fn cost_class(&self) -> CostPath {
+        CostPath::EvController
+    }
 }
 
 impl SnapValue for OmniEv {
@@ -49,197 +53,121 @@ impl SnapValue for OmniEv {
 #[derive(Debug)]
 pub struct OmniWorld {
     net: Network,
-    engine: Engine<Ev<OmniEv>>,
-    medium: Medium,
-    fe: FlowEngine,
+    plant: Plant<OmniEv>,
     sched: RandScheduler,
-    rto_gen: Vec<u64>,
     /// Synchronized-slot index, for the trace only.
     slot_idx: u64,
     graph: ConflictGraph,
     rate: domino_phy::error_model::DataRate,
     /// Fixed slot: data + SIFS + ack + SIFS turnaround.
     slot: SimDuration,
-    /// Observation-only trace sink and cost profiler (off by default).
-    probe: Probe,
 }
 
 impl World for OmniWorld {
     type Config = ();
-    type Event = Ev<OmniEv>;
+    type Event = OmniEv;
 
     fn new(inputs: &RunInputs<'_>, (): (), probe: Probe) -> OmniWorld {
-        let RunInputs { net, workload, duration_s, seed, faults } = *inputs;
-        let mut engine: Engine<Ev<OmniEv>> = Engine::new();
-        let mut medium = Medium::new(net.clone(), seed);
-        let plane = FaultPlane::new(faults, seed, &client_indices(net), duration_s);
-        if plane.cfg.enabled() {
-            medium.set_faults(plane.medium);
-        }
-        medium.set_probe(probe.clone());
-        engine.set_liveness(DEFAULT_EVENT_BUDGET, DEFAULT_LIVENESS_WINDOW);
-        engine.set_probe(probe.clone());
-        let fe = FlowEngine::new(net, workload, duration_s);
-        let graph = ConflictGraph::build_for_scheduling(net);
-        let sched = RandScheduler::new(net.links().len());
-        let rto_gen: Vec<u64> = vec![0; workload.flows.len()];
+        let net = inputs.net;
         let rate = net.phy().data_rate;
-        let slot = data_airtime(rate, workload.packet_bytes) + SIFS + ack_airtime(rate) + SIFS;
-
-        for flow in fe.udp_flows() {
-            engine.schedule_at(fe.udp_next_arrival(flow), Ev::UdpArrival { flow });
-        }
-        for flow in fe.tcp_flows() {
-            engine.schedule_at(SimTime::ZERO + TCP_TICK, Ev::TcpTick { flow });
-        }
-        engine.schedule_at(SimTime::ZERO, Ev::Scheme(OmniEv::SlotStart));
+        let mut plant = Plant::new(inputs, probe);
+        plant.schedule(SimTime::ZERO, OmniEv::SlotStart);
         OmniWorld {
             net: net.clone(),
-            engine,
-            medium,
-            fe,
-            sched,
-            rto_gen,
+            plant,
+            sched: RandScheduler::new(net.links().len()),
             slot_idx: 0,
-            graph,
+            graph: ConflictGraph::build_for_scheduling(net),
             rate,
-            slot,
-            probe,
+            slot: data_airtime(rate, inputs.workload.packet_bytes)
+                + SIFS
+                + ack_airtime(rate)
+                + SIFS,
         }
     }
 
-    fn engine(&mut self) -> &mut Engine<Ev<OmniEv>> {
-        &mut self.engine
-    }
-
-    fn stats(&mut self) -> &mut RunStats {
-        &mut self.fe.stats
+    fn plant(&mut self) -> &mut Plant<OmniEv> {
+        &mut self.plant
     }
 
     fn handle(&mut self, now: SimTime, ev: Ev<OmniEv>) {
-        self.probe.prof.tick(ev.cost_class());
-        match ev {
-            Ev::UdpArrival { flow } => {
-                let _ = self.fe.udp_arrive(flow);
-                self.engine.schedule_at(self.fe.udp_next_arrival(flow), Ev::UdpArrival { flow });
-            }
-            Ev::TcpTick { flow } => {
-                self.fe.tcp_tick(flow, now);
-                self.engine.schedule_in(TCP_TICK, Ev::TcpTick { flow });
-                sync_rto(&mut self.engine, &self.fe, &mut self.rto_gen, flow, now);
-            }
-            Ev::TcpRto { flow, gen } => {
-                if self.rto_gen[flow] == gen {
-                    self.fe.tcp_timer(flow, now);
-                    sync_rto(&mut self.engine, &self.fe, &mut self.rto_gen, flow, now);
-                }
-            }
-            Ev::Scheme(OmniEv::SlotStart) => {
-                // Perfect knowledge: one maximal set from true queue
-                // lengths.
-                let mut backlog: Vec<u32> = (0..self.net.links().len())
-                    .map(|l| self.fe.queue(LinkId(l as u32)).len() as u32)
-                    .collect();
-                let batch = self.sched.schedule_batch(&self.graph, &mut backlog, 1);
-                self.slot_idx += 1;
-                if let Some(links) = batch.slots.first() {
-                    let mut txs = Vec::new();
-                    for &l in links {
-                        let slot_idx = self.slot_idx;
-                        self.probe.trace.emit(now.as_nanos(), || TraceEvent::SlotStart {
-                            slot: slot_idx,
-                            link: l.0,
-                            fake: false,
-                        });
-                        // lint: allow(D005) the scheduler only emits links whose live backlog was non-zero
-                        let packet = self.fe.queue_mut(l).pop().expect("empty queue");
-                        let airtime = data_airtime(self.rate, packet.payload_bytes);
-                        let frame = Frame {
-                            src: self.net.link(l).sender,
-                            body: FrameBody::Data { packet, fake: false, client_burst: None },
-                            bits: (packet.payload_bytes + crate::timing::MAC_OVERHEAD_BYTES) * 8,
-                        };
-                        let tx = self.medium.begin(now, frame);
-                        txs.push((tx, now + airtime));
-                    }
-                    for (tx, end) in txs {
-                        self.engine.schedule_at(end, Ev::TxEnd { tx });
-                    }
-                }
-                self.engine.schedule_at(now + self.slot, Ev::Scheme(OmniEv::SlotStart));
-            }
-            Ev::TxEnd { tx } => {
-                let receptions = self.medium.end(tx, now);
-                for r in &receptions {
-                    if let FrameBody::Data { packet, .. } = &r.frame.body {
-                        let l = *self.net.link(packet.link);
-                        let intended = if l.is_downlink() { l.client() } else { l.ap };
-                        if r.rx == intended {
-                            self.probe.trace.emit(now.as_nanos(), || TraceEvent::SlotEnd {
-                                link: packet.link.0,
-                                delivered: r.success,
-                            });
-                        }
-                        if r.success {
-                            self.fe.deliver(packet, now);
-                        } else {
-                            // The omniscient controller observes the
-                            // loss and retries next slot.
-                            self.fe.stats.retries += 1;
-                            if !self.fe.queue_mut(packet.link).push_front(*packet) {
-                                self.fe.stats.drops += 1;
-                            }
-                        }
-                    }
-                }
-                for flow in self.fe.tcp_flows() {
-                    sync_rto(&mut self.engine, &self.fe, &mut self.rto_gen, flow, now);
-                }
-            }
-            Ev::BackoffExpire { .. } | Ev::AckTimeout { .. } | Ev::SendAck { .. } => {
-                // lint: allow(D005) this engine never schedules CSMA events; reaching here is a dispatch bug
-                unreachable!("no CSMA events in the omniscient engine")
-            }
+        match self.plant.step(now, ev, RtoScope::Flow) {
+            Step::Arrived(_) | Step::Released | Step::Stale => {}
+            Step::Scheme(OmniEv::SlotStart) => self.on_slot_start(now),
+            Step::TxEnd(tx) => self.on_tx_end(now, tx),
         }
     }
 
-    fn finalize(mut self) -> RunStats {
-        // End-of-run profile flush (no-ops when the handle is off).
-        self.engine.profile_wheel();
-        self.probe.prof.add(domino_obs::CostPath::RngPhyError, self.medium.phy_rng_draws());
-        self.probe.prof.add(
-            domino_obs::CostPath::RngFaults,
-            self.medium.faults().map(|f| f.rng_draws()).unwrap_or(0),
-        );
-        self.fe.stats.events = self.engine.events_processed();
-        self.fe.stats.tcp_retransmissions = self.fe.tcp_retransmissions();
-        if let Some(mf) = self.medium.faults() {
-            self.fe.stats.faults.merge_medium(mf);
-        }
-        self.fe.stats
+    fn finalize(self) -> RunStats {
+        self.plant.finish()
     }
 
-    fn snapshot_save(&mut self, w: &mut SnapWriter) {
-        self.engine.snapshot_save(w);
-        self.medium.snapshot_save(w);
-        self.fe.snapshot_save(w);
+    fn snapshot_save(&self, w: &mut SnapWriter) {
         self.sched.save(w);
-        self.rto_gen.put(w);
         w.put_u64(self.slot_idx);
     }
 
     fn snapshot_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.engine.snapshot_restore(r)?;
-        self.medium.snapshot_restore(r)?;
-        self.fe.snapshot_restore(r)?;
         self.sched.restore(r)?;
-        let rto_gen: Vec<u64> = SnapValue::thaw(r)?;
-        if rto_gen.len() != self.rto_gen.len() {
-            return Err(SnapError::Corrupt("rto gen table length"));
-        }
-        self.rto_gen = rto_gen;
         self.slot_idx = r.get_u64()?;
         Ok(())
+    }
+}
+
+impl OmniWorld {
+    fn on_slot_start(&mut self, now: SimTime) {
+        // Perfect knowledge: one maximal set from true queue lengths.
+        let mut backlog: Vec<u32> = (0..self.net.links().len())
+            .map(|l| self.plant.fe.queue(LinkId(l as u32)).len() as u32)
+            .collect();
+        let batch = self.sched.schedule_batch(&self.graph, &mut backlog, 1);
+        self.slot_idx += 1;
+        if let Some(links) = batch.slots.first() {
+            for &l in links {
+                let slot_idx = self.slot_idx;
+                self.plant.probe.trace.emit(now.as_nanos(), || TraceEvent::SlotStart {
+                    slot: slot_idx,
+                    link: l.0,
+                    fake: false,
+                });
+                // lint: allow(D005) the scheduler only emits links whose live backlog was non-zero
+                let packet = self.plant.fe.queue_mut(l).pop().expect("empty queue");
+                let frame = Frame {
+                    src: self.net.link(l).sender,
+                    body: FrameBody::Data { packet, fake: false, client_burst: None },
+                    bits: (packet.payload_bytes + crate::timing::MAC_OVERHEAD_BYTES) * 8,
+                };
+                self.plant.transmit(now, frame, data_airtime(self.rate, packet.payload_bytes));
+            }
+        }
+        self.plant.schedule(now + self.slot, OmniEv::SlotStart);
+    }
+
+    fn on_tx_end(&mut self, now: SimTime, tx: TxId) {
+        let receptions = self.plant.medium.end(tx, now);
+        for r in &receptions {
+            if let FrameBody::Data { packet, .. } = &r.frame.body {
+                let l = *self.net.link(packet.link);
+                let intended = if l.is_downlink() { l.client() } else { l.ap };
+                if r.rx == intended {
+                    self.plant.probe.trace.emit(now.as_nanos(), || TraceEvent::SlotEnd {
+                        link: packet.link.0,
+                        delivered: r.success,
+                    });
+                }
+                if r.success {
+                    self.plant.fe.deliver(packet, now);
+                } else {
+                    // The omniscient controller observes the loss and
+                    // retries next slot.
+                    self.plant.fe.stats.retries += 1;
+                    if !self.plant.fe.queue_mut(packet.link).push_front(*packet) {
+                        self.plant.fe.stats.drops += 1;
+                    }
+                }
+            }
+        }
+        self.plant.rearm_all_rtos(now);
     }
 }
 
@@ -277,6 +205,11 @@ mod tests {
 
     fn omni(net: &Network, w: &Workload, duration_s: f64, seed: u64) -> RunStats {
         run_plain::<OmniWorld>(net, w, duration_s, seed, ())
+    }
+
+    #[test]
+    fn every_event_roundtrips() {
+        crate::plant::testing::assert_events_roundtrip(&[Ev::Scheme(OmniEv::SlotStart)]);
     }
 
     #[test]

@@ -1,0 +1,453 @@
+//! The plant every scheme runs on.
+//!
+//! Whatever its channel access, a run has the same plant: the event
+//! engine, the medium with its fault classes and probe attached, the
+//! node-class fault source and its AP crash bookkeeping, the traffic
+//! flows with their TCP retransmission (RTO) timers, the probe, the
+//! end-of-run flush and the shared head of every snapshot. A scheme world
+//! holds one [`Plant`] plus only its own state; its own events ride in
+//! [`Ev::Scheme`].
+
+use crate::flows::{FlowEngine, TCP_TICK};
+use crate::run::RunInputs;
+use crate::workload::{client_indices, RunStats};
+use domino_faults::{FaultPlane, NodeFaults};
+use domino_medium::{Frame, Medium, TxId};
+use domino_obs::{CostPath, FaultKind, Probe, TraceEvent};
+use domino_sim::engine::{DEFAULT_EVENT_BUDGET, DEFAULT_LIVENESS_WINDOW};
+use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter, Snapshot};
+use domino_sim::{Engine, SimDuration, SimTime};
+use domino_topology::LinkId;
+
+/// The events of a run: the plant's own, plus the scheme's in
+/// [`Ev::Scheme`].
+#[derive(Debug)]
+pub enum Ev<X> {
+    /// A UDP flow's next packet is due.
+    UdpArrival {
+        /// Flow index.
+        flow: usize,
+    },
+    /// Periodic TCP application tick.
+    TcpTick {
+        /// Flow index.
+        flow: usize,
+    },
+    /// TCP retransmission-timer check.
+    TcpRto {
+        /// Flow index.
+        flow: usize,
+        /// Staleness guard.
+        gen: u64,
+    },
+    /// A transmission leaves the air.
+    TxEnd {
+        /// Medium handle.
+        tx: TxId,
+    },
+    /// Scheme-specific event.
+    Scheme(X),
+}
+
+/// A scheme's own events: snapshot-encodable and billed to one cost
+/// class each.
+pub trait SchemeEvent: SnapValue {
+    /// Cost-attribution class (see `domino_obs::CostPath`). Exhaustive
+    /// in every scheme on purpose: a new variant must pick its bucket.
+    fn cost_class(&self) -> CostPath;
+}
+
+impl<X: SchemeEvent> Ev<X> {
+    /// Cost-attribution class of one event.
+    pub fn cost_class(&self) -> CostPath {
+        match self {
+            Ev::UdpArrival { .. } | Ev::TcpTick { .. } | Ev::TcpRto { .. } => CostPath::EvTraffic,
+            Ev::TxEnd { .. } => CostPath::EvMedium,
+            Ev::Scheme(x) => x.cost_class(),
+        }
+    }
+}
+
+impl<X: SnapValue> SnapValue for Ev<X> {
+    fn put(&self, w: &mut SnapWriter) {
+        match self {
+            Ev::UdpArrival { flow } => {
+                w.put_u8(0);
+                flow.put(w);
+            }
+            Ev::TcpTick { flow } => {
+                w.put_u8(1);
+                flow.put(w);
+            }
+            Ev::TcpRto { flow, gen } => {
+                w.put_u8(2);
+                flow.put(w);
+                w.put_u64(*gen);
+            }
+            Ev::TxEnd { tx } => {
+                w.put_u8(3);
+                tx.put(w);
+            }
+            Ev::Scheme(x) => {
+                w.put_u8(4);
+                x.put(w);
+            }
+        }
+    }
+    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(match r.get_u8()? {
+            0 => Ev::UdpArrival { flow: SnapValue::thaw(r)? },
+            1 => Ev::TcpTick { flow: SnapValue::thaw(r)? },
+            2 => Ev::TcpRto { flow: SnapValue::thaw(r)?, gen: r.get_u64()? },
+            3 => Ev::TxEnd { tx: SnapValue::thaw(r)? },
+            4 => Ev::Scheme(SnapValue::thaw(r)?),
+            _ => return Err(SnapError::Corrupt("plant event tag")),
+        })
+    }
+}
+
+/// Which TCP retransmission timers a tick or an RTO re-arms.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum RtoScope {
+    /// Only the event's own flow.
+    Flow,
+    /// Every TCP flow.
+    All,
+}
+
+/// What is left of an event once the plant has done its share.
+pub(crate) enum Step<X> {
+    /// A UDP packet arrived for this link (queued, or dropped at a full
+    /// queue).
+    Arrived(LinkId),
+    /// A TCP tick or a live RTO may have released segments.
+    Released,
+    /// A stale RTO: nothing happened.
+    Stale,
+    /// A transmission left the air; the scheme adjudicates it.
+    TxEnd(TxId),
+    /// The scheme's own event.
+    Scheme(X),
+}
+
+/// Everything a run has, whatever its scheme.
+#[derive(Debug)]
+pub struct Plant<X> {
+    /// The event engine.
+    pub(crate) engine: Engine<Ev<X>>,
+    /// The shared channel, with the medium-resident fault classes.
+    pub(crate) medium: Medium,
+    /// Queues, flows and the statistics under construction.
+    pub(crate) fe: FlowEngine,
+    /// Node-class faults (AP crashes, compute stalls, controller
+    /// crashes, stale reports). All draws short-circuit when off.
+    pub(crate) node_faults: NodeFaults,
+    /// Observation-only trace sink and cost profiler (off by default;
+    /// excluded from snapshots — a restored run profiles from zero).
+    pub(crate) probe: Probe,
+    /// RTO staleness guard per flow.
+    rto_gen: Vec<u64>,
+    /// The TCP flows, listed once.
+    tcp_flows: Vec<usize>,
+    /// Until when each crashed AP stays dark.
+    ap_dark_until: Vec<SimTime>,
+    /// Crash flag per AP: the first message accepted after the downtime
+    /// counts as the recovery.
+    ap_crashed: Vec<bool>,
+}
+
+impl<X> Plant<X> {
+    /// Build the plant at t = 0 with the probe attached and the first
+    /// traffic events queued (ahead of any scheme event).
+    pub(crate) fn new(inputs: &RunInputs<'_>, probe: Probe) -> Plant<X> {
+        let RunInputs { net, workload, duration_s, seed, faults } = *inputs;
+        let plane = FaultPlane::new(faults, seed, &client_indices(net), duration_s);
+        let mut medium = Medium::new(net.clone(), seed);
+        if plane.cfg.enabled() {
+            medium.set_faults(plane.medium);
+        }
+        medium.set_probe(probe.clone());
+        let mut engine = Engine::new();
+        engine.set_liveness(DEFAULT_EVENT_BUDGET, DEFAULT_LIVENESS_WINDOW);
+        engine.set_probe(probe.clone());
+        let fe = FlowEngine::new(net, workload, duration_s);
+        for flow in fe.udp_flows() {
+            engine.schedule_at(fe.udp_next_arrival(flow), Ev::UdpArrival { flow });
+        }
+        let tcp_flows = fe.tcp_flows();
+        for &flow in &tcp_flows {
+            engine.schedule_at(SimTime::ZERO + TCP_TICK, Ev::TcpTick { flow });
+        }
+        Plant {
+            engine,
+            medium,
+            fe,
+            node_faults: plane.node,
+            probe,
+            rto_gen: vec![0; workload.flows.len()],
+            tcp_flows,
+            ap_dark_until: vec![SimTime::ZERO; net.num_nodes()],
+            ap_crashed: vec![false; net.num_nodes()],
+        }
+    }
+
+    /// Queue a scheme event at `at`.
+    pub(crate) fn schedule(&mut self, at: SimTime, ev: impl Into<X>) {
+        self.engine.schedule_at(at, Ev::Scheme(ev.into()));
+    }
+
+    /// Put `frame` on the air for `airtime`; its [`Ev::TxEnd`] follows.
+    pub(crate) fn transmit(&mut self, now: SimTime, frame: Frame, airtime: SimDuration) {
+        let tx = self.medium.begin(now, frame);
+        self.engine.schedule_at(now + airtime, Ev::TxEnd { tx });
+    }
+
+    /// Do the plant's share of one event: traffic events are handled in
+    /// full (`rto` picks the timers a tick or an RTO re-arms); what they
+    /// released, and every other event, goes back to the scheme.
+    pub(crate) fn step(&mut self, now: SimTime, ev: Ev<X>, rto: RtoScope) -> Step<X> {
+        match ev {
+            Ev::UdpArrival { flow } => {
+                let _ = self.fe.udp_arrive(flow);
+                self.engine.schedule_at(self.fe.udp_next_arrival(flow), Ev::UdpArrival { flow });
+                Step::Arrived(self.fe.flow_link(flow))
+            }
+            Ev::TcpTick { flow } => {
+                self.fe.tcp_tick(flow, now);
+                self.engine.schedule_in(TCP_TICK, Ev::TcpTick { flow });
+                self.rearm(rto, flow, now);
+                Step::Released
+            }
+            Ev::TcpRto { flow, gen } => {
+                if self.rto_gen[flow] != gen {
+                    return Step::Stale;
+                }
+                self.fe.tcp_timer(flow, now);
+                self.rearm(rto, flow, now);
+                Step::Released
+            }
+            Ev::TxEnd { tx } => Step::TxEnd(tx),
+            Ev::Scheme(x) => Step::Scheme(x),
+        }
+    }
+
+    fn rearm(&mut self, rto: RtoScope, flow: usize, now: SimTime) {
+        match rto {
+            RtoScope::Flow => self.rearm_rto(flow, now),
+            RtoScope::All => self.rearm_all_rtos(now),
+        }
+    }
+
+    /// Re-arm every TCP flow's RTO after a delivery may have moved its
+    /// deadline.
+    pub(crate) fn rearm_all_rtos(&mut self, now: SimTime) {
+        for i in 0..self.tcp_flows.len() {
+            self.rearm_rto(self.tcp_flows[i], now);
+        }
+    }
+
+    /// Re-arm one TCP flow's RTO: the generation bump retires the event
+    /// already queued.
+    fn rearm_rto(&mut self, flow: usize, now: SimTime) {
+        self.rto_gen[flow] += 1;
+        if let Some(deadline) = self.fe.tcp_rto_deadline(flow) {
+            let gen = self.rto_gen[flow];
+            self.engine.schedule_at(deadline.max(now), Ev::TcpRto { flow, gen });
+        }
+    }
+
+    /// The AP-crash gate in front of a wired message to `ap`. False when
+    /// the AP is dark, or crashes on this delivery (`lose_state` then
+    /// wipes what the crash loses); true when the AP accepts the message,
+    /// counting its recovery if it had crashed.
+    pub(crate) fn ap_accepts(
+        &mut self,
+        now: SimTime,
+        ap: usize,
+        lose_state: impl FnOnce(),
+    ) -> bool {
+        if self.ap_dark(ap, now) {
+            return false;
+        }
+        if let Some(downtime) = self.node_faults.crash() {
+            self.probe.trace.emit(now.as_nanos(), || TraceEvent::FaultInject {
+                kind: FaultKind::ApCrash,
+                node: ap as u32,
+            });
+            lose_state();
+            self.ap_dark_until[ap] = now + downtime;
+            self.ap_crashed[ap] = true;
+            return false;
+        }
+        if self.ap_crashed[ap] {
+            self.ap_crashed[ap] = false;
+            self.node_faults.recovered();
+            self.probe.trace.emit(now.as_nanos(), || TraceEvent::FaultRecover {
+                kind: FaultKind::ApCrash,
+                node: ap as u32,
+            });
+        }
+        true
+    }
+
+    /// Whether `node` is inside a crash's dark interval.
+    pub(crate) fn ap_dark(&self, node: usize, now: SimTime) -> bool {
+        now < self.ap_dark_until[node]
+    }
+
+    /// Draw the controller's compute stall for this batch: zero unless
+    /// one strikes, which is traced.
+    pub(crate) fn compute_stall(&mut self, now: SimTime) -> SimDuration {
+        let Some(stall) = self.node_faults.compute_stall() else {
+            return SimDuration::ZERO;
+        };
+        // The controller is not a radio node; u32::MAX marks it.
+        self.probe.trace.emit(now.as_nanos(), || TraceEvent::FaultInject {
+            kind: FaultKind::ComputeStall,
+            node: u32::MAX,
+        });
+        stall
+    }
+
+    /// End-of-run flush: timer-wheel op counts and the draw totals of the
+    /// plant's RNG streams go to the profiler (no-ops when it is off),
+    /// the plant's counters to the stats. A scheme flushes its own
+    /// streams and counters first.
+    pub(crate) fn finish(self) -> RunStats {
+        self.engine.profile_wheel();
+        self.probe.prof.add(CostPath::RngPhyError, self.medium.phy_rng_draws());
+        self.probe.prof.add(
+            CostPath::RngFaults,
+            self.node_faults.rng_draws() + self.medium.faults().map_or(0, |f| f.rng_draws()),
+        );
+        let tcp_retransmissions = self.fe.tcp_retransmissions();
+        let mut stats = self.fe.stats;
+        stats.events = self.engine.events_processed();
+        stats.tcp_retransmissions = tcp_retransmissions;
+        stats.faults.merge_node(&self.node_faults);
+        if let Some(mf) = self.medium.faults() {
+            stats.faults.merge_medium(mf);
+        }
+        stats
+    }
+
+    /// Serialize the plant: the head of every world's snapshot. `&mut`
+    /// because the engine drains and rebuilds its wheel in place.
+    pub(crate) fn snapshot_save(&mut self, w: &mut SnapWriter)
+    where
+        X: SnapValue,
+    {
+        self.engine.snapshot_save(w);
+        self.medium.snapshot_save(w);
+        self.fe.snapshot_save(w);
+        self.node_faults.save(w);
+        self.rto_gen.put(w);
+        self.ap_dark_until.put(w);
+        self.ap_crashed.put(w);
+    }
+
+    /// Overwrite the plant from a [`Plant::snapshot_save`] payload of the
+    /// same configuration.
+    pub(crate) fn snapshot_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>
+    where
+        X: SnapValue,
+    {
+        self.engine.snapshot_restore(r)?;
+        self.medium.snapshot_restore(r)?;
+        self.fe.snapshot_restore(r)?;
+        self.node_faults.restore(r)?;
+        restore_table(&mut self.rto_gen, r, "rto gen table length")?;
+        restore_table(&mut self.ap_dark_until, r, "ap dark table length")?;
+        restore_table(&mut self.ap_crashed, r, "ap crash table length")
+    }
+}
+
+/// Overwrite a fixed-length table from a snapshot, rejecting a payload
+/// whose table length differs (`what` names the table in the error).
+pub(crate) fn restore_table<T: SnapValue>(
+    table: &mut Vec<T>,
+    r: &mut SnapReader<'_>,
+    what: &'static str,
+) -> Result<(), SnapError> {
+    let restored: Vec<T> = SnapValue::thaw(r)?;
+    if restored.len() != table.len() {
+        return Err(SnapError::Corrupt(what));
+    }
+    *table = restored;
+    Ok(())
+}
+
+#[cfg(test)]
+pub(crate) mod testing {
+    //! Checks every scheme's event encoding shares.
+
+    use super::*;
+    use domino_traffic::{FlowId, Packet, PacketId, PacketKind};
+
+    /// A packet with every field distinct from its default.
+    pub(crate) fn sample_packet() -> Packet {
+        Packet {
+            id: PacketId(99),
+            flow: FlowId(2),
+            link: LinkId(5),
+            payload_bytes: 512,
+            created_at: SimTime::from_micros(17),
+            kind: PacketKind::TcpData,
+            seq: 41,
+        }
+    }
+
+    /// `put`, `thaw`, `put` again gives the same bytes for every event,
+    /// and an unknown tag, of the plant or of the scheme, is corrupt.
+    pub(crate) fn assert_events_roundtrip<X: SnapValue>(events: &[Ev<X>]) {
+        for ev in events {
+            let mut w = SnapWriter::new();
+            ev.put(&mut w);
+            let bytes = w.into_bytes();
+            let mut r = SnapReader::new(&bytes);
+            let back = Ev::<X>::thaw(&mut r).expect("thaw");
+            assert!(r.is_exhausted(), "trailing bytes after thaw");
+            let mut again = SnapWriter::new();
+            back.put(&mut again);
+            assert_eq!(again.into_bytes(), bytes, "put/thaw mismatch");
+        }
+        let unknown = |bytes: &[u8]| {
+            matches!(Ev::<X>::thaw(&mut SnapReader::new(bytes)), Err(SnapError::Corrupt(_)))
+        };
+        assert!(unknown(&[5]), "unknown plant tag decoded");
+        assert!(unknown(&[4, 0xff]), "unknown scheme tag decoded");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testing::assert_events_roundtrip;
+    use super::*;
+    use crate::centaur::CentaurEv;
+    use crate::dcf::CsmaEv;
+    use crate::domino::DEv;
+    use crate::omniscient::OmniEv;
+
+    #[test]
+    fn plant_events_roundtrip() {
+        let events: [Ev<OmniEv>; 4] = [
+            Ev::UdpArrival { flow: 3 },
+            Ev::TcpTick { flow: 1 },
+            Ev::TcpRto { flow: 2, gen: 9 },
+            Ev::TxEnd { tx: TxId(7) },
+        ];
+        assert_events_roundtrip(&events);
+    }
+
+    /// Engine events travel by value through the timer wheel, so their
+    /// size is the wheel's element size: pinned so a fat variant cannot
+    /// slip in unnoticed.
+    #[test]
+    fn engine_event_sizes_are_pinned() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Ev<CsmaEv>>(), 56, "DCF");
+        assert_eq!(size_of::<Ev<CentaurEv>>(), 56, "CENTAUR");
+        assert_eq!(size_of::<Ev<OmniEv>>(), 24, "Omniscient");
+        assert_eq!(size_of::<Ev<DEv>>(), 112, "DOMINO");
+    }
+}

@@ -1,19 +1,21 @@
 //! The one run path every scheme shares.
 //!
-//! A scheme is a [`World`]: the complete state of one run between
-//! events, built from the [`RunInputs`], its own config and a [`Probe`].
-//! [`run`] is the only driver. It restores a world from a snapshot when
-//! asked, hands a snapshot to the caller at each checkpoint boundary,
-//! drives the engine to the horizon and finalizes. Any combination of
-//! faults, tracing, profiling, checkpoints and restore therefore takes
-//! the same path. The driver is generic, so each world gets its own
-//! monomorphised event loop with no dynamic dispatch per event.
+//! A scheme is a [`World`]: one [`Plant`] plus the scheme's own state,
+//! built from the [`RunInputs`], its own config and a [`Probe`]. [`run`]
+//! is the only driver. It restores a world from a snapshot when asked,
+//! hands a snapshot to the caller at each checkpoint boundary, drives the
+//! engine to the horizon, billing each event to the profiler, and
+//! finalizes. Any combination of faults, tracing, profiling, checkpoints
+//! and restore therefore takes the same path. The driver is generic, so
+//! each world gets its own monomorphised event loop with no dynamic
+//! dispatch per event.
 
+use crate::plant::{Ev, Plant, SchemeEvent};
 use crate::workload::{RunStats, Workload};
 use domino_faults::FaultConfig;
 use domino_obs::Probe;
 use domino_sim::snapshot::{SnapError, SnapReader, SnapWriter};
-use domino_sim::{Engine, SimDuration, SimTime};
+use domino_sim::{SimDuration, SimTime};
 use domino_topology::Network;
 
 /// What every run needs, whatever its scheme.
@@ -35,31 +37,28 @@ pub struct RunInputs<'a> {
 pub trait World: Sized {
     /// Scheme-specific parameters (`()` for schemes without any).
     type Config;
-    /// The scheme's event type.
-    type Event;
+    /// The scheme's own events, carried in [`Ev::Scheme`].
+    type Event: SchemeEvent;
 
     /// Build the world at t = 0 with its initial events queued, the
-    /// probe attached to the engine, the medium and the world itself.
+    /// probe attached to the plant and the world itself.
     fn new(inputs: &RunInputs<'_>, cfg: Self::Config, probe: Probe) -> Self;
 
-    /// The world's event engine.
-    fn engine(&mut self) -> &mut Engine<Self::Event>;
-
-    /// The statistics the run accumulates.
-    fn stats(&mut self) -> &mut RunStats;
+    /// The plant the scheme runs on.
+    fn plant(&mut self) -> &mut Plant<Self::Event>;
 
     /// Process one event delivered at `now`.
-    fn handle(&mut self, now: SimTime, ev: Self::Event);
+    fn handle(&mut self, now: SimTime, ev: Ev<Self::Event>);
 
     /// Flush end-of-run counters into the stats (and the profiler).
     fn finalize(self) -> RunStats;
 
-    /// Serialize every dynamic component, in a fixed order. `&mut`
-    /// because the engine drains and rebuilds its wheel in place.
-    fn snapshot_save(&mut self, w: &mut SnapWriter);
+    /// Serialize the scheme's own dynamic state, in a fixed order. The
+    /// driver writes the plant's state ahead of it.
+    fn snapshot_save(&self, w: &mut SnapWriter);
 
-    /// Overwrite the dynamic state of a freshly built world from a
-    /// [`World::snapshot_save`] payload of the same configuration.
+    /// Overwrite the scheme's own dynamic state of a freshly built world
+    /// from a [`World::snapshot_save`] payload of the same configuration.
     fn snapshot_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
 }
 
@@ -98,6 +97,7 @@ pub fn run<W: World>(
     let mut resumed_at = None;
     if let Some((t, payload)) = restore {
         let mut r = SnapReader::new(payload);
+        world.plant().snapshot_restore(&mut r)?;
         world.snapshot_restore(&mut r)?;
         if !r.is_exhausted() {
             return Err(SnapError::Corrupt("trailing snapshot bytes"));
@@ -113,6 +113,7 @@ pub fn run<W: World>(
                 return Ok(world.finalize()); // livelocked mid-run
             }
             let mut w = SnapWriter::new();
+            world.plant().snapshot_save(&mut w);
             world.snapshot_save(&mut w);
             sink(b, w.into_bytes());
         }
@@ -121,15 +122,19 @@ pub fn run<W: World>(
     Ok(world.finalize())
 }
 
-/// Process events through `horizon` (inclusive). Returns false when the
-/// liveness monitor aborted the run.
+/// Process events through `horizon` (inclusive), billing each to its
+/// cost class. Returns false when the liveness monitor aborted the run.
 fn drive<W: World>(world: &mut W, horizon: SimTime) -> bool {
     loop {
-        match world.engine().pop_until_checked(horizon) {
-            Ok(Some((now, ev))) => world.handle(now, ev),
+        let plant = world.plant();
+        match plant.engine.pop_until_checked(horizon) {
+            Ok(Some((now, ev))) => {
+                plant.probe.prof.tick(ev.cost_class());
+                world.handle(now, ev);
+            }
             Ok(None) => return true,
             Err(_livelock) => {
-                world.stats().faults.livelocks += 1;
+                plant.fe.stats.faults.livelocks += 1;
                 return false;
             }
         }

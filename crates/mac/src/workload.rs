@@ -194,14 +194,14 @@ impl SnapValue for SlotStartRecord {
     fn put(&self, w: &mut SnapWriter) {
         w.put_u64(self.slot);
         w.put_u64(self.start_ns);
-        w.put_u32(self.link.0);
+        self.link.put(w);
         self.fake.put(w);
     }
     fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(SlotStartRecord {
             slot: r.get_u64()?,
             start_ns: r.get_u64()?,
-            link: LinkId(r.get_u32()?),
+            link: SnapValue::thaw(r)?,
             fake: bool::thaw(r)?,
         })
     }

@@ -68,8 +68,8 @@ impl SnapValue for Burst {
         for &c in self.codes.as_slice() {
             w.put_u32(c);
         }
-        for &t in self.targets.as_slice() {
-            w.put_u32(t.0);
+        for t in self.targets.as_slice() {
+            t.put(w);
         }
         w.put_u8(match self.marker {
             BurstMarker::Start => 0,
@@ -89,7 +89,7 @@ impl SnapValue for Burst {
         }
         let mut targets = InlineVec::new();
         for _ in 0..n {
-            targets.push(NodeId(r.get_u32()?));
+            targets.push(NodeId::thaw(r)?);
         }
         Ok(Burst {
             codes,
@@ -180,17 +180,17 @@ impl SnapValue for FrameBody {
             FrameBody::MacAck { packet, link, client_burst } => {
                 w.put_u8(1);
                 w.put_u64(packet.0);
-                w.put_u32(link.0);
+                link.put(w);
                 client_burst.put(w);
             }
             FrameBody::Poll { ap } => {
                 w.put_u8(2);
-                w.put_u32(ap.0);
+                ap.put(w);
             }
             FrameBody::RopReport { client, ap, queue } => {
                 w.put_u8(3);
-                w.put_u32(client.0);
-                w.put_u32(ap.0);
+                client.put(w);
+                ap.put(w);
                 w.put_u32(*queue);
             }
             FrameBody::SignatureBurst(b) => {
@@ -212,13 +212,13 @@ impl SnapValue for FrameBody {
             },
             1 => FrameBody::MacAck {
                 packet: PacketId(r.get_u64()?),
-                link: LinkId(r.get_u32()?),
+                link: SnapValue::thaw(r)?,
                 client_burst: SnapValue::thaw(r)?,
             },
-            2 => FrameBody::Poll { ap: NodeId(r.get_u32()?) },
+            2 => FrameBody::Poll { ap: SnapValue::thaw(r)? },
             3 => FrameBody::RopReport {
-                client: NodeId(r.get_u32()?),
-                ap: NodeId(r.get_u32()?),
+                client: SnapValue::thaw(r)?,
+                ap: SnapValue::thaw(r)?,
                 queue: r.get_u32()?,
             },
             4 => FrameBody::SignatureBurst(Burst::thaw(r)?),
@@ -263,13 +263,13 @@ impl Frame {
 
 impl SnapValue for Frame {
     fn put(&self, w: &mut SnapWriter) {
-        w.put_u32(self.src.0);
+        self.src.put(w);
         self.body.put(w);
         w.put_u64(self.bits as u64);
     }
     fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(Frame {
-            src: NodeId(r.get_u32()?),
+            src: SnapValue::thaw(r)?,
             body: FrameBody::thaw(r)?,
             bits: r.get_len()?,
         })

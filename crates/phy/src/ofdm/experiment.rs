@@ -9,6 +9,7 @@ use super::decoder::{decode_symbol, DecoderConfig};
 use super::signalgen::{combine_at_ap, encode_queue_symbol, ClientChannel, RESIDUAL_CFO_MAX_FRACTION};
 use super::RopSymbolConfig;
 use domino_sim::rng::streams;
+use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter};
 use domino_sim::SimRng;
 
 /// The three received-spectrum snapshots of the paper's Fig 5.
@@ -87,6 +88,21 @@ pub struct GuardSweepPoint {
     /// Fraction of trials in which the weak client's queue decoded
     /// correctly.
     pub decode_ratio: f64,
+}
+
+impl SnapValue for GuardSweepPoint {
+    fn put(&self, w: &mut SnapWriter) {
+        self.guard.put(w);
+        w.put_f64(self.rss_diff_db);
+        w.put_f64(self.decode_ratio);
+    }
+    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(GuardSweepPoint {
+            guard: SnapValue::thaw(r)?,
+            rss_diff_db: r.get_f64()?,
+            decode_ratio: r.get_f64()?,
+        })
+    }
 }
 
 /// Run the Fig 6 experiment: decode ratio of the weaker of two adjacent
@@ -177,6 +193,16 @@ pub fn tolerance_db(guard: usize, trials: usize, seed: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn guard_sweep_point_roundtrips() {
+        let p = GuardSweepPoint { guard: 4, rss_diff_db: -12.5, decode_ratio: 0.875 };
+        let bytes = p.to_bytes();
+        assert_eq!(GuardSweepPoint::from_bytes(&bytes), Ok(p));
+        for cut in 0..bytes.len() {
+            assert!(GuardSweepPoint::from_bytes(&bytes[..cut]).is_err(), "prefix {cut} decoded");
+        }
+    }
 
     #[test]
     fn fig5a_similar_rss_both_subchannels_clean() {

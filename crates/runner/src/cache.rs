@@ -5,7 +5,7 @@
 //! store, keys, and fingerprint live there; the registry and the shard
 //! pool live here). [`run_experiment_cached`] probes the store once per
 //! shard of a [`Plan`](crate::plan::Plan), decodes the hits through the
-//! plan's own [`Codec`](crate::codec::Codec) pair, runs only the misses
+//! plan's own `SnapValue` encode/decode pair, runs only the misses
 //! across the pool, stores their encodings, and reassembles everything
 //! **in shard-index order** before the merge — so the rendered text is
 //! byte-identical to an uncached run at any `--jobs` count, whether

@@ -6,7 +6,7 @@
 //! cells, plus a cheap closed-form shard for the signature-length table.
 
 use super::util::{mbps, push_block};
-use crate::codec::{ByteReader, ByteWriter, Codec};
+use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter};
 use crate::plan::Plan;
 use crate::scale::Scale;
 use domino_core::{scenarios, Scheme, SimulationBuilder};
@@ -31,8 +31,8 @@ enum ShardOut {
     SignatureTable(String),
 }
 
-impl Codec for ShardOut {
-    fn encode(&self, w: &mut ByteWriter) {
+impl SnapValue for ShardOut {
+    fn put(&self, w: &mut SnapWriter) {
         match self {
             ShardOut::Variant { tput, fairness, delay_ms } => {
                 w.put_u8(0);
@@ -46,20 +46,20 @@ impl Codec for ShardOut {
             }
             ShardOut::SignatureTable(table) => {
                 w.put_u8(2);
-                table.encode(w);
+                table.put(w);
             }
         }
     }
-    fn decode(r: &mut ByteReader<'_>) -> Option<Self> {
+    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         match r.get_u8()? {
-            0 => Some(ShardOut::Variant {
+            0 => Ok(ShardOut::Variant {
                 tput: r.get_f64()?,
                 fairness: r.get_f64()?,
                 delay_ms: r.get_f64()?,
             }),
-            1 => Some(ShardOut::BatchCell(r.get_f64()?)),
-            2 => Some(ShardOut::SignatureTable(String::decode(r)?)),
-            _ => None,
+            1 => Ok(ShardOut::BatchCell(r.get_f64()?)),
+            2 => Ok(ShardOut::SignatureTable(String::thaw(r)?)),
+            _ => Err(SnapError::Corrupt("ablation shard tag")),
         }
     }
 }

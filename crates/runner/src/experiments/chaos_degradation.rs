@@ -12,7 +12,7 @@
 use super::util::{mbps, push_block};
 use crate::plan::{Plan, RunDigest};
 use crate::scale::Scale;
-use crate::codec::{ByteReader, ByteWriter, Codec};
+use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter};
 use domino_core::{scenarios, FaultConfig, FaultStats, Scheme, SimulationBuilder};
 use domino_obs::jsonl::{self, TraceMeta};
 use domino_obs::{ProfHandle, TraceHandle};
@@ -31,20 +31,20 @@ struct Cell {
     watchdog_storms: u64,
 }
 
-impl Codec for Cell {
-    fn encode(&self, w: &mut ByteWriter) {
+impl SnapValue for Cell {
+    fn put(&self, w: &mut SnapWriter) {
         w.put_f64(self.tput);
         w.put_f64(self.delay_ms);
         w.put_f64(self.fairness);
-        self.faults.encode(w);
+        self.faults.put(w);
         w.put_u64(self.watchdog_storms);
     }
-    fn decode(r: &mut ByteReader<'_>) -> Option<Self> {
-        Some(Cell {
+    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(Cell {
             tput: r.get_f64()?,
             delay_ms: r.get_f64()?,
             fairness: r.get_f64()?,
-            faults: FaultStats::decode(r)?,
+            faults: FaultStats::thaw(r)?,
             watchdog_storms: r.get_u64()?,
         })
     }

@@ -12,7 +12,7 @@
 //! cut off by the horizon, and no crash may strand the cell beyond it.
 
 use super::util::{mbps, push_block};
-use crate::codec::{ByteReader, ByteWriter, Codec};
+use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter};
 use crate::plan::{Plan, RunDigest};
 use crate::scale::Scale;
 use domino_core::{scenarios, FaultConfig, FaultStats, Scheme, SimulationBuilder};
@@ -72,13 +72,13 @@ struct Cell {
     faults: FaultStats,
 }
 
-impl Codec for Cell {
-    fn encode(&self, w: &mut ByteWriter) {
+impl SnapValue for Cell {
+    fn put(&self, w: &mut SnapWriter) {
         w.put_f64(self.tput);
-        self.faults.encode(w);
+        self.faults.put(w);
     }
-    fn decode(r: &mut ByteReader<'_>) -> Option<Self> {
-        Some(Cell { tput: r.get_f64()?, faults: FaultStats::decode(r)? })
+    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(Cell { tput: r.get_f64()?, faults: FaultStats::thaw(r)? })
     }
 }
 

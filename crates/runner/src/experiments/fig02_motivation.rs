@@ -5,7 +5,7 @@
 //! so the merged table is byte-identical to the serial binary.
 
 use super::util::{mbps, outln, push_block};
-use crate::codec::{ByteReader, ByteWriter, Codec};
+use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter};
 use crate::plan::Plan;
 use crate::scale::Scale;
 use domino_core::{scenarios, Scheme, SimulationBuilder, Workload};
@@ -25,16 +25,16 @@ struct Cell {
     overall: f64,
 }
 
-impl Codec for Cell {
-    fn encode(&self, w: &mut ByteWriter) {
-        self.scheme.encode(w);
-        self.link_mbps.encode(w);
+impl SnapValue for Cell {
+    fn put(&self, w: &mut SnapWriter) {
+        self.scheme.put(w);
+        self.link_mbps.put(w);
         w.put_f64(self.overall);
     }
-    fn decode(r: &mut ByteReader<'_>) -> Option<Self> {
-        Some(Cell {
-            scheme: Scheme::decode(r)?,
-            link_mbps: <[f64; 3]>::decode(r)?,
+    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(Cell {
+            scheme: Scheme::thaw(r)?,
+            link_mbps: <[f64; 3]>::thaw(r)?,
             overall: r.get_f64()?,
         })
     }

@@ -11,7 +11,7 @@
 //! `domino-phy`'s unit tests.
 
 use super::util::{outln, shard_rng};
-use crate::codec::{ByteReader, ByteWriter, Codec};
+use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter};
 use crate::plan::Plan;
 use crate::scale::Scale;
 use domino_phy::signature::{detection_experiment, Fig9Setup};
@@ -31,16 +31,16 @@ struct Row {
     worst_fp: f64,
 }
 
-impl Codec for Row {
-    fn encode(&self, w: &mut ByteWriter) {
-        self.combined.encode(w);
-        self.detection.encode(w);
+impl SnapValue for Row {
+    fn put(&self, w: &mut SnapWriter) {
+        self.combined.put(w);
+        self.detection.put(w);
         w.put_f64(self.worst_fp);
     }
-    fn decode(r: &mut ByteReader<'_>) -> Option<Self> {
-        Some(Row {
-            combined: usize::decode(r)?,
-            detection: Vec::<f64>::decode(r)?,
+    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(Row {
+            combined: usize::thaw(r)?,
+            detection: Vec::<f64>::thaw(r)?,
             worst_fp: r.get_f64()?,
         })
     }

@@ -7,7 +7,7 @@
 //! preamble shard — 19 shards quick, 37 at full scale.
 
 use super::util::{mbps, outln, push_block};
-use crate::codec::{ByteReader, ByteWriter, Codec};
+use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter};
 use crate::plan::Plan;
 use crate::scale::Scale;
 use domino_core::{scenarios, Scheme, SimulationBuilder};
@@ -25,12 +25,12 @@ enum ShardOut {
     Cell { tput: f64, delay_ms: f64, fairness: f64 },
 }
 
-impl Codec for ShardOut {
-    fn encode(&self, w: &mut ByteWriter) {
+impl SnapValue for ShardOut {
+    fn put(&self, w: &mut SnapWriter) {
         match self {
             ShardOut::Preamble(text) => {
                 w.put_u8(0);
-                text.encode(w);
+                text.put(w);
             }
             ShardOut::Cell { tput, delay_ms, fairness } => {
                 w.put_u8(1);
@@ -40,15 +40,15 @@ impl Codec for ShardOut {
             }
         }
     }
-    fn decode(r: &mut ByteReader<'_>) -> Option<Self> {
+    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         match r.get_u8()? {
-            0 => Some(ShardOut::Preamble(String::decode(r)?)),
-            1 => Some(ShardOut::Cell {
+            0 => Ok(ShardOut::Preamble(String::thaw(r)?)),
+            1 => Ok(ShardOut::Cell {
                 tput: r.get_f64()?,
                 delay_ms: r.get_f64()?,
                 fairness: r.get_f64()?,
             }),
-            _ => None,
+            _ => Err(SnapError::Corrupt("fig12 shard tag")),
         }
     }
 }

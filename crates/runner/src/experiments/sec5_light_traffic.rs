@@ -5,7 +5,7 @@
 //! One shard per scheme.
 
 use super::util::{outln, push_block};
-use crate::codec::{ByteReader, ByteWriter, Codec};
+use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter};
 use crate::plan::Plan;
 use crate::scale::Scale;
 use domino_core::{scenarios, Scheme, SimulationBuilder};
@@ -23,16 +23,16 @@ struct Cell {
     drops: u64,
 }
 
-impl Codec for Cell {
-    fn encode(&self, w: &mut ByteWriter) {
-        self.scheme.encode(w);
+impl SnapValue for Cell {
+    fn put(&self, w: &mut SnapWriter) {
+        self.scheme.put(w);
         w.put_f64(self.tput);
         w.put_f64(self.delay_us);
         w.put_u64(self.drops);
     }
-    fn decode(r: &mut ByteReader<'_>) -> Option<Self> {
-        Some(Cell {
-            scheme: Scheme::decode(r)?,
+    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(Cell {
+            scheme: Scheme::thaw(r)?,
             tput: r.get_f64()?,
             delay_us: r.get_f64()?,
             drops: r.get_u64()?,

@@ -32,7 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod codec;
 pub mod experiments;
 pub mod plan;
 pub mod pool;

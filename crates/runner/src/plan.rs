@@ -1,7 +1,7 @@
 //! The shard plan of one experiment: tasks plus an index-ordered merge.
 
-use crate::codec::Codec;
 use crate::pool::Task;
+use domino_sim::snapshot::SnapValue;
 use std::any::Any;
 
 /// Type-erased shard result, so the registry can hold heterogeneous
@@ -21,12 +21,12 @@ pub(crate) type EncodeShard = fn(&ShardData) -> Option<Vec<u8>>;
 /// malformed input (the cache layer recomputes the shard).
 pub(crate) type DecodeShard = fn(&[u8]) -> Option<ShardData>;
 
-fn encode_shard<T: Codec + 'static>(data: &ShardData) -> Option<Vec<u8>> {
-    data.downcast_ref::<T>().map(Codec::to_bytes)
+fn encode_shard<T: SnapValue + 'static>(data: &ShardData) -> Option<Vec<u8>> {
+    data.downcast_ref::<T>().map(SnapValue::to_bytes)
 }
 
-fn decode_shard<T: Codec + Send + 'static>(bytes: &[u8]) -> Option<ShardData> {
-    T::from_bytes(bytes).map(|v| Box::new(v) as ShardData)
+fn decode_shard<T: SnapValue + Send + 'static>(bytes: &[u8]) -> Option<ShardData> {
+    T::from_bytes(bytes).ok().map(|v| Box::new(v) as ShardData)
 }
 
 /// Machine-readable summary of one experiment run, surfaced in the
@@ -81,11 +81,13 @@ impl Plan {
     /// stays inside this constructor: `finish` receives shard values in
     /// shard-index order, whatever order the pool completed them in.
     ///
-    /// `T: Codec` is deliberate and mandatory — it is what makes every
-    /// registered experiment shard-cacheable (see [`crate::codec`]); the
-    /// monomorphic encode/decode function pointers the cache layer uses
-    /// are captured here, so type erasure never leaks to callers.
-    pub fn new<T: Send + Codec + 'static>(
+    /// `T: SnapValue` is deliberate and mandatory — it is what makes
+    /// every registered experiment shard-cacheable: a shard value must
+    /// round-trip through bytes losslessly (floats by bit pattern), and a
+    /// decode error is a cache miss. The monomorphic encode/decode
+    /// function pointers the cache layer uses are captured here, so type
+    /// erasure never leaks to callers.
+    pub fn new<T: Send + SnapValue + 'static>(
         shards: Vec<Box<dyn FnOnce() -> T + Send>>,
         finish: impl FnOnce(Vec<T>) -> String + Send + 'static,
     ) -> Plan {
@@ -96,7 +98,7 @@ impl Plan {
     /// the merge returns the rendered text together with the digest the
     /// `--json` manifest surfaces (livelocks, watchdog storms,
     /// per-fault-class counts).
-    pub fn new_digested<T: Send + Codec + 'static>(
+    pub fn new_digested<T: Send + SnapValue + 'static>(
         shards: Vec<Box<dyn FnOnce() -> T + Send>>,
         finish: impl FnOnce(Vec<T>) -> (String, RunDigest) + Send + 'static,
     ) -> Plan {
@@ -134,7 +136,7 @@ impl Plan {
         (self.shards, self.finish)
     }
 
-    /// Decompose for cache-aware execution: tasks, the shard codec pair,
+    /// Decompose for cache-aware execution: tasks, the shard encode/decode pair,
     /// and the merge. Used by [`crate::cache::run_experiment_cached`].
     pub(crate) fn into_cache_parts(self) -> (Vec<Task<ShardData>>, EncodeShard, DecodeShard, Finish) {
         (self.shards, self.encode, self.decode, self.finish)

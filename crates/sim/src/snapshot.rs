@@ -12,8 +12,9 @@
 //! Two traits split the work:
 //!
 //! * [`SnapValue`] — constructing serialization for value types (event
-//!   payloads, times, counters). `thaw` builds a fresh value from bytes
-//!   (named to stay distinct from slice/map `get` in the lint call graph).
+//!   payloads, times, counters, and the result cache's shard values).
+//!   `thaw` builds a fresh value from bytes (named to stay distinct from
+//!   slice/map `get` in the lint call graph).
 //! * [`Snapshot`] — in-place serialization for stateful components.
 //!   `restore` overwrites the dynamic fields of an already-constructed
 //!   component, leaving static configuration (which the restoring run
@@ -24,7 +25,7 @@
 //!
 //! ```text
 //! "DSNP"            4-byte magic
-//! version           u32 LE (currently 1)
+//! version           u32 LE (currently 2)
 //! binding           32-byte SHA-256 of the run configuration
 //! t                 u64 LE checkpoint boundary (nanoseconds)
 //! payload_len       u64 LE
@@ -48,7 +49,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Current container format version. Bump on any layout change; old
 /// versions are rejected, never reinterpreted.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// 4-byte container magic.
 const MAGIC: &[u8; 4] = b"DSNP";
@@ -134,6 +135,12 @@ impl SnapWriter {
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
     }
+
+    /// Append a `u64` length prefix followed by raw bytes.
+    pub fn put_bytes(&mut self, v: &[u8]) {
+        self.put_u64(v.len() as u64);
+        self.buf.extend_from_slice(v);
+    }
 }
 
 /// Bounds-checked cursor over snapshot payload bytes. Every read returns
@@ -191,15 +198,41 @@ impl<'a> SnapReader<'a> {
     pub fn get_len(&mut self) -> Result<usize, SnapError> {
         self.get_u64()?.try_into().map_err(|_| SnapError::Corrupt("length overflows usize"))
     }
+
+    /// Read a [`SnapWriter::put_bytes`] run.
+    pub fn get_bytes(&mut self) -> Result<&'a [u8], SnapError> {
+        let len = self.get_len()?;
+        self.take(len)
+    }
 }
 
 /// Constructing serialization for snapshot value types.
+///
+/// Encodings are little-endian and carry no self-description; floats
+/// travel as their bit patterns, so a value round-trips bit for bit.
 pub trait SnapValue: Sized {
     /// Append this value's encoding to `w`.
     fn put(&self, w: &mut SnapWriter);
 
     /// Decode one value from the reader.
     fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError>;
+
+    /// Encode to an owned buffer.
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        self.put(&mut w);
+        w.into_bytes()
+    }
+
+    /// Decode from a complete buffer; trailing bytes are corrupt.
+    fn from_bytes(bytes: &[u8]) -> Result<Self, SnapError> {
+        let mut r = SnapReader::new(bytes);
+        let v = Self::thaw(&mut r)?;
+        if !r.is_exhausted() {
+            return Err(SnapError::Corrupt("trailing bytes"));
+        }
+        Ok(v)
+    }
 }
 
 /// In-place serialization for stateful simulation components.
@@ -337,6 +370,15 @@ impl SnapValue for Rng {
     }
 }
 
+impl SnapValue for String {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put_bytes(self.as_bytes());
+    }
+    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        String::from_utf8(r.get_bytes()?.to_vec()).map_err(|_| SnapError::Corrupt("utf-8 string"))
+    }
+}
+
 impl<T: SnapValue> SnapValue for Option<T> {
     fn put(&self, w: &mut SnapWriter) {
         match self {
@@ -370,6 +412,22 @@ impl<T: SnapValue> SnapValue for Vec<T> {
             out.push(T::thaw(r)?);
         }
         Ok(out)
+    }
+}
+
+/// Fixed length, so no length prefix.
+impl<T: SnapValue, const N: usize> SnapValue for [T; N] {
+    fn put(&self, w: &mut SnapWriter) {
+        for item in self {
+            item.put(w);
+        }
+    }
+    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let mut out = Vec::with_capacity(N);
+        for _ in 0..N {
+            out.push(T::thaw(r)?);
+        }
+        out.try_into().map_err(|_| SnapError::Corrupt("array length"))
     }
 }
 
@@ -554,7 +612,7 @@ mod tests {
 
     #[test]
     fn floats_roundtrip_by_bits() {
-        for v in [0.0, -0.0, 1.0 / 3.0, f64::MAX, f64::NEG_INFINITY] {
+        for v in [0.0, -0.0, 1.0 / 3.0, f64::MIN_POSITIVE, f64::MAX, f64::NEG_INFINITY, f64::NAN] {
             let mut w = SnapWriter::new();
             v.put(&mut w);
             let bytes = w.into_bytes();
@@ -575,6 +633,35 @@ mod tests {
         roundtrip(BTreeMap::from([(1u64, SimTime::from_nanos(5)), (2, SimTime::ZERO)]));
         roundtrip(BTreeSet::from([9u64, 1, 4]));
         roundtrip(vec![Some((1u64, true)), None]);
+    }
+
+    #[test]
+    fn strings_and_arrays_roundtrip() {
+        roundtrip(String::new());
+        roundtrip("fig05_rop_samples — öutput\n".to_string());
+        roundtrip(vec!["a".to_string(), String::new(), "c\n".to_string()]);
+        roundtrip([1.0f64, 2.0, 3.0]);
+        roundtrip([[1u32, 2], [3, 4]]);
+        roundtrip((1.5f64, u64::MAX));
+        roundtrip(vec![vec![1u64, 2], vec![], vec![3]]);
+    }
+
+    #[test]
+    fn invalid_utf8_and_absurd_string_length_are_errors() {
+        let mut w = SnapWriter::new();
+        w.put_bytes(&[0xff, 0xfe]);
+        assert_eq!(String::from_bytes(&w.into_bytes()), Err(SnapError::Corrupt("utf-8 string")));
+        let mut w = SnapWriter::new();
+        w.put_u64(u64::MAX);
+        assert!(String::from_bytes(&w.into_bytes()).is_err());
+    }
+
+    #[test]
+    fn from_bytes_rejects_trailing_bytes() {
+        let mut bytes = 7u64.to_bytes();
+        assert_eq!(u64::from_bytes(&bytes), Ok(7));
+        bytes.push(0);
+        assert_eq!(u64::from_bytes(&bytes), Err(SnapError::Corrupt("trailing bytes")));
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use crate::node::NodeId;
 use core::fmt;
+use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter};
 
 /// Identifier of a directed link, dense from zero within a network.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -18,6 +19,16 @@ impl LinkId {
 impl fmt::Display for LinkId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "l{}", self.0)
+    }
+}
+
+/// Encoded as the raw `u32`.
+impl SnapValue for LinkId {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put_u32(self.0);
+    }
+    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(LinkId(r.get_u32()?))
     }
 }
 

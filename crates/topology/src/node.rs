@@ -1,6 +1,7 @@
 //! Nodes: APs and clients.
 
 use core::fmt;
+use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter};
 
 /// Identifier of a wireless node, dense from zero within a [`Network`].
 ///
@@ -19,6 +20,16 @@ impl NodeId {
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "n{}", self.0)
+    }
+}
+
+/// Encoded as the raw `u32`.
+impl SnapValue for NodeId {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put_u32(self.0);
+    }
+    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(NodeId(r.get_u32()?))
     }
 }
 

@@ -56,7 +56,7 @@ impl SnapValue for Packet {
     fn put(&self, w: &mut SnapWriter) {
         w.put_u64(self.id.0);
         w.put_u32(self.flow.0);
-        w.put_u32(self.link.0);
+        self.link.put(w);
         w.put_u64(self.payload_bytes as u64);
         self.created_at.put(w);
         w.put_u8(match self.kind {
@@ -70,7 +70,7 @@ impl SnapValue for Packet {
         Ok(Packet {
             id: PacketId(r.get_u64()?),
             flow: FlowId(r.get_u32()?),
-            link: LinkId(r.get_u32()?),
+            link: SnapValue::thaw(r)?,
             payload_bytes: r.get_len()?,
             created_at: SimTime::thaw(r)?,
             kind: match r.get_u8()? {

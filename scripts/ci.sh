@@ -121,21 +121,22 @@ echo "campaign resume rebuilt the identical report"
 rm -rf "$CAMP_DIR" "$(dirname "$CACHE_DIR")"
 
 echo "== snapshot gate: checkpoint at t/2, restore in a fresh process =="
-# A fig7 DOMINO run under chaos is checkpointed at half its horizon; a
-# *separate process* restores the sealed snapshot and finishes the run.
-# Both the interrupted and the restored stats blocks must byte-match the
-# uninterrupted run's — the restored-goldens-cannot-move claim of
-# DESIGN.md §15, held at the process boundary.
+# A fig7 run under chaos is checkpointed at half its horizon, for every
+# scheme; a *separate process* restores the sealed snapshot and finishes
+# the run. Both the interrupted and the restored stats blocks must
+# byte-match the uninterrupted run's — the restored-goldens-cannot-move
+# claim of DESIGN.md §15, held at the process boundary.
 SNAP_DIR="$(mktemp -d)"
-./target/release/domino-run sim --scheme domino --scenario fig7 --seed 11 --duration-s 1 \
-    --chaos 0.5 --checkpoint-at-us 500000 --state-dir "$SNAP_DIR" > "$SNAP_DIR/interrupted.txt"
-./target/release/domino-run sim --scheme domino --scenario fig7 --seed 11 --duration-s 1 \
-    --chaos 0.5 > "$SNAP_DIR/uninterrupted.txt"
-./target/release/domino-run sim --scheme domino --scenario fig7 --seed 11 --duration-s 1 \
-    --chaos 0.5 --restore "$SNAP_DIR/ckpt_000500000000.dsnp" > "$SNAP_DIR/restored.txt"
-diff "$SNAP_DIR/uninterrupted.txt" "$SNAP_DIR/interrupted.txt"
-diff "$SNAP_DIR/uninterrupted.txt" "$SNAP_DIR/restored.txt"
-echo "restored run byte-identical to uninterrupted run"
+for scheme in domino dcf centaur omniscient; do
+    SIM=(./target/release/domino-run sim --scheme "$scheme" --scenario fig7 --seed 11 --duration-s 1 --chaos 0.5)
+    mkdir -p "$SNAP_DIR/$scheme"
+    "${SIM[@]}" --checkpoint-at-us 500000 --state-dir "$SNAP_DIR/$scheme" > "$SNAP_DIR/$scheme.interrupted.txt"
+    "${SIM[@]}" > "$SNAP_DIR/$scheme.uninterrupted.txt"
+    "${SIM[@]}" --restore "$SNAP_DIR/$scheme/ckpt_000500000000.dsnp" > "$SNAP_DIR/$scheme.restored.txt"
+    diff "$SNAP_DIR/$scheme.uninterrupted.txt" "$SNAP_DIR/$scheme.interrupted.txt"
+    diff "$SNAP_DIR/$scheme.uninterrupted.txt" "$SNAP_DIR/$scheme.restored.txt"
+    echo "$scheme: restored run byte-identical to uninterrupted run"
+done
 rm -rf "$SNAP_DIR"
 
 echo "== failover smoke: warm-standby recovery under controller crashes =="
