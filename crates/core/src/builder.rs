@@ -488,29 +488,36 @@ mod tests {
 
     #[test]
     fn checkpoint_resume_is_byte_identical_for_every_scheme() {
-        let net = scenarios::fig1();
-        let b = SimulationBuilder::new(net)
-            .udp(3e6, 1e6)
-            .duration_s(0.4)
-            .seed(21)
-            .faults(FaultConfig::chaos(0.5));
+        // UDP, and TCP on two networks: a TCP snapshot carries queued
+        // retransmission timers whose handles the restore must recover.
+        let chaos = |net| {
+            SimulationBuilder::new(net).duration_s(0.4).seed(21).faults(FaultConfig::chaos(0.5))
+        };
+        let builders = [
+            chaos(scenarios::fig1()).udp(3e6, 1e6),
+            chaos(scenarios::fig1()).tcp(3e6, 1e6),
+            chaos(scenarios::standard_t(10, 2, 1)).tcp(10e6, 4e6),
+        ];
         let boundaries = [SimTime::from_nanos(200_000_000), SimTime::from_nanos(300_000_000)];
-        for scheme in Scheme::ALL {
+        for (i, b, scheme) in
+            builders.iter().enumerate().flat_map(|(i, b)| Scheme::ALL.map(|s| (i, b, s)))
+        {
+            let case = format!("builder {i}, {scheme:?}");
             let baseline = b.run(scheme);
-            let (ckpt_run, sealed) = checkpointed(&b, scheme, Probe::default(), &boundaries);
-            assert_eq!(sealed.len(), 2, "{scheme:?}");
+            let (ckpt_run, sealed) = checkpointed(b, scheme, Probe::default(), &boundaries);
+            assert_eq!(sealed.len(), 2, "{case}");
             assert_eq!(
                 baseline.stats.delivered_bits, ckpt_run.stats.delivered_bits,
-                "{scheme:?}: snapshotting perturbed the run"
+                "{case}: snapshotting perturbed the run"
             );
-            assert_eq!(baseline.stats.events, ckpt_run.stats.events, "{scheme:?}");
-            let resumed = resume(&b, scheme, &sealed[0]).expect("restore");
+            assert_eq!(baseline.stats.events, ckpt_run.stats.events, "{case}");
+            let resumed = resume(b, scheme, &sealed[0]).expect("restore");
             assert_eq!(
                 baseline.stats.delivered_bits, resumed.stats.delivered_bits,
-                "{scheme:?}: restored run diverged"
+                "{case}: restored run diverged"
             );
-            assert_eq!(baseline.stats.events, resumed.stats.events, "{scheme:?}");
-            assert_eq!(baseline.stats.faults, resumed.stats.faults, "{scheme:?}");
+            assert_eq!(baseline.stats.events, resumed.stats.events, "{case}");
+            assert_eq!(baseline.stats.faults, resumed.stats.faults, "{case}");
             // A resumed run checkpoints too: boundaries up to its own are
             // skipped, and a later one seals exactly the bytes the
             // uninterrupted run sealed there.
@@ -524,8 +531,8 @@ mod tests {
                 ..RunOpts::default()
             };
             let resumed = b.run_with(scheme, opts).expect("restore");
-            assert_eq!(again, sealed[1..], "{scheme:?}: resumed checkpoint differs");
-            assert_eq!(baseline.stats.events, resumed.stats.events, "{scheme:?}");
+            assert_eq!(again, sealed[1..], "{case}: resumed checkpoint differs");
+            assert_eq!(baseline.stats.events, resumed.stats.events, "{case}");
         }
     }
 

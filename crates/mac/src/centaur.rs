@@ -397,7 +397,6 @@ impl World for CentaurWorld {
                 return self.csma.try_start(sender, now, &mut self.plant);
             }
             Step::Released => return self.csma.try_start_all(now, &mut self.plant),
-            Step::Stale => return,
             Step::TxEnd(tx) => return self.on_tx_end(tx, now),
             Step::Scheme(ev) => ev,
         };

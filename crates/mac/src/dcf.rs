@@ -518,7 +518,6 @@ impl World for DcfWorld {
                 self.csma.try_start(sender, now, &mut self.plant);
             }
             Step::Released => self.csma.try_start_all(now, &mut self.plant),
-            Step::Stale => {}
             Step::TxEnd(tx) => {
                 let receptions = self.plant.medium.end(tx, now);
                 self.csma.scan(now, &mut self.plant);

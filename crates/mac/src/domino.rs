@@ -717,7 +717,7 @@ impl World for DominoWorld {
     fn handle(&mut self, now: SimTime, ev: Ev<DEv>) {
         // Every tick and RTO re-arms every flow's RTO.
         let ev = match self.plant.step(now, ev, RtoScope::All) {
-            Step::Arrived(_) | Step::Released | Step::Stale => return,
+            Step::Arrived(_) | Step::Released => return,
             Step::TxEnd(tx) => return self.on_tx_end(now, tx),
             Step::Scheme(ev) => ev,
         };

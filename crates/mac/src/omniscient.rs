@@ -92,7 +92,7 @@ impl World for OmniWorld {
 
     fn handle(&mut self, now: SimTime, ev: Ev<OmniEv>) {
         match self.plant.step(now, ev, RtoScope::Flow) {
-            Step::Arrived(_) | Step::Released | Step::Stale => {}
+            Step::Arrived(_) | Step::Released => {}
             Step::Scheme(OmniEv::SlotStart) => self.on_slot_start(now),
             Step::TxEnd(tx) => self.on_tx_end(now, tx),
         }

@@ -7,6 +7,11 @@
 //! end-of-run flush and the shared head of every snapshot. A scheme world
 //! holds one [`Plant`] plus only its own state; its own events ride in
 //! [`Ev::Scheme`].
+//!
+//! Each TCP flow has at most one RTO event queued. The plant keeps its
+//! [`EventHandle`] and cancels it before queuing the replacement, so a
+//! superseded timer never pops. A restored plant recovers the handles
+//! from the restored queue.
 
 use crate::flows::{FlowEngine, TCP_TICK};
 use crate::run::RunInputs;
@@ -16,7 +21,7 @@ use domino_medium::{Frame, Medium, TxId};
 use domino_obs::{CostPath, FaultKind, Probe, TraceEvent};
 use domino_sim::engine::{DEFAULT_EVENT_BUDGET, DEFAULT_LIVENESS_WINDOW};
 use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter, Snapshot};
-use domino_sim::{Engine, SimDuration, SimTime};
+use domino_sim::{Engine, EventHandle, SimDuration, SimTime};
 use domino_topology::LinkId;
 
 /// The events of a run: the plant's own, plus the scheme's in
@@ -37,8 +42,6 @@ pub enum Ev<X> {
     TcpRto {
         /// Flow index.
         flow: usize,
-        /// Staleness guard.
-        gen: u64,
     },
     /// A transmission leaves the air.
     TxEnd {
@@ -79,10 +82,9 @@ impl<X: SnapValue> SnapValue for Ev<X> {
                 w.put_u8(1);
                 flow.put(w);
             }
-            Ev::TcpRto { flow, gen } => {
+            Ev::TcpRto { flow } => {
                 w.put_u8(2);
                 flow.put(w);
-                w.put_u64(*gen);
             }
             Ev::TxEnd { tx } => {
                 w.put_u8(3);
@@ -98,7 +100,7 @@ impl<X: SnapValue> SnapValue for Ev<X> {
         Ok(match r.get_u8()? {
             0 => Ev::UdpArrival { flow: SnapValue::thaw(r)? },
             1 => Ev::TcpTick { flow: SnapValue::thaw(r)? },
-            2 => Ev::TcpRto { flow: SnapValue::thaw(r)?, gen: r.get_u64()? },
+            2 => Ev::TcpRto { flow: SnapValue::thaw(r)? },
             3 => Ev::TxEnd { tx: SnapValue::thaw(r)? },
             4 => Ev::Scheme(SnapValue::thaw(r)?),
             _ => return Err(SnapError::Corrupt("plant event tag")),
@@ -120,10 +122,8 @@ pub(crate) enum Step<X> {
     /// A UDP packet arrived for this link (queued, or dropped at a full
     /// queue).
     Arrived(LinkId),
-    /// A TCP tick or a live RTO may have released segments.
+    /// A TCP tick or an RTO may have released segments.
     Released,
-    /// A stale RTO: nothing happened.
-    Stale,
     /// A transmission left the air; the scheme adjudicates it.
     TxEnd(TxId),
     /// The scheme's own event.
@@ -145,8 +145,8 @@ pub struct Plant<X> {
     /// Observation-only trace sink and cost profiler (off by default;
     /// excluded from snapshots — a restored run profiles from zero).
     pub(crate) probe: Probe,
-    /// RTO staleness guard per flow.
-    rto_gen: Vec<u64>,
+    /// The one queued RTO event of each flow, if any.
+    rto: Vec<Option<EventHandle>>,
     /// The TCP flows, listed once.
     tcp_flows: Vec<usize>,
     /// Until when each crashed AP stays dark.
@@ -184,7 +184,7 @@ impl<X> Plant<X> {
             fe,
             node_faults: plane.node,
             probe,
-            rto_gen: vec![0; workload.flows.len()],
+            rto: vec![None; workload.flows.len()],
             tcp_flows,
             ap_dark_until: vec![SimTime::ZERO; net.num_nodes()],
             ap_crashed: vec![false; net.num_nodes()],
@@ -218,10 +218,7 @@ impl<X> Plant<X> {
                 self.rearm(rto, flow, now);
                 Step::Released
             }
-            Ev::TcpRto { flow, gen } => {
-                if self.rto_gen[flow] != gen {
-                    return Step::Stale;
-                }
+            Ev::TcpRto { flow } => {
                 self.fe.tcp_timer(flow, now);
                 self.rearm(rto, flow, now);
                 Step::Released
@@ -246,14 +243,17 @@ impl<X> Plant<X> {
         }
     }
 
-    /// Re-arm one TCP flow's RTO: the generation bump retires the event
-    /// already queued.
+    /// Re-arm one TCP flow's RTO: cancel the event already queued (a
+    /// no-op when it is the one being handled) and queue the replacement
+    /// at the flow's current deadline.
     fn rearm_rto(&mut self, flow: usize, now: SimTime) {
-        self.rto_gen[flow] += 1;
-        if let Some(deadline) = self.fe.tcp_rto_deadline(flow) {
-            let gen = self.rto_gen[flow];
-            self.engine.schedule_at(deadline.max(now), Ev::TcpRto { flow, gen });
+        if let Some(queued) = self.rto[flow].take() {
+            self.engine.cancel(queued);
         }
+        self.rto[flow] = self
+            .fe
+            .tcp_rto_deadline(flow)
+            .map(|deadline| self.engine.schedule_at(deadline.max(now), Ev::TcpRto { flow }));
     }
 
     /// The AP-crash gate in front of a wired message to `ap`. False when
@@ -331,9 +331,9 @@ impl<X> Plant<X> {
         stats
     }
 
-    /// Serialize the plant: the head of every world's snapshot. `&mut`
-    /// because the engine drains and rebuilds its wheel in place.
-    pub(crate) fn snapshot_save(&mut self, w: &mut SnapWriter)
+    /// Serialize the plant: the head of every world's snapshot. The RTO
+    /// handles are not written: they name events of this engine only.
+    pub(crate) fn snapshot_save(&self, w: &mut SnapWriter)
     where
         X: SnapValue,
     {
@@ -341,13 +341,14 @@ impl<X> Plant<X> {
         self.medium.snapshot_save(w);
         self.fe.snapshot_save(w);
         self.node_faults.save(w);
-        self.rto_gen.put(w);
         self.ap_dark_until.put(w);
         self.ap_crashed.put(w);
     }
 
     /// Overwrite the plant from a [`Plant::snapshot_save`] payload of the
-    /// same configuration.
+    /// same configuration, then take each flow's RTO handle from the
+    /// restored queue. A queue holding two RTOs of one flow, or an RTO of
+    /// a flow that is not TCP, is corrupt.
     pub(crate) fn snapshot_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>
     where
         X: SnapValue,
@@ -356,9 +357,23 @@ impl<X> Plant<X> {
         self.medium.snapshot_restore(r)?;
         self.fe.snapshot_restore(r)?;
         self.node_faults.restore(r)?;
-        restore_table(&mut self.rto_gen, r, "rto gen table length")?;
         restore_table(&mut self.ap_dark_until, r, "ap dark table length")?;
-        restore_table(&mut self.ap_crashed, r, "ap crash table length")
+        restore_table(&mut self.ap_crashed, r, "ap crash table length")?;
+        self.rto.fill(None);
+        let mut corrupt = false;
+        let (rto, tcp_flows) = (&mut self.rto, &self.tcp_flows);
+        self.engine.for_each_pending(|handle, _, ev| {
+            if let Ev::TcpRto { flow } = ev {
+                match rto.get_mut(*flow) {
+                    Some(slot @ None) if tcp_flows.contains(flow) => *slot = Some(handle),
+                    _ => corrupt = true,
+                }
+            }
+        });
+        if corrupt {
+            return Err(SnapError::Corrupt("rto events per flow"));
+        }
+        Ok(())
     }
 }
 
@@ -427,16 +442,66 @@ mod tests {
     use crate::dcf::CsmaEv;
     use crate::domino::DEv;
     use crate::omniscient::OmniEv;
+    use crate::workload::{FlowKind, FlowSpec, Workload};
+    use domino_faults::FaultConfig;
+    use domino_topology::network::PhyParams;
+    use domino_topology::presets::fig1;
+    use domino_topology::Network;
 
     #[test]
     fn plant_events_roundtrip() {
         let events: [Ev<OmniEv>; 4] = [
             Ev::UdpArrival { flow: 3 },
             Ev::TcpTick { flow: 1 },
-            Ev::TcpRto { flow: 2, gen: 9 },
+            Ev::TcpRto { flow: 2 },
             Ev::TxEnd { tx: TxId(7) },
         ];
         assert_events_roundtrip(&events);
+    }
+
+    /// TCP both ways on every Fig 1 link, then one UDP flow, the last.
+    fn mixed_workload() -> (Network, Workload) {
+        let net = fig1(PhyParams::default());
+        let mut workload = Workload::tcp_updown(&net, 6e6, 1e6);
+        workload.flows.push(FlowSpec { link: LinkId(0), kind: FlowKind::Udp { rate_bps: 1e6 } });
+        (net, workload)
+    }
+
+    /// A plant's snapshot with the given RTO events queued, restored into
+    /// a fresh plant of the same inputs.
+    fn restore_with_rtos(flows: &[usize]) -> (Result<(), SnapError>, Plant<OmniEv>) {
+        let (net, workload) = mixed_workload();
+        let faults = FaultConfig::off();
+        let inputs =
+            RunInputs { net: &net, workload: &workload, duration_s: 1.0, seed: 1, faults: &faults };
+        let mut saved: Plant<OmniEv> = Plant::new(&inputs, Probe::default());
+        for &flow in flows {
+            saved.engine.schedule_at(SimTime::from_millis(100), Ev::TcpRto { flow });
+        }
+        let mut w = SnapWriter::new();
+        saved.snapshot_save(&mut w);
+        let mut plant = Plant::new(&inputs, Probe::default());
+        (plant.snapshot_restore(&mut SnapReader::new(&w.into_bytes())), plant)
+    }
+
+    #[test]
+    fn restore_recovers_rto_handles() {
+        let (restored, mut plant) = restore_with_rtos(&[0, 2]);
+        assert_eq!(restored, Ok(()));
+        assert_eq!(plant.rto.iter().filter(|h| h.is_some()).count(), 2);
+        for flow in [0, 2] {
+            let handle = plant.rto[flow].expect("the restored RTO's handle");
+            assert!(plant.engine.cancel(handle), "flow {flow}: the handle names its RTO");
+        }
+    }
+
+    #[test]
+    fn restore_rejects_two_rtos_for_one_flow_or_a_non_tcp_flow() {
+        let corrupt = Err(SnapError::Corrupt("rto events per flow"));
+        let udp = mixed_workload().1.flows.len() - 1;
+        assert_eq!(restore_with_rtos(&[1, 0, 1]).0, corrupt, "duplicate");
+        assert_eq!(restore_with_rtos(&[udp]).0, corrupt, "UDP flow");
+        assert_eq!(restore_with_rtos(&[udp + 1]).0, corrupt, "flow out of range");
     }
 
     /// Engine events travel by value through the timer wheel, so their
@@ -447,7 +512,7 @@ mod tests {
         use std::mem::size_of;
         assert_eq!(size_of::<Ev<CsmaEv>>(), 56, "DCF");
         assert_eq!(size_of::<Ev<CentaurEv>>(), 56, "CENTAUR");
-        assert_eq!(size_of::<Ev<OmniEv>>(), 24, "Omniscient");
+        assert_eq!(size_of::<Ev<OmniEv>>(), 16, "Omniscient");
         assert_eq!(size_of::<Ev<DEv>>(), 112, "DOMINO");
     }
 }

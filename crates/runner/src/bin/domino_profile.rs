@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! domino-profile report [--scheme <s>] [--scenario <n>] [--seed <n>]
-//!                       [--duration-s <s>] [--udp <down>,<up>] [--chaos <x>]
-//!                       [--folded]
+//!                       [--duration-s <s>] [--udp <down>,<up> | --tcp <down>,<up>]
+//!                       [--chaos <x>] [--folded]
 //!
 //!   Run one configured simulation with the deterministic cost profiler
 //!   attached and print the attribution table (or, with --folded, the

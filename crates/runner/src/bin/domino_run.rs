@@ -28,7 +28,8 @@
 //!   --resume skips ledger-verified cells; --report prints the report.
 //!
 //! domino-run sim --scheme <s> [--scenario <n>] [--seed <n>] [--duration-s <s>]
-//!                [--udp <down>,<up>] [--chaos <x>] [--standby] [--ctrl-crash <p>]
+//!                [--udp <down>,<up> | --tcp <down>,<up>] [--chaos <x>]
+//!                [--standby] [--ctrl-crash <p>]
 //!                [--checkpoint-every-us <n> | --checkpoint-at-us <t>]...
 //!                [--state-dir <dir>] [--restore <file>]
 //!

@@ -21,15 +21,16 @@
 //! The library renders; the binary prints. That split keeps every
 //! rendered byte inside lint rule D006's render-path crates.
 
-use crate::simcmd::{RunSpec, Scenario};
+use crate::simcmd::{RunSpec, Scenario, Traffic};
 use domino_core::Scheme;
 use domino_obs::{CostProfile, ProfHandle, TraceHandle};
 use std::fmt::Write as _;
 
 /// Usage string for the binary (printed on `--help` and parse errors).
 pub const USAGE: &str = "usage: domino-profile report [--scheme <dcf|centaur|domino|omniscient>] \
-[--scenario <fig1|fig7|t6x2>] [--seed <n>] [--duration-s <s>] \
-[--udp <down_bps>,<up_bps>] [--chaos <x>] [--folded]\n\
+[--scenario <fig1|fig7|t6x2|t10x2>] [--seed <n>] [--duration-s <s>] \
+[--udp <down_bps>,<up_bps> | --tcp <down_bps>,<up_bps>] [--chaos <x>] \
+[--folded]\n\
        domino-profile diff <before> <after> [--tolerance <pct>]";
 
 /// Parsed `domino-profile report …` invocation.
@@ -52,7 +53,7 @@ impl Default for ReportArgs {
                 scenario: Scenario::Fig7,
                 seed: 1,
                 duration_s: 0.2,
-                udp: (8e6, 2e6),
+                traffic: Traffic::Udp(8e6, 2e6),
                 chaos: 0.0,
             },
             folded: false,

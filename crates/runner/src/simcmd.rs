@@ -17,8 +17,9 @@ use std::path::PathBuf;
 
 /// Usage string for the subcommand (the binary prints it on `--help`).
 pub const USAGE: &str = "usage: domino-run sim --scheme <dcf|centaur|domino|omniscient> \
-[--scenario <fig1|fig7|t6x2>] [--seed <n>] [--duration-s <s>] \
-[--udp <down_bps>,<up_bps>] [--chaos <x>] [--standby] [--ctrl-crash <p>] \
+[--scenario <fig1|fig7|t6x2|t10x2>] [--seed <n>] [--duration-s <s>] \
+[--udp <down_bps>,<up_bps> | --tcp <down_bps>,<up_bps>] [--chaos <x>] \
+[--standby] [--ctrl-crash <p>] \
 [--checkpoint-every-us <n> | --checkpoint-at-us <t>]... [--state-dir <dir>] \
 [--restore <file>]";
 
@@ -31,6 +32,9 @@ pub enum Scenario {
     Fig7,
     /// The standard T(6,2) enterprise topology (seeded).
     T6x2,
+    /// The standard T(10,2) enterprise topology (seeded; seed 1 is
+    /// Fig. 12's network).
+    T10x2,
 }
 
 impl Scenario {
@@ -40,13 +44,23 @@ impl Scenario {
             Scenario::Fig1 => "fig1",
             Scenario::Fig7 => "fig7",
             Scenario::T6x2 => "t6x2",
+            Scenario::T10x2 => "t10x2",
         }
     }
 }
 
+/// Offered traffic on every downlink and uplink, in bits per second.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub enum Traffic {
+    /// UDP `(down_bps, up_bps)`.
+    Udp(f64, f64),
+    /// TCP `(down_bps, up_bps)`.
+    Tcp(f64, f64),
+}
+
 /// The run-defining flags `domino-run sim` and `domino-profile report`
-/// share: `--scheme`, `--scenario`, `--seed`, `--duration-s`, `--udp` and
-/// `--chaos`. Each command supplies its own defaults.
+/// share: `--scheme`, `--scenario`, `--seed`, `--duration-s`, `--udp` or
+/// `--tcp`, and `--chaos`. Each command supplies its own defaults.
 #[derive(Clone, Debug)]
 pub struct RunSpec {
     /// MAC scheme to run.
@@ -57,8 +71,8 @@ pub struct RunSpec {
     pub seed: u64,
     /// Simulated horizon in seconds.
     pub duration_s: f64,
-    /// UDP workload `(down_bps, up_bps)`.
-    pub udp: (f64, f64),
+    /// Workload (`--udp` or `--tcp`; the last one given wins).
+    pub traffic: Traffic,
     /// Chaos fault intensity (0 = fault plane off).
     pub chaos: f64,
 }
@@ -86,6 +100,7 @@ impl RunSpec {
                     "fig1" => Scenario::Fig1,
                     "fig7" => Scenario::Fig7,
                     "t6x2" => Scenario::T6x2,
+                    "t10x2" => Scenario::T10x2,
                     other => return Err(format!("unknown scenario {other}")),
                 };
             }
@@ -96,10 +111,12 @@ impl RunSpec {
             }
             "--duration-s" => self.duration_s = parse_f64(&need(it, flag)?, flag)?,
             "--udp" => {
-                let v = need(it, flag)?;
-                let (down, up) =
-                    v.split_once(',').ok_or("--udp needs <down_bps>,<up_bps>")?;
-                self.udp = (parse_f64(down, flag)?, parse_f64(up, flag)?);
+                let (down, up) = parse_rates(&need(it, flag)?, flag)?;
+                self.traffic = Traffic::Udp(down, up);
+            }
+            "--tcp" => {
+                let (down, up) = parse_rates(&need(it, flag)?, flag)?;
+                self.traffic = Traffic::Tcp(down, up);
             }
             "--chaos" => self.chaos = parse_f64(&need(it, flag)?, flag)?,
             _ => return Ok(false),
@@ -122,18 +139,26 @@ impl RunSpec {
             Scenario::Fig1 => scenarios::fig1(),
             Scenario::Fig7 => scenarios::fig7(),
             Scenario::T6x2 => scenarios::standard_t(6, 2, self.seed),
+            Scenario::T10x2 => scenarios::standard_t(10, 2, self.seed),
         };
-        SimulationBuilder::new(net)
-            .udp(self.udp.0, self.udp.1)
-            .duration_s(self.duration_s)
-            .seed(self.seed)
-            .faults(faults)
+        let b = SimulationBuilder::new(net);
+        let b = match self.traffic {
+            Traffic::Udp(down, up) => b.udp(down, up),
+            Traffic::Tcp(down, up) => b.tcp(down, up),
+        };
+        b.duration_s(self.duration_s).seed(self.seed).faults(faults)
     }
 }
 
 /// The value following `flag`.
 fn need(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<String, String> {
     it.next().cloned().ok_or_else(|| format!("{flag} needs a value"))
+}
+
+/// `<down_bps>,<up_bps>`.
+fn parse_rates(v: &str, flag: &str) -> Result<(f64, f64), String> {
+    let (down, up) = v.split_once(',').ok_or_else(|| format!("{flag} needs <down_bps>,<up_bps>"))?;
+    Ok((parse_f64(down, flag)?, parse_f64(up, flag)?))
 }
 
 /// A finite, non-negative number.
@@ -171,7 +196,7 @@ pub fn parse(args: &[String]) -> Result<SimArgs, String> {
             scenario: Scenario::T6x2,
             seed: 1,
             duration_s: 1.0,
-            udp: (8e6, 2e6),
+            traffic: Traffic::Udp(8e6, 2e6),
             chaos: 0.0,
         },
         standby: false,
@@ -320,6 +345,12 @@ mod tests {
         assert!(parse(&argv(&["--scheme", "nope"])).is_err());
         assert!(parse(&argv(&["--seed"])).is_err());
         assert!(parse(&argv(&["--udp", "8e6"])).is_err());
+        assert!(parse(&argv(&["--tcp", "8e6"])).is_err());
+        assert!(parse(&argv(&["--scenario", "t10x3"])).is_err());
+        let t = parse(&argv(&["--scenario", "t10x2", "--udp", "1,2", "--tcp", "10e6,4e6"]));
+        let t = t.unwrap();
+        assert_eq!(t.spec.scenario, Scenario::T10x2);
+        assert_eq!(t.spec.traffic, Traffic::Tcp(10e6, 4e6), "the last workload flag wins");
         assert!(parse(&argv(&["--bogus"])).is_err());
         let a = parse(&argv(&[
             "--scheme", "dcf", "--scenario", "fig7", "--seed", "9", "--duration-s", "0.5",

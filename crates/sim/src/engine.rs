@@ -69,13 +69,13 @@ impl EventHandle {
 }
 
 /// Default liveness budget: events allowed per liveness window before the
-/// engine declares a livelock. The ceiling has to clear the largest
-/// same-instant cascade a *legitimate* run produces — DOMINO under heavy
-/// TCP on T(10,2) has been measured at ~350k events inside one window at a
-/// batch boundary — so the default sits an order of magnitude above that.
-/// A genuine non-terminating spin still trips it within seconds of wall
-/// time.
-pub const DEFAULT_EVENT_BUDGET: u64 = 5_000_000;
+/// engine declares a livelock. It is about twice the busiest 1-ms window
+/// measured in any legitimate run: 953 events, in Fig 14's random T(20,3)
+/// networks under saturated UDP. Fig 12's 4-s cells stay at or below 395
+/// (its TCP/DOMINO cells at about 190). A test pins the heaviest cells at
+/// half the budget or less. A genuine spin trips it well within a
+/// millisecond of wall time.
+pub const DEFAULT_EVENT_BUDGET: u64 = 1_900;
 
 /// Default liveness window of simulated time over which the event budget
 /// applies.
@@ -306,25 +306,20 @@ impl<E> Engine<E> {
     /// count, liveness-window progress, and every pending event in
     /// delivery order.
     ///
-    /// Draining the wheel is destructive, so the queue is rebuilt in
-    /// place by re-inserting the drained events in delivery order — the
-    /// wheel's FIFO-tie rule makes an in-order re-insertion reproduce the
-    /// exact delivery sequence, so a run that snapshots and *continues*
-    /// stays byte-identical to one that never snapshotted (pinned by the
-    /// `snapshot_preserves_delivery` tests below). The rebuilt wheel
-    /// inherits the old one's lifetime op counters and the re-inserts are
-    /// not counted, so a profiled run that checkpoints reports the same
-    /// `engine;wheel;*` costs as one that never did. Outstanding
-    /// [`EventHandle`]s go stale across a save; the MAC worlds use
-    /// generation guards, not stored handles, so nothing holds one across
-    /// a checkpoint boundary.
-    pub fn snapshot_save(&mut self, w: &mut SnapWriter)
+    /// Saving reads the wheel and leaves it alone: events of one instant
+    /// share a bucket in schedule order, so a stable sort by time over the
+    /// bucket lists yields the `(time, seq)` delivery order. A run that
+    /// snapshots and *continues* is therefore the run that never
+    /// snapshotted — same delivery, same `engine;wheel;*` op counts —
+    /// and every outstanding [`EventHandle`] still names its event after
+    /// the save (pinned by the `snapshot_*` tests below). A restored
+    /// engine issues new handles; [`Engine::for_each_pending`] recovers
+    /// them.
+    pub fn snapshot_save(&self, w: &mut SnapWriter)
     where
         E: SnapValue,
     {
-        let cursor = self.wheel.cursor();
-        let op_counts = self.wheel.op_counts();
-        w.put_u64(cursor);
+        w.put_u64(self.wheel.cursor());
         w.put_u64(self.processed);
         match &self.liveness {
             Some(liv) => {
@@ -334,30 +329,24 @@ impl<E> Engine<E> {
             }
             None => w.put_u8(0),
         }
-        let mut drained: Vec<(u64, E)> = Vec::with_capacity(self.wheel.len());
-        while let Some(ev) = self.wheel.pop_min_until(u64::MAX) {
-            drained.push(ev);
-        }
-        w.put_u64(drained.len() as u64);
-        let mut fresh = TimerWheel::new();
-        fresh.advance(cursor);
-        for (t, p) in drained {
+        let mut pending: Vec<(u64, &E)> = Vec::with_capacity(self.wheel.len());
+        self.wheel.for_each(|_, t, p| pending.push((t, p)));
+        pending.sort_by_key(|&(t, _)| t);
+        w.put_u64(pending.len() as u64);
+        for (t, p) in pending {
             w.put_u64(t);
             p.put(w);
-            fresh.insert(t, p);
         }
-        fresh.set_op_counts(op_counts);
-        self.wheel = fresh;
     }
 
     /// Overwrite this engine's dynamic state from a snapshot written by
     /// [`Engine::snapshot_save`]. Any events already queued (a freshly
     /// constructed world schedules its initial events) are discarded —
-    /// the snapshot's queue replaces them wholesale, and the re-inserts
-    /// are not counted: a restored engine profiles from zero. Liveness
-    /// *progress* is restored only when the monitor is armed; its budget
-    /// and window are configuration and stay as [`Engine::set_liveness`]
-    /// set them.
+    /// the snapshot's queue replaces them wholesale, under new handles,
+    /// and the re-inserts are not counted: a restored engine profiles
+    /// from zero. Liveness *progress* is restored only when the monitor
+    /// is armed; its budget and window are configuration and stay as
+    /// [`Engine::set_liveness`] set them.
     pub fn snapshot_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>
     where
         E: SnapValue,
@@ -389,9 +378,16 @@ impl<E> Engine<E> {
             last = t;
             fresh.insert(t, E::thaw(r)?);
         }
-        fresh.set_op_counts((0, 0, 0));
+        fresh.reset_op_counts();
         self.wheel = fresh;
         Ok(())
+    }
+
+    /// Visit every pending event with its handle and due time, in a fixed
+    /// order that is not delivery order. After a restore this is how the
+    /// caller recovers the handles of the events the snapshot queued.
+    pub fn for_each_pending<'a>(&'a self, mut f: impl FnMut(EventHandle, SimTime, &'a E)) {
+        self.wheel.for_each(|h, t, p| f(EventHandle::pack(h), SimTime::from_nanos(t), p));
     }
 
     /// Timestamp of the next live event, if any.
@@ -415,7 +411,7 @@ impl<E> Engine<E> {
 mod tests {
     use super::*;
 
-    #[derive(Debug, PartialEq)]
+    #[derive(Clone, Debug, PartialEq)]
     enum Ev {
         A(u32),
     }
@@ -680,7 +676,7 @@ mod tests {
     #[test]
     fn snapshot_restores_into_fresh_engine() {
         let mut plain = half_run_engine();
-        let mut saved = half_run_engine();
+        let saved = half_run_engine();
         let mut w = SnapWriter::new();
         saved.snapshot_save(&mut w);
         let bytes = w.into_bytes();
@@ -698,8 +694,43 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_rejects_corrupt_order() {
+    fn handles_survive_a_save() {
+        // B is scheduled first but due last: a save that rebuilt the wheel
+        // would renumber the arena and let B's handle name A.
+        let mut e = Engine::new();
+        let b = e.schedule_at(SimTime::from_nanos(20), Ev::A(2));
+        e.schedule_at(SimTime::from_nanos(10), Ev::A(1));
+        e.snapshot_save(&mut SnapWriter::new());
+        assert!(e.cancel(b), "the handle must still name B");
+        assert_eq!(e.pop(), Some((SimTime::from_nanos(10), Ev::A(1))));
+        assert_eq!(e.pop(), None, "B was cancelled");
+    }
+
+    #[test]
+    fn restored_engine_hands_out_handles_of_its_events() {
         let mut saved = half_run_engine();
+        let mut w = SnapWriter::new();
+        saved.snapshot_save(&mut w);
+        let bytes = w.into_bytes();
+        let mut restored: Engine<Ev> = Engine::new();
+        restored.snapshot_restore(&mut SnapReader::new(&bytes)).unwrap();
+        let mut visited = Vec::new();
+        restored.for_each_pending(|h, t, ev| visited.push((h, t, ev.clone())));
+        let mut expect: Vec<(SimTime, Ev)> = drain(&mut saved);
+        let mut got: Vec<(SimTime, Ev)> =
+            visited.iter().map(|(_, t, ev)| (*t, ev.clone())).collect();
+        expect.sort_by_key(|(t, Ev::A(n))| (*t, *n));
+        got.sort_by_key(|(t, Ev::A(n))| (*t, *n));
+        assert_eq!(got, expect, "every pending event is visited once");
+        for (h, _, _) in visited {
+            assert!(restored.cancel(h), "a visited handle names a pending event");
+        }
+        assert!(restored.is_idle());
+    }
+
+    #[test]
+    fn snapshot_restore_rejects_corrupt_order() {
+        let saved = half_run_engine();
         let mut w = SnapWriter::new();
         saved.snapshot_save(&mut w);
         let mut bytes = w.into_bytes();

@@ -49,7 +49,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Current container format version. Bump on any layout change; old
 /// versions are rejected, never reinterpreted.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// 4-byte container magic.
 const MAGIC: &[u8; 4] = b"DSNP";

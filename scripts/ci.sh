@@ -66,14 +66,19 @@ echo "== source fingerprint: committed manifest matches the tree =="
 echo "== profile gate: cost attribution pinned at zero tolerance =="
 # The cost profiler counts exact integers over simulated work (engine
 # pops, wheel cascades, adjudications, RNG draws — no wall clock), so
-# the committed fig7 snapshot of every scheme is held to a
+# the committed fig7 snapshot of every scheme, and Fig 12's TCP/DOMINO
+# cell (TCP ticks and retransmission timers), are held to a
 # zero-threshold diff: any hot-path cost growth fails here and must be
 # reviewed as part of the change that caused it.
 PROF_TMP="$(mktemp)"
-for scheme in domino dcf centaur omniscient; do
-    ./target/release/domino-profile report --folded --scheme "$scheme" > "$PROF_TMP"
-    ./target/release/domino-profile diff "results/profile_fig7_$scheme.txt" "$PROF_TMP" \
-        || { echo "ERROR: cost profile drifted from results/profile_fig7_$scheme.txt; if the change is intended, regenerate with: ./target/release/domino-profile report --folded --scheme $scheme > results/profile_fig7_$scheme.txt" >&2; exit 1; }
+for cell in "fig7_domino --scheme domino" "fig7_dcf --scheme dcf" \
+    "fig7_centaur --scheme centaur" "fig7_omniscient --scheme omniscient" \
+    "t10x2_tcp_domino --scheme domino --scenario t10x2 --tcp 10e6,4e6 --duration-s 0.2"; do
+    name="${cell%% *}"
+    read -ra flags <<< "${cell#* }"
+    ./target/release/domino-profile report --folded "${flags[@]}" > "$PROF_TMP"
+    ./target/release/domino-profile diff "results/profile_$name.txt" "$PROF_TMP" \
+        || { echo "ERROR: cost profile drifted from results/profile_$name.txt; if the change is intended, regenerate with: ./target/release/domino-profile report --folded ${flags[*]} > results/profile_$name.txt" >&2; exit 1; }
 done
 rm -f "$PROF_TMP"
 
@@ -121,21 +126,28 @@ echo "campaign resume rebuilt the identical report"
 rm -rf "$CAMP_DIR" "$(dirname "$CACHE_DIR")"
 
 echo "== snapshot gate: checkpoint at t/2, restore in a fresh process =="
-# A fig7 run under chaos is checkpointed at half its horizon, for every
-# scheme; a *separate process* restores the sealed snapshot and finishes
-# the run. Both the interrupted and the restored stats blocks must
-# byte-match the uninterrupted run's — the restored-goldens-cannot-move
-# claim of DESIGN.md §15, held at the process boundary.
+# Two cells, a fig7 run under chaos and Fig 12's T(10,2) under TCP (its
+# snapshot carries queued retransmission timers), are checkpointed at
+# half their horizon, for every scheme; a *separate process* restores the
+# sealed snapshot and finishes the run. Both the interrupted and the
+# restored stats blocks must byte-match the uninterrupted run's — the
+# restored-goldens-cannot-move claim of DESIGN.md §15, held at the
+# process boundary.
 SNAP_DIR="$(mktemp -d)"
-for scheme in domino dcf centaur omniscient; do
-    SIM=(./target/release/domino-run sim --scheme "$scheme" --scenario fig7 --seed 11 --duration-s 1 --chaos 0.5)
-    mkdir -p "$SNAP_DIR/$scheme"
-    "${SIM[@]}" --checkpoint-at-us 500000 --state-dir "$SNAP_DIR/$scheme" > "$SNAP_DIR/$scheme.interrupted.txt"
-    "${SIM[@]}" > "$SNAP_DIR/$scheme.uninterrupted.txt"
-    "${SIM[@]}" --restore "$SNAP_DIR/$scheme/ckpt_000500000000.dsnp" > "$SNAP_DIR/$scheme.restored.txt"
-    diff "$SNAP_DIR/$scheme.uninterrupted.txt" "$SNAP_DIR/$scheme.interrupted.txt"
-    diff "$SNAP_DIR/$scheme.uninterrupted.txt" "$SNAP_DIR/$scheme.restored.txt"
-    echo "$scheme: restored run byte-identical to uninterrupted run"
+for cell in "fig7 --scenario fig7 --seed 11 --chaos 0.5" "t10x2_tcp --scenario t10x2 --tcp 10e6,4e6"; do
+    name="${cell%% *}"
+    read -ra flags <<< "${cell#* }"
+    for scheme in domino dcf centaur omniscient; do
+        SIM=(./target/release/domino-run sim --scheme "$scheme" "${flags[@]}" --duration-s 1)
+        run="$SNAP_DIR/$name.$scheme"
+        mkdir -p "$run"
+        "${SIM[@]}" --checkpoint-at-us 500000 --state-dir "$run" > "$run.interrupted.txt"
+        "${SIM[@]}" > "$run.uninterrupted.txt"
+        "${SIM[@]}" --restore "$run/ckpt_000500000000.dsnp" > "$run.restored.txt"
+        diff "$run.uninterrupted.txt" "$run.interrupted.txt"
+        diff "$run.uninterrupted.txt" "$run.restored.txt"
+        echo "$name/$scheme: restored run byte-identical to uninterrupted run"
+    done
 done
 rm -rf "$SNAP_DIR"
 

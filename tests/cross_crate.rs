@@ -136,3 +136,38 @@ fn preset_phy_params_are_consistent() {
     assert!(phy.cs_threshold.value() < phy.comm_range_rss.value());
     assert!(phy.noise_floor.value() < phy.cs_threshold.value());
 }
+
+/// The liveness monitor's default budget is twice the busiest 1-ms window
+/// of the suite's heaviest cells: Fig 12's TCP/DOMINO cell, where every
+/// superseded retransmission timer left queued would pop at one instant,
+/// and a Fig 14 random T(20,3) UDP cell, the densest network.
+#[test]
+fn busiest_liveness_window_is_at_most_half_the_default_budget() {
+    use domino::core::{ProfHandle, TraceEvent, TraceHandle};
+    use domino::sim::engine::DEFAULT_EVENT_BUDGET;
+    let fig12 = SimulationBuilder::new(scenarios::standard_t(10, 2, 1));
+    let fig14 = SimulationBuilder::new(scenarios::random_t(20, 3, 1));
+    let cells = [
+        ("Fig 12 TCP 10/4", fig12.tcp(10e6, 4e6).duration_s(1.0)),
+        ("random T(20,3)", fig14.udp(10e6, 10e6).duration_s(0.25)),
+    ];
+    for (name, b) in cells {
+        let (trace, sink) = TraceHandle::mem();
+        let report = b.seed(1).run_profiled(Scheme::Domino, trace, ProfHandle::off());
+        assert_eq!(report.stats.faults.livelocks, 0, "{name}");
+        let busiest = sink
+            .take()
+            .iter()
+            .filter_map(|r| match r.ev {
+                TraceEvent::LivelockCheck { events_in_window } => Some(events_in_window),
+                _ => None,
+            })
+            .max()
+            .unwrap_or(0);
+        assert!(busiest > 0, "{name}: no liveness window closed");
+        assert!(
+            busiest <= DEFAULT_EVENT_BUDGET / 2,
+            "{name}: {busiest} events in one window, budget {DEFAULT_EVENT_BUDGET}"
+        );
+    }
+}

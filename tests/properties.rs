@@ -452,7 +452,8 @@ fn eq_fields(
 
 #[test]
 fn snapshot_restore_reproduces_any_run() {
-    // For ANY scheme, fault schedule (or none) and snapshot time: (1)
+    // For ANY scheme, workload (UDP, or TCP with its retransmission
+    // timers queued), fault schedule (or none) and snapshot time: (1)
     // taking a checkpoint perturbs neither the run stats nor the trace
     // bytes, and (2) restoring that checkpoint in a fresh world — traced
     // and profiled — and driving to the horizon reproduces the
@@ -467,10 +468,8 @@ fn snapshot_restore_reproduces_any_run() {
             let seed = g.u64(1, 1 << 20);
             // Snapshot boundary: 10%–90% of the 0.1 s horizon.
             let t = SimTime::from_nanos(g.u64(1, 9) * 10_000_000);
-            let b = SimulationBuilder::new(scenarios::fig1())
-                .udp(4e6, 1e6)
-                .duration_s(0.1)
-                .seed(seed);
+            let b = SimulationBuilder::new(scenarios::fig1()).duration_s(0.1).seed(seed);
+            let b = if g.bool() { b.tcp(4e6, 1e6) } else { b.udp(4e6, 1e6) };
             for faults in [faults, FaultConfig::off()] {
                 let b = b.clone().faults(faults);
                 for &scheme in &Scheme::ALL {
