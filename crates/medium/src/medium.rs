@@ -130,6 +130,11 @@ pub struct MediumCounters {
 pub struct Medium {
     net: Network,
     active: Vec<ActiveTx>,
+    /// Per node: is one of `active`'s frames its own? Derived from
+    /// `active` (set in `begin`, cleared in `end_into`, rebuilt on
+    /// restore, never saved), so carrier-sense and half-duplex queries are
+    /// a lookup, not a scan of the in-flight list.
+    transmitting: Vec<bool>,
     ambient_mw: Vec<f64>,
     noise_mw: f64,
     cs_threshold_mw: f64,
@@ -194,6 +199,7 @@ impl Medium {
         Medium {
             net,
             active: Vec::new(),
+            transmitting: vec![false; n],
             ambient_mw: vec![0.0; n],
             noise_mw,
             cs_threshold_mw,
@@ -259,7 +265,7 @@ impl Medium {
 
     /// Is `node` currently transmitting?
     pub fn is_transmitting(&self, node: NodeId) -> bool {
-        self.active.iter().any(|t| t.frame.src == node)
+        self.transmitting[node.index()]
     }
 
     /// Does `node` sense the channel busy (energy above the carrier-sense
@@ -384,6 +390,7 @@ impl Medium {
         }
         self.rx_scratch = rxs;
 
+        self.transmitting[src.index()] = true;
         self.active.push(ActiveTx { id, frame, start: now, tracks });
         id
     }
@@ -405,6 +412,7 @@ impl Medium {
             .position(|t| t.id == tx)
             .unwrap_or_else(|| panic!("ending unknown transmission {tx:?}"));
         let done = self.active.swap_remove(pos);
+        self.transmitting[done.frame.src.index()] = false;
         debug_assert!(now >= done.start, "transmission ends before it starts");
         self.probe.prof.tick(CostPath::MediumEnd);
 
@@ -443,8 +451,10 @@ impl Medium {
     /// their interference tracks), the ambient power field, the PHY RNG,
     /// the transmission counter, reception counters, ROP round peaks and
     /// the fault classes. The RSS matrices, the PER memo cache (a pure
-    /// function of its key), the recycling pools and the probe are
-    /// configuration or scratch and are reconstructed, not saved.
+    /// function of its key), the per-node transmitting flags (derived
+    /// from the in-flight set), the recycling pools and the probe are
+    /// configuration, derived or scratch and are reconstructed, not
+    /// saved.
     pub fn snapshot_save(&self, w: &mut SnapWriter) {
         w.put_u64(self.active.len() as u64);
         for tx in &self.active {
@@ -486,19 +496,35 @@ impl Medium {
     /// medium freshly constructed over the same network and seed. Fault
     /// presence must match the saved run: the restore target is built
     /// from the same config, so a mismatch means the snapshot belongs to
-    /// a different run.
+    /// a different run. In-flight sources and track receivers must be
+    /// nodes of the network, and no two in-flight frames may share a
+    /// source; the per-node transmitting flags are rebuilt from them.
     pub fn snapshot_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let n_active = r.get_len()?;
+        let n = self.net.num_nodes();
         self.active.clear();
+        self.transmitting.fill(false);
         for _ in 0..n_active {
             let id = TxId(r.get_u64()?);
             let frame = Frame::thaw(r)?;
             let start = SimTime::thaw(r)?;
+            let sending = self
+                .transmitting
+                .get_mut(frame.src.index())
+                .ok_or(SnapError::Corrupt("in-flight source is not a node"))?;
+            if *sending {
+                return Err(SnapError::Corrupt("two in-flight frames share a source"));
+            }
+            *sending = true;
             let n_tracks = r.get_len()?;
             let mut tracks = Vec::with_capacity(n_tracks.min(4096));
             for _ in 0..n_tracks {
+                let rx = NodeId(r.get_u32()?);
+                if rx.index() >= n {
+                    return Err(SnapError::Corrupt("track receiver is not a node"));
+                }
                 tracks.push(RxTrack {
-                    rx: domino_topology::NodeId(r.get_u32()?),
+                    rx,
                     max_interf_mw: r.get_f64()?,
                     rx_transmitted: match r.get_u8()? {
                         0 => false,
@@ -890,6 +916,74 @@ mod tests {
         let n = net(&[]);
         let mut m = Medium::new(n, 12);
         let _ = m.end(TxId(99), SimTime::ZERO);
+    }
+
+    /// Save `m` and restore the bytes into a fresh medium over `n`.
+    fn save_restore(n: &Network, m: &Medium) -> Result<Medium, SnapError> {
+        let mut w = SnapWriter::new();
+        m.snapshot_save(&mut w);
+        let bytes = w.into_bytes();
+        let mut restored = Medium::new(n.clone(), 13);
+        restored.snapshot_restore(&mut SnapReader::new(&bytes))?;
+        Ok(restored)
+    }
+
+    #[test]
+    fn restore_rejects_bad_in_flight_nodes() {
+        let n = net(&[]);
+        let in_flight = || {
+            let mut m = Medium::new(n.clone(), 13);
+            m.begin(SimTime::ZERO, data_frame(&n, 0));
+            m.begin(SimTime::ZERO, data_frame(&n, 2));
+            m
+        };
+        assert!(save_restore(&n, &in_flight()).is_ok());
+
+        let mut m = in_flight();
+        m.active[1].frame.src = NodeId(4);
+        let err = save_restore(&n, &m).err();
+        assert_eq!(err, Some(SnapError::Corrupt("in-flight source is not a node")));
+
+        let mut m = in_flight();
+        m.active[0].tracks[0].rx = NodeId(4);
+        let err = save_restore(&n, &m).err();
+        assert_eq!(err, Some(SnapError::Corrupt("track receiver is not a node")));
+
+        let mut m = in_flight();
+        m.active[1].frame.src = m.active[0].frame.src;
+        let err = save_restore(&n, &m).err();
+        assert_eq!(err, Some(SnapError::Corrupt("two in-flight frames share a source")));
+    }
+
+    #[test]
+    fn is_transmitting_tracks_in_flight_sources_across_a_restore() {
+        use domino_testkit::{prop, prop_assert_eq};
+        let n = net(&[(0, 2, -70.0), (2, 1, -58.0)]);
+        let links = n.links().len() as u32;
+        prop::check("is_transmitting equals an in-flight source", |g| {
+            let mut m = Medium::new(n.clone(), 14);
+            let mut live: Vec<TxId> = Vec::new();
+            let steps = g.usize(1, 40);
+            let restore_at = g.usize(0, steps);
+            for step in 0..steps {
+                if step == restore_at {
+                    m = save_restore(&n, &m).expect("restore");
+                }
+                let now = SimTime::from_micros(step as u64);
+                let frame = data_frame(&n, g.u64(0, u64::from(links) - 1) as u32);
+                if !live.is_empty() && (g.bool() || m.is_transmitting(frame.src)) {
+                    let tx = live.swap_remove(g.usize(0, live.len() - 1));
+                    m.end(tx, now);
+                } else if !m.is_transmitting(frame.src) {
+                    live.push(m.begin(now, frame));
+                }
+                for node in 0..n.num_nodes() as u32 {
+                    let node = NodeId(node);
+                    let sending = m.active.iter().any(|t| t.frame.src == node);
+                    prop_assert_eq!(m.is_transmitting(node), sending, "step {step}, {node}");
+                }
+            }
+        });
     }
 }
 

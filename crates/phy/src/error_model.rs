@@ -76,6 +76,9 @@ impl DataRate {
     /// The SINR (dB) above which a 512-byte frame gets through with at
     /// least 90 % probability — the "capture threshold" the conflict-graph
     /// builder uses.
+    ///
+    /// Each call bisects the PER model (60 steps, a few µs), so callers
+    /// compute it once per network, not once per link pair.
     pub fn capture_sinr_db(self) -> f64 {
         // Bisect per(snr, 4096) = 0.1.
         let bits = 4096;

@@ -28,7 +28,7 @@ use std::fmt::Write as _;
 
 /// Usage string for the binary (printed on `--help` and parse errors).
 pub const USAGE: &str = "usage: domino-profile report [--scheme <dcf|centaur|domino|omniscient>] \
-[--scenario <fig1|fig7|t6x2|t10x2>] [--seed <n>] [--duration-s <s>] \
+[--scenario <fig1|fig7|t6x2|t10x2|rt20x3>] [--seed <n>] [--duration-s <s>] \
 [--udp <down_bps>,<up_bps> | --tcp <down_bps>,<up_bps>] [--chaos <x>] \
 [--folded]\n\
        domino-profile diff <before> <after> [--tolerance <pct>]";

@@ -17,7 +17,7 @@ use std::path::PathBuf;
 
 /// Usage string for the subcommand (the binary prints it on `--help`).
 pub const USAGE: &str = "usage: domino-run sim --scheme <dcf|centaur|domino|omniscient> \
-[--scenario <fig1|fig7|t6x2|t10x2>] [--seed <n>] [--duration-s <s>] \
+[--scenario <fig1|fig7|t6x2|t10x2|rt20x3>] [--seed <n>] [--duration-s <s>] \
 [--udp <down_bps>,<up_bps> | --tcp <down_bps>,<up_bps>] [--chaos <x>] \
 [--standby] [--ctrl-crash <p>] \
 [--checkpoint-every-us <n> | --checkpoint-at-us <t>]... [--state-dir <dir>] \
@@ -35,6 +35,9 @@ pub enum Scenario {
     /// The standard T(10,2) enterprise topology (seeded; seed 1 is
     /// Fig. 12's network).
     T10x2,
+    /// Fig. 14's random T(20,3) topology (seeded; seed 1 is Fig. 14's
+    /// first network).
+    Rt20x3,
 }
 
 impl Scenario {
@@ -45,6 +48,7 @@ impl Scenario {
             Scenario::Fig7 => "fig7",
             Scenario::T6x2 => "t6x2",
             Scenario::T10x2 => "t10x2",
+            Scenario::Rt20x3 => "rt20x3",
         }
     }
 }
@@ -101,6 +105,7 @@ impl RunSpec {
                     "fig7" => Scenario::Fig7,
                     "t6x2" => Scenario::T6x2,
                     "t10x2" => Scenario::T10x2,
+                    "rt20x3" => Scenario::Rt20x3,
                     other => return Err(format!("unknown scenario {other}")),
                 };
             }
@@ -140,6 +145,7 @@ impl RunSpec {
             Scenario::Fig7 => scenarios::fig7(),
             Scenario::T6x2 => scenarios::standard_t(6, 2, self.seed),
             Scenario::T10x2 => scenarios::standard_t(10, 2, self.seed),
+            Scenario::Rt20x3 => scenarios::random_t(20, 3, self.seed),
         };
         let b = SimulationBuilder::new(net);
         let b = match self.traffic {
@@ -351,6 +357,9 @@ mod tests {
         let t = t.unwrap();
         assert_eq!(t.spec.scenario, Scenario::T10x2);
         assert_eq!(t.spec.traffic, Traffic::Tcp(10e6, 4e6), "the last workload flag wins");
+        let r = parse(&argv(&["--scenario", "rt20x3", "--udp", "10e6,10e6"])).unwrap();
+        assert_eq!(r.spec.scenario, Scenario::Rt20x3);
+        assert_eq!(r.spec.scenario.name(), "rt20x3");
         assert!(parse(&argv(&["--bogus"])).is_err());
         let a = parse(&argv(&[
             "--scheme", "dcf", "--scenario", "fig7", "--seed", "9", "--duration-s", "0.5",

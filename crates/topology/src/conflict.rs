@@ -25,7 +25,8 @@ impl ConflictGraph {
     /// data-phase rule ([`links_conflict`]) — the map used for
     /// hidden/exposed classification and statistics.
     pub fn build(net: &Network) -> ConflictGraph {
-        Self::build_with(net, links_conflict)
+        let capture = net.phy().data_rate.capture_sinr_db();
+        Self::build_with(net, |net, a, b| data_conflict(net, capture, a, b))
     }
 
     /// Build the *scheduling* conflict graph: the ACK-aware rule
@@ -33,7 +34,8 @@ impl ConflictGraph {
     /// scheduler must respect — two links whose ACK phases collide cannot
     /// share a slot reliably.
     pub fn build_for_scheduling(net: &Network) -> ConflictGraph {
-        Self::build_with(net, links_conflict_with_acks)
+        let capture = net.phy().data_rate.capture_sinr_db();
+        Self::build_with(net, |net, a, b| ack_conflict(net, capture, a, b))
     }
 
     /// Build with an arbitrary pairwise conflict rule.
@@ -136,7 +138,22 @@ impl ConflictGraph {
 /// data frames and the occasional ACK collision is recovered by the MAC's
 /// retransmission rules, exactly as on real hardware. The stricter
 /// ACK-aware predicate is available as [`links_conflict_with_acks`].
+///
+/// This per-pair form recomputes the capture threshold on every call;
+/// [`ConflictGraph::build`] applies the same rule with the threshold
+/// computed once.
 pub fn links_conflict(net: &Network, a: LinkId, b: LinkId) -> bool {
+    data_conflict(net, net.phy().data_rate.capture_sinr_db(), a, b)
+}
+
+/// The conservative variant of [`links_conflict`] that also protects both
+/// links' ACK receptions against both endpoints of the other link.
+pub fn links_conflict_with_acks(net: &Network, a: LinkId, b: LinkId) -> bool {
+    ack_conflict(net, net.phy().data_rate.capture_sinr_db(), a, b)
+}
+
+/// [`links_conflict`] under a precomputed `capture` threshold (dB).
+fn data_conflict(net: &Network, capture: f64, a: LinkId, b: LinkId) -> bool {
     let la = net.link(a);
     let lb = net.link(b);
     // Shared node: a radio cannot do two things in one slot.
@@ -147,7 +164,6 @@ pub fn links_conflict(net: &Network, a: LinkId, b: LinkId) -> bool {
     {
         return true;
     }
-    let capture = net.phy().data_rate.capture_sinr_db();
     let noise = net.phy().noise_floor;
     let broken = |sig_tx, sig_rx, interferer| {
         let sig = net.rss().get(sig_tx, sig_rx);
@@ -158,15 +174,14 @@ pub fn links_conflict(net: &Network, a: LinkId, b: LinkId) -> bool {
     broken(la.sender, la.receiver, lb.sender) || broken(lb.sender, lb.receiver, la.sender)
 }
 
-/// The conservative variant of [`links_conflict`] that also protects both
-/// links' ACK receptions against both endpoints of the other link.
-pub fn links_conflict_with_acks(net: &Network, a: LinkId, b: LinkId) -> bool {
-    if links_conflict(net, a, b) {
+/// [`links_conflict_with_acks`] under a precomputed `capture` threshold
+/// (dB).
+fn ack_conflict(net: &Network, capture: f64, a: LinkId, b: LinkId) -> bool {
+    if data_conflict(net, capture, a, b) {
         return true;
     }
     let la = net.link(a);
     let lb = net.link(b);
-    let capture = net.phy().data_rate.capture_sinr_db();
     let noise = net.phy().noise_floor;
     let broken = |sig_tx, sig_rx, other: &crate::link::Link| {
         let sig = net.rss().get(sig_tx, sig_rx);

@@ -20,6 +20,39 @@ fn trace_to_topology_to_conflicts() {
     assert!(stats.exposed >= 20 && stats.exposed <= 120, "exposed={}", stats.exposed);
 }
 
+/// Both graph builds agree with their per-pair reference rules on every
+/// link pair of Fig 12's T(10,2) and of Fig 14's first three random
+/// T(20,3) topologies, and their edge counts are pinned.
+#[test]
+fn conflict_graph_builds_agree_with_the_pair_rules() {
+    use domino::topology::conflict::{links_conflict, links_conflict_with_acks};
+    let nets = [
+        ("T(10,2) seed 1", scenarios::standard_t(10, 2, 1), (284, 332)),
+        ("random T(20,3) seed 1", scenarios::random_t(20, 3, 1), (424, 496)),
+        ("random T(20,3) seed 1001", scenarios::random_t(20, 3, 1001), (446, 484)),
+        ("random T(20,3) seed 2001", scenarios::random_t(20, 3, 2001), (375, 484)),
+    ];
+    for (name, net, (data_edges, sched_edges)) in nets {
+        let data = ConflictGraph::build(&net);
+        let sched = ConflictGraph::build_for_scheduling(&net);
+        let n = net.links().len();
+        for i in 0..n {
+            for j in 0..n {
+                let (a, b) = (LinkId(i as u32), LinkId(j as u32));
+                if i != j {
+                    let rules = (links_conflict(&net, a, b), links_conflict_with_acks(&net, a, b));
+                    let graphs = (data.conflicts(a, b), sched.conflicts(a, b));
+                    assert_eq!(graphs, rules, "{name}: {a:?}/{b:?}");
+                }
+            }
+        }
+        let edges = |g: &ConflictGraph| {
+            (0..n).map(|i| g.degree(LinkId(i as u32))).sum::<usize>() / 2
+        };
+        assert_eq!((edges(&data), edges(&sched)), (data_edges, sched_edges), "{name}");
+    }
+}
+
 #[test]
 fn schedule_convert_execute_round_trip() {
     // Strict schedule -> relative schedule -> executable batch, with
