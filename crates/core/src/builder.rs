@@ -488,13 +488,15 @@ mod tests {
 
     #[test]
     fn checkpoint_resume_is_byte_identical_for_every_scheme() {
-        // UDP, and TCP on two networks: a TCP snapshot carries queued
+        // UDP, light mixed-rate UDP (senders idle between packets), and
+        // TCP on two networks: a TCP snapshot carries queued
         // retransmission timers whose handles the restore must recover.
         let chaos = |net| {
             SimulationBuilder::new(net).duration_s(0.4).seed(21).faults(FaultConfig::chaos(0.5))
         };
         let builders = [
             chaos(scenarios::fig1()).udp(3e6, 1e6),
+            chaos(scenarios::fig7()).udp(1e6, 250e3),
             chaos(scenarios::fig1()).tcp(3e6, 1e6),
             chaos(scenarios::standard_t(10, 2, 1)).tcp(10e6, 4e6),
         ];

@@ -337,7 +337,7 @@ impl World for CentaurWorld {
             .filter(|n| !n.is_ap())
             .map(|n| n.id)
             .collect();
-        let csma = CsmaCore::new(net, &clients, seed);
+        let csma = CsmaCore::new(net, &clients, seed, &mut plant);
 
         let aps = net.aps();
         let mut ap_states: Vec<Option<ApState>> = (0..net.num_nodes()).map(|_| None).collect();
@@ -392,10 +392,6 @@ impl World for CentaurWorld {
 
     fn handle(&mut self, now: SimTime, ev: Ev<CentaurEv>) {
         let ev = match self.plant.step(now, ev, RtoScope::Flow) {
-            Step::Arrived(link) => {
-                let sender = self.net.link(link).sender.index();
-                return self.csma.try_start(sender, now, &mut self.plant);
-            }
             Step::Released => return self.csma.try_start_all(now, &mut self.plant),
             Step::TxEnd(tx) => return self.on_tx_end(tx, now),
             Step::Scheme(ev) => ev,
@@ -403,8 +399,8 @@ impl World for CentaurWorld {
         match ev {
             CentaurEv::Csma(ev) => {
                 // Only a transmission start can move the APs' carrier
-                // sense; an ACK timeout starts none.
-                let rescan = !matches!(ev, CsmaEv::AckTimeout { .. });
+                // sense; an ACK timeout or a wake starts none.
+                let rescan = !matches!(ev, CsmaEv::AckTimeout { .. } | CsmaEv::Wake);
                 self.csma.handle(now, ev, &mut self.plant);
                 if rescan {
                     self.scan_aps(now, SimDuration::ZERO);
@@ -620,7 +616,7 @@ impl CentaurWorld {
             .iter()
             .map(|l| {
                 if l.direction == Direction::Downlink {
-                    self.plant.fe.queue(l.id).len() as u32
+                    self.plant.fe.queue(l.id, now).len() as u32
                 } else {
                     0
                 }
@@ -778,7 +774,7 @@ impl CentaurWorld {
         // assignment with data.
         if st.current.is_none() {
             while let Some(link) = st.assignments.pop_front() {
-                if let Some(p) = self.plant.fe.queue_mut(link).pop() {
+                if let Some(p) = self.plant.fe.queue_mut(link, now).pop() {
                     st.current = Some(p);
                     st.current_link = Some(link);
                     break;
@@ -869,6 +865,7 @@ mod tests {
             ev(CsmaEv::BackoffExpire { node: 3, gen: 7 }.into()),
             ev(CsmaEv::AckTimeout { node: 1, gen: 2 }.into()),
             ev(CsmaEv::SendAck { rx: 2, packet: sample_packet() }.into()),
+            ev(CsmaEv::Wake.into()),
             ev(CentaurEv::EpochArrive { ap: 4, epoch: 9, assignments: vec![LinkId(1), LinkId(6)] }),
             ev(CentaurEv::EpochArrive { ap: 0, epoch: 1, assignments: Vec::new() }),
             ev(CentaurEv::ApArm { ap: 2, gen: 5 }),

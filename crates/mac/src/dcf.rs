@@ -9,9 +9,18 @@
 //! [`CsmaCore`] is the per-node contention machine and [`CsmaEv`] its
 //! events; [`DcfWorld`] runs it on the plant for a pure-DCF run. CENTAUR
 //! reuses both for its unscheduled uplink.
+//!
+//! UDP arrivals are not events (see [`crate::flows`]), so an idle
+//! contender whose queues are empty *parks* until its next packet is due,
+//! and a [`CsmaEv::Wake`] at that instant starts its backoff. All senders
+//! due at one instant wake inside one event, in the [`ArrivalRank`] of
+//! each one's first packet due then, and that event is queued no later
+//! than the first of them parks: per-packet arrival events, each queued
+//! one interval ahead, would have kicked them in that order, and the
+//! order decides who takes which backoff draw.
 
-use crate::flows::FlowEngine;
-use crate::plant::{Ev, Plant, RtoScope, SchemeEvent, Step};
+use crate::flows::{ArrivalRank, FlowEngine};
+use crate::plant::{restore_table, Ev, Plant, RtoScope, SchemeEvent, Step};
 use crate::run::{RunInputs, World};
 use crate::timing::{ack_airtime, ack_timeout, data_airtime, CW_MAX, CW_MIN, DIFS, RETRY_LIMIT, SIFS, SLOT_TIME};
 use crate::workload::RunStats;
@@ -49,11 +58,19 @@ pub enum CsmaEv {
         /// The packet being acknowledged.
         packet: Packet,
     },
+    /// The senders parked until now have a packet due: start them.
+    Wake,
 }
 
 impl SchemeEvent for CsmaEv {
+    /// A wake stands in for packet arrivals, so it is traffic.
     fn cost_class(&self) -> CostPath {
-        CostPath::EvSlot
+        match self {
+            CsmaEv::Wake => CostPath::EvTraffic,
+            CsmaEv::BackoffExpire { .. } | CsmaEv::AckTimeout { .. } | CsmaEv::SendAck { .. } => {
+                CostPath::EvSlot
+            }
+        }
     }
 }
 
@@ -75,6 +92,7 @@ impl SnapValue for CsmaEv {
                 w.put_u32(*rx);
                 packet.put(w);
             }
+            CsmaEv::Wake => w.put_u8(3),
         }
     }
     fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
@@ -82,6 +100,7 @@ impl SnapValue for CsmaEv {
             0 => CsmaEv::BackoffExpire { node: r.get_u32()?, gen: r.get_u64()? },
             1 => CsmaEv::AckTimeout { node: r.get_u32()?, gen: r.get_u64()? },
             2 => CsmaEv::SendAck { rx: r.get_u32()?, packet: SnapValue::thaw(r)? },
+            3 => CsmaEv::Wake,
             _ => return Err(SnapError::Corrupt("csma event tag")),
         })
     }
@@ -147,14 +166,26 @@ pub struct CsmaCore {
     nodes: Vec<CsmaNode>,
     contender: Vec<bool>,
     last_busy: Vec<bool>,
+    /// Per node: the instant a parked contender wakes (idle, its queues
+    /// empty, its next UDP packet due then).
+    wake_at: Vec<Option<SimTime>>,
+    /// One wake's senders with their ranks (scratch, reused).
+    waking: Vec<(Option<ArrivalRank>, usize)>,
     rng: SimRng,
     rate: DataRate,
 }
 
 impl CsmaCore {
     /// Build the core; `contenders` are the nodes that run CSMA (all
-    /// nodes for DCF; only clients for CENTAUR).
-    pub fn new(net: &Network, contenders: &[NodeId], seed: u64) -> CsmaCore {
+    /// nodes for DCF; only clients for CENTAUR). Each starts idle with
+    /// empty queues, so each parks here, in node order: build the core
+    /// before queuing any scheme event.
+    pub fn new<X: From<CsmaEv>>(
+        net: &Network,
+        contenders: &[NodeId],
+        seed: u64,
+        plant: &mut Plant<X>,
+    ) -> CsmaCore {
         let nodes = (0..net.num_nodes() as u32)
             .map(|n| CsmaNode {
                 out_links: net.links_from(NodeId(n)),
@@ -170,13 +201,19 @@ impl CsmaCore {
         for c in contenders {
             contender[c.index()] = true;
         }
-        CsmaCore {
+        let mut core = CsmaCore {
             nodes,
             contender,
             last_busy: vec![false; net.num_nodes()],
+            wake_at: vec![None; net.num_nodes()],
+            waking: Vec::with_capacity(net.num_nodes()),
             rng: SimRng::derive(seed, streams::DCF_BACKOFF),
             rate: net.phy().data_rate,
+        };
+        for node in 0..net.num_nodes() {
+            core.try_start(node, SimTime::ZERO, plant);
         }
+        core
     }
 
     /// Raw draws taken from the backoff stream so far (profiler food
@@ -185,8 +222,8 @@ impl CsmaCore {
         self.rng.draws()
     }
 
-    /// Is this node's pending data frame `packet`?
-    fn head_packet(&self, node: usize, fe: &FlowEngine) -> Option<Packet> {
+    /// The node's pending data frame at `now`, if it has one.
+    fn head_packet(&self, node: usize, now: SimTime, fe: &mut FlowEngine) -> Option<Packet> {
         if let Some(p) = self.nodes[node].current {
             return Some(p);
         }
@@ -195,7 +232,7 @@ impl CsmaCore {
         self.nodes[node]
             .out_links
             .iter()
-            .filter_map(|&l| fe.queue(l).peek().copied())
+            .filter_map(|&l| fe.queue(l, now).peek().copied())
             .min_by_key(|p| p.created_at)
     }
 
@@ -207,23 +244,62 @@ impl CsmaCore {
             }
             CsmaEv::AckTimeout { node, gen } => self.on_ack_timeout(node as usize, gen, now, plant),
             CsmaEv::SendAck { rx, packet } => self.send_ack(rx as usize, &packet, now, plant),
+            CsmaEv::Wake => self.wake(now, plant),
         }
     }
 
-    /// Kick a node: if it is idle and has traffic, enter backoff.
+    /// Kick a node: if it is idle and has traffic, enter backoff; if it is
+    /// idle without, park it.
     pub fn try_start<X: From<CsmaEv>>(&mut self, node: usize, now: SimTime, plant: &mut Plant<X>) {
         if !self.contender[node] || self.nodes[node].state != NodeState::Idle {
             return;
         }
-        if self.head_packet(node, &plant.fe).is_none() {
-            return;
+        if self.head_packet(node, now, &mut plant.fe).is_none() {
+            return self.park(node, plant);
         }
+        self.wake_at[node] = None;
         if self.nodes[node].remaining_slots.is_none() {
             let cw = self.nodes[node].cw;
             self.nodes[node].remaining_slots = Some(self.rng.below(u64::from(cw) + 1) as u32);
         }
         self.nodes[node].state = NodeState::Counting { anchor: None };
         self.resume(node, now, plant);
+    }
+
+    /// Park an idle contender with empty queues until its next UDP packet
+    /// is due, queuing the wake at that instant unless a sender parked
+    /// for it already did. With no UDP packet ever due, only the kicks
+    /// after deliveries and TCP releases start it.
+    fn park<X: From<CsmaEv>>(&mut self, node: usize, plant: &mut Plant<X>) {
+        if self.wake_at[node].is_some() {
+            return;
+        }
+        let at = plant.fe.next_arrival(&self.nodes[node].out_links);
+        if at == SimTime::MAX {
+            return;
+        }
+        if !self.wake_at.contains(&Some(at)) {
+            plant.schedule(at, CsmaEv::Wake);
+        }
+        self.wake_at[node] = Some(at);
+    }
+
+    /// Start every sender parked until `now`, ranked by its first packet
+    /// due now.
+    fn wake<X: From<CsmaEv>>(&mut self, now: SimTime, plant: &mut Plant<X>) {
+        self.waking.clear();
+        for (node, at) in self.wake_at.iter_mut().enumerate() {
+            if *at == Some(now) {
+                *at = None;
+                let rank = plant.fe.arrival_rank(&self.nodes[node].out_links, now);
+                self.waking.push((rank, node));
+            }
+        }
+        self.waking.sort_unstable();
+        for i in 0..self.waking.len() {
+            let node = self.waking[i].1;
+            self.try_start(node, now, plant);
+        }
     }
 
     fn resume<X: From<CsmaEv>>(&mut self, node: usize, now: SimTime, plant: &mut Plant<X>) {
@@ -296,11 +372,12 @@ impl CsmaCore {
         let packet = match self.nodes[node].current {
             Some(p) => p,
             None => {
-                // lint: allow(D005) backoff countdown only runs while a head packet is queued
-                let head = self.head_packet(node, &plant.fe).expect("counting without a packet");
+                let head = self
+                    .head_packet(node, now, &mut plant.fe)
+                    .expect("counting without a packet"); // lint: allow(D005) backoff countdown only runs while a head packet is queued
                 let popped = plant
                     .fe
-                    .queue_mut(head.link)
+                    .queue_mut(head.link, now)
                     .pop()
                     .expect("head packet vanished"); // lint: allow(D005) head_packet just returned it; a miss is queue corruption
                 debug_assert_eq!(popped.id, head.id);
@@ -449,8 +526,9 @@ impl CsmaCore {
 
 impl Snapshot for CsmaCore {
     /// Dynamic state: every node's contention machine, the busy-edge
-    /// detector and the backoff RNG. The contender set, the outgoing-link
-    /// tables and the PHY rate are configuration.
+    /// detector, the parked senders' wake instants and the backoff RNG.
+    /// The contender set, the outgoing-link tables and the PHY rate are
+    /// configuration. (The wake events themselves are the engine's.)
     fn save(&self, w: &mut SnapWriter) {
         w.put_u64(self.nodes.len() as u64);
         for n in &self.nodes {
@@ -462,6 +540,7 @@ impl Snapshot for CsmaCore {
             w.put_u64(n.gen);
         }
         self.last_busy.put(w);
+        self.wake_at.put(w);
         self.rng.put(w);
     }
     fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
@@ -481,6 +560,10 @@ impl Snapshot for CsmaCore {
             return Err(SnapError::Corrupt("csma busy table length"));
         }
         self.last_busy = last_busy;
+        restore_table(&mut self.wake_at, r, "csma wake table length")?;
+        if self.wake_at.iter().zip(&self.contender).any(|(at, &c)| at.is_some() && !c) {
+            return Err(SnapError::Corrupt("csma wake of a non-contender"));
+        }
         self.rng = SimRng::thaw(r)?;
         Ok(())
     }
@@ -489,7 +572,6 @@ impl Snapshot for CsmaCore {
 /// The complete state of a pure-DCF run between events.
 #[derive(Debug)]
 pub struct DcfWorld {
-    net: Network,
     plant: Plant<CsmaEv>,
     csma: CsmaCore,
 }
@@ -503,8 +585,9 @@ impl World for DcfWorld {
     fn new(inputs: &RunInputs<'_>, (): (), probe: Probe) -> DcfWorld {
         let net = inputs.net;
         let contenders: Vec<NodeId> = (0..net.num_nodes() as u32).map(NodeId).collect();
-        let csma = CsmaCore::new(net, &contenders, inputs.seed);
-        DcfWorld { net: net.clone(), plant: Plant::new(inputs, probe), csma }
+        let mut plant = Plant::new(inputs, probe);
+        let csma = CsmaCore::new(net, &contenders, inputs.seed, &mut plant);
+        DcfWorld { plant, csma }
     }
 
     fn plant(&mut self) -> &mut Plant<CsmaEv> {
@@ -513,10 +596,6 @@ impl World for DcfWorld {
 
     fn handle(&mut self, now: SimTime, ev: Ev<CsmaEv>) {
         match self.plant.step(now, ev, RtoScope::Flow) {
-            Step::Arrived(link) => {
-                let sender = self.net.link(link).sender.index();
-                self.csma.try_start(sender, now, &mut self.plant);
-            }
             Step::Released => self.csma.try_start_all(now, &mut self.plant),
             Step::TxEnd(tx) => {
                 let receptions = self.plant.medium.end(tx, now);
@@ -579,6 +658,7 @@ mod tests {
             Ev::Scheme(CsmaEv::BackoffExpire { node: 3, gen: 7 }),
             Ev::Scheme(CsmaEv::AckTimeout { node: 1, gen: u64::MAX }),
             Ev::Scheme(CsmaEv::SendAck { rx: 2, packet: sample_packet() }),
+            Ev::Scheme(CsmaEv::Wake),
         ]);
     }
 
@@ -676,6 +756,30 @@ mod tests {
         let other = Workload::udp_updown(&net, 3e6, 0.0);
         let foreign = RunInputs { workload: &other, ..inputs };
         assert!(run::<DcfWorld>(&foreign, (), Probe::default(), None, Some((boundary, &snap))).is_err());
+    }
+
+    #[test]
+    fn restore_rejects_a_wake_of_a_non_contender() {
+        let net = one_pair();
+        let w = Workload::udp_updown(&net, 1e6, 1e6);
+        let off = FaultConfig::off();
+        let inputs = RunInputs { net: &net, workload: &w, duration_s: 1.0, seed: 1, faults: &off };
+        let mut plant: Plant<CsmaEv> = Plant::new(&inputs, Probe::default());
+        // Only the client contends, as under CENTAUR; it parks at once.
+        let mut build = || CsmaCore::new(&net, &[NodeId(1)], 1, &mut plant);
+        let mut core = build();
+        assert_eq!(core.wake_at, [None, Some(SimTime::from_nanos(4_096_000))]);
+        let saved = |core: &CsmaCore| {
+            let mut w = SnapWriter::new();
+            core.save(&mut w);
+            w.into_bytes()
+        };
+        assert_eq!(build().restore(&mut SnapReader::new(&saved(&core))), Ok(()));
+        core.wake_at[0] = Some(SimTime::from_millis(1));
+        assert_eq!(
+            build().restore(&mut SnapReader::new(&saved(&core))),
+            Err(SnapError::Corrupt("csma wake of a non-contender"))
+        );
     }
 
     #[test]

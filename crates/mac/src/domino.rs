@@ -717,7 +717,7 @@ impl World for DominoWorld {
     fn handle(&mut self, now: SimTime, ev: Ev<DEv>) {
         // Every tick and RTO re-arms every flow's RTO.
         let ev = match self.plant.step(now, ev, RtoScope::All) {
-            Step::Arrived(_) | Step::Released => return,
+            Step::Released => return,
             Step::TxEnd(tx) => return self.on_tx_end(now, tx),
             Step::Scheme(ev) => ev,
         };
@@ -908,7 +908,7 @@ impl DominoWorld {
         let mut backlog = std::mem::take(&mut self.backlog_buf);
         backlog.clear();
         backlog.extend(self.net.links().iter().map(|l| match l.direction {
-            Direction::Downlink => self.plant.fe.queue(l.id).len() as u32,
+            Direction::Downlink => self.plant.fe.queue(l.id, now).len() as u32,
             Direction::Uplink => self.backlog.estimate(l.id),
         }));
         let mut before = std::mem::take(&mut self.before_buf);
@@ -1475,7 +1475,7 @@ impl DominoWorld {
         // its next trigger arrives.
         let packet = match self.nodes[client].unacked.take() {
             Some(p) => Some(p),
-            None => self.plant.fe.queue_mut(uplink).pop(),
+            None => self.plant.fe.queue_mut(uplink, now).pop(),
         };
         self.transmit_exchange(now, NodeId(client as u32), uplink, packet, None, slot);
     }
@@ -1497,10 +1497,10 @@ impl DominoWorld {
             Some(p) => {
                 // Different destination: back to its queue for the
                 // scheduler.
-                let _ = self.plant.fe.queue_mut(p.link).push_front(p);
-                self.plant.fe.queue_mut(link).pop()
+                let _ = self.plant.fe.queue_mut(p.link, now).push_front(p);
+                self.plant.fe.queue_mut(link, now).pop()
             }
-            None => self.plant.fe.queue_mut(link).pop(),
+            None => self.plant.fe.queue_mut(link, now).pop(),
         };
         // The AP's burst goes out at the fixed offset regardless of the
         // exchange outcome (its job is to trigger the next slot).
@@ -1525,7 +1525,7 @@ impl DominoWorld {
     ) {
         if self.plant.medium.is_transmitting(sender) {
             if let Some(p) = packet {
-                let _ = self.plant.fe.queue_mut(link).push_front(p);
+                let _ = self.plant.fe.queue_mut(link, now).push_front(p);
             }
             return;
         }
@@ -1872,7 +1872,7 @@ impl DominoWorld {
             .map(|l| l.id);
         let Some(link) = uplink else { return };
         let unacked = u32::from(self.nodes[client].unacked.is_some());
-        let fresh = self.plant.fe.queue(link).rop_report() + unacked;
+        let fresh = self.plant.fe.queue(link, now).rop_report() + unacked;
         // Stale-report fault: the client replays the previous round's
         // value instead of the live queue state.
         let stale = self.plant.node_faults.report_stale();

@@ -5,8 +5,16 @@
 //! *when* a link gets to transmit; everything about packet arrivals,
 //! TCP feedback, queue occupancy and goodput/delay metering is identical
 //! and lives here. The [`Plant`](crate::plant::Plant) owns the one
-//! `FlowEngine` of a run and drives it: arrival and tick events, RTO
-//! timers, the end-of-run flush.
+//! `FlowEngine` of a run and drives it: TCP tick events, RTO timers, the
+//! end-of-run flush.
+//!
+//! UDP arrivals are not events. A constant-bit-rate source draws no
+//! randomness, so what its link's queue holds is a function of time.
+//! Every queue accessor takes `now` and first brings the link up to it:
+//! the packets due at or before `now` join the queue in arrival order,
+//! and once the queue is full the rest count as drops without being
+//! minted. Bringing a link up to `t1` and then to `t2` equals bringing it
+//! up to `t2` alone, so no reader can tell when it happened.
 
 use crate::workload::{FlowKind, RunStats, Workload};
 use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter, Snapshot};
@@ -16,14 +24,32 @@ use domino_traffic::{
     FlowId, LinkQueue, Packet, PacketId, PacketKind, TcpReceiver, TcpSender, UdpSource,
     TCP_ACK_BYTES,
 };
+use std::cmp::Reverse;
 
 /// Recommended interval for the harness's periodic TCP application tick.
 pub const TCP_TICK: SimDuration = SimDuration::from_millis(2);
 
+/// Where a UDP packet ranks among the arrivals due at one instant, lowest
+/// first: the longest packet interval, then the lowest flow index. It is
+/// the order in which per-packet arrival events would fire if each were
+/// queued when its predecessor fired: the longer interval queued its
+/// event earlier, and equal intervals keep their order from t = 0.
+pub type ArrivalRank = (Reverse<SimDuration>, u32);
+
+fn arrival_rank(src: &UdpSource) -> ArrivalRank {
+    (Reverse(src.interval().unwrap_or(SimDuration::ZERO)), src.flow().0)
+}
+
+/// The next arrival among a link's sources ([`SimTime::MAX`]: none).
+fn next_due(lane: &[UdpSource]) -> SimTime {
+    lane.iter().map(UdpSource::next_arrival).min().unwrap_or(SimTime::MAX)
+}
+
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 enum FlowRuntime {
-    Udp(UdpSource),
+    /// Its source sits in its link's lane of [`FlowEngine`]'s `udp`.
+    Udp,
     Tcp {
         sender: TcpSender,
         receiver: TcpReceiver,
@@ -33,7 +59,8 @@ enum FlowRuntime {
     },
 }
 
-/// Queues + flow state + metering for one run.
+/// Queues + flow state + metering for one run. Every queue accessor
+/// takes `now` and brings the link's UDP arrivals up to it first.
 #[derive(Debug)]
 pub struct FlowEngine {
     packet_bytes: usize,
@@ -42,6 +69,12 @@ pub struct FlowEngine {
     /// link index → flow index (for TCP data links and reverse-ack
     /// lookup).
     flow_of_link: Vec<Option<usize>>,
+    /// link index → its UDP sources in [`ArrivalRank`] order, each as far
+    /// as the link's last access brought it.
+    udp: Vec<Vec<UdpSource>>,
+    /// link index → the next arrival of its lane ([`SimTime::MAX`]:
+    /// none), so an access with nothing due costs one comparison.
+    due: Vec<SimTime>,
     /// Highest UDP sequence delivered per link (a lost MAC ACK makes the
     /// sender retransmit a packet the receiver already has; goodput must
     /// not double-count it).
@@ -56,6 +89,7 @@ impl FlowEngine {
     pub fn new(net: &Network, workload: &Workload, duration_s: f64) -> FlowEngine {
         let num_links = net.links().len();
         let mut flow_of_link = vec![None; num_links];
+        let mut udp: Vec<Vec<UdpSource>> = vec![Vec::new(); num_links];
         let flows: Vec<FlowRuntime> = workload
             .flows
             .iter()
@@ -63,13 +97,16 @@ impl FlowEngine {
             .map(|(i, spec)| {
                 flow_of_link[spec.link.index()] = Some(i);
                 match &spec.kind {
-                    FlowKind::Udp { rate_bps } => FlowRuntime::Udp(UdpSource::new(
-                        FlowId(i as u32),
-                        spec.link,
-                        *rate_bps,
-                        workload.packet_bytes,
-                        SimTime::ZERO,
-                    )),
+                    FlowKind::Udp { rate_bps } => {
+                        udp[spec.link.index()].push(UdpSource::new(
+                            FlowId(i as u32),
+                            spec.link,
+                            *rate_bps,
+                            workload.packet_bytes,
+                            SimTime::ZERO,
+                        ));
+                        FlowRuntime::Udp
+                    }
                     FlowKind::Tcp { cfg } => FlowRuntime::Tcp {
                         sender: TcpSender::new(
                             FlowId(i as u32),
@@ -86,40 +123,81 @@ impl FlowEngine {
                 }
             })
             .collect();
+        for lane in &mut udp {
+            lane.sort_by_key(arrival_rank);
+        }
         FlowEngine {
             packet_bytes: workload.packet_bytes,
             queues: (0..num_links).map(|_| LinkQueue::default()).collect(),
             flows,
             flow_of_link,
+            due: udp.iter().map(|lane| next_due(lane)).collect(),
+            udp,
             last_udp_seq: vec![None; num_links],
             ack_serial: 0,
             stats: RunStats::new(num_links, duration_s),
         }
     }
 
-    /// The queue of one link.
-    pub fn queue(&self, link: LinkId) -> &LinkQueue {
+    /// Bring one link up to `now`: its UDP packets due at or before `now`
+    /// join the queue in arrival order ([`ArrivalRank`] breaks ties) until
+    /// it is full, and the rest count as drops without being minted.
+    fn sync(&mut self, link: usize, now: SimTime) {
+        if self.due[link] > now {
+            return;
+        }
+        let (queue, lane) = (&mut self.queues[link], &mut self.udp[link]);
+        while !queue.is_full() {
+            // `min_by_key` keeps the first of equals: the lane's order.
+            let Some(src) = lane
+                .iter_mut()
+                .filter(|s| s.next_arrival() <= now)
+                .min_by_key(|s| s.next_arrival())
+            else {
+                break;
+            };
+            let id_base = u64::from(src.flow().0) << 40;
+            queue.push(src.emit(id_base));
+        }
+        for src in lane.iter_mut() {
+            self.stats.drops += src.skip_through(now);
+        }
+        self.due[link] = next_due(lane);
+    }
+
+    /// The queue of one link, brought up to `now`.
+    pub fn queue(&mut self, link: LinkId, now: SimTime) -> &LinkQueue {
+        self.sync(link.index(), now);
         &self.queues[link.index()]
     }
 
-    /// Mutable queue access (schemes pop/push here).
-    pub fn queue_mut(&mut self, link: LinkId) -> &mut LinkQueue {
+    /// Mutable queue access (schemes pop/push here), brought up to `now`.
+    pub fn queue_mut(&mut self, link: LinkId, now: SimTime) -> &mut LinkQueue {
+        self.sync(link.index(), now);
         &mut self.queues[link.index()]
     }
 
-    /// Total packets waiting across all links.
-    pub fn total_backlog(&self) -> usize {
-        self.queues.iter().map(LinkQueue::len).sum()
+    /// Bring every link up to `end`: the end-of-run flush.
+    pub fn sync_all(&mut self, end: SimTime) {
+        for link in 0..self.queues.len() {
+            self.sync(link, end);
+        }
     }
 
-    /// Indices of UDP flows.
-    pub fn udp_flows(&self) -> Vec<usize> {
-        self.flows
+    /// The earliest instant a UDP packet is due on any of `links` that no
+    /// access has queued or dropped yet ([`SimTime::MAX`]: never).
+    pub fn next_arrival(&self, links: &[LinkId]) -> SimTime {
+        links.iter().map(|l| self.due[l.index()]).min().unwrap_or(SimTime::MAX)
+    }
+
+    /// The rank of the first UDP packet due on any of `links` at exactly
+    /// `at` (`None` when none is, or an access already took it).
+    pub fn arrival_rank(&self, links: &[LinkId], at: SimTime) -> Option<ArrivalRank> {
+        links
             .iter()
-            .enumerate()
-            .filter(|(_, f)| matches!(f, FlowRuntime::Udp(_)))
-            .map(|(i, _)| i)
-            .collect()
+            .filter_map(|l| self.udp[l.index()].iter().find(|s| s.next_arrival() == at))
+            .map(arrival_rank)
+            .min()
     }
 
     /// Indices of TCP flows.
@@ -132,38 +210,6 @@ impl FlowEngine {
             .collect()
     }
 
-    /// The data link of a flow.
-    pub fn flow_link(&self, flow: usize) -> LinkId {
-        match &self.flows[flow] {
-            FlowRuntime::Udp(src) => src.link(),
-            FlowRuntime::Tcp { link, .. } => *link,
-        }
-    }
-
-    /// Next arrival instant of a UDP flow.
-    pub fn udp_next_arrival(&self, flow: usize) -> SimTime {
-        match &self.flows[flow] {
-            FlowRuntime::Udp(src) => src.next_arrival(),
-            // lint: allow(D005) caller contract: flow index came from a UDP event; misrouting must not silently corrupt stats
-            _ => panic!("flow {flow} is not UDP"),
-        }
-    }
-
-    /// Emit the due packet of a UDP flow into its queue. Returns whether
-    /// it was queued (false = dropped at the full queue).
-    pub fn udp_arrive(&mut self, flow: usize) -> bool {
-        let packet = match &mut self.flows[flow] {
-            FlowRuntime::Udp(src) => src.emit((flow as u64) << 40),
-            // lint: allow(D005) caller contract: arrival events carry UDP flow indices only
-            _ => panic!("flow {flow} is not UDP"),
-        };
-        let ok = self.queues[packet.link.index()].push(packet);
-        if !ok {
-            self.stats.drops += 1;
-        }
-        ok
-    }
-
     /// Drive a TCP sender's application/window (periodic tick and after
     /// acks); releases segments into the link queue.
     pub fn tcp_tick(&mut self, flow: usize, now: SimTime) {
@@ -172,7 +218,7 @@ impl FlowEngine {
             // lint: allow(D005) caller contract: tick events carry TCP flow indices only
             _ => panic!("flow {flow} is not TCP"),
         };
-        self.enqueue_all(packets);
+        self.enqueue_all(packets, now);
     }
 
     /// Current RTO deadline of a TCP flow.
@@ -190,12 +236,12 @@ impl FlowEngine {
             // lint: allow(D005) caller contract: RTO events carry TCP flow indices only
             _ => panic!("flow {flow} is not TCP"),
         };
-        self.enqueue_all(packets);
+        self.enqueue_all(packets, now);
     }
 
-    fn enqueue_all(&mut self, packets: Vec<Packet>) {
+    fn enqueue_all(&mut self, packets: Vec<Packet>, now: SimTime) {
         for p in packets {
-            if !self.queues[p.link.index()].push(p) {
+            if !self.queue_mut(p.link, now).push(p) {
                 self.stats.drops += 1;
             }
         }
@@ -247,7 +293,7 @@ impl FlowEngine {
                     kind: PacketKind::TcpAck,
                     seq: ack,
                 };
-                if !self.queues[reverse.index()].push(ack_packet) {
+                if !self.queue_mut(reverse, now).push(ack_packet) {
                     self.stats.drops += 1;
                 }
             }
@@ -264,14 +310,15 @@ impl FlowEngine {
                     // lint: allow(D005) position() above matched a Tcp variant at this index
                     _ => unreachable!(),
                 };
-                self.enqueue_all(released);
+                self.enqueue_all(released, now);
             }
         }
     }
 
     /// Snapshot of all dynamic traffic state. Flow specs, the link
     /// universe and the packet size are configuration and stay with the
-    /// restore target's constructor.
+    /// restore target's constructor. The UDP sources are saved as they
+    /// stand, behind the clock where no access has caught them up.
     pub fn snapshot_save(&self, w: &mut SnapWriter) {
         w.put_u64(self.queues.len() as u64);
         for q in &self.queues {
@@ -280,10 +327,7 @@ impl FlowEngine {
         w.put_u64(self.flows.len() as u64);
         for f in &self.flows {
             match f {
-                FlowRuntime::Udp(src) => {
-                    w.put_u8(0);
-                    src.save(w);
-                }
+                FlowRuntime::Udp => w.put_u8(0),
                 FlowRuntime::Tcp { sender, receiver, delivered_segments, .. } => {
                     w.put_u8(1);
                     sender.save(w);
@@ -291,6 +335,9 @@ impl FlowEngine {
                     w.put_u64(*delivered_segments);
                 }
             }
+        }
+        for src in self.udp.iter().flatten() {
+            src.save(w);
         }
         self.last_udp_seq.put(w);
         w.put_u64(self.ack_serial);
@@ -311,7 +358,7 @@ impl FlowEngine {
         }
         for f in &mut self.flows {
             match (r.get_u8()?, f) {
-                (0, FlowRuntime::Udp(src)) => src.restore(r)?,
+                (0, FlowRuntime::Udp) => {}
                 (1, FlowRuntime::Tcp { sender, receiver, delivered_segments, .. }) => {
                     sender.restore(r)?;
                     receiver.restore(r)?;
@@ -319,6 +366,12 @@ impl FlowEngine {
                 }
                 _ => return Err(SnapError::Corrupt("flow runtime kind")),
             }
+        }
+        for src in self.udp.iter_mut().flatten() {
+            src.restore(r)?;
+        }
+        for (due, lane) in self.due.iter_mut().zip(&self.udp) {
+            *due = next_due(lane);
         }
         self.last_udp_seq = SnapValue::thaw(r)?;
         if self.last_udp_seq.len() != self.queues.len() {
@@ -343,11 +396,15 @@ impl FlowEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::Workload;
+    use crate::workload::{FlowSpec, Workload};
     use domino_phy::units::Dbm;
+    use domino_testkit::{prop, prop_assert_eq};
     use domino_topology::network::{make_node, PhyParams};
     use domino_topology::node::{NodeId, NodeRole, Position};
     use domino_topology::rss::RssMatrix;
+
+    /// 10 Mb/s of 512-byte packets: one every 409.6 µs.
+    const INTERVAL_NS: u64 = 409_600;
 
     fn net() -> Network {
         let nodes = vec![
@@ -359,18 +416,22 @@ mod tests {
         Network::new(nodes, rss, PhyParams::default())
     }
 
+    fn at_interval(k: u64) -> SimTime {
+        SimTime::from_nanos(k * INTERVAL_NS)
+    }
+
     #[test]
     fn udp_arrivals_fill_the_queue() {
         let n = net();
         let w = Workload::udp_updown(&n, 10e6, 0.0);
         let mut fe = FlowEngine::new(&n, &w, 1.0);
-        let flow = fe.udp_flows()[0];
-        assert!(fe.udp_next_arrival(flow) > SimTime::ZERO);
-        for _ in 0..5 {
-            assert!(fe.udp_arrive(flow));
-        }
-        assert_eq!(fe.queue(LinkId(0)).len(), 5);
-        assert_eq!(fe.total_backlog(), 5);
+        assert_eq!(fe.next_arrival(&[LinkId(0), LinkId(1)]), at_interval(1));
+        assert!(fe.queue(LinkId(0), at_interval(1) - SimDuration::from_nanos(1)).is_empty());
+        // Inclusive: the fifth packet is due at exactly 5 intervals.
+        assert_eq!(fe.queue(LinkId(0), at_interval(5)).len(), 5);
+        assert_eq!(fe.next_arrival(&[LinkId(0)]), at_interval(6));
+        assert_eq!(fe.next_arrival(&[LinkId(1)]), SimTime::MAX, "no uplink flow");
+        assert_eq!(fe.stats.drops, 0);
     }
 
     #[test]
@@ -378,9 +439,7 @@ mod tests {
         let n = net();
         let w = Workload::udp_updown(&n, 10e6, 0.0);
         let mut fe = FlowEngine::new(&n, &w, 1.0);
-        let flow = fe.udp_flows()[0];
-        fe.udp_arrive(flow);
-        let p = fe.queue_mut(LinkId(0)).pop().unwrap();
+        let p = fe.queue_mut(LinkId(0), at_interval(1)).pop().unwrap();
         let deliver_at = p.created_at + SimDuration::from_micros(500);
         fe.deliver(&p, deliver_at);
         assert_eq!(fe.stats.delivered_bits[0], 512 * 8);
@@ -393,22 +452,25 @@ mod tests {
         let w = Workload::tcp_updown(&n, 10e6, 0.0);
         let mut fe = FlowEngine::new(&n, &w, 1.0);
         let flow = fe.tcp_flows()[0];
-        fe.tcp_tick(flow, SimTime::from_millis(1));
-        assert!(!fe.queue(LinkId(0)).is_empty(), "sender released segments");
-        let p = fe.queue_mut(LinkId(0)).pop().unwrap();
+        let t = SimTime::from_millis(1);
+        fe.tcp_tick(flow, t);
+        assert!(!fe.queue(LinkId(0), t).is_empty(), "sender released segments");
+        let p = fe.queue_mut(LinkId(0), t).pop().unwrap();
         assert_eq!(p.kind, PacketKind::TcpData);
-        fe.deliver(&p, SimTime::from_millis(2));
+        let t = SimTime::from_millis(2);
+        fe.deliver(&p, t);
         // Ack waits on the reverse (uplink) queue.
-        assert_eq!(fe.queue(LinkId(1)).len(), 1);
-        let ack = fe.queue_mut(LinkId(1)).pop().unwrap();
+        assert_eq!(fe.queue(LinkId(1), t).len(), 1);
+        let ack = fe.queue_mut(LinkId(1), t).pop().unwrap();
         assert_eq!(ack.kind, PacketKind::TcpAck);
         assert_eq!(ack.seq, 1);
         // Goodput counted once.
         assert_eq!(fe.stats.delivered_bits[0], 512 * 8);
         // Delivering the ack opens the sender's window.
-        let before = fe.queue(LinkId(0)).len();
-        fe.deliver(&ack, SimTime::from_millis(3));
-        assert!(fe.queue(LinkId(0)).len() > before, "ack released new segments");
+        let t = SimTime::from_millis(3);
+        let before = fe.queue(LinkId(0), t).len();
+        fe.deliver(&ack, t);
+        assert!(fe.queue(LinkId(0), t).len() > before, "ack released new segments");
     }
 
     #[test]
@@ -417,8 +479,9 @@ mod tests {
         let w = Workload::tcp_updown(&n, 10e6, 0.0);
         let mut fe = FlowEngine::new(&n, &w, 1.0);
         let flow = fe.tcp_flows()[0];
-        fe.tcp_tick(flow, SimTime::from_millis(1));
-        let p = fe.queue_mut(LinkId(0)).pop().unwrap();
+        let t = SimTime::from_millis(1);
+        fe.tcp_tick(flow, t);
+        let p = fe.queue_mut(LinkId(0), t).pop().unwrap();
         fe.deliver(&p, SimTime::from_millis(2));
         let bits = fe.stats.delivered_bits[0];
         // Same segment again (spurious retransmission).
@@ -427,13 +490,29 @@ mod tests {
     }
 
     #[test]
+    fn tcp_rto_fires_through_the_engine_interface() {
+        let n = net();
+        let w = Workload::tcp_updown(&n, 10e6, 0.0);
+        let mut fe = FlowEngine::new(&n, &w, 1.0);
+        let flow = fe.tcp_flows()[0];
+        let t = SimTime::from_millis(1);
+        fe.tcp_tick(flow, t);
+        assert!(!fe.queue(LinkId(0), t).is_empty());
+        let deadline = fe.tcp_rto_deadline(flow).expect("rto armed after send");
+        // Drain the queue (packets "lost"), then fire the timer: the
+        // retransmission lands back in the queue.
+        while fe.queue_mut(LinkId(0), t).pop().is_some() {}
+        fe.tcp_timer(flow, deadline);
+        assert_eq!(fe.queue(LinkId(0), deadline).len(), 1, "go-back-N retransmission queued");
+        assert_eq!(fe.tcp_retransmissions(), 1);
+    }
+
+    #[test]
     fn duplicate_udp_delivery_not_double_counted() {
         let n = net();
         let w = Workload::udp_updown(&n, 10e6, 0.0);
         let mut fe = FlowEngine::new(&n, &w, 1.0);
-        let flow = fe.udp_flows()[0];
-        fe.udp_arrive(flow);
-        let p = fe.queue_mut(LinkId(0)).pop().unwrap();
+        let p = fe.queue_mut(LinkId(0), at_interval(1)).pop().unwrap();
         fe.deliver(&p, SimTime::from_millis(1));
         fe.deliver(&p, SimTime::from_millis(2)); // MAC retry after lost ACK
         assert_eq!(fe.stats.delivered_bits[0], 512 * 8);
@@ -445,71 +524,109 @@ mod tests {
         let n = net();
         let w = Workload::udp_updown(&n, 10e6, 0.0);
         let mut fe = FlowEngine::new(&n, &w, 1.0);
-        let flow = fe.udp_flows()[0];
-        for _ in 0..250 {
-            let _ = fe.udp_arrive(flow);
-        }
-        assert!(fe.stats.drops > 0);
-        assert_eq!(fe.queue(LinkId(0)).len(), 200);
-    }
-}
-
-#[cfg(test)]
-mod more_tests {
-    use super::*;
-    use crate::workload::Workload;
-    use domino_phy::units::Dbm;
-    use domino_topology::network::{make_node, PhyParams};
-    use domino_topology::node::{NodeId, NodeRole, Position};
-    use domino_topology::rss::RssMatrix;
-    use domino_topology::{LinkId, Network};
-
-    fn net() -> Network {
-        let nodes = vec![
-            make_node(0, NodeRole::Ap, None, Position::default()),
-            make_node(1, NodeRole::Client, Some(0), Position::default()),
-        ];
-        let mut rss = RssMatrix::disconnected(2);
-        rss.set_symmetric(NodeId(0), NodeId(1), Dbm(-55.0));
-        Network::new(nodes, rss, PhyParams::default())
+        let q = fe.queue_mut(LinkId(0), at_interval(250));
+        assert_eq!(q.len(), 200);
+        assert_eq!(q.pop().unwrap().seq, 0, "the first 200 packets queued");
+        assert_eq!(fe.stats.drops, 50, "the other 50 dropped");
+        // The dropped packets used up their serials.
+        let q = fe.queue(LinkId(0), at_interval(251));
+        assert_eq!(q.len(), 200);
+        assert_eq!(fe.stats.drops, 50);
+        fe.sync_all(at_interval(252));
+        assert_eq!(fe.stats.drops, 51);
     }
 
     #[test]
-    fn tcp_rto_fires_through_the_engine_interface() {
+    fn same_instant_arrivals_queue_longest_interval_first() {
         let n = net();
-        let w = Workload::tcp_updown(&n, 10e6, 0.0);
+        let udp = |rate_bps| FlowSpec { link: LinkId(0), kind: FlowKind::Udp { rate_bps } };
+        // Flow 0 every interval, flow 1 every second one, flow 2 likewise.
+        let w = Workload { flows: vec![udp(10e6), udp(5e6), udp(5e6)], packet_bytes: 512 };
         let mut fe = FlowEngine::new(&n, &w, 1.0);
-        let flow = fe.tcp_flows()[0];
-        fe.tcp_tick(flow, SimTime::from_millis(1));
-        let q_before = fe.queue(LinkId(0)).len();
-        assert!(q_before > 0);
-        let deadline = fe.tcp_rto_deadline(flow).expect("rto armed after send");
-        // Drain the queue (packets "lost"), then fire the timer: the
-        // retransmission lands back in the queue.
-        while fe.queue_mut(LinkId(0)).pop().is_some() {}
-        fe.tcp_timer(flow, deadline);
-        assert_eq!(fe.queue(LinkId(0)).len(), 1, "go-back-N retransmission queued");
-        assert_eq!(fe.tcp_retransmissions(), 1);
+        let links = [LinkId(0)];
+        let every = |k| Reverse(SimDuration::from_nanos(k * INTERVAL_NS));
+        assert_eq!(fe.arrival_rank(&links, at_interval(1)), Some((every(1), 0)));
+        assert_eq!(fe.arrival_rank(&links, at_interval(2)), Some((every(2), 1)));
+        assert_eq!(fe.arrival_rank(&links, at_interval(3)), None, "no source's next arrival");
+        let q = fe.queue_mut(LinkId(0), at_interval(2));
+        let flows: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|p| p.flow.0).collect();
+        assert_eq!(flows, [0, 1, 2, 0], "at 2 intervals: flows 1 and 2 ahead of flow 0");
+        assert_eq!(fe.arrival_rank(&links, at_interval(4)), Some((every(2), 1)));
     }
 
+    /// Lazy sync with arithmetic drops against a per-packet reference in
+    /// which every UDP packet arrives on its own, in time order, with
+    /// same-instant ties in [`ArrivalRank`] order: random rates (silent
+    /// ones included) over one or two flows per link, reads, pops and
+    /// head-of-line re-pushes at random instants, and a snapshot restore
+    /// midway. Queue contents, drops and source serials must agree.
     #[test]
-    fn flow_link_lookup() {
-        let n = net();
-        let w = Workload::udp_updown(&n, 5e6, 1e6);
-        let fe = FlowEngine::new(&n, &w, 1.0);
-        assert_eq!(fe.flow_link(0), LinkId(0));
-        assert_eq!(fe.flow_link(1), LinkId(1));
+    fn lazy_arrivals_match_a_per_packet_reference() {
+        let tie_prone = [0.0, 250e3, 1e6, 2e6, 4e6, 10e6, 20e6];
+        prop::check("lazy UDP arrivals match per-packet arrivals", |g| {
+            let n = net();
+            let flows = g.vec(1, 4, |g| {
+                let rate_bps =
+                    if g.bool() { *g.pick(&tie_prone) } else { g.u64(48_000, 30_000_000) as f64 };
+                FlowSpec { link: LinkId(g.u64(0, 1) as u32), kind: FlowKind::Udp { rate_bps } }
+            });
+            let w = Workload { flows, packet_bytes: 512 };
+            let mut fe = FlowEngine::new(&n, &w, 1.0);
+            let mut sources: Vec<UdpSource> = fe.udp.iter().flatten().cloned().collect();
+            let mut queues = [LinkQueue::default(), LinkQueue::default()];
+            let mut drops = 0;
+            let mut held: Vec<Packet> = Vec::new();
+            let mut now = SimTime::ZERO;
+            let restore_at = g.usize(0, 30);
+            for step in 0..g.usize(1, 30) {
+                now += SimDuration::from_micros(g.u64(0, 8_000));
+                while let Some(src) = sources
+                    .iter_mut()
+                    .filter(|s| s.next_arrival() <= now)
+                    .min_by_key(|s| (s.next_arrival(), arrival_rank(s)))
+                {
+                    let p = src.emit(u64::from(src.flow().0) << 40);
+                    if !queues[p.link.index()].push(p) {
+                        drops += 1;
+                    }
+                }
+                let link = LinkId(g.u64(0, 1) as u32);
+                match g.u64(0, 2) {
+                    0 => {}
+                    1 => {
+                        let popped = fe.queue_mut(link, now).pop();
+                        prop_assert_eq!(popped, queues[link.index()].pop());
+                        held.extend(popped);
+                    }
+                    _ => {
+                        if let Some(p) = held.pop() {
+                            let lazy = fe.queue_mut(p.link, now).push_front(p);
+                            prop_assert_eq!(lazy, queues[p.link.index()].push_front(p));
+                        }
+                    }
+                }
+                prop_assert_eq!(bytes(fe.queue(link, now)), bytes(&queues[link.index()]));
+                if step == restore_at {
+                    let mut w_snap = SnapWriter::new();
+                    fe.snapshot_save(&mut w_snap);
+                    fe = FlowEngine::new(&n, &w, 1.0);
+                    fe.snapshot_restore(&mut SnapReader::new(&w_snap.into_bytes())).unwrap();
+                }
+            }
+            fe.sync_all(now);
+            for (lazy, eager) in fe.queues.iter().zip(&queues) {
+                prop_assert_eq!(bytes(lazy), bytes(eager));
+            }
+            prop_assert_eq!(fe.stats.drops, drops);
+            for (lazy, eager) in fe.udp.iter().flatten().zip(&sources) {
+                prop_assert_eq!(bytes(lazy), bytes(eager), "source serial and clock");
+            }
+        });
     }
 
-    #[test]
-    fn total_backlog_sums_all_queues() {
-        let n = net();
-        let w = Workload::udp_updown(&n, 5e6, 5e6);
-        let mut fe = FlowEngine::new(&n, &w, 1.0);
-        for flow in fe.udp_flows() {
-            fe.udp_arrive(flow);
-            fe.udp_arrive(flow);
-        }
-        assert_eq!(fe.total_backlog(), 4);
+    fn bytes(state: &impl Snapshot) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        state.save(&mut w);
+        w.into_bytes()
     }
 }

@@ -92,7 +92,7 @@ impl World for OmniWorld {
 
     fn handle(&mut self, now: SimTime, ev: Ev<OmniEv>) {
         match self.plant.step(now, ev, RtoScope::Flow) {
-            Step::Arrived(_) | Step::Released => {}
+            Step::Released => {}
             Step::Scheme(OmniEv::SlotStart) => self.on_slot_start(now),
             Step::TxEnd(tx) => self.on_tx_end(now, tx),
         }
@@ -118,7 +118,7 @@ impl OmniWorld {
     fn on_slot_start(&mut self, now: SimTime) {
         // Perfect knowledge: one maximal set from true queue lengths.
         let mut backlog: Vec<u32> = (0..self.net.links().len())
-            .map(|l| self.plant.fe.queue(LinkId(l as u32)).len() as u32)
+            .map(|l| self.plant.fe.queue(LinkId(l as u32), now).len() as u32)
             .collect();
         let batch = self.sched.schedule_batch(&self.graph, &mut backlog, 1);
         self.slot_idx += 1;
@@ -131,7 +131,7 @@ impl OmniWorld {
                     fake: false,
                 });
                 // lint: allow(D005) the scheduler only emits links whose live backlog was non-zero
-                let packet = self.plant.fe.queue_mut(l).pop().expect("empty queue");
+                let packet = self.plant.fe.queue_mut(l, now).pop().expect("empty queue");
                 let frame = Frame {
                     src: self.net.link(l).sender,
                     body: FrameBody::Data { packet, fake: false, client_burst: None },
@@ -161,7 +161,7 @@ impl OmniWorld {
                     // The omniscient controller observes the loss and
                     // retries next slot.
                     self.plant.fe.stats.retries += 1;
-                    if !self.plant.fe.queue_mut(packet.link).push_front(*packet) {
+                    if !self.plant.fe.queue_mut(packet.link, now).push_front(*packet) {
                         self.plant.fe.stats.drops += 1;
                     }
                 }

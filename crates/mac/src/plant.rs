@@ -8,6 +8,10 @@
 //! holds one [`Plant`] plus only its own state; its own events ride in
 //! [`Ev::Scheme`].
 //!
+//! UDP arrivals have no event: the [`FlowEngine`] fills a link's queue
+//! when the queue is read or written, and the end-of-run flush brings
+//! every link up to where the run ended.
+//!
 //! Each TCP flow has at most one RTO event queued. The plant keeps its
 //! [`EventHandle`] and cancels it before queuing the replacement, so a
 //! superseded timer never pops. A restored plant recovers the handles
@@ -22,17 +26,11 @@ use domino_obs::{CostPath, FaultKind, Probe, TraceEvent};
 use domino_sim::engine::{DEFAULT_EVENT_BUDGET, DEFAULT_LIVENESS_WINDOW};
 use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter, Snapshot};
 use domino_sim::{Engine, EventHandle, SimDuration, SimTime};
-use domino_topology::LinkId;
 
 /// The events of a run: the plant's own, plus the scheme's in
 /// [`Ev::Scheme`].
 #[derive(Debug)]
 pub enum Ev<X> {
-    /// A UDP flow's next packet is due.
-    UdpArrival {
-        /// Flow index.
-        flow: usize,
-    },
     /// Periodic TCP application tick.
     TcpTick {
         /// Flow index.
@@ -64,7 +62,7 @@ impl<X: SchemeEvent> Ev<X> {
     /// Cost-attribution class of one event.
     pub fn cost_class(&self) -> CostPath {
         match self {
-            Ev::UdpArrival { .. } | Ev::TcpTick { .. } | Ev::TcpRto { .. } => CostPath::EvTraffic,
+            Ev::TcpTick { .. } | Ev::TcpRto { .. } => CostPath::EvTraffic,
             Ev::TxEnd { .. } => CostPath::EvMedium,
             Ev::Scheme(x) => x.cost_class(),
         }
@@ -74,35 +72,30 @@ impl<X: SchemeEvent> Ev<X> {
 impl<X: SnapValue> SnapValue for Ev<X> {
     fn put(&self, w: &mut SnapWriter) {
         match self {
-            Ev::UdpArrival { flow } => {
+            Ev::TcpTick { flow } => {
                 w.put_u8(0);
                 flow.put(w);
             }
-            Ev::TcpTick { flow } => {
+            Ev::TcpRto { flow } => {
                 w.put_u8(1);
                 flow.put(w);
             }
-            Ev::TcpRto { flow } => {
-                w.put_u8(2);
-                flow.put(w);
-            }
             Ev::TxEnd { tx } => {
-                w.put_u8(3);
+                w.put_u8(2);
                 tx.put(w);
             }
             Ev::Scheme(x) => {
-                w.put_u8(4);
+                w.put_u8(3);
                 x.put(w);
             }
         }
     }
     fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(match r.get_u8()? {
-            0 => Ev::UdpArrival { flow: SnapValue::thaw(r)? },
-            1 => Ev::TcpTick { flow: SnapValue::thaw(r)? },
-            2 => Ev::TcpRto { flow: SnapValue::thaw(r)? },
-            3 => Ev::TxEnd { tx: SnapValue::thaw(r)? },
-            4 => Ev::Scheme(SnapValue::thaw(r)?),
+            0 => Ev::TcpTick { flow: SnapValue::thaw(r)? },
+            1 => Ev::TcpRto { flow: SnapValue::thaw(r)? },
+            2 => Ev::TxEnd { tx: SnapValue::thaw(r)? },
+            3 => Ev::Scheme(SnapValue::thaw(r)?),
             _ => return Err(SnapError::Corrupt("plant event tag")),
         })
     }
@@ -119,9 +112,6 @@ pub(crate) enum RtoScope {
 
 /// What is left of an event once the plant has done its share.
 pub(crate) enum Step<X> {
-    /// A UDP packet arrived for this link (queued, or dropped at a full
-    /// queue).
-    Arrived(LinkId),
     /// A TCP tick or an RTO may have released segments.
     Released,
     /// A transmission left the air; the scheme adjudicates it.
@@ -145,6 +135,9 @@ pub struct Plant<X> {
     /// Observation-only trace sink and cost profiler (off by default;
     /// excluded from snapshots — a restored run profiles from zero).
     pub(crate) probe: Probe,
+    /// Where the run ends: its horizon, or the instant the liveness
+    /// monitor stopped it. The end-of-run flush brings the queues here.
+    pub(crate) end: SimTime,
     /// The one queued RTO event of each flow, if any.
     rto: Vec<Option<EventHandle>>,
     /// The TCP flows, listed once.
@@ -158,7 +151,7 @@ pub struct Plant<X> {
 
 impl<X> Plant<X> {
     /// Build the plant at t = 0 with the probe attached and the first
-    /// traffic events queued (ahead of any scheme event).
+    /// TCP ticks queued (ahead of any scheme event).
     pub(crate) fn new(inputs: &RunInputs<'_>, probe: Probe) -> Plant<X> {
         let RunInputs { net, workload, duration_s, seed, faults } = *inputs;
         let plane = FaultPlane::new(faults, seed, &client_indices(net), duration_s);
@@ -171,9 +164,6 @@ impl<X> Plant<X> {
         engine.set_liveness(DEFAULT_EVENT_BUDGET, DEFAULT_LIVENESS_WINDOW);
         engine.set_probe(probe.clone());
         let fe = FlowEngine::new(net, workload, duration_s);
-        for flow in fe.udp_flows() {
-            engine.schedule_at(fe.udp_next_arrival(flow), Ev::UdpArrival { flow });
-        }
         let tcp_flows = fe.tcp_flows();
         for &flow in &tcp_flows {
             engine.schedule_at(SimTime::ZERO + TCP_TICK, Ev::TcpTick { flow });
@@ -184,6 +174,7 @@ impl<X> Plant<X> {
             fe,
             node_faults: plane.node,
             probe,
+            end: SimTime::ZERO + SimDuration::from_secs_f64(duration_s),
             rto: vec![None; workload.flows.len()],
             tcp_flows,
             ap_dark_until: vec![SimTime::ZERO; net.num_nodes()],
@@ -207,11 +198,6 @@ impl<X> Plant<X> {
     /// released, and every other event, goes back to the scheme.
     pub(crate) fn step(&mut self, now: SimTime, ev: Ev<X>, rto: RtoScope) -> Step<X> {
         match ev {
-            Ev::UdpArrival { flow } => {
-                let _ = self.fe.udp_arrive(flow);
-                self.engine.schedule_at(self.fe.udp_next_arrival(flow), Ev::UdpArrival { flow });
-                Step::Arrived(self.fe.flow_link(flow))
-            }
             Ev::TcpTick { flow } => {
                 self.fe.tcp_tick(flow, now);
                 self.engine.schedule_in(TCP_TICK, Ev::TcpTick { flow });
@@ -309,11 +295,14 @@ impl<X> Plant<X> {
         stall
     }
 
-    /// End-of-run flush: timer-wheel op counts and the draw totals of the
-    /// plant's RNG streams go to the profiler (no-ops when it is off),
-    /// the plant's counters to the stats. A scheme flushes its own
-    /// streams and counters first.
-    pub(crate) fn finish(self) -> RunStats {
+    /// End-of-run flush: every link's queue is brought up to the end of
+    /// the run, inclusive as the engine's horizon is (the arrivals no read
+    /// reached still fill the queues and count their drops); timer-wheel
+    /// op counts and the draw totals of the plant's RNG streams go to the
+    /// profiler (no-ops when it is off), the plant's counters to the
+    /// stats. A scheme flushes its own streams and counters first.
+    pub(crate) fn finish(mut self) -> RunStats {
+        self.fe.sync_all(self.end);
         self.engine.profile_wheel();
         self.probe.prof.add(CostPath::RngPhyError, self.medium.phy_rng_draws());
         self.probe.prof.add(
@@ -397,6 +386,7 @@ pub(crate) mod testing {
     //! Checks every scheme's event encoding shares.
 
     use super::*;
+    use domino_topology::LinkId;
     use domino_traffic::{FlowId, Packet, PacketId, PacketKind};
 
     /// A packet with every field distinct from its default.
@@ -429,8 +419,8 @@ pub(crate) mod testing {
         let unknown = |bytes: &[u8]| {
             matches!(Ev::<X>::thaw(&mut SnapReader::new(bytes)), Err(SnapError::Corrupt(_)))
         };
-        assert!(unknown(&[5]), "unknown plant tag decoded");
-        assert!(unknown(&[4, 0xff]), "unknown scheme tag decoded");
+        assert!(unknown(&[4]), "unknown plant tag decoded");
+        assert!(unknown(&[3, 0xff]), "unknown scheme tag decoded");
     }
 }
 
@@ -446,12 +436,11 @@ mod tests {
     use domino_faults::FaultConfig;
     use domino_topology::network::PhyParams;
     use domino_topology::presets::fig1;
-    use domino_topology::Network;
+    use domino_topology::{LinkId, Network};
 
     #[test]
     fn plant_events_roundtrip() {
-        let events: [Ev<OmniEv>; 4] = [
-            Ev::UdpArrival { flow: 3 },
+        let events: [Ev<OmniEv>; 3] = [
             Ev::TcpTick { flow: 1 },
             Ev::TcpRto { flow: 2 },
             Ev::TxEnd { tx: TxId(7) },

@@ -4,11 +4,11 @@
 //! built from the [`RunInputs`], its own config and a [`Probe`]. [`run`]
 //! is the only driver. It restores a world from a snapshot when asked,
 //! hands a snapshot to the caller at each checkpoint boundary, drives the
-//! engine to the horizon, billing each event to the profiler, and
-//! finalizes. Any combination of faults, tracing, profiling, checkpoints
-//! and restore therefore takes the same path. The driver is generic, so
-//! each world gets its own monomorphised event loop with no dynamic
-//! dispatch per event.
+//! engine to the horizon (the plant's `end`), billing each event to the
+//! profiler, and finalizes. Any combination of faults, tracing,
+//! profiling, checkpoints and restore therefore takes the same path. The
+//! driver is generic, so each world gets its own monomorphised event loop
+//! with no dynamic dispatch per event.
 
 use crate::plant::{Ev, Plant, SchemeEvent};
 use crate::workload::{RunStats, Workload};
@@ -104,7 +104,7 @@ pub fn run<W: World>(
         }
         resumed_at = Some(t);
     }
-    let horizon = SimTime::ZERO + SimDuration::from_secs_f64(inputs.duration_s);
+    let horizon = world.plant().end;
     if let Some(Checkpoints { at, sink }) = checkpoints {
         for &b in at.iter().filter(|&&b| b <= horizon && resumed_at.is_none_or(|t| b > t)) {
             // Events at exactly `b` land after the snapshot: drive the
@@ -123,7 +123,8 @@ pub fn run<W: World>(
 }
 
 /// Process events through `horizon` (inclusive), billing each to its
-/// cost class. Returns false when the liveness monitor aborted the run.
+/// cost class. Returns false when the liveness monitor aborted the run,
+/// which then ends at the instant it stopped.
 fn drive<W: World>(world: &mut W, horizon: SimTime) -> bool {
     loop {
         let plant = world.plant();
@@ -133,8 +134,9 @@ fn drive<W: World>(world: &mut W, horizon: SimTime) -> bool {
                 world.handle(now, ev);
             }
             Ok(None) => return true,
-            Err(_livelock) => {
+            Err(livelock) => {
                 plant.fe.stats.faults.livelocks += 1;
+                plant.end = livelock.at;
                 return false;
             }
         }
@@ -216,5 +218,72 @@ pub(crate) mod testing {
         for (da, db) in a.delays.iter().zip(&b.delays) {
             assert_eq!(da.samples(), db.samples());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::workload::{FlowKind, FlowSpec};
+    use domino_obs::CostPath;
+    use domino_sim::snapshot::SnapValue;
+    use domino_topology::presets::fig1;
+    use domino_topology::{LinkId, PhyParams};
+
+    /// A scheme event that re-queues itself at its own instant.
+    #[derive(Debug)]
+    struct Spin;
+
+    impl SchemeEvent for Spin {
+        fn cost_class(&self) -> CostPath {
+            CostPath::EvSlot
+        }
+    }
+
+    impl SnapValue for Spin {
+        fn put(&self, _: &mut SnapWriter) {}
+        fn thaw(_: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+            Ok(Spin)
+        }
+    }
+
+    /// A world that livelocks at 1 ms.
+    struct SpinWorld(Plant<Spin>);
+
+    impl World for SpinWorld {
+        type Config = ();
+        type Event = Spin;
+        fn new(inputs: &RunInputs<'_>, (): (), probe: Probe) -> SpinWorld {
+            let mut plant = Plant::new(inputs, probe);
+            plant.schedule(SimTime::from_millis(1), Spin);
+            SpinWorld(plant)
+        }
+        fn plant(&mut self) -> &mut Plant<Spin> {
+            &mut self.0
+        }
+        fn handle(&mut self, now: SimTime, _: Ev<Spin>) {
+            self.0.schedule(now, Spin);
+        }
+        fn finalize(self) -> RunStats {
+            self.0.finish()
+        }
+        fn snapshot_save(&self, _: &mut SnapWriter) {}
+        fn snapshot_restore(&mut self, _: &mut SnapReader<'_>) -> Result<(), SnapError> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_livelocked_run_flushes_to_where_it_stopped() {
+        let net = fig1(PhyParams::default());
+        // 4096 bits every 4096 ns: 244 packets by 1 ms, 200 of them queued.
+        let flow = FlowSpec { link: LinkId(0), kind: FlowKind::Udp { rate_bps: 1e9 } };
+        let workload = Workload { flows: vec![flow], packet_bytes: 512 };
+        let faults = FaultConfig::off();
+        let inputs =
+            RunInputs { net: &net, workload: &workload, duration_s: 1.0, seed: 1, faults: &faults };
+        let stats = run::<SpinWorld>(&inputs, (), Probe::default(), None, None).unwrap();
+        assert_eq!(stats.faults.livelocks, 1);
+        assert_eq!(stats.drops, 244 - 200, "flushed to 1 ms, not to the 1-s horizon");
     }
 }

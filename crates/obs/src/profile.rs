@@ -42,7 +42,7 @@ pub enum CostPath {
     WheelCancel,
     /// Timer nodes re-filed during a wheel-level cascade.
     WheelCascade,
-    /// Traffic-plane events (arrivals, TCP ticks, RTO timers).
+    /// Traffic-plane events (TCP ticks, RTO timers, CSMA wakes).
     EvTraffic,
     /// Medium events (transmission ends).
     EvMedium,

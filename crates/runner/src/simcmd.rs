@@ -10,6 +10,7 @@
 //! function of the run — a restored run's block byte-matches the
 //! uninterrupted run's, which is exactly what the CI gate diffs.
 
+use domino_core::traffic::{UdpSource, DEFAULT_PACKET_BYTES};
 use domino_core::{scenarios, Checkpoints, FaultConfig, RunOpts, RunReport, Scheme, SimulationBuilder};
 use domino_sim::SimTime;
 use std::fmt::Write as _;
@@ -161,10 +162,18 @@ fn need(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<String, Str
     it.next().cloned().ok_or_else(|| format!("{flag} needs a value"))
 }
 
-/// `<down_bps>,<up_bps>`.
+/// `<down_bps>,<up_bps>`: two finite, non-negative rates, neither so
+/// high that a packet's interval rounds to 0 ns (above 8.192e12 b/s).
 fn parse_rates(v: &str, flag: &str) -> Result<(f64, f64), String> {
     let (down, up) = v.split_once(',').ok_or_else(|| format!("{flag} needs <down_bps>,<up_bps>"))?;
-    Ok((parse_f64(down, flag)?, parse_f64(up, flag)?))
+    let rate = |v| {
+        let bps = parse_f64(v, flag)?;
+        if bps > 0.0 && UdpSource::packet_interval(bps, DEFAULT_PACKET_BYTES).is_zero() {
+            return Err(format!("{flag}: at {bps} b/s a packet interval rounds to 0 ns"));
+        }
+        Ok(bps)
+    };
+    Ok((rate(down)?, rate(up)?))
 }
 
 /// A finite, non-negative number.
@@ -351,6 +360,7 @@ mod tests {
         assert!(parse(&argv(&["--scheme", "nope"])).is_err());
         assert!(parse(&argv(&["--seed"])).is_err());
         assert!(parse(&argv(&["--udp", "8e6"])).is_err());
+        assert!(parse(&argv(&["--udp", "1e13,0"])).is_err(), "packet interval rounds to 0 ns");
         assert!(parse(&argv(&["--tcp", "8e6"])).is_err());
         assert!(parse(&argv(&["--scenario", "t10x3"])).is_err());
         let t = parse(&argv(&["--scenario", "t10x2", "--udp", "1,2", "--tcp", "10e6,4e6"]));

@@ -49,7 +49,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Current container format version. Bump on any layout change; old
 /// versions are rejected, never reinterpreted.
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// 4-byte container magic.
 const MAGIC: &[u8; 4] = b"DSNP";

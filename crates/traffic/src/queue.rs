@@ -16,37 +16,32 @@ pub const DEFAULT_QUEUE_CAPACITY: usize = 200;
 pub struct LinkQueue {
     items: VecDeque<Packet>,
     capacity: usize,
-    drops: u64,
 }
 
 impl LinkQueue {
     /// An empty queue with the given capacity.
     pub fn new(capacity: usize) -> LinkQueue {
         assert!(capacity > 0, "queue capacity must be positive");
-        LinkQueue { items: VecDeque::new(), capacity, drops: 0 }
+        LinkQueue { items: VecDeque::new(), capacity }
     }
 
-    /// Enqueue; returns `false` (and counts a drop) when full.
+    /// Enqueue; returns `false` (the packet is dropped) when full.
     pub fn push(&mut self, packet: Packet) -> bool {
-        if self.items.len() >= self.capacity {
-            self.drops += 1;
-            false
-        } else {
+        let fits = !self.is_full();
+        if fits {
             self.items.push_back(packet);
-            true
         }
+        fits
     }
 
     /// Push to the *front* (a retransmission keeps its place at the head
-    /// of the line).
+    /// of the line); returns `false` (the packet is dropped) when full.
     pub fn push_front(&mut self, packet: Packet) -> bool {
-        if self.items.len() >= self.capacity {
-            self.drops += 1;
-            false
-        } else {
+        let fits = !self.is_full();
+        if fits {
             self.items.push_front(packet);
-            true
         }
+        fits
     }
 
     /// Dequeue the head.
@@ -69,9 +64,9 @@ impl LinkQueue {
         self.items.is_empty()
     }
 
-    /// Total packets dropped at enqueue so far.
-    pub fn drops(&self) -> u64 {
-        self.drops
+    /// True when a push would be dropped.
+    pub fn is_full(&self) -> bool {
+        self.items.len() >= self.capacity
     }
 
     /// Queue length as ROP reports it: clamped to the 6-bit maximum.
@@ -87,14 +82,13 @@ impl Default for LinkQueue {
 }
 
 impl Snapshot for LinkQueue {
-    /// Dynamic state: queued packets and the drop counter. `capacity` is
-    /// configuration and stays as constructed.
+    /// Dynamic state: the queued packets. `capacity` is configuration and
+    /// stays as constructed.
     fn save(&self, w: &mut SnapWriter) {
         w.put_u64(self.items.len() as u64);
         for p in &self.items {
             p.put(w);
         }
-        w.put_u64(self.drops);
     }
     fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let len = r.get_len()?;
@@ -102,7 +96,6 @@ impl Snapshot for LinkQueue {
         for _ in 0..len {
             self.items.push_back(Packet::thaw(r)?);
         }
-        self.drops = r.get_u64()?;
         Ok(())
     }
 }
@@ -143,11 +136,13 @@ mod tests {
     fn capacity_enforced_with_drop_count() {
         let mut q = LinkQueue::new(2);
         assert!(q.push(pkt(0)));
+        assert!(!q.is_full());
         assert!(q.push(pkt(1)));
-        assert!(!q.push(pkt(2)));
-        assert!(!q.push(pkt(3)));
-        assert_eq!(q.drops(), 2);
+        assert!(q.is_full());
+        assert!(!q.push(pkt(2)), "full: dropped");
+        assert!(!q.push_front(pkt(3)), "full: dropped at the front too");
         assert_eq!(q.len(), 2);
+        assert_eq!(q.pop().unwrap().id.0, 0);
     }
 
     #[test]

@@ -6,6 +6,11 @@ use domino_sim::{SimDuration, SimTime};
 use domino_topology::LinkId;
 
 /// A CBR source emitting fixed-size packets at a fixed rate on one link.
+///
+/// It draws no randomness, so its arrivals are a function of time: the
+/// source may lag behind the clock, and [`UdpSource::skip_through`]
+/// catches it up past any number of intervals in one step, exactly (time
+/// is integer nanoseconds).
 #[derive(Clone, Debug)]
 pub struct UdpSource {
     flow: FlowId,
@@ -21,7 +26,8 @@ impl UdpSource {
     ///
     /// The first packet arrives one full interval after `start` (flows
     /// ramp in rather than bursting at t=0, and distinct flows can be
-    /// staggered via `start`).
+    /// staggered via `start`). Panics when the packet interval rounds to
+    /// 0 ns (see [`UdpSource::packet_interval`]).
     pub fn new(
         flow: FlowId,
         link: LinkId,
@@ -31,9 +37,11 @@ impl UdpSource {
     ) -> UdpSource {
         assert!(rate_bps >= 0.0 && rate_bps.is_finite());
         assert!(packet_bytes > 0);
-        let interval = (rate_bps > 0.0).then(|| {
-            SimDuration::from_secs_f64(packet_bytes as f64 * 8.0 / rate_bps)
-        });
+        let interval = (rate_bps > 0.0).then(|| UdpSource::packet_interval(rate_bps, packet_bytes));
+        assert!(
+            interval.is_none_or(|i| !i.is_zero()),
+            "{rate_bps} b/s: packet interval rounds to 0 ns"
+        );
         let next_arrival = match interval {
             Some(i) => start + i,
             None => SimTime::MAX,
@@ -46,6 +54,12 @@ impl UdpSource {
             next_arrival,
             next_packet_serial: 0,
         }
+    }
+
+    /// The time between two packets of `packet_bytes` at `rate_bps` (> 0),
+    /// rounded to the nanosecond.
+    pub fn packet_interval(rate_bps: f64, packet_bytes: usize) -> SimDuration {
+        SimDuration::from_secs_f64(packet_bytes as f64 * 8.0 / rate_bps)
     }
 
     /// The flow this source feeds.
@@ -62,6 +76,11 @@ impl UdpSource {
     /// source).
     pub fn next_arrival(&self) -> SimTime {
         self.next_arrival
+    }
+
+    /// The time between two packets (`None` for a silent source).
+    pub fn interval(&self) -> Option<SimDuration> {
+        self.interval
     }
 
     /// Emit the packet due at [`UdpSource::next_arrival`] and advance.
@@ -82,6 +101,22 @@ impl UdpSource {
             kind: PacketKind::Udp,
             seq: serial,
         }
+    }
+
+    /// Advance past every packet due at or before `now` without minting
+    /// them, exactly as that many [`UdpSource::emit`] calls would (serials
+    /// included). Returns how many packets that was.
+    pub fn skip_through(&mut self, now: SimTime) -> u64 {
+        let (Some(interval), Some(late)) = (self.interval, now.checked_since(self.next_arrival))
+        else {
+            return 0;
+        };
+        let due = (late.as_nanos() / interval.as_nanos())
+            .checked_add(1)
+            .expect("packet count overflow");
+        self.next_arrival += interval * due;
+        self.next_packet_serial += due;
+        due
     }
 }
 
@@ -141,6 +176,30 @@ mod tests {
     fn emit_on_silent_source_panics() {
         let mut s = UdpSource::new(FlowId(0), LinkId(0), 0.0, 512, SimTime::ZERO);
         let _ = s.emit(0);
+    }
+
+    #[test]
+    fn skipping_matches_emitting() {
+        let mut skipped = UdpSource::new(FlowId(0), LinkId(0), 10e6, 512, SimTime::ZERO);
+        let mut emitted = skipped.clone();
+        // Nothing is due before the first arrival.
+        assert_eq!(skipped.skip_through(SimTime::from_nanos(409_599)), 0);
+        // Through 3 intervals inclusive: 3 packets.
+        assert_eq!(skipped.skip_through(SimTime::from_nanos(3 * 409_600)), 3);
+        for _ in 0..3 {
+            let _ = emitted.emit(0);
+        }
+        assert_eq!(skipped.next_arrival(), emitted.next_arrival());
+        assert_eq!(skipped.emit(0), emitted.emit(0), "the serial advanced too");
+        let mut silent = UdpSource::new(FlowId(0), LinkId(0), 0.0, 512, SimTime::ZERO);
+        assert_eq!(silent.skip_through(SimTime::from_secs(9)), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "rounds to 0 ns")]
+    fn zero_interval_panics() {
+        // 4096 bits at 1e13 b/s is 0.41 ns, which rounds to 0.
+        let _ = UdpSource::new(FlowId(0), LinkId(0), 1e13, 512, SimTime::ZERO);
     }
 
     #[test]

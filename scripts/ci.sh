@@ -67,17 +67,19 @@ echo "== profile gate: cost attribution pinned at zero tolerance =="
 # The cost profiler counts exact integers over simulated work (engine
 # pops, wheel cascades, adjudications, RNG draws — no wall clock), so
 # the committed fig7 snapshot of every scheme, Fig 12's TCP/DOMINO cell
-# (TCP ticks and retransmission timers) and Fig 14's first random
-# T(20,3) network under DCF and DOMINO (80 nodes: the medium and the
-# conflict graph at their densest) are held to a zero-threshold diff:
-# any hot-path cost growth fails here and must be reviewed as part of
-# the change that caused it.
+# (TCP ticks and retransmission timers), Fig 14's first random T(20,3)
+# network under DCF and DOMINO (80 nodes: the medium and the conflict
+# graph at their densest) and a lightly loaded T(6,2) under DCF (its
+# senders idle between packets, so its wake events are counted) are
+# held to a zero-threshold diff: any hot-path cost growth fails here
+# and must be reviewed as part of the change that caused it.
 PROF_TMP="$(mktemp)"
 for cell in "fig7_domino --scheme domino" "fig7_dcf --scheme dcf" \
     "fig7_centaur --scheme centaur" "fig7_omniscient --scheme omniscient" \
     "t10x2_tcp_domino --scheme domino --scenario t10x2 --tcp 10e6,4e6 --duration-s 0.2" \
     "rt20x3_dcf --scheme dcf --scenario rt20x3 --udp 10e6,10e6 --duration-s 0.1" \
-    "rt20x3_domino --scheme domino --scenario rt20x3 --udp 10e6,10e6 --duration-s 0.1"; do
+    "rt20x3_domino --scheme domino --scenario rt20x3 --udp 10e6,10e6 --duration-s 0.1" \
+    "t6x2_light_dcf --scheme dcf --scenario t6x2 --udp 48e3,96e3 --duration-s 1"; do
     name="${cell%% *}"
     read -ra flags <<< "${cell#* }"
     ./target/release/domino-profile report --folded "${flags[@]}" > "$PROF_TMP"
@@ -130,10 +132,12 @@ echo "campaign resume rebuilt the identical report"
 rm -rf "$CAMP_DIR" "$(dirname "$CACHE_DIR")"
 
 echo "== snapshot gate: checkpoint at t/2, restore in a fresh process =="
-# Three cells are checkpointed at half their horizon: a fig7 run under
-# chaos and Fig 12's T(10,2) under TCP (its snapshot carries queued
-# retransmission timers) for every scheme, and Fig 14's first random
-# T(20,3) network under DCF and DOMINO (80 nodes, many frames in flight).
+# Four cells are checkpointed at half their horizon: a fig7 run under
+# chaos, Fig 12's T(10,2) under TCP (its snapshot carries queued
+# retransmission timers) and a lightly loaded T(6,2) under UDP (parked
+# senders and UDP sources behind the clock) for every scheme, and Fig
+# 14's first random T(20,3) network under DCF and DOMINO (80 nodes, many
+# frames in flight).
 # A *separate process* restores the sealed snapshot and finishes the
 # run. Both the interrupted and the restored stats blocks must
 # byte-match the uninterrupted run's — the restored-goldens-cannot-move
@@ -142,6 +146,7 @@ SNAP_DIR="$(mktemp -d)"
 ALL_SCHEMES="domino dcf centaur omniscient"
 for cell in "fig7|$ALL_SCHEMES|--scenario fig7 --seed 11 --chaos 0.5" \
     "t10x2_tcp|$ALL_SCHEMES|--scenario t10x2 --tcp 10e6,4e6" \
+    "t6x2_light|$ALL_SCHEMES|--scenario t6x2 --udp 48e3,96e3" \
     "rt20x3|domino dcf|--scenario rt20x3 --udp 10e6,10e6"; do
     IFS='|' read -r name schemes flag_str <<< "$cell"
     read -ra flags <<< "$flag_str"

@@ -44,6 +44,36 @@ fn tcp_summary(scheme: Scheme) -> String {
     )
 }
 
+/// fig7 under UDP at `down`/`up` b/s for 0.4096 s, a horizon every packet
+/// interval used below divides, so the last arrivals land on it. Drops
+/// are pinned too: they count the packets that found a full queue.
+fn udp_summary(scheme: Scheme, down: f64, up: f64) -> String {
+    let report = SimulationBuilder::new(scenarios::fig7())
+        .udp(down, up)
+        .duration_s(0.4096)
+        .seed(0xD0311)
+        .run(scheme);
+    format!(
+        "tput={:.6} delay_us={:.3} fairness={:.6} drops={}",
+        report.aggregate_mbps(),
+        report.mean_delay_us(),
+        report.fairness(),
+        report.stats.drops
+    )
+}
+
+/// Light mixed rates (1 Mb/s down, 250 kb/s up): senders go idle between
+/// packets and several wake at the same instant.
+fn light_summary(scheme: Scheme) -> String {
+    udp_summary(scheme, 1e6, 250e3)
+}
+
+/// Saturated (20 Mb/s both ways): most packets are dropped at a full
+/// queue.
+fn saturated_summary(scheme: Scheme) -> String {
+    udp_summary(scheme, 20e6, 20e6)
+}
+
 #[test]
 fn golden_dcf_fig7_seeded() {
     assert_eq!(summary(Scheme::Dcf), "tput=12.656640 delay_us=41899.237 fairness=0.486215");
@@ -96,6 +126,70 @@ fn golden_omniscient_fig7_tcp_seeded() {
     assert_eq!(
         tcp_summary(Scheme::Omniscient),
         "tput=10.436608 delay_us=46480.943 fairness=0.999993 tcp_retransmissions=0"
+    );
+}
+
+#[test]
+fn golden_dcf_fig7_light_seeded() {
+    assert_eq!(
+        light_summary(Scheme::Dcf),
+        "tput=4.900000 delay_us=3621.074 fairness=0.729947 drops=0"
+    );
+}
+
+#[test]
+fn golden_centaur_fig7_light_seeded() {
+    assert_eq!(
+        light_summary(Scheme::Centaur),
+        "tput=4.900000 delay_us=4274.344 fairness=0.724695 drops=2"
+    );
+}
+
+#[test]
+fn golden_domino_fig7_light_seeded() {
+    assert_eq!(
+        light_summary(Scheme::Domino),
+        "tput=4.790000 delay_us=7341.413 fairness=0.735558 drops=0"
+    );
+}
+
+#[test]
+fn golden_omniscient_fig7_light_seeded() {
+    assert_eq!(
+        light_summary(Scheme::Omniscient),
+        "tput=4.920000 delay_us=925.503 fairness=0.728968 drops=0"
+    );
+}
+
+#[test]
+fn golden_dcf_fig7_saturated_seeded() {
+    assert_eq!(
+        saturated_summary(Scheme::Dcf),
+        "tput=14.090000 delay_us=200524.116 fairness=0.540187 drops=12985"
+    );
+}
+
+#[test]
+fn golden_centaur_fig7_saturated_seeded() {
+    assert_eq!(
+        saturated_summary(Scheme::Centaur),
+        "tput=13.220000 delay_us=189358.911 fairness=0.789430 drops=13072"
+    );
+}
+
+#[test]
+fn golden_domino_fig7_saturated_seeded() {
+    assert_eq!(
+        saturated_summary(Scheme::Domino),
+        "tput=20.610000 delay_us=178810.377 fairness=0.962739 drops=12339"
+    );
+}
+
+#[test]
+fn golden_omniscient_fig7_saturated_seeded() {
+    assert_eq!(
+        saturated_summary(Scheme::Omniscient),
+        "tput=18.820000 delay_us=180674.668 fairness=0.999997 drops=12516"
     );
 }
 
