@@ -25,7 +25,7 @@
 //! cold-restarts the controller after its downtime with the order lost.
 
 use crate::dcf::{CsmaCore, CsmaEv};
-use crate::plant::{restore_table, Ev, Plant, RtoScope, SchemeEvent, Step};
+use crate::plant::{restore_table, Ev, Plant, SchemeEvent, Step};
 use crate::run::{RunInputs, World};
 use crate::timing::{ack_timeout, data_airtime, DIFS, MAC_OVERHEAD_BYTES, RETRY_LIMIT};
 use crate::workload::RunStats;
@@ -391,7 +391,7 @@ impl World for CentaurWorld {
     }
 
     fn handle(&mut self, now: SimTime, ev: Ev<CentaurEv>) {
-        let ev = match self.plant.step(now, ev, RtoScope::Flow) {
+        let ev = match self.plant.step(now, ev) {
             Step::Released => return self.csma.try_start_all(now, &mut self.plant),
             Step::TxEnd(tx) => return self.on_tx_end(tx, now),
             Step::Scheme(ev) => ev,

@@ -20,7 +20,7 @@
 //! order decides who takes which backoff draw.
 
 use crate::flows::{ArrivalRank, FlowEngine};
-use crate::plant::{restore_table, Ev, Plant, RtoScope, SchemeEvent, Step};
+use crate::plant::{restore_table, Ev, Plant, SchemeEvent, Step};
 use crate::run::{RunInputs, World};
 use crate::timing::{ack_airtime, ack_timeout, data_airtime, CW_MAX, CW_MIN, DIFS, RETRY_LIMIT, SIFS, SLOT_TIME};
 use crate::workload::RunStats;
@@ -412,9 +412,9 @@ impl CsmaCore {
         plant.schedule(now + ack_timeout(self.rate), timeout);
     }
 
-    /// Deliver data receptions, schedule their ACKs and re-arm the TCP
-    /// timers the deliveries moved (used for any data frame, whether a
-    /// CSMA node or a scheduled AP sent it).
+    /// Deliver data receptions (each re-arms the RTO of the TCP flow whose
+    /// sender absorbed it, if any) and schedule their ACKs (used for any
+    /// data frame, whether a CSMA node or a scheduled AP sent it).
     pub fn handle_data_receptions<X: From<CsmaEv>>(
         receptions: &[Reception],
         now: SimTime,
@@ -425,13 +425,12 @@ impl CsmaCore {
                 continue;
             }
             if let FrameBody::Data { packet, fake: false, .. } = &r.frame.body {
-                plant.fe.deliver(packet, now);
+                plant.deliver(packet, now);
                 if !plant.medium.is_transmitting(r.rx) {
                     plant.schedule(now + SIFS, CsmaEv::SendAck { rx: r.rx.0, packet: *packet });
                 }
             }
         }
-        plant.rearm_all_rtos(now);
     }
 
     /// Transmit a MAC ACK (fired SIFS after a successful data
@@ -595,7 +594,7 @@ impl World for DcfWorld {
     }
 
     fn handle(&mut self, now: SimTime, ev: Ev<CsmaEv>) {
-        match self.plant.step(now, ev, RtoScope::Flow) {
+        match self.plant.step(now, ev) {
             Step::Released => self.csma.try_start_all(now, &mut self.plant),
             Step::TxEnd(tx) => {
                 let receptions = self.plant.medium.end(tx, now);

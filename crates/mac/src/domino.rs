@@ -24,7 +24,7 @@
 //! * watchdog self-start: the very first batch (and any fully broken
 //!   chain) starts by the APs individually, then heals.
 
-use crate::plant::{restore_table, Ev, Plant, RtoScope, SchemeEvent, Step};
+use crate::plant::{restore_table, Ev, Plant, SchemeEvent, Step};
 use crate::run::{RunInputs, World};
 use crate::timing::{
     fake_airtime, poll_airtime, rop_slot_duration, slot_geometry, SlotGeometry, ACK_BYTES,
@@ -715,8 +715,7 @@ impl World for DominoWorld {
     }
 
     fn handle(&mut self, now: SimTime, ev: Ev<DEv>) {
-        // Every tick and RTO re-arms every flow's RTO.
-        let ev = match self.plant.step(now, ev, RtoScope::All) {
+        let ev = match self.plant.step(now, ev) {
             Step::Released => return,
             Step::TxEnd(tx) => return self.on_tx_end(now, tx),
             Step::Scheme(ev) => ev,
@@ -1616,8 +1615,7 @@ impl DominoWorld {
                         continue;
                     }
                     if !*fake {
-                        self.plant.fe.deliver(packet, now);
-                        self.plant.rearm_all_rtos(now);
+                        self.plant.deliver(packet, now);
                         self.wd_streak = 0; // progress: the storm streak ends
                     }
                     let ap_is_receiver = self.net.node(r.rx).is_ap();

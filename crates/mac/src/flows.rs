@@ -250,12 +250,14 @@ impl FlowEngine {
     /// Account a successful delivery of `packet` at `now` and run the
     /// transport reaction (TCP receivers generate acks onto the reverse
     /// link; TCP senders absorb acks and may release more segments).
-    pub fn deliver(&mut self, packet: &Packet, now: SimTime) {
+    /// Returns the flow whose sender absorbed an ack: the only flow whose
+    /// RTO deadline a delivery can move.
+    pub fn deliver(&mut self, packet: &Packet, now: SimTime) -> Option<usize> {
         match packet.kind {
             PacketKind::Udp => {
                 let last = &mut self.last_udp_seq[packet.link.index()];
                 if last.is_some_and(|l| packet.seq <= l) {
-                    return; // duplicate of an already-delivered packet
+                    return None; // duplicate of an already-delivered packet
                 }
                 *last = Some(packet.seq);
                 self.stats.delivered_bits[packet.link.index()] +=
@@ -311,8 +313,10 @@ impl FlowEngine {
                     _ => unreachable!(),
                 };
                 self.enqueue_all(released, now);
+                return Some(flow_idx);
             }
         }
+        None
     }
 
     /// Snapshot of all dynamic traffic state. Flow specs, the link
@@ -441,7 +445,7 @@ mod tests {
         let mut fe = FlowEngine::new(&n, &w, 1.0);
         let p = fe.queue_mut(LinkId(0), at_interval(1)).pop().unwrap();
         let deliver_at = p.created_at + SimDuration::from_micros(500);
-        fe.deliver(&p, deliver_at);
+        assert_eq!(fe.deliver(&p, deliver_at), None, "UDP touches no sender");
         assert_eq!(fe.stats.delivered_bits[0], 512 * 8);
         assert!((fe.stats.delays[0].mean_us() - 500.0).abs() < 1e-9);
     }
@@ -458,7 +462,7 @@ mod tests {
         let p = fe.queue_mut(LinkId(0), t).pop().unwrap();
         assert_eq!(p.kind, PacketKind::TcpData);
         let t = SimTime::from_millis(2);
-        fe.deliver(&p, t);
+        assert_eq!(fe.deliver(&p, t), None, "data reaches the receiver only");
         // Ack waits on the reverse (uplink) queue.
         assert_eq!(fe.queue(LinkId(1), t).len(), 1);
         let ack = fe.queue_mut(LinkId(1), t).pop().unwrap();
@@ -469,7 +473,7 @@ mod tests {
         // Delivering the ack opens the sender's window.
         let t = SimTime::from_millis(3);
         let before = fe.queue(LinkId(0), t).len();
-        fe.deliver(&ack, t);
+        assert_eq!(fe.deliver(&ack, t), Some(flow), "the ack reached the flow's sender");
         assert!(fe.queue(LinkId(0), t).len() > before, "ack released new segments");
     }
 
@@ -514,7 +518,8 @@ mod tests {
         let mut fe = FlowEngine::new(&n, &w, 1.0);
         let p = fe.queue_mut(LinkId(0), at_interval(1)).pop().unwrap();
         fe.deliver(&p, SimTime::from_millis(1));
-        fe.deliver(&p, SimTime::from_millis(2)); // MAC retry after lost ACK
+        // MAC retry after lost ACK.
+        assert_eq!(fe.deliver(&p, SimTime::from_millis(2)), None);
         assert_eq!(fe.stats.delivered_bits[0], 512 * 8);
         assert_eq!(fe.stats.delays[0].count(), 1);
     }

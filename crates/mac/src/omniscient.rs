@@ -8,7 +8,7 @@
 //! microsecond synchronization were free — the bar DOMINO is measured
 //! against.
 
-use crate::plant::{Ev, Plant, RtoScope, SchemeEvent, Step};
+use crate::plant::{Ev, Plant, SchemeEvent, Step};
 use crate::run::{RunInputs, World};
 use crate::timing::{ack_airtime, data_airtime, SIFS};
 use crate::workload::RunStats;
@@ -91,7 +91,7 @@ impl World for OmniWorld {
     }
 
     fn handle(&mut self, now: SimTime, ev: Ev<OmniEv>) {
-        match self.plant.step(now, ev, RtoScope::Flow) {
+        match self.plant.step(now, ev) {
             Step::Released => {}
             Step::Scheme(OmniEv::SlotStart) => self.on_slot_start(now),
             Step::TxEnd(tx) => self.on_tx_end(now, tx),
@@ -156,7 +156,7 @@ impl OmniWorld {
                     });
                 }
                 if r.success {
-                    self.plant.fe.deliver(packet, now);
+                    self.plant.deliver(packet, now);
                 } else {
                     // The omniscient controller observes the loss and
                     // retries next slot.
@@ -167,7 +167,6 @@ impl OmniWorld {
                 }
             }
         }
-        self.plant.rearm_all_rtos(now);
     }
 }
 

@@ -12,10 +12,12 @@
 //! when the queue is read or written, and the end-of-run flush brings
 //! every link up to where the run ended.
 //!
-//! Each TCP flow has at most one RTO event queued. The plant keeps its
-//! [`EventHandle`] and cancels it before queuing the replacement, so a
-//! superseded timer never pops. A restored plant recovers the handles
-//! from the restored queue.
+//! Each TCP flow has at most one RTO event queued, at its deadline. Only
+//! the flow's own tick, its own RTO and an ack its sender absorbs move
+//! that deadline, and only they re-arm it: the plant cancels the queued
+//! RTO through its [`EventHandle`] and queues the replacement, moved or
+//! not, so an RTO sits among same-instant events where its flow was last
+//! re-armed. A restored plant recovers the handles from the restored queue.
 
 use crate::flows::{FlowEngine, TCP_TICK};
 use crate::run::RunInputs;
@@ -26,6 +28,7 @@ use domino_obs::{CostPath, FaultKind, Probe, TraceEvent};
 use domino_sim::engine::{DEFAULT_EVENT_BUDGET, DEFAULT_LIVENESS_WINDOW};
 use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter, Snapshot};
 use domino_sim::{Engine, EventHandle, SimDuration, SimTime};
+use domino_traffic::Packet;
 
 /// The events of a run: the plant's own, plus the scheme's in
 /// [`Ev::Scheme`].
@@ -101,15 +104,6 @@ impl<X: SnapValue> SnapValue for Ev<X> {
     }
 }
 
-/// Which TCP retransmission timers a tick or an RTO re-arms.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum RtoScope {
-    /// Only the event's own flow.
-    Flow,
-    /// Every TCP flow.
-    All,
-}
-
 /// What is left of an event once the plant has done its share.
 pub(crate) enum Step<X> {
     /// A TCP tick or an RTO may have released segments.
@@ -140,8 +134,6 @@ pub struct Plant<X> {
     pub(crate) end: SimTime,
     /// The one queued RTO event of each flow, if any.
     rto: Vec<Option<EventHandle>>,
-    /// The TCP flows, listed once.
-    tcp_flows: Vec<usize>,
     /// Until when each crashed AP stays dark.
     ap_dark_until: Vec<SimTime>,
     /// Crash flag per AP: the first message accepted after the downtime
@@ -164,8 +156,7 @@ impl<X> Plant<X> {
         engine.set_liveness(DEFAULT_EVENT_BUDGET, DEFAULT_LIVENESS_WINDOW);
         engine.set_probe(probe.clone());
         let fe = FlowEngine::new(net, workload, duration_s);
-        let tcp_flows = fe.tcp_flows();
-        for &flow in &tcp_flows {
+        for flow in fe.tcp_flows() {
             engine.schedule_at(SimTime::ZERO + TCP_TICK, Ev::TcpTick { flow });
         }
         Plant {
@@ -176,7 +167,6 @@ impl<X> Plant<X> {
             probe,
             end: SimTime::ZERO + SimDuration::from_secs_f64(duration_s),
             rto: vec![None; workload.flows.len()],
-            tcp_flows,
             ap_dark_until: vec![SimTime::ZERO; net.num_nodes()],
             ap_crashed: vec![false; net.num_nodes()],
         }
@@ -194,19 +184,19 @@ impl<X> Plant<X> {
     }
 
     /// Do the plant's share of one event: traffic events are handled in
-    /// full (`rto` picks the timers a tick or an RTO re-arms); what they
-    /// released, and every other event, goes back to the scheme.
-    pub(crate) fn step(&mut self, now: SimTime, ev: Ev<X>, rto: RtoScope) -> Step<X> {
+    /// full, re-arming their own flow's RTO; what they released, and every
+    /// other event, goes back to the scheme.
+    pub(crate) fn step(&mut self, now: SimTime, ev: Ev<X>) -> Step<X> {
         match ev {
             Ev::TcpTick { flow } => {
                 self.fe.tcp_tick(flow, now);
                 self.engine.schedule_in(TCP_TICK, Ev::TcpTick { flow });
-                self.rearm(rto, flow, now);
+                self.rearm_rto(flow, now);
                 Step::Released
             }
             Ev::TcpRto { flow } => {
                 self.fe.tcp_timer(flow, now);
-                self.rearm(rto, flow, now);
+                self.rearm_rto(flow, now);
                 Step::Released
             }
             Ev::TxEnd { tx } => Step::TxEnd(tx),
@@ -214,24 +204,17 @@ impl<X> Plant<X> {
         }
     }
 
-    fn rearm(&mut self, rto: RtoScope, flow: usize, now: SimTime) {
-        match rto {
-            RtoScope::Flow => self.rearm_rto(flow, now),
-            RtoScope::All => self.rearm_all_rtos(now),
-        }
-    }
-
-    /// Re-arm every TCP flow's RTO after a delivery may have moved its
-    /// deadline.
-    pub(crate) fn rearm_all_rtos(&mut self, now: SimTime) {
-        for i in 0..self.tcp_flows.len() {
-            self.rearm_rto(self.tcp_flows[i], now);
+    /// Deliver `packet` at `now` and re-arm the RTO of the flow whose
+    /// sender absorbed it, if any.
+    pub(crate) fn deliver(&mut self, packet: &Packet, now: SimTime) {
+        if let Some(flow) = self.fe.deliver(packet, now) {
+            self.rearm_rto(flow, now);
         }
     }
 
     /// Re-arm one TCP flow's RTO: cancel the event already queued (a
     /// no-op when it is the one being handled) and queue the replacement
-    /// at the flow's current deadline.
+    /// at the flow's current deadline, moved or not.
     fn rearm_rto(&mut self, flow: usize, now: SimTime) {
         if let Some(queued) = self.rto[flow].take() {
             self.engine.cancel(queued);
@@ -350,7 +333,7 @@ impl<X> Plant<X> {
         restore_table(&mut self.ap_crashed, r, "ap crash table length")?;
         self.rto.fill(None);
         let mut corrupt = false;
-        let (rto, tcp_flows) = (&mut self.rto, &self.tcp_flows);
+        let (rto, tcp_flows) = (&mut self.rto, self.fe.tcp_flows());
         self.engine.for_each_pending(|handle, _, ev| {
             if let Ev::TcpRto { flow } = ev {
                 match rto.get_mut(*flow) {
@@ -428,15 +411,17 @@ pub(crate) mod testing {
 mod tests {
     use super::testing::assert_events_roundtrip;
     use super::*;
-    use crate::centaur::CentaurEv;
-    use crate::dcf::CsmaEv;
-    use crate::domino::DEv;
-    use crate::omniscient::OmniEv;
+    use crate::centaur::{CentaurConfig, CentaurEv, CentaurWorld};
+    use crate::dcf::{CsmaEv, DcfWorld};
+    use crate::domino::{DEv, DominoConfig, DominoWorld};
+    use crate::omniscient::{OmniEv, OmniWorld};
+    use crate::run::World;
     use crate::workload::{FlowKind, FlowSpec, Workload};
     use domino_faults::FaultConfig;
     use domino_topology::network::PhyParams;
-    use domino_topology::presets::fig1;
+    use domino_topology::presets::{fig1, fig7};
     use domino_topology::{LinkId, Network};
+    use domino_traffic::{FlowId, PacketId, PacketKind, TCP_ACK_BYTES};
 
     #[test]
     fn plant_events_roundtrip() {
@@ -491,6 +476,115 @@ mod tests {
         assert_eq!(restore_with_rtos(&[1, 0, 1]).0, corrupt, "duplicate");
         assert_eq!(restore_with_rtos(&[udp]).0, corrupt, "UDP flow");
         assert_eq!(restore_with_rtos(&[udp + 1]).0, corrupt, "flow out of range");
+    }
+
+    /// Every TCP flow has exactly one RTO queued, at its deadline (or now,
+    /// when the deadline has passed), while it has a deadline, and none
+    /// otherwise.
+    fn assert_one_rto_per_deadline<X>(plant: &Plant<X>, now: SimTime) {
+        let mut queued: Vec<Vec<SimTime>> = vec![Vec::new(); plant.rto.len()];
+        plant.engine.for_each_pending(|_, at, ev| {
+            if let Ev::TcpRto { flow } = ev {
+                queued[*flow].push(at);
+            }
+        });
+        for flow in plant.fe.tcp_flows() {
+            let want: Vec<SimTime> =
+                plant.fe.tcp_rto_deadline(flow).map(|d| d.max(now)).into_iter().collect();
+            assert_eq!(queued[flow], want, "flow {flow} at {now:?}");
+        }
+    }
+
+    /// Drive a fig7 TCP 10/5 Mb/s run event by event, as `run::drive`
+    /// does, checking the RTO invariant after every event. Returns the
+    /// number of RTOs that popped.
+    fn assert_rtos_track_deadlines<W: World>(cfg: W::Config, faults: &FaultConfig) -> u64 {
+        let net = fig7(PhyParams::default());
+        let workload = Workload::tcp_updown(&net, 10e6, 5e6);
+        let inputs =
+            RunInputs { net: &net, workload: &workload, duration_s: 0.2, seed: 0xD0311, faults };
+        let mut world = W::new(&inputs, cfg, Probe::default());
+        let horizon = world.plant().end;
+        let mut rtos = 0;
+        while let Some((now, ev)) =
+            world.plant().engine.pop_until_checked(horizon).expect("no livelock")
+        {
+            rtos += u64::from(matches!(ev, Ev::TcpRto { .. }));
+            world.handle(now, ev);
+            assert_one_rto_per_deadline(world.plant(), now);
+        }
+        rtos
+    }
+
+    #[test]
+    fn each_flow_keeps_one_rto_at_its_deadline() {
+        for faults in [FaultConfig::off(), FaultConfig::chaos(0.5)] {
+            let rtos = [
+                assert_rtos_track_deadlines::<DcfWorld>((), &faults),
+                assert_rtos_track_deadlines::<CentaurWorld>(CentaurConfig::default(), &faults),
+                assert_rtos_track_deadlines::<DominoWorld>(DominoConfig::default(), &faults),
+                assert_rtos_track_deadlines::<OmniWorld>((), &faults),
+            ];
+            // Omniscient retries a lost frame itself: no RTO ever fires.
+            assert!(rtos[..3].iter().all(|&n| n > 0), "RTOs popped per scheme: {rtos:?}");
+        }
+    }
+
+    /// An ack delivered to flow g re-arms g only: flow f's queued RTO
+    /// keeps its handle, and with it its place among the events of its
+    /// instant (ahead of an event queued after it).
+    #[test]
+    fn a_delivery_leaves_other_flows_rtos_in_place() {
+        let (net, workload) = mixed_workload();
+        let faults = FaultConfig::off();
+        let inputs =
+            RunInputs { net: &net, workload: &workload, duration_s: 1.0, seed: 1, faults: &faults };
+        let mut plant: Plant<OmniEv> = Plant::new(&inputs, Probe::default());
+        // The first ticks release the downlinks' segments and arm their
+        // RTOs at one instant; a scheme event is queued after f's.
+        let downlinks: Vec<usize> = (0..workload.flows.len())
+            .filter(|&i| net.link(workload.flows[i].link).is_downlink())
+            .collect();
+        let (f, g) = (downlinks[0], downlinks[1]);
+        let now = SimTime::ZERO + TCP_TICK;
+        let mut deadline = SimTime::MAX;
+        while let Some((_, ev)) = plant.engine.pop_until(now) {
+            let flow = match ev {
+                Ev::TcpTick { flow } => flow,
+                _ => panic!("only ticks at the first tick instant"),
+            };
+            let _ = plant.step(now, ev);
+            if flow == f {
+                deadline = plant.fe.tcp_rto_deadline(f).expect("f armed");
+                plant.schedule(deadline, OmniEv::SlotStart);
+            }
+        }
+        assert_eq!(plant.fe.tcp_rto_deadline(g), Some(deadline));
+        let f_handle = plant.rto[f];
+        let ack = Packet {
+            id: PacketId(1),
+            flow: FlowId(g as u32),
+            link: net.reverse_link(workload.flows[g].link),
+            payload_bytes: TCP_ACK_BYTES,
+            created_at: now,
+            kind: PacketKind::TcpAck,
+            seq: 1,
+        };
+        let g_handle = plant.rto[g];
+        plant.deliver(&ack, now);
+        assert_ne!(plant.rto[g], g_handle, "g re-armed");
+        assert_ne!(plant.fe.tcp_rto_deadline(g), Some(deadline), "g's deadline moved");
+        assert_eq!(plant.rto[f], f_handle, "f untouched");
+        let mut at_deadline = Vec::new();
+        while let Some((t, ev)) = plant.engine.pop_until(deadline) {
+            if t == deadline {
+                at_deadline.push(ev);
+            }
+        }
+        // f's RTO still pops ahead of the slot event queued after it.
+        assert!(matches!(at_deadline[0], Ev::TcpRto { flow } if flow == f), "{at_deadline:?}");
+        assert!(matches!(at_deadline[1], Ev::Scheme(OmniEv::SlotStart)), "{at_deadline:?}");
+        assert!(!at_deadline.iter().any(|ev| matches!(ev, Ev::TcpRto { flow } if *flow == g)));
     }
 
     /// Engine events travel by value through the timer wheel, so their

@@ -311,6 +311,13 @@ impl ProfHandle {
     }
 }
 
+/// `num / den` to three decimals, rounded half up (`0.000` when `den` is 0).
+fn fixed3(num: u64, den: u64) -> String {
+    let milli = (u128::from(num) * 1000 + u128::from(den) / 2).checked_div(den.into());
+    let milli = milli.unwrap_or(0);
+    format!("{}.{:03}", milli / 1000, milli % 1000)
+}
+
 /// An immutable profile: the counts of one finished run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CostProfile {
@@ -366,7 +373,8 @@ impl CostProfile {
     }
 
     /// Render the human table: header, per-group sections, attribution
-    /// footer. Byte-stable: pure function of the counts.
+    /// footer, then the timer wheel's inserts, cancels and cascades per
+    /// pop. Byte-stable: pure function of the counts.
     pub fn render_table(&self) -> String {
         let mut out = String::from("# domino-profile v1\n");
         let _ = writeln!(out, "{:<30} {:>14}", "cost_center", "count");
@@ -391,6 +399,10 @@ impl CostProfile {
             self.total_events(),
             self.attributed_percent(),
         );
+        let [insert, cancel, cascade] =
+            [CostPath::WheelInsert, CostPath::WheelCancel, CostPath::WheelCascade]
+                .map(|p| fixed3(self.get(p), self.total_events()));
+        let _ = writeln!(out, "wheel_per_pop insert {insert} cancel {cancel} cascade {cascade}");
         out
     }
 
@@ -508,6 +520,19 @@ mod tests {
         assert_eq!(parsed, snap);
         assert_eq!(snap.render_table(), snap.render_table());
         assert!(snap.render_table().contains("attributed_events 12 / 12 (100%)"));
+        let idle = "wheel_per_pop insert 0.000 cancel 0.000 cascade 0.000\n";
+        assert!(snap.render_table().ends_with(idle), "no wheel ops");
+        handle.add(CostPath::WheelInsert, 119);
+        handle.add(CostPath::WheelCancel, 7);
+        handle.add(CostPath::WheelCascade, 20);
+        let snap = prof.snapshot();
+        let table = snap.render_table();
+        let per_pop = "wheel_per_pop insert 9.917 cancel 0.583 cascade 1.667\n";
+        assert!(table.ends_with(per_pop), "rounded from the exact counts:\n{table}");
+        assert_eq!(fixed3(1, 2000), "0.001", "half rounds up");
+        assert_eq!(fixed3(5, 0), "0.000", "no pops");
+        let folded = snap.render_folded();
+        assert!(!folded.contains("per_pop"), "the folded form carries counts only");
         assert!(CostProfile::parse_folded("bogus;path 3").is_err());
         assert!(CostProfile::parse_folded("engine;pop nan").is_err());
     }

@@ -47,9 +47,10 @@ use domino_testkit::digest::Sha256;
 use domino_testkit::rng::Rng;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-/// Current container format version. Bump on any layout change; old
-/// versions are rejected, never reinterpreted.
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// Current container format version. Bump on any layout change or any
+/// change in what a payload means; old versions are rejected, never
+/// reinterpreted.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// 4-byte container magic.
 const MAGIC: &[u8; 4] = b"DSNP";
@@ -728,17 +729,21 @@ mod tests {
         }
     }
 
+    /// The previous version is rejected as surely as a future one: a bump
+    /// may change what a payload means without changing its layout.
     #[test]
-    fn container_rejects_future_version() {
+    fn container_rejects_other_versions() {
         let binding = [1u8; 32];
-        let mut sealed = seal(&binding, 1, b"x");
-        // Patch the version and re-seal the digest.
-        sealed[4] = 99;
-        let body_len = sealed.len() - 32;
-        let mut h = Sha256::new();
-        h.update(&sealed[..body_len]);
-        let digest = h.finalize();
-        sealed[body_len..].copy_from_slice(&digest);
-        assert_eq!(open(&sealed, &binding), Err(SnapError::Version(99)));
+        for version in [SNAPSHOT_VERSION - 1, 99] {
+            let mut sealed = seal(&binding, 1, b"x");
+            // Patch the version and re-seal the digest.
+            sealed[4..8].copy_from_slice(&version.to_le_bytes());
+            let body_len = sealed.len() - 32;
+            let mut h = Sha256::new();
+            h.update(&sealed[..body_len]);
+            let digest = h.finalize();
+            sealed[body_len..].copy_from_slice(&digest);
+            assert_eq!(open(&sealed, &binding), Err(SnapError::Version(version)));
+        }
     }
 }

@@ -66,8 +66,9 @@ echo "== source fingerprint: committed manifest matches the tree =="
 echo "== profile gate: cost attribution pinned at zero tolerance =="
 # The cost profiler counts exact integers over simulated work (engine
 # pops, wheel cascades, adjudications, RNG draws — no wall clock), so
-# the committed fig7 snapshot of every scheme, Fig 12's TCP/DOMINO cell
-# (TCP ticks and retransmission timers), Fig 14's first random T(20,3)
+# the committed fig7 snapshot of every scheme, Fig 12's TCP cell under
+# DOMINO and under DCF (TCP ticks and retransmission timers; DCF's
+# delivery path is CENTAUR's too), Fig 14's first random T(20,3)
 # network under DCF and DOMINO (80 nodes: the medium and the conflict
 # graph at their densest) and a lightly loaded T(6,2) under DCF (its
 # senders idle between packets, so its wake events are counted) are
@@ -77,6 +78,7 @@ PROF_TMP="$(mktemp)"
 for cell in "fig7_domino --scheme domino" "fig7_dcf --scheme dcf" \
     "fig7_centaur --scheme centaur" "fig7_omniscient --scheme omniscient" \
     "t10x2_tcp_domino --scheme domino --scenario t10x2 --tcp 10e6,4e6 --duration-s 0.2" \
+    "t10x2_tcp_dcf --scheme dcf --scenario t10x2 --tcp 10e6,4e6 --duration-s 0.2" \
     "rt20x3_dcf --scheme dcf --scenario rt20x3 --udp 10e6,10e6 --duration-s 0.1" \
     "rt20x3_domino --scheme domino --scenario rt20x3 --udp 10e6,10e6 --duration-s 0.1" \
     "t6x2_light_dcf --scheme dcf --scenario t6x2 --udp 48e3,96e3 --duration-s 1"; do

@@ -10,7 +10,7 @@
 //! Values are compared after fixed-point formatting so the assertion
 //! messages stay readable; the formatting is exact for the precision used.
 
-use domino::core::{scenarios, Scheme, SimulationBuilder};
+use domino::core::{scenarios, FaultConfig, RunReport, Scheme, SimulationBuilder};
 
 fn summary(scheme: Scheme) -> String {
     let report = SimulationBuilder::new(scenarios::fig7())
@@ -26,15 +26,17 @@ fn summary(scheme: Scheme) -> String {
     )
 }
 
-/// The same network under TCP 10/5 Mb/s for 0.5 s: the path through the
-/// TCP application ticks and retransmission timers, whose count is
-/// pinned too.
-fn tcp_summary(scheme: Scheme) -> String {
-    let report = SimulationBuilder::new(scenarios::fig7())
+/// The same network under TCP 10/5 Mb/s for 0.5 s with `faults`.
+fn tcp_run(scheme: Scheme, faults: FaultConfig) -> RunReport {
+    SimulationBuilder::new(scenarios::fig7())
         .tcp(10e6, 5e6)
         .duration_s(0.5)
         .seed(0xD0311)
-        .run(scheme);
+        .faults(faults)
+        .run(scheme)
+}
+
+fn tcp_line(report: &RunReport) -> String {
     format!(
         "tput={:.6} delay_us={:.3} fairness={:.6} tcp_retransmissions={}",
         report.aggregate_mbps(),
@@ -42,6 +44,20 @@ fn tcp_summary(scheme: Scheme) -> String {
         report.fairness(),
         report.stats.tcp_retransmissions
     )
+}
+
+/// The path through the TCP application ticks and retransmission
+/// timers, whose count is pinned too.
+fn tcp_summary(scheme: Scheme) -> String {
+    tcp_line(&tcp_run(scheme, FaultConfig::off()))
+}
+
+/// [`tcp_summary`]'s cell under `FaultConfig::chaos(0.5)`: lost frames
+/// and AP crashes make retransmission timers fire. AP crashes are pinned
+/// too.
+fn tcp_chaos_summary(scheme: Scheme) -> String {
+    let report = tcp_run(scheme, FaultConfig::chaos(0.5));
+    format!("{} ap_crashes={}", tcp_line(&report), report.stats.faults.ap_crashes)
 }
 
 /// fig7 under UDP at `down`/`up` b/s for 0.4096 s, a horizon every packet
@@ -126,6 +142,38 @@ fn golden_omniscient_fig7_tcp_seeded() {
     assert_eq!(
         tcp_summary(Scheme::Omniscient),
         "tput=10.436608 delay_us=46480.943 fairness=0.999993 tcp_retransmissions=0"
+    );
+}
+
+#[test]
+fn golden_dcf_fig7_tcp_chaos_seeded() {
+    assert_eq!(
+        tcp_chaos_summary(Scheme::Dcf),
+        "tput=8.183808 delay_us=25067.800 fairness=0.633118 tcp_retransmissions=18 ap_crashes=0"
+    );
+}
+
+#[test]
+fn golden_centaur_fig7_tcp_chaos_seeded() {
+    assert_eq!(
+        tcp_chaos_summary(Scheme::Centaur),
+        "tput=4.513792 delay_us=21560.921 fairness=0.840516 tcp_retransmissions=57 ap_crashes=2"
+    );
+}
+
+#[test]
+fn golden_domino_fig7_tcp_chaos_seeded() {
+    assert_eq!(
+        tcp_chaos_summary(Scheme::Domino),
+        "tput=6.340608 delay_us=38290.273 fairness=0.953433 tcp_retransmissions=28 ap_crashes=2"
+    );
+}
+
+#[test]
+fn golden_omniscient_fig7_tcp_chaos_seeded() {
+    assert_eq!(
+        tcp_chaos_summary(Scheme::Omniscient),
+        "tput=10.199040 delay_us=46373.172 fairness=0.998290 tcp_retransmissions=0 ap_crashes=0"
     );
 }
 
