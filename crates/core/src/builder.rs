@@ -405,6 +405,32 @@ mod tests {
     }
 
     #[test]
+    fn every_lost_wired_message_is_traced() {
+        // Both of DOMINO's wires, the primary and the warm standby's (its
+        // heartbeats, checkpoints and report copies), trace each message
+        // they lose, so the trace accounts for every loss the stats count.
+        // CENTAUR's standby copies synchronously: it has one wire.
+        let b = SimulationBuilder::new(scenarios::standard_t(10, 2, 1))
+            .udp(5e6, 2e6)
+            .duration_s(0.5)
+            .seed(3)
+            .faults(FaultConfig {
+                wired_loss: 0.1,
+                ctrl_crash: 0.02,
+                ctrl_downtime_us: 5_000.0,
+                standby: true,
+                ..FaultConfig::off()
+            });
+        for scheme in [Scheme::Domino, Scheme::Centaur] {
+            let (handle, sink) = TraceHandle::mem();
+            let run = probed(&b, scheme, Probe::new(handle, ProfHandle::off()));
+            let drop = domino_obs::TraceEvent::BackboneDrop;
+            let traced = sink.take().iter().filter(|r| r.ev == drop).count();
+            assert_eq!(traced as u64, run.stats.faults.wired_msgs_lost, "{scheme:?}");
+        }
+    }
+
+    #[test]
     fn profiling_never_perturbs_a_run() {
         // The determinism pin for the cost profiler, the profiling twin
         // of `tracing_is_observation_only`: attaching a collecting

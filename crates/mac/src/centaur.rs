@@ -75,19 +75,15 @@ pub enum CentaurEv {
         /// Link ids to serve, in round order.
         assignments: Vec<LinkId>,
     },
-    /// An AP's fixed alignment backoff expires.
+    /// An AP's fixed alignment backoff expires (the AP's timer).
     ApArm {
         /// AP node index.
         ap: u32,
-        /// Staleness guard.
-        gen: u64,
     },
-    /// An AP's ACK wait expires.
+    /// An AP's ACK wait expires (the AP's timer).
     ApAckTimeout {
         /// AP node index.
         ap: u32,
-        /// Staleness guard.
-        gen: u64,
     },
     /// An AP's completion report reaches the controller.
     DoneArrive {
@@ -127,6 +123,19 @@ impl SchemeEvent for CentaurEv {
             | CentaurEv::EpochTimeout { .. } => CostPath::EvController,
         }
     }
+
+    /// One timer per node, indexed by the node: a client's is its CSMA
+    /// timer, an AP's its scheduled downlink's (APs never contend).
+    fn timer(&self) -> Option<usize> {
+        match self {
+            CentaurEv::Csma(ev) => ev.timer(),
+            CentaurEv::ApArm { ap } | CentaurEv::ApAckTimeout { ap } => Some(*ap as usize),
+            CentaurEv::EpochArrive { .. }
+            | CentaurEv::DoneArrive { .. }
+            | CentaurEv::ControllerCheck
+            | CentaurEv::EpochTimeout { .. } => None,
+        }
+    }
 }
 
 impl SnapValue for CentaurEv {
@@ -142,15 +151,13 @@ impl SnapValue for CentaurEv {
                 w.put_u64(*epoch);
                 assignments.put(w);
             }
-            CentaurEv::ApArm { ap, gen } => {
+            CentaurEv::ApArm { ap } => {
                 w.put_u8(2);
                 w.put_u32(*ap);
-                w.put_u64(*gen);
             }
-            CentaurEv::ApAckTimeout { ap, gen } => {
+            CentaurEv::ApAckTimeout { ap } => {
                 w.put_u8(3);
                 w.put_u32(*ap);
-                w.put_u64(*gen);
             }
             CentaurEv::DoneArrive { ap, epoch } => {
                 w.put_u8(4);
@@ -173,8 +180,8 @@ impl SnapValue for CentaurEv {
                 epoch: r.get_u64()?,
                 assignments: SnapValue::thaw(r)?,
             },
-            2 => CentaurEv::ApArm { ap: r.get_u32()?, gen: r.get_u64()? },
-            3 => CentaurEv::ApAckTimeout { ap: r.get_u32()?, gen: r.get_u64()? },
+            2 => CentaurEv::ApArm { ap: r.get_u32()? },
+            3 => CentaurEv::ApAckTimeout { ap: r.get_u32()? },
             4 => CentaurEv::DoneArrive { ap: r.get_u32()?, epoch: r.get_u64()? },
             5 => CentaurEv::ControllerCheck,
             6 => CentaurEv::EpochTimeout { epoch: r.get_u64()? },
@@ -232,7 +239,6 @@ struct ApState {
     current: Option<Packet>,
     current_link: Option<LinkId>,
     retries: u32,
-    gen: u64,
     arm_expiry: SimTime,
     last_busy: bool,
     /// NAV-adjusted time reference shared by aligned APs: the last sensed
@@ -240,13 +246,6 @@ struct ApState {
     /// that ended was a data frame (whose duration field reserves the
     /// channel through its ACK).
     nav_anchor: SimTime,
-}
-
-impl ApState {
-    fn invalidate(&mut self) -> u64 {
-        self.gen += 1;
-        self.gen
-    }
 }
 
 impl SnapValue for ApState {
@@ -257,7 +256,6 @@ impl SnapValue for ApState {
         self.current.put(w);
         self.current_link.put(w);
         w.put_u32(self.retries);
-        w.put_u64(self.gen);
         self.arm_expiry.put(w);
         self.last_busy.put(w);
         self.nav_anchor.put(w);
@@ -271,7 +269,6 @@ impl SnapValue for ApState {
             current: SnapValue::thaw(r)?,
             current_link: SnapValue::thaw(r)?,
             retries: r.get_u32()?,
-            gen: r.get_u64()?,
             arm_expiry: SnapValue::thaw(r)?,
             last_busy: SnapValue::thaw(r)?,
             nav_anchor: SnapValue::thaw(r)?,
@@ -323,7 +320,7 @@ impl World for CentaurWorld {
 
     fn new(inputs: &RunInputs<'_>, cfg: CentaurConfig, probe: Probe) -> CentaurWorld {
         let RunInputs { net, seed, faults, .. } = *inputs;
-        let mut plant = Plant::new(inputs, probe);
+        let mut plant = Plant::new(inputs, probe, net.num_nodes());
         let mut backbone = Backbone::new(cfg.wired.clone(), seed);
         backbone.set_loss(faults.wired_loss);
         backbone.set_spikes(faults.wired_spike, faults.wired_spike_us);
@@ -349,7 +346,6 @@ impl World for CentaurWorld {
                 current: None,
                 current_link: None,
                 retries: 0,
-                gen: 0,
                 arm_expiry: SimTime::ZERO,
                 last_busy: false,
                 nav_anchor: SimTime::ZERO,
@@ -409,15 +405,15 @@ impl World for CentaurWorld {
             CentaurEv::EpochArrive { ap, epoch, assignments } => {
                 self.on_epoch_arrive(ap, epoch, assignments, now);
             }
-            CentaurEv::ApArm { ap, gen } => {
-                self.ap_arm_fired(ap as usize, gen, now);
+            CentaurEv::ApArm { ap } => {
+                self.ap_arm_fired(ap as usize, now);
                 self.csma.scan(now, &mut self.plant);
                 self.scan_aps(now, SimDuration::ZERO);
             }
-            CentaurEv::ApAckTimeout { ap, gen } => {
+            CentaurEv::ApAckTimeout { ap } => {
                 // lint: allow(D005) ack timeouts are armed only for AP indices
                 let st = self.ap_states[ap as usize].as_mut().expect("ack timeout for non-AP");
-                if st.gen != gen || st.phase != ApPhase::AwaitAck {
+                if st.phase != ApPhase::AwaitAck {
                     return;
                 }
                 self.plant.fe.stats.ack_timeouts += 1;
@@ -519,10 +515,9 @@ impl CentaurWorld {
                         .filter(|s| s.phase == ApPhase::Transmitting);
                     if let Some(st) = scheduled_ap {
                         st.phase = ApPhase::AwaitAck;
-                        let gen = st.invalidate();
                         self.plant.schedule(
                             now + ack_timeout(self.rate),
-                            CentaurEv::ApAckTimeout { ap: src.0, gen },
+                            CentaurEv::ApAckTimeout { ap: src.0 },
                         );
                     } else if self.ap_states[src.index()].is_none() {
                         self.csma.after_data_tx(src.index(), now, &mut self.plant);
@@ -550,10 +545,10 @@ impl CentaurWorld {
     fn on_epoch_arrive(&mut self, ap: u32, epoch: u64, assignments: Vec<LinkId>, now: SimTime) {
         let apx = ap as usize;
         let ap_states = &mut self.ap_states;
-        let accepted = self.plant.ap_accepts(now, apx, || {
-            // Crash with state loss: forget everything. A dark AP's
-            // assignment dies with it; the epoch timeout releases the
-            // barrier.
+        let accepted = self.plant.ap_accepts(now, apx, |plant| {
+            // Crash with state loss: forget everything and disarm the
+            // AP's timer. A dark AP's assignment dies with it; the epoch
+            // timeout releases the barrier.
             // lint: allow(D005) controller addresses epochs to APs only; a miss is a wiring bug worth a crash
             let st = ap_states[apx].as_mut().expect("epoch for non-AP");
             st.assignments.clear();
@@ -561,7 +556,7 @@ impl CentaurWorld {
             st.current_link = None;
             st.retries = 0;
             st.phase = ApPhase::Idle;
-            st.invalidate();
+            plant.disarm(apx);
         });
         if !accepted {
             return;
@@ -720,8 +715,7 @@ impl CentaurWorld {
         // exposed set fire at the same instant regardless of which frames
         // each could hear.
         st.arm_expiry = (st.nav_anchor + self.fixed).max(now);
-        let gen = st.invalidate();
-        self.plant.schedule(st.arm_expiry, CentaurEv::ApArm { ap: ap as u32, gen });
+        self.plant.schedule(st.arm_expiry, CentaurEv::ApArm { ap: ap as u32 });
     }
 
     /// Busy/idle scan for all scheduled APs. `nav_extension` is added to
@@ -751,7 +745,7 @@ impl CentaurWorld {
                     st.arm_expiry == now && !self.plant.medium.is_busy_before_instant(ap, now);
                 if st.phase == ApPhase::Armed && !simultaneous_start {
                     st.phase = ApPhase::WaitIdle;
-                    st.invalidate();
+                    self.plant.disarm(ap.index());
                 }
             } else if st.phase == ApPhase::WaitIdle {
                 self.arm_if_idle(ap.index(), now);
@@ -760,10 +754,10 @@ impl CentaurWorld {
     }
 
     /// The fixed backoff expired: transmit the next assignment.
-    fn ap_arm_fired(&mut self, ap: usize, gen: u64, now: SimTime) {
+    fn ap_arm_fired(&mut self, ap: usize, now: SimTime) {
         // lint: allow(D005) ApArm events are scheduled for AP indices only
         let st = self.ap_states[ap].as_mut().expect("arm for non-AP");
-        if st.gen != gen || st.phase != ApPhase::Armed {
+        if st.phase != ApPhase::Armed {
             return;
         }
         if self.plant.medium.is_busy_before_instant(NodeId(ap as u32), now) {
@@ -813,7 +807,7 @@ impl CentaurWorld {
                 st.current = None;
                 st.current_link = None;
                 st.retries = 0;
-                st.invalidate();
+                self.plant.disarm(ap);
             }
             _ => return,
         }
@@ -862,14 +856,14 @@ mod tests {
         use crate::plant::testing::{assert_events_roundtrip, sample_packet};
         let ev = |x: CentaurEv| Ev::Scheme(x);
         assert_events_roundtrip(&[
-            ev(CsmaEv::BackoffExpire { node: 3, gen: 7 }.into()),
-            ev(CsmaEv::AckTimeout { node: 1, gen: 2 }.into()),
+            ev(CsmaEv::BackoffExpire { node: 3 }.into()),
+            ev(CsmaEv::AckTimeout { node: 1 }.into()),
             ev(CsmaEv::SendAck { rx: 2, packet: sample_packet() }.into()),
             ev(CsmaEv::Wake.into()),
             ev(CentaurEv::EpochArrive { ap: 4, epoch: 9, assignments: vec![LinkId(1), LinkId(6)] }),
             ev(CentaurEv::EpochArrive { ap: 0, epoch: 1, assignments: Vec::new() }),
-            ev(CentaurEv::ApArm { ap: 2, gen: 5 }),
-            ev(CentaurEv::ApAckTimeout { ap: 2, gen: 6 }),
+            ev(CentaurEv::ApArm { ap: 2 }),
+            ev(CentaurEv::ApAckTimeout { ap: 2 }),
             ev(CentaurEv::DoneArrive { ap: 4, epoch: 9 }),
             ev(CentaurEv::ControllerCheck),
             ev(CentaurEv::EpochTimeout { epoch: 11 }),

@@ -37,19 +37,15 @@ use domino_traffic::Packet;
 /// unscheduled uplink.
 #[derive(Debug)]
 pub enum CsmaEv {
-    /// A node's backoff may have reached zero.
+    /// A node's backoff may have reached zero (the node's timer).
     BackoffExpire {
         /// Node index.
         node: u32,
-        /// Staleness guard.
-        gen: u64,
     },
-    /// A data sender's ACK wait expires.
+    /// A data sender's ACK wait expires (the node's timer).
     AckTimeout {
         /// Node index.
         node: u32,
-        /// Staleness guard.
-        gen: u64,
     },
     /// A receiver's SIFS elapsed; transmit the ACK.
     SendAck {
@@ -72,20 +68,32 @@ impl SchemeEvent for CsmaEv {
             }
         }
     }
+
+    /// One timer per node, indexed by the node.
+    fn timer(&self) -> Option<usize> {
+        match self {
+            CsmaEv::BackoffExpire { node } | CsmaEv::AckTimeout { node } => Some(*node as usize),
+            CsmaEv::SendAck { .. } | CsmaEv::Wake => None,
+        }
+    }
 }
+
+/// A scheme event type that carries [`CsmaEv`]s: DCF's own, and CENTAUR's
+/// for its uplink.
+pub trait CsmaHost: SchemeEvent + From<CsmaEv> {}
+
+impl<X: SchemeEvent + From<CsmaEv>> CsmaHost for X {}
 
 impl SnapValue for CsmaEv {
     fn put(&self, w: &mut SnapWriter) {
         match self {
-            CsmaEv::BackoffExpire { node, gen } => {
+            CsmaEv::BackoffExpire { node } => {
                 w.put_u8(0);
                 w.put_u32(*node);
-                w.put_u64(*gen);
             }
-            CsmaEv::AckTimeout { node, gen } => {
+            CsmaEv::AckTimeout { node } => {
                 w.put_u8(1);
                 w.put_u32(*node);
-                w.put_u64(*gen);
             }
             CsmaEv::SendAck { rx, packet } => {
                 w.put_u8(2);
@@ -97,8 +105,8 @@ impl SnapValue for CsmaEv {
     }
     fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(match r.get_u8()? {
-            0 => CsmaEv::BackoffExpire { node: r.get_u32()?, gen: r.get_u64()? },
-            1 => CsmaEv::AckTimeout { node: r.get_u32()?, gen: r.get_u64()? },
+            0 => CsmaEv::BackoffExpire { node: r.get_u32()? },
+            1 => CsmaEv::AckTimeout { node: r.get_u32()? },
             2 => CsmaEv::SendAck { rx: r.get_u32()?, packet: SnapValue::thaw(r)? },
             3 => CsmaEv::Wake,
             _ => return Err(SnapError::Corrupt("csma event tag")),
@@ -150,14 +158,6 @@ struct CsmaNode {
     remaining_slots: Option<u32>,
     state: NodeState,
     current: Option<Packet>,
-    gen: u64,
-}
-
-impl CsmaNode {
-    fn invalidate(&mut self) -> u64 {
-        self.gen += 1;
-        self.gen
-    }
 }
 
 /// The CSMA/CA contention machinery for a set of contending nodes.
@@ -180,7 +180,7 @@ impl CsmaCore {
     /// nodes for DCF; only clients for CENTAUR). Each starts idle with
     /// empty queues, so each parks here, in node order: build the core
     /// before queuing any scheme event.
-    pub fn new<X: From<CsmaEv>>(
+    pub fn new<X: CsmaHost>(
         net: &Network,
         contenders: &[NodeId],
         seed: u64,
@@ -194,7 +194,6 @@ impl CsmaCore {
                 remaining_slots: None,
                 state: NodeState::Idle,
                 current: None,
-                gen: 0,
             })
             .collect();
         let mut contender = vec![false; net.num_nodes()];
@@ -237,12 +236,10 @@ impl CsmaCore {
     }
 
     /// Process one of the contention machine's own events.
-    pub fn handle<X: From<CsmaEv>>(&mut self, now: SimTime, ev: CsmaEv, plant: &mut Plant<X>) {
+    pub fn handle<X: CsmaHost>(&mut self, now: SimTime, ev: CsmaEv, plant: &mut Plant<X>) {
         match ev {
-            CsmaEv::BackoffExpire { node, gen } => {
-                self.on_backoff_expire(node as usize, gen, now, plant)
-            }
-            CsmaEv::AckTimeout { node, gen } => self.on_ack_timeout(node as usize, gen, now, plant),
+            CsmaEv::BackoffExpire { node } => self.on_backoff_expire(node as usize, now, plant),
+            CsmaEv::AckTimeout { node } => self.on_ack_timeout(node as usize, now, plant),
             CsmaEv::SendAck { rx, packet } => self.send_ack(rx as usize, &packet, now, plant),
             CsmaEv::Wake => self.wake(now, plant),
         }
@@ -250,7 +247,7 @@ impl CsmaCore {
 
     /// Kick a node: if it is idle and has traffic, enter backoff; if it is
     /// idle without, park it.
-    pub fn try_start<X: From<CsmaEv>>(&mut self, node: usize, now: SimTime, plant: &mut Plant<X>) {
+    pub fn try_start<X: CsmaHost>(&mut self, node: usize, now: SimTime, plant: &mut Plant<X>) {
         if !self.contender[node] || self.nodes[node].state != NodeState::Idle {
             return;
         }
@@ -270,7 +267,7 @@ impl CsmaCore {
     /// is due, queuing the wake at that instant unless a sender parked
     /// for it already did. With no UDP packet ever due, only the kicks
     /// after deliveries and TCP releases start it.
-    fn park<X: From<CsmaEv>>(&mut self, node: usize, plant: &mut Plant<X>) {
+    fn park<X: CsmaHost>(&mut self, node: usize, plant: &mut Plant<X>) {
         if self.wake_at[node].is_some() {
             return;
         }
@@ -286,7 +283,7 @@ impl CsmaCore {
 
     /// Start every sender parked until `now`, ranked by its first packet
     /// due now.
-    fn wake<X: From<CsmaEv>>(&mut self, now: SimTime, plant: &mut Plant<X>) {
+    fn wake<X: CsmaHost>(&mut self, now: SimTime, plant: &mut Plant<X>) {
         self.waking.clear();
         for (node, at) in self.wake_at.iter_mut().enumerate() {
             if *at == Some(now) {
@@ -302,18 +299,17 @@ impl CsmaCore {
         }
     }
 
-    fn resume<X: From<CsmaEv>>(&mut self, node: usize, now: SimTime, plant: &mut Plant<X>) {
+    fn resume<X: CsmaHost>(&mut self, node: usize, now: SimTime, plant: &mut Plant<X>) {
         if plant.medium.is_busy(NodeId(node as u32)) {
             return; // stay frozen; the busy→idle scan resumes us
         }
         let remaining = self.nodes[node].remaining_slots.unwrap_or(0);
         self.nodes[node].state = NodeState::Counting { anchor: Some(now) };
-        let gen = self.nodes[node].invalidate();
         let expire = now + DIFS + SLOT_TIME * u64::from(remaining);
-        plant.schedule(expire, CsmaEv::BackoffExpire { node: node as u32, gen });
+        plant.schedule(expire, CsmaEv::BackoffExpire { node: node as u32 });
     }
 
-    fn freeze(&mut self, node: usize, now: SimTime) {
+    fn freeze<X: SchemeEvent>(&mut self, node: usize, now: SimTime, plant: &mut Plant<X>) {
         if let NodeState::Counting { anchor: Some(anchor) } = self.nodes[node].state {
             let elapsed = now.saturating_since(anchor);
             let slots_done = elapsed
@@ -323,13 +319,13 @@ impl CsmaCore {
             let rem = self.nodes[node].remaining_slots.unwrap_or(0);
             self.nodes[node].remaining_slots = Some(rem.saturating_sub(slots_done));
             self.nodes[node].state = NodeState::Counting { anchor: None };
-            self.nodes[node].invalidate();
+            plant.disarm(node);
         }
     }
 
     /// Re-scan channel state after any medium change, freezing or
     /// resuming counters.
-    pub fn scan<X: From<CsmaEv>>(&mut self, now: SimTime, plant: &mut Plant<X>) {
+    pub fn scan<X: CsmaHost>(&mut self, now: SimTime, plant: &mut Plant<X>) {
         for node in 0..self.nodes.len() {
             if !self.contender[node] {
                 continue;
@@ -340,24 +336,16 @@ impl CsmaCore {
             }
             self.last_busy[node] = busy;
             if busy {
-                self.freeze(node, now);
+                self.freeze(node, now, plant);
             } else if matches!(self.nodes[node].state, NodeState::Counting { anchor: None }) {
                 self.resume(node, now, plant);
             }
         }
     }
 
-    /// A backoff timer fired: transmit if still valid.
-    fn on_backoff_expire<X: From<CsmaEv>>(
-        &mut self,
-        node: usize,
-        gen: u64,
-        now: SimTime,
-        plant: &mut Plant<X>,
-    ) {
-        if self.nodes[node].gen != gen
-            || !matches!(self.nodes[node].state, NodeState::Counting { anchor: Some(_) })
-        {
+    /// A backoff timer fired: transmit if the node still counts down.
+    fn on_backoff_expire<X: CsmaHost>(&mut self, node: usize, now: SimTime, plant: &mut Plant<X>) {
+        if !matches!(self.nodes[node].state, NodeState::Counting { anchor: Some(_) }) {
             return;
         }
         // A transmission that started at this very instant is invisible
@@ -365,7 +353,7 @@ impl CsmaCore {
         // that is exactly how same-slot DCF collisions happen. Busy from
         // *earlier* transmissions means our freeze lost a race; re-wait.
         if plant.medium.is_busy_before_instant(NodeId(node as u32), now) {
-            self.freeze(node, now);
+            self.freeze(node, now, plant);
             return;
         }
         // Claim the head packet (pop it from its queue on first attempt).
@@ -399,7 +387,7 @@ impl CsmaCore {
     /// Shared handling of a finished *data* frame sent by a CSMA node:
     /// arm the sender's ACK timeout. (Reception side is in
     /// [`CsmaCore::handle_data_receptions`].)
-    pub fn after_data_tx<X: From<CsmaEv>>(
+    pub fn after_data_tx<X: CsmaHost>(
         &mut self,
         sender: usize,
         now: SimTime,
@@ -407,15 +395,14 @@ impl CsmaCore {
     ) {
         debug_assert_eq!(self.nodes[sender].state, NodeState::Transmitting);
         self.nodes[sender].state = NodeState::AwaitAck;
-        let gen = self.nodes[sender].invalidate();
-        let timeout = CsmaEv::AckTimeout { node: sender as u32, gen };
+        let timeout = CsmaEv::AckTimeout { node: sender as u32 };
         plant.schedule(now + ack_timeout(self.rate), timeout);
     }
 
     /// Deliver data receptions (each re-arms the RTO of the TCP flow whose
     /// sender absorbed it, if any) and schedule their ACKs (used for any
     /// data frame, whether a CSMA node or a scheduled AP sent it).
-    pub fn handle_data_receptions<X: From<CsmaEv>>(
+    pub fn handle_data_receptions<X: CsmaHost>(
         receptions: &[Reception],
         now: SimTime,
         plant: &mut Plant<X>,
@@ -435,7 +422,7 @@ impl CsmaCore {
 
     /// Transmit a MAC ACK (fired SIFS after a successful data
     /// reception).
-    fn send_ack<X: From<CsmaEv>>(
+    fn send_ack<X: CsmaHost>(
         &mut self,
         rx: usize,
         packet: &Packet,
@@ -456,7 +443,7 @@ impl CsmaCore {
 
     /// An ACK reception reached a CSMA sender: resolve its pending frame.
     /// Returns true if this reception was consumed.
-    pub fn on_ack_reception<X: From<CsmaEv>>(
+    pub fn on_ack_reception<X: CsmaHost>(
         &mut self,
         r: &Reception,
         now: SimTime,
@@ -479,7 +466,7 @@ impl CsmaCore {
                 self.nodes[node].retries = 0;
                 self.nodes[node].remaining_slots = None;
                 self.nodes[node].state = NodeState::Idle;
-                self.nodes[node].invalidate(); // cancels the pending timeout
+                plant.disarm(node); // cancels the pending timeout
                 self.try_start(node, now, plant);
                 true
             }
@@ -488,14 +475,8 @@ impl CsmaCore {
     }
 
     /// The ACK wait expired: retry or drop.
-    fn on_ack_timeout<X: From<CsmaEv>>(
-        &mut self,
-        node: usize,
-        gen: u64,
-        now: SimTime,
-        plant: &mut Plant<X>,
-    ) {
-        if self.nodes[node].gen != gen || self.nodes[node].state != NodeState::AwaitAck {
+    fn on_ack_timeout<X: CsmaHost>(&mut self, node: usize, now: SimTime, plant: &mut Plant<X>) {
+        if self.nodes[node].state != NodeState::AwaitAck {
             return;
         }
         plant.fe.stats.ack_timeouts += 1;
@@ -511,12 +492,11 @@ impl CsmaCore {
         }
         self.nodes[node].remaining_slots = None;
         self.nodes[node].state = NodeState::Idle;
-        self.nodes[node].invalidate();
         self.try_start(node, now, plant);
     }
 
     /// Kick every contender (after deliveries released new packets).
-    pub fn try_start_all<X: From<CsmaEv>>(&mut self, now: SimTime, plant: &mut Plant<X>) {
+    pub fn try_start_all<X: CsmaHost>(&mut self, now: SimTime, plant: &mut Plant<X>) {
         for node in 0..self.nodes.len() {
             self.try_start(node, now, plant);
         }
@@ -536,7 +516,6 @@ impl Snapshot for CsmaCore {
             n.remaining_slots.put(w);
             n.state.put(w);
             n.current.put(w);
-            w.put_u64(n.gen);
         }
         self.last_busy.put(w);
         self.wake_at.put(w);
@@ -552,7 +531,6 @@ impl Snapshot for CsmaCore {
             n.remaining_slots = SnapValue::thaw(r)?;
             n.state = SnapValue::thaw(r)?;
             n.current = SnapValue::thaw(r)?;
-            n.gen = r.get_u64()?;
         }
         let last_busy: Vec<bool> = SnapValue::thaw(r)?;
         if last_busy.len() != self.last_busy.len() {
@@ -584,7 +562,7 @@ impl World for DcfWorld {
     fn new(inputs: &RunInputs<'_>, (): (), probe: Probe) -> DcfWorld {
         let net = inputs.net;
         let contenders: Vec<NodeId> = (0..net.num_nodes() as u32).map(NodeId).collect();
-        let mut plant = Plant::new(inputs, probe);
+        let mut plant = Plant::new(inputs, probe, net.num_nodes());
         let csma = CsmaCore::new(net, &contenders, inputs.seed, &mut plant);
         DcfWorld { plant, csma }
     }
@@ -654,8 +632,8 @@ mod tests {
     fn every_event_roundtrips() {
         use crate::plant::testing::{assert_events_roundtrip, sample_packet};
         assert_events_roundtrip(&[
-            Ev::Scheme(CsmaEv::BackoffExpire { node: 3, gen: 7 }),
-            Ev::Scheme(CsmaEv::AckTimeout { node: 1, gen: u64::MAX }),
+            Ev::Scheme(CsmaEv::BackoffExpire { node: 3 }),
+            Ev::Scheme(CsmaEv::AckTimeout { node: 1 }),
             Ev::Scheme(CsmaEv::SendAck { rx: 2, packet: sample_packet() }),
             Ev::Scheme(CsmaEv::Wake),
         ]);
@@ -763,7 +741,7 @@ mod tests {
         let w = Workload::udp_updown(&net, 1e6, 1e6);
         let off = FaultConfig::off();
         let inputs = RunInputs { net: &net, workload: &w, duration_s: 1.0, seed: 1, faults: &off };
-        let mut plant: Plant<CsmaEv> = Plant::new(&inputs, Probe::default());
+        let mut plant: Plant<CsmaEv> = Plant::new(&inputs, Probe::default(), net.num_nodes());
         // Only the client contends, as under CENTAUR; it parks at once.
         let mut build = || CsmaCore::new(&net, &[NodeId(1)], 1, &mut plant);
         let mut core = build();

@@ -54,6 +54,20 @@ const REPLAY_COST: SimDuration = SimDuration::from_micros(50);
 /// itself, so the cap only sheds load under checkpoint starvation.
 const STANDBY_BUF_CAP: usize = 256;
 
+/// DOMINO's timers: the controller's compute, then each node's slot start
+/// and watchdog, interleaved: `1 + 2 * nodes` in all.
+const COMPUTE_TIMER: usize = 0;
+
+/// The timer of `node`'s pending slot start.
+fn start_timer(node: usize) -> usize {
+    1 + 2 * node
+}
+
+/// The timer of `ap`'s self-start watchdog.
+fn watchdog_timer(ap: usize) -> usize {
+    2 + 2 * ap
+}
+
 /// DOMINO engine parameters.
 #[derive(Clone, Debug)]
 pub struct DominoConfig {
@@ -146,18 +160,13 @@ pub enum DEv {
         /// Its queue length.
         queue: u32,
     },
-    /// Controller computes and dispatches the next batch (stale
-    /// generations are ignored).
-    ControllerCompute {
-        /// Compute generation.
-        gen: u64,
-    },
-    /// A triggered node's slot begins.
+    /// Controller computes and dispatches the next batch (the
+    /// controller's timer).
+    ControllerCompute,
+    /// A triggered node's slot begins (the node's start timer).
     SlotStart {
         /// Node index.
         node: u32,
-        /// Staleness guard.
-        gen: u64,
         /// Slot id.
         slot: u64,
     },
@@ -181,8 +190,6 @@ pub enum DEv {
     AckCheck {
         /// Sender node index.
         node: u32,
-        /// Staleness guard.
-        gen: u64,
     },
     /// A client answers a poll with its share of the ROP symbol.
     RopAnswer {
@@ -191,12 +198,11 @@ pub enum DEv {
         /// Polling AP node index.
         ap: u32,
     },
-    /// An AP with pending work got no trigger for too long.
+    /// An AP with pending work got no trigger for too long (the AP's
+    /// watchdog timer).
     Watchdog {
         /// AP node index.
         ap: u32,
-        /// Staleness guard.
-        gen: u64,
     },
     /// An untriggerable entry's estimated slot time arrived.
     KickOff {
@@ -235,13 +241,6 @@ pub enum DEv {
 struct NodeRt {
     /// AP program (empty for clients).
     program: VecDeque<ApAction>,
-    /// Generation counter for SlotStart staleness.
-    gen: u64,
-    /// Watchdog generation: bumped on every progress point so stale
-    /// watchdog timers die.
-    wd_gen: u64,
-    /// A SlotStart is pending (for last-trigger re-anchoring).
-    pending_start: bool,
     /// End of this node's current exchange: its correlator is not armed
     /// while it is mid-slot, so triggers arriving before this instant are
     /// ignored (this is also what absorbs the second of the two assigned
@@ -252,13 +251,6 @@ struct NodeRt {
     unacked: Option<Packet>,
     /// The pending packet's ACK arrived.
     acked: bool,
-}
-
-impl NodeRt {
-    fn bump(&mut self) -> u64 {
-        self.gen += 1;
-        self.gen
-    }
 }
 
 // ------------------------------------------------- snapshot encodings
@@ -329,9 +321,6 @@ impl SnapValue for ApMessage {
 impl SnapValue for NodeRt {
     fn put(&self, w: &mut SnapWriter) {
         self.program.put(w);
-        w.put_u64(self.gen);
-        w.put_u64(self.wd_gen);
-        self.pending_start.put(w);
         self.busy_until.put(w);
         self.unacked.put(w);
         self.acked.put(w);
@@ -340,9 +329,6 @@ impl SnapValue for NodeRt {
     fn thaw(r: &mut SnapReader<'_>) -> Result<NodeRt, SnapError> {
         Ok(NodeRt {
             program: SnapValue::thaw(r)?,
-            gen: r.get_u64()?,
-            wd_gen: r.get_u64()?,
-            pending_start: SnapValue::thaw(r)?,
             busy_until: SnapValue::thaw(r)?,
             unacked: SnapValue::thaw(r)?,
             acked: SnapValue::thaw(r)?,
@@ -363,14 +349,10 @@ impl SnapValue for DEv {
                 w.put_u32(*link);
                 w.put_u32(*queue);
             }
-            DEv::ControllerCompute { gen } => {
-                w.put_u8(2);
-                w.put_u64(*gen);
-            }
-            DEv::SlotStart { node, gen, slot } => {
+            DEv::ControllerCompute => w.put_u8(2),
+            DEv::SlotStart { node, slot } => {
                 w.put_u8(3);
                 w.put_u32(*node);
-                w.put_u64(*gen);
                 w.put_u64(*slot);
             }
             DEv::SendBurst { node, burst } => {
@@ -384,20 +366,18 @@ impl SnapValue for DEv {
                 packet.put(w);
                 client_burst.put(w);
             }
-            DEv::AckCheck { node, gen } => {
+            DEv::AckCheck { node } => {
                 w.put_u8(6);
                 w.put_u32(*node);
-                w.put_u64(*gen);
             }
             DEv::RopAnswer { client, ap } => {
                 w.put_u8(7);
                 w.put_u32(*client);
                 w.put_u32(*ap);
             }
-            DEv::Watchdog { ap, gen } => {
+            DEv::Watchdog { ap } => {
                 w.put_u8(8);
                 w.put_u32(*ap);
-                w.put_u64(*gen);
             }
             DEv::KickOff { ap, slot } => {
                 w.put_u8(9);
@@ -424,17 +404,17 @@ impl SnapValue for DEv {
         Ok(match r.get_u8()? {
             0 => DEv::BatchArrive { ap: r.get_u32()?, msg: SnapValue::thaw(r)? },
             1 => DEv::ReportArrive { link: r.get_u32()?, queue: r.get_u32()? },
-            2 => DEv::ControllerCompute { gen: r.get_u64()? },
-            3 => DEv::SlotStart { node: r.get_u32()?, gen: r.get_u64()?, slot: r.get_u64()? },
+            2 => DEv::ControllerCompute,
+            3 => DEv::SlotStart { node: r.get_u32()?, slot: r.get_u64()? },
             4 => DEv::SendBurst { node: r.get_u32()?, burst: SnapValue::thaw(r)? },
             5 => DEv::SendAck {
                 rx: r.get_u32()?,
                 packet: SnapValue::thaw(r)?,
                 client_burst: SnapValue::thaw(r)?,
             },
-            6 => DEv::AckCheck { node: r.get_u32()?, gen: r.get_u64()? },
+            6 => DEv::AckCheck { node: r.get_u32()? },
             7 => DEv::RopAnswer { client: r.get_u32()?, ap: r.get_u32()? },
-            8 => DEv::Watchdog { ap: r.get_u32()?, gen: r.get_u64()? },
+            8 => DEv::Watchdog { ap: r.get_u32()? },
             9 => DEv::KickOff { ap: r.get_u32()?, slot: r.get_u64()? },
             10 => DEv::CtrlHeartbeat,
             11 => DEv::CtrlCheckpoint,
@@ -472,8 +452,6 @@ pub struct DominoWorld {
     signature_of: Vec<u32>,
     /// Trigger-chain diagnostics, reported on the run's `RunStats`.
     counters: DominoCounters,
-    /// Controller pacing: generation of the next accepted compute event.
-    compute_gen: u64,
     /// The controller waits for the first ROP report of the current
     /// batch before computing the next one (with a time fallback).
     awaiting_report: bool,
@@ -549,7 +527,7 @@ impl World for DominoWorld {
         let RunInputs { net, workload, seed, faults, .. } = *inputs;
         let geo = slot_geometry(net.phy().data_rate, workload.packet_bytes);
         let rop_dur = rop_slot_duration(net.phy().data_rate);
-        let mut plant = Plant::new(inputs, probe);
+        let mut plant = Plant::new(inputs, probe, 1 + 2 * net.num_nodes());
         let mut backbone = Backbone::new(cfg.wired.clone(), seed);
         backbone.set_loss(faults.wired_loss);
         backbone.set_spikes(faults.wired_spike, faults.wired_spike_us);
@@ -562,7 +540,8 @@ impl World for DominoWorld {
         );
         standby_bb.set_loss(faults.wired_loss);
         standby_bb.set_spikes(faults.wired_spike, faults.wired_spike_us);
-        plant.schedule(SimTime::ZERO, DEv::ControllerCompute { gen: 0 });
+        standby_bb.set_tracer(plant.probe.trace.clone());
+        plant.schedule(SimTime::ZERO, DEv::ControllerCompute);
         let hb_every = SimDuration::from_secs_f64(faults.standby_heartbeat_us * 1e-6);
         let ckpt_every = SimDuration::from_secs_f64(faults.standby_checkpoint_us * 1e-6);
         if faults.standby {
@@ -579,9 +558,6 @@ impl World for DominoWorld {
         let nodes = (0..net.num_nodes())
             .map(|_| NodeRt {
                 program: VecDeque::new(),
-                gen: 0,
-                wd_gen: 0,
-                pending_start: false,
                 busy_until: SimTime::ZERO,
                 unacked: None,
                 acked: false,
@@ -605,7 +581,6 @@ impl World for DominoWorld {
             next_slot_id: 0,
             signature_of,
             counters: DominoCounters::default(),
-            compute_gen: 0,
             awaiting_report: false,
             dispatch_time: SimTime::ZERO,
             exec_estimate: SimDuration::ZERO,
@@ -670,7 +645,6 @@ impl World for DominoWorld {
         self.nodes.put(w);
         w.put_u64(self.next_slot_id);
         self.counters.put(w);
-        w.put_u64(self.compute_gen);
         self.awaiting_report.put(w);
         self.dispatch_time.put(w);
         self.exec_estimate.put(w);
@@ -696,7 +670,6 @@ impl World for DominoWorld {
         restore_table(&mut self.nodes, r, "node table length")?;
         self.next_slot_id = r.get_u64()?;
         self.counters = SnapValue::thaw(r)?;
-        self.compute_gen = r.get_u64()?;
         self.awaiting_report = SnapValue::thaw(r)?;
         self.dispatch_time = SnapValue::thaw(r)?;
         self.exec_estimate = SnapValue::thaw(r)?;
@@ -743,12 +716,11 @@ impl World for DominoWorld {
                         + self.geo.total;
                     let at = (now + self.post_poll_exec.saturating_sub(lead))
                         .max(now + SimDuration::from_micros(150));
-                    self.compute_gen += 1;
-                    self.plant.schedule(at, DEv::ControllerCompute { gen: self.compute_gen });
+                    self.plant.schedule(at, DEv::ControllerCompute);
                 }
             }
-            DEv::ControllerCompute { gen } => {
-                if gen == self.compute_gen && self.ctrl_alive(now) {
+            DEv::ControllerCompute => {
+                if self.ctrl_alive(now) {
                     // The crash draw sits at the accept site so the class
                     // costs zero RNG draws when it is off.
                     if let Some(downtime) = self.plant.node_faults.ctrl_crash() {
@@ -758,18 +730,16 @@ impl World for DominoWorld {
                     }
                 }
             }
-            DEv::SlotStart { node, gen, slot } => {
-                self.on_slot_start(now, node as usize, gen, slot)
-            }
+            DEv::SlotStart { node, slot } => self.on_slot_start(now, node as usize, slot),
             DEv::SendBurst { node, burst } => self.on_send_burst(now, node as usize, burst),
             DEv::SendAck { rx, packet, client_burst } => {
                 self.on_send_ack(now, rx as usize, packet, client_burst)
             }
-            DEv::AckCheck { node, gen } => self.on_ack_check(now, node as usize, gen),
+            DEv::AckCheck { node } => self.on_ack_check(node as usize),
             DEv::RopAnswer { client, ap } => {
                 self.on_rop_answer(now, client as usize, ap as usize)
             }
-            DEv::Watchdog { ap, gen } => self.on_watchdog(now, ap as usize, gen),
+            DEv::Watchdog { ap } => self.on_watchdog(now, ap as usize),
             DEv::KickOff { ap, slot } => self.on_kick_off(now, ap as usize, slot),
             DEv::CtrlHeartbeat => {
                 // The timer survives crashes; a dead controller just
@@ -846,8 +816,8 @@ impl DominoWorld {
         });
         self.awaiting_report = false;
         self.last_crash_at = now;
-        // The dead incarnation's pending compute timers die with it.
-        self.compute_gen += 1;
+        // The dead incarnation's pending compute dies with it.
+        self.plant.disarm(COMPUTE_TIMER);
         if self.standby_on {
             self.ctrl_down = true;
             return;
@@ -857,7 +827,7 @@ impl DominoWorld {
         self.converter = Converter::new(self.cfg.converter.clone());
         self.plant.fe.stats.faults.recovery_ns += downtime.as_nanos();
         self.ctrl_dark_until = now + downtime;
-        self.plant.schedule(self.ctrl_dark_until, DEv::ControllerCompute { gen: self.compute_gen });
+        self.plant.schedule(self.ctrl_dark_until, DEv::ControllerCompute);
     }
 
     /// The standby's failure detector fired: take over. Rebuild the
@@ -893,8 +863,7 @@ impl DominoWorld {
         self.ctrl_dark_until = promotion_end;
         self.hb_missed = 0;
         self.hb_seen = false;
-        self.compute_gen += 1;
-        self.plant.schedule(promotion_end, DEv::ControllerCompute { gen: self.compute_gen });
+        self.plant.schedule(promotion_end, DEv::ControllerCompute);
     }
 
     // ------------------------------------------------------- controller
@@ -966,11 +935,7 @@ impl DominoWorld {
         let n_slots = outcome.batch.slots.len();
         if n_slots == 0 && outcome.batch.connecting_rop.is_none() {
             self.outcome_buf = outcome;
-            self.compute_gen += 1;
-            self.plant.schedule(
-                now + SimDuration::from_millis(1),
-                DEv::ControllerCompute { gen: self.compute_gen },
-            );
+            self.plant.schedule(now + SimDuration::from_millis(1), DEv::ControllerCompute);
             return;
         }
 
@@ -1020,8 +985,7 @@ impl DominoWorld {
         self.awaiting_report = true;
         self.dispatch_time = now;
         self.exec_estimate = exec;
-        self.compute_gen += 1;
-        self.plant.schedule(now + fallback, DEv::ControllerCompute { gen: self.compute_gen });
+        self.plant.schedule(now + fallback, DEv::ControllerCompute);
         self.outcome_buf = outcome;
     }
 
@@ -1213,18 +1177,17 @@ impl DominoWorld {
 
     fn on_batch_arrive(&mut self, now: SimTime, ap: usize, msg: ApMessage) {
         let rt = &mut self.nodes[ap];
-        let accepted = self.plant.ap_accepts(now, ap, || {
-            // Crash with state loss: the program, pending starts, and the
-            // unacked frame are gone; generation bumps retire every timer
-            // the old incarnation armed. The AP rejoins lazily — the
-            // first batch delivered after the downtime restarts it. A
-            // dark AP's program dies with it.
+        let accepted = self.plant.ap_accepts(now, ap, |plant| {
+            // Crash with state loss: the program and the unacked frame are
+            // gone, and so are the slot start and the watchdog the old
+            // incarnation armed. The AP rejoins lazily — the first batch
+            // delivered after the downtime restarts it. A dark AP's
+            // program dies with it.
             rt.program.clear();
-            rt.pending_start = false;
             rt.unacked = None;
             rt.acked = false;
-            rt.bump();
-            rt.wd_gen += 1;
+            plant.disarm(start_timer(ap));
+            plant.disarm(watchdog_timer(ap));
         });
         if !accepted {
             return;
@@ -1262,7 +1225,7 @@ impl DominoWorld {
         self.action_pool.push(actions);
         self.retained_pool.push(retained_updates);
 
-        if was_idle && head_is_first && !self.nodes[ap].pending_start {
+        if was_idle && head_is_first && !self.plant.armed(start_timer(ap)) {
             // Chain (re)start: APs begin individually (paper §3.3);
             // relative scheduling heals the misalignment (§4.2.2).
             self.self_start(now, ap);
@@ -1279,7 +1242,6 @@ impl DominoWorld {
         };
         match head.kind {
             ApActionKind::RxData { link } => {
-                self.nodes[ap].bump(); // retire stacked watchdogs
                 let client = self.net.link(link).client();
                 let burst = Burst {
                     codes: InlineVec::of(self.signature_of[client.index()]),
@@ -1297,14 +1259,12 @@ impl DominoWorld {
     }
 
     /// (Re-)arm the self-start watchdog; every call marks progress and
-    /// retires previously armed timers.
+    /// supersedes the watchdog already armed.
     fn arm_watchdog(&mut self, now: SimTime, ap: usize) {
         if self.nodes[ap].program.is_empty() {
             return;
         }
-        self.nodes[ap].wd_gen += 1;
-        let gen = self.nodes[ap].wd_gen;
-        self.plant.schedule(now + self.cfg.watchdog, DEv::Watchdog { ap: ap as u32, gen });
+        self.plant.schedule(now + self.cfg.watchdog, DEv::Watchdog { ap: ap as u32 });
     }
 
     /// A node detected its own signature in a burst: (re-)anchor its slot
@@ -1339,9 +1299,7 @@ impl DominoWorld {
     /// Commit a (re-)anchored slot start for `node` at `at`, superseding
     /// any earlier pending start (last trigger wins, §3.4).
     fn schedule_start(&mut self, at: SimTime, node: usize, slot: u64) {
-        let gen = self.nodes[node].bump();
-        self.nodes[node].pending_start = true;
-        self.plant.schedule(at, DEv::SlotStart { node: node as u32, gen, slot });
+        self.plant.schedule(at, DEv::SlotStart { node: node as u32, slot });
     }
 
     /// Self-trigger: the node finishing slot `s` (which started at
@@ -1359,11 +1317,7 @@ impl DominoWorld {
         self.schedule_start(at, node, next_slot);
     }
 
-    fn on_slot_start(&mut self, now: SimTime, node: usize, gen: u64, slot: u64) {
-        if self.nodes[node].gen != gen {
-            return;
-        }
-        self.nodes[node].pending_start = false;
+    fn on_slot_start(&mut self, now: SimTime, node: usize, slot: u64) {
         if self.plant.medium.is_transmitting(NodeId(node as u32)) {
             return;
         }
@@ -1543,10 +1497,9 @@ impl DominoWorld {
             Some(p) => {
                 self.nodes[sender.index()].unacked = Some(p);
                 self.nodes[sender.index()].acked = false;
-                let gen = self.nodes[sender.index()].gen;
                 self.plant.schedule(
                     now + self.geo.ack_start + self.geo.ack_airtime + SLOT_TIME,
-                    DEv::AckCheck { node: sender.0, gen },
+                    DEv::AckCheck { node: sender.0 },
                 );
                 (
                     Frame {
@@ -1846,7 +1799,7 @@ impl DominoWorld {
         self.plant.transmit(now, frame, crate::timing::BURST_DURATION);
     }
 
-    fn on_ack_check(&mut self, _now: SimTime, node: usize, _gen: u64) {
+    fn on_ack_check(&mut self, node: usize) {
         if self.nodes[node].acked {
             self.nodes[node].acked = false;
             return;
@@ -1894,11 +1847,11 @@ impl DominoWorld {
         self.plant.transmit(now, frame, ROP_SYMBOL);
     }
 
-    fn on_watchdog(&mut self, now: SimTime, ap: usize, gen: u64) {
-        if self.nodes[ap].wd_gen != gen || self.nodes[ap].program.is_empty() {
+    fn on_watchdog(&mut self, now: SimTime, ap: usize) {
+        if self.nodes[ap].program.is_empty() {
             return;
         }
-        if self.nodes[ap].pending_start {
+        if self.plant.armed(start_timer(ap)) {
             self.arm_watchdog(now, ap);
             return;
         }
@@ -1906,11 +1859,8 @@ impl DominoWorld {
         // exchange we are part of (e.g. the uplink data we are waiting
         // for is in flight right now — a burst would deafen us to it).
         if self.plant.medium.is_busy(NodeId(ap as u32)) {
-            let gen = self.nodes[ap].wd_gen;
-            self.plant.schedule(
-                now + SimDuration::from_micros(200),
-                DEv::Watchdog { ap: ap as u32, gen },
-            );
+            let retry = DEv::Watchdog { ap: ap as u32 };
+            self.plant.schedule(now + SimDuration::from_micros(200), retry);
             return;
         }
         // A receive head that has been stalled for a whole watchdog
@@ -1944,7 +1894,7 @@ impl DominoWorld {
     /// An untriggerable entry's estimated time arrived: start it unless a
     /// real trigger already did (or the channel is mid-exchange).
     fn on_kick_off(&mut self, now: SimTime, ap: usize, slot: u64) {
-        if self.nodes[ap].pending_start || now < self.nodes[ap].busy_until {
+        if self.plant.armed(start_timer(ap)) || now < self.nodes[ap].busy_until {
             return; // a trigger beat us to it
         }
         let Some(head) = self.nodes[ap].program.front().cloned() else {
@@ -1983,7 +1933,7 @@ impl SchemeEvent for DEv {
         match self {
             DEv::BatchArrive { .. }
             | DEv::ReportArrive { .. }
-            | DEv::ControllerCompute { .. } => CostPath::EvController,
+            | DEv::ControllerCompute => CostPath::EvController,
             DEv::SlotStart { .. }
             | DEv::SendBurst { .. }
             | DEv::SendAck { .. }
@@ -1997,6 +1947,27 @@ impl SchemeEvent for DEv {
             | DEv::CkptArrive { .. }
             | DEv::StandbyReport { .. }
             | DEv::StandbyProbe => CostPath::EvStandby,
+        }
+    }
+
+    fn timer(&self) -> Option<usize> {
+        match self {
+            DEv::ControllerCompute => Some(COMPUTE_TIMER),
+            DEv::SlotStart { node, .. } => Some(start_timer(*node as usize)),
+            DEv::Watchdog { ap } => Some(watchdog_timer(*ap as usize)),
+            DEv::BatchArrive { .. }
+            | DEv::ReportArrive { .. }
+            | DEv::SendBurst { .. }
+            | DEv::SendAck { .. }
+            | DEv::AckCheck { .. }
+            | DEv::RopAnswer { .. }
+            | DEv::KickOff { .. }
+            | DEv::CtrlHeartbeat
+            | DEv::CtrlCheckpoint
+            | DEv::HeartbeatArrive
+            | DEv::CkptArrive { .. }
+            | DEv::StandbyReport { .. }
+            | DEv::StandbyProbe => None,
         }
     }
 }
@@ -2049,14 +2020,14 @@ mod tests {
         assert_events_roundtrip(&[
             ev(DEv::BatchArrive { ap: 0, msg }),
             ev(DEv::ReportArrive { link: 3, queue: 12 }),
-            ev(DEv::ControllerCompute { gen: 4 }),
-            ev(DEv::SlotStart { node: 5, gen: 6, slot: 7 }),
+            ev(DEv::ControllerCompute),
+            ev(DEv::SlotStart { node: 5, slot: 7 }),
             ev(DEv::SendBurst { node: 1, burst }),
             ev(DEv::SendAck { rx: 2, packet: sample_packet(), client_burst: Some(burst) }),
             ev(DEv::SendAck { rx: 2, packet: sample_packet(), client_burst: None }),
-            ev(DEv::AckCheck { node: 3, gen: 9 }),
+            ev(DEv::AckCheck { node: 3 }),
             ev(DEv::RopAnswer { client: 4, ap: 0 }),
-            ev(DEv::Watchdog { ap: 2, gen: 10 }),
+            ev(DEv::Watchdog { ap: 2 }),
             ev(DEv::KickOff { ap: 2, slot: 11 }),
             ev(DEv::CtrlHeartbeat),
             ev(DEv::CtrlCheckpoint),

@@ -31,6 +31,11 @@ impl SchemeEvent for OmniEv {
     fn cost_class(&self) -> CostPath {
         CostPath::EvController
     }
+
+    /// The slot clock is never superseded: no timers.
+    fn timer(&self) -> Option<usize> {
+        None
+    }
 }
 
 impl SnapValue for OmniEv {
@@ -70,7 +75,7 @@ impl World for OmniWorld {
     fn new(inputs: &RunInputs<'_>, (): (), probe: Probe) -> OmniWorld {
         let net = inputs.net;
         let rate = net.phy().data_rate;
-        let mut plant = Plant::new(inputs, probe);
+        let mut plant = Plant::new(inputs, probe, 0);
         plant.schedule(SimTime::ZERO, OmniEv::SlotStart);
         OmniWorld {
             net: net.clone(),

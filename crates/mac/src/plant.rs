@@ -12,12 +12,15 @@
 //! when the queue is read or written, and the end-of-run flush brings
 //! every link up to where the run ended.
 //!
-//! Each TCP flow has at most one RTO event queued, at its deadline. Only
-//! the flow's own tick, its own RTO and an ack its sender absorbs move
-//! that deadline, and only they re-arm it: the plant cancels the queued
-//! RTO through its [`EventHandle`] and queues the replacement, moved or
-//! not, so an RTO sits among same-instant events where its flow was last
-//! re-armed. A restored plant recovers the handles from the restored queue.
+//! The plant owns every timer and retires a superseded one in one way: it
+//! cancels the queued event through its [`EventHandle`] and queues the
+//! replacement, so a timer has at most one event queued, placed among
+//! same-instant events where it was last re-armed. Each TCP flow's RTO is
+//! such a timer, at the flow's deadline; only the flow's own tick, its own
+//! RTO and an ack its sender absorbs move that deadline and re-arm it. A
+//! scheme event names the timer it is ([`SchemeEvent::timer`]), and a
+//! timer's slot empties when its event pops. A restored plant recovers
+//! every handle from the restored queue.
 
 use crate::flows::{FlowEngine, TCP_TICK};
 use crate::run::RunInputs;
@@ -53,12 +56,17 @@ pub enum Ev<X> {
     Scheme(X),
 }
 
-/// A scheme's own events: snapshot-encodable and billed to one cost
-/// class each.
+/// A scheme's own events: snapshot-encodable, billed to one cost class
+/// each, and each either a timer or not.
 pub trait SchemeEvent: SnapValue {
     /// Cost-attribution class (see `domino_obs::CostPath`). Exhaustive
     /// in every scheme on purpose: a new variant must pick its bucket.
     fn cost_class(&self) -> CostPath;
+
+    /// The timer this event is, if any: an index below the timer count the
+    /// scheme builds its plant with. Queuing it supersedes the timer's
+    /// queued event. Exhaustive in every scheme, as above.
+    fn timer(&self) -> Option<usize>;
 }
 
 impl<X: SchemeEvent> Ev<X> {
@@ -134,6 +142,8 @@ pub struct Plant<X> {
     pub(crate) end: SimTime,
     /// The one queued RTO event of each flow, if any.
     rto: Vec<Option<EventHandle>>,
+    /// The one queued event of each scheme timer, if any.
+    timers: Vec<Option<EventHandle>>,
     /// Until when each crashed AP stays dark.
     ap_dark_until: Vec<SimTime>,
     /// Crash flag per AP: the first message accepted after the downtime
@@ -141,10 +151,11 @@ pub struct Plant<X> {
     ap_crashed: Vec<bool>,
 }
 
-impl<X> Plant<X> {
-    /// Build the plant at t = 0 with the probe attached and the first
-    /// TCP ticks queued (ahead of any scheme event).
-    pub(crate) fn new(inputs: &RunInputs<'_>, probe: Probe) -> Plant<X> {
+impl<X: SchemeEvent> Plant<X> {
+    /// Build the plant at t = 0 with the probe attached, the first TCP
+    /// ticks queued (ahead of any scheme event) and the scheme's `timers`
+    /// timers disarmed.
+    pub(crate) fn new(inputs: &RunInputs<'_>, probe: Probe, timers: usize) -> Plant<X> {
         let RunInputs { net, workload, duration_s, seed, faults } = *inputs;
         let plane = FaultPlane::new(faults, seed, &client_indices(net), duration_s);
         let mut medium = Medium::new(net.clone(), seed);
@@ -167,14 +178,34 @@ impl<X> Plant<X> {
             probe,
             end: SimTime::ZERO + SimDuration::from_secs_f64(duration_s),
             rto: vec![None; workload.flows.len()],
+            timers: vec![None; timers],
             ap_dark_until: vec![SimTime::ZERO; net.num_nodes()],
             ap_crashed: vec![false; net.num_nodes()],
         }
     }
 
-    /// Queue a scheme event at `at`.
+    /// Queue a scheme event at `at`. A timer's event first cancels the
+    /// one the timer had queued.
     pub(crate) fn schedule(&mut self, at: SimTime, ev: impl Into<X>) {
-        self.engine.schedule_at(at, Ev::Scheme(ev.into()));
+        let ev = ev.into();
+        let Some(timer) = ev.timer() else {
+            self.engine.schedule_at(at, Ev::Scheme(ev));
+            return;
+        };
+        self.disarm(timer);
+        self.timers[timer] = Some(self.engine.schedule_at(at, Ev::Scheme(ev)));
+    }
+
+    /// Cancel the event `timer` has queued, if any.
+    pub(crate) fn disarm(&mut self, timer: usize) {
+        if let Some(queued) = self.timers[timer].take() {
+            self.engine.cancel(queued);
+        }
+    }
+
+    /// Whether `timer` has an event queued.
+    pub(crate) fn armed(&self, timer: usize) -> bool {
+        self.timers[timer].is_some()
     }
 
     /// Put `frame` on the air for `airtime`; its [`Ev::TxEnd`] follows.
@@ -184,8 +215,9 @@ impl<X> Plant<X> {
     }
 
     /// Do the plant's share of one event: traffic events are handled in
-    /// full, re-arming their own flow's RTO; what they released, and every
-    /// other event, goes back to the scheme.
+    /// full, re-arming their own flow's RTO, and a scheme timer's event
+    /// empties its timer's slot; what traffic released, and every other
+    /// event, goes back to the scheme.
     pub(crate) fn step(&mut self, now: SimTime, ev: Ev<X>) -> Step<X> {
         match ev {
             Ev::TcpTick { flow } => {
@@ -200,7 +232,12 @@ impl<X> Plant<X> {
                 Step::Released
             }
             Ev::TxEnd { tx } => Step::TxEnd(tx),
-            Ev::Scheme(x) => Step::Scheme(x),
+            Ev::Scheme(x) => {
+                if let Some(timer) = x.timer() {
+                    self.timers[timer] = None;
+                }
+                Step::Scheme(x)
+            }
         }
     }
 
@@ -227,13 +264,14 @@ impl<X> Plant<X> {
 
     /// The AP-crash gate in front of a wired message to `ap`. False when
     /// the AP is dark, or crashes on this delivery (`lose_state` then
-    /// wipes what the crash loses); true when the AP accepts the message,
-    /// counting its recovery if it had crashed.
+    /// wipes what the crash loses and disarms the timers it had armed);
+    /// true when the AP accepts the message, counting its recovery if it
+    /// had crashed.
     pub(crate) fn ap_accepts(
         &mut self,
         now: SimTime,
         ap: usize,
-        lose_state: impl FnOnce(),
+        lose_state: impl FnOnce(&mut Self),
     ) -> bool {
         if self.ap_dark(ap, now) {
             return false;
@@ -243,7 +281,7 @@ impl<X> Plant<X> {
                 kind: FaultKind::ApCrash,
                 node: ap as u32,
             });
-            lose_state();
+            lose_state(self);
             self.ap_dark_until[ap] = now + downtime;
             self.ap_crashed[ap] = true;
             return false;
@@ -303,12 +341,9 @@ impl<X> Plant<X> {
         stats
     }
 
-    /// Serialize the plant: the head of every world's snapshot. The RTO
+    /// Serialize the plant: the head of every world's snapshot. The timer
     /// handles are not written: they name events of this engine only.
-    pub(crate) fn snapshot_save(&self, w: &mut SnapWriter)
-    where
-        X: SnapValue,
-    {
+    pub(crate) fn snapshot_save(&self, w: &mut SnapWriter) {
         self.engine.snapshot_save(w);
         self.medium.snapshot_save(w);
         self.fe.snapshot_save(w);
@@ -318,13 +353,11 @@ impl<X> Plant<X> {
     }
 
     /// Overwrite the plant from a [`Plant::snapshot_save`] payload of the
-    /// same configuration, then take each flow's RTO handle from the
+    /// same configuration, then take every timer's handle from the
     /// restored queue. A queue holding two RTOs of one flow, or an RTO of
-    /// a flow that is not TCP, is corrupt.
-    pub(crate) fn snapshot_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>
-    where
-        X: SnapValue,
-    {
+    /// a flow that is not TCP, is corrupt; so is one holding two events of
+    /// one scheme timer, or an event of a timer the run does not have.
+    pub(crate) fn snapshot_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.engine.snapshot_restore(r)?;
         self.medium.snapshot_restore(r)?;
         self.fe.snapshot_restore(r)?;
@@ -332,18 +365,26 @@ impl<X> Plant<X> {
         restore_table(&mut self.ap_dark_until, r, "ap dark table length")?;
         restore_table(&mut self.ap_crashed, r, "ap crash table length")?;
         self.rto.fill(None);
-        let mut corrupt = false;
-        let (rto, tcp_flows) = (&mut self.rto, self.fe.tcp_flows());
-        self.engine.for_each_pending(|handle, _, ev| {
-            if let Ev::TcpRto { flow } = ev {
-                match rto.get_mut(*flow) {
-                    Some(slot @ None) if tcp_flows.contains(flow) => *slot = Some(handle),
-                    _ => corrupt = true,
-                }
-            }
+        self.timers.fill(None);
+        let (mut rto_corrupt, mut timer_corrupt) = (false, false);
+        let (rto, timers, tcp_flows) = (&mut self.rto, &mut self.timers, self.fe.tcp_flows());
+        self.engine.for_each_pending(|handle, _, ev| match ev {
+            Ev::TcpRto { flow } => match rto.get_mut(*flow) {
+                Some(slot @ None) if tcp_flows.contains(flow) => *slot = Some(handle),
+                _ => rto_corrupt = true,
+            },
+            Ev::Scheme(x) => match x.timer().map(|timer| timers.get_mut(timer)) {
+                Some(Some(slot @ None)) => *slot = Some(handle),
+                Some(_) => timer_corrupt = true,
+                None => {}
+            },
+            Ev::TcpTick { .. } | Ev::TxEnd { .. } => {}
         });
-        if corrupt {
+        if rto_corrupt {
             return Err(SnapError::Corrupt("rto events per flow"));
+        }
+        if timer_corrupt {
+            return Err(SnapError::Corrupt("events per scheme timer"));
         }
         Ok(())
     }
@@ -411,12 +452,12 @@ pub(crate) mod testing {
 mod tests {
     use super::testing::assert_events_roundtrip;
     use super::*;
-    use crate::centaur::{CentaurConfig, CentaurEv, CentaurWorld};
+    use crate::centaur::{CentaurEv, CentaurWorld};
     use crate::dcf::{CsmaEv, DcfWorld};
-    use crate::domino::{DEv, DominoConfig, DominoWorld};
+    use crate::domino::{DEv, DominoWorld};
     use crate::omniscient::{OmniEv, OmniWorld};
     use crate::run::World;
-    use crate::workload::{FlowKind, FlowSpec, Workload};
+    use crate::workload::{FlowKind, FlowSpec, RunStats, Workload};
     use domino_faults::FaultConfig;
     use domino_topology::network::PhyParams;
     use domino_topology::presets::{fig1, fig7};
@@ -441,21 +482,29 @@ mod tests {
         (net, workload)
     }
 
-    /// A plant's snapshot with the given RTO events queued, restored into
-    /// a fresh plant of the same inputs.
-    fn restore_with_rtos(flows: &[usize]) -> (Result<(), SnapError>, Plant<OmniEv>) {
+    /// A plant's snapshot with `timers` timers and `events` queued straight
+    /// into its engine, restored into a fresh plant of the same inputs.
+    fn restore_with<X: SchemeEvent>(
+        timers: usize,
+        events: Vec<Ev<X>>,
+    ) -> (Result<(), SnapError>, Plant<X>) {
         let (net, workload) = mixed_workload();
         let faults = FaultConfig::off();
         let inputs =
             RunInputs { net: &net, workload: &workload, duration_s: 1.0, seed: 1, faults: &faults };
-        let mut saved: Plant<OmniEv> = Plant::new(&inputs, Probe::default());
-        for &flow in flows {
-            saved.engine.schedule_at(SimTime::from_millis(100), Ev::TcpRto { flow });
+        let mut saved: Plant<X> = Plant::new(&inputs, Probe::default(), timers);
+        for ev in events {
+            saved.engine.schedule_at(SimTime::from_millis(100), ev);
         }
         let mut w = SnapWriter::new();
         saved.snapshot_save(&mut w);
-        let mut plant = Plant::new(&inputs, Probe::default());
+        let mut plant = Plant::new(&inputs, Probe::default(), timers);
         (plant.snapshot_restore(&mut SnapReader::new(&w.into_bytes())), plant)
+    }
+
+    /// [`restore_with`] the given RTO events queued.
+    fn restore_with_rtos(flows: &[usize]) -> (Result<(), SnapError>, Plant<OmniEv>) {
+        restore_with(0, flows.iter().map(|&flow| Ev::TcpRto { flow }).collect())
     }
 
     #[test]
@@ -470,6 +519,47 @@ mod tests {
     }
 
     #[test]
+    fn restore_recovers_scheme_timer_handles() {
+        let nodes = mixed_workload().0.num_nodes();
+        let csma =
+            [CsmaEv::BackoffExpire { node: 0 }, CsmaEv::Wake, CsmaEv::AckTimeout { node: 2 }];
+        let (restored, mut plant) = restore_with(nodes, csma.map(Ev::Scheme).into());
+        assert_eq!(restored, Ok(()));
+        assert_timers_cancel(&mut plant, &[0, 2]);
+        let domino = [
+            DEv::Watchdog { ap: 0 },
+            DEv::ControllerCompute,
+            DEv::KickOff { ap: 0, slot: 4 },
+            DEv::SlotStart { node: 3, slot: 4 },
+        ];
+        let timers: Vec<usize> = domino.iter().filter_map(DEv::timer).collect();
+        let (restored, mut plant) = restore_with(1 + 2 * nodes, domino.map(Ev::Scheme).into());
+        assert_eq!(restored, Ok(()));
+        assert_timers_cancel(&mut plant, &timers);
+    }
+
+    /// Exactly `timers` are armed, and a cancel through each handle
+    /// succeeds.
+    fn assert_timers_cancel<X: SchemeEvent>(plant: &mut Plant<X>, timers: &[usize]) {
+        assert_eq!(plant.timers.iter().filter(|h| h.is_some()).count(), timers.len());
+        for &timer in timers {
+            let handle = plant.timers[timer].expect("the restored timer's handle");
+            assert!(plant.engine.cancel(handle), "timer {timer}: the handle names its event");
+        }
+    }
+
+    #[test]
+    fn restore_rejects_two_events_of_one_timer_or_a_timer_outside_the_table() {
+        let corrupt = Err(SnapError::Corrupt("events per scheme timer"));
+        let nodes = mixed_workload().0.num_nodes();
+        let backoff = |node| Ev::Scheme(CsmaEv::BackoffExpire { node });
+        let twice = vec![backoff(1), backoff(0), backoff(1)];
+        assert_eq!(restore_with(nodes, twice).0, corrupt, "duplicate");
+        let start = Ev::Scheme(DEv::SlotStart { node: nodes as u32, slot: 0 });
+        assert_eq!(restore_with(1 + 2 * nodes, vec![start]).0, corrupt, "node outside the network");
+    }
+
+    #[test]
     fn restore_rejects_two_rtos_for_one_flow_or_a_non_tcp_flow() {
         let corrupt = Err(SnapError::Corrupt("rto events per flow"));
         let udp = mixed_workload().1.flows.len() - 1;
@@ -478,32 +568,48 @@ mod tests {
         assert_eq!(restore_with_rtos(&[udp + 1]).0, corrupt, "flow out of range");
     }
 
-    /// Every TCP flow has exactly one RTO queued, at its deadline (or now,
-    /// when the deadline has passed), while it has a deadline, and none
-    /// otherwise.
-    fn assert_one_rto_per_deadline<X>(plant: &Plant<X>, now: SimTime) {
-        let mut queued: Vec<Vec<SimTime>> = vec![Vec::new(); plant.rto.len()];
-        plant.engine.for_each_pending(|_, at, ev| {
-            if let Ev::TcpRto { flow } = ev {
-                queued[*flow].push(at);
+    /// One queued event per timer: every TCP flow has exactly one RTO
+    /// queued, at its deadline (or now, when the deadline has passed),
+    /// while it has a deadline, and none otherwise; every queued scheme
+    /// timer event sits in its timer's slot under its own handle, and
+    /// every armed slot names a queued event.
+    fn assert_one_event_per_timer<X: SchemeEvent>(plant: &Plant<X>, now: SimTime) {
+        let mut rtos: Vec<Vec<SimTime>> = vec![Vec::new(); plant.rto.len()];
+        let mut queued: Vec<Vec<EventHandle>> = vec![Vec::new(); plant.timers.len()];
+        plant.engine.for_each_pending(|handle, at, ev| match ev {
+            Ev::TcpRto { flow } => rtos[*flow].push(at),
+            Ev::Scheme(x) => {
+                if let Some(timer) = x.timer() {
+                    queued[timer].push(handle);
+                }
             }
+            Ev::TcpTick { .. } | Ev::TxEnd { .. } => {}
         });
         for flow in plant.fe.tcp_flows() {
             let want: Vec<SimTime> =
                 plant.fe.tcp_rto_deadline(flow).map(|d| d.max(now)).into_iter().collect();
-            assert_eq!(queued[flow], want, "flow {flow} at {now:?}");
+            assert_eq!(rtos[flow], want, "flow {flow} at {now:?}");
+        }
+        for (timer, slot) in plant.timers.iter().enumerate() {
+            assert_eq!(queued[timer], Vec::from_iter(*slot), "timer {timer} at {now:?}");
         }
     }
 
-    /// Drive a fig7 TCP 10/5 Mb/s run event by event, as `run::drive`
-    /// does, checking the RTO invariant after every event. Returns the
-    /// number of RTOs that popped.
-    fn assert_rtos_track_deadlines<W: World>(cfg: W::Config, faults: &FaultConfig) -> u64 {
+    /// Drive a 0.2-s fig7 run event by event, as `run::drive` does,
+    /// checking every timer after every event. Returns the number of RTOs
+    /// that popped and the run's stats.
+    fn drive_checking_timers<W: World>(
+        workload: fn(&Network) -> Workload,
+        faults: &FaultConfig,
+    ) -> (u64, RunStats)
+    where
+        W::Config: Default,
+    {
         let net = fig7(PhyParams::default());
-        let workload = Workload::tcp_updown(&net, 10e6, 5e6);
+        let workload = workload(&net);
         let inputs =
             RunInputs { net: &net, workload: &workload, duration_s: 0.2, seed: 0xD0311, faults };
-        let mut world = W::new(&inputs, cfg, Probe::default());
+        let mut world = W::new(&inputs, W::Config::default(), Probe::default());
         let horizon = world.plant().end;
         let mut rtos = 0;
         while let Some((now, ev)) =
@@ -511,23 +617,37 @@ mod tests {
         {
             rtos += u64::from(matches!(ev, Ev::TcpRto { .. }));
             world.handle(now, ev);
-            assert_one_rto_per_deadline(world.plant(), now);
+            assert_one_event_per_timer(world.plant(), now);
         }
-        rtos
+        (rtos, world.finalize())
     }
 
     #[test]
-    fn each_flow_keeps_one_rto_at_its_deadline() {
+    fn every_timer_keeps_one_event_queued() {
+        let tcp: fn(&Network) -> Workload = |net| Workload::tcp_updown(net, 10e6, 5e6);
+        let udp: fn(&Network) -> Workload = |net| Workload::udp_updown(net, 10e6, 5e6);
         for faults in [FaultConfig::off(), FaultConfig::chaos(0.5)] {
-            let rtos = [
-                assert_rtos_track_deadlines::<DcfWorld>((), &faults),
-                assert_rtos_track_deadlines::<CentaurWorld>(CentaurConfig::default(), &faults),
-                assert_rtos_track_deadlines::<DominoWorld>(DominoConfig::default(), &faults),
-                assert_rtos_track_deadlines::<OmniWorld>((), &faults),
-            ];
-            // Omniscient retries a lost frame itself: no RTO ever fires.
-            assert!(rtos[..3].iter().all(|&n| n > 0), "RTOs popped per scheme: {rtos:?}");
+            for (workload, has_rtos) in [(tcp, true), (udp, false)] {
+                let rtos = [
+                    drive_checking_timers::<DcfWorld>(workload, &faults).0,
+                    drive_checking_timers::<CentaurWorld>(workload, &faults).0,
+                    drive_checking_timers::<DominoWorld>(workload, &faults).0,
+                    drive_checking_timers::<OmniWorld>(workload, &faults).0,
+                ];
+                // Omniscient retries a lost frame itself: no RTO ever fires.
+                let expected = rtos[..3].iter().all(|&n| (n > 0) == has_rtos);
+                assert!(expected, "RTOs per scheme: {rtos:?}");
+            }
         }
+        // Controller crashes under a warm standby: the controller timer's
+        // crash and promotion paths.
+        let failover = FaultConfig { ctrl_crash: 0.05, standby: true, ..FaultConfig::off() };
+        let promotions = [
+            drive_checking_timers::<CentaurWorld>(udp, &failover).1,
+            drive_checking_timers::<DominoWorld>(udp, &failover).1,
+        ]
+        .map(|stats| stats.faults.standby_promotions);
+        assert!(promotions.iter().all(|&n| n > 0), "promotions per scheme: {promotions:?}");
     }
 
     /// An ack delivered to flow g re-arms g only: flow f's queued RTO
@@ -539,7 +659,7 @@ mod tests {
         let faults = FaultConfig::off();
         let inputs =
             RunInputs { net: &net, workload: &workload, duration_s: 1.0, seed: 1, faults: &faults };
-        let mut plant: Plant<OmniEv> = Plant::new(&inputs, Probe::default());
+        let mut plant: Plant<OmniEv> = Plant::new(&inputs, Probe::default(), 0);
         // The first ticks release the downlinks' segments and arm their
         // RTOs at one instant; a scheme event is queued after f's.
         let downlinks: Vec<usize> = (0..workload.flows.len())

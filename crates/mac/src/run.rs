@@ -238,6 +238,9 @@ mod tests {
         fn cost_class(&self) -> CostPath {
             CostPath::EvSlot
         }
+        fn timer(&self) -> Option<usize> {
+            None
+        }
     }
 
     impl SnapValue for Spin {
@@ -254,7 +257,7 @@ mod tests {
         type Config = ();
         type Event = Spin;
         fn new(inputs: &RunInputs<'_>, (): (), probe: Probe) -> SpinWorld {
-            let mut plant = Plant::new(inputs, probe);
+            let mut plant = Plant::new(inputs, probe, 0);
             plant.schedule(SimTime::from_millis(1), Spin);
             SpinWorld(plant)
         }

@@ -50,7 +50,7 @@
 //! rendered results.
 
 use domino_campaign::fingerprint;
-use domino_runner::cache::{render_cache_line, run_experiment_cached, CacheSession};
+use domino_runner::cache::{render_cache_line, CacheSession};
 use domino_runner::registry::{self, Experiment, REGISTRY};
 use domino_runner::scale::Scale;
 use domino_runner::simcmd;
@@ -384,14 +384,10 @@ fn main() -> ExitCode {
     let mut runs = Vec::with_capacity(selected.len());
     let mut mismatches = 0usize;
     for exp in selected {
-        let run = match session.as_mut() {
-            Some(s) => {
-                let cached = run_experiment_cached(s, exp, cli.scale, cli.seed, cli.jobs);
-                println!("{}", render_cache_line(&cached));
-                cached.run
-            }
-            None => run_experiment(exp, cli.scale, cli.seed, cli.jobs),
-        };
+        let run = run_experiment(exp, cli.scale, cli.seed, cli.jobs, session.as_mut());
+        if session.is_some() {
+            println!("{}", render_cache_line(&run));
+        }
         let verdict = if cli.check {
             match check_against(&dir, &run) {
                 CheckStatus::Match => "check: match".to_string(),

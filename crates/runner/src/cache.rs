@@ -3,7 +3,8 @@
 //!
 //! This is the execution half of the `domino-campaign` subsystem (the
 //! store, keys, and fingerprint live there; the registry and the shard
-//! pool live here). [`run_experiment_cached`] probes the store once per
+//! pool live here). Given a [`CacheSession`],
+//! [`run_experiment`](crate::run_experiment) probes the store once per
 //! shard of a [`Plan`](crate::plan::Plan), decodes the hits through the
 //! plan's own `SnapValue` encode/decode pair, runs only the misses
 //! across the pool, stores their encodings, and reassembles everything
@@ -19,10 +20,9 @@
 //! — and a hit whose bytes fail to *decode* is likewise demoted to a
 //! recompute, never propagated.
 
-use crate::plan::ShardData;
-use crate::registry::Experiment;
+use crate::plan::{DecodeShard, EncodeShard, ShardData};
 use crate::scale::Scale;
-use crate::{pool, ExperimentRun};
+use crate::ExperimentRun;
 use domino_campaign::fingerprint;
 use domino_campaign::store::{CacheKey, Store, StoreStats};
 use domino_obs::metrics::MetricsRegistry;
@@ -78,125 +78,64 @@ impl CacheSession {
         self.store.flush()
     }
 
-    fn key(&self, exp: &str, scale: Scale, seed: u64, shard: u32) -> CacheKey {
+    /// The cached value of one shard: `None` unless the store holds bytes
+    /// for it that decode.
+    pub(crate) fn get(
+        &mut self,
+        exp: &str,
+        scale: Scale,
+        seed: u64,
+        shard: usize,
+        decode: DecodeShard,
+    ) -> Option<ShardData> {
+        let key = self.key(exp, scale, seed, shard);
+        self.store.get(&key).and_then(|bytes| decode(&bytes))
+    }
+
+    /// Store one freshly computed shard, best-effort.
+    pub(crate) fn put(
+        &mut self,
+        exp: &str,
+        scale: Scale,
+        seed: u64,
+        shard: usize,
+        value: &ShardData,
+        encode: EncodeShard,
+    ) {
+        if let Some(bytes) = encode(value) {
+            let key = self.key(exp, scale, seed, shard);
+            let _ = self.store.put(&key, &bytes);
+        }
+    }
+
+    fn key(&self, exp: &str, scale: Scale, seed: u64, shard: usize) -> CacheKey {
         CacheKey {
             experiment: exp.to_string(),
             fingerprint: self.fingerprint.clone(),
             scale: scale.name().to_string(),
             seed,
-            shard,
+            shard: shard as u32,
             params: String::new(),
         }
     }
 }
 
-/// One cache-aware experiment execution.
-#[derive(Debug)]
-pub struct CachedRun {
-    /// The run itself — same shape and same text as `run_experiment`.
-    pub run: ExperimentRun,
-    /// Shards served from the store.
-    pub shards_cached: usize,
-    /// Shards actually executed (cache misses).
-    pub shards_executed: usize,
-}
-
-/// Run one experiment, sourcing every shard it can from the cache and
-/// executing only the misses. The returned text is byte-identical to
-/// [`crate::run_experiment`] for the same `(experiment, scale, seed)` —
-/// the cache can change wall time only. Freshly computed shards are
-/// stored back best-effort (a full disk degrades to recompute-next-time,
-/// never to a wrong result); call [`CacheSession::flush`] afterwards to
-/// persist the index.
-pub fn run_experiment_cached(
-    session: &mut CacheSession,
-    exp: &Experiment,
-    scale: Scale,
-    seed: u64,
-    jobs: usize,
-) -> CachedRun {
-    let watch = domino_testkit::bench::Stopwatch::start();
-    let built = (exp.plan)(scale, seed);
-    let (tasks, encode, decode, finish) = built.into_cache_parts();
-    let build_ns = watch.elapsed_ns();
-
-    let total = tasks.len();
-    let mut slots: Vec<Option<ShardData>> = Vec::with_capacity(total);
-    let mut miss_indices: Vec<usize> = Vec::new();
-    let mut miss_tasks: Vec<pool::Task<ShardData>> = Vec::new();
-    for (index, task) in tasks.into_iter().enumerate() {
-        let key = session.key(exp.name, scale, seed, index as u32);
-        let cached = session.store.get(&key).and_then(|bytes| decode(&bytes));
-        match cached {
-            Some(data) => slots.push(Some(data)),
-            None => {
-                slots.push(None);
-                miss_indices.push(index);
-                miss_tasks.push(task);
-            }
-        }
-    }
-
-    let shards_cached = total - miss_indices.len();
-    let shards_executed = miss_indices.len();
-    let runs = pool::run_indexed(jobs, miss_tasks);
-    let run_ns = watch.elapsed_ns() - build_ns;
-
-    let mut shard_ns = vec![0u64; total];
-    for (&index, shard_run) in miss_indices.iter().zip(runs) {
-        let key = session.key(exp.name, scale, seed, index as u32);
-        if let Some(bytes) = encode(&shard_run.value) {
-            let _ = session.store.put(&key, &bytes);
-        }
-        shard_ns[index] = shard_run.elapsed_ns;
-        slots[index] = Some(shard_run.value);
-    }
-
-    let data: Vec<ShardData> = slots
-        .into_iter()
-        .map(|slot| slot.expect("every shard is either cached or executed"))
-        .collect();
-    let (text, digest) = finish(data);
-    let elapsed_ns = watch.elapsed_ns();
-    let merge_ns = elapsed_ns - build_ns - run_ns;
-    let mut phases = domino_testkit::bench::Phases::new();
-    phases.add_ns("build", build_ns);
-    phases.add_ns("run", run_ns);
-    phases.add_ns("run/shards_cpu", shard_ns.iter().sum());
-    phases.add_ns("merge", merge_ns);
-    CachedRun {
-        run: ExperimentRun {
-            name: exp.name,
-            output: exp.output,
-            text,
-            digest,
-            shard_ns,
-            build_ns,
-            run_ns,
-            merge_ns,
-            elapsed_ns,
-            phases,
-        },
-        shards_cached,
-        shards_executed,
-    }
-}
-
 /// Render the one-line cache summary the CLI prints per experiment.
-pub fn render_cache_line(run: &CachedRun) -> String {
+pub fn render_cache_line(run: &ExperimentRun) -> String {
     format!(
         "{:<28} cache: {} hit{}, {} executed",
-        run.run.name,
+        run.name,
         run.shards_cached,
         if run.shards_cached == 1 { "" } else { "s" },
-        run.shards_executed,
+        run.shards_executed(),
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry;
+    use crate::registry::{self, Experiment};
+    use crate::run_experiment;
     use std::path::PathBuf;
 
     fn tmp_session(tag: &str, fp: &str) -> (PathBuf, CacheSession) {
@@ -215,18 +154,19 @@ mod tests {
     fn warm_rerun_executes_zero_shards_and_matches_bytes() {
         let (dir, mut session) = tmp_session("warm", &"a".repeat(64));
         let e = exp("fig06_guard_sweep");
-        let cold = run_experiment_cached(&mut session, e, Scale::Quick, 1, 2);
+        let cold = run_experiment(e, Scale::Quick, 1, 2, Some(&mut session));
         assert_eq!(cold.shards_cached, 0);
-        assert!(cold.shards_executed > 0);
-        let plain = crate::run_experiment(e, Scale::Quick, 1, 2);
-        assert_eq!(cold.run.text, plain.text, "cached path must not change output");
-        assert_eq!(cold.run.digest, plain.digest);
+        assert!(cold.shards_executed() > 0);
+        let plain = run_experiment(e, Scale::Quick, 1, 2, None);
+        assert_eq!(plain.shards_executed(), cold.shards_executed());
+        assert_eq!(cold.text, plain.text, "cached path must not change output");
+        assert_eq!(cold.digest, plain.digest);
 
-        let warm = run_experiment_cached(&mut session, e, Scale::Quick, 1, 1);
-        assert_eq!(warm.shards_executed, 0, "warm rerun must execute nothing");
-        assert_eq!(warm.shards_cached, cold.shards_executed);
-        assert_eq!(warm.run.text, cold.run.text);
-        assert_eq!(warm.run.digest, cold.run.digest);
+        let warm = run_experiment(e, Scale::Quick, 1, 1, Some(&mut session));
+        assert_eq!(warm.shards_executed(), 0, "warm rerun must execute nothing");
+        assert_eq!(warm.shards_cached, cold.shards_executed());
+        assert_eq!(warm.text, cold.text);
+        assert_eq!(warm.digest, cold.digest);
         assert!(render_cache_line(&warm).contains("0 executed"));
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -235,18 +175,18 @@ mod tests {
     fn fingerprint_change_invalidates_everything() {
         let (dir, mut session) = tmp_session("inval", &"a".repeat(64));
         let e = exp("table1_params");
-        let first = run_experiment_cached(&mut session, e, Scale::Quick, 1, 1);
+        let first = run_experiment(e, Scale::Quick, 1, 1, Some(&mut session));
         session.flush().unwrap();
-        let executed = first.shards_executed;
+        let executed = first.shards_executed();
         assert!(executed > 0);
 
         // Same store, different code fingerprint: all misses again.
         let store = Store::open(&dir).unwrap();
         let mut other = CacheSession::with(store, "b".repeat(64));
-        let again = run_experiment_cached(&mut other, e, Scale::Quick, 1, 1);
+        let again = run_experiment(e, Scale::Quick, 1, 1, Some(&mut other));
         assert_eq!(again.shards_cached, 0);
-        assert_eq!(again.shards_executed, executed);
-        assert_eq!(again.run.text, first.run.text);
+        assert_eq!(again.shards_executed(), executed);
+        assert_eq!(again.text, first.text);
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -254,13 +194,13 @@ mod tests {
     fn seed_and_scale_partition_the_cache() {
         let (dir, mut session) = tmp_session("part", &"a".repeat(64));
         let e = exp("fig05_rop_samples");
-        let s1 = run_experiment_cached(&mut session, e, Scale::Quick, 1, 1);
-        let s2 = run_experiment_cached(&mut session, e, Scale::Quick, 2, 1);
+        let s1 = run_experiment(e, Scale::Quick, 1, 1, Some(&mut session));
+        let s2 = run_experiment(e, Scale::Quick, 2, 1, Some(&mut session));
         assert_eq!(s2.shards_cached, 0, "different seed must not hit");
-        assert_ne!(s1.run.text, s2.run.text);
-        let s1_again = run_experiment_cached(&mut session, e, Scale::Quick, 1, 1);
-        assert_eq!(s1_again.shards_executed, 0);
-        assert_eq!(s1_again.run.text, s1.run.text);
+        assert_ne!(s1.text, s2.text);
+        let s1_again = run_experiment(e, Scale::Quick, 1, 1, Some(&mut session));
+        assert_eq!(s1_again.shards_executed(), 0);
+        assert_eq!(s1_again.text, s1.text);
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -268,8 +208,8 @@ mod tests {
     fn stats_render_through_obs_registry() {
         let (dir, mut session) = tmp_session("stats", &"a".repeat(64));
         let e = exp("table1_params");
-        let _ = run_experiment_cached(&mut session, e, Scale::Quick, 1, 1);
-        let _ = run_experiment_cached(&mut session, e, Scale::Quick, 1, 1);
+        let _ = run_experiment(e, Scale::Quick, 1, 1, Some(&mut session));
+        let _ = run_experiment(e, Scale::Quick, 1, 1, Some(&mut session));
         let text = session.render_stats();
         assert!(text.contains("campaign.cache.hits"), "{text}");
         assert!(text.contains("campaign.cache.stores"), "{text}");

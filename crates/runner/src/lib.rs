@@ -41,7 +41,8 @@ pub mod scale;
 pub mod simcmd;
 pub mod sweep;
 
-use plan::RunDigest;
+use cache::CacheSession;
+use plan::{RunDigest, ShardData};
 use registry::Experiment;
 use scale::Scale;
 
@@ -57,8 +58,12 @@ pub struct ExperimentRun {
     /// Machine-readable run summary (livelocks, watchdog storms,
     /// per-fault-class counts) — deterministic, unlike the wall times.
     pub digest: RunDigest,
-    /// Wall time of each shard in nanoseconds, in shard-index order.
+    /// Wall time of each shard in nanoseconds, in shard-index order (zero
+    /// for a shard served from the cache).
     pub shard_ns: Vec<u64>,
+    /// Shards served from the shard cache (zero without one); the rest
+    /// were executed.
+    pub shards_cached: usize,
     /// Wall time of plan construction in nanoseconds.
     pub build_ns: u64,
     /// Wall time of the pooled shard phase in nanoseconds.
@@ -70,30 +75,65 @@ pub struct ExperimentRun {
     /// Hierarchical wall breakdown rendered into the manifest's
     /// `phase_ms`: the three coarse phases plus `run/shards_cpu` (total
     /// CPU time inside shard closures — exceeds `run` when `jobs > 1`)
-    /// and `run/pool` (pool dispatch/collection overhead; meaningful at
-    /// `jobs = 1`, where the two shard figures must add up to `run`).
+    /// and `run/pool` (pool dispatch/collection overhead and cache
+    /// traffic; meaningful at `jobs = 1`, where the two shard figures
+    /// must add up to `run`).
     pub phases: domino_testkit::bench::Phases,
+}
+
+impl ExperimentRun {
+    /// Shards actually executed: all of them without a cache.
+    pub fn shards_executed(&self) -> usize {
+        self.shard_ns.len() - self.shards_cached
+    }
 }
 
 /// Run one experiment at the given scale/seed across `jobs` workers.
 ///
-/// The returned text is a pure function of `(experiment, scale, seed)` —
-/// `jobs` affects wall time only. Per-phase wall times (build, run,
-/// merge) are measured with the testkit bench clock, keeping rule D001's
-/// wall-clock boundary at the runner.
-pub fn run_experiment(exp: &Experiment, scale: Scale, seed: u64, jobs: usize) -> ExperimentRun {
+/// With a `cache` session, every shard the store holds is served from it
+/// and only the misses run; their results are stored back best-effort (a
+/// full disk degrades to recompute-next-time, never to a wrong result;
+/// call [`CacheSession::flush`] afterwards to persist the index). The
+/// returned text is a pure function of `(experiment, scale, seed)`:
+/// shard results merge in shard-index order, so `jobs` and the cache
+/// affect wall time only. Per-phase wall times (build, run, merge) are
+/// measured with the testkit bench clock, keeping rule D001's wall-clock
+/// boundary at the runner.
+pub fn run_experiment(
+    exp: &Experiment,
+    scale: Scale,
+    seed: u64,
+    jobs: usize,
+    mut cache: Option<&mut CacheSession>,
+) -> ExperimentRun {
     let watch = domino_testkit::bench::Stopwatch::start();
-    let built = (exp.plan)(scale, seed);
-    let (shards, finish) = built.into_parts();
+    let (tasks, encode, decode, finish) = (exp.plan)(scale, seed).into_parts();
     let build_ns = watch.elapsed_ns();
-    let runs = pool::run_indexed(jobs, shards);
-    let run_ns = watch.elapsed_ns() - build_ns;
-    let mut shard_ns = Vec::with_capacity(runs.len());
-    let mut data = Vec::with_capacity(runs.len());
-    for run in runs {
-        shard_ns.push(run.elapsed_ns);
-        data.push(run.value);
+    let mut slots: Vec<Option<ShardData>> = Vec::with_capacity(tasks.len());
+    let mut misses = Vec::new();
+    let mut miss_tasks = Vec::new();
+    for (index, task) in tasks.into_iter().enumerate() {
+        let hit = cache.as_deref_mut().and_then(|c| c.get(exp.name, scale, seed, index, decode));
+        if hit.is_none() {
+            misses.push(index);
+            miss_tasks.push(task);
+        }
+        slots.push(hit);
     }
+    let shards_cached = slots.len() - misses.len();
+    let mut shard_ns = vec![0u64; slots.len()];
+    for (&index, run) in misses.iter().zip(pool::run_indexed(jobs, miss_tasks)) {
+        if let Some(c) = cache.as_deref_mut() {
+            c.put(exp.name, scale, seed, index, &run.value, encode);
+        }
+        shard_ns[index] = run.elapsed_ns;
+        slots[index] = Some(run.value);
+    }
+    let run_ns = watch.elapsed_ns() - build_ns;
+    let data = slots
+        .into_iter()
+        .map(|slot| slot.expect("every shard is either cached or executed"))
+        .collect();
     let (text, digest) = finish(data);
     let elapsed_ns = watch.elapsed_ns();
     let merge_ns = elapsed_ns - build_ns - run_ns;
@@ -103,9 +143,10 @@ pub fn run_experiment(exp: &Experiment, scale: Scale, seed: u64, jobs: usize) ->
     let shards_cpu: u64 = shard_ns.iter().sum();
     phases.add_ns("run/shards_cpu", shards_cpu);
     if jobs <= 1 {
-        // Serial runs decompose exactly: pool overhead is whatever the
-        // run phase spent outside shard closures. Parallel runs overlap
-        // shard CPU, so the residue would be meaningless there.
+        // Serial runs decompose exactly: pool overhead and cache traffic
+        // are whatever the run phase spent outside shard closures.
+        // Parallel runs overlap shard CPU, so the residue would be
+        // meaningless there.
         phases.add_ns("run/pool", run_ns.saturating_sub(shards_cpu));
     }
     phases.add_ns("merge", merge_ns);
@@ -115,6 +156,7 @@ pub fn run_experiment(exp: &Experiment, scale: Scale, seed: u64, jobs: usize) ->
         text,
         digest,
         shard_ns,
+        shards_cached,
         build_ns,
         run_ns,
         merge_ns,
@@ -268,6 +310,7 @@ mod tests {
                 fault_classes: vec![("ap_crashes", 2)],
             },
             shard_ns: vec![1_000_000, 2_000_000],
+            shards_cached: 0,
             build_ns: 100_000,
             run_ns: 2_500_000,
             merge_ns: 400_000,

@@ -132,13 +132,9 @@ impl Plan {
         self.shards.len()
     }
 
-    pub(crate) fn into_parts(self) -> (Vec<Task<ShardData>>, Finish) {
-        (self.shards, self.finish)
-    }
-
-    /// Decompose for cache-aware execution: tasks, the shard encode/decode pair,
-    /// and the merge. Used by [`crate::cache::run_experiment_cached`].
-    pub(crate) fn into_cache_parts(self) -> (Vec<Task<ShardData>>, EncodeShard, DecodeShard, Finish) {
+    /// Decompose for execution: the tasks, the shard encode/decode pair
+    /// the cache uses, and the merge. Used by [`crate::run_experiment`].
+    pub(crate) fn into_parts(self) -> (Vec<Task<ShardData>>, EncodeShard, DecodeShard, Finish) {
         (self.shards, self.encode, self.decode, self.finish)
     }
 }
@@ -153,7 +149,7 @@ mod tests {
             (0..5u32).map(|i| -> Box<dyn FnOnce() -> u32 + Send> { Box::new(move || i * 10) }).collect();
         let plan = Plan::new(shards, |values: Vec<u32>| format!("{values:?}"));
         assert_eq!(plan.num_shards(), 5);
-        let (tasks, finish) = plan.into_parts();
+        let (tasks, _, _, finish) = plan.into_parts();
         let data: Vec<ShardData> = tasks.into_iter().map(|t| t()).collect();
         let (text, digest) = finish(data);
         assert_eq!(text, "[0, 10, 20, 30, 40]");
@@ -161,11 +157,11 @@ mod tests {
     }
 
     #[test]
-    fn cache_parts_roundtrip_shard_values() {
+    fn encoded_shard_values_roundtrip() {
         let shards: Vec<Box<dyn FnOnce() -> u32 + Send>> =
             (0..5u32).map(|i| -> Box<dyn FnOnce() -> u32 + Send> { Box::new(move || i * 10) }).collect();
         let plan = Plan::new(shards, |values: Vec<u32>| format!("{values:?}"));
-        let (tasks, encode, decode, finish) = plan.into_cache_parts();
+        let (tasks, encode, decode, finish) = plan.into_parts();
         let data: Vec<ShardData> = tasks.into_iter().map(|t| t()).collect();
         let bytes: Vec<Vec<u8>> = data.iter().map(|d| encode(d).unwrap()).collect();
         let decoded: Vec<ShardData> = bytes.iter().map(|b| decode(b).unwrap()).collect();
@@ -178,7 +174,7 @@ mod tests {
     fn single_shard_plan() {
         let plan = Plan::single(|| "hello\n".to_string());
         assert_eq!(plan.num_shards(), 1);
-        let (tasks, finish) = plan.into_parts();
+        let (tasks, _, _, finish) = plan.into_parts();
         let data: Vec<ShardData> = tasks.into_iter().map(|t| t()).collect();
         assert_eq!(finish(data).0, "hello\n");
     }
@@ -195,7 +191,7 @@ mod tests {
             };
             ("text\n".to_string(), digest)
         });
-        let (tasks, finish) = plan.into_parts();
+        let (tasks, _, _, finish) = plan.into_parts();
         let data: Vec<ShardData> = tasks.into_iter().map(|t| t()).collect();
         let (text, digest) = finish(data);
         assert_eq!(text, "text\n");

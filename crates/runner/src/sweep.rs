@@ -28,7 +28,7 @@
 //! Per rule D006 this module never prints: progress lines go through the
 //! caller's callback and the binary decides what to do with them.
 
-use crate::cache::{run_experiment_cached, CacheSession};
+use crate::cache::CacheSession;
 use crate::registry;
 use crate::scale::Scale;
 use domino_campaign::store::StoreStats;
@@ -193,17 +193,8 @@ pub fn run_campaign(
         let exp = registry::find(&cell.experiment)
             .ok_or_else(|| format!("campaign: unknown experiment `{}`", cell.experiment))?;
         let scale = parse_scale(&cell.scale)?;
-        let (run, cached, executed) = match session.as_mut() {
-            Some(s) => {
-                let c = run_experiment_cached(s, exp, scale, cell.seed, cfg.jobs);
-                (c.run, c.shards_cached, c.shards_executed)
-            }
-            None => {
-                let r = crate::run_experiment(exp, scale, cell.seed, cfg.jobs);
-                let n = r.shard_ns.len();
-                (r, 0, n)
-            }
-        };
+        let run = crate::run_experiment(exp, scale, cell.seed, cfg.jobs, session.as_mut());
+        let (cached, executed) = (run.shards_cached, run.shards_executed());
         shards_cached += cached;
         shards_executed += executed;
 

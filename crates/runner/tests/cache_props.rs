@@ -17,7 +17,7 @@
 //! exercised by `scripts/ci.sh`'s warm-cache gate over all 15).
 
 use domino_campaign::store::{CacheKey, Store};
-use domino_runner::cache::{run_experiment_cached, CacheSession};
+use domino_runner::cache::CacheSession;
 use domino_runner::registry;
 use domino_runner::scale::Scale;
 use domino_runner::run_experiment;
@@ -48,17 +48,18 @@ fn cached_runs_are_byte_identical_for_arbitrary_inputs() {
         let exp = registry::find(name).unwrap();
         let scale = Scale::Quick;
 
-        let plain = run_experiment(exp, scale, seed, jobs);
+        let plain = run_experiment(exp, scale, seed, jobs, None);
         let mut s = session(&dir, &"c".repeat(64));
-        let cold = run_experiment_cached(&mut s, exp, scale, seed, jobs);
-        let warm = run_experiment_cached(&mut s, exp, scale, seed, jobs);
+        let cold = run_experiment(exp, scale, seed, jobs, Some(&mut s));
+        let warm = run_experiment(exp, scale, seed, jobs, Some(&mut s));
 
-        prop_assert_eq!(&cold.run.text, &plain.text, "cold cached text != uncached text");
-        prop_assert_eq!(&warm.run.text, &plain.text, "warm cached text != uncached text");
-        prop_assert_eq!(warm.shards_executed, 0, "warm run executed shards");
-        prop_assert_eq!(warm.shards_cached, cold.shards_cached + cold.shards_executed);
-        prop_assert_eq!(&cold.run.digest, &plain.digest);
-        prop_assert_eq!(&warm.run.digest, &plain.digest);
+        prop_assert_eq!(&cold.text, &plain.text, "cold cached text != uncached text");
+        prop_assert_eq!(&warm.text, &plain.text, "warm cached text != uncached text");
+        prop_assert_eq!(plain.shards_cached, 0, "uncached run served shards");
+        prop_assert_eq!(warm.shards_executed(), 0, "warm run executed shards");
+        prop_assert_eq!(warm.shards_cached, cold.shards_cached + cold.shards_executed());
+        prop_assert_eq!(&cold.digest, &plain.digest);
+        prop_assert_eq!(&warm.digest, &plain.digest);
     });
     let _ = std::fs::remove_dir_all(dir);
 }
@@ -73,12 +74,12 @@ fn corrupted_entries_are_recomputed_never_served() {
         let fp = "d".repeat(64);
 
         let mut s = session(&dir, &fp);
-        let cold = run_experiment_cached(&mut s, exp, Scale::Quick, seed, 1);
+        let cold = run_experiment(exp, Scale::Quick, seed, 1, Some(&mut s));
         s.flush().unwrap();
 
         // Damage one stored object: truncate or flip bytes, chosen by the
         // generator, for a generator-chosen shard.
-        let shard = g.u64(0, cold.shards_executed.max(1) as u64 - 1) as u32;
+        let shard = g.u64(0, cold.shards_executed().max(1) as u64 - 1) as u32;
         let key = CacheKey {
             experiment: name.to_string(),
             fingerprint: fp.clone(),
@@ -107,9 +108,9 @@ fn corrupted_entries_are_recomputed_never_served() {
         }
 
         let mut s2 = session(&dir, &fp);
-        let after = run_experiment_cached(&mut s2, exp, Scale::Quick, seed, 1);
-        prop_assert_eq!(&after.run.text, &cold.run.text, "output changed after corruption");
-        prop_assert!(after.shards_executed >= 1, "damaged shard was not recomputed");
+        let after = run_experiment(exp, Scale::Quick, seed, 1, Some(&mut s2));
+        prop_assert_eq!(&after.text, &cold.text, "output changed after corruption");
+        prop_assert!(after.shards_executed() >= 1, "damaged shard was not recomputed");
         let stats = s2.stats();
         prop_assert!(stats.misses >= 1, "corruption must surface as a miss");
         prop_assert_eq!(stats.evictions, 1, "damaged entry must be evicted");

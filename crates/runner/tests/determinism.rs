@@ -21,8 +21,8 @@ const MATRIX: &[&str] = &[
 fn jobs_count_never_changes_a_byte() {
     for name in MATRIX {
         let exp = registry::find(name).expect("matrix names a registered experiment");
-        let serial = run_experiment(exp, Scale::Quick, registry::DEFAULT_SEED, 1);
-        let parallel = run_experiment(exp, Scale::Quick, registry::DEFAULT_SEED, 8);
+        let serial = run_experiment(exp, Scale::Quick, registry::DEFAULT_SEED, 1, None);
+        let parallel = run_experiment(exp, Scale::Quick, registry::DEFAULT_SEED, 8, None);
         assert_eq!(serial.text, parallel.text, "{name}: jobs=1 vs jobs=8");
         assert!(!serial.text.is_empty(), "{name}: rendered something");
         assert!(serial.text.ends_with('\n'), "{name}: text ends in newline");
@@ -33,9 +33,9 @@ fn jobs_count_never_changes_a_byte() {
 #[test]
 fn runs_are_reproducible_and_seed_sensitive() {
     let exp = registry::find("fig06_guard_sweep").expect("registered");
-    let a = run_experiment(exp, Scale::Quick, 7, 4);
-    let b = run_experiment(exp, Scale::Quick, 7, 4);
+    let a = run_experiment(exp, Scale::Quick, 7, 4, None);
+    let b = run_experiment(exp, Scale::Quick, 7, 4, None);
     assert_eq!(a.text, b.text, "same seed, same bytes");
-    let c = run_experiment(exp, Scale::Quick, 8, 4);
+    let c = run_experiment(exp, Scale::Quick, 8, 4, None);
     assert_ne!(a.text, c.text, "a different master seed must change the sweep");
 }

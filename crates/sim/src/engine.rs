@@ -69,12 +69,12 @@ impl EventHandle {
 }
 
 /// Default liveness budget: events allowed per liveness window before the
-/// engine declares a livelock. It is about twice the busiest 1-ms window
-/// measured in any legitimate run: 953 events, in Fig 14's random T(20,3)
-/// networks under saturated UDP. Fig 12's 4-s cells stay at or below 395
-/// (its TCP/DOMINO cells at about 190). A test pins the heaviest cells at
-/// half the budget or less. A genuine spin trips it well within a
-/// millisecond of wall time.
+/// engine declares a livelock. It is about four times the busiest 1-ms
+/// window measured in any legitimate run: 474 events, in Fig 14's random
+/// T(20,3) networks under saturated UDP (DOMINO, seeds 1–10, 0.25 s; DCF
+/// peaks at 185). Fig 12's 4-s cells stay at or below 168 (its TCP/DOMINO
+/// cell). A test pins the heaviest cells at half the budget or less. A
+/// genuine spin trips it well within a millisecond of wall time.
 pub const DEFAULT_EVENT_BUDGET: u64 = 1_900;
 
 /// Default liveness window of simulated time over which the event budget

@@ -50,7 +50,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// Current container format version. Bump on any layout change or any
 /// change in what a payload means; old versions are rejected, never
 /// reinterpreted.
-pub const SNAPSHOT_VERSION: u32 = 5;
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// 4-byte container magic.
 const MAGIC: &[u8; 4] = b"DSNP";

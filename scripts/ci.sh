@@ -134,12 +134,14 @@ echo "campaign resume rebuilt the identical report"
 rm -rf "$CAMP_DIR" "$(dirname "$CACHE_DIR")"
 
 echo "== snapshot gate: checkpoint at t/2, restore in a fresh process =="
-# Four cells are checkpointed at half their horizon: a fig7 run under
+# Five cells are checkpointed at half their horizon: a fig7 run under
 # chaos, Fig 12's T(10,2) under TCP (its snapshot carries queued
 # retransmission timers) and a lightly loaded T(6,2) under UDP (parked
-# senders and UDP sources behind the clock) for every scheme, and Fig
-# 14's first random T(20,3) network under DCF and DOMINO (80 nodes, many
-# frames in flight).
+# senders and UDP sources behind the clock) for every scheme, Fig 14's
+# first random T(20,3) network under DCF and DOMINO (80 nodes, many
+# frames in flight), and T(10,2) under DOMINO and CENTAUR with
+# controller crashes and a warm standby (the chaos class leaves the
+# failover class out; this cell crashes and promotes 20 and 8 times).
 # A *separate process* restores the sealed snapshot and finishes the
 # run. Both the interrupted and the restored stats blocks must
 # byte-match the uninterrupted run's — the restored-goldens-cannot-move
@@ -149,7 +151,8 @@ ALL_SCHEMES="domino dcf centaur omniscient"
 for cell in "fig7|$ALL_SCHEMES|--scenario fig7 --seed 11 --chaos 0.5" \
     "t10x2_tcp|$ALL_SCHEMES|--scenario t10x2 --tcp 10e6,4e6" \
     "t6x2_light|$ALL_SCHEMES|--scenario t6x2 --udp 48e3,96e3" \
-    "rt20x3|domino dcf|--scenario rt20x3 --udp 10e6,10e6"; do
+    "rt20x3|domino dcf|--scenario rt20x3 --udp 10e6,10e6" \
+    "t10x2_failover|domino centaur|--scenario t10x2 --standby --ctrl-crash 0.05"; do
     IFS='|' read -r name schemes flag_str <<< "$cell"
     read -ra flags <<< "$flag_str"
     for scheme in $schemes; do

@@ -170,10 +170,10 @@ fn preset_phy_params_are_consistent() {
     assert!(phy.noise_floor.value() < phy.cs_threshold.value());
 }
 
-/// The liveness monitor's default budget is twice the busiest 1-ms window
-/// of the suite's heaviest cells: Fig 12's TCP/DOMINO cell, where every
-/// superseded retransmission timer left queued would pop at one instant,
-/// and a Fig 14 random T(20,3) UDP cell, the densest network.
+/// The liveness monitor's default budget is at least twice the busiest
+/// 1-ms window of the suite's heaviest cells: Fig 12's TCP/DOMINO cell,
+/// where every superseded retransmission timer left queued would pop at
+/// one instant, and a Fig 14 random T(20,3) UDP cell, the densest network.
 #[test]
 fn busiest_liveness_window_is_at_most_half_the_default_budget() {
     use domino::core::{ProfHandle, TraceEvent, TraceHandle};
