@@ -29,7 +29,7 @@ use crate::plant::{restore_table, Ev, Plant, SchemeEvent, Step};
 use crate::run::{RunInputs, World};
 use crate::timing::{ack_timeout, data_airtime, DIFS, MAC_OVERHEAD_BYTES, RETRY_LIMIT};
 use crate::workload::RunStats;
-use domino_medium::{Frame, FrameBody, Reception, TxId};
+use domino_medium::{Frame, FrameBody, Reception};
 use domino_obs::{CostPath, FaultKind, Probe, TraceEvent};
 use domino_scheduler::RandScheduler;
 use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter, Snapshot};
@@ -389,7 +389,7 @@ impl World for CentaurWorld {
     fn handle(&mut self, now: SimTime, ev: Ev<CentaurEv>) {
         let ev = match self.plant.step(now, ev) {
             Step::Released => return self.csma.try_start_all(now, &mut self.plant),
-            Step::TxEnd(tx) => return self.on_tx_end(tx, now),
+            Step::TxEnd(receptions) => return self.on_tx_end(receptions, now),
             Step::Scheme(ev) => ev,
         };
         match ev {
@@ -496,8 +496,7 @@ impl World for CentaurWorld {
 }
 
 impl CentaurWorld {
-    fn on_tx_end(&mut self, tx: TxId, now: SimTime) {
-        let receptions = self.plant.medium.end(tx, now);
+    fn on_tx_end(&mut self, receptions: Vec<Reception>, now: SimTime) {
         self.csma.scan(now, &mut self.plant);
         // A data frame's NAV reserves the channel through its ACK; an
         // idle transition it causes is anchored past that window.
@@ -539,6 +538,7 @@ impl CentaurWorld {
                 _ => {}
             }
         }
+        self.plant.reuse(receptions);
         self.csma.try_start_all(now, &mut self.plant);
     }
 

@@ -574,8 +574,7 @@ impl World for DcfWorld {
     fn handle(&mut self, now: SimTime, ev: Ev<CsmaEv>) {
         match self.plant.step(now, ev) {
             Step::Released => self.csma.try_start_all(now, &mut self.plant),
-            Step::TxEnd(tx) => {
-                let receptions = self.plant.medium.end(tx, now);
+            Step::TxEnd(receptions) => {
                 self.csma.scan(now, &mut self.plant);
                 if let Some(first) = receptions.first() {
                     match &first.frame.body {
@@ -591,6 +590,7 @@ impl World for DcfWorld {
                         _ => {}
                     }
                 }
+                self.plant.reuse(receptions);
                 self.csma.try_start_all(now, &mut self.plant);
             }
             Step::Scheme(ev) => self.csma.handle(now, ev, &mut self.plant),

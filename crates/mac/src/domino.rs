@@ -31,11 +31,11 @@ use crate::timing::{
     MAC_OVERHEAD_BYTES, POLL_BYTES, ROP_SYMBOL, SIFS, SLOT_TIME,
 };
 use crate::workload::{DominoCounters, RunStats, WATCHDOG_STORM_THRESHOLD};
-use domino_medium::{Burst, BurstMarker, Frame, FrameBody, InlineVec, Reception, TxId};
+use domino_medium::{Burst, BurstMarker, Frame, FrameBody, InlineVec, Reception};
 use domino_obs::{CostPath, FaultKind, Probe, TraceEvent};
 use domino_scheduler::{
     BacklogView, BurstAssignment, ConversionOutcome, Converter, ConverterConfig, RandScheduler,
-    RelativeBatch,
+    RelativeBatch, SlotEntry,
 };
 use domino_sim::rng::streams;
 use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter, Snapshot};
@@ -499,24 +499,120 @@ pub struct DominoWorld {
     hb_seen: bool,
     /// Consecutive probes without a heartbeat.
     hb_missed: u32,
-    /// Reception buffer recycled across `on_tx_end` calls.
-    rx_buf: Vec<Reception>,
     /// Static topology tables cached at construction: the per-batch
     /// controller loops would otherwise rebuild these Vecs on every
     /// compute (hundreds per run).
     ap_list: Vec<NodeId>,
     clients: Vec<Vec<NodeId>>,
+    /// Per node: the first link it sends on, which for a client is its
+    /// uplink.
+    uplink: Vec<Option<LinkId>>,
     /// Controller scratch, recycled across computes.
     backlog_buf: Vec<u32>,
     before_buf: Vec<u32>,
     committed_buf: Vec<u32>,
-    slot_senders: Vec<Vec<NodeId>>,
     /// Converted-batch storage, recycled through `Converter::convert_into`.
     outcome_buf: ConversionOutcome,
+    /// Per node: the program `dispatch_batch` is building for that AP
+    /// (clients' stay empty).
+    staged: Vec<(Vec<ApAction>, Vec<RetainedUpdate>)>,
+    /// Dispatch's per-node lookups into one burst list.
+    bursts: BurstIndex,
     /// Recycled `ApMessage` payload storage: messages that complete
     /// delivery hand their buffers back via `on_batch_arrive`.
     action_pool: Vec<Vec<ApAction>>,
     retained_pool: Vec<Vec<RetainedUpdate>>,
+}
+
+/// Per-node lookups into one slot boundary's burst list, reused across
+/// boundaries: which burst assignment a node broadcasts, and whether it
+/// transmits in the slot the bursts trigger. Entries are valid under the
+/// current stamp only, so switching boundaries clears nothing.
+#[derive(Debug)]
+struct BurstIndex {
+    stamp: u64,
+    /// `(stamp, index of its first assignment in the burst list)` per
+    /// broadcaster.
+    assigned: Vec<(u64, usize)>,
+    /// Stamp per sender of the triggered slot.
+    sends: Vec<u64>,
+}
+
+impl BurstIndex {
+    fn new(net: &Network) -> BurstIndex {
+        BurstIndex {
+            stamp: 0,
+            assigned: vec![(0, 0); net.num_nodes()],
+            sends: vec![0; net.num_nodes()],
+        }
+    }
+
+    /// Index `bursts`, whose triggered slot's entries are `next`; `sigs`
+    /// gives each node's Gold-code index.
+    fn view<'a>(
+        &'a mut self,
+        net: &Network,
+        sigs: &'a [u32],
+        bursts: &'a [BurstAssignment],
+        next: &[SlotEntry],
+    ) -> BurstView<'a> {
+        self.stamp += 1;
+        for (k, b) in bursts.iter().enumerate() {
+            let at = &mut self.assigned[b.broadcaster.index()];
+            if at.0 != self.stamp {
+                *at = (self.stamp, k);
+            }
+        }
+        for e in next {
+            self.sends[net.link(e.link).sender.index()] = self.stamp;
+        }
+        BurstView { index: self, sigs, bursts }
+    }
+}
+
+/// One boundary's indexed bursts (see [`BurstIndex::view`]).
+struct BurstView<'a> {
+    index: &'a BurstIndex,
+    sigs: &'a [u32],
+    bursts: &'a [BurstAssignment],
+}
+
+impl BurstView<'_> {
+    /// `node` transmits in the triggered slot.
+    fn continues(&self, node: NodeId) -> bool {
+        self.index.sends[node.index()] == self.index.stamp
+    }
+
+    /// The burst `node` broadcasts at this boundary, if it has one.
+    fn burst(&self, node: NodeId, marker: BurstMarker, slot: u64) -> Option<Burst> {
+        let (stamp, k) = self.index.assigned[node.index()];
+        let b = self.bursts.get(k).filter(|_| stamp == self.index.stamp)?;
+        let sigs = self.sigs;
+        Some(Burst {
+            // lint: allow(D007) collect into array-backed InlineVec<_, BURST_CAP>; no heap
+            codes: b.targets.iter().map(|t| sigs[t.index()]).collect(),
+            // lint: allow(D007) collect into array-backed InlineVec<_, BURST_CAP>; no heap
+            targets: b.targets.iter().copied().collect(),
+            marker,
+            slot,
+            continues: self.continues(node),
+        })
+    }
+
+    /// A client's instruction: its own burst, or a target-less one that
+    /// tells it in-band that it transmits again in the triggered slot
+    /// (it is deaf during the burst phase).
+    fn client_burst(&self, client: NodeId, marker: BurstMarker, slot: u64) -> Option<Burst> {
+        self.burst(client, marker, slot).or_else(|| {
+            self.continues(client).then(|| Burst {
+                codes: InlineVec::new(),
+                targets: InlineVec::new(),
+                marker,
+                slot,
+                continues: true,
+            })
+        })
+    }
 }
 
 impl World for DominoWorld {
@@ -568,6 +664,10 @@ impl World for DominoWorld {
         let clients = (0..net.num_nodes())
             .map(|n| net.clients_of(NodeId(n as u32)))
             .collect();
+        let mut uplink = vec![None; net.num_nodes()];
+        for l in net.links() {
+            uplink[l.sender.index()].get_or_insert(l.id);
+        }
         DominoWorld {
             plant,
             backbone,
@@ -600,14 +700,15 @@ impl World for DominoWorld {
             standby_buf: Vec::new(),
             hb_seen: false,
             hb_missed: 0,
-            rx_buf: Vec::new(),
             ap_list,
             clients,
+            uplink,
             backlog_buf: Vec::new(),
             before_buf: Vec::new(),
             committed_buf: Vec::new(),
-            slot_senders: Vec::new(),
             outcome_buf: ConversionOutcome::default(),
+            staged: (0..net.num_nodes()).map(|_| (Vec::new(), Vec::new())).collect(),
+            bursts: BurstIndex::new(net),
             action_pool: Vec::new(),
             retained_pool: Vec::new(),
             net: net.clone(),
@@ -633,9 +734,9 @@ impl World for DominoWorld {
     }
 
     /// Serialize everything the run's future depends on. Scratch storage
-    /// (`rx_buf`, the controller's compute buffers, the dispatch pools)
-    /// is empty between events and rebuilt on demand, so it is
-    /// deliberately not part of the image.
+    /// (the controller's compute buffers, the dispatch staging, index and
+    /// pools) is empty or stale between events and rebuilt on demand, so
+    /// it is deliberately not part of the image.
     fn snapshot_save(&self, w: &mut SnapWriter) {
         self.backbone.save(w);
         self.standby_bb.save(w);
@@ -690,7 +791,7 @@ impl World for DominoWorld {
     fn handle(&mut self, now: SimTime, ev: Ev<DEv>) {
         let ev = match self.plant.step(now, ev) {
             Step::Released => return,
-            Step::TxEnd(tx) => return self.on_tx_end(now, tx),
+            Step::TxEnd(receptions) => return self.on_tx_end(now, receptions),
             Step::Scheme(ev) => ev,
         };
         match ev {
@@ -991,6 +1092,11 @@ impl DominoWorld {
 
     /// Turn a converted batch into per-AP wired messages, each delayed by
     /// `stall` (the controller's injected compute stall; zero normally).
+    ///
+    /// One pass over the batch builds every AP's program: each action
+    /// goes to its AP's staging buffer in batch order, so each AP's
+    /// actions keep the order a per-AP walk would give. Then the APs with
+    /// a non-empty program draw on the backbone in `ap_list` order.
     fn dispatch_batch(&mut self, now: SimTime, batch: &RelativeBatch, stall: SimDuration) {
         self.plant.probe.prof.tick(CostPath::CtrlDispatch);
         let first_slot = self.next_slot_id;
@@ -1003,160 +1109,94 @@ impl DominoWorld {
             first_slot,
             slots: batch.slots.len() as u32,
         });
-        let sigs = &self.signature_of;
-
-        let burst_of = |assignments: &[BurstAssignment],
-                        node: NodeId,
-                        marker: BurstMarker,
-                        slot: u64,
-                        next_senders: &[NodeId]|
-         -> Option<Burst> {
-            assignments.iter().find(|b| b.broadcaster == node).map(|b| Burst {
-                // lint: allow(D007) collect into array-backed InlineVec<_, BURST_CAP>; no heap
-                codes: b.targets.iter().map(|t| sigs[t.index()]).collect(),
-                // lint: allow(D007) collect into array-backed InlineVec<_, BURST_CAP>; no heap
-                targets: b.targets.iter().copied().collect(),
-                marker,
-                slot,
-                continues: next_senders.contains(&node),
-            })
+        let mut staged = std::mem::take(&mut self.staged);
+        let poll_action = |slot| ApAction {
+            slot,
+            kind: ApActionKind::Poll,
+            rop_before: false,
+            kick_off: false,
+            own_burst: None,
+            client_burst: None,
         };
-        // Senders of each batch slot (for the `continues` self-trigger
-        // flag: a broadcaster is deaf during the simultaneous burst
-        // phase, so the controller tells it in-band that it transmits
-        // again). Inner Vecs are world scratch recycled across batches.
-        let mut sender_bufs = std::mem::take(&mut self.slot_senders);
-        for (i, s) in batch.slots.iter().enumerate() {
-            if sender_bufs.len() <= i {
-                // lint: allow(D007) one-time pool growth; buffers recycled across batches via DominoWorld::slot_senders
-                sender_bufs.push(Vec::new());
+
+        // Batch connection: bursts for the retained slot trigger the first
+        // slot (and the connecting ROP slot).
+        let conn_marker = if batch.connecting_rop.is_some() {
+            BurstMarker::Rop
+        } else {
+            BurstMarker::Start
+        };
+        if let Some(rop) = &batch.connecting_rop {
+            for ap in &rop.aps {
+                staged[ap.index()].0.push(poll_action(first_slot));
             }
-            let buf = &mut sender_bufs[i];
-            buf.clear();
-            buf.extend(s.entries.iter().map(|e| self.net.link(e.link).sender));
         }
-        let slot_senders = &sender_bufs[..batch.slots.len()];
+        if !batch.connecting_bursts.is_empty() {
+            let first = batch.slots.first().map_or(&[][..], |s| &s.entries[..]);
+            let view =
+                self.bursts.view(&self.net, &self.signature_of, &batch.connecting_bursts, first);
+            for &ap in &self.ap_list {
+                let own = view.burst(ap, conn_marker, first_slot);
+                let client = self.clients[ap.index()]
+                    .iter()
+                    .find_map(|&c| view.client_burst(c, conn_marker, first_slot));
+                if own.is_some() || client.is_some() {
+                    staged[ap.index()].1.push((retained_slot, own, client));
+                }
+            }
+        }
 
-        for &ap in &self.ap_list {
-            let mut actions: Vec<ApAction> = self.action_pool.pop().unwrap_or_default();
-            let mut retained_updates = self.retained_pool.pop().unwrap_or_default();
-            debug_assert!(actions.is_empty() && retained_updates.is_empty());
-
-            // Batch connection: bursts for the retained slot trigger our
-            // first slot (and the connecting ROP slot).
-            let conn_marker = if batch.connecting_rop.is_some() {
+        let mut rop_before = batch.connecting_rop.is_some();
+        for (i, slot) in batch.slots.iter().enumerate() {
+            let slot_id = first_slot + i as u64;
+            let next_slot_id = slot_id + 1;
+            let marker = if slot.rop_after.is_some() {
                 BurstMarker::Rop
             } else {
                 BurstMarker::Start
             };
-            if let Some(rop) = &batch.connecting_rop {
-                if rop.aps.contains(&ap) {
-                    actions.push(ApAction {
-                        slot: first_slot,
-                        kind: ApActionKind::Poll,
-                        rop_before: false,
-                        kick_off: false,
-                        own_burst: None,
-                        client_burst: None,
-                    });
-                }
-            }
-            if !batch.connecting_bursts.is_empty() {
-                let first_senders: &[NodeId] =
-                    slot_senders.first().map(|v| v.as_slice()).unwrap_or(&[]);
-                let own =
-                    burst_of(&batch.connecting_bursts, ap, conn_marker, first_slot, first_senders);
-                let client = self.clients[ap.index()].iter().copied().find_map(|c| {
-                    burst_of(&batch.connecting_bursts, c, conn_marker, first_slot, first_senders)
-                        .or_else(|| {
-                            first_senders.contains(&c).then(|| Burst {
-                                codes: InlineVec::new(),
-                                targets: InlineVec::new(),
-                                marker: conn_marker,
-                                slot: first_slot,
-                                continues: true,
-                            })
-                        })
-                });
-                if own.is_some() || client.is_some() {
-                    retained_updates.push((retained_slot, own, client));
-                }
-            }
-
-            for (i, slot) in batch.slots.iter().enumerate() {
-                let slot_id = first_slot + i as u64;
-                let next_slot_id = slot_id + 1;
-                let marker = if slot.rop_after.is_some() {
-                    BurstMarker::Rop
-                } else {
-                    BurstMarker::Start
-                };
-                for entry in &slot.entries {
-                    let link = *self.net.link(entry.link);
-                    if link.ap != ap {
-                        continue;
-                    }
-                    let next_senders: &[NodeId] = slot_senders
-                        .get(i + 1)
-                        .map(|v| v.as_slice())
-                        .unwrap_or(&[]);
-                    let own = burst_of(&slot.bursts, ap, marker, next_slot_id, next_senders);
-                    // The client's instruction is sent even when it has
-                    // no trigger targets of its own: a client that
-                    // transmits again in the next slot is deaf during the
-                    // burst phase and must learn its continuation
-                    // in-band.
-                    let client = burst_of(&slot.bursts, link.client(), marker, next_slot_id, next_senders)
-                        .or_else(|| {
-                            next_senders.contains(&link.client()).then(|| Burst {
-                                codes: InlineVec::new(),
-                                targets: InlineVec::new(),
-                                marker,
-                                slot: next_slot_id,
-                                continues: true,
-                            })
-                        });
-                    let kind = if link.is_downlink() {
+            let next = batch.slots.get(i + 1).map_or(&[][..], |s| &s.entries[..]);
+            let view = self.bursts.view(&self.net, &self.signature_of, &slot.bursts, next);
+            for entry in &slot.entries {
+                let link = *self.net.link(entry.link);
+                // The client's instruction is sent even when it has no
+                // trigger targets of its own: a client that transmits
+                // again in the next slot is deaf during the burst phase
+                // and must learn its continuation in-band.
+                staged[link.ap.index()].0.push(ApAction {
+                    slot: slot_id,
+                    kind: if link.is_downlink() {
                         ApActionKind::TxData { link: entry.link }
                     } else {
                         ApActionKind::RxData { link: entry.link }
-                    };
-                    let rop_before = if i == 0 {
-                        batch.connecting_rop.is_some()
-                    } else {
-                        // lint: allow(D010) i >= 1 in this branch: the i == 0 arm is above
-                        batch.slots[i - 1].rop_after.is_some()
-                    };
-                    actions.push(ApAction {
-                        slot: slot_id,
-                        kind,
-                        rop_before,
-                        kick_off: entry.kick_off,
-                        own_burst: own,
-                        client_burst: client,
-                    });
-                }
-                if let Some(rop) = &slot.rop_after {
-                    if rop.aps.contains(&ap) {
-                        actions.push(ApAction {
-                            slot: next_slot_id,
-                            kind: ApActionKind::Poll,
-                            rop_before: false,
-                            kick_off: false,
-                            own_burst: None,
-                            client_burst: None,
-                        });
-                    }
+                    },
+                    rop_before,
+                    kick_off: entry.kick_off,
+                    own_burst: view.burst(link.ap, marker, next_slot_id),
+                    client_burst: view.client_burst(link.client(), marker, next_slot_id),
+                });
+            }
+            if let Some(rop) = &slot.rop_after {
+                for ap in &rop.aps {
+                    staged[ap.index()].0.push(poll_action(next_slot_id));
                 }
             }
+            rop_before = slot.rop_after.is_some();
+        }
 
+        for &ap in &self.ap_list {
+            let (actions, retained_updates) = &mut staged[ap.index()];
             if actions.is_empty() && retained_updates.is_empty() {
-                self.action_pool.push(actions);
-                self.retained_pool.push(retained_updates);
                 continue;
             }
             if let Some(m) = self.backbone.try_send(now, ()) {
                 self.plant.probe.prof.tick(CostPath::CtrlDispatchMsgs);
+                let actions =
+                    std::mem::replace(actions, self.action_pool.pop().unwrap_or_default());
+                let retained_updates = std::mem::replace(
+                    retained_updates,
+                    self.retained_pool.pop().unwrap_or_default(),
+                );
                 let msg = ApMessage { first_slot, actions, retained_updates };
                 self.plant.schedule(m.deliver_at + stall, DEv::BatchArrive { ap: ap.0, msg });
             } else {
@@ -1166,11 +1206,9 @@ impl DominoWorld {
                 // lands.
                 actions.clear();
                 retained_updates.clear();
-                self.action_pool.push(actions);
-                self.retained_pool.push(retained_updates);
             }
         }
-        self.slot_senders = sender_bufs;
+        self.staged = staged;
     }
 
     // --------------------------------------------------------- AP logic
@@ -1415,15 +1453,7 @@ impl DominoWorld {
     /// A triggered client transmits its uplink head (or a fake header).
     fn client_transmit(&mut self, now: SimTime, client: usize, slot: u64) {
         self.counters.client_transmissions += 1;
-        let uplink = match self
-            .net
-            .links()
-            .iter()
-            .find(|l| l.sender == NodeId(client as u32))
-        {
-            Some(l) => l.id,
-            None => return,
-        };
+        let Some(uplink) = self.uplink[client] else { return };
         // §3.5 missed ACK: the client retransmits the unacked packet when
         // its next trigger arrives.
         let packet = match self.nodes[client].unacked.take() {
@@ -1546,12 +1576,7 @@ impl DominoWorld {
 
     // ------------------------------------------------------- receptions
 
-    fn on_tx_end(&mut self, now: SimTime, tx: TxId) {
-        // One reception buffer for the whole run: `end_into` refills it
-        // here and the storage goes back on `self.rx_buf` below.
-        let mut receptions = std::mem::take(&mut self.rx_buf);
-        receptions.clear();
-        self.plant.medium.end_into(tx, now, &mut receptions);
+    fn on_tx_end(&mut self, now: SimTime, receptions: Vec<Reception>) {
         for r in &receptions {
             let rx = r.rx.index();
             match &r.frame.body {
@@ -1674,13 +1699,7 @@ impl DominoWorld {
                         ap: ap.0,
                         queue: *queue,
                     });
-                    let uplink = self
-                        .net
-                        .links()
-                        .iter()
-                        .find(|l| l.sender == *client)
-                        .map(|l| l.id);
-                    if let Some(link) = uplink {
+                    if let Some(link) = self.uplink[client.index()] {
                         if let Some(m) = self.backbone.try_send(now, ()) {
                             self.plant.schedule(
                                 m.deliver_at,
@@ -1719,7 +1738,7 @@ impl DominoWorld {
                 }
             }
         }
-        self.rx_buf = receptions;
+        self.plant.reuse(receptions);
     }
 
     /// The AP received an uplink frame: advance its program past the
@@ -1815,13 +1834,7 @@ impl DominoWorld {
         if self.plant.medium.is_transmitting(NodeId(client as u32)) {
             return;
         }
-        let uplink = self
-            .net
-            .links()
-            .iter()
-            .find(|l| l.sender == NodeId(client as u32))
-            .map(|l| l.id);
-        let Some(link) = uplink else { return };
+        let Some(link) = self.uplink[client] else { return };
         let unacked = u32::from(self.nodes[client].unacked.is_some());
         let fresh = self.plant.fe.queue(link, now).rop_report() + unacked;
         // Stale-report fault: the client replays the previous round's

@@ -12,7 +12,7 @@ use crate::plant::{Ev, Plant, SchemeEvent, Step};
 use crate::run::{RunInputs, World};
 use crate::timing::{ack_airtime, data_airtime, SIFS};
 use crate::workload::RunStats;
-use domino_medium::{Frame, FrameBody, TxId};
+use domino_medium::{Frame, FrameBody, Reception};
 use domino_obs::{CostPath, Probe, TraceEvent};
 use domino_scheduler::RandScheduler;
 use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter, Snapshot};
@@ -99,7 +99,7 @@ impl World for OmniWorld {
         match self.plant.step(now, ev) {
             Step::Released => {}
             Step::Scheme(OmniEv::SlotStart) => self.on_slot_start(now),
-            Step::TxEnd(tx) => self.on_tx_end(now, tx),
+            Step::TxEnd(receptions) => self.on_tx_end(now, receptions),
         }
     }
 
@@ -148,8 +148,7 @@ impl OmniWorld {
         self.plant.schedule(now + self.slot, OmniEv::SlotStart);
     }
 
-    fn on_tx_end(&mut self, now: SimTime, tx: TxId) {
-        let receptions = self.plant.medium.end(tx, now);
+    fn on_tx_end(&mut self, now: SimTime, receptions: Vec<Reception>) {
         for r in &receptions {
             if let FrameBody::Data { packet, .. } = &r.frame.body {
                 let l = *self.net.link(packet.link);
@@ -172,6 +171,7 @@ impl OmniWorld {
                 }
             }
         }
+        self.plant.reuse(receptions);
     }
 }
 

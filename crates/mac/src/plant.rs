@@ -26,7 +26,7 @@ use crate::flows::{FlowEngine, TCP_TICK};
 use crate::run::RunInputs;
 use crate::workload::{client_indices, RunStats};
 use domino_faults::{FaultPlane, NodeFaults};
-use domino_medium::{Frame, Medium, TxId};
+use domino_medium::{Frame, Medium, Reception, TxId};
 use domino_obs::{CostPath, FaultKind, Probe, TraceEvent};
 use domino_sim::engine::{DEFAULT_EVENT_BUDGET, DEFAULT_LIVENESS_WINDOW};
 use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter, Snapshot};
@@ -116,8 +116,10 @@ impl<X: SnapValue> SnapValue for Ev<X> {
 pub(crate) enum Step<X> {
     /// A TCP tick or an RTO may have released segments.
     Released,
-    /// A transmission left the air; the scheme adjudicates it.
-    TxEnd(TxId),
+    /// A transmission left the air: the medium's verdicts, in the plant's
+    /// one reception buffer, which the scheme hands back with
+    /// [`Plant::reuse`].
+    TxEnd(Vec<Reception>),
     /// The scheme's own event.
     Scheme(X),
 }
@@ -149,6 +151,9 @@ pub struct Plant<X> {
     /// Crash flag per AP: the first message accepted after the downtime
     /// counts as the recovery.
     ap_crashed: Vec<bool>,
+    /// The run's one reception buffer, lent to the scheme with each
+    /// [`Step::TxEnd`] (scratch: empty between events).
+    rx_buf: Vec<Reception>,
 }
 
 impl<X: SchemeEvent> Plant<X> {
@@ -181,6 +186,7 @@ impl<X: SchemeEvent> Plant<X> {
             timers: vec![None; timers],
             ap_dark_until: vec![SimTime::ZERO; net.num_nodes()],
             ap_crashed: vec![false; net.num_nodes()],
+            rx_buf: Vec::new(),
         }
     }
 
@@ -215,9 +221,10 @@ impl<X: SchemeEvent> Plant<X> {
     }
 
     /// Do the plant's share of one event: traffic events are handled in
-    /// full, re-arming their own flow's RTO, and a scheme timer's event
-    /// empties its timer's slot; what traffic released, and every other
-    /// event, goes back to the scheme.
+    /// full, re-arming their own flow's RTO, a transmission's end is
+    /// adjudicated, and a scheme timer's event empties its timer's slot;
+    /// what traffic released, the verdicts, and every other event go back
+    /// to the scheme.
     pub(crate) fn step(&mut self, now: SimTime, ev: Ev<X>) -> Step<X> {
         match ev {
             Ev::TcpTick { flow } => {
@@ -231,7 +238,12 @@ impl<X: SchemeEvent> Plant<X> {
                 self.rearm_rto(flow, now);
                 Step::Released
             }
-            Ev::TxEnd { tx } => Step::TxEnd(tx),
+            Ev::TxEnd { tx } => {
+                let mut receptions = std::mem::take(&mut self.rx_buf);
+                receptions.clear();
+                self.medium.end_into(tx, now, &mut receptions);
+                Step::TxEnd(receptions)
+            }
             Ev::Scheme(x) => {
                 if let Some(timer) = x.timer() {
                     self.timers[timer] = None;
@@ -239,6 +251,11 @@ impl<X: SchemeEvent> Plant<X> {
                 Step::Scheme(x)
             }
         }
+    }
+
+    /// Take back the reception buffer a [`Step::TxEnd`] lent out.
+    pub(crate) fn reuse(&mut self, receptions: Vec<Reception>) {
+        self.rx_buf = receptions;
     }
 
     /// Deliver `packet` at `now` and re-arm the RTO of the flow whose

@@ -32,52 +32,6 @@ impl SnapValue for TxId {
     }
 }
 
-/// Multiply-xor integer mixer for the PER memo table. Collisions are
-/// harmless (the map still compares full keys); all that matters is that
-/// the route is cheap and spreads `f64::to_bits` patterns, which SipHash
-/// does at ~10× the cost.
-#[derive(Clone, Copy, Debug, Default)]
-struct MixHasher(u64);
-
-impl std::hash::Hasher for MixHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        let mut x = self.0 ^ v;
-        x = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = x ^ (x >> 29);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-}
-
-/// [`std::hash::BuildHasher`] for [`MixHasher`].
-#[derive(Clone, Copy, Debug, Default)]
-struct BuildMixHasher;
-
-impl std::hash::BuildHasher for BuildMixHasher {
-    type Hasher = MixHasher;
-
-    #[inline]
-    fn build_hasher(&self) -> MixHasher {
-        MixHasher(0)
-    }
-}
-
 /// The medium's verdict on one (transmission, receiver) pair.
 #[derive(Clone, Debug)]
 pub struct Reception {
@@ -147,13 +101,6 @@ pub struct Medium {
     /// historically summed unfloored values; keeping both views preserves
     /// every adjudication bit).
     rss_raw_mw: Vec<f64>,
-    /// PER is a pure function of `(sinr_db, bits)` and the run's fixed
-    /// rate, so memoizing skips the `powf`/`erfc` per data adjudication.
-    /// Keys are exact bit patterns (equality still decides hits — the
-    /// hash only routes buckets), and the mixer is a cheap multiply-xor:
-    /// SipHash costs more than the saved transcendentals. Lookup only —
-    /// never iterated (lint D002).
-    per_cache: std::collections::HashMap<(u64, usize), f64, BuildMixHasher>,
     rng: SimRng,
     next_tx: u64,
     counters: MediumCounters,
@@ -205,9 +152,6 @@ impl Medium {
             cs_threshold_mw,
             rss_floor_mw,
             rss_raw_mw,
-            // Sized for a typical run's distinct (SINR, length) pairs so
-            // the steady state is reached without growth rehashes.
-            per_cache: std::collections::HashMap::with_capacity_and_hasher(512, BuildMixHasher),
             rng: SimRng::derive(master_seed, streams::PHY_ERROR),
             next_tx: 0,
             counters: MediumCounters::default(),
@@ -450,10 +394,9 @@ impl Medium {
     /// Save the channel's dynamic state: in-flight transmissions (with
     /// their interference tracks), the ambient power field, the PHY RNG,
     /// the transmission counter, reception counters, ROP round peaks and
-    /// the fault classes. The RSS matrices, the PER memo cache (a pure
-    /// function of its key), the per-node transmitting flags (derived
-    /// from the in-flight set), the recycling pools and the probe are
-    /// configuration, derived or scratch and are reconstructed, not
+    /// the fault classes. The RSS matrices, the per-node transmitting flags
+    /// (derived from the in-flight set), the recycling pools and the probe
+    /// are configuration, derived or scratch and are reconstructed, not
     /// saved.
     pub fn snapshot_save(&self, w: &mut SnapWriter) {
         w.put_u64(self.active.len() as u64);
@@ -620,16 +563,10 @@ impl Medium {
 
         let success = match &done.frame.body {
             FrameBody::Data { .. } | FrameBody::MacAck { .. } | FrameBody::Poll { .. } => {
-                let bits = done.frame.bits.max(1);
-                let key = (sinr_db.to_bits(), bits);
-                let per = match self.per_cache.get(&key) {
-                    Some(&p) => p,
-                    None => {
-                        let p = self.net.phy().data_rate.per(sinr_db, bits);
-                        self.per_cache.insert(key, p);
-                        p
-                    }
-                };
+                // Computed per frame, not memoised: SINRs are continuous,
+                // so (SINR, length) keys seldom repeat and a lookup per
+                // frame costs more than its few hits save.
+                let per = self.net.phy().data_rate.per(sinr_db, done.frame.bits.max(1));
                 !self.rng.chance(per)
             }
             FrameBody::RopReport { client, ap, .. } => {

@@ -28,7 +28,7 @@ use crate::schedule::{
 };
 use domino_phy::units::Dbm;
 use domino_sim::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
-use domino_topology::{ConflictGraph, LinkId, Network, NodeId};
+use domino_topology::{ConflictGraph, LinkId, LinkMask, Network, NodeId};
 
 /// Upper bound on signatures per broadcaster the converter's inline
 /// scratch can hold (the paper's `max_outbound` is 4).
@@ -83,23 +83,28 @@ pub struct ConversionOutcome {
 /// The scratch fields at the bottom are pure working storage, rebuilt or
 /// cleared on every call: the converter runs once per batch on the
 /// simulator's controller path, and reusing the buffers keeps the
-/// steady state allocation-free without touching any output.
+/// steady state allocation-free without touching any output. None of it
+/// is derived from a network's RSS map or conflict graph, so one
+/// converter may serve networks of any shape in turn.
 #[derive(Debug)]
 pub struct Converter {
     cfg: ConverterConfig,
     retained: Option<Vec<SlotEntry>>,
     batch_counter: u64,
-    /// Every link id, cached (the fake-insertion candidate universe).
-    all_links: Vec<LinkId>,
-    /// Links per AP node index (empty for clients), for ROP conflict
-    /// checks.
-    links_of_ap: Vec<Vec<LinkId>>,
-    /// Rotated fake-candidate order, reused across slots.
-    candidates: Vec<LinkId>,
-    /// Per-node outbound trigger targets ([`MAX_OUT`] inline slots).
+    /// Fake-link insertion's blocked mask, reused across slots.
+    blocked: LinkMask,
+    /// Per-node outbound trigger targets ([`MAX_OUT`] inline slots),
+    /// valid for this boundary's broadcasters.
     out_targets: Vec<([NodeId; MAX_OUT], usize)>,
-    /// Per-node inbound trigger count.
+    /// Per-node inbound trigger count, valid for this boundary's targets.
     inbound: Vec<u8>,
+    /// Per node: the boundary stamp under which it last joined the
+    /// broadcaster list, and the target list.
+    broadcaster_at: Vec<u64>,
+    target_at: Vec<u64>,
+    /// The current boundary's stamp (raised per boundary, so no table
+    /// needs clearing).
+    boundary: u64,
     /// Broadcaster candidates at the boundary being assigned.
     broadcasters: Vec<NodeId>,
     /// Trigger targets at the boundary being assigned.
@@ -107,6 +112,8 @@ pub struct Converter {
     /// Recycled slot storage (entries/bursts capacity survives between
     /// batches via [`Converter::convert_into`]).
     slot_pool: Vec<RelativeSlot>,
+    /// Recycled ROP-slot AP lists.
+    rop_pool: Vec<Vec<NodeId>>,
     /// Working copy of one strict slot during fake-link insertion.
     set_buf: Vec<LinkId>,
     /// Untriggered-links buffer, reused across boundaries.
@@ -120,35 +127,31 @@ impl Converter {
             cfg,
             retained: None,
             batch_counter: 0,
-            all_links: Vec::new(),
-            links_of_ap: Vec::new(),
-            candidates: Vec::new(),
+            blocked: LinkMask::default(),
             out_targets: Vec::new(),
             inbound: Vec::new(),
+            broadcaster_at: Vec::new(),
+            target_at: Vec::new(),
+            boundary: 0,
             broadcasters: Vec::new(),
             targets: Vec::new(),
             slot_pool: Vec::new(),
+            rop_pool: Vec::new(),
             set_buf: Vec::new(),
             untriggered_buf: Vec::new(),
         }
     }
 
-    /// (Re)build the cached link tables when the network shape changes
-    /// (in practice: once, on the first batch).
-    fn sync_tables(&mut self, net: &Network) {
-        if self.all_links.len() == net.links().len() && self.links_of_ap.len() == net.num_nodes()
-        {
-            return;
+    /// Size the per-node scratch tables to `nodes` (in practice: once, on
+    /// the first batch). Their contents are only read under the current
+    /// boundary's stamp, which no entry of a fresh table carries.
+    fn size_node_tables(&mut self, nodes: usize) {
+        if self.inbound.len() != nodes {
+            self.out_targets = vec![([NodeId(0); MAX_OUT], 0); nodes];
+            self.inbound = vec![0; nodes];
+            self.broadcaster_at = vec![0; nodes];
+            self.target_at = vec![0; nodes];
         }
-        self.all_links = (0..net.links().len() as u32).map(LinkId).collect();
-        self.links_of_ap = (0..net.num_nodes())
-            .map(|n| {
-                let node = NodeId(n as u32);
-                net.links().iter().filter(|l| l.ap == node).map(|l| l.id).collect()
-            })
-            .collect();
-        self.out_targets = vec![([NodeId(0); MAX_OUT], 0); net.num_nodes()];
-        self.inbound = vec![0; net.num_nodes()];
     }
 
     /// The configuration in force.
@@ -197,19 +200,24 @@ impl Converter {
         out.rescheduled.clear();
         out.unpolled_aps.clear();
         out.batch.connecting_bursts.clear();
-        out.batch.connecting_rop = None;
+        if let Some(rop) = out.batch.connecting_rop.take() {
+            self.rop_pool.push(rop.aps);
+        }
         self.slot_pool.append(&mut out.batch.slots);
         if strict.is_empty() && polling_aps.is_empty() {
             return;
         }
-        self.sync_tables(net);
+        self.size_node_tables(net.num_nodes());
 
         // 1. Fake-link insertion.
+        let n_links = net.links().len();
         for (i, slot) in strict.slots.iter().enumerate() {
             let mut rslot = self.slot_pool.pop().unwrap_or_default();
             rslot.entries.clear();
             rslot.bursts.clear();
-            rslot.rop_after = None;
+            if let Some(rop) = rslot.rop_after.take() {
+                self.rop_pool.push(rop.aps);
+            }
             let mut set = std::mem::take(&mut self.set_buf);
             set.clear();
             set.extend_from_slice(slot);
@@ -219,12 +227,10 @@ impl Converter {
             if self.cfg.insert_fake_links {
                 // Rotate the candidate order per slot so fake coverage
                 // cycles over the whole network.
-                let rot = (self.batch_counter as usize * 7 + i) % self.all_links.len().max(1);
-                self.candidates.clear();
-                self.candidates.extend_from_slice(&self.all_links[rot..]);
-                self.candidates.extend_from_slice(&self.all_links[..rot]);
+                let rot = (self.batch_counter as usize * 7 + i) % n_links.max(1);
+                let candidates = (rot..n_links).chain(0..rot).map(|l| LinkId(l as u32));
                 let before = set.len();
-                graph.extend_to_maximal_in_place(&mut set, &self.candidates);
+                graph.extend_to_maximal_in_place(&mut set, candidates, &mut self.blocked);
                 rslot.entries.extend(
                     set[before..]
                         .iter()
@@ -325,24 +331,16 @@ impl Converter {
         }
     }
 
-    /// Try to give `ap` an ROP opportunity; returns success.
+    /// Try to give `ap` an ROP opportunity; returns success. An ROP slot
+    /// is shared only by APs whose cells do not conflict.
     fn try_insert_rop(
-        &self,
+        &mut self,
         net: &Network,
         graph: &ConflictGraph,
         ap: NodeId,
         slots: &mut [RelativeSlot],
         connecting_rop: &mut Option<RopSlot>,
     ) -> bool {
-        let ap_links = &self.links_of_ap[ap.index()];
-        let compatible = |existing: &RopSlot| {
-            existing.aps.iter().all(|&other| {
-                let other_links = &self.links_of_ap[other.index()];
-                ap_links
-                    .iter()
-                    .all(|&a| other_links.iter().all(|&b| !graph.conflicts(a, b)))
-            })
-        };
         // Boundary None sits between the retained slot and the first
         // slot; inner boundaries follow in execution order.
         let boundaries = (self.retained.is_some().then_some(None).into_iter())
@@ -361,11 +359,14 @@ impl Converter {
             };
             match slot_ref {
                 None => {
-                    *slot_ref = Some(RopSlot { aps: vec![ap] });
+                    let mut aps = self.rop_pool.pop().unwrap_or_default();
+                    aps.clear();
+                    aps.push(ap);
+                    *slot_ref = Some(RopSlot { aps });
                     return true;
                 }
                 Some(existing) => {
-                    if compatible(existing) {
+                    if existing.aps.iter().all(|&other| !graph.cells_conflict(ap, other)) {
                         existing.aps.push(ap);
                         return true;
                     }
@@ -397,46 +398,39 @@ impl Converter {
         bursts: &mut Vec<BurstAssignment>,
         untriggered: &mut Vec<LinkId>,
     ) {
-        // Candidate broadcasters: both endpoints of every prev-slot link.
+        // Candidate broadcasters: both endpoints of every prev-slot link,
+        // each once, in first-seen order. A node's stamp says whether it
+        // joined this boundary's list already; joining resets its
+        // outbound table.
+        self.boundary += 1;
+        let stamp = self.boundary;
         self.broadcasters.clear();
         for e in prev {
             let l = net.link(e.link);
             for n in [l.sender, l.receiver] {
-                if !self.broadcasters.contains(&n) {
+                if self.broadcaster_at[n.index()] != stamp {
+                    self.broadcaster_at[n.index()] = stamp;
+                    self.out_targets[n.index()].1 = 0;
                     self.broadcasters.push(n);
                 }
             }
         }
 
-        // Targets: (node, link-to-mark-if-untriggered). Targets that are
-        // endpoints of the previous slot may be deaf during the
-        // simultaneous burst phase (the engine's self-trigger path covers
-        // them), but they still receive assignments: the redundancy is
-        // what rides out partial failures (§3.2's cross-links).
+        // Targets: (node, link-to-mark-if-untriggered), each node once.
+        // Targets that are endpoints of the previous slot may be deaf
+        // during the simultaneous burst phase (the engine's self-trigger
+        // path covers them), but they still receive assignments: the
+        // redundancy is what rides out partial failures (§3.2's
+        // cross-links).
         self.targets.clear();
-        for e in next {
-            let sender = net.link(e.link).sender;
-            if !self.targets.iter().any(|&(n, _)| n == sender) {
-                self.targets.push((sender, Some(e.link)));
+        let senders = next.iter().map(|e| (net.link(e.link).sender, Some(e.link)));
+        for (n, link) in senders.chain(rop_aps.iter().map(|&ap| (ap, None))) {
+            if self.target_at[n.index()] != stamp {
+                self.target_at[n.index()] = stamp;
+                self.inbound[n.index()] = 0;
+                self.targets.push((n, link));
             }
         }
-        for &ap in rop_aps {
-            if !self.targets.iter().any(|&(n, _)| n == ap) {
-                self.targets.push((ap, None));
-            }
-        }
-
-        // Per-node scratch tables stand in for the original
-        // `BTreeMap<NodeId, _>`s: node-index order *is* ascending NodeId
-        // order, so the drained burst list and every §3.3
-        // highest-RSS-first tie-break come out identically — and the
-        // tables are plain clears, not tree rebuilds (lint rule D002
-        // cares about iteration order, which stays deterministic).
-        let n = net.num_nodes();
-        for slot in &mut self.out_targets[..n] {
-            slot.1 = 0;
-        }
-        self.inbound[..n].fill(0);
 
         // Two passes: primary trigger for everyone, then secondary
         // triggers ("repeat the previous step to find the secondary
@@ -483,21 +477,23 @@ impl Converter {
             }
         }
 
-        bursts.extend((0..n).filter_map(|i| {
-            let (assigned, count) = &self.out_targets[i];
+        // One burst per broadcaster that got targets, in ascending node
+        // order.
+        self.broadcasters.sort_unstable();
+        bursts.extend(self.broadcasters.iter().filter_map(|&b| {
+            let (assigned, count) = &self.out_targets[b.index()];
             (*count > 0).then(|| BurstAssignment {
-                broadcaster: NodeId(i as u32),
+                broadcaster: b,
                 targets: assigned[..*count].iter().copied().collect(),
             })
         }));
     }
-
 }
 
 impl Snapshot for Converter {
     /// Dynamic state: the batch counter (it seeds the fake-candidate
-    /// rotation) and the retained batch-connection slot. The cached link
-    /// tables are rebuilt lazily and every other field is scratch.
+    /// rotation) and the retained batch-connection slot. Every other
+    /// field is scratch.
     fn save(&self, w: &mut SnapWriter) {
         w.put_u64(self.batch_counter);
         match &self.retained {

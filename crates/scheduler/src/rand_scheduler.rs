@@ -13,18 +13,23 @@
 
 use crate::schedule::StrictSchedule;
 use domino_sim::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
-use domino_topology::{ConflictGraph, LinkId};
+use domino_topology::{ConflictGraph, LinkId, LinkMask};
 
 /// Rotating-queue greedy scheduler.
 ///
-/// The pools at the bottom recycle slot storage between batches: a
-/// caller that hands each schedule back via [`RandScheduler::recycle`]
-/// keeps the steady-state compute loop allocation-free.
+/// The pools and masks at the bottom are scratch: a caller that hands
+/// each schedule back via [`RandScheduler::recycle`] keeps the
+/// steady-state compute loop allocation-free.
 #[derive(Clone, Debug)]
 pub struct RandScheduler {
     order: Vec<LinkId>,
     slot_pool: Vec<Vec<LinkId>>,
     spare: Vec<StrictSchedule>,
+    /// The slot being built: its links and every link conflicting with
+    /// one of them.
+    blocked: LinkMask,
+    /// The slot's links, which the fairness rotation moves to the back.
+    chosen_mask: LinkMask,
 }
 
 impl RandScheduler {
@@ -34,6 +39,8 @@ impl RandScheduler {
             order: (0..num_links as u32).map(LinkId).collect(),
             slot_pool: Vec::new(),
             spare: Vec::new(),
+            blocked: LinkMask::default(),
+            chosen_mask: LinkMask::default(),
         }
     }
 
@@ -55,8 +62,10 @@ impl RandScheduler {
     /// Produce a strict schedule of at most `max_slots` slots, consuming
     /// from `backlog` (packets per link, indexed by `LinkId::index`).
     ///
-    /// Stops early when no link has backlog left. Fairness rotation is
-    /// applied after every slot.
+    /// Each slot takes, in fairness order, every backlogged link that
+    /// conflicts with none taken before it: a link fits iff its bit is
+    /// clear in the slot's blocked mask. Stops early when no link has
+    /// backlog left. Fairness rotation is applied after every slot.
     pub fn schedule_batch(
         &mut self,
         graph: &ConflictGraph,
@@ -69,25 +78,27 @@ impl RandScheduler {
         for _ in 0..max_slots {
             let mut chosen = self.slot_pool.pop().unwrap_or_default();
             chosen.clear();
+            self.blocked.reset(graph);
             for &l in &self.order {
-                if backlog[l.index()] == 0 {
-                    continue;
-                }
-                if graph.compatible_with_all(l, &chosen) {
+                if backlog[l.index()] > 0 && !self.blocked.contains(l) {
                     chosen.push(l);
+                    graph.block(&mut self.blocked, l);
                 }
             }
             if chosen.is_empty() {
                 self.slot_pool.push(chosen);
                 break;
             }
+            self.chosen_mask.reset(graph);
             for &l in &chosen {
                 backlog[l.index()] -= 1;
+                self.chosen_mask.insert(l);
             }
             // Fairness: move the scheduled links to the end of Q,
             // preserving their relative order.
-            self.order.retain(|l| !chosen.contains(l));
-            self.order.extend(chosen.iter().copied());
+            let taken = &self.chosen_mask;
+            self.order.retain(|&l| !taken.contains(l));
+            self.order.extend_from_slice(&chosen);
             schedule.slots.push(chosen);
         }
         schedule

@@ -11,13 +11,32 @@
 
 use crate::link::LinkId;
 use crate::network::Network;
+use crate::node::NodeId;
 use domino_phy::units::Dbm;
 
 /// The conflict graph over a network's links.
+///
+/// Each link's conflicts are one row of `u64` words: bit `j` of row `i` is
+/// set when links `i` and `j` conflict. Rows are symmetric with an empty
+/// diagonal. A greedy slot builder ORs each chosen link's row into a
+/// [`LinkMask`], so one bit test tells whether a candidate conflicts with
+/// any link chosen so far.
+///
+/// Built with the rows, and from them alone, is the cell relation the
+/// converter's ROP-slot sharing needs: two APs' cells conflict when any
+/// link of one conflicts with any link of the other.
 #[derive(Clone, Debug)]
 pub struct ConflictGraph {
     n: usize,
-    adj: Vec<Vec<bool>>,
+    /// Words per link row: `n` bits rounded up to whole words.
+    words: usize,
+    /// Row `i` is `rows[i * words..(i + 1) * words]`.
+    rows: Vec<u64>,
+    /// Words per cell row: one bit per node.
+    cell_words: usize,
+    /// Node-indexed: bit `b` of row `a` is set when a link whose AP is `a`
+    /// conflicts with a link whose AP is `b` (clients' rows stay empty).
+    cells: Vec<u64>,
 }
 
 impl ConflictGraph {
@@ -38,22 +57,31 @@ impl ConflictGraph {
         Self::build_with(net, |net, a, b| ack_conflict(net, capture, a, b))
     }
 
-    /// Build with an arbitrary pairwise conflict rule.
-    pub fn build_with(
-        net: &Network,
-        rule: impl Fn(&Network, LinkId, LinkId) -> bool,
-    ) -> ConflictGraph {
+    /// Build under a symmetric pairwise conflict `rule`, evaluated once
+    /// per unordered pair.
+    fn build_with(net: &Network, rule: impl Fn(&Network, LinkId, LinkId) -> bool) -> ConflictGraph {
         let n = net.links().len();
-        let mut adj = vec![vec![false; n]; n];
-        #[allow(clippy::needless_range_loop)]
+        let words = n.div_ceil(64);
+        let mut rows = vec![0u64; n * words];
         for i in 0..n {
             for j in (i + 1)..n {
-                let c = rule(net, LinkId(i as u32), LinkId(j as u32));
-                adj[i][j] = c;
-                adj[j][i] = c;
+                if rule(net, LinkId(i as u32), LinkId(j as u32)) {
+                    rows[i * words + j / 64] |= 1 << (j % 64);
+                    rows[j * words + i / 64] |= 1 << (i % 64);
+                }
             }
         }
-        ConflictGraph { n, adj }
+        let nodes = net.num_nodes();
+        let cell_words = nodes.div_ceil(64);
+        let mut cells = vec![0u64; nodes * cell_words];
+        for (i, li) in net.links().iter().enumerate() {
+            let row = &rows[i * words..(i + 1) * words];
+            for j in set_bits(row) {
+                let b = net.links()[j].ap.index();
+                cells[li.ap.index() * cell_words + b / 64] |= 1 << (b % 64);
+            }
+        }
+        ConflictGraph { n, words, rows, cell_words, cells }
     }
 
     /// Number of link vertices.
@@ -68,23 +96,47 @@ impl ConflictGraph {
         self.n == 0
     }
 
+    /// The conflict row of `l`: bit `j` is set when `l` conflicts with
+    /// link `j`.
+    #[inline]
+    pub fn row(&self, l: LinkId) -> &[u64] {
+        let i = l.index();
+        &self.rows[i * self.words..(i + 1) * self.words]
+    }
+
     /// Do two links conflict?
     #[inline]
     pub fn conflicts(&self, a: LinkId, b: LinkId) -> bool {
-        self.adj[a.index()][b.index()]
+        let j = b.index();
+        self.row(a)[j / 64] >> (j % 64) & 1 == 1
     }
 
-    /// Links conflicting with `l`.
+    /// Links conflicting with `l`, in id order.
     pub fn neighbors(&self, l: LinkId) -> Vec<LinkId> {
-        (0..self.n as u32)
-            .map(LinkId)
-            .filter(|&o| self.adj[l.index()][o.index()])
-            .collect()
+        set_bits(self.row(l)).map(|j| LinkId(j as u32)).collect()
     }
 
     /// Degree of a link vertex.
     pub fn degree(&self, l: LinkId) -> usize {
-        self.adj[l.index()].iter().filter(|&&c| c).count()
+        self.row(l).iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Do the cells of APs `a` and `b` conflict: does some link whose AP
+    /// is `a` conflict with some link whose AP is `b`? False whenever
+    /// either node has no links as their AP (a client, for one).
+    #[inline]
+    pub fn cells_conflict(&self, a: NodeId, b: NodeId) -> bool {
+        let j = b.index();
+        self.cells[a.index() * self.cell_words + j / 64] >> (j % 64) & 1 == 1
+    }
+
+    /// Add `l` and every link conflicting with it to `blocked`.
+    #[inline]
+    pub fn block(&self, blocked: &mut LinkMask, l: LinkId) {
+        blocked.insert(l);
+        for (w, &r) in blocked.words.iter_mut().zip(self.row(l)) {
+            *w |= r;
+        }
     }
 
     /// Is `candidate` compatible with every link in `set`?
@@ -105,27 +157,75 @@ impl ConflictGraph {
         true
     }
 
-    /// Extend `set` to a *maximal* independent set by greedily adding
-    /// non-conflicting links from `candidates` in the given order (the
-    /// converter's fake-link insertion, paper §3.3).
-    ///
-    /// Returns the links that were added.
-    pub fn extend_to_maximal(&self, set: &mut Vec<LinkId>, candidates: &[LinkId]) -> Vec<LinkId> {
-        let before = set.len();
-        self.extend_to_maximal_in_place(set, candidates);
-        set[before..].to_vec()
-    }
-
-    /// [`ConflictGraph::extend_to_maximal`] without materializing the
-    /// added-links list: callers that need it can diff on `set.len()`.
-    pub fn extend_to_maximal_in_place(&self, set: &mut Vec<LinkId>, candidates: &[LinkId]) {
+    /// Extend the independent `set` to a *maximal* independent set by
+    /// greedily adding, in the given order, each candidate that conflicts
+    /// with no link of `set` and is not in it (the converter's fake-link
+    /// insertion, paper §3.3). `blocked` is caller scratch: it ends
+    /// holding `set` and every link conflicting with one of its links.
+    pub fn extend_to_maximal_in_place(
+        &self,
+        set: &mut Vec<LinkId>,
+        candidates: impl IntoIterator<Item = LinkId>,
+        blocked: &mut LinkMask,
+    ) {
         debug_assert!(self.is_independent(set));
-        for &c in candidates {
-            if self.compatible_with_all(c, set) {
+        blocked.reset(self);
+        for &s in set.iter() {
+            self.block(blocked, s);
+        }
+        for c in candidates {
+            if !blocked.contains(c) {
                 set.push(c);
+                self.block(blocked, c);
             }
         }
     }
+}
+
+/// A set of links as a bit mask over link ids, one conflict row wide: the
+/// scratch a greedy slot builder grows with [`ConflictGraph::block`].
+/// Reused across slots, it stops allocating once it has grown to its
+/// graph's row width.
+#[derive(Clone, Debug, Default)]
+pub struct LinkMask {
+    words: Vec<u64>,
+}
+
+impl LinkMask {
+    /// Empty the mask and size it to `graph`'s rows.
+    #[inline]
+    pub fn reset(&mut self, graph: &ConflictGraph) {
+        self.words.clear();
+        self.words.resize(graph.words, 0);
+    }
+
+    /// Is `l` in the mask?
+    #[inline]
+    pub fn contains(&self, l: LinkId) -> bool {
+        let j = l.index();
+        self.words[j / 64] >> (j % 64) & 1 == 1
+    }
+
+    /// Add `l` to the mask.
+    #[inline]
+    pub fn insert(&mut self, l: LinkId) {
+        let j = l.index();
+        self.words[j / 64] |= 1 << (j % 64);
+    }
+}
+
+/// Indices of the set bits of `row`, ascending.
+fn set_bits(row: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    row.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                w * 64 + bit
+            })
+        })
+    })
 }
 
 /// Would concurrent operation of links `a` and `b` break either *data*
@@ -383,11 +483,14 @@ mod tests {
 
         let mut set = vec![LinkId(0)];
         let all: Vec<LinkId> = (0..4).map(LinkId).collect();
-        let added = g.extend_to_maximal(&mut set, &all);
+        let mut blocked = LinkMask::default();
+        g.extend_to_maximal_in_place(&mut set, all.iter().copied(), &mut blocked);
         assert!(g.is_independent(&set));
         // Link 2 or 3 must have been added (other pair is compatible).
-        assert_eq!(added.len(), 1);
-        assert!(set.len() == 2);
+        assert_eq!(set.len(), 2);
+        // The mask ends holding the set and everything it blocks: here,
+        // every link.
+        assert!(all.iter().all(|&l| blocked.contains(l)));
         // Maximality: nothing else fits.
         for &c in &all {
             if !set.contains(&c) {
@@ -403,6 +506,21 @@ mod tests {
         for i in 0..g.len() as u32 {
             assert_eq!(g.degree(LinkId(i)), g.neighbors(LinkId(i)).len());
         }
+    }
+
+    #[test]
+    fn cells_conflict_when_any_of_their_links_do() {
+        // AP0 is loud at C3: downlink AP0->C1 breaks AP2->C3, so the two
+        // cells conflict both ways; each cell conflicts with itself (its
+        // up- and downlink share the AP) and clients have no cell.
+        let g = ConflictGraph::build(&net_with(&[(0, 3, -55.0)]));
+        assert!(g.cells_conflict(NodeId(0), NodeId(2)));
+        assert!(g.cells_conflict(NodeId(2), NodeId(0)));
+        assert!(g.cells_conflict(NodeId(0), NodeId(0)));
+        assert!(!g.cells_conflict(NodeId(1), NodeId(2)));
+        assert!(!g.cells_conflict(NodeId(2), NodeId(3)));
+        let quiet = ConflictGraph::build(&net_with(&[]));
+        assert!(!quiet.cells_conflict(NodeId(0), NodeId(2)));
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub mod presets;
 pub mod rss;
 pub mod trace;
 
-pub use conflict::{ConflictGraph, PairKind, PairStats};
+pub use conflict::{ConflictGraph, LinkMask, PairKind, PairStats};
 pub use inline::InlineVec;
 pub use link::{Direction, Link, LinkId};
 pub use network::{Network, PhyParams};

@@ -247,3 +247,118 @@ fn golden_omniscient_fig7_saturated_seeded() {
 fn golden_runs_are_reproducible_in_process() {
     assert_eq!(summary(Scheme::Domino), summary(Scheme::Domino));
 }
+
+/// SHA-256 over 200 consecutive controller rounds on `net`: each round
+/// draws a fresh backlog (a quarter of the links idle, every 25th round
+/// all idle, which takes the controller's fake-only heartbeat path), runs
+/// `schedule_batch` at DOMINO's 5 slots per batch and `convert_into` with
+/// every AP polling, and hashes the whole outcome in an explicit
+/// encoding: each slot's entries with their fake and kick-off flags, its
+/// bursts and its ROP slot, the connecting bursts and ROP slot, the
+/// rescheduled links and the unpolled APs.
+fn controller_rounds_digest(
+    net: &domino::topology::Network,
+    cfg: domino::scheduler::ConverterConfig,
+) -> String {
+    use domino::scheduler::{BurstAssignment, ConversionOutcome, Converter, RandScheduler, RopSlot};
+    use domino::topology::ConflictGraph;
+    use domino_testkit::digest::{to_hex, Sha256};
+    use domino_testkit::Rng;
+
+    fn put_len(h: &mut Sha256, len: usize) {
+        h.update(&(len as u64).to_le_bytes());
+    }
+    fn put_bursts(h: &mut Sha256, bursts: &[BurstAssignment]) {
+        put_len(h, bursts.len());
+        for b in bursts {
+            h.update(&b.broadcaster.0.to_le_bytes());
+            put_len(h, b.targets.len());
+            for t in b.targets.iter() {
+                h.update(&t.0.to_le_bytes());
+            }
+        }
+    }
+    fn put_rop(h: &mut Sha256, rop: &Option<RopSlot>) {
+        match rop {
+            None => h.update(&[0]),
+            Some(r) => {
+                h.update(&[1]);
+                put_len(h, r.aps.len());
+                for ap in &r.aps {
+                    h.update(&ap.0.to_le_bytes());
+                }
+            }
+        }
+    }
+
+    let n = net.links().len();
+    let graph = ConflictGraph::build(net);
+    let aps = net.aps();
+    let mut sched = RandScheduler::new(n);
+    let mut conv = Converter::new(cfg);
+    let mut out = ConversionOutcome::default();
+    let mut rng = Rng::seed_from_u64(0xD0311);
+    let mut backlog = vec![0u32; n];
+    let mut h = Sha256::new();
+    for round in 0..200 {
+        for b in &mut backlog {
+            *b = if round % 25 == 24 || rng.chance(0.25) { 0 } else { 1 + rng.below(3) as u32 };
+        }
+        let mut strict = sched.schedule_batch(&graph, &mut backlog, 5);
+        if strict.is_empty() {
+            strict.slots = vec![Vec::new(); if conv.has_retained_slot() { 1 } else { 2 }];
+        }
+        conv.convert_into(net, &graph, &strict, &aps, &mut out);
+        sched.recycle(strict);
+        put_bursts(&mut h, &out.batch.connecting_bursts);
+        put_rop(&mut h, &out.batch.connecting_rop);
+        put_len(&mut h, out.batch.slots.len());
+        for slot in &out.batch.slots {
+            put_len(&mut h, slot.entries.len());
+            for e in &slot.entries {
+                h.update(&e.link.0.to_le_bytes());
+                h.update(&[u8::from(e.fake), u8::from(e.kick_off)]);
+            }
+            put_bursts(&mut h, &slot.bursts);
+            put_rop(&mut h, &slot.rop_after);
+        }
+        put_len(&mut h, out.rescheduled.len());
+        for l in &out.rescheduled {
+            h.update(&l.0.to_le_bytes());
+        }
+        put_len(&mut h, out.unpolled_aps.len());
+        for ap in &out.unpolled_aps {
+            h.update(&ap.0.to_le_bytes());
+        }
+    }
+    to_hex(&h.finalize())
+}
+
+/// The controller round beyond fig7's four APs: T(10,2) (40 links) and
+/// Fig 14's random T(20,3) (120 links, two 64-bit words per conflict
+/// row), where the graph and the controller's per-node tables are large.
+/// A third run on T(10,2) raises the trigger floor to -75 dBm and caps
+/// broadcasters at two signatures, so targets go untriggered and become
+/// kick-offs and the outbound cap binds.
+#[test]
+fn golden_controller_rounds_t10x2_and_rt20x3() {
+    use domino::phy::units::Dbm;
+    use domino::scheduler::ConverterConfig;
+    let strict = ConverterConfig {
+        trigger_min_rss: Dbm(-75.0),
+        max_outbound: 2,
+        ..ConverterConfig::default()
+    };
+    assert_eq!(
+        controller_rounds_digest(&scenarios::standard_t(10, 2, 1), ConverterConfig::default()),
+        "b551c68b4d1b7b04f1ee1130f20765a4fdd723658156b0c0c00a0b3da48f6fc1"
+    );
+    assert_eq!(
+        controller_rounds_digest(&scenarios::random_t(20, 3, 1), ConverterConfig::default()),
+        "30156c80ffadfac6963f25ec4fda653d024c26d735ef08be8ffb2dc0ad770d83"
+    );
+    assert_eq!(
+        controller_rounds_digest(&scenarios::standard_t(10, 2, 1), strict),
+        "d8d9468aa17c92d0636f51ab4c5c601ab0b4e07f43ae34e4057e33d347d9a85b"
+    );
+}

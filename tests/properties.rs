@@ -612,6 +612,245 @@ fn regression_all_zero_fault_schedule_is_off() {
 }
 
 // ---------------------------------------------------------------------------
+// Conflict rows against the pairwise rules. The graph stores each link's
+// conflicts as a row of 64-bit words and the greedy slot builders test a
+// candidate with one bit of a blocked mask; these properties hold both to
+// the pair-by-pair definitions on networks of one, two and three words per
+// row.
+// ---------------------------------------------------------------------------
+
+/// One of three network families, by row width: T(10,2) (40 links, one
+/// word), random T(20,3) (120 links, two) and random T(25,3) (150 links,
+/// three), at a drawn seed.
+fn arbitrary_row_width_network(g: &mut prop::Gen) -> (Network, usize) {
+    let seed = g.u64(1, 500);
+    match g.usize(0, 2) {
+        0 => (scenarios::standard_t(10, 2, seed), 1),
+        1 => (scenarios::random_t(20, 3, seed), 2),
+        _ => (scenarios::random_t(25, 3, seed), 3),
+    }
+}
+
+#[test]
+fn conflict_rows_agree_with_the_pair_rules() {
+    use domino::topology::conflict::{links_conflict, links_conflict_with_acks};
+    prop::check_with(
+        prop::Config { cases: 6, seed: 0xB175, max_shrink_replays: 16 },
+        "conflict_rows_agree_with_the_pair_rules",
+        |g| {
+            let (net, words) = arbitrary_row_width_network(g);
+            let n = net.links().len();
+            let data = ConflictGraph::build(&net);
+            let sched = ConflictGraph::build_for_scheduling(&net);
+            for (graph, rule) in [
+                (&data, links_conflict as fn(&Network, LinkId, LinkId) -> bool),
+                (&sched, links_conflict_with_acks),
+            ] {
+                prop_assert_eq!(graph.len(), n);
+                for i in 0..n {
+                    let a = LinkId(i as u32);
+                    prop_assert_eq!(graph.row(a).len(), words);
+                    prop_assert!(!graph.conflicts(a, a), "{:?} conflicts with itself", a);
+                    let mut neighbors = Vec::new();
+                    for j in (0..n).filter(|&j| j != i) {
+                        let b = LinkId(j as u32);
+                        prop_assert_eq!(graph.conflicts(a, b), rule(&net, a, b), "{:?}/{:?}", a, b);
+                        prop_assert_eq!(graph.conflicts(a, b), graph.conflicts(b, a));
+                        if graph.conflicts(a, b) {
+                            neighbors.push(b);
+                        }
+                    }
+                    prop_assert_eq!(graph.degree(a), neighbors.len());
+                    prop_assert_eq!(graph.neighbors(a), neighbors);
+                }
+                // Cells: any link of one AP against any link of the other.
+                for a in net.aps() {
+                    for b in (0..net.num_nodes() as u32).map(NodeId) {
+                        let cell = |ap| net.links().iter().filter(move |l| l.ap == ap);
+                        let pairwise =
+                            cell(a).any(|la| cell(b).any(|lb| graph.conflicts(la.id, lb.id)));
+                        prop_assert_eq!(graph.cells_conflict(a, b), pairwise, "{:?}/{:?}", a, b);
+                    }
+                }
+            }
+        },
+    );
+}
+
+/// The greedy RAND slot rule, pair by pair: each backlogged link in
+/// fairness order joins the slot when it is compatible with every link
+/// already in it; the slot's links then move to the back of the order.
+fn pairwise_schedule_batch(
+    graph: &ConflictGraph,
+    order: &mut Vec<LinkId>,
+    backlog: &mut [u32],
+    max_slots: usize,
+) -> Vec<Vec<LinkId>> {
+    let mut slots = Vec::new();
+    for _ in 0..max_slots {
+        let mut chosen: Vec<LinkId> = Vec::new();
+        for &l in order.iter() {
+            if backlog[l.index()] > 0 && graph.compatible_with_all(l, &chosen) {
+                chosen.push(l);
+            }
+        }
+        if chosen.is_empty() {
+            break;
+        }
+        for &l in &chosen {
+            backlog[l.index()] -= 1;
+        }
+        order.retain(|l| !chosen.contains(l));
+        order.extend(chosen.iter().copied());
+        slots.push(chosen);
+    }
+    slots
+}
+
+/// Fake-link insertion, pair by pair: each candidate in order joins the
+/// set when it is compatible with every link already in it.
+fn pairwise_extend(graph: &ConflictGraph, set: &mut Vec<LinkId>, candidates: &[LinkId]) {
+    for &c in candidates {
+        if graph.compatible_with_all(c, set) {
+            set.push(c);
+        }
+    }
+}
+
+#[test]
+fn greedy_slot_builders_agree_with_the_pairwise_greedy() {
+    use domino::sim::snapshot::{SnapReader, SnapWriter, Snapshot};
+    use domino::topology::LinkMask;
+    prop::check_with(
+        prop::Config { cases: 12, seed: 0x6EED, max_shrink_replays: 16 },
+        "greedy_slot_builders_agree_with_the_pairwise_greedy",
+        |g| {
+            let (net, _) = arbitrary_row_width_network(g);
+            let n = net.links().len();
+            let graph = if g.bool() {
+                ConflictGraph::build(&net)
+            } else {
+                ConflictGraph::build_for_scheduling(&net)
+            };
+            // A drawn fairness order, installed through the scheduler's
+            // snapshot (its only dynamic state).
+            let mut order: Vec<LinkId> = (0..n as u32).map(LinkId).collect();
+            for i in (1..n).rev() {
+                order.swap(i, g.usize(0, i));
+            }
+            let mut w = SnapWriter::new();
+            w.put_u64(n as u64);
+            for l in &order {
+                w.put_u32(l.0);
+            }
+            let bytes = w.into_bytes();
+            let mut sched = RandScheduler::new(n);
+            prop_assert!(sched.restore(&mut SnapReader::new(&bytes)).is_ok());
+            let mut mask = LinkMask::default();
+            for _ in 0..3 {
+                let idle = g.u64(0, 9);
+                let backlog: Vec<u32> = (0..n)
+                    .map(|_| if g.u64(0, 9) < idle { 0 } else { g.u64(1, 3) as u32 })
+                    .collect();
+                let max_slots = g.usize(1, 8);
+                let (mut got_backlog, mut want_backlog) = (backlog.clone(), backlog);
+                let got = sched.schedule_batch(&graph, &mut got_backlog, max_slots);
+                let want =
+                    pairwise_schedule_batch(&graph, &mut order, &mut want_backlog, max_slots);
+                prop_assert_eq!(&got.slots, &want);
+                prop_assert_eq!(&got_backlog, &want_backlog);
+                prop_assert_eq!(sched.order(), &order[..]);
+                // Each slot, topped up from a drawn rotation of every link.
+                for slot in &got.slots {
+                    let rot = g.usize(0, n - 1);
+                    let candidates: Vec<LinkId> =
+                        (rot..n).chain(0..rot).map(|l| LinkId(l as u32)).collect();
+                    let (mut got_set, mut want_set) = (slot.clone(), slot.clone());
+                    graph.extend_to_maximal_in_place(
+                        &mut got_set,
+                        candidates.iter().copied(),
+                        &mut mask,
+                    );
+                    pairwise_extend(&graph, &mut want_set, &candidates);
+                    prop_assert_eq!(&got_set, &want_set);
+                    prop_assert!(graph.is_independent(&got_set));
+                }
+                sched.recycle(got);
+            }
+        },
+    );
+}
+
+#[test]
+fn one_converter_serves_same_shape_networks_like_fresh_ones() {
+    use domino::scheduler::ConversionOutcome;
+    use domino::sim::snapshot::{SnapReader, SnapWriter, Snapshot};
+    // Same shape (30 nodes, 40 links), different RSS maps and so
+    // different graphs: tables derived from the first network would
+    // mislead the second's conversion.
+    let first = scenarios::standard_t(10, 2, 1);
+    let second = scenarios::standard_t(10, 2, 2);
+    let (g1, g2) = (ConflictGraph::build(&first), ConflictGraph::build(&second));
+    assert_eq!(
+        (first.num_nodes(), first.links().len()),
+        (second.num_nodes(), second.links().len())
+    );
+    let aps = second.aps();
+    let differ = |a, b| g1.cells_conflict(a, b) != g2.cells_conflict(a, b);
+    assert!(
+        aps.iter().any(|&a| aps.iter().any(|&b| differ(a, b))),
+        "the two networks' cell conflicts must differ for this property to bite"
+    );
+    prop::check_with(
+        prop::Config { cases: 16, seed: 0xC0DE, max_shrink_replays: 16 },
+        "one_converter_serves_same_shape_networks_like_fresh_ones",
+        |g| {
+            let rounds = g.usize(1, 4);
+            let backlogs = |g: &mut prop::Gen| -> Vec<Vec<u32>> {
+                (0..rounds).map(|_| (0..40).map(|_| g.u64(0, 2) as u32).collect()).collect()
+            };
+            let warmup = backlogs(g);
+            let trial = backlogs(g);
+            let run = |conv: &mut Converter,
+                       net: &Network,
+                       graph: &ConflictGraph,
+                       backlogs: &[Vec<u32>]| {
+                let mut sched = RandScheduler::new(net.links().len());
+                let mut outcomes = Vec::new();
+                for b in backlogs {
+                    let mut b = b.clone();
+                    let mut strict = sched.schedule_batch(graph, &mut b, 5);
+                    if strict.is_empty() {
+                        strict.slots = vec![Vec::new(); 2];
+                    }
+                    let mut out = ConversionOutcome::default();
+                    conv.convert_into(net, graph, &strict, &net.aps(), &mut out);
+                    outcomes.push(out);
+                }
+                outcomes
+            };
+            // The reused converter warms up on the first network, then
+            // takes a fresh converter's dynamic state (batch counter, no
+            // retained slot) and keeps only its own scratch and tables.
+            let mut reused = Converter::new(ConverterConfig::default());
+            let _ = run(&mut reused, &first, &g1, &warmup);
+            let mut w = SnapWriter::new();
+            Converter::new(ConverterConfig::default()).save(&mut w);
+            let bytes = w.into_bytes();
+            prop_assert!(reused.restore(&mut SnapReader::new(&bytes)).is_ok());
+            let mut fresh = Converter::new(ConverterConfig::default());
+            let got = run(&mut reused, &second, &g2, &trial);
+            let want = run(&mut fresh, &second, &g2, &trial);
+            for (a, b) in got.iter().zip(&want) {
+                prop_assert_eq!(&a.batch, &b.batch);
+                prop_assert_eq!(&a.rescheduled, &b.rescheduled);
+                prop_assert_eq!(&a.unpolled_aps, &b.unpolled_aps);
+            }
+        },
+    );
+}
+
+// ---------------------------------------------------------------------------
 // Regression replays: pinned choice sequences (the shrinker's floor and
 // boundary cases) that must keep passing verbatim. `prop::replay` pads
 // missing choices with zeros, so `&[]` is the all-minimal input of each
