@@ -830,6 +830,14 @@ impl CentaurWorld {
 }
 
 #[cfg(test)]
+impl CentaurWorld {
+    /// The uplink's contention machine.
+    pub(crate) fn csma(&self) -> &CsmaCore {
+        &self.csma
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::dcf::DcfWorld;

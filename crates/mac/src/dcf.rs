@@ -161,11 +161,15 @@ struct CsmaNode {
 }
 
 /// The CSMA/CA contention machinery for a set of contending nodes.
+///
+/// Node sets are bit words: bit `k` of word `w` is node `64·w + k`.
 #[derive(Debug)]
 pub struct CsmaCore {
     nodes: Vec<CsmaNode>,
-    contender: Vec<bool>,
-    last_busy: Vec<bool>,
+    contender: Vec<u64>,
+    /// Each contender's carrier sense as the last scan saw it
+    /// (non-contenders' bits stay clear).
+    last_busy: Vec<u64>,
     /// Per node: the instant a parked contender wakes (idle, its queues
     /// empty, its next UDP packet due then).
     wake_at: Vec<Option<SimTime>>,
@@ -196,14 +200,15 @@ impl CsmaCore {
                 current: None,
             })
             .collect();
-        let mut contender = vec![false; net.num_nodes()];
+        let words = net.num_nodes().div_ceil(64);
+        let mut contender = vec![0; words];
         for c in contenders {
-            contender[c.index()] = true;
+            set_bit(&mut contender, c.index());
         }
         let mut core = CsmaCore {
             nodes,
             contender,
-            last_busy: vec![false; net.num_nodes()],
+            last_busy: vec![0; words],
             wake_at: vec![None; net.num_nodes()],
             waking: Vec::with_capacity(net.num_nodes()),
             rng: SimRng::derive(seed, streams::DCF_BACKOFF),
@@ -248,7 +253,7 @@ impl CsmaCore {
     /// Kick a node: if it is idle and has traffic, enter backoff; if it is
     /// idle without, park it.
     pub fn try_start<X: CsmaHost>(&mut self, node: usize, now: SimTime, plant: &mut Plant<X>) {
-        if !self.contender[node] || self.nodes[node].state != NodeState::Idle {
+        if !bit(&self.contender, node) || self.nodes[node].state != NodeState::Idle {
             return;
         }
         if self.head_packet(node, now, &mut plant.fe).is_none() {
@@ -324,23 +329,27 @@ impl CsmaCore {
     }
 
     /// Re-scan channel state after any medium change, freezing or
-    /// resuming counters.
+    /// resuming counters. Only the contenders whose carrier sense flipped
+    /// since the last scan are visited, in ascending node order. Freeze
+    /// and resume only disarm or schedule timers and never touch the
+    /// medium, so one read of each carrier-sense word serves the scan.
     pub fn scan<X: CsmaHost>(&mut self, now: SimTime, plant: &mut Plant<X>) {
-        for node in 0..self.nodes.len() {
-            if !self.contender[node] {
-                continue;
-            }
-            let busy = plant.medium.is_busy(NodeId(node as u32));
-            if busy == self.last_busy[node] {
-                continue;
-            }
-            self.last_busy[node] = busy;
-            if busy {
-                self.freeze(node, now, plant);
-            } else if matches!(self.nodes[node].state, NodeState::Counting { anchor: None }) {
-                self.resume(node, now, plant);
+        let mut visits = 0;
+        for w in 0..self.contender.len() {
+            let busy = plant.medium.busy_word(w);
+            let flips = (busy ^ self.last_busy[w]) & self.contender[w];
+            self.last_busy[w] ^= flips;
+            visits += u64::from(flips.count_ones());
+            for k in set_bits(flips) {
+                let node = 64 * w + k;
+                if busy >> k & 1 == 1 {
+                    self.freeze(node, now, plant);
+                } else if matches!(self.nodes[node].state, NodeState::Counting { anchor: None }) {
+                    self.resume(node, now, plant);
+                }
             }
         }
+        plant.probe.prof.add(CostPath::CsmaVisits, visits);
     }
 
     /// A backoff timer fired: transmit if the node still counts down.
@@ -453,7 +462,7 @@ impl CsmaCore {
             return false;
         };
         let node = r.rx.index();
-        if !self.contender[node] {
+        if !bit(&self.contender, node) {
             return false;
         }
         if !r.success {
@@ -495,12 +504,51 @@ impl CsmaCore {
         self.try_start(node, now, plant);
     }
 
-    /// Kick every contender (after deliveries released new packets).
-    pub fn try_start_all<X: CsmaHost>(&mut self, now: SimTime, plant: &mut Plant<X>) {
-        for node in 0..self.nodes.len() {
-            self.try_start(node, now, plant);
+    /// Bit `k` is set when node `64·w + k` is idle (no branch per node).
+    fn idle_word(&self, w: usize) -> u64 {
+        let lo = 64 * w;
+        let hi = self.nodes.len().min(lo + 64);
+        let mut word = 0;
+        for (k, n) in self.nodes[lo..hi].iter().enumerate() {
+            word |= u64::from(matches!(n.state, NodeState::Idle)) << k;
         }
+        word
     }
+
+    /// Kick every idle contender (after deliveries released new packets),
+    /// in ascending node order. `try_start` does nothing for any other
+    /// node and changes only its own node, so each word's idle mask is
+    /// built before its kicks.
+    pub fn try_start_all<X: CsmaHost>(&mut self, now: SimTime, plant: &mut Plant<X>) {
+        let mut visits = 0;
+        for w in 0..self.contender.len() {
+            let idle = self.contender[w] & self.idle_word(w);
+            visits += u64::from(idle.count_ones());
+            for k in set_bits(idle) {
+                self.try_start(64 * w + k, now, plant);
+            }
+        }
+        plant.probe.prof.add(CostPath::CsmaVisits, visits);
+    }
+}
+
+/// Is node `i` in the set `words`?
+fn bit(words: &[u64], i: usize) -> bool {
+    words[i / 64] >> (i % 64) & 1 == 1
+}
+
+/// Add node `i` to the set `words`.
+fn set_bit(words: &mut [u64], i: usize) {
+    words[i / 64] |= 1 << (i % 64);
+}
+
+/// The set bits of `word`, lowest first.
+fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let k = word.trailing_zeros() as usize;
+        word &= word.wrapping_sub(1);
+        (k < 64).then_some(k)
+    })
 }
 
 impl Snapshot for CsmaCore {
@@ -517,7 +565,8 @@ impl Snapshot for CsmaCore {
             n.state.put(w);
             n.current.put(w);
         }
-        self.last_busy.put(w);
+        let last_busy: Vec<bool> = (0..self.nodes.len()).map(|n| bit(&self.last_busy, n)).collect();
+        last_busy.put(w);
         self.wake_at.put(w);
         self.rng.put(w);
     }
@@ -533,12 +582,16 @@ impl Snapshot for CsmaCore {
             n.current = SnapValue::thaw(r)?;
         }
         let last_busy: Vec<bool> = SnapValue::thaw(r)?;
-        if last_busy.len() != self.last_busy.len() {
+        if last_busy.len() != self.nodes.len() {
             return Err(SnapError::Corrupt("csma busy table length"));
         }
-        self.last_busy = last_busy;
+        self.last_busy.fill(0);
+        for (n, _) in last_busy.iter().enumerate().filter(|(_, &busy)| busy) {
+            set_bit(&mut self.last_busy, n);
+        }
         restore_table(&mut self.wake_at, r, "csma wake table length")?;
-        if self.wake_at.iter().zip(&self.contender).any(|(at, &c)| at.is_some() && !c) {
+        let stray = |n: usize| self.wake_at[n].is_some() && !bit(&self.contender, n);
+        if (0..self.nodes.len()).any(stray) {
             return Err(SnapError::Corrupt("csma wake of a non-contender"));
         }
         self.rng = SimRng::thaw(r)?;
@@ -614,14 +667,16 @@ impl World for DcfWorld {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::centaur::CentaurWorld;
     use crate::run::testing::{assert_checkpoint_resume_matches, run_plain};
     use crate::run::{run, Checkpoints};
     use crate::workload::{FlowKind, FlowSpec, Workload};
     use domino_faults::FaultConfig;
     use domino_phy::units::Dbm;
+    use domino_topology::builder::random_placement;
     use domino_topology::network::{make_node, PhyParams};
     use domino_topology::node::{NodeRole, Position};
-    use domino_topology::presets::fig1;
+    use domino_topology::presets::{fig1, fig7};
     use domino_topology::rss::RssMatrix;
 
     fn dcf(net: &Network, w: &Workload, duration_s: f64, seed: u64) -> RunStats {
@@ -757,6 +812,59 @@ mod tests {
             build().restore(&mut SnapReader::new(&saved(&core))),
             Err(SnapError::Corrupt("csma wake of a non-contender"))
         );
+    }
+
+    /// Drive a run of `net` under UDP 10/5 Mb/s event by event, as
+    /// `run::drive` does, checking after every event that each
+    /// contender's carrier sense, as its last scan saw it, is the
+    /// medium's now. Returns the number of events.
+    fn drive_checking_sense<W: World>(
+        net: &Network,
+        duration_s: f64,
+        faults: &FaultConfig,
+        csma: fn(&W) -> &CsmaCore,
+    ) -> u64
+    where
+        W::Config: Default,
+    {
+        let workload = Workload::udp_updown(net, 10e6, 5e6);
+        let inputs = RunInputs { net, workload: &workload, duration_s, seed: 0xD0311, faults };
+        let mut world = W::new(&inputs, W::Config::default(), Probe::default());
+        let horizon = world.plant().end;
+        let mut events = 0;
+        while let Some((now, ev)) =
+            world.plant().engine.pop_until_checked(horizon).expect("no livelock")
+        {
+            world.handle(now, ev);
+            events += 1;
+            let sensed: Vec<bool> = (0..net.num_nodes() as u32)
+                .map(|n| world.plant().medium.is_busy(NodeId(n)))
+                .collect();
+            let core = csma(&world);
+            for (node, &busy) in sensed.iter().enumerate() {
+                if bit(&core.contender, node) {
+                    let seen = bit(&core.last_busy, node);
+                    assert_eq!(seen, busy, "node {node} after event {events} at {now:?}");
+                }
+            }
+        }
+        events
+    }
+
+    #[test]
+    fn every_contender_senses_what_the_medium_says_after_every_event() {
+        let fig7 = fig7(PhyParams::default());
+        // Fig 14's first random T(20,3): 80 nodes, two words per node set.
+        let t20x3 = random_placement(20, 3, 800.0, 30.0, PhyParams::default(), 1);
+        for (net, duration_s) in [(&fig7, 0.2), (&t20x3, 0.1)] {
+            for faults in [FaultConfig::off(), FaultConfig::chaos(0.5)] {
+                let events = [
+                    drive_checking_sense::<DcfWorld>(net, duration_s, &faults, |w| &w.csma),
+                    drive_checking_sense(net, duration_s, &faults, CentaurWorld::csma),
+                ];
+                assert!(events.iter().all(|&n| n > 1000), "events per scheme: {events:?}");
+            }
+        }
     }
 
     #[test]

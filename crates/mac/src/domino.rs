@@ -1025,13 +1025,6 @@ impl DominoWorld {
             outcome.batch.slots.iter().map(|s| s.entries.len() as u64).sum()
         });
         self.scheduler.recycle(strict);
-        for l in &outcome.rescheduled {
-            if self.net.link(*l).direction == Direction::Uplink {
-                self.backlog.refund(*l);
-            }
-            // Downlink refunds are implicit: those packets never left
-            // their queues.
-        }
 
         let n_slots = outcome.batch.slots.len();
         if n_slots == 0 && outcome.batch.connecting_rop.is_none() {

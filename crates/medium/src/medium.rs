@@ -219,6 +219,22 @@ impl Medium {
             || self.ambient_mw[node.index()] >= self.cs_threshold_mw
     }
 
+    /// Carrier sense of 64 nodes as one word: bit `k` is
+    /// [`Medium::is_busy`] of node `64·w + k` (and 0 past the last node).
+    /// Built on demand from the transmitting flags and the ambient field
+    /// with no branch per node; `begin` and `end_into` keep no bitset.
+    pub fn busy_word(&self, w: usize) -> u64 {
+        let lo = 64 * w;
+        let hi = self.transmitting.len().min(lo + 64);
+        let mut word = 0;
+        for (k, (&tx, &mw)) in
+            self.transmitting[lo..hi].iter().zip(&self.ambient_mw[lo..hi]).enumerate()
+        {
+            word |= u64::from(tx | (mw >= self.cs_threshold_mw)) << k;
+        }
+        word
+    }
+
     /// Like [`Medium::is_busy`], but ignoring transmissions that began at
     /// exactly `now`. CENTAUR-style aligned starts need this: two APs
     /// whose fixed backoffs expire at the same instant both transmit;
@@ -892,35 +908,56 @@ mod tests {
         assert_eq!(err, Some(SnapError::Corrupt("two in-flight frames share a source")));
     }
 
-    #[test]
-    fn is_transmitting_tracks_in_flight_sources_across_a_restore() {
+    /// Random `begin`/`end` interleavings on `n` with a save/restore
+    /// midway. After every step a node is transmitting exactly when one
+    /// of the in-flight frames is its own, and every carrier-sense word
+    /// agrees with [`Medium::is_busy`] bit for bit (bits past the last
+    /// node clear).
+    fn check_sensing_across_a_restore(name: &str, n: &Network) {
         use domino_testkit::{prop, prop_assert_eq};
-        let n = net(&[(0, 2, -70.0), (2, 1, -58.0)]);
         let links = n.links().len() as u32;
-        prop::check("is_transmitting equals an in-flight source", |g| {
+        let nodes = n.num_nodes();
+        prop::check(name, |g| {
             let mut m = Medium::new(n.clone(), 14);
             let mut live: Vec<TxId> = Vec::new();
             let steps = g.usize(1, 40);
             let restore_at = g.usize(0, steps);
             for step in 0..steps {
                 if step == restore_at {
-                    m = save_restore(&n, &m).expect("restore");
+                    m = save_restore(n, &m).expect("restore");
                 }
                 let now = SimTime::from_micros(step as u64);
-                let frame = data_frame(&n, g.u64(0, u64::from(links) - 1) as u32);
+                let frame = data_frame(n, g.u64(0, u64::from(links) - 1) as u32);
                 if !live.is_empty() && (g.bool() || m.is_transmitting(frame.src)) {
                     let tx = live.swap_remove(g.usize(0, live.len() - 1));
                     m.end(tx, now);
                 } else if !m.is_transmitting(frame.src) {
                     live.push(m.begin(now, frame));
                 }
-                for node in 0..n.num_nodes() as u32 {
+                for node in 0..nodes as u32 {
                     let node = NodeId(node);
                     let sending = m.active.iter().any(|t| t.frame.src == node);
                     prop_assert_eq!(m.is_transmitting(node), sending, "step {step}, {node}");
                 }
+                for w in 0..nodes.div_ceil(64) {
+                    let want = (0..64)
+                        .filter(|k| 64 * w + k < nodes && m.is_busy(NodeId((64 * w + k) as u32)))
+                        .fold(0u64, |word, k| word | 1 << k);
+                    prop_assert_eq!(m.busy_word(w), want, "step {step}, word {w}");
+                }
             }
         });
+    }
+
+    #[test]
+    fn sensing_tracks_in_flight_sources_across_a_restore() {
+        let four = net(&[(0, 2, -70.0), (2, 1, -58.0)]);
+        check_sensing_across_a_restore("sensing on the 4-node fixture", &four);
+        // Fig 14's first random T(20,3): 80 nodes, two carrier-sense words.
+        let t20x3 =
+            domino_topology::builder::random_placement(20, 3, 800.0, 30.0, PhyParams::default(), 1);
+        assert_eq!(t20x3.num_nodes(), 80);
+        check_sensing_across_a_restore("sensing on a random T(20,3)", &t20x3);
     }
 }
 

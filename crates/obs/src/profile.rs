@@ -110,11 +110,15 @@ pub enum CostPath {
     RngWired,
     /// DCF backoff stream RNG draws.
     RngDcfBackoff,
+    /// Contenders the CSMA contention loop examined: the carrier-sense
+    /// scans after medium changes and the kicks after frame ends (DCF,
+    /// and CENTAUR's uplink).
+    CsmaVisits,
 }
 
 impl CostPath {
     /// Number of cost centers (cells in a profile).
-    pub const COUNT: usize = 38;
+    pub const COUNT: usize = 39;
 
     /// Every cost center, in report order (taxonomy declaration order).
     pub const ALL: [CostPath; CostPath::COUNT] = [
@@ -156,6 +160,7 @@ impl CostPath {
         CostPath::RngFaults,
         CostPath::RngWired,
         CostPath::RngDcfBackoff,
+        CostPath::CsmaVisits,
     ];
 
     /// Stable folded-stack path (`;`-separated, flamegraph-compatible).
@@ -199,6 +204,7 @@ impl CostPath {
             CostPath::RngFaults => "rng;faults",
             CostPath::RngWired => "rng;wired",
             CostPath::RngDcfBackoff => "rng;dcf_backoff",
+            CostPath::CsmaVisits => "csma;visits",
         }
     }
 
@@ -374,7 +380,9 @@ impl CostProfile {
 
     /// Render the human table: header, per-group sections, attribution
     /// footer, then the timer wheel's inserts, cancels and cascades per
-    /// pop. Byte-stable: pure function of the counts.
+    /// pop, the medium's adjudications per frame put on the air and the
+    /// converter's actions per slot. Byte-stable: pure function of the
+    /// counts.
     pub fn render_table(&self) -> String {
         let mut out = String::from("# domino-profile v1\n");
         let _ = writeln!(out, "{:<30} {:>14}", "cost_center", "count");
@@ -403,6 +411,20 @@ impl CostProfile {
             [CostPath::WheelInsert, CostPath::WheelCancel, CostPath::WheelCascade]
                 .map(|p| fixed3(self.get(p), self.total_events()));
         let _ = writeln!(out, "wheel_per_pop insert {insert} cancel {cancel} cascade {cascade}");
+        let adjudications = [
+            CostPath::AdjData,
+            CostPath::AdjMacAck,
+            CostPath::AdjPoll,
+            CostPath::AdjRopReport,
+            CostPath::AdjSignature,
+        ]
+        .iter()
+        .map(|&p| self.get(p))
+        .sum();
+        let per_frame = fixed3(adjudications, self.get(CostPath::MediumBegin));
+        let _ = writeln!(out, "medium_per_frame adjudications {per_frame}");
+        let per_slot = fixed3(self.get(CostPath::CtrlActions), self.get(CostPath::CtrlSlots));
+        let _ = writeln!(out, "controller_per_slot actions {per_slot}");
         out
     }
 
@@ -520,15 +542,25 @@ mod tests {
         assert_eq!(parsed, snap);
         assert_eq!(snap.render_table(), snap.render_table());
         assert!(snap.render_table().contains("attributed_events 12 / 12 (100%)"));
-        let idle = "wheel_per_pop insert 0.000 cancel 0.000 cascade 0.000\n";
-        assert!(snap.render_table().ends_with(idle), "no wheel ops");
+        let idle = "wheel_per_pop insert 0.000 cancel 0.000 cascade 0.000\n\
+                    medium_per_frame adjudications 0.000\n\
+                    controller_per_slot actions 0.000\n";
+        assert!(snap.render_table().ends_with(idle), "no wheel ops, frames or slots");
         handle.add(CostPath::WheelInsert, 119);
         handle.add(CostPath::WheelCancel, 7);
         handle.add(CostPath::WheelCascade, 20);
+        handle.add(CostPath::MediumBegin, 4);
+        handle.add(CostPath::AdjData, 3);
+        handle.add(CostPath::AdjMacAck, 1);
+        handle.add(CostPath::AdjSignature, 2);
+        handle.add(CostPath::CtrlSlots, 3);
+        handle.add(CostPath::CtrlActions, 7);
         let snap = prof.snapshot();
         let table = snap.render_table();
-        let per_pop = "wheel_per_pop insert 9.917 cancel 0.583 cascade 1.667\n";
-        assert!(table.ends_with(per_pop), "rounded from the exact counts:\n{table}");
+        let footer = "wheel_per_pop insert 9.917 cancel 0.583 cascade 1.667\n\
+                      medium_per_frame adjudications 1.500\n\
+                      controller_per_slot actions 2.333\n";
+        assert!(table.ends_with(footer), "rounded from the exact counts:\n{table}");
         assert_eq!(fixed3(1, 2000), "0.001", "half rounds up");
         assert_eq!(fixed3(5, 0), "0.000", "no pops");
         let folded = snap.render_folded();

@@ -81,14 +81,6 @@ impl BacklogView {
             self.estimated[i] = remaining[i];
         }
     }
-
-    /// Refund one scheduled packet (a converted link was dropped for
-    /// lack of triggers and must be rescheduled).
-    pub fn refund(&mut self, link: LinkId) {
-        self.estimated[link.index()] = self.estimated[link.index()].saturating_add(1);
-        self.scheduled_since_report[link.index()] =
-            self.scheduled_since_report[link.index()].saturating_sub(1);
-    }
 }
 
 impl Snapshot for BacklogView {
@@ -150,21 +142,6 @@ mod tests {
         // the 2 in-flight scheduled packets.
         v.report(LinkId(0), 5);
         assert_eq!(v.estimate(LinkId(0)), 3);
-    }
-
-    #[test]
-    fn refund_restores_backlog() {
-        let mut v = BacklogView::new(1);
-        v.report(LinkId(0), 2);
-        let mut snap = v.snapshot();
-        snap[0] = 0;
-        v.commit_schedule(&snap);
-        assert_eq!(v.estimate(LinkId(0)), 0);
-        v.refund(LinkId(0));
-        assert_eq!(v.estimate(LinkId(0)), 1);
-        // The refunded packet is no longer counted as in-flight.
-        v.report(LinkId(0), 2);
-        assert_eq!(v.estimate(LinkId(0)), 1);
     }
 
     #[test]

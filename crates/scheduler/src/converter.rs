@@ -15,8 +15,10 @@
 //!    every AP polling at the boundary), pick up to `max_inbound` (2)
 //!    triggering nodes among the endpoints of slot `i`'s links, highest
 //!    RSS first, with at most `max_outbound` (4) signatures per
-//!    broadcaster. Untriggerable links are dropped back to the scheduler
-//!    ("the scheduler will reschedule such links").
+//!    broadcaster. A link whose sender no endpoint of slot `i` can
+//!    trigger stays in slot `i+1` as a kick-off entry, started on its
+//!    own as a first batch's links are; nothing goes back to the
+//!    scheduler.
 //!
 //! **Batch connection**: the converter retains the last slot of each
 //! batch; the next batch's first slot is triggered by burst assignments
@@ -70,9 +72,6 @@ impl Default for ConverterConfig {
 pub struct ConversionOutcome {
     /// The executable batch.
     pub batch: RelativeBatch,
-    /// Links that could not be triggered and were dropped (the
-    /// controller refunds their backlog and reschedules).
-    pub rescheduled: Vec<LinkId>,
     /// APs that found no ROP opportunity this batch.
     pub unpolled_aps: Vec<NodeId>,
 }
@@ -197,7 +196,6 @@ impl Converter {
         out: &mut ConversionOutcome,
     ) {
         self.batch_counter += 1;
-        out.rescheduled.clear();
         out.unpolled_aps.clear();
         out.batch.connecting_bursts.clear();
         if let Some(rop) = out.batch.connecting_rop.take() {
@@ -670,7 +668,6 @@ mod tests {
                 e.link
             );
         }
-        assert!(outcome.rescheduled.is_empty());
     }
 
     #[test]
@@ -704,9 +701,7 @@ mod tests {
         for e in &second.batch.slots[0].entries {
             let sender = net.link(e.link).sender;
             assert!(
-                triggered.contains(&sender)
-                    || endpoints.contains(&sender)
-                    || second.rescheduled.contains(&e.link),
+                triggered.contains(&sender) || endpoints.contains(&sender),
                 "first slot sender {sender} unconnected"
             );
         }
@@ -782,7 +777,6 @@ mod tests {
         let a = conv.convert(&net, &graph, &fig7_strict(&net), &net.aps());
         let b = fresh.convert(&net, &graph, &fig7_strict(&net), &net.aps());
         assert_eq!(a.batch.connecting_bursts, b.batch.connecting_bursts);
-        assert_eq!(a.rescheduled, b.rescheduled);
         assert_eq!(a.batch.slots.len(), b.batch.slots.len());
         for (sa, sb) in a.batch.slots.iter().zip(&b.batch.slots) {
             assert_eq!(sa.entries, sb.entries);

@@ -70,8 +70,9 @@ echo "== profile gate: cost attribution pinned at zero tolerance =="
 # DOMINO and under DCF (TCP ticks and retransmission timers; DCF's
 # delivery path is CENTAUR's too), Fig 14's first random T(20,3)
 # network under DCF and DOMINO (80 nodes: the medium and the conflict
-# graph at their densest), saturated UDP under DOMINO on Fig 12's T(10,2)
-# (the slot-paced controller, signature and ROP path) and a lightly
+# graph at their densest), saturated UDP on Fig 12's T(10,2) under DOMINO
+# (the slot-paced controller, signature and ROP path) and under DCF (the
+# CSMA contention loop perfbench's udp_dcf times) and a lightly
 # loaded T(6,2) under DCF (its senders idle between packets, so its wake
 # events are counted) are
 # held to a zero-threshold diff: any hot-path cost growth fails here
@@ -82,6 +83,7 @@ for cell in "fig7_domino --scheme domino" "fig7_dcf --scheme dcf" \
     "t10x2_tcp_domino --scheme domino --scenario t10x2 --tcp 10e6,4e6 --duration-s 0.2" \
     "t10x2_tcp_dcf --scheme dcf --scenario t10x2 --tcp 10e6,4e6 --duration-s 0.2" \
     "t10x2_udp_domino --scheme domino --scenario t10x2 --udp 10e6,10e6 --duration-s 0.2" \
+    "t10x2_udp_dcf --scheme dcf --scenario t10x2 --udp 10e6,10e6 --duration-s 0.2" \
     "rt20x3_dcf --scheme dcf --scenario rt20x3 --udp 10e6,10e6 --duration-s 0.1" \
     "rt20x3_domino --scheme domino --scenario rt20x3 --udp 10e6,10e6 --duration-s 0.1" \
     "t6x2_light_dcf --scheme dcf --scenario t6x2 --udp 48e3,96e3 --duration-s 1"; do

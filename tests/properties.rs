@@ -843,7 +843,6 @@ fn one_converter_serves_same_shape_networks_like_fresh_ones() {
             let want = run(&mut fresh, &second, &g2, &trial);
             for (a, b) in got.iter().zip(&want) {
                 prop_assert_eq!(&a.batch, &b.batch);
-                prop_assert_eq!(&a.rescheduled, &b.rescheduled);
                 prop_assert_eq!(&a.unpolled_aps, &b.unpolled_aps);
             }
         },
