@@ -20,7 +20,7 @@ use domino_mac::domino::DominoConfig;
 use domino_mac::run::{run, Checkpoints, RunInputs};
 use domino_mac::{CentaurWorld, DcfWorld, DominoWorld, OmniWorld, Workload};
 use domino_obs::{ProfHandle, Probe, TraceHandle};
-use domino_sim::snapshot::{self, SnapError, SnapReader, SnapValue, SnapWriter};
+use domino_sim::snapshot::{self, SnapError};
 use domino_sim::SimTime;
 use domino_topology::{Direction, Network};
 
@@ -52,16 +52,13 @@ impl Scheme {
     }
 }
 
-/// One byte: the scheme's index in [`Scheme::ALL`].
-impl SnapValue for Scheme {
-    fn put(&self, w: &mut SnapWriter) {
-        let idx = Scheme::ALL.iter().position(|s| s == self).unwrap_or(0);
-        w.put_u8(idx as u8);
-    }
-    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Scheme::ALL.get(usize::from(r.get_u8()?)).copied().ok_or(SnapError::Corrupt("scheme tag"))
-    }
-}
+// Each tag is the scheme's index in `Scheme::ALL`.
+domino_sim::snap_value!(enum Scheme, "scheme tag" {
+    0 => Dcf,
+    1 => Centaur,
+    2 => Domino,
+    3 => Omniscient,
+});
 
 /// Configures and runs one simulation.
 #[derive(Clone, Debug)]
@@ -294,10 +291,12 @@ pub struct RunOpts<'a> {
 mod tests {
     use super::*;
     use crate::scenarios;
+    use domino_sim::snapshot::SnapValue;
 
     #[test]
     fn schemes_roundtrip_and_unknown_tags_are_corrupt() {
-        for scheme in Scheme::ALL {
+        for (idx, scheme) in Scheme::ALL.into_iter().enumerate() {
+            assert_eq!(scheme.to_bytes(), [idx as u8]);
             assert_eq!(Scheme::from_bytes(&scheme.to_bytes()), Ok(scheme));
         }
         assert_eq!(Scheme::from_bytes(&[200]), Err(SnapError::Corrupt("scheme tag")));

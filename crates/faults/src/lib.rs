@@ -26,7 +26,7 @@
 #![warn(missing_docs)]
 
 use domino_sim::rng::streams;
-use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter, Snapshot};
+use domino_sim::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 use domino_sim::{SimDuration, SimRng, SimTime};
 
 /// All fault-plane knobs. `Default` is every fault off: probabilities
@@ -283,39 +283,26 @@ impl FaultStats {
     }
 }
 
-impl SnapValue for FaultStats {
-    /// Every counter, in declaration order.
-    fn put(&self, w: &mut SnapWriter) {
-        for (_, v) in self.classes() {
-            w.put_u64(v);
-        }
-        for (_, v) in self.recovery_classes() {
-            w.put_u64(v);
-        }
-    }
-    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(FaultStats {
-            wired_msgs_lost: r.get_u64()?,
-            wired_spikes: r.get_u64()?,
-            ap_crashes: r.get_u64()?,
-            crash_recoveries: r.get_u64()?,
-            compute_stalls: r.get_u64()?,
-            fades_opened: r.get_u64()?,
-            detections_suppressed: r.get_u64()?,
-            rops_corrupted: r.get_u64()?,
-            stale_reports: r.get_u64()?,
-            churn_events: r.get_u64()?,
-            churn_drops: r.get_u64()?,
-            livelocks: r.get_u64()?,
-            wired_retries: r.get_u64()?,
-            wired_retry_drops: r.get_u64()?,
-            ctrl_crashes: r.get_u64()?,
-            standby_promotions: r.get_u64()?,
-            replayed_reports: r.get_u64()?,
-            recovery_ns: r.get_u64()?,
-        })
-    }
-}
+domino_sim::snap_value!(FaultStats {
+    wired_msgs_lost,
+    wired_spikes,
+    ap_crashes,
+    crash_recoveries,
+    compute_stalls,
+    fades_opened,
+    detections_suppressed,
+    rops_corrupted,
+    stale_reports,
+    churn_events,
+    churn_drops,
+    livelocks,
+    wired_retries,
+    wired_retry_drops,
+    ctrl_crashes,
+    standby_promotions,
+    replayed_reports,
+    recovery_ns,
+});
 
 /// Node-class faults: AP crashes, controller compute stalls, stale
 /// reports. Consulted by the DOMINO/CENTAUR state machines.
@@ -418,28 +405,17 @@ impl NodeFaults {
     }
 }
 
-impl Snapshot for NodeFaults {
-    /// Dynamic state: the RNG position and the injection counters. The
-    /// probabilities and downtime come from [`FaultConfig`] and are
-    /// reconstructed by the restore target's constructor.
-    fn save(&self, w: &mut SnapWriter) {
-        self.rng.put(w);
-        w.put_u64(self.crashes);
-        w.put_u64(self.recoveries);
-        w.put_u64(self.stalls);
-        w.put_u64(self.stale_reports);
-        w.put_u64(self.ctrl_crashes);
-    }
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.rng = SimRng::thaw(r)?;
-        self.crashes = r.get_u64()?;
-        self.recoveries = r.get_u64()?;
-        self.stalls = r.get_u64()?;
-        self.stale_reports = r.get_u64()?;
-        self.ctrl_crashes = r.get_u64()?;
-        Ok(())
-    }
-}
+// Dynamic state: the RNG position and the injection counters. The
+// probabilities and downtime come from [`FaultConfig`] and are
+// reconstructed by the restore target's constructor.
+domino_sim::snapshot_fields!(NodeFaults {
+    rng,
+    crashes,
+    recoveries,
+    stalls,
+    stale_reports,
+    ctrl_crashes,
+});
 
 /// Channel-class faults: correlated signature fades (beyond the i.i.d.
 /// base detection draw) and corrupted ROP reports. Owned by the medium.
@@ -508,25 +484,15 @@ impl ChannelFaults {
     }
 }
 
-impl Snapshot for ChannelFaults {
-    /// Dynamic state: the RNG position, the open fade window and the
-    /// counters. Probabilities are configuration.
-    fn save(&self, w: &mut SnapWriter) {
-        self.rng.put(w);
-        w.put_u32(self.fade_remaining);
-        w.put_u64(self.fades_opened);
-        w.put_u64(self.detections_suppressed);
-        w.put_u64(self.rops_corrupted);
-    }
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.rng = SimRng::thaw(r)?;
-        self.fade_remaining = r.get_u32()?;
-        self.fades_opened = r.get_u64()?;
-        self.detections_suppressed = r.get_u64()?;
-        self.rops_corrupted = r.get_u64()?;
-        Ok(())
-    }
-}
+// Dynamic state: the RNG position, the open fade window and the
+// counters. Probabilities are configuration.
+domino_sim::snapshot_fields!(ChannelFaults {
+    rng,
+    fade_remaining,
+    fades_opened,
+    detections_suppressed,
+    rops_corrupted,
+});
 
 /// Churn-class faults: a pre-generated, per-client schedule of dark
 /// intervals (leave → downtime → rejoin). Pre-generation keeps the
@@ -628,16 +594,7 @@ impl MediumFaults {
     }
 }
 
-impl Snapshot for MediumFaults {
-    fn save(&self, w: &mut SnapWriter) {
-        self.channel.save(w);
-        self.churn.save(w);
-    }
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.channel.restore(r)?;
-        self.churn.restore(r)
-    }
-}
+domino_sim::snapshot_fields!(MediumFaults { channel, churn });
 
 /// One run's fault plane: the configuration plus the per-class fault
 /// sources, each on its own RNG stream. Constructed once per MAC run and
@@ -682,6 +639,7 @@ impl FaultPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use domino_sim::snapshot::SnapValue;
 
     #[test]
     fn default_config_is_off() {

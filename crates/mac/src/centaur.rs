@@ -138,57 +138,15 @@ impl SchemeEvent for CentaurEv {
     }
 }
 
-impl SnapValue for CentaurEv {
-    fn put(&self, w: &mut SnapWriter) {
-        match self {
-            CentaurEv::Csma(ev) => {
-                w.put_u8(0);
-                ev.put(w);
-            }
-            CentaurEv::EpochArrive { ap, epoch, assignments } => {
-                w.put_u8(1);
-                w.put_u32(*ap);
-                w.put_u64(*epoch);
-                assignments.put(w);
-            }
-            CentaurEv::ApArm { ap } => {
-                w.put_u8(2);
-                w.put_u32(*ap);
-            }
-            CentaurEv::ApAckTimeout { ap } => {
-                w.put_u8(3);
-                w.put_u32(*ap);
-            }
-            CentaurEv::DoneArrive { ap, epoch } => {
-                w.put_u8(4);
-                w.put_u32(*ap);
-                w.put_u64(*epoch);
-            }
-            CentaurEv::ControllerCheck => w.put_u8(5),
-            CentaurEv::EpochTimeout { epoch } => {
-                w.put_u8(6);
-                w.put_u64(*epoch);
-            }
-        }
-    }
-
-    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.get_u8()? {
-            0 => CentaurEv::Csma(SnapValue::thaw(r)?),
-            1 => CentaurEv::EpochArrive {
-                ap: r.get_u32()?,
-                epoch: r.get_u64()?,
-                assignments: SnapValue::thaw(r)?,
-            },
-            2 => CentaurEv::ApArm { ap: r.get_u32()? },
-            3 => CentaurEv::ApAckTimeout { ap: r.get_u32()? },
-            4 => CentaurEv::DoneArrive { ap: r.get_u32()?, epoch: r.get_u64()? },
-            5 => CentaurEv::ControllerCheck,
-            6 => CentaurEv::EpochTimeout { epoch: r.get_u64()? },
-            _ => return Err(SnapError::Corrupt("centaur event tag")),
-        })
-    }
-}
+domino_sim::snap_value!(enum CentaurEv, "centaur event tag" {
+    0 => Csma(ev),
+    1 => EpochArrive { ap, epoch, assignments },
+    2 => ApArm { ap },
+    3 => ApAckTimeout { ap },
+    4 => DoneArrive { ap, epoch },
+    5 => ControllerCheck,
+    6 => EpochTimeout { epoch },
+});
 
 /// How long the controller waits on the batch barrier before abandoning
 /// an epoch (fault-plane recovery; never scheduled in fault-free runs).
@@ -208,28 +166,13 @@ enum ApPhase {
     AwaitAck,
 }
 
-impl SnapValue for ApPhase {
-    fn put(&self, w: &mut SnapWriter) {
-        w.put_u8(match self {
-            ApPhase::Idle => 0,
-            ApPhase::WaitIdle => 1,
-            ApPhase::Armed => 2,
-            ApPhase::Transmitting => 3,
-            ApPhase::AwaitAck => 4,
-        });
-    }
-
-    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.get_u8()? {
-            0 => ApPhase::Idle,
-            1 => ApPhase::WaitIdle,
-            2 => ApPhase::Armed,
-            3 => ApPhase::Transmitting,
-            4 => ApPhase::AwaitAck,
-            _ => return Err(SnapError::Corrupt("ap phase tag")),
-        })
-    }
-}
+domino_sim::snap_value!(enum ApPhase, "ap phase tag" {
+    0 => Idle,
+    1 => WaitIdle,
+    2 => Armed,
+    3 => Transmitting,
+    4 => AwaitAck,
+});
 
 #[derive(Debug)]
 struct ApState {
@@ -248,33 +191,17 @@ struct ApState {
     nav_anchor: SimTime,
 }
 
-impl SnapValue for ApState {
-    fn put(&self, w: &mut SnapWriter) {
-        self.assignments.put(w);
-        w.put_u64(self.epoch);
-        self.phase.put(w);
-        self.current.put(w);
-        self.current_link.put(w);
-        w.put_u32(self.retries);
-        self.arm_expiry.put(w);
-        self.last_busy.put(w);
-        self.nav_anchor.put(w);
-    }
-
-    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(ApState {
-            assignments: SnapValue::thaw(r)?,
-            epoch: r.get_u64()?,
-            phase: SnapValue::thaw(r)?,
-            current: SnapValue::thaw(r)?,
-            current_link: SnapValue::thaw(r)?,
-            retries: r.get_u32()?,
-            arm_expiry: SnapValue::thaw(r)?,
-            last_busy: SnapValue::thaw(r)?,
-            nav_anchor: SnapValue::thaw(r)?,
-        })
-    }
-}
+domino_sim::snap_value!(ApState {
+    assignments,
+    epoch,
+    phase,
+    current,
+    current_link,
+    retries,
+    arm_expiry,
+    last_busy,
+    nav_anchor,
+});
 
 /// The complete state of a CENTAUR run between events.
 ///
@@ -464,20 +391,22 @@ impl World for CentaurWorld {
         faults.merge_backbone(self.backbone.messages_lost(), self.backbone.spikes_injected());
         self.plant.finish()
     }
+}
 
-    fn snapshot_save(&self, w: &mut SnapWriter) {
+impl Snapshot for CentaurWorld {
+    fn save(&self, w: &mut SnapWriter) {
         self.backbone.save(w);
         self.csma.save(w);
         self.sched.save(w);
         self.ap_states.put(w);
-        w.put_u64(self.epoch_counter);
-        w.put_u64(self.pending_done as u64);
+        self.epoch_counter.put(w);
+        self.pending_done.put(w);
         self.ctrl_dark_until.put(w);
         self.standby_ckpt.put(w);
         self.next_ckpt_at.put(w);
     }
 
-    fn snapshot_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.backbone.restore(r)?;
         self.csma.restore(r)?;
         self.sched.restore(r)?;
@@ -486,8 +415,8 @@ impl World for CentaurWorld {
         if self.ap_states.iter().map(Option::is_some).ne(built) {
             return Err(SnapError::Corrupt("ap state table shape"));
         }
-        self.epoch_counter = r.get_u64()?;
-        self.pending_done = r.get_u64()? as usize;
+        self.epoch_counter = SnapValue::thaw(r)?;
+        self.pending_done = SnapValue::thaw(r)?;
         self.ctrl_dark_until = SnapValue::thaw(r)?;
         self.standby_ckpt = SnapValue::thaw(r)?;
         self.next_ckpt_at = SnapValue::thaw(r)?;

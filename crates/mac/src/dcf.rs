@@ -84,35 +84,12 @@ pub trait CsmaHost: SchemeEvent + From<CsmaEv> {}
 
 impl<X: SchemeEvent + From<CsmaEv>> CsmaHost for X {}
 
-impl SnapValue for CsmaEv {
-    fn put(&self, w: &mut SnapWriter) {
-        match self {
-            CsmaEv::BackoffExpire { node } => {
-                w.put_u8(0);
-                w.put_u32(*node);
-            }
-            CsmaEv::AckTimeout { node } => {
-                w.put_u8(1);
-                w.put_u32(*node);
-            }
-            CsmaEv::SendAck { rx, packet } => {
-                w.put_u8(2);
-                w.put_u32(*rx);
-                packet.put(w);
-            }
-            CsmaEv::Wake => w.put_u8(3),
-        }
-    }
-    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.get_u8()? {
-            0 => CsmaEv::BackoffExpire { node: r.get_u32()? },
-            1 => CsmaEv::AckTimeout { node: r.get_u32()? },
-            2 => CsmaEv::SendAck { rx: r.get_u32()?, packet: SnapValue::thaw(r)? },
-            3 => CsmaEv::Wake,
-            _ => return Err(SnapError::Corrupt("csma event tag")),
-        })
-    }
-}
+domino_sim::snap_value!(enum CsmaEv, "csma event tag" {
+    0 => BackoffExpire { node },
+    1 => AckTimeout { node },
+    2 => SendAck { rx, packet },
+    3 => Wake,
+});
 
 #[derive(Clone, Debug, PartialEq)]
 enum NodeState {
@@ -127,28 +104,12 @@ enum NodeState {
     AwaitAck,
 }
 
-impl SnapValue for NodeState {
-    fn put(&self, w: &mut SnapWriter) {
-        match self {
-            NodeState::Idle => w.put_u8(0),
-            NodeState::Counting { anchor } => {
-                w.put_u8(1);
-                anchor.put(w);
-            }
-            NodeState::Transmitting => w.put_u8(2),
-            NodeState::AwaitAck => w.put_u8(3),
-        }
-    }
-    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.get_u8()? {
-            0 => NodeState::Idle,
-            1 => NodeState::Counting { anchor: SnapValue::thaw(r)? },
-            2 => NodeState::Transmitting,
-            3 => NodeState::AwaitAck,
-            _ => return Err(SnapError::Corrupt("csma node state tag")),
-        })
-    }
-}
+domino_sim::snap_value!(enum NodeState, "csma node state tag" {
+    0 => Idle,
+    1 => Counting { anchor },
+    2 => Transmitting,
+    3 => AwaitAck,
+});
 
 #[derive(Debug)]
 struct CsmaNode {
@@ -654,15 +615,9 @@ impl World for DcfWorld {
         self.plant.probe.prof.add(CostPath::RngDcfBackoff, self.csma.rng_draws());
         self.plant.finish()
     }
-
-    fn snapshot_save(&self, w: &mut SnapWriter) {
-        self.csma.save(w);
-    }
-
-    fn snapshot_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.csma.restore(r)
-    }
 }
+
+domino_sim::snapshot_fields!(DcfWorld { csma });
 
 #[cfg(test)]
 mod tests {

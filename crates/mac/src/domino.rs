@@ -255,177 +255,32 @@ struct NodeRt {
 
 // ------------------------------------------------- snapshot encodings
 
-impl SnapValue for ApActionKind {
-    fn put(&self, w: &mut SnapWriter) {
-        match self {
-            ApActionKind::TxData { link } => {
-                w.put_u8(0);
-                link.put(w);
-            }
-            ApActionKind::RxData { link } => {
-                w.put_u8(1);
-                link.put(w);
-            }
-            ApActionKind::Poll => w.put_u8(2),
-        }
-    }
-
-    fn thaw(r: &mut SnapReader<'_>) -> Result<ApActionKind, SnapError> {
-        Ok(match r.get_u8()? {
-            0 => ApActionKind::TxData { link: SnapValue::thaw(r)? },
-            1 => ApActionKind::RxData { link: SnapValue::thaw(r)? },
-            2 => ApActionKind::Poll,
-            _ => return Err(SnapError::Corrupt("ap action kind tag")),
-        })
-    }
-}
-
-impl SnapValue for ApAction {
-    fn put(&self, w: &mut SnapWriter) {
-        w.put_u64(self.slot);
-        self.kind.put(w);
-        self.rop_before.put(w);
-        self.kick_off.put(w);
-        self.own_burst.put(w);
-        self.client_burst.put(w);
-    }
-
-    fn thaw(r: &mut SnapReader<'_>) -> Result<ApAction, SnapError> {
-        Ok(ApAction {
-            slot: r.get_u64()?,
-            kind: SnapValue::thaw(r)?,
-            rop_before: SnapValue::thaw(r)?,
-            kick_off: SnapValue::thaw(r)?,
-            own_burst: SnapValue::thaw(r)?,
-            client_burst: SnapValue::thaw(r)?,
-        })
-    }
-}
-
-impl SnapValue for ApMessage {
-    fn put(&self, w: &mut SnapWriter) {
-        w.put_u64(self.first_slot);
-        self.actions.put(w);
-        self.retained_updates.put(w);
-    }
-
-    fn thaw(r: &mut SnapReader<'_>) -> Result<ApMessage, SnapError> {
-        Ok(ApMessage {
-            first_slot: r.get_u64()?,
-            actions: SnapValue::thaw(r)?,
-            retained_updates: SnapValue::thaw(r)?,
-        })
-    }
-}
-
-impl SnapValue for NodeRt {
-    fn put(&self, w: &mut SnapWriter) {
-        self.program.put(w);
-        self.busy_until.put(w);
-        self.unacked.put(w);
-        self.acked.put(w);
-    }
-
-    fn thaw(r: &mut SnapReader<'_>) -> Result<NodeRt, SnapError> {
-        Ok(NodeRt {
-            program: SnapValue::thaw(r)?,
-            busy_until: SnapValue::thaw(r)?,
-            unacked: SnapValue::thaw(r)?,
-            acked: SnapValue::thaw(r)?,
-        })
-    }
-}
-
-impl SnapValue for DEv {
-    fn put(&self, w: &mut SnapWriter) {
-        match self {
-            DEv::BatchArrive { ap, msg } => {
-                w.put_u8(0);
-                w.put_u32(*ap);
-                msg.put(w);
-            }
-            DEv::ReportArrive { link, queue } => {
-                w.put_u8(1);
-                w.put_u32(*link);
-                w.put_u32(*queue);
-            }
-            DEv::ControllerCompute => w.put_u8(2),
-            DEv::SlotStart { node, slot } => {
-                w.put_u8(3);
-                w.put_u32(*node);
-                w.put_u64(*slot);
-            }
-            DEv::SendBurst { node, burst } => {
-                w.put_u8(4);
-                w.put_u32(*node);
-                burst.put(w);
-            }
-            DEv::SendAck { rx, packet, client_burst } => {
-                w.put_u8(5);
-                w.put_u32(*rx);
-                packet.put(w);
-                client_burst.put(w);
-            }
-            DEv::AckCheck { node } => {
-                w.put_u8(6);
-                w.put_u32(*node);
-            }
-            DEv::RopAnswer { client, ap } => {
-                w.put_u8(7);
-                w.put_u32(*client);
-                w.put_u32(*ap);
-            }
-            DEv::Watchdog { ap } => {
-                w.put_u8(8);
-                w.put_u32(*ap);
-            }
-            DEv::KickOff { ap, slot } => {
-                w.put_u8(9);
-                w.put_u32(*ap);
-                w.put_u64(*slot);
-            }
-            DEv::CtrlHeartbeat => w.put_u8(10),
-            DEv::CtrlCheckpoint => w.put_u8(11),
-            DEv::HeartbeatArrive => w.put_u8(12),
-            DEv::CkptArrive { state } => {
-                w.put_u8(13);
-                state.put(w);
-            }
-            DEv::StandbyReport { link, queue } => {
-                w.put_u8(14);
-                w.put_u32(*link);
-                w.put_u32(*queue);
-            }
-            DEv::StandbyProbe => w.put_u8(15),
-        }
-    }
-
-    fn thaw(r: &mut SnapReader<'_>) -> Result<DEv, SnapError> {
-        Ok(match r.get_u8()? {
-            0 => DEv::BatchArrive { ap: r.get_u32()?, msg: SnapValue::thaw(r)? },
-            1 => DEv::ReportArrive { link: r.get_u32()?, queue: r.get_u32()? },
-            2 => DEv::ControllerCompute,
-            3 => DEv::SlotStart { node: r.get_u32()?, slot: r.get_u64()? },
-            4 => DEv::SendBurst { node: r.get_u32()?, burst: SnapValue::thaw(r)? },
-            5 => DEv::SendAck {
-                rx: r.get_u32()?,
-                packet: SnapValue::thaw(r)?,
-                client_burst: SnapValue::thaw(r)?,
-            },
-            6 => DEv::AckCheck { node: r.get_u32()? },
-            7 => DEv::RopAnswer { client: r.get_u32()?, ap: r.get_u32()? },
-            8 => DEv::Watchdog { ap: r.get_u32()? },
-            9 => DEv::KickOff { ap: r.get_u32()?, slot: r.get_u64()? },
-            10 => DEv::CtrlHeartbeat,
-            11 => DEv::CtrlCheckpoint,
-            12 => DEv::HeartbeatArrive,
-            13 => DEv::CkptArrive { state: SnapValue::thaw(r)? },
-            14 => DEv::StandbyReport { link: r.get_u32()?, queue: r.get_u32()? },
-            15 => DEv::StandbyProbe,
-            _ => return Err(SnapError::Corrupt("domino event tag")),
-        })
-    }
-}
+domino_sim::snap_value!(enum ApActionKind, "ap action kind tag" {
+    0 => TxData { link },
+    1 => RxData { link },
+    2 => Poll,
+});
+domino_sim::snap_value!(ApAction { slot, kind, rop_before, kick_off, own_burst, client_burst });
+domino_sim::snap_value!(ApMessage { first_slot, actions, retained_updates });
+domino_sim::snap_value!(NodeRt { program, busy_until, unacked, acked });
+domino_sim::snap_value!(enum DEv, "domino event tag" {
+    0 => BatchArrive { ap, msg },
+    1 => ReportArrive { link, queue },
+    2 => ControllerCompute,
+    3 => SlotStart { node, slot },
+    4 => SendBurst { node, burst },
+    5 => SendAck { rx, packet, client_burst },
+    6 => AckCheck { node },
+    7 => RopAnswer { client, ap },
+    8 => Watchdog { ap },
+    9 => KickOff { ap, slot },
+    10 => CtrlHeartbeat,
+    11 => CtrlCheckpoint,
+    12 => HeartbeatArrive,
+    13 => CkptArrive { state },
+    14 => StandbyReport { link, queue },
+    15 => StandbyProbe,
+});
 
 /// The complete state of a DOMINO run between events.
 ///
@@ -733,61 +588,6 @@ impl World for DominoWorld {
         self.plant.finish()
     }
 
-    /// Serialize everything the run's future depends on. Scratch storage
-    /// (the controller's compute buffers, the dispatch staging, index and
-    /// pools) is empty or stale between events and rebuilt on demand, so
-    /// it is deliberately not part of the image.
-    fn snapshot_save(&self, w: &mut SnapWriter) {
-        self.backbone.save(w);
-        self.standby_bb.save(w);
-        self.scheduler.save(w);
-        self.converter.save(w);
-        self.backlog.save(w);
-        self.nodes.put(w);
-        w.put_u64(self.next_slot_id);
-        self.counters.put(w);
-        self.awaiting_report.put(w);
-        self.dispatch_time.put(w);
-        self.exec_estimate.put(w);
-        self.post_poll_exec.put(w);
-        self.last_rop.put(w);
-        w.put_u64(self.wd_streak);
-        w.put_u64(self.batch_seq);
-        self.ctrl_down.put(w);
-        self.ctrl_dark_until.put(w);
-        self.last_crash_at.put(w);
-        self.standby_ckpt.put(w);
-        self.standby_buf.put(w);
-        self.hb_seen.put(w);
-        w.put_u32(self.hb_missed);
-    }
-
-    fn snapshot_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.backbone.restore(r)?;
-        self.standby_bb.restore(r)?;
-        self.scheduler.restore(r)?;
-        self.converter.restore(r)?;
-        self.backlog.restore(r)?;
-        restore_table(&mut self.nodes, r, "node table length")?;
-        self.next_slot_id = r.get_u64()?;
-        self.counters = SnapValue::thaw(r)?;
-        self.awaiting_report = SnapValue::thaw(r)?;
-        self.dispatch_time = SnapValue::thaw(r)?;
-        self.exec_estimate = SnapValue::thaw(r)?;
-        self.post_poll_exec = SnapValue::thaw(r)?;
-        restore_table(&mut self.last_rop, r, "rop table length")?;
-        self.wd_streak = r.get_u64()?;
-        self.batch_seq = r.get_u64()?;
-        self.ctrl_down = SnapValue::thaw(r)?;
-        self.ctrl_dark_until = SnapValue::thaw(r)?;
-        self.last_crash_at = SnapValue::thaw(r)?;
-        self.standby_ckpt = SnapValue::thaw(r)?;
-        self.standby_buf = SnapValue::thaw(r)?;
-        self.hb_seen = SnapValue::thaw(r)?;
-        self.hb_missed = r.get_u32()?;
-        Ok(())
-    }
-
     fn handle(&mut self, now: SimTime, ev: Ev<DEv>) {
         let ev = match self.plant.step(now, ev) {
             Step::Released => return,
@@ -895,6 +695,63 @@ impl World for DominoWorld {
                 self.plant.schedule(now + self.hb_every, DEv::StandbyProbe);
             }
         }
+    }
+}
+
+impl Snapshot for DominoWorld {
+    /// Serialize everything the run's future depends on. Scratch storage
+    /// (the controller's compute buffers, the dispatch staging, index and
+    /// pools) is empty or stale between events and rebuilt on demand, so
+    /// it is deliberately not part of the image.
+    fn save(&self, w: &mut SnapWriter) {
+        self.backbone.save(w);
+        self.standby_bb.save(w);
+        self.scheduler.save(w);
+        self.converter.save(w);
+        self.backlog.save(w);
+        self.nodes.put(w);
+        w.put_u64(self.next_slot_id);
+        self.counters.put(w);
+        self.awaiting_report.put(w);
+        self.dispatch_time.put(w);
+        self.exec_estimate.put(w);
+        self.post_poll_exec.put(w);
+        self.last_rop.put(w);
+        w.put_u64(self.wd_streak);
+        w.put_u64(self.batch_seq);
+        self.ctrl_down.put(w);
+        self.ctrl_dark_until.put(w);
+        self.last_crash_at.put(w);
+        self.standby_ckpt.put(w);
+        self.standby_buf.put(w);
+        self.hb_seen.put(w);
+        w.put_u32(self.hb_missed);
+    }
+
+    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.backbone.restore(r)?;
+        self.standby_bb.restore(r)?;
+        self.scheduler.restore(r)?;
+        self.converter.restore(r)?;
+        self.backlog.restore(r)?;
+        restore_table(&mut self.nodes, r, "node table length")?;
+        self.next_slot_id = r.get_u64()?;
+        self.counters = SnapValue::thaw(r)?;
+        self.awaiting_report = SnapValue::thaw(r)?;
+        self.dispatch_time = SnapValue::thaw(r)?;
+        self.exec_estimate = SnapValue::thaw(r)?;
+        self.post_poll_exec = SnapValue::thaw(r)?;
+        restore_table(&mut self.last_rop, r, "rop table length")?;
+        self.wd_streak = r.get_u64()?;
+        self.batch_seq = r.get_u64()?;
+        self.ctrl_down = SnapValue::thaw(r)?;
+        self.ctrl_dark_until = SnapValue::thaw(r)?;
+        self.last_crash_at = SnapValue::thaw(r)?;
+        self.standby_ckpt = SnapValue::thaw(r)?;
+        self.standby_buf = SnapValue::thaw(r)?;
+        self.hb_seen = SnapValue::thaw(r)?;
+        self.hb_missed = r.get_u32()?;
+        Ok(())
     }
 }
 

@@ -15,7 +15,6 @@ use crate::workload::RunStats;
 use domino_medium::{Frame, FrameBody, Reception};
 use domino_obs::{CostPath, Probe, TraceEvent};
 use domino_scheduler::RandScheduler;
-use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter, Snapshot};
 use domino_sim::{SimDuration, SimTime};
 use domino_topology::{ConflictGraph, LinkId, Network};
 
@@ -38,17 +37,7 @@ impl SchemeEvent for OmniEv {
     }
 }
 
-impl SnapValue for OmniEv {
-    fn put(&self, w: &mut SnapWriter) {
-        w.put_u8(0); // SlotStart, the only variant
-    }
-    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.get_u8()? {
-            0 => Ok(OmniEv::SlotStart),
-            _ => Err(SnapError::Corrupt("omni event tag")),
-        }
-    }
-}
+domino_sim::snap_value!(enum OmniEv, "omni event tag" { 0 => SlotStart });
 
 /// The complete state of an omniscient run between events.
 ///
@@ -106,18 +95,9 @@ impl World for OmniWorld {
     fn finalize(self) -> RunStats {
         self.plant.finish()
     }
-
-    fn snapshot_save(&self, w: &mut SnapWriter) {
-        self.sched.save(w);
-        w.put_u64(self.slot_idx);
-    }
-
-    fn snapshot_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.sched.restore(r)?;
-        self.slot_idx = r.get_u64()?;
-        Ok(())
-    }
 }
+
+domino_sim::snapshot_fields!(OmniWorld { sched, slot_idx });
 
 impl OmniWorld {
     fn on_slot_start(&mut self, now: SimTime) {

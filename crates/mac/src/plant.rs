@@ -80,37 +80,12 @@ impl<X: SchemeEvent> Ev<X> {
     }
 }
 
-impl<X: SnapValue> SnapValue for Ev<X> {
-    fn put(&self, w: &mut SnapWriter) {
-        match self {
-            Ev::TcpTick { flow } => {
-                w.put_u8(0);
-                flow.put(w);
-            }
-            Ev::TcpRto { flow } => {
-                w.put_u8(1);
-                flow.put(w);
-            }
-            Ev::TxEnd { tx } => {
-                w.put_u8(2);
-                tx.put(w);
-            }
-            Ev::Scheme(x) => {
-                w.put_u8(3);
-                x.put(w);
-            }
-        }
-    }
-    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.get_u8()? {
-            0 => Ev::TcpTick { flow: SnapValue::thaw(r)? },
-            1 => Ev::TcpRto { flow: SnapValue::thaw(r)? },
-            2 => Ev::TxEnd { tx: SnapValue::thaw(r)? },
-            3 => Ev::Scheme(SnapValue::thaw(r)?),
-            _ => return Err(SnapError::Corrupt("plant event tag")),
-        })
-    }
-}
+domino_sim::snap_value!(enum Ev<X>, "plant event tag" {
+    0 => TcpTick { flow },
+    1 => TcpRto { flow },
+    2 => TxEnd { tx },
+    3 => Scheme(x),
+});
 
 /// What is left of an event once the plant has done its share.
 pub(crate) enum Step<X> {

@@ -14,7 +14,7 @@ use crate::plant::{Ev, Plant, SchemeEvent};
 use crate::workload::{RunStats, Workload};
 use domino_faults::FaultConfig;
 use domino_obs::Probe;
-use domino_sim::snapshot::{SnapError, SnapReader, SnapWriter};
+use domino_sim::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 use domino_sim::{SimDuration, SimTime};
 use domino_topology::Network;
 
@@ -34,7 +34,11 @@ pub struct RunInputs<'a> {
 }
 
 /// The complete state of one scheme's run between events.
-pub trait World: Sized {
+///
+/// Its [`Snapshot`] is the scheme's own dynamic state, in a fixed order:
+/// the driver writes the plant's state ahead of it, and restores both
+/// into a freshly built world of the same configuration.
+pub trait World: Snapshot + Sized {
     /// Scheme-specific parameters (`()` for schemes without any).
     type Config;
     /// The scheme's own events, carried in [`Ev::Scheme`].
@@ -52,14 +56,6 @@ pub trait World: Sized {
 
     /// Flush end-of-run counters into the stats (and the profiler).
     fn finalize(self) -> RunStats;
-
-    /// Serialize the scheme's own dynamic state, in a fixed order. The
-    /// driver writes the plant's state ahead of it.
-    fn snapshot_save(&self, w: &mut SnapWriter);
-
-    /// Overwrite the scheme's own dynamic state of a freshly built world
-    /// from a [`World::snapshot_save`] payload of the same configuration.
-    fn snapshot_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
 }
 
 /// Snapshot boundaries plus the sink each snapshot is handed to.
@@ -98,7 +94,7 @@ pub fn run<W: World>(
     if let Some((t, payload)) = restore {
         let mut r = SnapReader::new(payload);
         world.plant().snapshot_restore(&mut r)?;
-        world.snapshot_restore(&mut r)?;
+        world.restore(&mut r)?;
         if !r.is_exhausted() {
             return Err(SnapError::Corrupt("trailing snapshot bytes"));
         }
@@ -114,7 +110,7 @@ pub fn run<W: World>(
             }
             let mut w = SnapWriter::new();
             world.plant().snapshot_save(&mut w);
-            world.snapshot_save(&mut w);
+            world.save(&mut w);
             sink(b, w.into_bytes());
         }
     }
@@ -270,8 +266,11 @@ mod tests {
         fn finalize(self) -> RunStats {
             self.0.finish()
         }
-        fn snapshot_save(&self, _: &mut SnapWriter) {}
-        fn snapshot_restore(&mut self, _: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    }
+
+    impl Snapshot for SpinWorld {
+        fn save(&self, _: &mut SnapWriter) {}
+        fn restore(&mut self, _: &mut SnapReader<'_>) -> Result<(), SnapError> {
             Ok(())
         }
     }

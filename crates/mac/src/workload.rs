@@ -190,51 +190,19 @@ pub struct SlotStartRecord {
     pub fake: bool,
 }
 
-impl SnapValue for SlotStartRecord {
-    fn put(&self, w: &mut SnapWriter) {
-        w.put_u64(self.slot);
-        w.put_u64(self.start_ns);
-        self.link.put(w);
-        self.fake.put(w);
-    }
-    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(SlotStartRecord {
-            slot: r.get_u64()?,
-            start_ns: r.get_u64()?,
-            link: SnapValue::thaw(r)?,
-            fake: bool::thaw(r)?,
-        })
-    }
-}
-
-impl SnapValue for DominoCounters {
-    fn put(&self, w: &mut SnapWriter) {
-        w.put_u64(self.bursts_sent);
-        w.put_u64(self.triggers_detected);
-        w.put_u64(self.triggers_failed);
-        w.put_u64(self.stale_triggers);
-        w.put_u64(self.client_transmissions);
-        w.put_u64(self.watchdog_restarts);
-        w.put_u64(self.kick_offs);
-        w.put_u64(self.actions_shed);
-        w.put_u64(self.actions_dispatched);
-        w.put_u64(self.watchdog_storms);
-    }
-    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(DominoCounters {
-            bursts_sent: r.get_u64()?,
-            triggers_detected: r.get_u64()?,
-            triggers_failed: r.get_u64()?,
-            stale_triggers: r.get_u64()?,
-            client_transmissions: r.get_u64()?,
-            watchdog_restarts: r.get_u64()?,
-            kick_offs: r.get_u64()?,
-            actions_shed: r.get_u64()?,
-            actions_dispatched: r.get_u64()?,
-            watchdog_storms: r.get_u64()?,
-        })
-    }
-}
+domino_sim::snap_value!(SlotStartRecord { slot, start_ns, link, fake });
+domino_sim::snap_value!(DominoCounters {
+    bursts_sent,
+    triggers_detected,
+    triggers_failed,
+    stale_triggers,
+    client_transmissions,
+    watchdog_restarts,
+    kick_offs,
+    actions_shed,
+    actions_dispatched,
+    watchdog_storms,
+});
 
 impl Snapshot for RunStats {
     /// Everything except the measured duration and the link count is

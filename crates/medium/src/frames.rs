@@ -71,12 +71,9 @@ impl SnapValue for Burst {
         for t in self.targets.as_slice() {
             t.put(w);
         }
-        w.put_u8(match self.marker {
-            BurstMarker::Start => 0,
-            BurstMarker::Rop => 1,
-        });
-        w.put_u64(self.slot);
-        w.put_u8(u8::from(self.continues));
+        self.marker.put(w);
+        self.slot.put(w);
+        self.continues.put(w);
     }
     fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let n = usize::from(r.get_u8()?);
@@ -94,17 +91,9 @@ impl SnapValue for Burst {
         Ok(Burst {
             codes,
             targets,
-            marker: match r.get_u8()? {
-                0 => BurstMarker::Start,
-                1 => BurstMarker::Rop,
-                _ => return Err(SnapError::Corrupt("burst marker")),
-            },
-            slot: r.get_u64()?,
-            continues: match r.get_u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(SnapError::Corrupt("burst continues flag")),
-            },
+            marker: SnapValue::thaw(r)?,
+            slot: SnapValue::thaw(r)?,
+            continues: SnapValue::thaw(r)?,
         })
     }
 }
@@ -119,6 +108,8 @@ pub enum BurstMarker {
     /// transmitting (paper §3.3).
     Rop,
 }
+
+domino_sim::snap_value!(enum BurstMarker, "burst marker" { 0 => Start, 1 => Rop });
 
 /// What a frame carries.
 #[derive(Clone, Debug, PartialEq)]
@@ -168,64 +159,13 @@ pub enum FrameBody {
     SignatureBurst(Burst),
 }
 
-impl SnapValue for FrameBody {
-    fn put(&self, w: &mut SnapWriter) {
-        match self {
-            FrameBody::Data { packet, fake, client_burst } => {
-                w.put_u8(0);
-                packet.put(w);
-                w.put_u8(u8::from(*fake));
-                client_burst.put(w);
-            }
-            FrameBody::MacAck { packet, link, client_burst } => {
-                w.put_u8(1);
-                w.put_u64(packet.0);
-                link.put(w);
-                client_burst.put(w);
-            }
-            FrameBody::Poll { ap } => {
-                w.put_u8(2);
-                ap.put(w);
-            }
-            FrameBody::RopReport { client, ap, queue } => {
-                w.put_u8(3);
-                client.put(w);
-                ap.put(w);
-                w.put_u32(*queue);
-            }
-            FrameBody::SignatureBurst(b) => {
-                w.put_u8(4);
-                b.put(w);
-            }
-        }
-    }
-    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.get_u8()? {
-            0 => FrameBody::Data {
-                packet: Packet::thaw(r)?,
-                fake: match r.get_u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(SnapError::Corrupt("fake flag")),
-                },
-                client_burst: SnapValue::thaw(r)?,
-            },
-            1 => FrameBody::MacAck {
-                packet: PacketId(r.get_u64()?),
-                link: SnapValue::thaw(r)?,
-                client_burst: SnapValue::thaw(r)?,
-            },
-            2 => FrameBody::Poll { ap: SnapValue::thaw(r)? },
-            3 => FrameBody::RopReport {
-                client: SnapValue::thaw(r)?,
-                ap: SnapValue::thaw(r)?,
-                queue: r.get_u32()?,
-            },
-            4 => FrameBody::SignatureBurst(Burst::thaw(r)?),
-            _ => return Err(SnapError::Corrupt("frame body tag")),
-        })
-    }
-}
+domino_sim::snap_value!(enum FrameBody, "frame body tag" {
+    0 => Data { packet, fake, client_burst },
+    1 => MacAck { packet, link, client_burst },
+    2 => Poll { ap },
+    3 => RopReport { client, ap, queue },
+    4 => SignatureBurst(burst),
+});
 
 /// A frame queued for / on the medium.
 #[derive(Clone, Debug, PartialEq)]
@@ -261,20 +201,7 @@ impl Frame {
     }
 }
 
-impl SnapValue for Frame {
-    fn put(&self, w: &mut SnapWriter) {
-        self.src.put(w);
-        self.body.put(w);
-        w.put_u64(self.bits as u64);
-    }
-    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Frame {
-            src: SnapValue::thaw(r)?,
-            body: FrameBody::thaw(r)?,
-            bits: r.get_len()?,
-        })
-    }
-}
+domino_sim::snap_value!(Frame { src, body, bits });
 
 #[cfg(test)]
 mod tests {

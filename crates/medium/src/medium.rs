@@ -23,14 +23,7 @@ use domino_topology::{Network, NodeId};
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct TxId(pub u64);
 
-impl SnapValue for TxId {
-    fn put(&self, w: &mut SnapWriter) {
-        w.put_u64(self.0);
-    }
-    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(TxId(r.get_u64()?))
-    }
-}
+domino_sim::snap_value!(TxId(u64));
 
 /// The medium's verdict on one (transmission, receiver) pair.
 #[derive(Clone, Debug)]

@@ -9,7 +9,6 @@ use super::decoder::{decode_symbol, DecoderConfig};
 use super::signalgen::{combine_at_ap, encode_queue_symbol, ClientChannel, RESIDUAL_CFO_MAX_FRACTION};
 use super::RopSymbolConfig;
 use domino_sim::rng::streams;
-use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter};
 use domino_sim::SimRng;
 
 /// The three received-spectrum snapshots of the paper's Fig 5.
@@ -90,20 +89,7 @@ pub struct GuardSweepPoint {
     pub decode_ratio: f64,
 }
 
-impl SnapValue for GuardSweepPoint {
-    fn put(&self, w: &mut SnapWriter) {
-        self.guard.put(w);
-        w.put_f64(self.rss_diff_db);
-        w.put_f64(self.decode_ratio);
-    }
-    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(GuardSweepPoint {
-            guard: SnapValue::thaw(r)?,
-            rss_diff_db: r.get_f64()?,
-            decode_ratio: r.get_f64()?,
-        })
-    }
-}
+domino_sim::snap_value!(GuardSweepPoint { guard, rss_diff_db, decode_ratio });
 
 /// Run the Fig 6 experiment: decode ratio of the weaker of two adjacent
 /// clients, for each guard count and RSS difference.
@@ -193,6 +179,7 @@ pub fn tolerance_db(guard: usize, trials: usize, seed: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use domino_sim::snapshot::SnapValue;
 
     #[test]
     fn guard_sweep_point_roundtrips() {

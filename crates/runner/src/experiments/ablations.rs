@@ -6,7 +6,6 @@
 //! cells, plus a cheap closed-form shard for the signature-length table.
 
 use super::util::{mbps, push_block};
-use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter};
 use crate::plan::Plan;
 use crate::scale::Scale;
 use domino_core::{scenarios, Scheme, SimulationBuilder};
@@ -31,38 +30,11 @@ enum ShardOut {
     SignatureTable(String),
 }
 
-impl SnapValue for ShardOut {
-    fn put(&self, w: &mut SnapWriter) {
-        match self {
-            ShardOut::Variant { tput, fairness, delay_ms } => {
-                w.put_u8(0);
-                w.put_f64(*tput);
-                w.put_f64(*fairness);
-                w.put_f64(*delay_ms);
-            }
-            ShardOut::BatchCell(tput) => {
-                w.put_u8(1);
-                w.put_f64(*tput);
-            }
-            ShardOut::SignatureTable(table) => {
-                w.put_u8(2);
-                table.put(w);
-            }
-        }
-    }
-    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.get_u8()? {
-            0 => Ok(ShardOut::Variant {
-                tput: r.get_f64()?,
-                fairness: r.get_f64()?,
-                delay_ms: r.get_f64()?,
-            }),
-            1 => Ok(ShardOut::BatchCell(r.get_f64()?)),
-            2 => Ok(ShardOut::SignatureTable(String::thaw(r)?)),
-            _ => Err(SnapError::Corrupt("ablation shard tag")),
-        }
-    }
-}
+domino_sim::snap_value!(enum ShardOut, "ablation shard tag" {
+    0 => Variant { tput, fairness, delay_ms },
+    1 => BatchCell(tput),
+    2 => SignatureTable(table),
+});
 
 fn variants() -> Vec<(&'static str, ConverterConfig)> {
     vec![

@@ -12,7 +12,6 @@
 use super::util::{mbps, push_block};
 use crate::plan::{Plan, RunDigest};
 use crate::scale::Scale;
-use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter};
 use domino_core::{scenarios, FaultConfig, FaultStats, Scheme, SimulationBuilder};
 use domino_obs::jsonl::{self, TraceMeta};
 use domino_obs::{ProfHandle, TraceHandle};
@@ -31,24 +30,7 @@ struct Cell {
     watchdog_storms: u64,
 }
 
-impl SnapValue for Cell {
-    fn put(&self, w: &mut SnapWriter) {
-        w.put_f64(self.tput);
-        w.put_f64(self.delay_ms);
-        w.put_f64(self.fairness);
-        self.faults.put(w);
-        w.put_u64(self.watchdog_storms);
-    }
-    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Cell {
-            tput: r.get_f64()?,
-            delay_ms: r.get_f64()?,
-            fairness: r.get_f64()?,
-            faults: FaultStats::thaw(r)?,
-            watchdog_storms: r.get_u64()?,
-        })
-    }
-}
+domino_sim::snap_value!(Cell { tput, delay_ms, fairness, faults, watchdog_storms });
 
 /// Build the plan: one shard per (intensity, scheme) cell.
 pub fn plan(scale: Scale, seed: u64) -> Plan {

@@ -12,7 +12,6 @@
 //! cut off by the horizon, and no crash may strand the cell beyond it.
 
 use super::util::{mbps, push_block};
-use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter};
 use crate::plan::{Plan, RunDigest};
 use crate::scale::Scale;
 use domino_core::{scenarios, FaultConfig, FaultStats, Scheme, SimulationBuilder};
@@ -72,15 +71,7 @@ struct Cell {
     faults: FaultStats,
 }
 
-impl SnapValue for Cell {
-    fn put(&self, w: &mut SnapWriter) {
-        w.put_f64(self.tput);
-        self.faults.put(w);
-    }
-    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Cell { tput: r.get_f64()?, faults: FaultStats::thaw(r)? })
-    }
-}
+domino_sim::snap_value!(Cell { tput, faults });
 
 fn grid(scale: Scale) -> (Vec<Recovery>, Vec<f64>) {
     let warm = |ckpt_us| Recovery::Warm { ckpt_us };

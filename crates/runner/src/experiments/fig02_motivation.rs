@@ -5,7 +5,6 @@
 //! so the merged table is byte-identical to the serial binary.
 
 use super::util::{mbps, outln, push_block};
-use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter};
 use crate::plan::Plan;
 use crate::scale::Scale;
 use domino_core::{scenarios, Scheme, SimulationBuilder, Workload};
@@ -25,20 +24,7 @@ struct Cell {
     overall: f64,
 }
 
-impl SnapValue for Cell {
-    fn put(&self, w: &mut SnapWriter) {
-        self.scheme.put(w);
-        self.link_mbps.put(w);
-        w.put_f64(self.overall);
-    }
-    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Cell {
-            scheme: Scheme::thaw(r)?,
-            link_mbps: <[f64; 3]>::thaw(r)?,
-            overall: r.get_f64()?,
-        })
-    }
-}
+domino_sim::snap_value!(Cell { scheme, link_mbps, overall });
 
 fn flow_links(net: &domino_topology::Network) -> [LinkId; 3] {
     let l_ap1 = net

@@ -11,7 +11,6 @@
 //! `domino-phy`'s unit tests.
 
 use super::util::{outln, shard_rng};
-use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter};
 use crate::plan::Plan;
 use crate::scale::Scale;
 use domino_phy::signature::{detection_experiment, Fig9Setup};
@@ -31,20 +30,7 @@ struct Row {
     worst_fp: f64,
 }
 
-impl SnapValue for Row {
-    fn put(&self, w: &mut SnapWriter) {
-        self.combined.put(w);
-        self.detection.put(w);
-        w.put_f64(self.worst_fp);
-    }
-    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Row {
-            combined: usize::thaw(r)?,
-            detection: Vec::<f64>::thaw(r)?,
-            worst_fp: r.get_f64()?,
-        })
-    }
-}
+domino_sim::snap_value!(Row { combined, detection, worst_fp });
 
 /// Build the plan: one shard per combined-signature count (1–7).
 pub fn plan(scale: Scale, seed: u64) -> Plan {

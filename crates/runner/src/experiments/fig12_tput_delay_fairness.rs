@@ -7,7 +7,6 @@
 //! preamble shard — 19 shards quick, 37 at full scale.
 
 use super::util::{mbps, outln, push_block};
-use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter};
 use crate::plan::Plan;
 use crate::scale::Scale;
 use domino_core::{scenarios, Scheme, SimulationBuilder};
@@ -25,33 +24,10 @@ enum ShardOut {
     Cell { tput: f64, delay_ms: f64, fairness: f64 },
 }
 
-impl SnapValue for ShardOut {
-    fn put(&self, w: &mut SnapWriter) {
-        match self {
-            ShardOut::Preamble(text) => {
-                w.put_u8(0);
-                text.put(w);
-            }
-            ShardOut::Cell { tput, delay_ms, fairness } => {
-                w.put_u8(1);
-                w.put_f64(*tput);
-                w.put_f64(*delay_ms);
-                w.put_f64(*fairness);
-            }
-        }
-    }
-    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.get_u8()? {
-            0 => Ok(ShardOut::Preamble(String::thaw(r)?)),
-            1 => Ok(ShardOut::Cell {
-                tput: r.get_f64()?,
-                delay_ms: r.get_f64()?,
-                fairness: r.get_f64()?,
-            }),
-            _ => Err(SnapError::Corrupt("fig12 shard tag")),
-        }
-    }
-}
+domino_sim::snap_value!(enum ShardOut, "fig12 shard tag" {
+    0 => Preamble(text),
+    1 => Cell { tput, delay_ms, fairness },
+});
 
 struct Metrics {
     tput: f64,

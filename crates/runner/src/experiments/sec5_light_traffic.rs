@@ -5,7 +5,6 @@
 //! One shard per scheme.
 
 use super::util::{outln, push_block};
-use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter};
 use crate::plan::Plan;
 use crate::scale::Scale;
 use domino_core::{scenarios, Scheme, SimulationBuilder};
@@ -23,22 +22,7 @@ struct Cell {
     drops: u64,
 }
 
-impl SnapValue for Cell {
-    fn put(&self, w: &mut SnapWriter) {
-        self.scheme.put(w);
-        w.put_f64(self.tput);
-        w.put_f64(self.delay_us);
-        w.put_u64(self.drops);
-    }
-    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Cell {
-            scheme: Scheme::thaw(r)?,
-            tput: r.get_f64()?,
-            delay_us: r.get_f64()?,
-            drops: r.get_u64()?,
-        })
-    }
-}
+domino_sim::snap_value!(Cell { scheme, tput, delay_us, drops });
 
 /// Build the plan: DOMINO and DCF shards on T(6,5) at 6 kB/s per link.
 pub fn plan(scale: Scale, seed: u64) -> Plan {

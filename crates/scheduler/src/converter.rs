@@ -29,7 +29,6 @@ use crate::schedule::{
     MAX_TRIGGER_TARGETS,
 };
 use domino_phy::units::Dbm;
-use domino_sim::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 use domino_topology::{ConflictGraph, LinkId, LinkMask, Network, NodeId};
 
 /// Upper bound on signatures per broadcaster the converter's inline
@@ -488,45 +487,10 @@ impl Converter {
     }
 }
 
-impl Snapshot for Converter {
-    /// Dynamic state: the batch counter (it seeds the fake-candidate
-    /// rotation) and the retained batch-connection slot. Every other
-    /// field is scratch.
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(self.batch_counter);
-        match &self.retained {
-            None => w.put_u8(0),
-            Some(entries) => {
-                w.put_u8(1);
-                w.put_u64(entries.len() as u64);
-                for e in entries {
-                    w.put_u32(e.link.0);
-                    w.put_u8(u8::from(e.fake));
-                    w.put_u8(u8::from(e.kick_off));
-                }
-            }
-        }
-    }
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.batch_counter = r.get_u64()?;
-        self.retained = match r.get_u8()? {
-            0 => None,
-            1 => {
-                let len = r.get_len()?;
-                let mut entries = Vec::with_capacity(len.min(4096));
-                for _ in 0..len {
-                    let link = LinkId(r.get_u32()?);
-                    let fake = r.get_u8()? != 0;
-                    let kick_off = r.get_u8()? != 0;
-                    entries.push(SlotEntry { link, fake, kick_off });
-                }
-                Some(entries)
-            }
-            _ => return Err(SnapError::Corrupt("retained slot tag")),
-        };
-        Ok(())
-    }
-}
+// Dynamic state: the batch counter (it seeds the fake-candidate
+// rotation) and the retained batch-connection slot. Every other field is
+// scratch.
+domino_sim::snapshot_fields!(Converter { batch_counter, retained });
 
 /// Mark the given links of `slots[idx]` as kick-offs (no over-the-air
 /// trigger reaches their sender; the AP starts them individually).
@@ -560,6 +524,7 @@ fn mark_all_kick_offs(slots: &mut [RelativeSlot], idx: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use domino_sim::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
     use domino_topology::presets::{fig13a, fig7};
     use domino_topology::PhyParams;
     use std::collections::BTreeMap;
@@ -763,11 +728,11 @@ mod tests {
         let _ = conv.convert(&net, &graph, &fig7_strict(&net), &[]);
         let _ = conv.convert(&net, &graph, &fig7_strict(&net), &net.aps());
 
-        let mut w = domino_sim::snapshot::SnapWriter::new();
+        let mut w = SnapWriter::new();
         conv.save(&mut w);
         let bytes = w.into_bytes();
         let mut fresh = Converter::new(ConverterConfig::default());
-        let mut r = domino_sim::snapshot::SnapReader::new(&bytes);
+        let mut r = SnapReader::new(&bytes);
         fresh.restore(&mut r).unwrap();
         assert!(r.is_exhausted());
         assert_eq!(fresh.retained_entries(), conv.retained_entries());
@@ -782,6 +747,31 @@ mod tests {
             assert_eq!(sa.entries, sb.entries);
             assert_eq!(sa.bursts, sb.bursts);
         }
+    }
+
+    /// A retained entry's flags are the bytes 0 and 1, like every flag
+    /// in a snapshot: a restore reads 2 as corrupt, not as `true`.
+    #[test]
+    fn snapshot_rejects_a_retained_flag_other_than_0_or_1() {
+        let net = fig7(PhyParams::default());
+        let graph = ConflictGraph::build(&net);
+        let mut conv = Converter::new(ConverterConfig::default());
+        let _ = conv.convert(&net, &graph, &fig7_strict(&net), &net.aps());
+        let first = conv.retained_entries().and_then(|e| e.first().copied()).unwrap();
+        let mut w = SnapWriter::new();
+        conv.save(&mut w);
+        let mut bytes = w.into_bytes();
+        // The batch counter (u64), the retained slot's option tag (u8),
+        // its entry count (u64), then the first entry's link (u32) and
+        // its `fake` byte.
+        let fake_at = 8 + 1 + 8 + 4;
+        assert_eq!(bytes[fake_at], u8::from(first.fake));
+        bytes[fake_at] = 2;
+        let mut fresh = Converter::new(ConverterConfig::default());
+        assert_eq!(
+            fresh.restore(&mut SnapReader::new(&bytes)),
+            Err(SnapError::Corrupt("bool tag"))
+        );
     }
 
     #[test]

@@ -44,6 +44,8 @@ pub struct SlotEntry {
     pub kick_off: bool,
 }
 
+domino_sim::snap_value!(SlotEntry { link, fake, kick_off });
+
 /// A signature broadcast assignment: at the end of a slot, `broadcaster`
 /// transmits the signatures of `targets` (each a next-slot transmitter or
 /// a polling AP), capped at 4 by the outbound constraint.

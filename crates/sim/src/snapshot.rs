@@ -21,11 +21,19 @@
 //!   rebuilt identically from `(config, seed)`) untouched. Every
 //!   [`SnapValue`] is trivially a [`Snapshot`] via a blanket impl.
 //!
+//! Each encoding is written once, as a declaration whose list is the
+//! layout: [`snap_value!`](crate::snap_value) for a struct's fields, a
+//! newtype or an enum's tagged variants, and
+//! [`snapshot_fields!`](crate::snapshot_fields) for a component's dynamic
+//! fields. Write an impl by hand only when its restore checks the payload
+//! against the built target (a table's length or shape, the engine's
+//! queue order) or when two lists share one length.
+//!
 //! # Container format
 //!
 //! ```text
 //! "DSNP"            4-byte magic
-//! version           u32 LE (currently 2)
+//! version           u32 LE, SNAPSHOT_VERSION
 //! binding           32-byte SHA-256 of the run configuration
 //! t                 u64 LE checkpoint boundary (nanoseconds)
 //! payload_len       u64 LE
@@ -49,7 +57,8 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Current container format version. Bump on any layout change or any
 /// change in what a payload means; old versions are rejected, never
-/// reinterpreted.
+/// reinterpreted. `tests/golden.rs` pins the SHA-256 of checkpoint
+/// payloads: a layout change moves those pins and bumps this version.
 pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// 4-byte container magic.
@@ -507,6 +516,102 @@ impl<A: SnapValue, B: SnapValue, C: SnapValue> SnapValue for (A, B, C) {
     }
 }
 
+/// Implement [`SnapValue`] from a type's parts, written in the order
+/// listed, each through its own [`SnapValue`]; `thaw` reads them back in
+/// the same order. Three shapes:
+///
+/// * `snap_value!(Packet { id, flow, seq })`: a struct, every named
+///   field listed.
+/// * `snap_value!(NodeId(u32))`: a one-field tuple struct, encoded as its
+///   field.
+/// * `snap_value!(enum Ev<X>, "plant event tag" { 0 => Idle, 1 => Tx {
+///   tx }, 2 => Scheme(x) })`: an enum, every variant listed with its
+///   `u8` tag, which is written ahead of the variant's fields. Type
+///   parameters are optional and are bound by [`SnapValue`]. An unknown
+///   tag is [`SnapError::Corrupt`] with the given string.
+///
+/// The list is the layout: reordering it moves every byte after it.
+#[macro_export]
+macro_rules! snap_value {
+    (enum $ty:ident $(<$($gen:ident),+>)?, $what:literal {
+        $($tag:literal => $var:ident $({ $($field:ident),* })? $(($($part:ident),*))?),+ $(,)?
+    }) => {
+        impl$(<$($gen: $crate::snapshot::SnapValue),+>)? $crate::snapshot::SnapValue
+            for $ty$(<$($gen),+>)?
+        {
+            fn put(&self, w: &mut $crate::snapshot::SnapWriter) {
+                match self {
+                    $(Self::$var $({ $($field),* })? $(($($part),*))? => {
+                        w.put_u8($tag);
+                        $($($crate::snapshot::SnapValue::put($field, w);)*)?
+                        $($($crate::snapshot::SnapValue::put($part, w);)*)?
+                    })+
+                }
+            }
+            fn thaw(
+                r: &mut $crate::snapshot::SnapReader<'_>,
+            ) -> Result<Self, $crate::snapshot::SnapError> {
+                match r.get_u8()? {
+                    $($tag => {
+                        $($(let $field = $crate::snapshot::SnapValue::thaw(r)?;)*)?
+                        $($(let $part = $crate::snapshot::SnapValue::thaw(r)?;)*)?
+                        Ok(Self::$var $({ $($field),* })? $(($($part),*))?)
+                    })+
+                    _ => Err($crate::snapshot::SnapError::Corrupt($what)),
+                }
+            }
+        }
+    };
+    ($ty:ident($inner:ty)) => {
+        impl $crate::snapshot::SnapValue for $ty {
+            fn put(&self, w: &mut $crate::snapshot::SnapWriter) {
+                $crate::snapshot::SnapValue::put(&self.0, w);
+            }
+            fn thaw(
+                r: &mut $crate::snapshot::SnapReader<'_>,
+            ) -> Result<Self, $crate::snapshot::SnapError> {
+                Ok(Self(<$inner as $crate::snapshot::SnapValue>::thaw(r)?))
+            }
+        }
+    };
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl $crate::snapshot::SnapValue for $ty {
+            fn put(&self, w: &mut $crate::snapshot::SnapWriter) {
+                $($crate::snapshot::SnapValue::put(&self.$field, w);)+
+            }
+            fn thaw(
+                r: &mut $crate::snapshot::SnapReader<'_>,
+            ) -> Result<Self, $crate::snapshot::SnapError> {
+                Ok(Self { $($field: $crate::snapshot::SnapValue::thaw(r)?),+ })
+            }
+        }
+    };
+}
+
+/// Implement in-place [`Snapshot`] from a component's dynamic fields:
+/// `snapshot_fields!(TcpSender { next_seq, cwnd, timeouts })` saves and
+/// restores each listed field through its own [`Snapshot`], in the
+/// order listed. Plain values list alike through the blanket impl, and
+/// so do sub-components. Fields not listed are configuration or scratch:
+/// a restore leaves them as the constructor built them.
+#[macro_export]
+macro_rules! snapshot_fields {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl $crate::snapshot::Snapshot for $ty {
+            fn save(&self, w: &mut $crate::snapshot::SnapWriter) {
+                $($crate::snapshot::Snapshot::save(&self.$field, w);)+
+            }
+            fn restore(
+                &mut self,
+                r: &mut $crate::snapshot::SnapReader<'_>,
+            ) -> Result<(), $crate::snapshot::SnapError> {
+                $($crate::snapshot::Snapshot::restore(&mut self.$field, r)?;)+
+                Ok(())
+            }
+        }
+    };
+}
+
 /// SHA-256 over a sequence of length-delimited byte fields — the helper
 /// the high-level API uses to derive a snapshot's configuration binding
 /// from scheme, seed, duration, topology, and workload shape. Fields are
@@ -680,6 +785,101 @@ mod tests {
         w.put_u64(u64::MAX);
         let bytes = w.into_bytes();
         assert!(Vec::<u64>::thaw(&mut SnapReader::new(&bytes)).is_err());
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Pair {
+        id: u32,
+        at: SimTime,
+        hit: bool,
+    }
+    crate::snap_value!(Pair { id, at, hit });
+
+    #[derive(Debug, PartialEq)]
+    struct Id(u64);
+    crate::snap_value!(Id(u64));
+
+    #[derive(Debug, PartialEq)]
+    enum Msg<X> {
+        Idle,
+        Move { from: u32, to: Option<u8> },
+        Wrap(X, bool),
+    }
+    crate::snap_value!(enum Msg<X>, "msg tag" {
+        0 => Idle,
+        1 => Move { from, to },
+        7 => Wrap(inner, flag),
+    });
+
+    #[test]
+    fn declared_values_write_their_parts_in_order() {
+        let pair = Pair { id: 7, at: SimTime::from_nanos(9), hit: true };
+        assert_eq!(pair.to_bytes(), [7, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 1]);
+        roundtrip(pair);
+        assert_eq!(Id(5).to_bytes(), [5, 0, 0, 0, 0, 0, 0, 0]);
+        roundtrip(Id(u64::MAX));
+        // The tag, then the variant's fields.
+        assert_eq!(Msg::<Id>::Idle.to_bytes(), [0]);
+        assert_eq!(Msg::<Id>::Move { from: 3, to: Some(4) }.to_bytes(), [1, 3, 0, 0, 0, 1, 4]);
+        assert_eq!(Msg::Wrap(Id(2), true).to_bytes(), [7, 2, 0, 0, 0, 0, 0, 0, 0, 1]);
+        for msg in [
+            Msg::Idle,
+            Msg::Move { from: u32::MAX, to: None },
+            Msg::Move { from: 1, to: Some(2) },
+            Msg::Wrap(Id(9), false),
+        ] {
+            roundtrip(msg);
+        }
+    }
+
+    #[test]
+    fn declared_enums_reject_unknown_tags() {
+        for tag in [2u8, 6, 8, u8::MAX] {
+            assert_eq!(
+                Msg::<Id>::thaw(&mut SnapReader::new(&[tag])),
+                Err(SnapError::Corrupt("msg tag"))
+            );
+        }
+        // A field's own decode stays strict inside a declaration.
+        assert_eq!(Pair::from_bytes(&[0; 13][..12]), Err(SnapError::Truncated));
+        let mut bad_flag = Pair { id: 1, at: SimTime::ZERO, hit: false }.to_bytes();
+        bad_flag[12] = 2;
+        assert_eq!(Pair::from_bytes(&bad_flag), Err(SnapError::Corrupt("bool tag")));
+    }
+
+    /// A component: `limit` is configuration, `inner` a sub-component.
+    #[derive(Debug)]
+    struct Component {
+        limit: u32,
+        count: u64,
+        inner: Inner,
+    }
+    crate::snapshot_fields!(Component { count, inner });
+
+    #[derive(Debug)]
+    struct Inner {
+        seen: Vec<u32>,
+    }
+    crate::snapshot_fields!(Inner { seen });
+
+    #[test]
+    fn declared_components_restore_listed_fields_only() {
+        let built = || Component { limit: 9, count: 0, inner: Inner { seen: Vec::new() } };
+        let saved = Component { limit: 1, count: 5, inner: Inner { seen: vec![3, 4] } };
+        let mut w = SnapWriter::new();
+        saved.save(&mut w);
+        let bytes = w.into_bytes();
+        let mut want = 5u64.to_bytes();
+        want.extend(vec![3u32, 4].to_bytes());
+        assert_eq!(bytes, want);
+        let mut restored = built();
+        let mut r = SnapReader::new(&bytes);
+        restored.restore(&mut r).unwrap();
+        assert!(r.is_exhausted());
+        assert_eq!((restored.limit, restored.count, restored.inner.seen), (9, 5, vec![3, 4]));
+        for cut in 0..bytes.len() {
+            assert!(built().restore(&mut SnapReader::new(&bytes[..cut])).is_err(), "prefix {cut}");
+        }
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use crate::node::NodeId;
 use core::fmt;
-use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter};
 
 /// Identifier of a directed link, dense from zero within a network.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -22,15 +21,7 @@ impl fmt::Display for LinkId {
     }
 }
 
-/// Encoded as the raw `u32`.
-impl SnapValue for LinkId {
-    fn put(&self, w: &mut SnapWriter) {
-        w.put_u32(self.0);
-    }
-    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(LinkId(r.get_u32()?))
-    }
-}
+domino_sim::snap_value!(LinkId(u32));
 
 /// Traffic direction of a link.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]

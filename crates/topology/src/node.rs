@@ -1,7 +1,6 @@
 //! Nodes: APs and clients.
 
 use core::fmt;
-use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter};
 
 /// Identifier of a wireless node, dense from zero within a [`Network`].
 ///
@@ -23,15 +22,7 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// Encoded as the raw `u32`.
-impl SnapValue for NodeId {
-    fn put(&self, w: &mut SnapWriter) {
-        w.put_u32(self.0);
-    }
-    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(NodeId(r.get_u32()?))
-    }
-}
+domino_sim::snap_value!(NodeId(u32));
 
 /// Whether a node is an access point (wired to the controller) or a
 /// client.

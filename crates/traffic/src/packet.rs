@@ -1,6 +1,5 @@
 //! Packets and flows.
 
-use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter};
 use domino_sim::SimTime;
 use domino_topology::LinkId;
 
@@ -52,37 +51,10 @@ impl Packet {
     }
 }
 
-impl SnapValue for Packet {
-    fn put(&self, w: &mut SnapWriter) {
-        w.put_u64(self.id.0);
-        w.put_u32(self.flow.0);
-        self.link.put(w);
-        w.put_u64(self.payload_bytes as u64);
-        self.created_at.put(w);
-        w.put_u8(match self.kind {
-            PacketKind::Udp => 0,
-            PacketKind::TcpData => 1,
-            PacketKind::TcpAck => 2,
-        });
-        w.put_u64(self.seq);
-    }
-    fn thaw(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Packet {
-            id: PacketId(r.get_u64()?),
-            flow: FlowId(r.get_u32()?),
-            link: SnapValue::thaw(r)?,
-            payload_bytes: r.get_len()?,
-            created_at: SimTime::thaw(r)?,
-            kind: match r.get_u8()? {
-                0 => PacketKind::Udp,
-                1 => PacketKind::TcpData,
-                2 => PacketKind::TcpAck,
-                _ => return Err(SnapError::Corrupt("packet kind")),
-            },
-            seq: r.get_u64()?,
-        })
-    }
-}
+domino_sim::snap_value!(PacketId(u64));
+domino_sim::snap_value!(FlowId(u32));
+domino_sim::snap_value!(enum PacketKind, "packet kind" { 0 => Udp, 1 => TcpData, 2 => TcpAck });
+domino_sim::snap_value!(Packet { id, flow, link, payload_bytes, created_at, kind, seq });
 
 /// The paper's default data packet size.
 pub const DEFAULT_PACKET_BYTES: usize = 512;

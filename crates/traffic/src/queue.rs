@@ -5,7 +5,6 @@
 //! the RAND scheduler's has-data test.
 
 use crate::packet::Packet;
-use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter, Snapshot};
 use std::collections::VecDeque;
 
 /// Default MAC queue capacity in packets.
@@ -81,24 +80,9 @@ impl Default for LinkQueue {
     }
 }
 
-impl Snapshot for LinkQueue {
-    /// Dynamic state: the queued packets. `capacity` is configuration and
-    /// stays as constructed.
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(self.items.len() as u64);
-        for p in &self.items {
-            p.put(w);
-        }
-    }
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let len = r.get_len()?;
-        self.items.clear();
-        for _ in 0..len {
-            self.items.push_back(Packet::thaw(r)?);
-        }
-        Ok(())
-    }
-}
+// Dynamic state: the queued packets. `capacity` is configuration and
+// stays as constructed.
+domino_sim::snapshot_fields!(LinkQueue { items });
 
 #[cfg(test)]
 mod tests {

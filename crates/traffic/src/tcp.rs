@@ -14,7 +14,6 @@
 //! reverse-link packet, and feeds it back into [`TcpSender::on_ack`].
 
 use crate::packet::{FlowId, Packet, PacketId, PacketKind};
-use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter, Snapshot};
 use domino_sim::{SimDuration, SimTime};
 use domino_topology::LinkId;
 use std::collections::BTreeMap;
@@ -277,45 +276,25 @@ impl TcpSender {
     }
 }
 
-impl Snapshot for TcpSender {
-    /// Dynamic state: everything the congestion-control machine mutates.
-    /// `flow`, `link`, `cfg` and `id_base` are configuration.
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(self.id_serial);
-        w.put_u64(self.next_seq);
-        w.put_u64(self.snd_una);
-        w.put_f64(self.cwnd);
-        w.put_f64(self.ssthresh);
-        w.put_u32(self.dup_acks);
-        self.in_flight.put(w);
-        w.put_f64(self.app_credit);
-        self.credit_updated_at.put(w);
-        self.srtt_us.put(w);
-        w.put_f64(self.rttvar_us);
-        w.put_u32(self.rto_backoff);
-        self.rto_deadline.put(w);
-        w.put_u64(self.retransmissions);
-        w.put_u64(self.timeouts);
-    }
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.id_serial = r.get_u64()?;
-        self.next_seq = r.get_u64()?;
-        self.snd_una = r.get_u64()?;
-        self.cwnd = r.get_f64()?;
-        self.ssthresh = r.get_f64()?;
-        self.dup_acks = r.get_u32()?;
-        self.in_flight = SnapValue::thaw(r)?;
-        self.app_credit = r.get_f64()?;
-        self.credit_updated_at = SimTime::thaw(r)?;
-        self.srtt_us = SnapValue::thaw(r)?;
-        self.rttvar_us = r.get_f64()?;
-        self.rto_backoff = r.get_u32()?;
-        self.rto_deadline = SnapValue::thaw(r)?;
-        self.retransmissions = r.get_u64()?;
-        self.timeouts = r.get_u64()?;
-        Ok(())
-    }
-}
+// Dynamic state: everything the congestion-control machine mutates.
+// `flow`, `link`, `cfg` and `id_base` are configuration.
+domino_sim::snapshot_fields!(TcpSender {
+    id_serial,
+    next_seq,
+    snd_una,
+    cwnd,
+    ssthresh,
+    dup_acks,
+    in_flight,
+    app_credit,
+    credit_updated_at,
+    srtt_us,
+    rttvar_us,
+    rto_backoff,
+    rto_deadline,
+    retransmissions,
+    timeouts,
+});
 
 /// Receiver-side TCP-lite state: tracks the cumulative ack point.
 #[derive(Clone, Debug, Default)]
@@ -355,19 +334,7 @@ impl TcpReceiver {
     }
 }
 
-impl Snapshot for TcpReceiver {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(self.expected);
-        self.out_of_order.put(w);
-        w.put_u64(self.delivered);
-    }
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.expected = r.get_u64()?;
-        self.out_of_order = SnapValue::thaw(r)?;
-        self.delivered = r.get_u64()?;
-        Ok(())
-    }
-}
+domino_sim::snapshot_fields!(TcpReceiver { expected, out_of_order, delivered });
 
 #[cfg(test)]
 mod tests {

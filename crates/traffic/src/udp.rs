@@ -1,7 +1,6 @@
 //! Constant-bit-rate UDP sources (the paper's default workload).
 
 use crate::packet::{FlowId, Packet, PacketId, PacketKind};
-use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter, Snapshot};
 use domino_sim::{SimDuration, SimTime};
 use domino_topology::LinkId;
 
@@ -120,19 +119,9 @@ impl UdpSource {
     }
 }
 
-impl Snapshot for UdpSource {
-    /// Dynamic state: the arrival clock and the packet serial. Rate,
-    /// flow, link and packet size are configuration.
-    fn save(&self, w: &mut SnapWriter) {
-        self.next_arrival.put(w);
-        w.put_u64(self.next_packet_serial);
-    }
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.next_arrival = SimTime::thaw(r)?;
-        self.next_packet_serial = r.get_u64()?;
-        Ok(())
-    }
-}
+// Dynamic state: the arrival clock and the packet serial. Rate, flow,
+// link and packet size are configuration.
+domino_sim::snapshot_fields!(UdpSource { next_arrival, next_packet_serial });
 
 #[cfg(test)]
 mod tests {

@@ -15,7 +15,6 @@
 
 use domino_obs::{TraceEvent, TraceHandle};
 use domino_sim::rng::streams;
-use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter, Snapshot};
 use domino_sim::{SimDuration, SimRng, SimTime};
 
 /// Latency model of one backbone hop.
@@ -282,36 +281,24 @@ impl Backbone {
     }
 }
 
-impl Snapshot for Backbone {
-    /// Dynamic state: the three RNG positions and the counters. The
-    /// latency model and every knob are configuration, re-applied by the
-    /// restore target's builder.
-    fn save(&self, w: &mut SnapWriter) {
-        self.rng.put(w);
-        self.faults.put(w);
-        self.retry_rng.put(w);
-        w.put_u64(self.sent);
-        w.put_u64(self.lost);
-        w.put_u64(self.spiked);
-        w.put_u64(self.retries);
-        w.put_u64(self.retry_drops);
-    }
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.rng = SimRng::thaw(r)?;
-        self.faults = SimRng::thaw(r)?;
-        self.retry_rng = SimRng::thaw(r)?;
-        self.sent = r.get_u64()?;
-        self.lost = r.get_u64()?;
-        self.spiked = r.get_u64()?;
-        self.retries = r.get_u64()?;
-        self.retry_drops = r.get_u64()?;
-        Ok(())
-    }
-}
+// Dynamic state: the three RNG positions and the counters. The latency
+// model and every knob are configuration, re-applied by the restore
+// target's builder.
+domino_sim::snapshot_fields!(Backbone {
+    rng,
+    faults,
+    retry_rng,
+    sent,
+    lost,
+    spiked,
+    retries,
+    retry_drops,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use domino_sim::snapshot::{SnapReader, SnapWriter, Snapshot};
 
     #[test]
     fn default_matches_paper_parameters() {

@@ -11,6 +11,7 @@
 //! messages stay readable; the formatting is exact for the precision used.
 
 use domino::core::{scenarios, FaultConfig, RunReport, Scheme, SimulationBuilder};
+use domino_testkit::digest::{to_hex, Sha256};
 
 fn summary(scheme: Scheme) -> String {
     let report = SimulationBuilder::new(scenarios::fig7())
@@ -27,13 +28,16 @@ fn summary(scheme: Scheme) -> String {
 }
 
 /// The same network under TCP 10/5 Mb/s for 0.5 s with `faults`.
-fn tcp_run(scheme: Scheme, faults: FaultConfig) -> RunReport {
+fn tcp_builder(faults: FaultConfig) -> SimulationBuilder {
     SimulationBuilder::new(scenarios::fig7())
         .tcp(10e6, 5e6)
         .duration_s(0.5)
         .seed(0xD0311)
         .faults(faults)
-        .run(scheme)
+}
+
+fn tcp_run(scheme: Scheme, faults: FaultConfig) -> RunReport {
+    tcp_builder(faults).run(scheme)
 }
 
 fn tcp_line(report: &RunReport) -> String {
@@ -263,7 +267,6 @@ fn controller_rounds_digest(
 ) -> String {
     use domino::scheduler::{BurstAssignment, ConversionOutcome, Converter, RandScheduler, RopSlot};
     use domino::topology::ConflictGraph;
-    use domino_testkit::digest::{to_hex, Sha256};
     use domino_testkit::Rng;
 
     fn put_len(h: &mut Sha256, len: usize) {
@@ -359,4 +362,65 @@ fn golden_controller_rounds_t10x2_and_rt20x3() {
         controller_rounds_digest(&scenarios::standard_t(10, 2, 1), strict),
         "d8d9468aa17c92d0636f51ab4c5c601ab0b4e07f43ae34e4057e33d347d9a85b"
     );
+}
+
+/// SHA-256 of the payload that a run checkpointed at 0.25 s seals, with
+/// the run's report. The payload is every `SnapValue` and `Snapshot`
+/// encoding of the world in order. A round trip passes whatever order a
+/// save and its restore agree on, so only these pins catch a reordered
+/// or retyped field, which would turn every older checkpoint into
+/// garbage. A deliberate layout change moves them and bumps
+/// `SNAPSHOT_VERSION`.
+fn checkpoint_payload_digest(b: &SimulationBuilder, scheme: Scheme) -> (String, RunReport) {
+    use domino::core::{Checkpoints, RunOpts};
+    use domino::sim::{snapshot, SimTime};
+    let at = [SimTime::from_micros(250_000)];
+    let mut sealed = Vec::new();
+    let checkpoints = Some(Checkpoints { at: &at, sink: &mut |_, bytes| sealed.push(bytes) });
+    let report =
+        b.run_with(scheme, RunOpts { checkpoints, ..RunOpts::default() }).expect("no restore");
+    assert_eq!(sealed.len(), 1, "{scheme:?}: one checkpoint");
+    let (t, payload) = snapshot::open(&sealed[0], &b.binding(scheme)).expect("the seal opens");
+    assert_eq!(t, at[0].as_nanos());
+    let mut h = Sha256::new();
+    h.update(payload);
+    (to_hex(&h.finalize()), report)
+}
+
+/// fig7 under TCP and `FaultConfig::chaos(0.5)`: frames in flight, TCP
+/// timers, crashed APs and every scheme's world.
+#[test]
+fn golden_checkpoint_payloads_fig7_tcp_chaos() {
+    let b = tcp_builder(FaultConfig::chaos(0.5));
+    let digests: Vec<String> =
+        Scheme::ALL.iter().map(|&s| checkpoint_payload_digest(&b, s).0).collect();
+    assert_eq!(
+        digests,
+        [
+            "92484fe11e9895000aef46549c35788c8637a6743f4f356bc3f824a51da5bb6a",
+            "01fc168c3d64417a92330950d94181a850af1e0d446663f8aa99f1aebd7f9674",
+            "c9611afcb8bd8b13489024af9d8a4ddd351cd43c29c41d645916f62898b11f73",
+            "90afc0447b043f39f2f84a94d8302869edd34c2011b30239ee2372f2b22c2e2d",
+        ]
+    );
+}
+
+/// T(10,2) with controller crashes and a warm standby, which the chaos
+/// class leaves out: the standby's state and the checkpoints DOMINO's
+/// controller ships to it.
+#[test]
+fn golden_checkpoint_payloads_t10x2_failover() {
+    let b = SimulationBuilder::new(scenarios::standard_t(10, 2, 1))
+        .udp(10e6, 10e6)
+        .duration_s(0.5)
+        .seed(1)
+        .faults(FaultConfig { standby: true, ctrl_crash: 0.05, ..FaultConfig::off() });
+    for (scheme, want) in [
+        (Scheme::Domino, "c7db279284896e5e9d96cd4ba00bd2c3d7cb5efed0e6bb0543f68685a1544001"),
+        (Scheme::Centaur, "d3ee8d56faf6d9eddae6770f69fd711bf022b0e34135b9c2eb22aa5ec4c48822"),
+    ] {
+        let (digest, report) = checkpoint_payload_digest(&b, scheme);
+        assert!(report.stats.faults.ctrl_crashes > 0, "{scheme:?}: the controller never crashed");
+        assert_eq!(digest, want, "{scheme:?}");
+    }
 }
