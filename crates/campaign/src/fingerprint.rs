@@ -5,8 +5,8 @@
 //! crate is hashed over its `Cargo.toml` plus every `src/**.rs` file
 //! (sorted, path + length + content — so renames and moves invalidate
 //! too), and the crates that can reach shard computation fold into one
-//! **fingerprint** that is part of every [`CacheKey`]
-//! (`crate::store::CacheKey`).
+//! **fingerprint** that is part of every
+//! [`CacheKey`](crate::store::CacheKey).
 //!
 //! The rendered manifest is committed as `results/source_manifest.txt`
 //! and `scripts/ci.sh` byte-diffs it against a fresh scan

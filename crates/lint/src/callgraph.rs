@@ -24,13 +24,13 @@
 //! * `#[cfg(test)]`/`#[test]` functions are outside the graph: they can
 //!   neither be reached from a simulation root nor supply edges, which
 //!   keeps test helpers named `push`/`emit` from polluting reachability.
-//! * Driver/measurement crates ([`EXCLUDED_CRATES`]) contribute neither
+//! * Driver/measurement crates (`EXCLUDED_CRATES`) contribute neither
 //!   nodes nor edges: nothing the engine dispatches lives there, and
 //!   their intentionally alloc-heavy code (report rendering, bench
 //!   harnesses) would otherwise shadow real hot-path hits through
 //!   name collisions.
 //!
-//! Reachability is one BFS from the roots ([`is_root`]); parent links
+//! Reachability is one BFS from the roots (`is_root`); parent links
 //! let every finding print its witness chain, so a D007 report reads
 //! `Engine::pop → World::dispatch_batch → send_data` rather than a bare
 //! "reachable".

@@ -140,7 +140,7 @@ pub struct FnItem<'a> {
 }
 
 /// A `const NAME: u64 = <int>;` inside a module named `streams` — the
-/// registry convention for [`SimRng`] stream labels D008 audits.
+/// registry convention for `SimRng` stream labels D008 audits.
 #[derive(Clone, Debug)]
 pub struct StreamConst<'a> {
     /// Constant name.

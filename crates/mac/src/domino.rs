@@ -129,6 +129,80 @@ struct ApAction {
     client_burst: Option<Burst>,
 }
 
+/// An AP's program: its pending actions in delivery order.
+///
+/// Fault-free programs are slot-sorted, since every batch continues the
+/// slot ids of the one before; crashes, lost batches and failovers can
+/// append lower slots behind higher ones. The program counts its
+/// descents (adjacent actions whose later one has the lower slot), a
+/// derived figure rebuilt on restore and never saved, so a slot lookup
+/// binary-searches while there are none and scans otherwise.
+#[derive(Debug, Default)]
+struct Program {
+    actions: VecDeque<ApAction>,
+    descents: usize,
+}
+
+impl Program {
+    fn front(&self) -> Option<&ApAction> {
+        self.actions.front()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.actions.is_empty()
+    }
+
+    fn clear(&mut self) {
+        self.actions.clear();
+        self.descents = 0;
+    }
+
+    fn pop_front(&mut self) -> Option<ApAction> {
+        let head = self.actions.pop_front()?;
+        if self.actions.front().is_some_and(|next| next.slot < head.slot) {
+            self.descents -= 1;
+        }
+        Some(head)
+    }
+
+    fn push_back(&mut self, action: ApAction) {
+        if self.actions.back().is_some_and(|last| action.slot < last.slot) {
+            self.descents += 1;
+        }
+        self.actions.push_back(action);
+    }
+
+    /// Index of the first action for `slot`, as a front-to-back scan
+    /// would find it.
+    fn position(&self, slot: u64) -> Option<usize> {
+        if self.descents > 0 {
+            return self.actions.iter().position(|a| a.slot == slot);
+        }
+        let i = self.actions.partition_point(|a| a.slot < slot);
+        self.actions.get(i).is_some_and(|a| a.slot == slot).then_some(i)
+    }
+
+    /// The first action for `slot` (its slot must not be changed).
+    fn find_mut(&mut self, slot: u64) -> Option<&mut ApAction> {
+        let i = self.position(slot)?;
+        self.actions.get_mut(i)
+    }
+}
+
+impl SnapValue for Program {
+    fn put(&self, w: &mut SnapWriter) {
+        self.actions.put(w);
+    }
+
+    fn thaw(r: &mut SnapReader<'_>) -> Result<Program, SnapError> {
+        let mut program = Program::default();
+        for action in VecDeque::<ApAction>::thaw(r)? {
+            program.push_back(action);
+        }
+        Ok(program)
+    }
+}
+
 /// Replacement burst info for one already-delivered retained-slot
 /// action: `(slot, own burst, client burst)`.
 type RetainedUpdate = (u64, Option<Burst>, Option<Burst>);
@@ -240,7 +314,7 @@ pub enum DEv {
 #[derive(Debug)]
 struct NodeRt {
     /// AP program (empty for clients).
-    program: VecDeque<ApAction>,
+    program: Program,
     /// End of this node's current exchange: its correlator is not armed
     /// while it is mid-slot, so triggers arriving before this instant are
     /// ignored (this is also what absorbs the second of the two assigned
@@ -508,7 +582,7 @@ impl World for DominoWorld {
         }
         let nodes = (0..net.num_nodes())
             .map(|_| NodeRt {
-                program: VecDeque::new(),
+                program: Program::default(),
                 busy_until: SimTime::ZERO,
                 unacked: None,
                 acked: false,
@@ -1083,9 +1157,7 @@ impl DominoWorld {
         let ApMessage { first_slot, mut actions, mut retained_updates } = msg;
         // Apply retained-slot burst updates to still-pending actions.
         for (slot, own, client) in retained_updates.drain(..) {
-            if let Some(action) =
-                self.nodes[ap].program.iter_mut().find(|a| a.slot == slot)
-            {
+            if let Some(action) = self.nodes[ap].program.find_mut(slot) {
                 if own.is_some() {
                     action.own_burst = own;
                 }
@@ -1108,7 +1180,9 @@ impl DominoWorld {
             }
         }
         self.counters.actions_dispatched += actions.len() as u64;
-        self.nodes[ap].program.extend(actions.drain(..));
+        for a in actions.drain(..) {
+            self.nodes[ap].program.push_back(a);
+        }
         // Hand the message's buffers back to the dispatch pools.
         self.action_pool.push(actions);
         self.retained_pool.push(retained_updates);
@@ -1899,6 +1973,61 @@ mod tests {
             ev(DEv::StandbyReport { link: 6, queue: 63 }),
             ev(DEv::StandbyProbe),
         ]);
+    }
+
+    /// A program's slot lookup finds what a front-to-back scan finds, on
+    /// slot-sorted programs (duplicate slots included: a Poll shares its
+    /// slot with the TxData after it) and on programs that crashes and
+    /// failovers left with lower slots behind higher ones, through
+    /// appends, pops, clears and a snapshot round trip.
+    #[test]
+    fn program_lookup_matches_a_linear_scan() {
+        use domino_testkit::{prop, prop_assert_eq};
+        prop::check("program slot lookup matches a linear scan", |g| {
+            let unsorted = g.bool();
+            let mut program = Program::default();
+            let mut slot = 100u64;
+            for _ in 0..g.usize(1, 60) {
+                match g.u64(0, 9) {
+                    0 => {
+                        program.pop_front();
+                    }
+                    1 if g.u64(0, 4) == 0 => program.clear(),
+                    2 => program = Program::from_bytes(&program.to_bytes()).unwrap(),
+                    _ => {
+                        slot = if unsorted && g.u64(0, 3) == 0 {
+                            slot.saturating_sub(g.u64(1, 6))
+                        } else {
+                            slot + g.u64(0, 2)
+                        };
+                        let kind = if g.bool() {
+                            ApActionKind::Poll
+                        } else {
+                            ApActionKind::TxData { link: LinkId(0) }
+                        };
+                        program.push_back(ApAction {
+                            slot,
+                            kind,
+                            rop_before: false,
+                            kick_off: false,
+                            own_burst: None,
+                            client_burst: None,
+                        });
+                    }
+                }
+                let slots: Vec<u64> = program.actions.iter().map(|a| a.slot).collect();
+                let descents = slots.windows(2).filter(|w| w[1] < w[0]).count();
+                prop_assert_eq!(program.descents, descents);
+                let (lo, hi) = (slots.iter().min().copied(), slots.iter().max().copied());
+                for probe in lo.unwrap_or(slot).saturating_sub(1)..=hi.unwrap_or(slot) + 1 {
+                    prop_assert_eq!(
+                        program.position(probe),
+                        slots.iter().position(|&s| s == probe),
+                        "slot {probe} in {slots:?}"
+                    );
+                }
+            }
+        });
     }
 
     fn fig1_links(net: &Network) -> (LinkId, LinkId, LinkId) {

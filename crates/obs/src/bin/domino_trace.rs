@@ -1,11 +1,14 @@
 //! domino-trace: analyze JSONL traces written by `domino-run --trace`.
 //!
 //! Subcommands:
-//!   check    <trace>        validate schema, event kinds, timestamps
-//!   chains   <trace>        reconstruct trigger chains vs the ≤2/≤4 limits
-//!   timeline <trace> [-n N] render the slot timeline (first N rows)
-//!   faults   <trace>        fault timeline: injections, recovery latency
-//!   diff     <a> <b>        first divergence + per-kind count deltas
+//!
+//! ```text
+//! check    <trace>        validate schema, event kinds, timestamps
+//! chains   <trace>        reconstruct trigger chains vs the ≤2/≤4 limits
+//! timeline <trace> [-n N] render the slot timeline (first N rows)
+//! faults   <trace>        fault timeline: injections, recovery latency
+//! diff     <a> <b>        first divergence + per-kind count deltas
+//! ```
 //!
 //! All rendering lives in `domino_obs::analysis`; this binary only reads
 //! files and prints pre-rendered strings.

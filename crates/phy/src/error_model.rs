@@ -62,7 +62,19 @@ impl DataRate {
     }
 
     /// Packet error rate for a frame of `bits` coded bits at `sinr_db`.
+    ///
+    /// From 16.2 dB above the rate's calibration offset the full model is
+    /// exactly 0.0 for every frame length (see `ZERO_PER_MARGIN_DB`), so
+    /// the waterfall is not evaluated there.
     pub fn per(self, sinr_db: f64, bits: usize) -> f64 {
+        if sinr_db >= self.offset_db() + ZERO_PER_MARGIN_DB {
+            return 0.0;
+        }
+        self.per_model(sinr_db, bits)
+    }
+
+    /// The full PER model behind [`DataRate::per`].
+    fn per_model(self, sinr_db: f64, bits: usize) -> f64 {
         let ber = self.ber(sinr_db);
         if ber <= 0.0 {
             0.0
@@ -94,6 +106,19 @@ impl DataRate {
         0.5 * (lo + hi)
     }
 }
+
+/// SINR margin (dB) over a rate's calibration offset from which its
+/// packet error rate is exactly 0.0.
+///
+/// `1 - (1 - ber)^bits` is exactly 0.0 once `1.0 - ber` rounds to 1.0,
+/// which holds for every `ber <= 2^-54`, whatever `bits` is. At this
+/// margin the effective SINR is `eff >= 10^1.62 > 41.6`, so
+/// `x = sqrt(eff) >= 6.4`. There [`erfc`]'s polynomial factor is below
+/// 0.09 (it falls as `x` grows) and `exp(-x^2) <= e^-41.6`, so
+/// `ber = erfc(x) / 2 < 4e-20 < 2^-64`: a factor 2^10 below the cutoff.
+/// The model's last nonzero PER sits near offset + 15.36 dB, and the phy
+/// tests check the margin on a 1e-5 dB grid for every rate.
+const ZERO_PER_MARGIN_DB: f64 = 16.2;
 
 /// Complementary error function (Abramowitz & Stegun 7.1.26, |err| ≤
 /// 1.5e-7), extended to negative arguments by symmetry.
@@ -183,6 +208,54 @@ mod tests {
         assert!(t6 < t12 && t12 < t54);
         // 12 Mb/s threshold sits a little above its 50% point.
         assert!((t12 - 8.2).abs() < 1.0, "t12={t12}");
+    }
+
+    const RATES: [DataRate; 4] =
+        [DataRate::Mbps6, DataRate::Mbps12, DataRate::Mbps24, DataRate::Mbps54];
+    const FRAME_BITS: [usize; 4] = [1, 112, 4096, 100_000];
+
+    /// The full model is exactly 0.0 on a 1e-5 dB grid from the zero-PER
+    /// margin to 30 dB over each rate's offset, for every frame length.
+    #[test]
+    fn model_is_exactly_zero_from_the_margin_up() {
+        for rate in RATES {
+            let from = rate.offset_db() + ZERO_PER_MARGIN_DB;
+            let steps = ((30.0 - ZERO_PER_MARGIN_DB) / 1e-5) as u64;
+            for k in 0..=steps {
+                let sinr_db = from + k as f64 * 1e-5;
+                for bits in FRAME_BITS {
+                    let per = rate.per_model(sinr_db, bits);
+                    assert!(per == 0.0, "{rate:?} at {sinr_db} dB, {bits} bits: PER {per:e}");
+                }
+            }
+        }
+    }
+
+    /// Below the margin `per` is the full model, bit for bit, and the
+    /// model's last nonzero value sits within a dB of the margin.
+    #[test]
+    fn per_is_the_model_below_the_margin() {
+        for rate in RATES {
+            let margin = rate.offset_db() + ZERO_PER_MARGIN_DB;
+            let mut last_nonzero = f64::NEG_INFINITY;
+            for k in 0..=200_000u64 {
+                let sinr_db = margin - 20.0 + k as f64 * 1e-4;
+                if sinr_db >= margin {
+                    break;
+                }
+                for bits in FRAME_BITS {
+                    let per = rate.per(sinr_db, bits);
+                    assert_eq!(per.to_bits(), rate.per_model(sinr_db, bits).to_bits());
+                    if per > 0.0 {
+                        last_nonzero = last_nonzero.max(sinr_db);
+                    }
+                }
+            }
+            assert!(
+                (margin - 1.0..margin - 0.5).contains(&last_nonzero),
+                "{rate:?}: last nonzero PER at {last_nonzero} dB, margin {margin} dB"
+            );
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The deterministic parallel experiment runner of the DOMINO
 //! reproduction. Every table and figure of the paper's evaluation is
-//! registered here as an [`Experiment`](registry::Experiment): a function
-//! that, given a [`Scale`](scale::Scale) and a master seed, builds a
+//! registered here as an [`Experiment`]: a function
+//! that, given a [`Scale`] and a master seed, builds a
 //! [`Plan`](plan::Plan) — a list of independent *shards* (one per sweep
 //! point or trial block) plus a merge function that renders the shard
 //! results into the experiment's `results/*.txt` text.

@@ -14,8 +14,9 @@
 //! 3. **Trigger assignment** — for every transmitter of slot `i+1` (and
 //!    every AP polling at the boundary), pick up to `max_inbound` (2)
 //!    triggering nodes among the endpoints of slot `i`'s links, highest
-//!    RSS first, with at most `max_outbound` (4) signatures per
-//!    broadcaster. A link whose sender no endpoint of slot `i` can
+//!    RSS first (a walk down the target's RSS ranking,
+//!    [`ConflictGraph::loudest_at`]), with at most `max_outbound` (4)
+//!    signatures per broadcaster. A link whose sender no endpoint of slot `i` can
 //!    trigger stays in slot `i+1` as a kick-off entry, started on its
 //!    own as a first batch's links are; nothing goes back to the
 //!    scheduler.
@@ -97,16 +98,18 @@ pub struct Converter {
     /// Per-node inbound trigger count, valid for this boundary's targets.
     inbound: Vec<u8>,
     /// Per node: the boundary stamp under which it last joined the
-    /// broadcaster list, and the target list.
-    broadcaster_at: Vec<u64>,
+    /// broadcaster list, with its position in that list, and the stamp
+    /// under which it last joined the target list.
+    broadcaster_at: Vec<(u64, u32)>,
     target_at: Vec<u64>,
     /// The current boundary's stamp (raised per boundary, so no table
     /// needs clearing).
     boundary: u64,
     /// Broadcaster candidates at the boundary being assigned.
     broadcasters: Vec<NodeId>,
-    /// Trigger targets at the boundary being assigned.
-    targets: Vec<(NodeId, Option<LinkId>)>,
+    /// Trigger targets at the boundary being assigned, each with the
+    /// index of its RSS ranking where its next walk starts.
+    targets: Vec<(NodeId, Option<LinkId>, usize)>,
     /// Recycled slot storage (entries/bursts capacity survives between
     /// batches via [`Converter::convert_into`]).
     slot_pool: Vec<RelativeSlot>,
@@ -114,8 +117,8 @@ pub struct Converter {
     rop_pool: Vec<Vec<NodeId>>,
     /// Working copy of one strict slot during fake-link insertion.
     set_buf: Vec<LinkId>,
-    /// Untriggered-links buffer, reused across boundaries.
-    untriggered_buf: Vec<LinkId>,
+    /// The next-slot links the last assigned boundary left untriggered.
+    untriggered: Vec<LinkId>,
 }
 
 impl Converter {
@@ -136,7 +139,7 @@ impl Converter {
             slot_pool: Vec::new(),
             rop_pool: Vec::new(),
             set_buf: Vec::new(),
-            untriggered_buf: Vec::new(),
+            untriggered: Vec::new(),
         }
     }
 
@@ -147,7 +150,7 @@ impl Converter {
         if self.inbound.len() != nodes {
             self.out_targets = vec![([NodeId(0); MAX_OUT], 0); nodes];
             self.inbound = vec![0; nodes];
-            self.broadcaster_at = vec![0; nodes];
+            self.broadcaster_at = vec![(0, 0); nodes];
             self.target_at = vec![0; nodes];
         }
     }
@@ -275,8 +278,6 @@ impl Converter {
             // The retained slot leaves `self` for the duration of the
             // call so `assign_boundary` can use the scratch tables.
             let retained = self.retained.take().unwrap_or_default();
-            let mut dropped = std::mem::take(&mut self.untriggered_buf);
-            dropped.clear();
             {
                 let rop_aps: &[NodeId] = out
                     .batch
@@ -288,16 +289,15 @@ impl Converter {
                     out.batch.slots.first().map(|s| s.entries.as_slice()).unwrap_or(&[]);
                 self.assign_boundary(
                     net,
+                    graph,
                     &retained,
                     next,
                     rop_aps,
                     &mut out.batch.connecting_bursts,
-                    &mut dropped,
                 );
             }
             self.retained = Some(retained);
-            mark_kick_offs(&mut out.batch.slots, 0, &dropped);
-            self.untriggered_buf = dropped;
+            mark_kick_offs(&mut out.batch.slots, 0, &self.untriggered);
         }
         for i in 0..out.batch.slots.len().saturating_sub(1) {
             // Disjoint borrows: slot `i` is read (entries, rop_after) and
@@ -311,11 +311,8 @@ impl Converter {
             }
             let rop_aps: &[NodeId] = prev_rop.as_ref().map(|r| r.aps.as_slice()).unwrap_or(&[]);
             prev_bursts.clear();
-            let mut dropped = std::mem::take(&mut self.untriggered_buf);
-            dropped.clear();
-            self.assign_boundary(net, prev_entries, &tail[0].entries, rop_aps, prev_bursts, &mut dropped);
-            mark_kick_offs_in(&mut tail[0], &dropped);
-            self.untriggered_buf = dropped;
+            self.assign_boundary(net, graph, prev_entries, &tail[0].entries, rop_aps, prev_bursts);
+            mark_kick_offs_in(&mut tail[0], &self.untriggered);
         }
 
         // Retain the last slot for batch connection (reusing the
@@ -383,30 +380,41 @@ impl Converter {
         })
     }
 
+    /// Can `b` take `target` at the boundary stamped `stamp`: is it one of
+    /// the boundary's broadcasters, below the outbound cap `cap`, and not
+    /// triggering `target` already?
+    fn can_trigger(&self, b: NodeId, target: NodeId, stamp: u64, cap: usize) -> bool {
+        let (assigned, count) = &self.out_targets[b.index()];
+        self.broadcaster_at[b.index()].0 == stamp
+            && *count < cap
+            && !assigned[..*count].contains(&target)
+    }
+
     /// Assign triggers at one boundary. Targets are the next slot's
-    /// senders plus the polling APs. Appends the burst assignments and
-    /// the untriggered next-slot links to the caller's buffers.
+    /// senders plus the polling APs. Appends the burst assignments to
+    /// `bursts` and leaves the untriggered next-slot links in
+    /// `self.untriggered`.
     fn assign_boundary(
         &mut self,
         net: &Network,
+        graph: &ConflictGraph,
         prev: &[SlotEntry],
         next: &[SlotEntry],
         rop_aps: &[NodeId],
         bursts: &mut Vec<BurstAssignment>,
-        untriggered: &mut Vec<LinkId>,
     ) {
         // Candidate broadcasters: both endpoints of every prev-slot link,
         // each once, in first-seen order. A node's stamp says whether it
-        // joined this boundary's list already; joining resets its
-        // outbound table.
+        // joined this boundary's list already; joining records its list
+        // position and resets its outbound table.
         self.boundary += 1;
         let stamp = self.boundary;
         self.broadcasters.clear();
         for e in prev {
             let l = net.link(e.link);
             for n in [l.sender, l.receiver] {
-                if self.broadcaster_at[n.index()] != stamp {
-                    self.broadcaster_at[n.index()] = stamp;
+                if self.broadcaster_at[n.index()].0 != stamp {
+                    self.broadcaster_at[n.index()] = (stamp, self.broadcasters.len() as u32);
                     self.out_targets[n.index()].1 = 0;
                     self.broadcasters.push(n);
                 }
@@ -425,38 +433,56 @@ impl Converter {
             if self.target_at[n.index()] != stamp {
                 self.target_at[n.index()] = stamp;
                 self.inbound[n.index()] = 0;
-                self.targets.push((n, link));
+                self.targets.push((n, link, 0));
             }
         }
 
         // Two passes: primary trigger for everyone, then secondary
         // triggers ("repeat the previous step to find the secondary
         // possible triggering node", §3.3).
+        self.untriggered.clear();
+        let cap = self.cfg.max_outbound.min(MAX_OUT);
+        let min_rss = self.cfg.trigger_min_rss;
         for pass in 0..self.cfg.max_inbound {
             for ti in 0..self.targets.len() {
-                let (target, link) = self.targets[ti];
+                let (target, link, from) = self.targets[ti];
                 if usize::from(self.inbound[target.index()]) > pass {
                     continue; // already has a trigger from this pass
                 }
-                // Single scan, one RSS lookup per broadcaster. Ties keep
-                // the *last* maximum (`is_ge`), matching the
-                // `Iterator::max_by` this replaces — the §3.3
-                // highest-RSS-first choice is byte-identical.
-                let mut best: Option<NodeId> = None;
-                let mut best_rss = f64::NEG_INFINITY;
-                for &b in &self.broadcasters {
-                    let (assigned, count) = &self.out_targets[b.index()];
-                    let rss = net.rss().get(b, target);
-                    if b != target
-                        && rss >= self.cfg.trigger_min_rss
-                        && *count < self.cfg.max_outbound.min(MAX_OUT)
-                        && !assigned[..*count].contains(&target)
-                        && (best.is_none() || rss.value().total_cmp(&best_rss).is_ge())
-                    {
-                        best = Some(b);
-                        best_rss = rss.value();
+                // Highest RSS first (§3.3): walk the nodes loudest at the
+                // target down to the trigger floor and take the first
+                // eligible broadcaster. Of the eligible broadcasters tied
+                // with it (the same RSS bits: `total_cmp`-equal), the one
+                // latest in the broadcaster list wins, the last maximum a
+                // scan of that list in order keeps. A NaN RSS is never
+                // eligible, as in that scan.
+                let row = graph.loudest_at(net, target);
+                let mut first = None;
+                for (i, &(b, rss)) in row.iter().enumerate().skip(from) {
+                    if rss < min_rss {
+                        break;
+                    }
+                    if rss >= min_rss && self.can_trigger(b, target, stamp, cap) {
+                        first = Some(i);
+                        break;
                     }
                 }
+                // What the walk passed stays ineligible for the rest of
+                // the boundary (stamps are fixed; caps and assignments
+                // only fill), so the next pass starts where this one
+                // stopped, and skips a target that found no trigger.
+                self.targets[ti].2 = first.unwrap_or(row.len());
+                let best = first.map(|i| {
+                    let (mut best, rss) = row[i];
+                    let bits = rss.value().to_bits();
+                    let list_pos = |n: NodeId| self.broadcaster_at[n.index()].1;
+                    for &(b, _) in row[i + 1..].iter().take_while(|e| e.1.value().to_bits() == bits) {
+                        if list_pos(b) > list_pos(best) && self.can_trigger(b, target, stamp, cap) {
+                            best = b;
+                        }
+                    }
+                    best
+                });
                 match best {
                     Some(b) => {
                         let (assigned, count) = &mut self.out_targets[b.index()];
@@ -466,7 +492,7 @@ impl Converter {
                     }
                     None if pass == 0 => {
                         if let Some(l) = link {
-                            untriggered.push(l);
+                            self.untriggered.push(l);
                         }
                     }
                     None => {}
@@ -476,13 +502,12 @@ impl Converter {
 
         // One burst per broadcaster that got targets, in ascending node
         // order.
+        let out_targets = &self.out_targets;
+        self.broadcasters.retain(|b| out_targets[b.index()].1 > 0);
         self.broadcasters.sort_unstable();
-        bursts.extend(self.broadcasters.iter().filter_map(|&b| {
-            let (assigned, count) = &self.out_targets[b.index()];
-            (*count > 0).then(|| BurstAssignment {
-                broadcaster: b,
-                targets: assigned[..*count].iter().copied().collect(),
-            })
+        bursts.extend(self.broadcasters.iter().map(|&b| {
+            let (assigned, count) = &out_targets[b.index()];
+            BurstAssignment { broadcaster: b, targets: assigned[..*count].iter().copied().collect() }
         }));
     }
 }
@@ -772,6 +797,131 @@ mod tests {
             fresh.restore(&mut SnapReader::new(&bytes)),
             Err(SnapError::Corrupt("bool tag"))
         );
+    }
+
+    /// Trigger assignment as a scan over every broadcaster of the
+    /// boundary for every target, keeping the last maximum: the reference
+    /// the ranked walk of [`Converter::assign_boundary`] must reproduce.
+    /// Returns the bursts and the untriggered next-slot links.
+    fn scan_assign(
+        net: &Network,
+        cfg: &ConverterConfig,
+        prev: &[SlotEntry],
+        next: &[SlotEntry],
+        rop_aps: &[NodeId],
+    ) -> (Vec<BurstAssignment>, Vec<LinkId>) {
+        let mut broadcasters: Vec<NodeId> = Vec::new();
+        for e in prev {
+            let l = net.link(e.link);
+            for n in [l.sender, l.receiver] {
+                if !broadcasters.contains(&n) {
+                    broadcasters.push(n);
+                }
+            }
+        }
+        let mut targets: Vec<(NodeId, Option<LinkId>)> = Vec::new();
+        let senders = next.iter().map(|e| (net.link(e.link).sender, Some(e.link)));
+        for (n, link) in senders.chain(rop_aps.iter().map(|&ap| (ap, None))) {
+            if !targets.iter().any(|&(t, _)| t == n) {
+                targets.push((n, link));
+            }
+        }
+        let mut assigned: Vec<Vec<NodeId>> = vec![Vec::new(); net.num_nodes()];
+        let mut inbound = vec![0; net.num_nodes()];
+        let mut untriggered = Vec::new();
+        for pass in 0..cfg.max_inbound {
+            for &(target, link) in &targets {
+                if inbound[target.index()] > pass {
+                    continue;
+                }
+                let mut best = None;
+                let mut best_rss = f64::NEG_INFINITY;
+                for &b in &broadcasters {
+                    let out = &assigned[b.index()];
+                    let rss = net.rss().get(b, target);
+                    if b != target
+                        && rss >= cfg.trigger_min_rss
+                        && out.len() < cfg.max_outbound.min(MAX_OUT)
+                        && !out.contains(&target)
+                        && (best.is_none() || rss.value().total_cmp(&best_rss).is_ge())
+                    {
+                        best = Some(b);
+                        best_rss = rss.value();
+                    }
+                }
+                match best {
+                    Some(b) => {
+                        assigned[b.index()].push(target);
+                        inbound[target.index()] += 1;
+                    }
+                    None if pass == 0 => untriggered.extend(link),
+                    None => {}
+                }
+            }
+        }
+        broadcasters.sort_unstable();
+        let bursts = broadcasters
+            .iter()
+            .filter(|b| !assigned[b.index()].is_empty())
+            .map(|&b| BurstAssignment {
+                broadcaster: b,
+                targets: assigned[b.index()].iter().copied().collect(),
+            })
+            .collect();
+        (bursts, untriggered)
+    }
+
+    /// The ranked walk assigns exactly what a scan over every broadcaster
+    /// assigns: random boundaries (previous and next slots, polling APs)
+    /// on T(10,2) and Fig 14 T(20,3) networks and on the Fig 1 and Fig 7
+    /// presets, whose fabricated RSS values tie by the dozen, under random
+    /// trigger caps and floors, several boundaries per converter.
+    #[test]
+    fn ranked_walk_assigns_like_a_full_broadcaster_scan() {
+        use domino_testkit::{prop, prop_assert_eq};
+        use domino_topology::builder::{random_placement, t_topology};
+        use domino_topology::presets::fig1;
+        use domino_topology::trace::{generate, TraceConfig};
+        let trace = generate(&TraceConfig::default(), 0xD0311);
+        let mut nets: Vec<Network> = (1..=3)
+            .filter_map(|s| {
+                (0..16).find_map(|a| t_topology(&trace, 10, 2, PhyParams::default(), s ^ (a << 32)))
+            })
+            .collect();
+        nets.extend((1..=2).map(|s| random_placement(20, 3, 800.0, 30.0, PhyParams::default(), s)));
+        nets.extend([fig1(PhyParams::default()), fig7(PhyParams::default())]);
+        let graphs: Vec<ConflictGraph> = nets.iter().map(ConflictGraph::build).collect();
+        prop::check("ranked walk assigns like a full broadcaster scan", |g| {
+            let k = g.usize(0, nets.len() - 1);
+            let (net, graph) = (&nets[k], &graphs[k]);
+            let cfg = ConverterConfig {
+                max_inbound: g.usize(1, 3),
+                max_outbound: g.usize(1, 4),
+                trigger_min_rss: Dbm(g.i64(-100, -60) as f64),
+                ..ConverterConfig::default()
+            };
+            let mut conv = Converter::new(cfg.clone());
+            conv.size_node_tables(net.num_nodes());
+            let n_links = net.links().len() as u64;
+            let aps = net.aps();
+            let slot = |g: &mut prop::Gen| -> Vec<SlotEntry> {
+                g.vec(0, 12, |g| SlotEntry {
+                    link: LinkId(g.u64(0, n_links - 1) as u32),
+                    fake: false,
+                    kick_off: false,
+                })
+            };
+            for _ in 0..g.usize(1, 4) {
+                let prev = slot(g);
+                let next = slot(g);
+                let rop_aps: Vec<NodeId> = aps.iter().copied().filter(|_| g.u64(0, 3) == 0).collect();
+                let mut bursts = Vec::new();
+                conv.assign_boundary(net, graph, &prev, &next, &rop_aps, &mut bursts);
+                let (want_bursts, want_untriggered) = scan_assign(net, &cfg, &prev, &next, &rop_aps);
+                prop_assert_eq!(&bursts, &want_bursts);
+                prop_assert_eq!(&conv.untriggered, &want_untriggered);
+            }
+        });
     }
 
     #[test]

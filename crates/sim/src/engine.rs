@@ -32,14 +32,14 @@
 //!
 //! # Implementation
 //!
-//! The queue is a hierarchical timer wheel ([`crate::wheel`]): O(1)
-//! scheduling and cancellation, amortized-O(1) delivery, and bounded memory
-//! under cancellation churn (entries are arena slots on a free list, not
-//! heap tombstones). The delivery order is the same `(time, seq)` total
-//! order the original binary-heap queue produced — that queue survives as
-//! [`crate::oracle::ReferenceQueue`], and the differential property suite
-//! in `crates/sim/tests/` drives arbitrary operation interleavings against
-//! both to pin the equivalence.
+//! The queue is a hierarchical timer wheel (the crate's private `wheel`
+//! module): O(1) scheduling and cancellation, amortized-O(1) delivery, and
+//! bounded memory under cancellation churn (entries are arena slots on a
+//! free list, not heap tombstones). The delivery order is the same
+//! `(time, seq)` total order the original binary-heap queue produced —
+//! that queue survives as [`crate::oracle::ReferenceQueue`], and the
+//! differential property suite in `crates/sim/tests/` drives arbitrary
+//! operation interleavings against both to pin the equivalence.
 
 use crate::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter};
 use crate::time::{SimDuration, SimTime};

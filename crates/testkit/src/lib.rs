@@ -11,7 +11,7 @@
 //! * [`prop`] — a property-testing harness (replaces `proptest`): seeded
 //!   case generation, configurable case counts, and Hypothesis-style
 //!   choice-sequence shrinking with [`prop::replay`] for pinning regressions.
-//! * [`bench`] — a wall-clock benchmark harness (replaces `criterion`):
+//! * [`bench`](mod@bench) — a wall-clock benchmark harness (replaces `criterion`):
 //!   warmup + calibrated samples, median/p95 reporting, JSON output.
 //! * [`digest`] — hand-rolled SHA-256 (replaces `sha2`): the content
 //!   digest behind the campaign result cache's keys and verified reads.

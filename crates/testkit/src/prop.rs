@@ -1,7 +1,7 @@
 //! A minimal property-testing harness with input shrinking.
 //!
 //! Properties are closures that draw their inputs from a [`Gen`]. During
-//! normal execution every draw comes from a seeded [`Rng`](crate::rng::Rng)
+//! normal execution every draw comes from a seeded [`Rng`]
 //! and is recorded as a *choice sequence*. When a case fails, the harness
 //! shrinks the recorded sequence (deleting spans, zeroing and halving
 //! choices) and replays the property against each candidate, keeping any

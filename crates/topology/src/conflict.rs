@@ -13,6 +13,7 @@ use crate::link::LinkId;
 use crate::network::Network;
 use crate::node::NodeId;
 use domino_phy::units::Dbm;
+use std::sync::OnceLock;
 
 /// The conflict graph over a network's links.
 ///
@@ -25,6 +26,10 @@ use domino_phy::units::Dbm;
 /// Built with the rows, and from them alone, is the cell relation the
 /// converter's ROP-slot sharing needs: two APs' cells conflict when any
 /// link of one conflicts with any link of the other.
+///
+/// Alongside, per receiver and ranked only when first read, the order in
+/// which trigger assignment considers broadcasters: every other node,
+/// loudest at that receiver first ([`ConflictGraph::loudest_at`]).
 #[derive(Clone, Debug)]
 pub struct ConflictGraph {
     n: usize,
@@ -37,7 +42,14 @@ pub struct ConflictGraph {
     /// Node-indexed: bit `b` of row `a` is set when a link whose AP is `a`
     /// conflicts with a link whose AP is `b` (clients' rows stay empty).
     cells: Vec<u64>,
+    /// Node-indexed RSS rankings, each filled by its first
+    /// [`ConflictGraph::loudest_at`].
+    loudest: Box<[OnceLock<Ranking>]>,
 }
+
+/// One receiver's RSS ranking: every other node with its RSS there,
+/// strongest first.
+type Ranking = Box<[(NodeId, Dbm)]>;
 
 impl ConflictGraph {
     /// Build the conflict graph of `net` from its RSS map with the
@@ -81,7 +93,8 @@ impl ConflictGraph {
                 cells[li.ap.index() * cell_words + b / 64] |= 1 << (b % 64);
             }
         }
-        ConflictGraph { n, words, rows, cell_words, cells }
+        let loudest = (0..nodes).map(|_| OnceLock::new()).collect();
+        ConflictGraph { n, words, rows, cell_words, cells, loudest }
     }
 
     /// Number of link vertices.
@@ -128,6 +141,25 @@ impl ConflictGraph {
     pub fn cells_conflict(&self, a: NodeId, b: NodeId) -> bool {
         let j = b.index();
         self.cells[a.index() * self.cell_words + j / 64] >> (j % 64) & 1 == 1
+    }
+
+    /// Every node but `rx` with its RSS at `rx`, strongest first under
+    /// `f64::total_cmp`; equal values keep ascending node order. `net`
+    /// must be the network the graph was built from.
+    ///
+    /// A row is ranked the first time it is read and kept for the graph's
+    /// lifetime, so a run pays only for the receivers it asks about.
+    pub fn loudest_at(&self, net: &Network, rx: NodeId) -> &[(NodeId, Dbm)] {
+        self.loudest[rx.index()].get_or_init(|| {
+            let rss = net.rss();
+            let mut row: Vec<(NodeId, Dbm)> = (0..rss.len() as u32)
+                .map(NodeId)
+                .filter(|&tx| tx != rx)
+                .map(|tx| (tx, rss.get(tx, rx)))
+                .collect();
+            row.sort_by(|a, b| b.1.value().total_cmp(&a.1.value()));
+            row.into_boxed_slice()
+        })
     }
 
     /// Add `l` and every link conflicting with it to `blocked`.
@@ -521,6 +553,20 @@ mod tests {
         assert!(!g.cells_conflict(NodeId(2), NodeId(3)));
         let quiet = ConflictGraph::build(&net_with(&[]));
         assert!(!quiet.cells_conflict(NodeId(0), NodeId(2)));
+    }
+
+    #[test]
+    fn loudest_at_ranks_every_other_node_strongest_first() {
+        // At C3: its AP2 at -50 dBm, then AP0 and C1 tied at -55 dBm in
+        // node order.
+        let net = net_with(&[(0, 3, -55.0), (1, 3, -55.0)]);
+        let g = ConflictGraph::build(&net);
+        let row = g.loudest_at(&net, NodeId(3));
+        assert_eq!(row, &[(NodeId(2), Dbm(-50.0)), (NodeId(0), Dbm(-55.0)), (NodeId(1), Dbm(-55.0))]);
+        // A row is ranked once and kept.
+        assert!(std::ptr::eq(row, g.loudest_at(&net, NodeId(3))));
+        // Unheard nodes rank last, at the floor.
+        assert_eq!(g.loudest_at(&net, NodeId(0))[2], (NodeId(2), Dbm::FLOOR));
     }
 
     #[test]

@@ -230,6 +230,12 @@ else
     echo "cargo-clippy not installed; skipping"
 fi
 
+echo "== docs: rustdoc builds without warnings =="
+# Broken intra-doc links (private or unresolved items), ambiguous link
+# targets and stray HTML in doc comments fail here instead of shipping
+# dead links in the published docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace -q
+
 echo "== hermeticity: lockfile =="
 if grep -q '^source = ' Cargo.lock; then
     echo "ERROR: Cargo.lock contains registry-sourced packages:" >&2
