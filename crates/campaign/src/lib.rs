@@ -16,9 +16,7 @@
 //! * [`store`] — the on-disk shard cache (`.domino-cache/`): SHA-256
 //!   content addressing via [`domino_testkit::digest`], an index file,
 //!   digest-verified reads that *evict and miss* on any corruption, and
-//!   hit/miss/store/evict counters surfaced through the
-//!   [`domino_obs`](domino_obs::metrics::MetricsRegistry) metrics
-//!   registry.
+//!   hit/miss/store/evict counters rendered as `campaign.cache.*` lines.
 //! * [`fingerprint`] — the per-crate source manifest: each workspace
 //!   crate hashed over its `Cargo.toml` + sorted `src/**.rs` files. The
 //!   subset of crates that can reach shard computation folds into every

@@ -31,7 +31,18 @@ pub struct CellResult {
     pub fault_classes: Vec<(String, u64)>,
 }
 
-use domino_obs::metrics::quantile;
+/// Nearest-rank quantile over a **sorted** sample (`q` in `[0, 1]`).
+///
+/// Nearest-rank returns an element of the sample (never an
+/// interpolation), which keeps integer outputs exact and byte-stable.
+fn quantile(sorted: &[u64], q: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    let idx = rank.max(1).saturating_sub(1).min(sorted.len().saturating_sub(1));
+    sorted.get(idx).copied().unwrap_or(0)
+}
 
 fn quantile_row(label: &str, samples: &mut [u64]) -> String {
     samples.sort_unstable();
@@ -108,6 +119,18 @@ pub fn render(campaign: &str, fingerprint: &str, cells: &[CellResult]) -> String
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn quantiles_are_nearest_rank() {
+        assert_eq!(quantile(&[], 0.5), 0);
+        let v = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10];
+        assert_eq!(quantile(&v, 0.0), 1);
+        assert_eq!(quantile(&v, 0.25), 3);
+        assert_eq!(quantile(&v, 0.50), 5);
+        assert_eq!(quantile(&v, 0.90), 9);
+        assert_eq!(quantile(&v, 1.0), 10);
+        assert_eq!(quantile(&[7], 0.5), 7);
+    }
 
     fn cell(exp: &str, seed: u64, bytes: u64, livelocks: u64) -> CellResult {
         CellResult {

@@ -17,7 +17,6 @@
 //! reported as a miss, never decoded. All failure handling is by value
 //! (`Result`/`Option`) — this crate is in the D005 no-panic lint scope.
 
-use domino_obs::metrics::MetricsRegistry;
 use domino_testkit::digest::{sha256_hex, Sha256};
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -89,13 +88,14 @@ pub struct StoreStats {
 }
 
 impl StoreStats {
-    /// Surface the counters through the deterministic obs metrics
-    /// registry (`campaign.cache.*`).
-    pub fn publish(&self, reg: &mut MetricsRegistry) {
-        reg.counter_add("campaign.cache.hits", self.hits);
-        reg.counter_add("campaign.cache.misses", self.misses);
-        reg.counter_add("campaign.cache.stores", self.stores);
-        reg.counter_add("campaign.cache.evictions", self.evictions);
+    /// The counters as `campaign.cache.<name> <value>` lines, in sorted
+    /// name order.
+    pub fn render(&self) -> String {
+        format!(
+            "campaign.cache.evictions {}\ncampaign.cache.hits {}\n\
+             campaign.cache.misses {}\ncampaign.cache.stores {}\n",
+            self.evictions, self.hits, self.misses, self.stores
+        )
     }
 }
 
@@ -355,10 +355,11 @@ mod tests {
         assert_eq!(s.get(&key(1)), None);
         let st = s.stats();
         assert_eq!((st.hits, st.misses, st.stores, st.evictions), (1, 2, 1, 0));
-        let mut reg = MetricsRegistry::new();
-        st.publish(&mut reg);
-        assert_eq!(reg.counter("campaign.cache.hits"), 1);
-        assert_eq!(reg.counter("campaign.cache.misses"), 2);
+        assert_eq!(
+            st.render(),
+            "campaign.cache.evictions 0\ncampaign.cache.hits 1\n\
+             campaign.cache.misses 2\ncampaign.cache.stores 1\n"
+        );
         let _ = std::fs::remove_dir_all(dir);
     }
 

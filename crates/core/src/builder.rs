@@ -15,7 +15,6 @@
 
 use crate::report::RunReport;
 use domino_faults::FaultConfig;
-use domino_mac::centaur::CentaurConfig;
 use domino_mac::domino::DominoConfig;
 use domino_mac::run::{run, Checkpoints, RunInputs};
 use domino_mac::{CentaurWorld, DcfWorld, DominoWorld, OmniWorld, Workload};
@@ -68,7 +67,6 @@ pub struct SimulationBuilder {
     duration_s: f64,
     seed: u64,
     domino: DominoConfig,
-    centaur: CentaurConfig,
     faults: FaultConfig,
 }
 
@@ -81,7 +79,6 @@ impl SimulationBuilder {
             duration_s: 10.0,
             seed: 1,
             domino: DominoConfig::default(),
-            centaur: CentaurConfig::default(),
             faults: FaultConfig::off(),
         }
     }
@@ -139,12 +136,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Override CENTAUR engine parameters.
-    pub fn centaur_config(mut self, cfg: CentaurConfig) -> Self {
-        self.centaur = cfg;
-        self
-    }
-
     /// Inject faults from a [`FaultConfig`]. The default is all off,
     /// which is byte-identical to a build without the fault plane.
     pub fn faults(mut self, cfg: FaultConfig) -> Self {
@@ -188,7 +179,6 @@ impl SimulationBuilder {
         let workload = format!("{:?}", self.workload);
         let network = format!("{:?}", self.network);
         let domino = format!("{:?}", self.domino);
-        let centaur = format!("{:?}", self.centaur);
         let faults = format!("{:?}", self.faults);
         snapshot::binding_digest(&[
             scheme.label().as_bytes(),
@@ -197,7 +187,6 @@ impl SimulationBuilder {
             network.as_bytes(),
             workload.as_bytes(),
             domino.as_bytes(),
-            centaur.as_bytes(),
             faults.as_bytes(),
         ])
     }
@@ -261,9 +250,7 @@ impl SimulationBuilder {
         };
         let stats = match scheme {
             Scheme::Dcf => run::<DcfWorld>(&inputs, (), probe, checkpoints, restore),
-            Scheme::Centaur => {
-                run::<CentaurWorld>(&inputs, self.centaur.clone(), probe, checkpoints, restore)
-            }
+            Scheme::Centaur => run::<CentaurWorld>(&inputs, (), probe, checkpoints, restore),
             Scheme::Domino => {
                 run::<DominoWorld>(&inputs, self.domino.clone(), probe, checkpoints, restore)
             }

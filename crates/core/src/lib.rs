@@ -45,7 +45,7 @@ pub use domino_mac as mac;
 pub use domino_mac::{Checkpoints, RunStats, Workload};
 pub use domino_medium as medium;
 pub use domino_obs as obs;
-pub use domino_obs::{MemTracer, MetricsRegistry, ProfHandle, Probe, TraceEvent, TraceHandle};
+pub use domino_obs::{MemTracer, ProfHandle, Probe, TraceEvent, TraceHandle};
 pub use domino_phy as phy;
 pub use domino_scheduler as scheduler;
 pub use domino_sim as sim;

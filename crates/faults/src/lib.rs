@@ -186,11 +186,6 @@ pub struct FaultStats {
     /// Runs aborted by the engine's liveness monitor (always 0 unless a
     /// MAC livelocked; the chaos gate pins this at zero).
     pub livelocks: u64,
-    /// Backbone sends recovered by the bounded-retry policy (wired
-    /// class; zero unless retries are enabled).
-    pub wired_retries: u64,
-    /// Backbone sends lost even after exhausting every retry attempt.
-    pub wired_retry_drops: u64,
     /// Primary-controller crashes injected (failover class).
     pub ctrl_crashes: u64,
     /// Warm-standby promotions completed after a primary crash.
@@ -261,25 +256,17 @@ impl FaultStats {
         ]
     }
 
-    /// The retry and failover counters as `(stable name, value)` pairs.
-    /// Kept out of [`FaultStats::classes`] so the 12-entry contract the
-    /// chaos goldens pin stays untouched; the failover experiment reads
-    /// these directly.
-    pub fn recovery_classes(&self) -> [(&'static str, u64); 6] {
+    /// The failover counters as `(stable name, value)` pairs. Kept out
+    /// of [`FaultStats::classes`] so the 12-entry contract the chaos
+    /// goldens pin stays untouched; the failover experiment reads these
+    /// directly.
+    pub fn recovery_classes(&self) -> [(&'static str, u64); 4] {
         [
-            ("wired_retries", self.wired_retries),
-            ("wired_retry_drops", self.wired_retry_drops),
             ("ctrl_crashes", self.ctrl_crashes),
             ("standby_promotions", self.standby_promotions),
             ("replayed_reports", self.replayed_reports),
             ("recovery_ns", self.recovery_ns),
         ]
-    }
-
-    /// Fold in the backbone's retry-policy counters.
-    pub fn merge_retries(&mut self, retries: u64, retry_drops: u64) {
-        self.wired_retries += retries;
-        self.wired_retry_drops += retry_drops;
     }
 }
 
@@ -296,8 +283,6 @@ domino_sim::snap_value!(FaultStats {
     churn_events,
     churn_drops,
     livelocks,
-    wired_retries,
-    wired_retry_drops,
     ctrl_crashes,
     standby_promotions,
     replayed_reports,
@@ -854,15 +839,13 @@ mod tests {
             churn_events: 10,
             churn_drops: 11,
             livelocks: 12,
-            wired_retries: 13,
-            wired_retry_drops: 14,
-            ctrl_crashes: 15,
-            standby_promotions: 16,
-            replayed_reports: 17,
-            recovery_ns: 18,
+            ctrl_crashes: 13,
+            standby_promotions: 14,
+            replayed_reports: 15,
+            recovery_ns: 16,
         };
         let bytes = stats.to_bytes();
-        assert_eq!(bytes.len(), 18 * 8);
+        assert_eq!(bytes.len(), 16 * 8);
         assert_eq!(FaultStats::from_bytes(&bytes), Ok(stats));
         for cut in 0..bytes.len() {
             assert!(FaultStats::from_bytes(&bytes[..cut]).is_err(), "prefix {cut} decoded");
@@ -890,7 +873,6 @@ mod tests {
                 _ => stats.livelocks = v,
             }
         }
-        stats.merge_retries(7, 3);
         stats.ctrl_crashes = 2;
         stats.standby_promotions = 2;
         stats.replayed_reports = 19;
@@ -903,7 +885,7 @@ mod tests {
         restored.restore(&mut r).unwrap();
         assert!(r.is_exhausted());
         assert_eq!(restored, stats);
-        assert_eq!(restored.recovery_classes()[0], ("wired_retries", 7));
+        assert_eq!(restored.recovery_classes()[0], ("ctrl_crashes", 2));
     }
 
     #[test]

@@ -32,6 +32,7 @@ use crate::workload::RunStats;
 use domino_medium::{Frame, FrameBody, Reception};
 use domino_obs::{CostPath, FaultKind, Probe, TraceEvent};
 use domino_scheduler::RandScheduler;
+use domino_sim::rng::streams;
 use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter, Snapshot};
 use domino_sim::{SimDuration, SimTime};
 use domino_topology::{ConflictGraph, Direction, LinkId, Network, NodeId};
@@ -39,27 +40,12 @@ use domino_traffic::Packet;
 use domino_wired::{Backbone, WiredLatency};
 use std::collections::VecDeque;
 
-/// CENTAUR engine parameters.
-#[derive(Clone, Debug)]
-pub struct CentaurConfig {
-    /// Packet quota per scheduled link per round (rounds amortize the
-    /// wired round-trip of the release barrier).
-    pub packets_per_round: usize,
-    /// The fixed alignment backoff after a sensed idle transition.
-    pub fixed_backoff: SimDuration,
-    /// Wired backbone latency model.
-    pub wired: WiredLatency,
-}
+/// Packet quota per scheduled link per round: rounds amortize the wired
+/// round-trip of the release barrier.
+const PACKETS_PER_ROUND: usize = 8;
 
-impl Default for CentaurConfig {
-    fn default() -> CentaurConfig {
-        CentaurConfig {
-            packets_per_round: 8,
-            fixed_backoff: DIFS,
-            wired: WiredLatency::default(),
-        }
-    }
-}
+/// The fixed alignment backoff after a sensed idle transition (§4.2.3).
+const FIXED_BACKOFF: SimDuration = DIFS;
 
 /// CENTAUR scheme events.
 #[derive(Debug)]
@@ -235,23 +221,18 @@ pub struct CentaurWorld {
     graph: ConflictGraph,
     aps: Vec<NodeId>,
     nav_window: SimDuration,
-    fixed: SimDuration,
     faults_on: bool,
     rate: domino_phy::error_model::DataRate,
-    packets_per_round: usize,
 }
 
 impl World for CentaurWorld {
-    type Config = CentaurConfig;
+    type Config = ();
     type Event = CentaurEv;
 
-    fn new(inputs: &RunInputs<'_>, cfg: CentaurConfig, probe: Probe) -> CentaurWorld {
+    fn new(inputs: &RunInputs<'_>, _: (), probe: Probe) -> CentaurWorld {
         let RunInputs { net, seed, faults, .. } = *inputs;
         let mut plant = Plant::new(inputs, probe, net.num_nodes());
-        let mut backbone = Backbone::new(cfg.wired.clone(), seed);
-        backbone.set_loss(faults.wired_loss);
-        backbone.set_spikes(faults.wired_spike, faults.wired_spike_us);
-        backbone.set_tracer(plant.probe.trace.clone());
+        let backbone = plant.backbone(inputs, WiredLatency::default(), streams::WIRED_JITTER);
         let rate = net.phy().data_rate;
 
         // Clients contend with DCF; APs follow the schedule.
@@ -302,10 +283,8 @@ impl World for CentaurWorld {
             // data frame end (but maybe not the ACK) and an AP that hears
             // the ACK end must compute the same aligned fire time.
             nav_window: crate::timing::SIFS + crate::timing::ack_airtime(rate),
-            fixed: cfg.fixed_backoff,
             faults_on: faults.enabled(),
             rate,
-            packets_per_round: cfg.packets_per_round,
         }
     }
 
@@ -557,7 +536,7 @@ impl CentaurWorld {
         // A stalled controller computes the round late; every assignment
         // ships after the stall.
         let stall = self.plant.compute_stall(now);
-        // Each scheduled link gets a quota of up to `packets_per_round`
+        // Each scheduled link gets a quota of up to `PACKETS_PER_ROUND`
         // back-to-back packets; the next round is released only when
         // every AP reports done (the CENTAUR batch barrier).
         for &ap in &self.aps {
@@ -567,7 +546,7 @@ impl CentaurWorld {
                 .filter(|&l| self.net.link(l).ap == ap)
                 .flat_map(|l| {
                     let quota =
-                        (queue_lens[l.index()] as usize).min(self.packets_per_round);
+                        (queue_lens[l.index()] as usize).min(PACKETS_PER_ROUND);
                     std::iter::repeat_n(l, quota)
                 })
                 .collect();
@@ -643,7 +622,7 @@ impl CentaurWorld {
         // AP's private ready time; that is what lets every AP of an
         // exposed set fire at the same instant regardless of which frames
         // each could hear.
-        st.arm_expiry = (st.nav_anchor + self.fixed).max(now);
+        st.arm_expiry = (st.nav_anchor + FIXED_BACKOFF).max(now);
         self.plant.schedule(st.arm_expiry, CentaurEv::ApArm { ap: ap as u32 });
     }
 
@@ -781,7 +760,7 @@ mod tests {
     }
 
     fn centaur(net: &Network, w: &Workload, duration_s: f64, seed: u64) -> RunStats {
-        run_plain::<CentaurWorld>(net, w, duration_s, seed, CentaurConfig::default())
+        run_plain::<CentaurWorld>(net, w, duration_s, seed, ())
     }
 
     fn dcf(net: &Network, w: &Workload, duration_s: f64, seed: u64) -> RunStats {
@@ -902,7 +881,7 @@ mod tests {
         let inputs = RunInputs { net: &net, workload: &w, duration_s: 2.0, seed: 9, faults: &faults };
         let baseline = assert_checkpoint_resume_matches::<CentaurWorld>(
             &inputs,
-            CentaurConfig::default(),
+            (),
             SimTime::from_nanos(900_000_000),
         );
         assert!(baseline.faults.ctrl_crashes > 0, "seed must exercise the crash path");
@@ -918,10 +897,8 @@ mod tests {
             ..FaultConfig::off()
         };
         let warm_cfg = FaultConfig { standby: true, ..cold_cfg.clone() };
-        let cold =
-            run_faulted::<CentaurWorld>(&net, &w, 3.0, 7, &cold_cfg, CentaurConfig::default());
-        let warm =
-            run_faulted::<CentaurWorld>(&net, &w, 3.0, 7, &warm_cfg, CentaurConfig::default());
+        let cold = run_faulted::<CentaurWorld>(&net, &w, 3.0, 7, &cold_cfg, ());
+        let warm = run_faulted::<CentaurWorld>(&net, &w, 3.0, 7, &warm_cfg, ());
         assert!(cold.faults.ctrl_crashes > 0, "crashes: {}", cold.faults.ctrl_crashes);
         assert_eq!(cold.faults.standby_promotions, 0);
         assert!(warm.faults.standby_promotions > 0);

@@ -835,11 +835,7 @@ mod tests {
     fn tcp_flow_progresses() {
         let net = one_pair();
         let w = Workload {
-            flows: vec![FlowSpec {
-                link: LinkId(0),
-                kind: FlowKind::Tcp { cfg: domino_traffic::TcpConfig::default() },
-            }],
-            packet_bytes: 512,
+            flows: vec![FlowSpec { link: LinkId(0), kind: FlowKind::Tcp { rate_bps: 10e6 } }],
         };
         let stats = dcf(&net, &w, 2.0, 11);
         let mbps = stats.link_mbps(LinkId(0));

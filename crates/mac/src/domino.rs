@@ -41,13 +41,17 @@ use domino_sim::rng::streams;
 use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter, Snapshot};
 use domino_sim::{SimDuration, SimTime};
 use domino_topology::{ConflictGraph, Direction, LinkId, Network, NodeId};
-use domino_traffic::{Packet, PacketKind};
+use domino_traffic::{Packet, PacketKind, DEFAULT_PACKET_BYTES};
 use domino_wired::{Backbone, WiredLatency};
 use std::collections::VecDeque;
 
 /// Replay cost per buffered report when the warm standby promotes: the
 /// bounded delta it ingests before taking over as the acting controller.
 const REPLAY_COST: SimDuration = SimDuration::from_micros(50);
+
+/// Self-start watchdog: how long an AP with pending work waits for a
+/// trigger before starting on its own (§3.3).
+const WATCHDOG: SimDuration = SimDuration::from_micros(1500);
 
 /// Bounded delta: queue-report copies the standby retains between two
 /// state checkpoints. Older reports are superseded by the checkpoint
@@ -78,9 +82,6 @@ pub struct DominoConfig {
     pub wired: WiredLatency,
     /// Converter settings (trigger caps, fake links, ROP insertion).
     pub converter: ConverterConfig,
-    /// Self-start watchdog: how long an AP with pending work waits for a
-    /// trigger before starting on its own.
-    pub watchdog: SimDuration,
 }
 
 impl Default for DominoConfig {
@@ -89,7 +90,6 @@ impl Default for DominoConfig {
             batch_slots: 5,
             wired: WiredLatency::default(),
             converter: ConverterConfig::default(),
-            watchdog: SimDuration::from_micros(1500),
         }
     }
 }
@@ -549,23 +549,12 @@ impl World for DominoWorld {
     type Event = DEv;
 
     fn new(inputs: &RunInputs<'_>, cfg: DominoConfig, probe: Probe) -> DominoWorld {
-        let RunInputs { net, workload, seed, faults, .. } = *inputs;
-        let geo = slot_geometry(net.phy().data_rate, workload.packet_bytes);
+        let RunInputs { net, faults, .. } = *inputs;
+        let geo = slot_geometry(net.phy().data_rate, DEFAULT_PACKET_BYTES);
         let rop_dur = rop_slot_duration(net.phy().data_rate);
         let mut plant = Plant::new(inputs, probe, 1 + 2 * net.num_nodes());
-        let mut backbone = Backbone::new(cfg.wired.clone(), seed);
-        backbone.set_loss(faults.wired_loss);
-        backbone.set_spikes(faults.wired_spike, faults.wired_spike_us);
-        backbone.set_tracer(plant.probe.trace.clone());
-        let mut standby_bb = Backbone::on_streams(
-            cfg.wired.clone(),
-            seed,
-            streams::STANDBY_WIRED,
-            streams::FAULT_WIRED,
-        );
-        standby_bb.set_loss(faults.wired_loss);
-        standby_bb.set_spikes(faults.wired_spike, faults.wired_spike_us);
-        standby_bb.set_tracer(plant.probe.trace.clone());
+        let backbone = plant.backbone(inputs, cfg.wired.clone(), streams::WIRED_JITTER);
+        let standby_bb = plant.backbone(inputs, cfg.wired.clone(), streams::STANDBY_WIRED);
         plant.schedule(SimTime::ZERO, DEv::ControllerCompute);
         let hb_every = SimDuration::from_secs_f64(faults.standby_heartbeat_us * 1e-6);
         let ckpt_every = SimDuration::from_secs_f64(faults.standby_checkpoint_us * 1e-6);
@@ -1001,7 +990,7 @@ impl DominoWorld {
         let exec = self.geo.total * n_slots as u64 + self.rop_dur * n_rops as u64;
         let wired = SimDuration::from_micros_f64(self.cfg.wired.mean_us);
         let fallback = if self.cfg.converter.insert_rop {
-            exec + wired * 2 + self.cfg.watchdog
+            exec + wired * 2 + WATCHDOG
         } else {
             exec.checked_sub(wired)
                 .unwrap_or(SimDuration::from_micros(200))
@@ -1204,20 +1193,25 @@ impl DominoWorld {
         };
         match head.kind {
             ApActionKind::RxData { link } => {
-                let client = self.net.link(link).client();
-                let burst = Burst {
-                    codes: InlineVec::of(self.signature_of[client.index()]),
-                    targets: InlineVec::of(client),
-                    marker: BurstMarker::Start,
-                    slot: head.slot,
-                    continues: false,
-                };
-                self.on_send_burst(now, ap, burst);
+                self.trigger_client(now, ap, self.net.link(link).client(), head.slot);
             }
             _ => {
                 self.schedule_start(now, ap, head.slot);
             }
         }
+    }
+
+    /// Trigger `client` for `slot` with a direct START burst of its own
+    /// signature: how an AP starts a slot whose entry is a receive.
+    fn trigger_client(&mut self, now: SimTime, ap: usize, client: NodeId, slot: u64) {
+        let burst = Burst {
+            codes: InlineVec::of(self.signature_of[client.index()]),
+            targets: InlineVec::of(client),
+            marker: BurstMarker::Start,
+            slot,
+            continues: false,
+        };
+        self.on_send_burst(now, ap, burst);
     }
 
     /// (Re-)arm the self-start watchdog; every call marks progress and
@@ -1226,7 +1220,7 @@ impl DominoWorld {
         if self.nodes[ap].program.is_empty() {
             return;
         }
-        self.plant.schedule(now + self.cfg.watchdog, DEv::Watchdog { ap: ap as u32 });
+        self.plant.schedule(now + WATCHDOG, DEv::Watchdog { ap: ap as u32 });
     }
 
     /// A node detected its own signature in a burst: (re-)anchor its slot
@@ -1346,14 +1340,7 @@ impl DominoWorld {
                 // client over the air instead).
                 let client = self.net.link(link).client();
                 if now >= self.nodes[client.index()].busy_until {
-                    let burst = Burst {
-                        codes: InlineVec::of(self.signature_of[client.index()]),
-                        targets: InlineVec::of(client),
-                        marker: BurstMarker::Start,
-                        slot: action.slot,
-                        continues: false,
-                    };
-                    self.on_send_burst(now, ap, burst);
+                    self.trigger_client(now, ap, client, action.slot);
                 }
             }
         }
@@ -1447,7 +1434,8 @@ impl DominoWorld {
             link: link.0,
             fake: packet.is_none(),
         });
-        let (frame, airtime) = match packet {
+        let airtime = self.data_phase(packet.is_none());
+        let frame = match packet {
             Some(p) => {
                 self.nodes[sender.index()].unacked = Some(p);
                 self.nodes[sender.index()].acked = false;
@@ -1455,37 +1443,41 @@ impl DominoWorld {
                     now + self.geo.ack_start + self.geo.ack_airtime + SLOT_TIME,
                     DEv::AckCheck { node: sender.0 },
                 );
-                (
-                    Frame {
-                        src: sender,
-                        body: FrameBody::Data { packet: p, fake: false, client_burst },
-                        bits: (p.payload_bytes + MAC_OVERHEAD_BYTES) * 8,
-                    },
-                    self.geo.data_airtime,
-                )
-            }
-            None => (
                 Frame {
                     src: sender,
-                    body: FrameBody::Data {
-                        packet: Packet {
-                            id: domino_traffic::PacketId(u64::MAX),
-                            flow: domino_traffic::FlowId(u32::MAX),
-                            link,
-                            payload_bytes: 0,
-                            created_at: now,
-                            kind: PacketKind::Udp,
-                            seq: u64::MAX,
-                        },
-                        fake: true,
-                        client_burst,
+                    body: FrameBody::Data { packet: p, fake: false, client_burst },
+                    bits: (p.payload_bytes + MAC_OVERHEAD_BYTES) * 8,
+                }
+            }
+            None => Frame {
+                src: sender,
+                body: FrameBody::Data {
+                    packet: Packet {
+                        id: domino_traffic::PacketId(u64::MAX),
+                        flow: domino_traffic::FlowId(u32::MAX),
+                        link,
+                        payload_bytes: 0,
+                        created_at: now,
+                        kind: PacketKind::Udp,
+                        seq: u64::MAX,
                     },
-                    bits: crate::timing::FAKE_HEADER_BYTES * 8,
+                    fake: true,
+                    client_burst,
                 },
-                fake_airtime(self.net.phy().data_rate) + crate::timing::INSTRUCTION_APPENDIX,
-            ),
+                bits: crate::timing::FAKE_HEADER_BYTES * 8,
+            },
         };
         self.plant.transmit(now, frame, airtime);
+    }
+
+    /// How long a slot's data phase runs: a real frame's fixed airtime, or
+    /// a fake exchange's short header (the burst offset never moves).
+    fn data_phase(&self, fake: bool) -> SimDuration {
+        if fake {
+            fake_airtime(self.net.phy().data_rate) + crate::timing::INSTRUCTION_APPENDIX
+        } else {
+            self.geo.data_airtime
+        }
     }
 
     fn start_poll(&mut self, now: SimTime, ap: NodeId) {
@@ -1521,15 +1513,8 @@ impl DominoWorld {
                         self.wd_streak = 0; // progress: the storm streak ends
                     }
                     let ap_is_receiver = self.net.node(r.rx).is_ap();
-                    // How far into the fixed slot the data phase actually
-                    // ran (fake headers are short, but the burst offset
-                    // never moves).
-                    let elapsed = if *fake {
-                        fake_airtime(self.net.phy().data_rate)
-                            + crate::timing::INSTRUCTION_APPENDIX
-                    } else {
-                        self.geo.data_airtime
-                    };
+                    // How far into the fixed slot the data phase ran.
+                    let elapsed = self.data_phase(*fake);
                     // Downlink: the client schedules its instructed burst
                     // at the slot's fixed burst offset.
                     if !ap_is_receiver {
@@ -1590,14 +1575,8 @@ impl DominoWorld {
                                 // SIFS + ack airtime; fake exchanges (the
                                 // acked id is the fake sentinel) had a
                                 // short data phase.
-                                let data_elapsed = if *packet == domino_traffic::PacketId(u64::MAX)
-                                {
-                                    fake_airtime(self.net.phy().data_rate)
-                                        + crate::timing::INSTRUCTION_APPENDIX
-                                } else {
-                                    self.geo.data_airtime
-                                };
-                                let offset = data_elapsed + SIFS + self.geo.ack_airtime;
+                                let fake = *packet == domino_traffic::PacketId(u64::MAX);
+                                let offset = self.data_phase(fake) + SIFS + self.geo.ack_airtime;
                                 if now.as_nanos() >= offset.as_nanos() {
                                     let slot_start = now - offset;
                                     self.self_trigger_after_slot(slot_start, rx, b.slot, rop);
@@ -1850,15 +1829,7 @@ impl DominoWorld {
         self.counters.kick_offs += 1;
         match head.kind {
             ApActionKind::RxData { link } if head.slot == slot => {
-                let client = self.net.link(link).client();
-                let burst = Burst {
-                    codes: InlineVec::of(self.signature_of[client.index()]),
-                    targets: InlineVec::of(client),
-                    marker: BurstMarker::Start,
-                    slot,
-                    continues: false,
-                };
-                self.on_send_burst(now, ap, burst);
+                self.trigger_client(now, ap, self.net.link(link).client(), slot);
             }
             _ => self.schedule_start(now, ap, slot),
         }

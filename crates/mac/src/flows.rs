@@ -22,7 +22,7 @@ use domino_sim::{SimDuration, SimTime};
 use domino_topology::{LinkId, Network};
 use domino_traffic::{
     FlowId, LinkQueue, Packet, PacketId, PacketKind, TcpReceiver, TcpSender, UdpSource,
-    TCP_ACK_BYTES,
+    DEFAULT_PACKET_BYTES, TCP_ACK_BYTES,
 };
 use std::cmp::Reverse;
 
@@ -63,7 +63,6 @@ enum FlowRuntime {
 /// takes `now` and brings the link's UDP arrivals up to it first.
 #[derive(Debug)]
 pub struct FlowEngine {
-    packet_bytes: usize,
     queues: Vec<LinkQueue>,
     flows: Vec<FlowRuntime>,
     /// link index → flow index (for TCP data links and reverse-ack
@@ -102,16 +101,15 @@ impl FlowEngine {
                             FlowId(i as u32),
                             spec.link,
                             *rate_bps,
-                            workload.packet_bytes,
                             SimTime::ZERO,
                         ));
                         FlowRuntime::Udp
                     }
-                    FlowKind::Tcp { cfg } => FlowRuntime::Tcp {
+                    FlowKind::Tcp { rate_bps } => FlowRuntime::Tcp {
                         sender: TcpSender::new(
                             FlowId(i as u32),
                             spec.link,
-                            cfg.clone(),
+                            *rate_bps,
                             (i as u64) << 40,
                             SimTime::ZERO,
                         ),
@@ -127,7 +125,6 @@ impl FlowEngine {
             lane.sort_by_key(arrival_rank);
         }
         FlowEngine {
-            packet_bytes: workload.packet_bytes,
             queues: (0..num_links).map(|_| LinkQueue::default()).collect(),
             flows,
             flow_of_link,
@@ -268,7 +265,7 @@ impl FlowEngine {
             PacketKind::TcpData => {
                 let flow_idx = self.flow_of_link[packet.link.index()]
                     .expect("TCP data on a link without a flow"); // lint: allow(D005) TCP packets are only minted by a flow on that link
-                let mss = self.packet_bytes as u64 * 8;
+                let mss = DEFAULT_PACKET_BYTES as u64 * 8;
                 let (ack, link, reverse) = match &mut self.flows[flow_idx] {
                     FlowRuntime::Tcp { receiver, link, reverse, delivered_segments, .. } => {
                         let ack = receiver.on_data(packet.seq);
@@ -546,7 +543,7 @@ mod tests {
         let n = net();
         let udp = |rate_bps| FlowSpec { link: LinkId(0), kind: FlowKind::Udp { rate_bps } };
         // Flow 0 every interval, flow 1 every second one, flow 2 likewise.
-        let w = Workload { flows: vec![udp(10e6), udp(5e6), udp(5e6)], packet_bytes: 512 };
+        let w = Workload { flows: vec![udp(10e6), udp(5e6), udp(5e6)] };
         let mut fe = FlowEngine::new(&n, &w, 1.0);
         let links = [LinkId(0)];
         let every = |k| Reverse(SimDuration::from_nanos(k * INTERVAL_NS));
@@ -575,7 +572,7 @@ mod tests {
                     if g.bool() { *g.pick(&tie_prone) } else { g.u64(48_000, 30_000_000) as f64 };
                 FlowSpec { link: LinkId(g.u64(0, 1) as u32), kind: FlowKind::Udp { rate_bps } }
             });
-            let w = Workload { flows, packet_bytes: 512 };
+            let w = Workload { flows };
             let mut fe = FlowEngine::new(&n, &w, 1.0);
             let mut sources: Vec<UdpSource> = fe.udp.iter().flatten().cloned().collect();
             let mut queues = [LinkQueue::default(), LinkQueue::default()];

@@ -17,6 +17,7 @@ use domino_obs::{CostPath, Probe, TraceEvent};
 use domino_scheduler::RandScheduler;
 use domino_sim::{SimDuration, SimTime};
 use domino_topology::{ConflictGraph, LinkId, Network};
+use domino_traffic::DEFAULT_PACKET_BYTES;
 
 /// Scheme events for the omniscient engine.
 #[derive(Debug)]
@@ -73,10 +74,7 @@ impl World for OmniWorld {
             slot_idx: 0,
             graph: ConflictGraph::build_for_scheduling(net),
             rate,
-            slot: data_airtime(rate, inputs.workload.packet_bytes)
-                + SIFS
-                + ack_airtime(rate)
-                + SIFS,
+            slot: data_airtime(rate, DEFAULT_PACKET_BYTES) + SIFS + ack_airtime(rate) + SIFS,
         }
     }
 

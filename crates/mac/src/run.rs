@@ -280,7 +280,7 @@ mod tests {
         let net = fig1(PhyParams::default());
         // 4096 bits every 4096 ns: 244 packets by 1 ms, 200 of them queued.
         let flow = FlowSpec { link: LinkId(0), kind: FlowKind::Udp { rate_bps: 1e9 } };
-        let workload = Workload { flows: vec![flow], packet_bytes: 512 };
+        let workload = Workload { flows: vec![flow] };
         let faults = FaultConfig::off();
         let inputs =
             RunInputs { net: &net, workload: &workload, duration_s: 1.0, seed: 1, faults: &faults };

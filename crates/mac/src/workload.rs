@@ -1,11 +1,9 @@
 //! Workload specification and per-run statistics.
 
 use domino_faults::FaultStats;
-use domino_obs::MetricsRegistry;
 use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter, Snapshot};
 use domino_stats::{jain_index, DelayMeter};
 use domino_topology::{Direction, LinkId, Network};
-use domino_traffic::TcpConfig;
 
 /// What kind of traffic a flow carries.
 #[derive(Clone, Debug)]
@@ -15,11 +13,10 @@ pub enum FlowKind {
         /// Offered rate, bits/s.
         rate_bps: f64,
     },
-    /// TCP-lite with the given configuration (offered rate lives inside
-    /// the config).
+    /// TCP-lite at the given application rate.
     Tcp {
-        /// Transport parameters.
-        cfg: TcpConfig,
+        /// Offered rate, bits/s (0 or less: unlimited, backlogged).
+        rate_bps: f64,
     },
 }
 
@@ -32,13 +29,12 @@ pub struct FlowSpec {
     pub kind: FlowKind,
 }
 
-/// A complete workload.
+/// A complete workload. Every data packet carries the paper's 512-byte
+/// payload ([`domino_traffic::DEFAULT_PACKET_BYTES`]).
 #[derive(Clone, Debug)]
 pub struct Workload {
     /// The flows.
     pub flows: Vec<FlowSpec>,
-    /// Data packet payload size (the paper's 512 bytes).
-    pub packet_bytes: usize,
 }
 
 impl Workload {
@@ -46,23 +42,17 @@ impl Workload {
     /// `down_bps` and on every uplink at `up_bps` (zero-rate flows are
     /// omitted).
     pub fn udp_updown(net: &Network, down_bps: f64, up_bps: f64) -> Workload {
-        let flows = net
-            .links()
-            .iter()
-            .filter_map(|l| {
-                let rate = match l.direction {
-                    Direction::Downlink => down_bps,
-                    Direction::Uplink => up_bps,
-                };
-                (rate > 0.0).then_some(FlowSpec { link: l.id, kind: FlowKind::Udp { rate_bps: rate } })
-            })
-            .collect();
-        Workload { flows, packet_bytes: 512 }
+        Workload::updown(net, down_bps, up_bps, |rate_bps| FlowKind::Udp { rate_bps })
     }
 
     /// TCP on every downlink at `down_bps` offered and every uplink at
-    /// `up_bps` offered.
+    /// `up_bps` offered (zero-rate flows are omitted).
     pub fn tcp_updown(net: &Network, down_bps: f64, up_bps: f64) -> Workload {
+        Workload::updown(net, down_bps, up_bps, |rate_bps| FlowKind::Tcp { rate_bps })
+    }
+
+    /// One `kind` flow per link at its direction's rate, if positive.
+    fn updown(net: &Network, down_bps: f64, up_bps: f64, kind: fn(f64) -> FlowKind) -> Workload {
         let flows = net
             .links()
             .iter()
@@ -71,13 +61,10 @@ impl Workload {
                     Direction::Downlink => down_bps,
                     Direction::Uplink => up_bps,
                 };
-                (rate > 0.0).then_some(FlowSpec {
-                    link: l.id,
-                    kind: FlowKind::Tcp { cfg: TcpConfig { app_rate_bps: rate, ..TcpConfig::default() } },
-                })
+                (rate > 0.0).then(|| FlowSpec { link: l.id, kind: kind(rate) })
             })
             .collect();
-        Workload { flows, packet_bytes: 512 }
+        Workload { flows }
     }
 
     /// Saturated UDP on an explicit set of links (motivation/Table 2
@@ -88,7 +75,6 @@ impl Workload {
                 .iter()
                 .map(|&l| FlowSpec { link: l, kind: FlowKind::Udp { rate_bps: 20e6 } })
                 .collect(),
-            packet_bytes: 512,
         }
     }
 
@@ -309,38 +295,6 @@ impl RunStats {
             }
             total / means.len() as f64
         }
-    }
-
-    /// Project every counter onto a metrics registry under stable dotted
-    /// names (`mac.*`, `domino.*`, `faults.*`). The names are part of the
-    /// output contract: `domino-run` manifests and trace tooling key on
-    /// them, so renames are breaking changes. The registry iterates in
-    /// sorted name order, making renders byte-stable across runs.
-    pub fn metrics(&self) -> MetricsRegistry {
-        let mut reg = MetricsRegistry::new();
-        reg.counter_add("mac.delivered_bits", self.delivered_bits.iter().sum());
-        reg.counter_add("mac.events", self.events);
-        reg.counter_add("mac.drops", self.drops);
-        reg.counter_add("mac.retries", self.retries);
-        reg.counter_add("mac.ack_timeouts", self.ack_timeouts);
-        reg.counter_add("mac.tcp_retransmissions", self.tcp_retransmissions);
-        reg.counter_add("mac.slot_starts", self.slot_starts.len() as u64);
-        let d = &self.domino;
-        reg.counter_add("domino.bursts_sent", d.bursts_sent);
-        reg.counter_add("domino.triggers_detected", d.triggers_detected);
-        reg.counter_add("domino.triggers_failed", d.triggers_failed);
-        reg.counter_add("domino.stale_triggers", d.stale_triggers);
-        reg.counter_add("domino.client_transmissions", d.client_transmissions);
-        reg.counter_add("domino.watchdog_restarts", d.watchdog_restarts);
-        reg.counter_add("domino.kick_offs", d.kick_offs);
-        reg.counter_add("domino.actions_shed", d.actions_shed);
-        reg.counter_add("domino.actions_dispatched", d.actions_dispatched);
-        reg.counter_add("domino.watchdog_storms", d.watchdog_storms);
-        for (name, value) in self.faults.classes() {
-            reg.counter_add(&format!("faults.{name}"), value);
-        }
-        reg.gauge_set("mac.aggregate_mbps", self.aggregate_mbps());
-        reg
     }
 
     /// Fig 11 metric: maximum pairwise start misalignment per absolute

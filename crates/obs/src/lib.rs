@@ -5,14 +5,12 @@
 //! from crashes — but scalar end-of-run counters cannot show *when*
 //! anything happened. This crate adds the missing layer:
 //!
-//! * [`TraceEvent`] / [`Tracer`] / [`TraceHandle`] — structured,
-//!   sim-time-stamped events threaded through the engine, the medium,
-//!   the wired backbone and every MAC. The determinism contract is
+//! * [`TraceEvent`] / [`TraceHandle`] — structured, sim-time-stamped
+//!   events threaded through the engine, the medium, the wired backbone
+//!   and every MAC into a [`MemTracer`]. The determinism contract is
 //!   absolute: a disabled handle makes **zero RNG draws and zero
 //!   allocations**, so committed goldens stay byte-identical whether or
 //!   not the instrumentation is compiled in or switched on.
-//! * [`MetricsRegistry`] — counters/gauges/histograms with stable names
-//!   and sorted iteration, the structured face of `RunStats`.
 //! * [`jsonl`] — a versioned JSONL trace format (hand-rolled; the
 //!   workspace is hermetic) written by `domino-run --trace` and read by
 //!   the `domino-trace` CLI.
@@ -30,14 +28,12 @@
 pub mod analysis;
 pub mod event;
 pub mod jsonl;
-pub mod metrics;
 pub mod probe;
 pub mod profile;
 pub mod tracer;
 
 pub use event::{FaultKind, TraceEvent};
 pub use jsonl::{TraceMeta, SCHEMA_NAME, SCHEMA_VERSION};
-pub use metrics::{Histogram, MetricsRegistry};
 pub use probe::Probe;
 pub use profile::{CostPath, CostProfile, CostProfiler, ProfHandle};
-pub use tracer::{MemTracer, NoopTracer, TraceHandle, TraceRecord, Tracer};
+pub use tracer::{MemTracer, TraceHandle, TraceRecord};

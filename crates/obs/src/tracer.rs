@@ -1,4 +1,4 @@
-//! Tracer sinks and the cheap handle engines thread through their state.
+//! The trace sink and the cheap handle engines thread through their state.
 //!
 //! The determinism contract: a disabled handle ([`TraceHandle::off`],
 //! the `Default`) makes **zero RNG draws and zero allocations** — the
@@ -21,29 +21,11 @@ pub struct TraceRecord {
     pub ev: TraceEvent,
 }
 
-/// A sink for trace events.
+/// The trace sink: appends every record to a growable buffer.
 ///
-/// `record` takes `&self`: sinks are shared between the engine, the
-/// medium, the backbone and the scheme state machine of a single run
-/// via [`TraceHandle`] clones, all on one thread.
-pub trait Tracer: std::fmt::Debug {
-    /// Record one event at simulation time `t_ns`.
-    fn record(&self, t_ns: u64, ev: TraceEvent);
-}
-
-/// The zero-cost sink: discards everything.
-///
-/// Exists mostly for documentation value — the idiomatic "tracing off"
-/// is [`TraceHandle::off`], which skips event construction entirely and
-/// never even calls `record`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopTracer;
-
-impl Tracer for NoopTracer {
-    fn record(&self, _t_ns: u64, _ev: TraceEvent) {}
-}
-
-/// An in-memory sink: appends every record to a growable buffer.
+/// The sink is shared between the engine, the medium, the backbone and
+/// the scheme state machine of a single run via [`TraceHandle`] clones,
+/// all on one thread, so it records through `&self`.
 #[derive(Debug, Default)]
 pub struct MemTracer {
     events: RefCell<Vec<TraceRecord>>,
@@ -66,19 +48,13 @@ impl MemTracer {
     }
 }
 
-impl Tracer for MemTracer {
-    fn record(&self, t_ns: u64, ev: TraceEvent) {
-        self.events.borrow_mut().push(TraceRecord { t_ns, ev });
-    }
-}
-
 /// The handle engines hold. Cloning is cheap (an `Rc` bump or a `None`
 /// copy); the disabled handle is a single `Option` check per call site.
 ///
 /// Not `Send` by design: handles are created *inside* a run, after any
 /// thread-pool dispatch boundary, and never escape it.
 #[derive(Clone, Debug, Default)]
-pub struct TraceHandle(Option<Rc<dyn Tracer>>);
+pub struct TraceHandle(Option<Rc<MemTracer>>);
 
 impl TraceHandle {
     /// The disabled handle: `emit` never constructs an event.
@@ -86,15 +62,10 @@ impl TraceHandle {
         TraceHandle(None)
     }
 
-    /// Wrap an explicit sink.
-    pub fn new(tracer: Rc<dyn Tracer>) -> TraceHandle {
-        TraceHandle(Some(tracer))
-    }
-
     /// A fresh in-memory sink plus a handle feeding it.
     pub fn mem() -> (TraceHandle, Rc<MemTracer>) {
         let sink = Rc::new(MemTracer::default());
-        (TraceHandle(Some(Rc::<MemTracer>::clone(&sink))), sink)
+        (TraceHandle(Some(Rc::clone(&sink))), sink)
     }
 
     /// Is a sink attached?
@@ -107,7 +78,8 @@ impl TraceHandle {
     /// when tracing is disabled.
     pub fn emit(&self, t_ns: u64, make: impl FnOnce() -> TraceEvent) {
         if let Some(sink) = &self.0 {
-            sink.record(t_ns, make());
+            let ev = make();
+            sink.events.borrow_mut().push(TraceRecord { t_ns, ev });
         }
     }
 }

@@ -201,18 +201,6 @@ impl Correlator {
         }
         detected
     }
-
-    /// Convenience: does `samples` contain `code_index`? (Named to avoid
-    /// shadowing the ubiquitous `slice::contains` in call-graph analyses.)
-    pub fn contains_code(
-        &self,
-        family: &GoldFamily,
-        samples: &[Complex],
-        code_index: usize,
-        all_candidates: &[usize],
-    ) -> bool {
-        self.detect(family, samples, all_candidates).contains(&code_index)
-    }
 }
 
 /// The five sender setups of the paper's Fig 9 experiment.

@@ -388,12 +388,13 @@ fn main() -> ExitCode {
         if session.is_some() {
             println!("{}", render_cache_line(&run));
         }
+        let path = dir.join(run.output());
         let verdict = if cli.check {
             match check_against(&dir, &run) {
                 CheckStatus::Match => "check: match".to_string(),
                 CheckStatus::Missing => {
                     mismatches += 1;
-                    format!("check: MISSING {}", dir.join(run.output).display())
+                    format!("check: MISSING {}", path.display())
                 }
                 CheckStatus::Differs { line, expected, actual } => {
                     mismatches += 1;
@@ -403,10 +404,10 @@ fn main() -> ExitCode {
                 }
             }
         } else {
-            match std::fs::write(dir.join(run.output), &run.text) {
-                Ok(()) => format!("wrote {}", dir.join(run.output).display()),
+            match std::fs::write(&path, &run.text) {
+                Ok(()) => format!("wrote {}", path.display()),
                 Err(e) => {
-                    eprintln!("cannot write {}: {e}", dir.join(run.output).display());
+                    eprintln!("cannot write {}: {e}", path.display());
                     return ExitCode::FAILURE;
                 }
             }

@@ -25,7 +25,6 @@ use crate::scale::Scale;
 use crate::ExperimentRun;
 use domino_campaign::fingerprint;
 use domino_campaign::store::{CacheKey, Store, StoreStats};
-use domino_obs::metrics::MetricsRegistry;
 use std::path::Path;
 
 /// An open cache plus the code fingerprint all its keys are derived
@@ -65,12 +64,10 @@ impl CacheSession {
         self.store.stats()
     }
 
-    /// Render the session counters via the obs metrics registry
-    /// (`campaign.cache.<name> <value>` lines, byte-stable ordering).
+    /// Render the session counters (`campaign.cache.<name> <value>`
+    /// lines, byte-stable ordering).
     pub fn render_stats(&self) -> String {
-        let mut reg = MetricsRegistry::new();
-        self.stats().publish(&mut reg);
-        reg.render()
+        self.stats().render()
     }
 
     /// Persist the store index.
@@ -205,14 +202,16 @@ mod tests {
     }
 
     #[test]
-    fn stats_render_through_obs_registry() {
+    fn stats_render_as_sorted_counter_lines() {
         let (dir, mut session) = tmp_session("stats", &"a".repeat(64));
         let e = exp("table1_params");
         let _ = run_experiment(e, Scale::Quick, 1, 1, Some(&mut session));
         let _ = run_experiment(e, Scale::Quick, 1, 1, Some(&mut session));
-        let text = session.render_stats();
-        assert!(text.contains("campaign.cache.hits"), "{text}");
-        assert!(text.contains("campaign.cache.stores"), "{text}");
+        assert_eq!(
+            session.render_stats(),
+            "campaign.cache.evictions 0\ncampaign.cache.hits 1\n\
+             campaign.cache.misses 1\ncampaign.cache.stores 1\n"
+        );
         let _ = std::fs::remove_dir_all(dir);
     }
 }

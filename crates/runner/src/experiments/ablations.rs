@@ -18,8 +18,6 @@ use domino_wired::WiredLatency;
 
 /// Registry key.
 pub const NAME: &str = "ablations";
-/// Output file under `results/`.
-pub const OUTPUT: &str = "ablations.txt";
 
 const BATCHES: [usize; 3] = [2, 5, 10];
 const JITTERS: [f64; 3] = [22.0, 60.0, 120.0];

@@ -19,8 +19,6 @@ use domino_stats::Table;
 
 /// Registry key.
 pub const NAME: &str = "chaos_degradation";
-/// Output file under `results/`.
-pub const OUTPUT: &str = "chaos_degradation.txt";
 
 struct Cell {
     tput: f64,

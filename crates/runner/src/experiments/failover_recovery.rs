@@ -21,8 +21,6 @@ use domino_stats::Table;
 
 /// Registry key.
 pub const NAME: &str = "failover_recovery";
-/// Output file under `results/`.
-pub const OUTPUT: &str = "failover_recovery.txt";
 
 /// Cold-restart dark window (µs): the controller loses all state and
 /// stays dark this long, as in the chaos-degradation experiment.

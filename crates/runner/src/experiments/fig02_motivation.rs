@@ -13,8 +13,6 @@ use domino_topology::{LinkId, NodeId};
 
 /// Registry key.
 pub const NAME: &str = "fig02_motivation";
-/// Output file under `results/`.
-pub const OUTPUT: &str = "fig02_motivation.txt";
 
 const SCHEMES: [Scheme; 4] = [Scheme::Dcf, Scheme::Centaur, Scheme::Domino, Scheme::Omniscient];
 

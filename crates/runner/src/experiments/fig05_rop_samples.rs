@@ -13,8 +13,6 @@ use domino_stats::Table;
 
 /// Registry key.
 pub const NAME: &str = "fig05_rop_samples";
-/// Output file under `results/`.
-pub const OUTPUT: &str = "fig05_rop_samples.txt";
 
 fn render_scenario(name: &str, scenario: SpectrumScenario, seed: u64) -> String {
     let spec = received_spectrum(scenario, seed);

@@ -13,8 +13,6 @@ use domino_stats::Table;
 
 /// Registry key.
 pub const NAME: &str = "fig06_guard_sweep";
-/// Output file under `results/`.
-pub const OUTPUT: &str = "fig06_guard_sweep.txt";
 
 const GUARDS: [usize; 5] = [0, 1, 2, 3, 4];
 

@@ -19,8 +19,6 @@ use domino_stats::Table;
 
 /// Registry key.
 pub const NAME: &str = "fig09_signature_detection";
-/// Output file under `results/`.
-pub const OUTPUT: &str = "fig09_signature_detection.txt";
 
 struct Row {
     combined: usize,

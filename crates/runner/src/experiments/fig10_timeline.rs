@@ -14,8 +14,6 @@ use domino_obs::{ProfHandle, TraceHandle};
 
 /// Registry key.
 pub const NAME: &str = "fig10_timeline";
-/// Output file under `results/`.
-pub const OUTPUT: &str = "fig10_timeline.txt";
 
 /// Render the designated trace of this experiment (`domino-run --trace`):
 /// the same single DOMINO run as [`plan`], with a memory sink attached,

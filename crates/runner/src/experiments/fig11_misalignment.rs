@@ -14,8 +14,6 @@ use domino_wired::WiredLatency;
 
 /// Registry key.
 pub const NAME: &str = "fig11_misalignment";
-/// Output file under `results/`.
-pub const OUTPUT: &str = "fig11_misalignment.txt";
 
 const JITTERS: [f64; 4] = [20.0, 40.0, 60.0, 80.0];
 const SLOTS: usize = 8;

@@ -14,8 +14,6 @@ use domino_stats::Table;
 
 /// Registry key.
 pub const NAME: &str = "fig12_tput_delay_fairness";
-/// Output file under `results/`.
-pub const OUTPUT: &str = "fig12_tput_delay_fairness.txt";
 
 const SCHEMES: [Scheme; 3] = [Scheme::Domino, Scheme::Centaur, Scheme::Dcf];
 

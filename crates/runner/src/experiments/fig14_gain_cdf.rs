@@ -14,8 +14,6 @@ use domino_stats::Cdf;
 
 /// Registry key.
 pub const NAME: &str = "fig14_gain_cdf";
-/// Output file under `results/`.
-pub const OUTPUT: &str = "fig14_gain_cdf.txt";
 
 /// Build the plan: `runs` random topologies × {DOMINO, DCF} shards.
 pub fn plan(scale: Scale, seed: u64) -> Plan {

@@ -1,4 +1,4 @@
-//! One module per experiment. Each exposes `NAME`, `OUTPUT`, and
+//! One module per experiment. Each exposes `NAME` and
 //! `plan(scale, seed) -> Plan`; the registry ties them together.
 
 pub mod ablations;

@@ -12,8 +12,6 @@ use domino_stats::Table;
 
 /// Registry key.
 pub const NAME: &str = "sec5_light_traffic";
-/// Output file under `results/`.
-pub const OUTPUT: &str = "sec5_light_traffic.txt";
 
 struct Cell {
     scheme: Scheme,

@@ -14,8 +14,6 @@ use domino_stats::Table;
 
 /// Registry key.
 pub const NAME: &str = "sec5_polling_sweep";
-/// Output file under `results/`.
-pub const OUTPUT: &str = "sec5_polling_sweep.txt";
 
 const BATCH_SIZES: [usize; 4] = [2, 5, 10, 20];
 const LOADS: [(&str, f64); 2] =

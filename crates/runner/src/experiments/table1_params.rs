@@ -10,8 +10,6 @@ use domino_stats::Table;
 
 /// Registry key.
 pub const NAME: &str = "table1_params";
-/// Output file under `results/`.
-pub const OUTPUT: &str = "table1_params.txt";
 
 /// Build the plan: a single cheap shard (pure constants, no simulation).
 pub fn plan(_scale: Scale, _seed: u64) -> Plan {

@@ -16,8 +16,6 @@ use domino_stats::Table;
 
 /// Registry key.
 pub const NAME: &str = "table2_usrp";
-/// Output file under `results/`.
-pub const OUTPUT: &str = "table2_usrp.txt";
 
 /// Throughput scale between our 12 Mb/s PHY simulation and the paper's
 /// USRP prototype (their DCF-SC measured 2.76 kb/s vs our ~7.4 Mb/s).

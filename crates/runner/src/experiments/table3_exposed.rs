@@ -13,8 +13,6 @@ use domino_topology::PhyParams;
 
 /// Registry key.
 pub const NAME: &str = "table3_exposed";
-/// Output file under `results/`.
-pub const OUTPUT: &str = "table3_exposed.txt";
 
 const TOPOLOGIES: [&str; 2] = ["Fig 13(a)", "Fig 13(b)"];
 const SCHEMES: [Scheme; 3] = [Scheme::Domino, Scheme::Centaur, Scheme::Dcf];

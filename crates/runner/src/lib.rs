@@ -51,9 +51,8 @@ use scale::Scale;
 pub struct ExperimentRun {
     /// Experiment name (registry key, also the `src/bin` name it replaced).
     pub name: &'static str,
-    /// File name under `results/` this experiment renders.
-    pub output: &'static str,
-    /// The rendered output text (what `results/<output>` should contain).
+    /// The rendered output text (what [`ExperimentRun::output`] under
+    /// `results/` should contain).
     pub text: String,
     /// Machine-readable run summary (livelocks, watchdog storms,
     /// per-fault-class counts) — deterministic, unlike the wall times.
@@ -82,6 +81,11 @@ pub struct ExperimentRun {
 }
 
 impl ExperimentRun {
+    /// The file this experiment renders under `results/`: `<name>.txt`.
+    pub fn output(&self) -> String {
+        format!("{}.txt", self.name)
+    }
+
     /// Shards actually executed: all of them without a cache.
     pub fn shards_executed(&self) -> usize {
         self.shard_ns.len() - self.shards_cached
@@ -152,7 +156,6 @@ pub fn run_experiment(
     phases.add_ns("merge", merge_ns);
     ExperimentRun {
         name: exp.name,
-        output: exp.output,
         text,
         digest,
         shard_ns,
@@ -185,7 +188,7 @@ pub enum CheckStatus {
 
 /// Byte-compare a run's text against `<dir>/<output>`.
 pub fn check_against(dir: &std::path::Path, run: &ExperimentRun) -> CheckStatus {
-    let Ok(committed) = std::fs::read_to_string(dir.join(run.output)) else {
+    let Ok(committed) = std::fs::read_to_string(dir.join(run.output())) else {
         return CheckStatus::Missing;
     };
     if committed == run.text {
@@ -234,7 +237,7 @@ pub fn render_manifest(
     for (i, run) in runs.iter().enumerate() {
         let _ = writeln!(out, "    {{");
         let _ = writeln!(out, "      \"name\": \"{}\",", run.name);
-        let _ = writeln!(out, "      \"output\": \"{}\",", run.output);
+        let _ = writeln!(out, "      \"output\": \"{}\",", run.output());
         let _ = writeln!(out, "      \"bytes\": {},", run.text.len());
         let _ = writeln!(out, "      \"wall_ms\": {:.1},", run.elapsed_ns as f64 / 1e6);
         let _ = writeln!(out, "      \"phase_ms\": {},", run.phases.render_json_ms());
@@ -302,7 +305,6 @@ mod tests {
         phases.add_ns("merge", 400_000);
         ExperimentRun {
             name: "dummy",
-            output: "dummy.txt",
             text: text.to_string(),
             digest: RunDigest {
                 livelocks: 0,

@@ -10,7 +10,7 @@
 //! function of the run — a restored run's block byte-matches the
 //! uninterrupted run's, which is exactly what the CI gate diffs.
 
-use domino_core::traffic::{UdpSource, DEFAULT_PACKET_BYTES};
+use domino_core::traffic::UdpSource;
 use domino_core::{scenarios, Checkpoints, FaultConfig, RunOpts, RunReport, Scheme, SimulationBuilder};
 use domino_sim::SimTime;
 use std::fmt::Write as _;
@@ -168,7 +168,7 @@ fn parse_rates(v: &str, flag: &str) -> Result<(f64, f64), String> {
     let (down, up) = v.split_once(',').ok_or_else(|| format!("{flag} needs <down_bps>,<up_bps>"))?;
     let rate = |v| {
         let bps = parse_f64(v, flag)?;
-        if bps > 0.0 && UdpSource::packet_interval(bps, DEFAULT_PACKET_BYTES).is_zero() {
+        if bps > 0.0 && UdpSource::packet_interval(bps).is_zero() {
             return Err(format!("{flag}: at {bps} b/s a packet interval rounds to 0 ns"));
         }
         Ok(bps)
@@ -183,6 +183,10 @@ fn parse_f64(v: &str, flag: &str) -> Result<f64, String> {
         .filter(|x| x.is_finite() && *x >= 0.0)
         .ok_or_else(|| format!("{flag} needs a non-negative number"))
 }
+
+/// The most checkpoints `--checkpoint-every-us` may ask for: each one
+/// seals a whole payload.
+const MAX_PERIODIC_CHECKPOINTS: u64 = 10_000;
 
 /// Parsed `domino-run sim …` invocation.
 #[derive(Clone, Debug)]
@@ -245,6 +249,19 @@ pub fn parse(args: &[String]) -> Result<SimArgs, String> {
             flag => return Err(format!("unknown flag {flag}")),
         }
     }
+    // Checked once every flag is read: `--duration-s` may come later.
+    if let Some(every_us) = out.checkpoint_every_us {
+        let (step, count) = periodic(&out.spec, every_us);
+        if step == 0 {
+            return Err(format!("--checkpoint-every-us {every_us}: the interval rounds to 0 ns"));
+        }
+        if count > MAX_PERIODIC_CHECKPOINTS {
+            return Err(format!(
+                "--checkpoint-every-us {every_us}: {count} checkpoints in the run, \
+                 at most {MAX_PERIODIC_CHECKPOINTS} allowed"
+            ));
+        }
+    }
     Ok(out)
 }
 
@@ -259,24 +276,31 @@ pub struct SimOutcome {
     pub checkpoints: Vec<(PathBuf, Vec<u8>)>,
 }
 
+/// The run's horizon in ns.
+fn horizon_ns(spec: &RunSpec) -> u64 {
+    (spec.duration_s * 1e9).round() as u64
+}
+
+/// The interval of `--checkpoint-every-us` in ns, and how many of its
+/// boundaries fall inside the horizon (none for a zero interval), counted
+/// without expanding them.
+fn periodic(spec: &RunSpec, every_us: f64) -> (u64, u64) {
+    let step = (every_us * 1e3).round() as u64;
+    (step, horizon_ns(spec).saturating_sub(1).checked_div(step).unwrap_or(0))
+}
+
 /// Ascending checkpoint boundaries from `--checkpoint-every-us` and
 /// `--checkpoint-at-us`, capped at the horizon.
 fn boundaries(args: &SimArgs) -> Vec<SimTime> {
-    let horizon_ns = (args.spec.duration_s * 1e9).round() as u64;
+    let horizon_ns = horizon_ns(&args.spec);
     let mut ns: Vec<u64> = args
         .checkpoint_at_us
         .iter()
         .map(|us| (us * 1e3).round() as u64)
         .collect();
     if let Some(every_us) = args.checkpoint_every_us {
-        let step = (every_us * 1e3).round() as u64;
-        if step > 0 {
-            let mut t = step;
-            while t < horizon_ns {
-                ns.push(t);
-                t += step;
-            }
-        }
+        let (step, count) = periodic(&args.spec, every_us);
+        ns.extend((1..=count).map(|k| k * step));
     }
     ns.sort_unstable();
     ns.dedup();
@@ -383,6 +407,28 @@ mod tests {
         assert!(!b.is_empty());
         assert!(b.windows(2).all(|w| w[0] < w[1]));
         assert!(b.iter().all(|t| t.as_nanos() < 500_000_000));
+    }
+
+    #[test]
+    fn parse_bounds_periodic_checkpoints_before_any_run() {
+        // One boundary per ns for a second: refused by its count, whichever
+        // order the two flags come in, before anything is expanded.
+        for flags in [
+            ["--checkpoint-every-us", "0.001", "--duration-s", "1"],
+            ["--duration-s", "1", "--checkpoint-every-us", "0.001"],
+        ] {
+            let err = parse(&argv(&flags)).unwrap_err();
+            assert!(err.contains("999999999 checkpoints"), "{err}");
+        }
+        let err = parse(&argv(&["--checkpoint-every-us", "0.0004"])).unwrap_err();
+        assert!(err.contains("rounds to 0 ns"), "{err}");
+        // 9,999 boundaries inside a 1-s run, and 10,000 in one 1 ns longer.
+        let ok = parse(&argv(&["--duration-s", "1", "--checkpoint-every-us", "100"])).unwrap();
+        assert_eq!(periodic(&ok.spec, 100.0), (100_000, 9_999));
+        let longer = ["--duration-s", "1.000000001", "--checkpoint-every-us", "100"];
+        assert!(parse(&argv(&longer)).is_ok());
+        let over = ["--duration-s", "1.0002", "--checkpoint-every-us", "100"];
+        assert!(parse(&argv(&over)).unwrap_err().contains("10001 checkpoints"));
     }
 
     #[test]

@@ -49,9 +49,6 @@ pub mod streams {
     pub const FAULT_CHURN: u64 = 0x0D;
     /// Warm-standby control plane: heartbeat/checkpoint wired latency.
     pub const STANDBY_WIRED: u64 = 0x0E;
-    /// Wired backbone retry backoff/loss draws (isolated so enabling
-    /// retries never perturbs the primary jitter or fault streams).
-    pub const WIRED_RETRY: u64 = 0x0F;
 }
 
 #[cfg(test)]

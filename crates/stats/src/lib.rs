@@ -1,7 +1,7 @@
 //! # domino-stats
 //!
 //! Measurement utilities for the DOMINO reproduction's evaluation:
-//! throughput/delay accumulators, Jain's fairness index (the paper's
+//! a per-packet delay accumulator, Jain's fairness index (the paper's
 //! fairness metric), empirical CDFs for Fig 14, and plain-text table
 //! rendering for the experiment harness.
 
@@ -15,5 +15,5 @@ pub mod table;
 
 pub use cdf::Cdf;
 pub use fairness::jain_index;
-pub use meters::{DelayMeter, ThroughputMeter};
+pub use meters::DelayMeter;
 pub use table::Table;

@@ -1,47 +1,4 @@
-//! Throughput and delay accumulators.
-
-/// Counts delivered payload bits over a measurement window and reports
-/// throughput.
-#[derive(Clone, Debug, Default)]
-pub struct ThroughputMeter {
-    bits: u64,
-    packets: u64,
-}
-
-impl ThroughputMeter {
-    /// A fresh meter.
-    pub fn new() -> ThroughputMeter {
-        ThroughputMeter::default()
-    }
-
-    /// Record a delivered packet of `payload_bytes`.
-    pub fn record_packet(&mut self, payload_bytes: usize) {
-        self.bits += payload_bytes as u64 * 8;
-        self.packets += 1;
-    }
-
-    /// Total delivered bits.
-    pub fn bits(&self) -> u64 {
-        self.bits
-    }
-
-    /// Total delivered packets.
-    pub fn packets(&self) -> u64 {
-        self.packets
-    }
-
-    /// Throughput in Mb/s over a window of `seconds`.
-    pub fn mbps(&self, seconds: f64) -> f64 {
-        assert!(seconds > 0.0, "empty measurement window");
-        self.bits as f64 / seconds / 1e6
-    }
-
-    /// Rebuild a meter from raw totals (the snapshot-restore path; this
-    /// crate is dependency-free, so serialization lives with the caller).
-    pub fn from_raw(bits: u64, packets: u64) -> ThroughputMeter {
-        ThroughputMeter { bits, packets }
-    }
-}
+//! The per-packet delay accumulator.
 
 /// Accumulates per-packet delays (µs) and reports summary statistics.
 #[derive(Clone, Debug, Default)]
@@ -106,24 +63,6 @@ impl DelayMeter {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn throughput_accounting() {
-        let mut m = ThroughputMeter::new();
-        for _ in 0..100 {
-            m.record_packet(512);
-        }
-        assert_eq!(m.packets(), 100);
-        assert_eq!(m.bits(), 100 * 512 * 8);
-        // 409600 bits over 0.1 s = 4.096 Mb/s.
-        assert!((m.mbps(0.1) - 4.096).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty measurement window")]
-    fn zero_window_panics() {
-        ThroughputMeter::new().mbps(0.0);
-    }
 
     #[test]
     fn delay_statistics() {

@@ -16,5 +16,5 @@ pub mod udp;
 
 pub use packet::{FlowId, Packet, PacketId, PacketKind, DEFAULT_PACKET_BYTES, TCP_ACK_BYTES};
 pub use queue::LinkQueue;
-pub use tcp::{TcpConfig, TcpReceiver, TcpSender};
+pub use tcp::{TcpReceiver, TcpSender};
 pub use udp::UdpSource;

@@ -13,56 +13,35 @@
 //! [`TcpReceiver::on_data`], turns the returned cumulative ack into a
 //! reverse-link packet, and feeds it back into [`TcpSender::on_ack`].
 
-use crate::packet::{FlowId, Packet, PacketId, PacketKind};
+use crate::packet::{FlowId, Packet, PacketId, PacketKind, DEFAULT_PACKET_BYTES};
 use domino_sim::{SimDuration, SimTime};
 use domino_topology::LinkId;
 use std::collections::BTreeMap;
 
-/// TCP-lite tuning parameters.
-#[derive(Clone, Debug)]
-pub struct TcpConfig {
-    /// Segment payload size (the paper's 512-byte virtual packet).
-    pub mss_bytes: usize,
-    /// Initial congestion window, packets.
-    pub initial_cwnd: f64,
-    /// Initial slow-start threshold, packets.
-    pub initial_ssthresh: f64,
-    /// Congestion-window cap, packets.
-    pub max_cwnd: f64,
-    /// Application offered rate in bits/s (0 = unlimited/backlogged).
-    pub app_rate_bps: f64,
-    /// Application buffer bound, packets of accumulated credit.
-    pub app_buffer_packets: f64,
-    /// RTO clamp, low end.
-    pub min_rto: SimDuration,
-    /// RTO clamp, high end.
-    pub max_rto: SimDuration,
-    /// Duplicate ACKs that trigger fast retransmit.
-    pub dupack_threshold: u32,
-}
+/// Initial congestion window, packets.
+const INITIAL_CWND: f64 = 2.0;
+/// Initial slow-start threshold, packets.
+const INITIAL_SSTHRESH: f64 = 32.0;
+/// Congestion-window cap, packets.
+const MAX_CWND: f64 = 64.0;
+/// Application buffer bound, packets of accumulated credit.
+const APP_BUFFER_PACKETS: f64 = 128.0;
+/// RTO clamp, low end.
+const MIN_RTO: SimDuration = SimDuration::from_millis(20);
+/// RTO clamp, high end.
+const MAX_RTO: SimDuration = SimDuration::from_secs(2);
+/// Duplicate ACKs that trigger fast retransmit.
+const DUPACK_THRESHOLD: u32 = 3;
 
-impl Default for TcpConfig {
-    fn default() -> TcpConfig {
-        TcpConfig {
-            mss_bytes: 512,
-            initial_cwnd: 2.0,
-            initial_ssthresh: 32.0,
-            max_cwnd: 64.0,
-            app_rate_bps: 10e6,
-            app_buffer_packets: 128.0,
-            min_rto: SimDuration::from_millis(20),
-            max_rto: SimDuration::from_secs(2),
-            dupack_threshold: 3,
-        }
-    }
-}
-
-/// Sender-side TCP-lite state machine.
+/// Sender-side TCP-lite state machine. Its segments carry the paper's
+/// 512-byte virtual packet ([`DEFAULT_PACKET_BYTES`]).
 #[derive(Clone, Debug)]
 pub struct TcpSender {
     flow: FlowId,
     link: LinkId,
-    cfg: TcpConfig,
+    /// Application offered rate in bits/s (0 or less: unlimited,
+    /// backlogged).
+    rate_bps: f64,
     id_base: u64,
     id_serial: u64,
     /// Next never-sent sequence number (MSS units).
@@ -85,15 +64,15 @@ pub struct TcpSender {
 }
 
 impl TcpSender {
-    /// A fresh sender for `flow` over `link`, with `id_base` namespacing
-    /// its packet ids.
-    pub fn new(flow: FlowId, link: LinkId, cfg: TcpConfig, id_base: u64, start: SimTime) -> TcpSender {
+    /// A fresh sender for `flow` over `link` at an application rate of
+    /// `rate_bps`, with `id_base` namespacing its packet ids.
+    pub fn new(flow: FlowId, link: LinkId, rate_bps: f64, id_base: u64, start: SimTime) -> TcpSender {
         TcpSender {
             flow,
             link,
-            cwnd: cfg.initial_cwnd,
-            ssthresh: cfg.initial_ssthresh,
-            cfg,
+            cwnd: INITIAL_CWND,
+            ssthresh: INITIAL_SSTHRESH,
+            rate_bps,
             id_base,
             id_serial: 0,
             next_seq: 0,
@@ -140,18 +119,18 @@ impl TcpSender {
         };
         let scaled = base_us * f64::from(1u32 << self.rto_backoff.min(6));
         let d = SimDuration::from_micros_f64(scaled.max(0.0));
-        d.clamp(self.cfg.min_rto, self.cfg.max_rto)
+        d.clamp(MIN_RTO, MAX_RTO)
     }
 
     fn accrue_credit(&mut self, now: SimTime) {
-        if self.cfg.app_rate_bps <= 0.0 {
-            self.app_credit = self.cfg.app_buffer_packets;
+        if self.rate_bps <= 0.0 {
+            self.app_credit = APP_BUFFER_PACKETS;
             self.credit_updated_at = now;
             return;
         }
         let dt = now.saturating_since(self.credit_updated_at).as_secs_f64();
-        let packets = self.cfg.app_rate_bps * dt / (self.cfg.mss_bytes as f64 * 8.0);
-        self.app_credit = (self.app_credit + packets).min(self.cfg.app_buffer_packets);
+        let packets = self.rate_bps * dt / (DEFAULT_PACKET_BYTES as f64 * 8.0);
+        self.app_credit = (self.app_credit + packets).min(APP_BUFFER_PACKETS);
         self.credit_updated_at = now;
     }
 
@@ -162,7 +141,7 @@ impl TcpSender {
             id: PacketId(self.id_base | serial),
             flow: self.flow,
             link: self.link,
-            payload_bytes: self.cfg.mss_bytes,
+            payload_bytes: DEFAULT_PACKET_BYTES,
             created_at: now,
             kind: PacketKind::TcpData,
             seq,
@@ -223,7 +202,7 @@ impl TcpSender {
                     self.cwnd += 1.0 / self.cwnd; // congestion avoidance
                 }
             }
-            self.cwnd = self.cwnd.min(self.cfg.max_cwnd);
+            self.cwnd = self.cwnd.min(MAX_CWND);
             self.rto_deadline = if self.in_flight.is_empty() {
                 None
             } else {
@@ -233,7 +212,7 @@ impl TcpSender {
         } else {
             // Duplicate ACK.
             self.dup_acks += 1;
-            if self.dup_acks == self.cfg.dupack_threshold && self.in_flight.contains_key(&self.snd_una) {
+            if self.dup_acks == DUPACK_THRESHOLD && self.in_flight.contains_key(&self.snd_una) {
                 // Fast retransmit of the missing segment.
                 self.ssthresh = (self.cwnd / 2.0).max(2.0);
                 self.cwnd = self.ssthresh;
@@ -277,7 +256,7 @@ impl TcpSender {
 }
 
 // Dynamic state: everything the congestion-control machine mutates.
-// `flow`, `link`, `cfg` and `id_base` are configuration.
+// `flow`, `link`, `rate_bps` and `id_base` are configuration.
 domino_sim::snapshot_fields!(TcpSender {
     id_serial,
     next_seq,
@@ -341,7 +320,7 @@ mod tests {
     use super::*;
 
     fn sender() -> TcpSender {
-        TcpSender::new(FlowId(0), LinkId(0), TcpConfig::default(), 0, SimTime::ZERO)
+        TcpSender::new(FlowId(0), LinkId(0), 10e6, 0, SimTime::ZERO)
     }
 
     fn at_ms(ms: u64) -> SimTime {
@@ -421,8 +400,8 @@ mod tests {
 
     #[test]
     fn app_rate_limits_release() {
-        let cfg = TcpConfig { app_rate_bps: 4096.0 * 10.0, ..TcpConfig::default() }; // 10 pkt/s
-        let mut s = TcpSender::new(FlowId(0), LinkId(0), cfg, 0, SimTime::ZERO);
+        let rate_bps = 4096.0 * 10.0; // 10 pkt/s
+        let mut s = TcpSender::new(FlowId(0), LinkId(0), rate_bps, 0, SimTime::ZERO);
         s.cwnd = 64.0;
         // After 100 ms only one packet of credit accrued.
         let pkts = s.poll(at_ms(100));

@@ -1,10 +1,11 @@
 //! Constant-bit-rate UDP sources (the paper's default workload).
 
-use crate::packet::{FlowId, Packet, PacketId, PacketKind};
+use crate::packet::{FlowId, Packet, PacketId, PacketKind, DEFAULT_PACKET_BYTES};
 use domino_sim::{SimDuration, SimTime};
 use domino_topology::LinkId;
 
-/// A CBR source emitting fixed-size packets at a fixed rate on one link.
+/// A CBR source emitting [`DEFAULT_PACKET_BYTES`] packets at a fixed rate
+/// on one link.
 ///
 /// It draws no randomness, so its arrivals are a function of time: the
 /// source may lag behind the clock, and [`UdpSource::skip_through`]
@@ -14,7 +15,6 @@ use domino_topology::LinkId;
 pub struct UdpSource {
     flow: FlowId,
     link: LinkId,
-    packet_bytes: usize,
     interval: Option<SimDuration>,
     next_arrival: SimTime,
     next_packet_serial: u64,
@@ -27,16 +27,9 @@ impl UdpSource {
     /// ramp in rather than bursting at t=0, and distinct flows can be
     /// staggered via `start`). Panics when the packet interval rounds to
     /// 0 ns (see [`UdpSource::packet_interval`]).
-    pub fn new(
-        flow: FlowId,
-        link: LinkId,
-        rate_bps: f64,
-        packet_bytes: usize,
-        start: SimTime,
-    ) -> UdpSource {
+    pub fn new(flow: FlowId, link: LinkId, rate_bps: f64, start: SimTime) -> UdpSource {
         assert!(rate_bps >= 0.0 && rate_bps.is_finite());
-        assert!(packet_bytes > 0);
-        let interval = (rate_bps > 0.0).then(|| UdpSource::packet_interval(rate_bps, packet_bytes));
+        let interval = (rate_bps > 0.0).then(|| UdpSource::packet_interval(rate_bps));
         assert!(
             interval.is_none_or(|i| !i.is_zero()),
             "{rate_bps} b/s: packet interval rounds to 0 ns"
@@ -45,20 +38,13 @@ impl UdpSource {
             Some(i) => start + i,
             None => SimTime::MAX,
         };
-        UdpSource {
-            flow,
-            link,
-            packet_bytes,
-            interval,
-            next_arrival,
-            next_packet_serial: 0,
-        }
+        UdpSource { flow, link, interval, next_arrival, next_packet_serial: 0 }
     }
 
-    /// The time between two packets of `packet_bytes` at `rate_bps` (> 0),
-    /// rounded to the nanosecond.
-    pub fn packet_interval(rate_bps: f64, packet_bytes: usize) -> SimDuration {
-        SimDuration::from_secs_f64(packet_bytes as f64 * 8.0 / rate_bps)
+    /// The time between two packets at `rate_bps` (> 0), rounded to the
+    /// nanosecond.
+    pub fn packet_interval(rate_bps: f64) -> SimDuration {
+        SimDuration::from_secs_f64(DEFAULT_PACKET_BYTES as f64 * 8.0 / rate_bps)
     }
 
     /// The flow this source feeds.
@@ -95,7 +81,7 @@ impl UdpSource {
             id: PacketId(id_base | serial),
             flow: self.flow,
             link: self.link,
-            payload_bytes: self.packet_bytes,
+            payload_bytes: DEFAULT_PACKET_BYTES,
             created_at,
             kind: PacketKind::Udp,
             seq: serial,
@@ -119,8 +105,8 @@ impl UdpSource {
     }
 }
 
-// Dynamic state: the arrival clock and the packet serial. Rate, flow,
-// link and packet size are configuration.
+// Dynamic state: the arrival clock and the packet serial. Rate, flow and
+// link are configuration.
 domino_sim::snapshot_fields!(UdpSource { next_arrival, next_packet_serial });
 
 #[cfg(test)]
@@ -130,13 +116,13 @@ mod tests {
     #[test]
     fn cbr_interval_for_10mbps_512b() {
         // 4096 bits at 10 Mb/s = 409.6 us per packet.
-        let s = UdpSource::new(FlowId(0), LinkId(0), 10e6, 512, SimTime::ZERO);
+        let s = UdpSource::new(FlowId(0), LinkId(0), 10e6, SimTime::ZERO);
         assert_eq!(s.next_arrival(), SimTime::from_nanos(409_600));
     }
 
     #[test]
     fn emission_advances_clock_and_serial() {
-        let mut s = UdpSource::new(FlowId(1), LinkId(2), 10e6, 512, SimTime::ZERO);
+        let mut s = UdpSource::new(FlowId(1), LinkId(2), 10e6, SimTime::ZERO);
         let p0 = s.emit(1 << 32);
         let p1 = s.emit(1 << 32);
         assert_eq!(p0.created_at, SimTime::from_nanos(409_600));
@@ -150,26 +136,26 @@ mod tests {
 
     #[test]
     fn silent_source_never_fires() {
-        let s = UdpSource::new(FlowId(0), LinkId(0), 0.0, 512, SimTime::ZERO);
+        let s = UdpSource::new(FlowId(0), LinkId(0), 0.0, SimTime::ZERO);
         assert_eq!(s.next_arrival(), SimTime::MAX);
     }
 
     #[test]
     fn staggered_start() {
-        let s = UdpSource::new(FlowId(0), LinkId(0), 10e6, 512, SimTime::from_micros(100));
+        let s = UdpSource::new(FlowId(0), LinkId(0), 10e6, SimTime::from_micros(100));
         assert_eq!(s.next_arrival(), SimTime::from_nanos(509_600));
     }
 
     #[test]
     #[should_panic(expected = "silent source")]
     fn emit_on_silent_source_panics() {
-        let mut s = UdpSource::new(FlowId(0), LinkId(0), 0.0, 512, SimTime::ZERO);
+        let mut s = UdpSource::new(FlowId(0), LinkId(0), 0.0, SimTime::ZERO);
         let _ = s.emit(0);
     }
 
     #[test]
     fn skipping_matches_emitting() {
-        let mut skipped = UdpSource::new(FlowId(0), LinkId(0), 10e6, 512, SimTime::ZERO);
+        let mut skipped = UdpSource::new(FlowId(0), LinkId(0), 10e6, SimTime::ZERO);
         let mut emitted = skipped.clone();
         // Nothing is due before the first arrival.
         assert_eq!(skipped.skip_through(SimTime::from_nanos(409_599)), 0);
@@ -180,7 +166,7 @@ mod tests {
         }
         assert_eq!(skipped.next_arrival(), emitted.next_arrival());
         assert_eq!(skipped.emit(0), emitted.emit(0), "the serial advanced too");
-        let mut silent = UdpSource::new(FlowId(0), LinkId(0), 0.0, 512, SimTime::ZERO);
+        let mut silent = UdpSource::new(FlowId(0), LinkId(0), 0.0, SimTime::ZERO);
         assert_eq!(silent.skip_through(SimTime::from_secs(9)), 0);
     }
 
@@ -188,12 +174,12 @@ mod tests {
     #[should_panic(expected = "rounds to 0 ns")]
     fn zero_interval_panics() {
         // 4096 bits at 1e13 b/s is 0.41 ns, which rounds to 0.
-        let _ = UdpSource::new(FlowId(0), LinkId(0), 1e13, 512, SimTime::ZERO);
+        let _ = UdpSource::new(FlowId(0), LinkId(0), 1e13, SimTime::ZERO);
     }
 
     #[test]
     fn rate_accounting_over_a_second() {
-        let mut s = UdpSource::new(FlowId(0), LinkId(0), 6e6, 512, SimTime::ZERO);
+        let mut s = UdpSource::new(FlowId(0), LinkId(0), 6e6, SimTime::ZERO);
         let mut count = 0u64;
         while s.next_arrival() <= SimTime::from_secs(1) {
             let _ = s.emit(0);

@@ -87,17 +87,9 @@ pub struct Backbone {
     loss: f64,
     spike: f64,
     spike_extra_us: f64,
-    /// Retry draws (re-loss chance and retried-message latency) come from
-    /// yet another stream so enabling retries never perturbs the primary
-    /// jitter or fault sequences.
-    retry_rng: SimRng,
-    retry_attempts: u32,
-    retry_backoff_us: f64,
     sent: u64,
     lost: u64,
     spiked: u64,
-    retries: u64,
-    retry_drops: u64,
     tracer: TraceHandle,
 }
 
@@ -125,22 +117,17 @@ impl Backbone {
             loss: 0.0,
             spike: 0.0,
             spike_extra_us: 0.0,
-            retry_rng: SimRng::derive(master_seed, streams::WIRED_RETRY),
-            retry_attempts: 0,
-            retry_backoff_us: 0.0,
             sent: 0,
             lost: 0,
             spiked: 0,
-            retries: 0,
-            retry_drops: 0,
             tracer: TraceHandle::off(),
         }
     }
 
-    /// Raw draws taken across this backbone's three streams (jitter,
-    /// faults, retries) so far — profiler food for `rng;wired`.
+    /// Raw draws taken across this backbone's two streams (jitter and
+    /// faults) so far — profiler food for `rng;wired`.
     pub fn rng_draws(&self) -> u64 {
-        self.rng.draws() + self.faults.draws() + self.retry_rng.draws()
+        self.rng.draws() + self.faults.draws()
     }
 
     /// Attach a trace sink. Observation only — attaching never changes
@@ -177,39 +164,15 @@ impl Backbone {
         InTransit { deliver_at, message }
     }
 
-    /// Enable deterministic bounded retry for [`Backbone::try_send`]
-    /// losses: up to `max_attempts` re-sends, the k-th delayed by
-    /// `base_backoff_us · 2^(k−1)` of exponential backoff on top of a
-    /// fresh latency draw. All retry randomness (the re-loss chance and
-    /// the retried message's latency) comes from the dedicated
-    /// `WIRED_RETRY` stream, so the primary jitter and fault sequences —
-    /// and therefore every retry-off golden — are untouched. Default off.
-    pub fn set_retries(&mut self, max_attempts: u32, base_backoff_us: f64) {
-        self.retry_attempts = max_attempts;
-        self.retry_backoff_us = base_backoff_us.max(0.0);
-    }
-
     /// Send a message subject to the fault knobs: `None` means the
     /// backbone dropped it. The latency draw happens first and
     /// unconditionally, so surviving messages see exactly the latencies a
     /// fault-free run would have given them; with all knobs at zero this
     /// is byte-for-byte [`Backbone::send`].
-    ///
-    /// When retries are enabled (see [`Backbone::set_retries`]) a lost
-    /// message is re-sent on a fixed exponential-backoff schedule before
-    /// being declared dropped; a message that survives only via retry is
-    /// spike-exempt (the retry path models a deliberate, paced re-send).
     pub fn try_send<M>(&mut self, now: SimTime, message: M) -> Option<InTransit<M>> {
         let mut deliver_at = now + self.latency.sample(&mut self.rng);
         self.sent += 1;
         if self.loss > 0.0 && self.faults.chance(self.loss) {
-            if let Some(recovered_at) = self.retry(now) {
-                self.tracer.emit(now.as_nanos(), || TraceEvent::BackboneSend {
-                    delay_ns: recovered_at.saturating_since(now).as_nanos(),
-                    spiked: false,
-                });
-                return Some(InTransit { deliver_at: recovered_at, message });
-            }
             self.lost += 1;
             self.tracer.emit(now.as_nanos(), || TraceEvent::BackboneDrop);
             return None;
@@ -227,29 +190,6 @@ impl Backbone {
         Some(InTransit { deliver_at, message })
     }
 
-    /// Walk the bounded retry schedule for a just-lost message. Returns
-    /// the recovered delivery instant, or `None` when retries are off or
-    /// every attempt was lost too. Draws only from the retry stream.
-    fn retry(&mut self, now: SimTime) -> Option<SimTime> {
-        if self.retry_attempts == 0 {
-            return None;
-        }
-        let mut backoff_us = self.retry_backoff_us;
-        let mut waited = SimDuration::ZERO;
-        for _ in 0..self.retry_attempts {
-            waited += SimDuration::from_micros_f64(backoff_us);
-            backoff_us *= 2.0;
-            if self.retry_rng.chance(self.loss) {
-                continue; // this attempt was lost as well
-            }
-            self.retries += 1;
-            let latency = self.latency.sample(&mut self.retry_rng);
-            return Some(now + waited + latency);
-        }
-        self.retry_drops += 1;
-        None
-    }
-
     /// Messages sent so far (including ones the fault knobs dropped).
     pub fn messages_sent(&self) -> u64 {
         self.sent
@@ -265,35 +205,12 @@ impl Backbone {
         self.spiked
     }
 
-    /// Messages recovered by the retry policy so far.
-    pub fn messages_retried(&self) -> u64 {
-        self.retries
-    }
-
-    /// Messages lost even after exhausting every retry attempt.
-    pub fn retry_drops(&self) -> u64 {
-        self.retry_drops
-    }
-
-    /// The latency model in force.
-    pub fn latency(&self) -> &WiredLatency {
-        &self.latency
-    }
 }
 
-// Dynamic state: the three RNG positions and the counters. The latency
+// Dynamic state: the two RNG positions and the counters. The latency
 // model and every knob are configuration, re-applied by the restore
 // target's builder.
-domino_sim::snapshot_fields!(Backbone {
-    rng,
-    faults,
-    retry_rng,
-    sent,
-    lost,
-    spiked,
-    retries,
-    retry_drops,
-});
+domino_sim::snapshot_fields!(Backbone { rng, faults, sent, lost, spiked });
 
 #[cfg(test)]
 mod tests {
@@ -445,60 +362,6 @@ mod tests {
     }
 
     #[test]
-    fn retries_recover_losses_on_an_isolated_stream() {
-        // Three backbones, same seed: clean, lossy, lossy-with-retries.
-        // Retries must (a) recover a strict majority of the lost sends,
-        // (b) never change which messages the loss knob hits, and (c)
-        // leave first-attempt survivors' latencies untouched.
-        let mut clean = Backbone::new(WiredLatency::default(), 71);
-        let mut lossy = Backbone::new(WiredLatency::default(), 71);
-        let mut retrying = Backbone::new(WiredLatency::default(), 71);
-        lossy.set_loss(0.3);
-        retrying.set_loss(0.3);
-        retrying.set_retries(3, 200.0);
-        let mut recovered = 0u64;
-        for i in 0..5_000u32 {
-            let _ = clean.send(SimTime::ZERO, i).deliver_at;
-            let l = lossy.try_send(SimTime::ZERO, i).map(|m| m.deliver_at);
-            let r = retrying.try_send(SimTime::ZERO, i).map(|m| m.deliver_at);
-            match l {
-                // First-attempt survivor: identical latency, retry or not.
-                Some(at) => assert_eq!(r, Some(at), "message {i}"),
-                None => {
-                    if let Some(at) = r {
-                        recovered += 1;
-                        // Recovery waits at least the first backoff step.
-                        assert!(at >= SimTime::ZERO + SimDuration::from_micros(200));
-                    }
-                }
-            }
-        }
-        assert_eq!(recovered, retrying.messages_retried());
-        assert_eq!(
-            lossy.messages_lost(),
-            recovered + retrying.messages_lost(),
-            "every original loss is either recovered or still lost"
-        );
-        assert_eq!(retrying.messages_lost(), retrying.retry_drops());
-        // p(all 3 retries lost) = 0.3³ = 2.7 %: the vast majority recover.
-        let rate = recovered as f64 / lossy.messages_lost() as f64;
-        assert!(rate > 0.93, "recovery rate {rate}");
-    }
-
-    #[test]
-    fn retry_schedule_is_deterministic() {
-        let run = || {
-            let mut bb = Backbone::new(WiredLatency::default(), 73);
-            bb.set_loss(0.4);
-            bb.set_retries(2, 150.0);
-            (0..500u32)
-                .map(|i| bb.try_send(SimTime::ZERO, i).map(|m| m.deliver_at.as_nanos()))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
     fn standby_stream_backbone_is_independent_of_primary() {
         let mut primary = Backbone::new(WiredLatency::default(), 81);
         let mut standby = Backbone::on_streams(
@@ -524,7 +387,6 @@ mod tests {
         let mut bb = Backbone::new(WiredLatency::default(), 91);
         bb.set_loss(0.3);
         bb.set_spikes(0.1, 2_000.0);
-        bb.set_retries(2, 100.0);
         for i in 0..800u32 {
             let _ = bb.try_send(SimTime::ZERO, i);
         }
@@ -534,12 +396,10 @@ mod tests {
         let mut restored = Backbone::new(WiredLatency::default(), 91);
         restored.set_loss(0.3);
         restored.set_spikes(0.1, 2_000.0);
-        restored.set_retries(2, 100.0);
         let mut r = SnapReader::new(&bytes);
         restored.restore(&mut r).unwrap();
         assert!(r.is_exhausted());
         assert_eq!(restored.messages_sent(), bb.messages_sent());
-        assert_eq!(restored.messages_retried(), bb.messages_retried());
         for i in 0..500u32 {
             assert_eq!(
                 bb.try_send(SimTime::ZERO, i).map(|m| m.deliver_at),
@@ -549,7 +409,6 @@ mod tests {
         }
         assert_eq!(restored.messages_lost(), bb.messages_lost());
         assert_eq!(restored.spikes_injected(), bb.spikes_injected());
-        assert_eq!(restored.retry_drops(), bb.retry_drops());
     }
 
     #[test]

@@ -397,10 +397,10 @@ fn golden_checkpoint_payloads_fig7_tcp_chaos() {
     assert_eq!(
         digests,
         [
-            "92484fe11e9895000aef46549c35788c8637a6743f4f356bc3f824a51da5bb6a",
-            "01fc168c3d64417a92330950d94181a850af1e0d446663f8aa99f1aebd7f9674",
-            "c9611afcb8bd8b13489024af9d8a4ddd351cd43c29c41d645916f62898b11f73",
-            "90afc0447b043f39f2f84a94d8302869edd34c2011b30239ee2372f2b22c2e2d",
+            "3782b5ca6e4322839a91b17d6d47eb7de019a0092ba637849273880168357399",
+            "17ff2f38a01110e25fc7845b4739247f18db4a54c40cb3d362319a79e018d17e",
+            "269c9f0ad5a24ae6763def565771cbe4b5976717f3630a0fa84ca8cbc4bb9aef",
+            "80672f38f3dd6a42d9063e83f94900afcdbfb7bcea31b3bb1df77d96c2001a5e",
         ]
     );
 }
@@ -416,8 +416,8 @@ fn golden_checkpoint_payloads_t10x2_failover() {
         .seed(1)
         .faults(FaultConfig { standby: true, ctrl_crash: 0.05, ..FaultConfig::off() });
     for (scheme, want) in [
-        (Scheme::Domino, "c7db279284896e5e9d96cd4ba00bd2c3d7cb5efed0e6bb0543f68685a1544001"),
-        (Scheme::Centaur, "d3ee8d56faf6d9eddae6770f69fd711bf022b0e34135b9c2eb22aa5ec4c48822"),
+        (Scheme::Domino, "197680000e9846b4c56ef9b43247aeac07d786954c234840114aeff5e52453ee"),
+        (Scheme::Centaur, "c38511c26393fa1ff77c7b5d3684dabd6cbbb68e6bb095add34e2922b3ce645c"),
     ] {
         let (digest, report) = checkpoint_payload_digest(&b, scheme);
         assert!(report.stats.faults.ctrl_crashes > 0, "{scheme:?}: the controller never crashed");
