@@ -335,7 +335,7 @@ mod tests {
         let b = SimulationBuilder::new(net).udp(5e6, 0.0).duration_s(0.3).seed(9);
         let a = b.clone().run(Scheme::Domino);
         let c = b.run(Scheme::Domino);
-        assert_eq!(a.stats.delivered_bits, c.stats.delivered_bits);
+        assert!(a.stats == c.stats, "a cloned builder ran differently");
     }
 
     #[test]
@@ -358,8 +358,7 @@ mod tests {
         for scheme in Scheme::ALL {
             let plain = b.clone().run(scheme);
             let off = b.clone().faults(FaultConfig::off()).run(scheme);
-            assert_eq!(plain.stats.delivered_bits, off.stats.delivered_bits, "{scheme:?}");
-            assert_eq!(plain.stats.events, off.stats.events, "{scheme:?}");
+            assert!(plain.stats == off.stats, "{scheme:?}: the off plane changed the run");
             assert_eq!(off.stats.faults, Default::default(), "{scheme:?}");
         }
     }
@@ -382,10 +381,7 @@ mod tests {
             let plain = b.run(scheme);
             let (handle, sink) = TraceHandle::mem();
             let traced = probed(&b, scheme, Probe::new(handle, ProfHandle::off()));
-            assert_eq!(plain.stats.delivered_bits, traced.stats.delivered_bits, "{scheme:?}");
-            assert_eq!(plain.stats.events, traced.stats.events, "{scheme:?}");
-            assert_eq!(plain.stats.faults, traced.stats.faults, "{scheme:?}");
-            assert_eq!(plain.stats.domino, traced.stats.domino, "{scheme:?}");
+            assert!(plain.stats == traced.stats, "{scheme:?}: tracing changed the run");
             assert!(!sink.is_empty(), "{scheme:?} produced no trace events");
         }
     }
@@ -457,20 +453,8 @@ mod tests {
             let runs = [("profiled", &profiled, &prof_sink), ("checkpointed", &ckpt, &ckpt_sink)];
             for (mode, run, sink) in runs {
                 domino_testkit::prop_assert!(
-                    plain.stats.delivered_bits == run.stats.delivered_bits,
-                    "{scheme:?} seed={seed}: {mode} run changed throughput"
-                );
-                domino_testkit::prop_assert!(
-                    plain.stats.events == run.stats.events,
-                    "{scheme:?} seed={seed}: {mode} run changed the event count"
-                );
-                domino_testkit::prop_assert!(
-                    plain.stats.faults == run.stats.faults,
-                    "{scheme:?} seed={seed}: {mode} run changed fault accounting"
-                );
-                domino_testkit::prop_assert!(
-                    plain.stats.domino == run.stats.domino,
-                    "{scheme:?} seed={seed}: {mode} run changed trigger diagnostics"
+                    plain.stats == run.stats,
+                    "{scheme:?} seed={seed}: {mode} run changed the stats"
                 );
                 domino_testkit::prop_assert!(
                     plain_trace == sink.take(),
@@ -520,18 +504,9 @@ mod tests {
             let baseline = b.run(scheme);
             let (ckpt_run, sealed) = checkpointed(b, scheme, Probe::default(), &boundaries);
             assert_eq!(sealed.len(), 2, "{case}");
-            assert_eq!(
-                baseline.stats.delivered_bits, ckpt_run.stats.delivered_bits,
-                "{case}: snapshotting perturbed the run"
-            );
-            assert_eq!(baseline.stats.events, ckpt_run.stats.events, "{case}");
+            assert!(baseline.stats == ckpt_run.stats, "{case}: snapshotting perturbed the run");
             let resumed = resume(b, scheme, &sealed[0]).expect("restore");
-            assert_eq!(
-                baseline.stats.delivered_bits, resumed.stats.delivered_bits,
-                "{case}: restored run diverged"
-            );
-            assert_eq!(baseline.stats.events, resumed.stats.events, "{case}");
-            assert_eq!(baseline.stats.faults, resumed.stats.faults, "{case}");
+            assert!(baseline.stats == resumed.stats, "{case}: restored run diverged");
             // A resumed run checkpoints too: boundaries up to its own are
             // skipped, and a later one seals exactly the bytes the
             // uninterrupted run sealed there.
@@ -546,7 +521,7 @@ mod tests {
             };
             let resumed = b.run_with(scheme, opts).expect("restore");
             assert_eq!(again, sealed[1..], "{case}: resumed checkpoint differs");
-            assert_eq!(baseline.stats.events, resumed.stats.events, "{case}");
+            assert!(baseline.stats == resumed.stats, "{case}: resumed run diverged");
         }
     }
 

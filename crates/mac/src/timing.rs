@@ -78,11 +78,10 @@ pub fn ack_timeout(rate: DataRate) -> SimDuration {
     SIFS + ack_airtime(rate) + SLOT_TIME + SLOT_TIME
 }
 
-/// Geometry of one DOMINO slot (Fig 8).
+/// Geometry of one DOMINO slot (Fig 8). The data transmission starts the
+/// slot; every offset below is from that instant.
 #[derive(Clone, Copy, Debug)]
 pub struct SlotGeometry {
-    /// Offset of the data transmission from slot start (zero).
-    pub data_start: SimDuration,
     /// Data airtime including the appended instruction samples.
     pub data_airtime: SimDuration,
     /// Offset of the ACK from slot start.
@@ -103,14 +102,7 @@ pub fn slot_geometry(rate: DataRate, payload_bytes: usize) -> SlotGeometry {
     let ack_start = data + SIFS;
     let burst_start = ack_start + ack + SLOT_TIME;
     let total = burst_start + BURST_DURATION + SIFS;
-    SlotGeometry {
-        data_start: SimDuration::ZERO,
-        data_airtime: data,
-        ack_start,
-        ack_airtime: ack,
-        burst_start,
-        total,
-    }
+    SlotGeometry { data_airtime: data, ack_start, ack_airtime: ack, burst_start, total }
 }
 
 /// Duration of an ROP slot: poll packet + one slot of turnaround + the

@@ -95,7 +95,7 @@ pub fn client_indices(net: &Network) -> Vec<u32> {
 }
 
 /// Everything a scheme engine reports after a run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RunStats {
     /// Measured duration, seconds.
     pub duration_s: f64,
@@ -110,9 +110,10 @@ pub struct RunStats {
     /// ACK timeouts (DCF diagnostics; the paper quotes 57 386 for DCF vs
     /// 0 for CENTAUR in one configuration).
     pub ack_timeouts: u64,
-    /// Engine events processed.
+    /// Engine events processed (set when the run ends).
     pub events: u64,
-    /// Transport-layer (TCP) retransmissions across all flows.
+    /// Transport-layer (TCP) retransmissions across all flows (set when
+    /// the run ends).
     pub tcp_retransmissions: u64,
     /// Populated by DOMINO only: one record per slot transmission, for
     /// the Fig 10 timeline and the Fig 11 misalignment analysis (empty
@@ -191,25 +192,22 @@ domino_sim::snap_value!(DominoCounters {
 });
 
 impl Snapshot for RunStats {
-    /// Everything except the measured duration and the link count is
-    /// dynamic; the delay meters serialize their raw sample vectors so a
-    /// restored run keeps producing identical quantiles.
+    /// Everything except the measured duration, the link count and the
+    /// two end-of-run totals (`events` and `tcp_retransmissions`, which
+    /// only `Plant::finish` sets, so both are zero at every checkpoint)
+    /// is dynamic; each delay meter is its count and running total.
     fn save(&self, w: &mut SnapWriter) {
         w.put_u64(self.delivered_bits.len() as u64);
         for &b in &self.delivered_bits {
             w.put_u64(b);
         }
         for d in &self.delays {
-            w.put_u64(d.samples().len() as u64);
-            for &s in d.samples() {
-                w.put_f64(s);
-            }
+            w.put_u64(d.count());
+            w.put_f64(d.total_us());
         }
         w.put_u64(self.drops);
         w.put_u64(self.retries);
         w.put_u64(self.ack_timeouts);
-        w.put_u64(self.events);
-        w.put_u64(self.tcp_retransmissions);
         self.slot_starts.put(w);
         self.domino.put(w);
         self.faults.save(w);
@@ -223,18 +221,13 @@ impl Snapshot for RunStats {
             *b = r.get_u64()?;
         }
         for d in &mut self.delays {
-            let n = r.get_len()?;
-            let mut samples = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                samples.push(r.get_f64()?);
-            }
-            *d = DelayMeter::from_samples(samples);
+            let count = r.get_u64()?;
+            *d = DelayMeter::from_parts(count, r.get_f64()?)
+                .ok_or(SnapError::Corrupt("delay meter total"))?;
         }
         self.drops = r.get_u64()?;
         self.retries = r.get_u64()?;
         self.ack_timeouts = r.get_u64()?;
-        self.events = r.get_u64()?;
-        self.tcp_retransmissions = r.get_u64()?;
         self.slot_starts = SnapValue::thaw(r)?;
         self.domino = SnapValue::thaw(r)?;
         self.faults.restore(r)
@@ -320,6 +313,8 @@ mod tests {
     use domino_phy::units::Dbm;
     use domino_topology::network::{make_node, PhyParams};
     use domino_topology::node::{NodeId, NodeRole, Position};
+    use domino_sim::SimDuration;
+    use domino_testkit::{prop, prop_assert, prop_assert_eq};
     use domino_topology::rss::RssMatrix;
 
     fn tiny_net() -> Network {
@@ -368,5 +363,61 @@ mod tests {
         s.delays[0].record_us(100.0);
         s.delays[0].record_us(200.0);
         assert!((s.mean_delay_us(&[LinkId(0), LinkId(1)]) - 150.0).abs() < 1e-12);
+    }
+
+    fn saved(s: &RunStats) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        s.save(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn stats_saved_at_a_split_and_fed_the_rest_equal_the_whole_run() {
+        prop::check("a checkpoint splits the deliveries without a trace", |g| {
+            let links = g.usize(1, 4);
+            let deliveries = g.vec(0, 300, |g| {
+                let delay = SimDuration::from_nanos(g.u64(0, 50_000_000));
+                (g.usize(0, links - 1), delay.as_micros_f64())
+            });
+            let split = g.usize(0, deliveries.len());
+            let feed = |s: &mut RunStats, part: &[(usize, f64)]| {
+                for &(link, delay_us) in part {
+                    s.delivered_bits[link] += 4096;
+                    s.delays[link].record_us(delay_us);
+                }
+            };
+            let mut whole = RunStats::new(links, 1.0);
+            feed(&mut whole, &deliveries);
+            let mut head = RunStats::new(links, 1.0);
+            feed(&mut head, &deliveries[..split]);
+            let bytes = saved(&head);
+            let mut resumed = RunStats::new(links, 1.0);
+            let mut r = SnapReader::new(&bytes);
+            resumed.restore(&mut r).expect("a saved payload restores");
+            prop_assert!(r.is_exhausted());
+            feed(&mut resumed, &deliveries[split..]);
+            prop_assert_eq!(resumed, whole);
+        });
+    }
+
+    #[test]
+    fn restore_refuses_a_negative_or_nan_delay_total() {
+        let mut s = RunStats::new(1, 1.0);
+        s.delays[0].record_us(12.5);
+        let good = saved(&s);
+        let at = good
+            .windows(8)
+            .position(|w| w == 12.5f64.to_bits().to_le_bytes())
+            .expect("the total is in the payload");
+        for bad in [-12.5, f64::NAN] {
+            let mut bytes = good.clone();
+            bytes[at..at + 8].copy_from_slice(&bad.to_bits().to_le_bytes());
+            let mut target = RunStats::new(1, 1.0);
+            assert_eq!(
+                target.restore(&mut SnapReader::new(&bytes)),
+                Err(SnapError::Corrupt("delay meter total")),
+                "total {bad}"
+            );
+        }
     }
 }

@@ -16,4 +16,4 @@ pub mod medium;
 pub mod signatures;
 
 pub use frames::{Burst, BurstMarker, Frame, FrameBody, InlineVec, BURST_CAP};
-pub use medium::{Medium, MediumCounters, Reception, TxId};
+pub use medium::{Medium, Reception, TxId};

@@ -28,8 +28,6 @@ domino_sim::snap_value!(TxId(u64));
 /// The medium's verdict on one (transmission, receiver) pair.
 #[derive(Clone, Debug)]
 pub struct Reception {
-    /// The transmission.
-    pub tx_id: TxId,
     /// The adjudicated receiver.
     pub rx: NodeId,
     /// The frame. Burst targets live inline in the frame, so handing a
@@ -38,8 +36,6 @@ pub struct Reception {
     pub frame: Frame,
     /// Did the receiver get it?
     pub success: bool,
-    /// The worst-case SINR used for the decision, dB.
-    pub sinr_db: f64,
 }
 
 #[derive(Debug)]
@@ -59,17 +55,6 @@ struct ActiveTx {
     frame: Frame,
     start: SimTime,
     tracks: Vec<RxTrack>,
-}
-
-/// Aggregate medium statistics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MediumCounters {
-    /// Transmissions started.
-    pub started: u64,
-    /// Successful receptions adjudicated.
-    pub receptions_ok: u64,
-    /// Failed receptions adjudicated.
-    pub receptions_failed: u64,
 }
 
 /// The shared channel.
@@ -96,7 +81,6 @@ pub struct Medium {
     rss_raw_mw: Vec<f64>,
     rng: SimRng,
     next_tx: u64,
-    counters: MediumCounters,
     /// Peak reporter RSS per in-progress ROP round: (ap, round start ns,
     /// peak dBm).
     rop_peaks: Vec<(NodeId, u64, f64)>,
@@ -147,7 +131,6 @@ impl Medium {
             rss_raw_mw,
             rng: SimRng::derive(master_seed, streams::PHY_ERROR),
             next_tx: 0,
-            counters: MediumCounters::default(),
             rop_peaks: Vec::new(),
             clients,
             track_pool: Vec::new(),
@@ -188,11 +171,6 @@ impl Medium {
     /// The network this medium simulates.
     pub fn network(&self) -> &Network {
         &self.net
-    }
-
-    /// Statistics so far.
-    pub fn counters(&self) -> MediumCounters {
-        self.counters
     }
 
     #[inline]
@@ -276,7 +254,6 @@ impl Medium {
         );
         let id = TxId(self.next_tx);
         self.next_tx += 1;
-        self.counters.started += 1;
         self.probe.prof.tick(CostPath::MediumBegin);
         // ROP round bookkeeping: record the strongest reporter per (ap,
         // start instant).
@@ -387,11 +364,6 @@ impl Medium {
         out.reserve(done.tracks.len());
         for track in &done.tracks {
             let reception = self.adjudicate(&done, track, now);
-            if reception.success {
-                self.counters.receptions_ok += 1;
-            } else {
-                self.counters.receptions_failed += 1;
-            }
             out.push(reception);
         }
         // Recycle the track storage for a later transmission.
@@ -402,11 +374,10 @@ impl Medium {
 
     /// Save the channel's dynamic state: in-flight transmissions (with
     /// their interference tracks), the ambient power field, the PHY RNG,
-    /// the transmission counter, reception counters, ROP round peaks and
-    /// the fault classes. The RSS matrices, the per-node transmitting flags
-    /// (derived from the in-flight set), the recycling pools and the probe
-    /// are configuration, derived or scratch and are reconstructed, not
-    /// saved.
+    /// the transmission counter, ROP round peaks and the fault classes.
+    /// The RSS matrices, the per-node transmitting flags (derived from the
+    /// in-flight set), the recycling pools and the probe are
+    /// configuration, derived or scratch and are reconstructed, not saved.
     pub fn snapshot_save(&self, w: &mut SnapWriter) {
         w.put_u64(self.active.len() as u64);
         for tx in &self.active {
@@ -426,9 +397,6 @@ impl Medium {
         }
         self.rng.put(w);
         w.put_u64(self.next_tx);
-        w.put_u64(self.counters.started);
-        w.put_u64(self.counters.receptions_ok);
-        w.put_u64(self.counters.receptions_failed);
         w.put_u64(self.rop_peaks.len() as u64);
         for &(ap, t, peak) in &self.rop_peaks {
             w.put_u32(ap.0);
@@ -496,9 +464,6 @@ impl Medium {
         }
         self.rng = SimRng::thaw(r)?;
         self.next_tx = r.get_u64()?;
-        self.counters.started = r.get_u64()?;
-        self.counters.receptions_ok = r.get_u64()?;
-        self.counters.receptions_failed = r.get_u64()?;
         let n_peaks = r.get_len()?;
         self.rop_peaks.clear();
         for _ in 0..n_peaks {
@@ -526,19 +491,10 @@ impl Medium {
         let src = done.frame.src;
         let rx = track.rx;
         let sig_mw = self.rss_mw(src, rx);
-        let fail = |sinr_db: f64| Reception {
-            tx_id: done.id,
-            rx,
-            frame: done.frame.clone(),
-            success: false,
-            sinr_db,
-        };
+        let fail = || Reception { rx, frame: done.frame.clone(), success: false };
 
-        if sig_mw <= 0.0 {
-            return fail(f64::NEG_INFINITY);
-        }
-        if track.rx_transmitted {
-            return fail(f64::NEG_INFINITY);
+        if sig_mw <= 0.0 || track.rx_transmitted {
+            return fail();
         }
         // Churned-dark endpoints: a departed client neither transmits
         // usefully nor receives; either end dark fails the reception.
@@ -550,7 +506,7 @@ impl Medium {
                     kind: FaultKind::ChurnDrop,
                     node,
                 });
-                return fail(f64::NEG_INFINITY);
+                return fail();
             }
         }
 
@@ -625,13 +581,7 @@ impl Medium {
             }
         };
 
-        Reception {
-            tx_id: done.id,
-            rx,
-            frame: done.frame.clone(),
-            success,
-            sinr_db,
-        }
+        Reception { rx, frame: done.frame.clone(), success }
     }
 }
 
@@ -691,9 +641,7 @@ mod tests {
         let rx = m.end(t, SimTime::from_micros(341));
         assert_eq!(rx.len(), 1);
         assert!(rx[0].success);
-        assert!(rx[0].sinr_db > 30.0);
         assert_eq!(rx[0].rx, NodeId(1));
-        assert_eq!(m.counters().receptions_ok, 1);
     }
 
     #[test]
@@ -705,7 +653,7 @@ mod tests {
         let t0 = m.begin(SimTime::ZERO, data_frame(&n, 0)); // AP0 -> C1
         let t1 = m.begin(SimTime::from_micros(10), data_frame(&n, 2)); // AP2 -> C3
         let rx0 = m.end(t0, SimTime::from_micros(341));
-        assert!(!rx0[0].success, "SINR {} should break reception", rx0[0].sinr_db);
+        assert!(!rx0[0].success, "C1's SINR should break reception");
         // AP2's own link is clean (nothing loud near C3).
         let rx1 = m.end(t1, SimTime::from_micros(351));
         assert!(rx1[0].success);
@@ -721,7 +669,7 @@ mod tests {
         let t1 = m.begin(SimTime::from_micros(100), data_frame(&n, 2));
         let _ = m.end(t1, SimTime::from_micros(200)); // interferer gone
         let rx0 = m.end(t0, SimTime::from_micros(341));
-        assert!(rx0[0].sinr_db < 8.0, "peak interference forgotten: {}", rx0[0].sinr_db);
+        assert!(!rx0[0].success, "peak interference forgotten");
     }
 
     #[test]
@@ -1085,31 +1033,7 @@ mod more_tests {
         let rx = m2.end(t, SimTime::from_micros(13));
         assert_eq!(rx.len(), 1);
         assert!(!rx[0].success);
-        assert_eq!(rx[0].sinr_db, f64::NEG_INFINITY);
         let _ = m;
-    }
-
-    #[test]
-    fn counters_track_outcomes() {
-        let net = star(&[-55.0]);
-        let mut m = Medium::new(net.clone(), 8);
-        let p = Packet {
-            id: PacketId(1),
-            flow: FlowId(0),
-            link: LinkId(0),
-            payload_bytes: 512,
-            created_at: SimTime::ZERO,
-            kind: PacketKind::Udp,
-            seq: 0,
-        };
-        let t = m.begin(
-            SimTime::ZERO,
-            Frame { src: NodeId(0), body: FrameBody::Data { packet: p, fake: false, client_burst: None }, bits: 4096 },
-        );
-        m.end(t, SimTime::from_micros(385));
-        let c = m.counters();
-        assert_eq!(c.started, 1);
-        assert_eq!(c.receptions_ok + c.receptions_failed, 1);
     }
 
     fn data_on_link0(n: &Network) -> Frame {
@@ -1208,7 +1132,7 @@ mod more_tests {
             m
         };
         let mut m = build(21);
-        // Warm up the RNG and counters, then leave two frames in flight.
+        // Warm up the RNG, then leave two frames in flight.
         for i in 0..40u64 {
             let t = m.begin(SimTime::from_micros(i * 50), data_on_link0(&n));
             let _ = m.end(t, SimTime::from_micros(i * 50 + 20));
@@ -1224,23 +1148,22 @@ mod more_tests {
         restored.snapshot_restore(&mut r).unwrap();
         assert!(r.is_exhausted());
 
-        // Both continue in lockstep: same verdicts, same counters, and
+        // Both continue in lockstep: same verdicts, same draws, and
         // crucially the in-flight transmissions adjudicate identically.
         let end_a = |m2: &mut Medium| m2.end(inflight_a, SimTime::from_millis(3) + domino_sim::SimDuration::from_micros(341));
         let end_b = |m2: &mut Medium| m2.end(inflight_b, SimTime::from_millis(3) + domino_sim::SimDuration::from_micros(16));
         let (oa, ob) = (end_a(&mut m), end_b(&mut m));
         let (ra, rb) = (end_a(&mut restored), end_b(&mut restored));
         assert_eq!(oa[0].success, ra[0].success);
-        assert_eq!(oa[0].sinr_db.to_bits(), ra[0].sinr_db.to_bits());
         assert_eq!(ob[0].success, rb[0].success);
-        assert_eq!(m.counters(), restored.counters());
+        assert_eq!(m.phy_rng_draws(), restored.phy_rng_draws());
         for i in 0..60u64 {
             let at = SimTime::from_millis(4) + domino_sim::SimDuration::from_micros(i * 30);
             let t1 = m.begin(at, data_on_link0(&n));
             let t2 = restored.begin(at, data_on_link0(&n));
             assert_eq!(m.end(t1, at)[0].success, restored.end(t2, at)[0].success, "step {i}");
         }
-        assert_eq!(m.counters(), restored.counters());
+        assert_eq!(m.phy_rng_draws(), restored.phy_rng_draws());
         let (fo, fr) = (m.faults().unwrap(), restored.faults().unwrap());
         assert_eq!(fo.channel.rops_corrupted, fr.channel.rops_corrupted);
         assert_eq!(fo.churn.drops, fr.churn.drops);

@@ -59,7 +59,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// change in what a payload means; old versions are rejected, never
 /// reinterpreted. `tests/golden.rs` pins the SHA-256 of checkpoint
 /// payloads: a layout change moves those pins and bumps this version.
-pub const SNAPSHOT_VERSION: u32 = 7;
+pub const SNAPSHOT_VERSION: u32 = 8;
 
 /// 4-byte container magic.
 const MAGIC: &[u8; 4] = b"DSNP";

@@ -60,7 +60,6 @@ pub struct TcpSender {
     rto_backoff: u32,
     rto_deadline: Option<SimTime>,
     retransmissions: u64,
-    timeouts: u64,
 }
 
 impl TcpSender {
@@ -86,7 +85,6 @@ impl TcpSender {
             rto_backoff: 0,
             rto_deadline: None,
             retransmissions: 0,
-            timeouts: 0,
         }
     }
 
@@ -98,11 +96,6 @@ impl TcpSender {
     /// Total fast + timeout retransmissions.
     pub fn retransmissions(&self) -> u64 {
         self.retransmissions
-    }
-
-    /// Total RTO events.
-    pub fn timeouts(&self) -> u64 {
-        self.timeouts
     }
 
     /// Deadline of the pending retransmission timer, if armed. The
@@ -235,7 +228,6 @@ impl TcpSender {
     pub fn on_timer(&mut self, now: SimTime) -> Vec<Packet> {
         match self.rto_deadline {
             Some(deadline) if now >= deadline && !self.in_flight.is_empty() => {
-                self.timeouts += 1;
                 self.retransmissions += 1;
                 self.ssthresh = (self.cwnd / 2.0).max(2.0);
                 self.cwnd = 1.0;
@@ -272,7 +264,6 @@ domino_sim::snapshot_fields!(TcpSender {
     rto_backoff,
     rto_deadline,
     retransmissions,
-    timeouts,
 });
 
 /// Receiver-side TCP-lite state: tracks the cumulative ack point.
@@ -384,7 +375,7 @@ mod tests {
         assert_eq!(resent.len(), 1);
         assert_eq!(resent[0].seq, 0);
         assert_eq!(s.cwnd(), 1.0);
-        assert_eq!(s.timeouts(), 1);
+        assert_eq!(s.retransmissions(), 1);
         // Backoff: new deadline further out than the first RTO interval.
         assert!(s.rto_deadline().unwrap() > deadline);
     }
@@ -395,7 +386,7 @@ mod tests {
         let _ = s.poll(at_ms(100));
         let deadline = s.rto_deadline().unwrap();
         assert!(s.on_timer(deadline - SimDuration::from_millis(1)).is_empty());
-        assert_eq!(s.timeouts(), 0);
+        assert_eq!(s.retransmissions(), 0);
     }
 
     #[test]
@@ -442,6 +433,5 @@ mod tests {
             delivered = r.delivered();
         }
         assert!(delivered > 100, "delivered={delivered}");
-        assert_eq!(s.timeouts(), 0);
     }
 }

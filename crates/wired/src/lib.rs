@@ -87,7 +87,6 @@ pub struct Backbone {
     loss: f64,
     spike: f64,
     spike_extra_us: f64,
-    sent: u64,
     lost: u64,
     spiked: u64,
     tracer: TraceHandle,
@@ -117,7 +116,6 @@ impl Backbone {
             loss: 0.0,
             spike: 0.0,
             spike_extra_us: 0.0,
-            sent: 0,
             lost: 0,
             spiked: 0,
             tracer: TraceHandle::off(),
@@ -138,8 +136,8 @@ impl Backbone {
         self.tracer = tracer;
     }
 
-    /// Set the per-message loss probability (default 0.0). Only
-    /// [`Backbone::try_send`] honors it; with 0.0 no loss draw is made.
+    /// Set the per-message loss probability (default 0.0); with 0.0 no
+    /// loss draw is made.
     pub fn set_loss(&mut self, probability: f64) {
         self.loss = probability.clamp(0.0, 1.0);
     }
@@ -152,26 +150,14 @@ impl Backbone {
         self.spike_extra_us = extra_us.max(0.0);
     }
 
-    /// Send a message now; returns it stamped with its delivery time.
-    /// Loss-exempt: models an ideal (never-dropping) backbone hop.
-    pub fn send<M>(&mut self, now: SimTime, message: M) -> InTransit<M> {
-        self.sent += 1;
-        let deliver_at = now + self.latency.sample(&mut self.rng);
-        self.tracer.emit(now.as_nanos(), || TraceEvent::BackboneSend {
-            delay_ns: deliver_at.saturating_since(now).as_nanos(),
-            spiked: false,
-        });
-        InTransit { deliver_at, message }
-    }
-
-    /// Send a message subject to the fault knobs: `None` means the
-    /// backbone dropped it. The latency draw happens first and
-    /// unconditionally, so surviving messages see exactly the latencies a
-    /// fault-free run would have given them; with all knobs at zero this
-    /// is byte-for-byte [`Backbone::send`].
+    /// Send a message now, subject to the fault knobs: it comes back
+    /// stamped with its delivery time, or `None` when the backbone dropped
+    /// it. The latency draw happens first and unconditionally, so
+    /// surviving messages see exactly the latencies a fault-free run would
+    /// have given them; with every knob at zero nothing is dropped or
+    /// spiked, and the fault stream is never drawn.
     pub fn try_send<M>(&mut self, now: SimTime, message: M) -> Option<InTransit<M>> {
         let mut deliver_at = now + self.latency.sample(&mut self.rng);
-        self.sent += 1;
         if self.loss > 0.0 && self.faults.chance(self.loss) {
             self.lost += 1;
             self.tracer.emit(now.as_nanos(), || TraceEvent::BackboneDrop);
@@ -190,11 +176,6 @@ impl Backbone {
         Some(InTransit { deliver_at, message })
     }
 
-    /// Messages sent so far (including ones the fault knobs dropped).
-    pub fn messages_sent(&self) -> u64 {
-        self.sent
-    }
-
     /// Messages dropped by the loss knob so far.
     pub fn messages_lost(&self) -> u64 {
         self.lost
@@ -204,13 +185,12 @@ impl Backbone {
     pub fn spikes_injected(&self) -> u64 {
         self.spiked
     }
-
 }
 
-// Dynamic state: the two RNG positions and the counters. The latency
-// model and every knob are configuration, re-applied by the restore
-// target's builder.
-domino_sim::snapshot_fields!(Backbone { rng, faults, sent, lost, spiked });
+// Dynamic state: the two RNG positions and the fault counters. The
+// latency model and every knob are configuration, re-applied by the
+// restore target's builder.
+domino_sim::snapshot_fields!(Backbone { rng, faults, lost, spiked });
 
 #[cfg(test)]
 mod tests {
@@ -251,23 +231,27 @@ mod tests {
         }
     }
 
+    /// A send with the knobs off, which never drops.
+    fn sent<M>(bb: &mut Backbone, now: SimTime, message: M) -> InTransit<M> {
+        bb.try_send(now, message).expect("no loss configured")
+    }
+
     #[test]
     fn backbone_stamps_future_delivery() {
         let mut bb = Backbone::new(WiredLatency::default(), 99);
         let now = SimTime::from_millis(3);
-        let m = bb.send(now, "schedule-batch-7");
+        let m = sent(&mut bb, now, "schedule-batch-7");
         assert!(m.deliver_at > now);
         assert!(m.deliver_at.saturating_since(now).as_micros_f64() > 100.0);
         assert_eq!(m.message, "schedule-batch-7");
-        assert_eq!(bb.messages_sent(), 1);
     }
 
     #[test]
     fn independent_messages_jitter_independently() {
         let mut bb = Backbone::new(WiredLatency::default(), 7);
         let now = SimTime::ZERO;
-        let a = bb.send(now, 1u32).deliver_at;
-        let b = bb.send(now, 2u32).deliver_at;
+        let a = sent(&mut bb, now, 1u32).deliver_at;
+        let b = sent(&mut bb, now, 2u32).deliver_at;
         assert_ne!(a, b, "two messages drew identical latencies");
     }
 
@@ -276,7 +260,7 @@ mod tests {
         let run = |seed| {
             let mut bb = Backbone::new(WiredLatency::default(), seed);
             (0..10)
-                .map(|i| bb.send(SimTime::ZERO, i).deliver_at.as_nanos())
+                .map(|i| sent(&mut bb, SimTime::ZERO, i).deliver_at.as_nanos())
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(5), run(5));
@@ -300,16 +284,18 @@ mod tests {
     }
 
     #[test]
-    fn try_send_with_knobs_off_matches_send() {
-        let mut ideal = Backbone::new(WiredLatency::default(), 21);
-        let mut faulty = Backbone::new(WiredLatency::default(), 21);
+    fn try_send_with_knobs_off_never_drops_spikes_or_draws_faults() {
+        let latency = WiredLatency::default();
+        let mut bb = Backbone::new(latency.clone(), 21);
+        let mut jitter = SimRng::derive(21, streams::WIRED_JITTER);
         for i in 0..100u32 {
-            let a = ideal.send(SimTime::ZERO, i);
-            let b = faulty.try_send(SimTime::ZERO, i).expect("no loss configured");
-            assert_eq!(a, b);
+            let m = bb.try_send(SimTime::ZERO, i).expect("no loss configured");
+            let deliver_at = SimTime::ZERO + latency.sample(&mut jitter);
+            assert_eq!(m, InTransit { deliver_at, message: i });
         }
-        assert_eq!(faulty.messages_lost(), 0);
-        assert_eq!(faulty.spikes_injected(), 0);
+        assert_eq!(bb.messages_lost(), 0);
+        assert_eq!(bb.spikes_injected(), 0);
+        assert_eq!(bb.faults.draws(), 0, "the fault stream was drawn");
     }
 
     #[test]
@@ -318,7 +304,6 @@ mod tests {
         bb.set_loss(0.3);
         let n = 20_000;
         let delivered = (0..n).filter(|&i| bb.try_send(SimTime::ZERO, i).is_some()).count();
-        assert_eq!(bb.messages_sent(), n as u64);
         assert_eq!(bb.messages_lost(), n as u64 - delivered as u64);
         let rate = bb.messages_lost() as f64 / n as f64;
         assert!((rate - 0.3).abs() < 0.02, "loss rate {rate}");
@@ -331,7 +316,7 @@ mod tests {
         spiky.set_spikes(0.5, 3_000.0);
         let mut spiked = 0u32;
         for i in 0..2_000u32 {
-            let a = plain.send(SimTime::ZERO, i).deliver_at;
+            let a = sent(&mut plain, SimTime::ZERO, i).deliver_at;
             let b = spiky.try_send(SimTime::ZERO, i).expect("spikes never drop").deliver_at;
             assert!(b >= a, "a spike can only add delay");
             if b > a {
@@ -374,10 +359,10 @@ mod tests {
         // sequence relative to a standby-free run.
         let mut solo = Backbone::new(WiredLatency::default(), 81);
         for i in 0..200u32 {
-            let _ = standby.send(SimTime::ZERO, i);
+            let _ = sent(&mut standby, SimTime::ZERO, i);
             assert_eq!(
-                primary.send(SimTime::ZERO, i).deliver_at,
-                solo.send(SimTime::ZERO, i).deliver_at
+                sent(&mut primary, SimTime::ZERO, i).deliver_at,
+                sent(&mut solo, SimTime::ZERO, i).deliver_at
             );
         }
     }
@@ -399,7 +384,7 @@ mod tests {
         let mut r = SnapReader::new(&bytes);
         restored.restore(&mut r).unwrap();
         assert!(r.is_exhausted());
-        assert_eq!(restored.messages_sent(), bb.messages_sent());
+        assert_eq!(restored.messages_lost(), bb.messages_lost());
         for i in 0..500u32 {
             assert_eq!(
                 bb.try_send(SimTime::ZERO, i).map(|m| m.deliver_at),
@@ -419,7 +404,7 @@ mod tests {
         let mut lossy = Backbone::new(WiredLatency::default(), 51);
         lossy.set_loss(0.4);
         for i in 0..1_000u32 {
-            let a = clean.send(SimTime::ZERO, i).deliver_at;
+            let a = sent(&mut clean, SimTime::ZERO, i).deliver_at;
             if let Some(b) = lossy.try_send(SimTime::ZERO, i) {
                 assert_eq!(a, b.deliver_at);
             }

@@ -397,10 +397,10 @@ fn golden_checkpoint_payloads_fig7_tcp_chaos() {
     assert_eq!(
         digests,
         [
-            "3782b5ca6e4322839a91b17d6d47eb7de019a0092ba637849273880168357399",
-            "17ff2f38a01110e25fc7845b4739247f18db4a54c40cb3d362319a79e018d17e",
-            "269c9f0ad5a24ae6763def565771cbe4b5976717f3630a0fa84ca8cbc4bb9aef",
-            "80672f38f3dd6a42d9063e83f94900afcdbfb7bcea31b3bb1df77d96c2001a5e",
+            "b758ec237107da5ad6453a260105e4ba1e6e2219b95efeb580f952a7fee5b4d6",
+            "d742dce188ebfee88a6a8642b81629ca91fc1bcdc9e0b3989716a62506541f6a",
+            "c440fca8965d463f689cdcfcdc345f3fa17dae946196999d4bf9194e9102aa4c",
+            "e45c5b18683a67bf9d97fd22b3b848a628856bed7b1240a80d20ddb8c41e87ac",
         ]
     );
 }
@@ -416,8 +416,8 @@ fn golden_checkpoint_payloads_t10x2_failover() {
         .seed(1)
         .faults(FaultConfig { standby: true, ctrl_crash: 0.05, ..FaultConfig::off() });
     for (scheme, want) in [
-        (Scheme::Domino, "197680000e9846b4c56ef9b43247aeac07d786954c234840114aeff5e52453ee"),
-        (Scheme::Centaur, "c38511c26393fa1ff77c7b5d3684dabd6cbbb68e6bb095add34e2922b3ce645c"),
+        (Scheme::Domino, "051085c95cdbb978502b37dd01fa64d401d878e21e7f3fc76eedf259ea5af9ff"),
+        (Scheme::Centaur, "a33123f259d3af97091250b3891a5f1dbd21c74d8a81ca6dcc79bc3881f54bc0"),
     ] {
         let (digest, report) = checkpoint_payload_digest(&b, scheme);
         assert!(report.stats.faults.ctrl_crashes > 0, "{scheme:?}: the controller never crashed");

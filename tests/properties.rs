@@ -352,8 +352,7 @@ fn any_fault_schedule_terminates_and_conserves() {
                 // All-off reproduces the pinned seeded stats byte-for-byte
                 // regardless of what the faulted run just did.
                 let off = b.clone().seed(7).faults(FaultConfig::off()).run(scheme);
-                prop_assert_eq!(&off.stats.delivered_bits, &pin.stats.delivered_bits);
-                prop_assert_eq!(off.stats.events, pin.stats.events);
+                prop_assert!(off.stats == pin.stats, "{}: the all-off run moved", scheme.label());
                 prop_assert_eq!(off.stats.faults, Default::default());
             }
         },
@@ -364,11 +363,9 @@ fn any_fault_schedule_terminates_and_conserves() {
 fn tracing_never_perturbs_a_run() {
     // The observability plane's core contract, exercised under
     // adversarial fault schedules: attaching a trace sink is observation
-    // only — every `Eq`-comparable field of `RunStats` is identical with
-    // and without the sink, for all four schemes — and the captured
-    // trace survives a JSONL round trip losslessly. (`duration_s` and
-    // `delays` carry floats/summaries without `Eq`; the golden pins in
-    // tests/golden.rs cover those through the rendered text.)
+    // only — the whole `RunStats` is identical with and without the
+    // sink, for all four schemes — and the captured trace survives a
+    // JSONL round trip losslessly.
     prop::check_with(
         prop::Config { cases: 4, seed: 0x0B5E, max_shrink_replays: 32 },
         "tracing_never_perturbs_a_run",
@@ -384,22 +381,8 @@ fn tracing_never_perturbs_a_run() {
                 let plain = b.run(scheme);
                 let (handle, sink) = TraceHandle::mem();
                 let traced = b.run_profiled(scheme, handle, ProfHandle::off());
-                let eq_fields = |r: &RunReport| {
-                    (
-                        r.stats.delivered_bits.clone(),
-                        r.stats.drops,
-                        r.stats.retries,
-                        r.stats.ack_timeouts,
-                        r.stats.events,
-                        r.stats.tcp_retransmissions,
-                        r.stats.slot_starts.clone(),
-                        r.stats.domino,
-                        r.stats.faults,
-                    )
-                };
-                prop_assert_eq!(
-                    eq_fields(&plain),
-                    eq_fields(&traced),
+                prop_assert!(
+                    plain.stats == traced.stats,
                     "{}: tracing perturbed the run",
                     scheme.label()
                 );
@@ -424,31 +407,6 @@ fn tracing_never_perturbs_a_run() {
 // ---------------------------------------------------------------------------
 // Snapshot/restore and warm-standby failover properties.
 // ---------------------------------------------------------------------------
-
-/// The `Eq`-comparable face of a run, shared by the snapshot properties.
-fn eq_fields(
-    r: &RunReport,
-) -> (
-    Vec<u64>,
-    u64,
-    u64,
-    u64,
-    u64,
-    u64,
-    domino::mac::workload::DominoCounters,
-    domino::core::FaultStats,
-) {
-    (
-        r.stats.delivered_bits.clone(),
-        r.stats.drops,
-        r.stats.retries,
-        r.stats.ack_timeouts,
-        r.stats.events,
-        r.stats.tcp_retransmissions,
-        r.stats.domino,
-        r.stats.faults,
-    )
-}
 
 #[test]
 fn snapshot_restore_reproduces_any_run() {
@@ -487,9 +445,8 @@ fn snapshot_restore_reproduces_any_run() {
                         restore: None,
                     };
                     let ckpt = b.run_with(scheme, opts).expect("no restore");
-                    prop_assert_eq!(
-                        eq_fields(&plain),
-                        eq_fields(&ckpt),
+                    prop_assert!(
+                        plain.stats == ckpt.stats,
                         "{}: checkpointing perturbed the run",
                         scheme.label()
                     );
@@ -510,9 +467,8 @@ fn snapshot_restore_reproduces_any_run() {
                     let restored = b
                         .run_with(scheme, opts)
                         .unwrap_or_else(|e| panic!("{}: resume failed: {e:?}", scheme.label()));
-                    prop_assert_eq!(
-                        eq_fields(&plain),
-                        eq_fields(&restored),
+                    prop_assert!(
+                        plain.stats == restored.stats,
                         "{}: restored run diverged",
                         scheme.label()
                     );
