@@ -230,7 +230,12 @@ impl World for CentaurWorld {
     fn new(inputs: &RunInputs<'_>, _: (), probe: Probe) -> CentaurWorld {
         let RunInputs { net, seed, faults, .. } = *inputs;
         let mut plant = Plant::new(inputs, probe, net.num_nodes());
-        let backbone = plant.backbone(inputs, WiredLatency::default(), streams::WIRED_JITTER);
+        let backbone = plant.backbone(
+            inputs,
+            WiredLatency::default(),
+            streams::WIRED_JITTER,
+            streams::FAULT_WIRED,
+        );
         let rate = net.phy().data_rate;
 
         // Clients contend with DCF; APs follow the schedule.

@@ -552,8 +552,14 @@ impl World for DominoWorld {
         let geo = slot_geometry(net.phy().data_rate, DEFAULT_PACKET_BYTES);
         let rop_dur = rop_slot_duration(net.phy().data_rate);
         let mut plant = Plant::new(inputs, probe, 1 + 2 * net.num_nodes());
-        let backbone = plant.backbone(inputs, cfg.wired.clone(), streams::WIRED_JITTER);
-        let standby_bb = plant.backbone(inputs, cfg.wired.clone(), streams::STANDBY_WIRED);
+        let backbone =
+            plant.backbone(inputs, cfg.wired.clone(), streams::WIRED_JITTER, streams::FAULT_WIRED);
+        let standby_bb = plant.backbone(
+            inputs,
+            cfg.wired.clone(),
+            streams::STANDBY_WIRED,
+            streams::FAULT_STANDBY_WIRED,
+        );
         plant.schedule(SimTime::ZERO, DEv::ControllerCompute);
         let hb_every = SimDuration::from_secs_f64(faults.standby_heartbeat_us * 1e-6);
         let ckpt_every = SimDuration::from_secs_f64(faults.standby_checkpoint_us * 1e-6);

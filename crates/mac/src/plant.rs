@@ -29,7 +29,6 @@ use domino_faults::{FaultPlane, NodeFaults};
 use domino_medium::{Frame, Medium, Reception, TxId};
 use domino_obs::{CostPath, FaultKind, Probe, TraceEvent};
 use domino_sim::engine::{DEFAULT_EVENT_BUDGET, DEFAULT_LIVENESS_WINDOW};
-use domino_sim::rng::streams;
 use domino_sim::snapshot::{SnapError, SnapReader, SnapValue, SnapWriter, Snapshot};
 use domino_sim::{Engine, EventHandle, SimDuration, SimTime};
 use domino_traffic::Packet;
@@ -168,17 +167,17 @@ impl<X: SchemeEvent> Plant<X> {
     }
 
     /// A backbone for this run: `latency` jitter drawn from
-    /// `jitter_stream`, the run's wired loss and spike knobs, and the
-    /// probe's tracer attached.
+    /// `jitter_stream`, the run's wired loss and spike knobs drawn from
+    /// `fault_stream`, and the probe's tracer attached.
     pub(crate) fn backbone(
         &self,
         inputs: &RunInputs<'_>,
         latency: WiredLatency,
         jitter_stream: u64,
+        fault_stream: u64,
     ) -> Backbone {
         let faults = inputs.faults;
-        let mut bb =
-            Backbone::on_streams(latency, inputs.seed, jitter_stream, streams::FAULT_WIRED);
+        let mut bb = Backbone::on_streams(latency, inputs.seed, jitter_stream, fault_stream);
         bb.set_loss(faults.wired_loss);
         bb.set_spikes(faults.wired_spike, faults.wired_spike_us);
         bb.set_tracer(self.probe.trace.clone());

@@ -49,6 +49,8 @@ pub mod streams {
     pub const FAULT_CHURN: u64 = 0x0D;
     /// Warm-standby control plane: heartbeat/checkpoint wired latency.
     pub const STANDBY_WIRED: u64 = 0x0E;
+    /// Fault plane: the warm-standby wire's message loss and delay spikes.
+    pub const FAULT_STANDBY_WIRED: u64 = 0x0F;
 }
 
 #[cfg(test)]

@@ -101,8 +101,9 @@ impl Backbone {
 
     /// A backbone drawing jitter and fault decisions from caller-chosen
     /// streams. The warm-standby control plane runs on its own instance
-    /// (`STANDBY_WIRED`) so its heartbeat/checkpoint traffic never
-    /// advances the primary backbone's draw sequence.
+    /// (`STANDBY_WIRED` and `FAULT_STANDBY_WIRED`) so its
+    /// heartbeat/checkpoint traffic never advances the primary backbone's
+    /// draw sequences, and loses other messages than the primary does.
     pub fn on_streams(
         latency: WiredLatency,
         master_seed: u64,
@@ -348,13 +349,16 @@ mod tests {
 
     #[test]
     fn standby_stream_backbone_is_independent_of_primary() {
+        let standby_wire = || {
+            Backbone::on_streams(
+                WiredLatency::default(),
+                81,
+                streams::STANDBY_WIRED,
+                streams::FAULT_STANDBY_WIRED,
+            )
+        };
         let mut primary = Backbone::new(WiredLatency::default(), 81);
-        let mut standby = Backbone::on_streams(
-            WiredLatency::default(),
-            81,
-            streams::STANDBY_WIRED,
-            streams::FAULT_WIRED,
-        );
+        let mut standby = standby_wire();
         // Interleaved standby traffic must not perturb the primary's
         // sequence relative to a standby-free run.
         let mut solo = Backbone::new(WiredLatency::default(), 81);
@@ -365,6 +369,17 @@ mod tests {
                 sent(&mut solo, SimTime::ZERO, i).deliver_at
             );
         }
+        // Under the same loss knob the two wires drop different messages.
+        let mut primary = Backbone::new(WiredLatency::default(), 81);
+        let mut standby = standby_wire();
+        primary.set_loss(0.3);
+        standby.set_loss(0.3);
+        let lost = |bb: &mut Backbone| -> Vec<bool> {
+            (0..1_000u32).map(|i| bb.try_send(SimTime::ZERO, i).is_none()).collect()
+        };
+        let (primary_lost, standby_lost) = (lost(&mut primary), lost(&mut standby));
+        assert!(primary.messages_lost() > 0 && standby.messages_lost() > 0);
+        assert_ne!(primary_lost, standby_lost, "the standby loses what the primary loses");
     }
 
     #[test]

@@ -399,7 +399,7 @@ fn golden_checkpoint_payloads_fig7_tcp_chaos() {
         [
             "b758ec237107da5ad6453a260105e4ba1e6e2219b95efeb580f952a7fee5b4d6",
             "d742dce188ebfee88a6a8642b81629ca91fc1bcdc9e0b3989716a62506541f6a",
-            "c440fca8965d463f689cdcfcdc345f3fa17dae946196999d4bf9194e9102aa4c",
+            "f248b9fb2a40d77696f1f80f8646a2aed9742097483aec36a057cb2023f44c53",
             "e45c5b18683a67bf9d97fd22b3b848a628856bed7b1240a80d20ddb8c41e87ac",
         ]
     );
@@ -416,7 +416,7 @@ fn golden_checkpoint_payloads_t10x2_failover() {
         .seed(1)
         .faults(FaultConfig { standby: true, ctrl_crash: 0.05, ..FaultConfig::off() });
     for (scheme, want) in [
-        (Scheme::Domino, "051085c95cdbb978502b37dd01fa64d401d878e21e7f3fc76eedf259ea5af9ff"),
+        (Scheme::Domino, "92f72f14ddf3293d4fdcd8229b26f415f5576d73b445ecbd871494e7a091e800"),
         (Scheme::Centaur, "a33123f259d3af97091250b3891a5f1dbd21c74d8a81ca6dcc79bc3881f54bc0"),
     ] {
         let (digest, report) = checkpoint_payload_digest(&b, scheme);
