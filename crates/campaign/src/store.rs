@@ -10,7 +10,7 @@
 //!
 //! Every entry is addressed by the hex SHA-256 of its [`CacheKey`] — a
 //! domain-separated, length-prefixed encoding of (experiment id, code
-//! fingerprint, scale, seed, shard index, params). The object file carries
+//! fingerprint, scale, seed, shard index). The object file carries
 //! a header with the payload's own digest, and the index repeats it, so a
 //! read is served **only** when the bytes on disk hash to exactly what was
 //! written: a corrupt, truncated, or swapped object is evicted and
@@ -41,9 +41,6 @@ pub struct CacheKey {
     pub seed: u64,
     /// Shard index within the experiment's plan.
     pub shard: u32,
-    /// Extra parameter string; empty today, reserved for parameterized
-    /// plans so the key grammar never changes shape.
-    pub params: String,
 }
 
 impl CacheKey {
@@ -52,8 +49,8 @@ impl CacheKey {
     /// concatenation tricks (`("ab","c")` vs `("a","bc")`).
     pub fn digest(&self) -> String {
         let mut h = Sha256::new();
-        h.update(b"domino-shard-key-v1\0");
-        for field in [&self.experiment, &self.fingerprint, &self.scale, &self.params] {
+        h.update(b"domino-shard-key-v2\0");
+        for field in [&self.experiment, &self.fingerprint, &self.scale] {
             h.update(&(field.len() as u64).to_le_bytes());
             h.update(field.as_bytes());
         }
@@ -342,7 +339,6 @@ mod tests {
             scale: "quick".into(),
             seed: 1,
             shard,
-            params: String::new(),
         }
     }
 
@@ -496,9 +492,6 @@ mod tests {
         assert_ne!(k.digest(), d);
         let mut k = base.clone();
         k.shard = 4;
-        assert_ne!(k.digest(), d);
-        let mut k = base.clone();
-        k.params = "x=1".into();
         assert_ne!(k.digest(), d);
         // Length-prefixing: shifting bytes between fields changes the key.
         let mut a = base.clone();

@@ -470,7 +470,7 @@ fn d008_waiver_and_out_of_scope() {
                   }";
     assert!(rules_at("crates/sim/src/x.rs", waived).is_empty());
     // A named constant is the fix, and the harness crates are exempt.
-    let named = "fn f() { let r = SimRng::derive(42, streams::TRAFFIC); let _ = r; }";
+    let named = "fn f() { let r = SimRng::derive(42, streams::PHY_ERROR); let _ = r; }";
     assert!(rules_at("crates/sim/src/x.rs", named).is_empty());
     let harness = "fn f() { let r = SimRng::derive(42, 7); let _ = r; }";
     assert!(rules_at("crates/testkit/src/x.rs", harness).is_empty());

@@ -96,17 +96,9 @@ pub enum CostPath {
     RopReport,
     /// PHY-error stream RNG draws (medium adjudication).
     RngPhyError,
-    /// Traffic stream RNG draws.
-    RngTraffic,
-    /// Scheduler stream RNG draws.
-    RngScheduler,
-    /// Signature stream RNG draws.
-    RngSignature,
-    /// ROP stream RNG draws.
-    RngRop,
     /// Fault-plane stream RNG draws (all fault streams summed).
     RngFaults,
-    /// Wired-backbone stream RNG draws (jitter, drop, spike, retry).
+    /// Wired-backbone stream RNG draws (jitter, loss, spike).
     RngWired,
     /// DCF backoff stream RNG draws.
     RngDcfBackoff,
@@ -118,7 +110,7 @@ pub enum CostPath {
 
 impl CostPath {
     /// Number of cost centers (cells in a profile).
-    pub const COUNT: usize = 39;
+    pub const COUNT: usize = 35;
 
     /// Every cost center, in report order (taxonomy declaration order).
     pub const ALL: [CostPath; CostPath::COUNT] = [
@@ -153,10 +145,6 @@ impl CostPath {
         CostPath::RopPoll,
         CostPath::RopReport,
         CostPath::RngPhyError,
-        CostPath::RngTraffic,
-        CostPath::RngScheduler,
-        CostPath::RngSignature,
-        CostPath::RngRop,
         CostPath::RngFaults,
         CostPath::RngWired,
         CostPath::RngDcfBackoff,
@@ -197,10 +185,6 @@ impl CostPath {
             CostPath::RopPoll => "rop;poll",
             CostPath::RopReport => "rop;report",
             CostPath::RngPhyError => "rng;phy_error",
-            CostPath::RngTraffic => "rng;traffic",
-            CostPath::RngScheduler => "rng;scheduler",
-            CostPath::RngSignature => "rng;signature",
-            CostPath::RngRop => "rng;rop",
             CostPath::RngFaults => "rng;faults",
             CostPath::RngWired => "rng;wired",
             CostPath::RngDcfBackoff => "rng;dcf_backoff",

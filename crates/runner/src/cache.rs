@@ -112,7 +112,6 @@ impl CacheSession {
             scale: scale.name().to_string(),
             seed,
             shard: shard as u32,
-            params: String::new(),
         }
     }
 }

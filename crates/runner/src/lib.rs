@@ -49,7 +49,7 @@ use scale::Scale;
 /// One executed experiment: rendered output plus per-shard wall times.
 #[derive(Debug)]
 pub struct ExperimentRun {
-    /// Experiment name (registry key, also the `src/bin` name it replaced).
+    /// Experiment name (the registry key).
     pub name: &'static str,
     /// The rendered output text (what [`ExperimentRun::output`] under
     /// `results/` should contain).

@@ -268,6 +268,15 @@ mod tests {
     }
 
     #[test]
+    fn report_parse_refuses_a_horizon_that_rounds_to_zero() {
+        for v in ["0", "-0", "1e-12"] {
+            let err = parse_report(&argv(&["--duration-s", v])).unwrap_err();
+            assert!(err.contains("--duration-s") && err.contains("rounds to 0 ns"), "{v}: {err}");
+        }
+        assert_eq!(parse_report(&argv(&["--duration-s", "0.05"])).unwrap().spec.duration_s, 0.05);
+    }
+
+    #[test]
     fn default_report_attributes_and_names_bookkeeping_costs() {
         let mut args = ReportArgs::default();
         let table = run_report(&args);

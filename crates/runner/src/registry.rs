@@ -13,7 +13,7 @@ pub const DEFAULT_SEED: u64 = 1;
 /// `results/` is `<name>.txt`) and a plan constructor.
 #[derive(Clone, Copy)]
 pub struct Experiment {
-    /// Registry key; also the name of the thin binary in `crates/bench`.
+    /// Registry key: the name `domino-run <name>` selects.
     pub name: &'static str,
     /// Builds the sharded execution plan for a given scale and seed.
     pub plan: fn(Scale, u64) -> Plan,

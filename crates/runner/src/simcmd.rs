@@ -12,7 +12,7 @@
 
 use domino_core::traffic::UdpSource;
 use domino_core::{scenarios, Checkpoints, FaultConfig, RunOpts, RunReport, Scheme, SimulationBuilder};
-use domino_sim::SimTime;
+use domino_sim::{SimDuration, SimTime};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -115,7 +115,13 @@ impl RunSpec {
                     .parse()
                     .map_err(|_| "--seed needs an integer".to_string())?;
             }
-            "--duration-s" => self.duration_s = parse_f64(&need(it, flag)?, flag)?,
+            "--duration-s" => {
+                let seconds = parse_f64(&need(it, flag)?, flag)?;
+                if SimDuration::from_secs_f64(seconds).is_zero() {
+                    return Err(format!("{flag} {seconds}: the horizon rounds to 0 ns"));
+                }
+                self.duration_s = seconds;
+            }
             "--udp" => {
                 let (down, up) = parse_rates(&need(it, flag)?, flag)?;
                 self.traffic = Traffic::Udp(down, up);
@@ -407,6 +413,15 @@ mod tests {
         assert!(!b.is_empty());
         assert!(b.windows(2).all(|w| w[0] < w[1]));
         assert!(b.iter().all(|t| t.as_nanos() < 500_000_000));
+    }
+
+    #[test]
+    fn parse_refuses_a_horizon_that_rounds_to_zero() {
+        for v in ["0", "-0", "1e-12"] {
+            let err = parse(&argv(&["--duration-s", v])).unwrap_err();
+            assert!(err.contains("--duration-s") && err.contains("rounds to 0 ns"), "{v}: {err}");
+        }
+        assert_eq!(parse(&argv(&["--duration-s", "1e-9"])).unwrap().spec.duration_s, 1e-9);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!    detected and recomputed, never served: the output bytes still
 //!    match and the store reports evictions/misses, not hits.
 //! 3. **Key sensitivity** — changing any keyed input (experiment, code
-//!    fingerprint, scale, seed, shard index, params) changes the cache
+//!    fingerprint, scale, seed, shard index) changes the cache
 //!    key, so no entry written under one identity can be read under
 //!    another.
 //!
@@ -86,7 +86,6 @@ fn corrupted_entries_are_recomputed_never_served() {
             scale: "quick".to_string(),
             seed,
             shard,
-            params: String::new(),
         };
         let digest = key.digest();
         let two = digest.get(..2).unwrap().to_string();
@@ -127,7 +126,6 @@ fn cache_key_changes_when_any_keyed_input_changes() {
             scale: if g.bool() { "quick" } else { "full" }.to_string(),
             seed: g.u64(0, u64::MAX),
             shard: g.u64(0, 1 << 20) as u32,
-            params: String::new(),
         };
         let d = base.digest();
         prop_assert_eq!(d.len(), 64);
@@ -144,7 +142,6 @@ fn cache_key_changes_when_any_keyed_input_changes() {
             },
             CacheKey { seed: base.seed.wrapping_add(g.u64(1, 1 << 40)), ..base.clone() },
             CacheKey { shard: base.shard.wrapping_add(1), ..base.clone() },
-            CacheKey { params: "rop=7".to_string(), ..base.clone() },
         ];
         for (i, v) in variants.iter().enumerate() {
             prop_assert!(v.digest() != d, "field {} did not move the key", i);

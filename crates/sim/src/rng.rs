@@ -4,8 +4,8 @@
 //! is derived from the run's master seed plus a per-subsystem stream label.
 //! Deriving independent streams (rather than sharing one generator) keeps
 //! runs reproducible even when one subsystem changes how many numbers it
-//! consumes: the wired-jitter stream, the PHY-error stream, and the traffic
-//! stream never perturb each other.
+//! consumes: the wired-jitter stream, the PHY-error stream, and the
+//! DCF-backoff stream never perturb each other.
 //!
 //! The generator itself is `domino-testkit`'s in-tree xoshiro256++, seeded
 //! through SplitMix64 expansion of `(master_seed, stream)` — no external
@@ -19,24 +19,17 @@
 /// definition of "same seed ⇒ same run").
 pub use domino_testkit::rng::Rng as SimRng;
 
-/// Stable stream labels for the simulator's subsystems.
+/// Stable stream labels for the simulator's subsystems. Retired labels
+/// (0x03 and 0x06–0x08) stay unused, so no new stream replays an old one.
 pub mod streams {
     /// Wired backbone latency jitter.
     pub const WIRED_JITTER: u64 = 0x01;
     /// PHY reception error draws.
     pub const PHY_ERROR: u64 = 0x02;
-    /// Traffic generation (arrival processes).
-    pub const TRAFFIC: u64 = 0x03;
     /// DCF backoff draws.
     pub const DCF_BACKOFF: u64 = 0x04;
     /// Topology generation (placement, client selection).
     pub const TOPOLOGY: u64 = 0x05;
-    /// Signature detection draws.
-    pub const SIGNATURE: u64 = 0x06;
-    /// Central scheduler tie-breaking.
-    pub const SCHEDULER: u64 = 0x07;
-    /// ROP decode draws.
-    pub const ROP: u64 = 0x08;
     /// Sample-level PHY experiments (noise, CFO).
     pub const PHY_SAMPLES: u64 = 0x09;
     /// Fault plane: wired backbone message loss and delay spikes.
@@ -69,8 +62,8 @@ mod tests {
 
     #[test]
     fn same_seed_same_stream_reproduces() {
-        let mut a = SimRng::derive(42, streams::TRAFFIC);
-        let mut b = SimRng::derive(42, streams::TRAFFIC);
+        let mut a = SimRng::derive(42, streams::PHY_ERROR);
+        let mut b = SimRng::derive(42, streams::PHY_ERROR);
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
@@ -78,7 +71,7 @@ mod tests {
 
     #[test]
     fn different_streams_differ() {
-        let mut a = SimRng::derive(42, streams::TRAFFIC);
+        let mut a = SimRng::derive(42, streams::PHY_ERROR);
         let mut b = SimRng::derive(42, streams::WIRED_JITTER);
         let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
         assert_eq!(same, 0);

@@ -884,7 +884,7 @@ mod tests {
 
     #[test]
     fn rng_state_roundtrips_mid_sequence() {
-        let mut rng = Rng::derive(42, crate::rng::streams::SCHEDULER);
+        let mut rng = Rng::derive(42, crate::rng::streams::DCF_BACKOFF);
         // Put the stream mid-sequence with a buffered Box–Muller spare.
         for _ in 0..17 {
             rng.next_u64();

@@ -146,7 +146,9 @@ echo "== snapshot gate: checkpoint at t/2, restore in a fresh process =="
 # first random T(20,3) network under DCF and DOMINO (80 nodes, many
 # frames in flight), and T(10,2) under DOMINO and CENTAUR with
 # controller crashes and a warm standby (the chaos class leaves the
-# failover class out; this cell crashes and promotes 20 and 8 times).
+# failover class out; this cell crashes and promotes 20 and 8 times),
+# once alone and once under chaos (wired loss and spikes on every wire,
+# DOMINO's standby wire included).
 # A *separate process* restores the sealed snapshot and finishes the
 # run. Both the interrupted and the restored stats blocks must
 # byte-match the uninterrupted run's — the restored-goldens-cannot-move
@@ -157,7 +159,8 @@ for cell in "fig7|$ALL_SCHEMES|--scenario fig7 --seed 11 --chaos 0.5" \
     "t10x2_tcp|$ALL_SCHEMES|--scenario t10x2 --tcp 10e6,4e6" \
     "t6x2_light|$ALL_SCHEMES|--scenario t6x2 --udp 48e3,96e3" \
     "rt20x3|domino dcf|--scenario rt20x3 --udp 10e6,10e6" \
-    "t10x2_failover|domino centaur|--scenario t10x2 --standby --ctrl-crash 0.05"; do
+    "t10x2_failover|domino centaur|--scenario t10x2 --standby --ctrl-crash 0.05" \
+    "t10x2_failover_chaos|domino centaur|--scenario t10x2 --standby --ctrl-crash 0.05 --chaos 0.5"; do
     IFS='|' read -r name schemes flag_str <<< "$cell"
     read -ra flags <<< "$flag_str"
     for scheme in $schemes; do
