@@ -406,7 +406,7 @@ mod tests {
         for scheme in [Scheme::Domino, Scheme::Centaur] {
             let (handle, sink) = TraceHandle::mem();
             let run = probed(&b, scheme, Probe::new(handle, ProfHandle::off()));
-            let drop = domino_obs::TraceEvent::BackboneDrop;
+            let drop = domino_obs::TraceEvent::BackboneDrop {};
             let traced = sink.take().iter().filter(|r| r.ev == drop).count();
             assert_eq!(traced as u64, run.stats.faults.wired_msgs_lost, "{scheme:?}");
         }

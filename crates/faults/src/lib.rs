@@ -29,40 +29,50 @@ use domino_sim::rng::streams;
 use domino_sim::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 use domino_sim::{SimDuration, SimRng, SimTime};
 
+/// Mean extra delay of a spiked backbone message, µs (exponential).
+pub const WIRED_SPIKE_US: f64 = 2_500.0;
+
+/// How long a crashed AP stays dark before it can rejoin, µs.
+pub const AP_DOWNTIME_US: f64 = 15_000.0;
+
+/// Mean extra compute time of a stalled controller batch, µs
+/// (exponential).
+pub const COMPUTE_STALL_US: f64 = 1_500.0;
+
+/// Would-be signature detections one fade burst suppresses.
+pub const FADE_LEN: u32 = 6;
+
+/// Dark time after each client leave before the client rejoins, µs.
+pub const CHURN_DOWNTIME_US: f64 = 25_000.0;
+
+/// Consecutive missed heartbeats that make the warm standby promote
+/// itself.
+pub const STANDBY_MISSED_K: u32 = 3;
+
 /// All fault-plane knobs. `Default` is every fault off: probabilities
-/// zero, magnitudes irrelevant. A run with the default config makes zero
-/// draws from any fault stream.
+/// zero. A run with the default config makes zero draws from any fault
+/// stream. The magnitudes of the chaos classes are the constants above.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultConfig {
     /// Per-message backbone loss probability (wired class).
     pub wired_loss: f64,
     /// Per-message backbone delay-spike probability (wired class).
     pub wired_spike: f64,
-    /// Mean extra delay of a spiked message, µs (exponential).
-    pub wired_spike_us: f64,
     /// Per-batch-arrival AP crash probability (node class).
     pub ap_crash: f64,
-    /// How long a crashed AP stays dark before it can rejoin, µs.
-    pub ap_downtime_us: f64,
     /// Per-compute controller stall probability (node class).
     pub compute_stall: f64,
-    /// Mean extra compute time of a stalled batch, µs (exponential).
-    pub compute_stall_us: f64,
     /// Probability a delivered ROP report is stale — it reflects the
     /// previous round's queue state instead of the current one.
     pub rop_stale: f64,
     /// Probability a successful signature detection opens a fade burst
     /// (channel class).
     pub fade: f64,
-    /// Number of would-be detections one fade burst suppresses.
-    pub fade_len: u32,
     /// Probability a successfully decoded ROP report is corrupted and
     /// must be discarded (channel class).
     pub rop_corrupt: f64,
     /// Per-client leave rate, events per second (churn class).
     pub churn_rate_hz: f64,
-    /// Dark time after each leave before the client rejoins, µs.
-    pub churn_downtime_us: f64,
     /// Per-compute primary-controller crash probability (failover
     /// class). With the standby off a crashed controller cold-restarts
     /// after [`FaultConfig::ctrl_downtime_us`] with its soft state lost.
@@ -71,16 +81,14 @@ pub struct FaultConfig {
     pub ctrl_downtime_us: f64,
     /// Warm-standby controller enabled: the standby ingests periodic
     /// state checkpoints and heartbeats over a dedicated wired stream and
-    /// promotes itself after [`FaultConfig::standby_missed_k`] missed
-    /// heartbeats, replaying the report delta since the last checkpoint.
+    /// promotes itself after [`STANDBY_MISSED_K`] missed heartbeats,
+    /// replaying the report delta since the last checkpoint.
     pub standby: bool,
     /// Primary → standby state-checkpoint interval, µs.
     pub standby_checkpoint_us: f64,
     /// Primary → standby heartbeat interval (and the standby's detector
     /// probe period), µs.
     pub standby_heartbeat_us: f64,
-    /// Consecutive missed heartbeats that trigger promotion.
-    pub standby_missed_k: u32,
 }
 
 impl Default for FaultConfig {
@@ -88,23 +96,17 @@ impl Default for FaultConfig {
         FaultConfig {
             wired_loss: 0.0,
             wired_spike: 0.0,
-            wired_spike_us: 0.0,
             ap_crash: 0.0,
-            ap_downtime_us: 0.0,
             compute_stall: 0.0,
-            compute_stall_us: 0.0,
             rop_stale: 0.0,
             fade: 0.0,
-            fade_len: 0,
             rop_corrupt: 0.0,
             churn_rate_hz: 0.0,
-            churn_downtime_us: 0.0,
             ctrl_crash: 0.0,
             ctrl_downtime_us: 0.0,
             standby: false,
             standby_checkpoint_us: 5_000.0,
             standby_heartbeat_us: 1_000.0,
-            standby_missed_k: 3,
         }
     }
 }
@@ -137,17 +139,12 @@ impl FaultConfig {
         FaultConfig {
             wired_loss: 0.12 * x,
             wired_spike: 0.08 * x,
-            wired_spike_us: 2_500.0,
             ap_crash: 0.01 * x,
-            ap_downtime_us: 15_000.0,
             compute_stall: 0.08 * x,
-            compute_stall_us: 1_500.0,
             rop_stale: 0.06 * x,
             fade: 0.04 * x,
-            fade_len: 6,
             rop_corrupt: 0.10 * x,
             churn_rate_hz: 1.5 * x,
-            churn_downtime_us: 25_000.0,
             // The failover class stays out of the chaos profile: the
             // chaos goldens pin PR 4's degradation numbers, and the
             // `failover_recovery` experiment sweeps these knobs itself.
@@ -294,9 +291,7 @@ domino_sim::snap_value!(FaultStats {
 #[derive(Clone, Debug)]
 pub struct NodeFaults {
     crash_p: f64,
-    downtime: SimDuration,
     stall_p: f64,
-    stall_mean_us: f64,
     stale_p: f64,
     ctrl_crash_p: f64,
     ctrl_downtime: SimDuration,
@@ -318,9 +313,7 @@ impl NodeFaults {
     fn new(cfg: &FaultConfig, master_seed: u64) -> NodeFaults {
         NodeFaults {
             crash_p: cfg.ap_crash.clamp(0.0, 1.0),
-            downtime: SimDuration::from_micros_f64(cfg.ap_downtime_us.max(0.0)),
             stall_p: cfg.compute_stall.clamp(0.0, 1.0),
-            stall_mean_us: cfg.compute_stall_us.max(0.0),
             stale_p: cfg.rop_stale.clamp(0.0, 1.0),
             ctrl_crash_p: cfg.ctrl_crash.clamp(0.0, 1.0),
             ctrl_downtime: SimDuration::from_micros_f64(cfg.ctrl_downtime_us.max(0.0)),
@@ -338,7 +331,7 @@ impl NodeFaults {
     pub fn crash(&mut self) -> Option<SimDuration> {
         if self.crash_p > 0.0 && self.rng.chance(self.crash_p) {
             self.crashes += 1;
-            Some(self.downtime)
+            Some(SimDuration::from_micros_f64(AP_DOWNTIME_US))
         } else {
             None
         }
@@ -356,11 +349,11 @@ impl NodeFaults {
     }
 
     /// Does this controller compute stall? Returns the extra compute time
-    /// (exponential around the configured mean). No draw when off.
+    /// (exponential around [`COMPUTE_STALL_US`]). No draw when off.
     pub fn compute_stall(&mut self) -> Option<SimDuration> {
         if self.stall_p > 0.0 && self.rng.chance(self.stall_p) {
             self.stalls += 1;
-            Some(SimDuration::from_micros_f64(self.rng.exponential(self.stall_mean_us)))
+            Some(SimDuration::from_micros_f64(self.rng.exponential(COMPUTE_STALL_US)))
         } else {
             None
         }
@@ -391,8 +384,8 @@ impl NodeFaults {
 }
 
 // Dynamic state: the RNG position and the injection counters. The
-// probabilities and downtime come from [`FaultConfig`] and are
-// reconstructed by the restore target's constructor.
+// probabilities and the controller downtime come from [`FaultConfig`] and
+// are reconstructed by the restore target's constructor.
 domino_sim::snapshot_fields!(NodeFaults {
     rng,
     crashes,
@@ -407,7 +400,6 @@ domino_sim::snapshot_fields!(NodeFaults {
 #[derive(Clone, Debug)]
 pub struct ChannelFaults {
     fade_p: f64,
-    fade_len: u32,
     corrupt_p: f64,
     rng: SimRng,
     fade_remaining: u32,
@@ -423,7 +415,6 @@ impl ChannelFaults {
     fn new(cfg: &FaultConfig, master_seed: u64) -> ChannelFaults {
         ChannelFaults {
             fade_p: cfg.fade.clamp(0.0, 1.0),
-            fade_len: cfg.fade_len,
             corrupt_p: cfg.rop_corrupt.clamp(0.0, 1.0),
             rng: SimRng::derive(master_seed, streams::FAULT_CHANNEL),
             fade_remaining: 0,
@@ -435,7 +426,7 @@ impl ChannelFaults {
 
     /// Called on each *otherwise successful* signature detection: inside
     /// a fade the detection is suppressed; outside, a new fade may open
-    /// (suppressing this detection and the next `fade_len − 1`). The
+    /// (suppressing this detection and the next [`FADE_LEN`] − 1). The
     /// correlation is what the i.i.d. base draw cannot produce.
     pub fn fade_suppresses(&mut self) -> bool {
         if self.fade_remaining > 0 {
@@ -446,7 +437,7 @@ impl ChannelFaults {
         if self.fade_p > 0.0 && self.rng.chance(self.fade_p) {
             self.fades_opened += 1;
             self.detections_suppressed += 1;
-            self.fade_remaining = self.fade_len.saturating_sub(1);
+            self.fade_remaining = FADE_LEN - 1;
             return true;
         }
         false
@@ -498,10 +489,10 @@ impl ChurnSchedule {
         let num_nodes = clients.iter().map(|&c| c as usize + 1).max().unwrap_or(0);
         let mut intervals = vec![Vec::new(); num_nodes];
         let mut events = 0u64;
-        if cfg.churn_rate_hz > 0.0 && cfg.churn_downtime_us > 0.0 {
+        if cfg.churn_rate_hz > 0.0 {
             let mut rng = SimRng::derive(master_seed, streams::FAULT_CHURN);
             let horizon = SimDuration::from_secs_f64(duration_s);
-            let downtime = SimDuration::from_micros_f64(cfg.churn_downtime_us);
+            let downtime = SimDuration::from_micros_f64(CHURN_DOWNTIME_US);
             let mean_gap_s = 1.0 / cfg.churn_rate_hz;
             for &c in clients {
                 let mut t = SimDuration::from_secs_f64(rng.exponential(mean_gap_s));
@@ -636,13 +627,17 @@ mod tests {
     }
 
     #[test]
+    fn chaos_at_zero_intensity_is_off() {
+        assert_eq!(FaultConfig::chaos(0.0), FaultConfig::off());
+        assert_eq!(FaultConfig::chaos(-1.0), FaultConfig::off());
+    }
+
+    #[test]
     fn chaos_profile_scales_linearly() {
         let half = FaultConfig::chaos(0.5);
         let full = FaultConfig::chaos(1.0);
         assert!((full.wired_loss - 2.0 * half.wired_loss).abs() < 1e-12);
         assert!((full.churn_rate_hz - 2.0 * half.churn_rate_hz).abs() < 1e-12);
-        // Magnitudes are intensity-independent.
-        assert!((full.ap_downtime_us - half.ap_downtime_us).abs() < 1e-12);
         // Out-of-range intensities clamp.
         assert_eq!(FaultConfig::chaos(7.0), FaultConfig::chaos(1.0));
     }
@@ -668,22 +663,24 @@ mod tests {
 
     #[test]
     fn fades_are_correlated_bursts() {
-        let cfg = FaultConfig { fade: 0.05, fade_len: 4, ..FaultConfig::off() };
+        let cfg = FaultConfig { fade: 0.05, ..FaultConfig::off() };
         let mut plane = FaultPlane::new(&cfg, 7, &[], 10.0);
         let ch = &mut plane.medium.channel;
         let n = 50_000u64;
         let suppressed = (0..n).filter(|_| ch.fade_suppresses()).count() as u64;
         assert_eq!(suppressed, ch.detections_suppressed);
-        // Each opened fade suppresses exactly fade_len detections.
-        assert_eq!(suppressed, ch.fades_opened * 4);
-        // Suppression rate ≈ p·len / (1 + p·(len−1)) ≈ 17.4 %.
+        // Each opened fade suppresses exactly FADE_LEN detections; the
+        // loop may end inside the last one.
+        let cut_short = u64::from(ch.fade_remaining);
+        assert_eq!(suppressed + cut_short, ch.fades_opened * u64::from(FADE_LEN));
+        // Suppression rate ≈ p·len / (1 + p·(len−1)) = 24 %.
         let rate = suppressed as f64 / n as f64;
-        assert!((0.14..0.21).contains(&rate), "rate {rate}");
+        assert!((0.20..0.28).contains(&rate), "rate {rate}");
     }
 
     #[test]
     fn churn_schedule_is_deterministic_and_bounded() {
-        let cfg = FaultConfig { churn_rate_hz: 2.0, churn_downtime_us: 25_000.0, ..FaultConfig::off() };
+        let cfg = FaultConfig { churn_rate_hz: 2.0, ..FaultConfig::off() };
         let a = ChurnSchedule::new(&cfg, 9, &[1, 3, 5], 10.0);
         let b = ChurnSchedule::new(&cfg, 9, &[1, 3, 5], 10.0);
         assert_eq!(a.events, b.events);
@@ -710,7 +707,7 @@ mod tests {
 
     #[test]
     fn check_dark_counts_drops() {
-        let cfg = FaultConfig { churn_rate_hz: 50.0, churn_downtime_us: 50_000.0, ..FaultConfig::off() };
+        let cfg = FaultConfig { churn_rate_hz: 50.0, ..FaultConfig::off() };
         let mut s = ChurnSchedule::new(&cfg, 3, &[0], 5.0);
         let mut hits = 0u64;
         for ms in 0..5_000u64 {
@@ -726,8 +723,8 @@ mod tests {
     fn node_faults_draw_only_when_on() {
         // Two planes with different *other* classes enabled must agree on
         // the node stream: class independence.
-        let a_cfg = FaultConfig { ap_crash: 0.3, ap_downtime_us: 1_000.0, ..FaultConfig::off() };
-        let b_cfg = FaultConfig { fade: 0.9, fade_len: 3, wired_loss: 0.5, ..a_cfg.clone() };
+        let a_cfg = FaultConfig { ap_crash: 0.3, ..FaultConfig::off() };
+        let b_cfg = FaultConfig { fade: 0.9, wired_loss: 0.5, ..a_cfg.clone() };
         let mut a = FaultPlane::new(&a_cfg, 13, &[], 1.0);
         let mut b = FaultPlane::new(&b_cfg, 13, &[], 1.0);
         for _ in 0..200 {
@@ -738,8 +735,7 @@ mod tests {
 
     #[test]
     fn stall_durations_are_positive_and_counted() {
-        let cfg =
-            FaultConfig { compute_stall: 1.0, compute_stall_us: 2_000.0, ..FaultConfig::off() };
+        let cfg = FaultConfig { compute_stall: 1.0, ..FaultConfig::off() };
         let mut plane = FaultPlane::new(&cfg, 17, &[], 1.0);
         let mut total = SimDuration::ZERO;
         for _ in 0..100 {

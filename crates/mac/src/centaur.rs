@@ -277,7 +277,7 @@ impl World for CentaurWorld {
             standby: faults.standby,
             ckpt_every: SimDuration::from_secs_f64(faults.standby_checkpoint_us * 1e-6),
             detect_delay: SimDuration::from_secs_f64(
-                faults.standby_heartbeat_us * f64::from(faults.standby_missed_k) * 1e-6,
+                faults.standby_heartbeat_us * f64::from(domino_faults::STANDBY_MISSED_K) * 1e-6,
             ),
             graph: ConflictGraph::build_for_scheduling(net),
             aps,
@@ -567,7 +567,7 @@ impl CentaurWorld {
 
     /// The primary controller crashes mid-compute. With a warm standby
     /// the deterministic failure detector fires after
-    /// `standby_missed_k` silent heartbeat intervals and the standby
+    /// `STANDBY_MISSED_K` silent heartbeat intervals and the standby
     /// promotes itself, restoring the last shipped fairness-order
     /// checkpoint (bounded staleness, no wall clocks). Without one, the
     /// controller cold-restarts after its configured downtime with the

@@ -409,8 +409,6 @@ pub struct DominoWorld {
     hb_every: SimDuration,
     /// Full-state checkpoint period.
     ckpt_every: SimDuration,
-    /// Consecutive missed heartbeats before the standby promotes.
-    missed_k: u32,
     /// The acting controller crashed and nobody has taken over yet.
     ctrl_down: bool,
     /// A (re)starting controller is rebuilding until this instant;
@@ -614,7 +612,6 @@ impl World for DominoWorld {
             standby_bb,
             hb_every,
             ckpt_every,
-            missed_k: faults.standby_missed_k,
             ctrl_down: false,
             ctrl_dark_until: SimTime::ZERO,
             last_crash_at: SimTime::ZERO,
@@ -756,7 +753,7 @@ impl World for DominoWorld {
                 } else {
                     self.hb_missed += 1;
                 }
-                if self.ctrl_down && self.hb_missed >= self.missed_k {
+                if self.ctrl_down && self.hb_missed >= domino_faults::STANDBY_MISSED_K {
                     self.promote_standby(now);
                 }
                 self.plant.schedule(now + self.hb_every, DEv::StandbyProbe);

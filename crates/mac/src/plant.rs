@@ -179,7 +179,7 @@ impl<X: SchemeEvent> Plant<X> {
         let faults = inputs.faults;
         let mut bb = Backbone::on_streams(latency, inputs.seed, jitter_stream, fault_stream);
         bb.set_loss(faults.wired_loss);
-        bb.set_spikes(faults.wired_spike, faults.wired_spike_us);
+        bb.set_spikes(faults.wired_spike, domino_faults::WIRED_SPIKE_US);
         bb.set_tracer(self.probe.trace.clone());
         bb
     }

@@ -43,17 +43,6 @@ pub struct Burst {
 }
 
 impl Burst {
-    /// An empty burst carrying only a marker.
-    pub fn marker_only(marker: BurstMarker) -> Burst {
-        Burst {
-            codes: InlineVec::new(),
-            targets: InlineVec::new(),
-            marker,
-            slot: 0,
-            continues: false,
-        }
-    }
-
     /// Number of combined signatures.
     pub fn combined(&self) -> usize {
         self.codes.len()
@@ -179,28 +168,6 @@ pub struct Frame {
     pub bits: usize,
 }
 
-impl Frame {
-    /// The nodes whose reception of this frame the medium must adjudicate.
-    ///
-    /// `clients_of_ap` resolves a Poll's audience; signature bursts are
-    /// adjudicated at their trigger targets.
-    pub fn intended_receivers(&self, clients_of_ap: impl Fn(NodeId) -> Vec<NodeId>) -> Vec<NodeId> {
-        match &self.body {
-            FrameBody::Data { packet: _, .. } => Vec::new(), // resolved by caller (needs link table)
-            FrameBody::MacAck { .. } => Vec::new(),          // resolved by caller
-            FrameBody::Poll { ap } => clients_of_ap(*ap),
-            FrameBody::RopReport { ap, .. } => vec![*ap],
-            FrameBody::SignatureBurst(b) => b.targets.to_vec(),
-        }
-    }
-
-    /// True for frames adjudicated by the correlation-detection model
-    /// rather than the packet PER model.
-    pub fn is_signature(&self) -> bool {
-        matches!(self.body, FrameBody::SignatureBurst(_))
-    }
-}
-
 domino_sim::snap_value!(Frame { src, body, bits });
 
 #[cfg(test)]
@@ -275,36 +242,5 @@ mod tests {
             continues: false,
         };
         assert_eq!(b.combined(), 2);
-        let m = Burst::marker_only(BurstMarker::Rop);
-        assert_eq!(m.combined(), 0);
-        assert_eq!(m.marker, BurstMarker::Rop);
-    }
-
-    #[test]
-    fn receivers_of_poll_are_its_clients() {
-        let f = Frame {
-            src: NodeId(0),
-            body: FrameBody::Poll { ap: NodeId(0) },
-            bits: 200,
-        };
-        let rx = f.intended_receivers(|_| vec![NodeId(1), NodeId(2)]);
-        assert_eq!(rx, vec![NodeId(1), NodeId(2)]);
-    }
-
-    #[test]
-    fn receivers_of_burst_are_targets() {
-        let f = Frame {
-            src: NodeId(4),
-            body: FrameBody::SignatureBurst(Burst {
-                codes: InlineVec::of(9),
-                targets: InlineVec::of(NodeId(9)),
-                marker: BurstMarker::Start,
-                slot: 0,
-                continues: false,
-            }),
-            bits: 0,
-        };
-        assert!(f.is_signature());
-        assert_eq!(f.intended_receivers(|_| vec![]), vec![NodeId(9)]);
     }
 }

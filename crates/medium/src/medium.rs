@@ -567,7 +567,7 @@ impl Medium {
                 if ok {
                     if let Some(f) = &mut self.faults {
                         // Correlated fade: suppress this and the next
-                        // fade_len − 1 would-be detections.
+                        // FADE_LEN − 1 would-be detections.
                         if f.channel.fade_suppresses() {
                             ok = false;
                             self.probe.trace.emit(now.as_nanos(), || TraceEvent::FaultInject {
@@ -1061,12 +1061,9 @@ mod more_tests {
     fn churned_dark_endpoint_fails_reception() {
         use domino_faults::{FaultConfig, FaultPlane};
         let n = star(&[-55.0]);
-        // Client 1 leaves constantly: near-certain dark at any instant.
-        let cfg = FaultConfig {
-            churn_rate_hz: 1_000.0,
-            churn_downtime_us: 100_000.0,
-            ..FaultConfig::off()
-        };
+        // Client 1 leaves every millisecond on average and stays dark
+        // 25 ms each time: dark at ~96% of instants.
+        let cfg = FaultConfig { churn_rate_hz: 1_000.0, ..FaultConfig::off() };
         let plane = FaultPlane::new(&cfg, 5, &[1], 1.0);
         let mut m = Medium::new(n.clone(), 1);
         m.set_faults(plane.medium);
@@ -1102,7 +1099,7 @@ mod more_tests {
         let run = |faded: bool| {
             let mut m = Medium::new(n.clone(), 6);
             if faded {
-                let cfg = FaultConfig { fade: 0.2, fade_len: 5, ..FaultConfig::off() };
+                let cfg = FaultConfig { fade: 0.2, ..FaultConfig::off() };
                 m.set_faults(FaultPlane::new(&cfg, 6, &[], 1.0).medium);
             }
             let mut ok = 0u32;
@@ -1125,7 +1122,7 @@ mod more_tests {
     fn snapshot_mid_flight_continues_byte_identically() {
         use domino_faults::{FaultConfig, FaultPlane};
         let n = star(&[-55.0, -60.0, -58.0]);
-        let cfg = FaultConfig { fade: 0.1, fade_len: 3, rop_corrupt: 0.1, ..FaultConfig::off() };
+        let cfg = FaultConfig { fade: 0.1, rop_corrupt: 0.1, ..FaultConfig::off() };
         let build = |seed| {
             let mut m = Medium::new(n.clone(), seed);
             m.set_faults(FaultPlane::new(&cfg, seed, &[1, 2, 3], 1.0).medium);

@@ -290,7 +290,7 @@ pub fn fault_summary(records: &[TraceRecord]) -> FaultReport {
                     latencies.entry(*kind).or_default().push(rec.t_ns - at);
                 }
             }
-            TraceEvent::BackboneDrop => report.backbone_drops += 1,
+            TraceEvent::BackboneDrop {} => report.backbone_drops += 1,
             TraceEvent::BackboneSend { spiked: true, .. } => report.backbone_spikes += 1,
             TraceEvent::CtrlCheckpoint { bytes } => {
                 report.checkpoints += 1;
@@ -464,7 +464,7 @@ mod tests {
     fn fault_summary_pairs_recovery_latency() {
         let records = vec![
             rec(100, TraceEvent::FaultInject { kind: FaultKind::ApCrash, node: 2 }),
-            rec(150, TraceEvent::BackboneDrop),
+            rec(150, TraceEvent::BackboneDrop {}),
             rec(600, TraceEvent::FaultRecover { kind: FaultKind::ApCrash, node: 2 }),
             rec(700, TraceEvent::BackboneSend { delay_ns: 1, spiked: true }),
             rec(800, TraceEvent::FaultInject { kind: FaultKind::Fade, node: 9 }),
@@ -480,8 +480,8 @@ mod tests {
     #[test]
     fn diff_reports_first_divergence() {
         let meta = TraceMeta { experiment: "x".into(), scheme: "domino".into(), seed: 1, scale: "q".into() };
-        let a = vec![rec(0, TraceEvent::RopPoll { ap: 1 }), rec(5, TraceEvent::BackboneDrop)];
-        let b = vec![rec(0, TraceEvent::RopPoll { ap: 1 }), rec(6, TraceEvent::BackboneDrop)];
+        let a = vec![rec(0, TraceEvent::RopPoll { ap: 1 }), rec(5, TraceEvent::BackboneDrop {})];
+        let b = vec![rec(0, TraceEvent::RopPoll { ap: 1 }), rec(6, TraceEvent::BackboneDrop {})];
         let d = diff(&meta, &a, &meta, &b);
         assert!(d.contains("first divergence at event 2"), "{d}");
         let same = diff(&meta, &a, &meta, &a);

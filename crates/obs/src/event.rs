@@ -6,233 +6,174 @@
 //! trace diffing) and no references into engine state (a trace outlives
 //! its run).
 
-/// Which fault-plane class an injection or recovery belongs to.
-///
-/// Wired-backbone faults are not listed here: a lost message is a
-/// [`TraceEvent::BackboneDrop`] and a latency spike rides on
-/// [`TraceEvent::BackboneSend`]'s `spiked` flag.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum FaultKind {
-    /// An AP crashed with state loss and went dark for its downtime.
-    ApCrash,
-    /// The controller's batch computation stalled.
-    ComputeStall,
-    /// A client answered a ROP poll with a stale queue report.
-    StaleRop,
-    /// A deep fade suppressed signature detection at a receiver.
-    Fade,
-    /// A ROP report was corrupted in the air.
-    RopCorrupt,
-    /// A churn dark interval swallowed a client's transmission.
-    ChurnDrop,
-    /// The primary controller crashed (failover class). Recovery is
-    /// either the warm standby's promotion or the cold restart.
-    CtrlCrash,
-}
-
-impl FaultKind {
-    /// Stable wire name used in the JSONL schema.
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultKind::ApCrash => "ap_crash",
-            FaultKind::ComputeStall => "compute_stall",
-            FaultKind::StaleRop => "stale_rop",
-            FaultKind::Fade => "fade",
-            FaultKind::RopCorrupt => "rop_corrupt",
-            FaultKind::ChurnDrop => "churn_drop",
-            FaultKind::CtrlCrash => "ctrl_crash",
-        }
+crate::named_enum! {
+    /// Which fault-plane class an injection or recovery belongs to.
+    ///
+    /// Wired-backbone faults are not listed here: a lost message is a
+    /// [`TraceEvent::BackboneDrop`] and a latency spike rides on
+    /// [`TraceEvent::BackboneSend`]'s `spiked` flag. The name is the JSONL
+    /// wire name; the derived `Ord` (declaration order) orders the
+    /// per-kind lines of `domino-trace faults`.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+    pub enum FaultKind {
+        /// An AP crashed with state loss and went dark for its downtime.
+        ApCrash => "ap_crash",
+        /// The controller's batch computation stalled.
+        ComputeStall => "compute_stall",
+        /// A client answered a ROP poll with a stale queue report.
+        StaleRop => "stale_rop",
+        /// A deep fade suppressed signature detection at a receiver.
+        Fade => "fade",
+        /// A ROP report was corrupted in the air.
+        RopCorrupt => "rop_corrupt",
+        /// A churn dark interval swallowed a client's transmission.
+        ChurnDrop => "churn_drop",
+        /// The primary controller crashed (failover class). Recovery is
+        /// either the warm standby's promotion or the cold restart.
+        CtrlCrash => "ctrl_crash",
     }
-
-    /// Inverse of [`FaultKind::name`].
-    pub fn from_name(name: &str) -> Option<FaultKind> {
-        Some(match name {
-            "ap_crash" => FaultKind::ApCrash,
-            "compute_stall" => FaultKind::ComputeStall,
-            "stale_rop" => FaultKind::StaleRop,
-            "fade" => FaultKind::Fade,
-            "rop_corrupt" => FaultKind::RopCorrupt,
-            "churn_drop" => FaultKind::ChurnDrop,
-            "ctrl_crash" => FaultKind::CtrlCrash,
-            _ => return None,
-        })
-    }
-
-    /// Every kind, in wire-name order (stable iteration for summaries).
-    pub const ALL: [FaultKind; 7] = [
-        FaultKind::ApCrash,
-        FaultKind::ChurnDrop,
-        FaultKind::ComputeStall,
-        FaultKind::CtrlCrash,
-        FaultKind::Fade,
-        FaultKind::RopCorrupt,
-        FaultKind::StaleRop,
-    ];
 }
 
-/// One structured trace event.
-///
-/// The taxonomy covers the temporal claims the paper makes: slot
-/// transmissions (Fig 10/11), the signature-burst trigger chain (§3.2),
-/// ROP polling (§3.5), batch dispatch over the jittery backbone (§3.6),
-/// CENTAUR's epoch barrier (§4.2.3), fault injections/recoveries, and
-/// the engine's livelock guard.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// A scheduled slot transmission started.
-    SlotStart {
-        /// Absolute (globally monotonic) slot index.
-        slot: u64,
-        /// The transmitting link.
-        link: u32,
-        /// Header-only fake keep-alive?
-        fake: bool,
-    },
-    /// A slot's data exchange left the air.
-    SlotEnd {
-        /// The transmitting link.
-        link: u32,
-        /// Did the payload deliver?
-        delivered: bool,
-    },
-    /// A signature burst was put on the air.
-    SigEmit {
-        /// Emitting node.
-        node: u32,
-        /// The slot the burst triggers.
-        slot: u64,
-        /// Targeted nodes (the paper caps this at 4 outbound).
-        targets: Vec<u32>,
-    },
-    /// A targeted receiver's correlator detected the burst.
-    SigDetect {
-        /// Detecting node.
-        node: u32,
-        /// The triggered slot.
-        slot: u64,
-    },
-    /// A targeted receiver missed the burst (SINR / correlator failure).
-    SigMiss {
-        /// The receiver that missed.
-        node: u32,
-        /// The slot that went untriggered.
-        slot: u64,
-    },
-    /// A detected trigger actually fired a slot start.
-    TriggerFire {
-        /// The fired node.
-        node: u32,
-        /// The fired slot.
-        slot: u64,
-    },
-    /// An AP started a ROP poll of its clients.
-    RopPoll {
-        /// Polling AP.
-        ap: u32,
-    },
-    /// A client's queue report reached its AP.
-    RopReport {
-        /// Reporting client.
-        client: u32,
-        /// Receiving AP.
-        ap: u32,
-        /// Reported queue length.
-        queue: u32,
-    },
-    /// The controller dispatched a batch of scheduled slots.
-    BatchBegin {
-        /// Batch counter.
-        batch: u64,
-        /// First absolute slot index in the batch.
-        first_slot: u64,
-        /// Number of slots in the batch.
-        slots: u32,
-    },
-    /// The controller observed batch completion.
-    BatchEnd {
-        /// Batch counter.
-        batch: u64,
-    },
-    /// CENTAUR's epoch barrier released (or timed out).
-    EpochBarrier {
-        /// Epoch counter.
-        epoch: u64,
-        /// APs still outstanding when the barrier moved.
-        pending: u32,
-    },
-    /// A message survived the wired backbone.
-    BackboneSend {
-        /// Wire latency applied, ns.
-        delay_ns: u64,
-        /// Did a congestion spike inflate the latency?
-        spiked: bool,
-    },
-    /// The wired backbone lost a message.
-    BackboneDrop,
-    /// The fault plane injected a fault.
-    FaultInject {
-        /// Fault class.
-        kind: FaultKind,
-        /// Affected node (0 for node-less classes).
-        node: u32,
-    },
-    /// A previously injected fault recovered.
-    FaultRecover {
-        /// Fault class.
-        kind: FaultKind,
-        /// Recovered node.
-        node: u32,
-    },
-    /// The primary controller shipped a state checkpoint to the warm
-    /// standby over the wired backbone.
-    CtrlCheckpoint {
-        /// Serialized checkpoint size in bytes.
-        bytes: u32,
-    },
-    /// The warm standby promoted itself to primary after detecting the
-    /// crash, restoring the last checkpoint and replaying the delta.
-    StandbyPromote {
-        /// Buffered queue reports replayed on top of the checkpoint.
-        replayed: u64,
-    },
-    /// The liveness window rolled over (periodic health probe).
-    LivelockCheck {
-        /// Events processed in the window that just closed.
-        events_in_window: u64,
-    },
-    /// The liveness budget tripped: the run was declared livelocked.
-    Livelock {
-        /// Events processed inside the fatal window.
-        events_in_window: u64,
-        /// The budget that was exceeded.
-        budget: u64,
-    },
-}
-
-impl TraceEvent {
-    /// Stable wire name used in the JSONL schema.
-    pub fn name(&self) -> &'static str {
-        match self {
-            TraceEvent::SlotStart { .. } => "slot_start",
-            TraceEvent::SlotEnd { .. } => "slot_end",
-            TraceEvent::SigEmit { .. } => "sig_emit",
-            TraceEvent::SigDetect { .. } => "sig_detect",
-            TraceEvent::SigMiss { .. } => "sig_miss",
-            TraceEvent::TriggerFire { .. } => "trigger_fire",
-            TraceEvent::RopPoll { .. } => "rop_poll",
-            TraceEvent::RopReport { .. } => "rop_report",
-            TraceEvent::BatchBegin { .. } => "batch_begin",
-            TraceEvent::BatchEnd { .. } => "batch_end",
-            TraceEvent::EpochBarrier { .. } => "epoch_barrier",
-            TraceEvent::BackboneSend { .. } => "backbone_send",
-            TraceEvent::BackboneDrop => "backbone_drop",
-            TraceEvent::FaultInject { .. } => "fault_inject",
-            TraceEvent::FaultRecover { .. } => "fault_recover",
-            TraceEvent::CtrlCheckpoint { .. } => "ctrl_checkpoint",
-            TraceEvent::StandbyPromote { .. } => "standby_promote",
-            TraceEvent::LivelockCheck { .. } => "livelock_check",
-            TraceEvent::Livelock { .. } => "livelock",
-        }
+crate::jsonl::trace_schema! {
+    /// One structured trace event.
+    ///
+    /// The taxonomy covers the temporal claims the paper makes: slot
+    /// transmissions (Fig 10/11), the signature-burst trigger chain (§3.2),
+    /// ROP polling (§3.5), batch dispatch over the jittery backbone (§3.6),
+    /// CENTAUR's epoch barrier (§4.2.3), fault injections/recoveries, and
+    /// the engine's livelock guard. Each variant is listed with its JSONL
+    /// wire name; each field's JSONL key is its name, and fields are
+    /// written in the order listed.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum TraceEvent {
+        /// A scheduled slot transmission started.
+        SlotStart => "slot_start" {
+            /// Absolute (globally monotonic) slot index.
+            slot: u64,
+            /// The transmitting link.
+            link: u32,
+            /// Header-only fake keep-alive?
+            fake: bool,
+        },
+        /// A slot's data exchange left the air.
+        SlotEnd => "slot_end" {
+            /// The transmitting link.
+            link: u32,
+            /// Did the payload deliver?
+            delivered: bool,
+        },
+        /// A signature burst was put on the air.
+        SigEmit => "sig_emit" {
+            /// Emitting node.
+            node: u32,
+            /// The slot the burst triggers.
+            slot: u64,
+            /// Targeted nodes (the paper caps this at 4 outbound).
+            targets: Vec<u32>,
+        },
+        /// A targeted receiver's correlator detected the burst.
+        SigDetect => "sig_detect" {
+            /// Detecting node.
+            node: u32,
+            /// The triggered slot.
+            slot: u64,
+        },
+        /// A targeted receiver missed the burst (SINR / correlator failure).
+        SigMiss => "sig_miss" {
+            /// The receiver that missed.
+            node: u32,
+            /// The slot that went untriggered.
+            slot: u64,
+        },
+        /// A detected trigger actually fired a slot start.
+        TriggerFire => "trigger_fire" {
+            /// The fired node.
+            node: u32,
+            /// The fired slot.
+            slot: u64,
+        },
+        /// An AP started a ROP poll of its clients.
+        RopPoll => "rop_poll" {
+            /// Polling AP.
+            ap: u32,
+        },
+        /// A client's queue report reached its AP.
+        RopReport => "rop_report" {
+            /// Reporting client.
+            client: u32,
+            /// Receiving AP.
+            ap: u32,
+            /// Reported queue length.
+            queue: u32,
+        },
+        /// The controller dispatched a batch of scheduled slots.
+        BatchBegin => "batch_begin" {
+            /// Batch counter.
+            batch: u64,
+            /// First absolute slot index in the batch.
+            first_slot: u64,
+            /// Number of slots in the batch.
+            slots: u32,
+        },
+        /// The controller observed batch completion.
+        BatchEnd => "batch_end" {
+            /// Batch counter.
+            batch: u64,
+        },
+        /// CENTAUR's epoch barrier released (or timed out).
+        EpochBarrier => "epoch_barrier" {
+            /// Epoch counter.
+            epoch: u64,
+            /// APs still outstanding when the barrier moved.
+            pending: u32,
+        },
+        /// A message survived the wired backbone.
+        BackboneSend => "backbone_send" {
+            /// Wire latency applied, ns.
+            delay_ns: u64,
+            /// Did a congestion spike inflate the latency?
+            spiked: bool,
+        },
+        /// The wired backbone lost a message.
+        BackboneDrop => "backbone_drop" {},
+        /// The fault plane injected a fault.
+        FaultInject => "fault_inject" {
+            /// Fault class.
+            kind: FaultKind,
+            /// Affected node (0 for node-less classes).
+            node: u32,
+        },
+        /// A previously injected fault recovered.
+        FaultRecover => "fault_recover" {
+            /// Fault class.
+            kind: FaultKind,
+            /// Recovered node.
+            node: u32,
+        },
+        /// The primary controller shipped a state checkpoint to the warm
+        /// standby over the wired backbone.
+        CtrlCheckpoint => "ctrl_checkpoint" {
+            /// Serialized checkpoint size in bytes.
+            bytes: u32,
+        },
+        /// The warm standby promoted itself to primary after detecting the
+        /// crash, restoring the last checkpoint and replaying the delta.
+        StandbyPromote => "standby_promote" {
+            /// Buffered queue reports replayed on top of the checkpoint.
+            replayed: u64,
+        },
+        /// The liveness window rolled over (periodic health probe).
+        LivelockCheck => "livelock_check" {
+            /// Events processed in the window that just closed.
+            events: u64,
+        },
+        /// The liveness budget tripped: the run was declared livelocked.
+        Livelock => "livelock" {
+            /// Events processed inside the fatal window.
+            events: u64,
+            /// The budget that was exceeded.
+            budget: u64,
+        },
     }
 }
 
@@ -263,13 +204,13 @@ mod tests {
             TraceEvent::BatchEnd { batch: 0 },
             TraceEvent::EpochBarrier { epoch: 0, pending: 0 },
             TraceEvent::BackboneSend { delay_ns: 0, spiked: false },
-            TraceEvent::BackboneDrop,
+            TraceEvent::BackboneDrop {},
             TraceEvent::FaultInject { kind: FaultKind::Fade, node: 0 },
             TraceEvent::FaultRecover { kind: FaultKind::ApCrash, node: 0 },
             TraceEvent::CtrlCheckpoint { bytes: 0 },
             TraceEvent::StandbyPromote { replayed: 0 },
-            TraceEvent::LivelockCheck { events_in_window: 0 },
-            TraceEvent::Livelock { events_in_window: 0, budget: 0 },
+            TraceEvent::LivelockCheck { events: 0 },
+            TraceEvent::Livelock { events: 0, budget: 0 },
         ];
         let mut names: Vec<&str> = evs.iter().map(|e| e.name()).collect();
         names.sort_unstable();

@@ -4,18 +4,25 @@
 //! run, then one flat object per event. Hand-rolled writer and parser —
 //! the workspace is hermetic (no serde); the event objects are flat
 //! (string / integer / bool / integer-array values only), so a minimal
-//! scanner suffices. Writer output is byte-stable: field order is fixed
-//! per event kind.
+//! scanner suffices. Writer output is byte-stable: an event's fields are
+//! written in the order [`TraceEvent`]'s declaration lists them.
+//!
+//! The writer and the parser of every event kind come from that one
+//! declaration (`trace_schema!`): each field is written and read through
+//! the `Field` impl of its type, under its own name as key.
 //!
 //! Schema evolution policy: `v` bumps on any breaking change (renamed
-//! events, retyped fields); *adding* an event kind or a field is
-//! non-breaking and keeps the version. Readers reject headers whose
-//! `schema` or `v` they do not know.
+//! events, retyped fields). The parser skips fields it does not know,
+//! so *adding* a field keeps the version; it rejects an event name it
+//! does not know, so an older reader fails loudly on a trace that uses
+//! a newer event kind. Readers reject headers whose `schema` or `v` they
+//! do not know.
 
 use crate::event::{FaultKind, TraceEvent};
 use crate::tracer::TraceRecord;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::fmt::Write as _;
 
 /// The schema identifier carried by every trace header.
 pub const SCHEMA_NAME: &str = "domino-trace";
@@ -57,7 +64,146 @@ fn err<T>(line: usize, msg: impl Into<String>) -> Result<T, ParseError> {
     Err(ParseError { line, msg: msg.into() })
 }
 
-// ---------------------------------------------------------------- writer
+// ---------------------------------------------------------------- fields
+
+/// Declare the trace event enum: each variant with its wire name and its
+/// fields, in JSONL order. Generates the enum, its `name`, and the two
+/// halves of its JSONL form — `write_fields` and `read_fields` — so an
+/// event kind or field is added in one place.
+macro_rules! trace_schema {
+    ($(#[$meta:meta])* pub enum $ty:ident {
+        $($(#[$vmeta:meta])* $var:ident => $name:literal {
+            $($(#[$fmeta:meta])* $field:ident: $fty:ty),* $(,)?
+        }),+ $(,)?
+    }) => {
+        $(#[$meta])*
+        pub enum $ty {
+            $($(#[$vmeta])* $var { $($(#[$fmeta])* $field: $fty),* }),+
+        }
+
+        impl $ty {
+            /// Stable wire name used in the JSONL schema.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $($ty::$var { .. } => $name),+
+                }
+            }
+
+            /// Append the event's fields to its JSONL line.
+            pub(crate) fn write_fields(&self, out: &mut String) {
+                match self {
+                    $($ty::$var { $($field),* } => {
+                        $($crate::jsonl::write_field(out, stringify!($field), $field);)*
+                    })+
+                }
+            }
+
+            /// The event named `name`, built from one line's fields.
+            pub(crate) fn read_fields(
+                name: &str,
+                fields: &$crate::jsonl::Fields,
+                line: usize,
+            ) -> Result<$ty, $crate::jsonl::ParseError> {
+                match name {
+                    $($name => Ok($ty::$var {
+                        $($field: $crate::jsonl::read_field(fields, stringify!($field), line)?),*
+                    }),)+
+                    other => Err($crate::jsonl::ParseError {
+                        line,
+                        msg: format!("unknown event '{other}'"),
+                    }),
+                }
+            }
+        }
+    };
+}
+
+pub(crate) use trace_schema;
+
+/// A value one JSONL field can carry: how it is written and read back.
+pub(crate) trait Field: Sized {
+    /// Append the value's JSON text.
+    fn write(&self, out: &mut String);
+    /// The value a parsed field holds, or what was expected instead.
+    fn read(val: Option<&Val>) -> Result<Self, String>;
+}
+
+impl Field for u64 {
+    fn write(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+    fn read(val: Option<&Val>) -> Result<u64, String> {
+        match val {
+            Some(Val::Num(n)) => Ok(*n),
+            _ => Err("a number".into()),
+        }
+    }
+}
+
+impl Field for u32 {
+    fn write(&self, out: &mut String) {
+        u64::from(*self).write(out);
+    }
+    fn read(val: Option<&Val>) -> Result<u32, String> {
+        u32::try_from(u64::read(val)?).map_err(|_| "a number within u32".into())
+    }
+}
+
+impl Field for bool {
+    fn write(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+    fn read(val: Option<&Val>) -> Result<bool, String> {
+        match val {
+            Some(Val::Bool(b)) => Ok(*b),
+            _ => Err("a boolean".into()),
+        }
+    }
+}
+
+impl Field for String {
+    fn write(&self, out: &mut String) {
+        push_str_escaped(out, self);
+    }
+    fn read(val: Option<&Val>) -> Result<String, String> {
+        match val {
+            Some(Val::Str(s)) => Ok(s.clone()),
+            _ => Err("a string".into()),
+        }
+    }
+}
+
+impl Field for Vec<u32> {
+    fn write(&self, out: &mut String) {
+        out.push('[');
+        for (i, v) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            v.write(out);
+        }
+        out.push(']');
+    }
+    fn read(val: Option<&Val>) -> Result<Vec<u32>, String> {
+        match val {
+            Some(Val::Arr(vs)) => vs
+                .iter()
+                .map(|&v| u32::try_from(v).map_err(|_| "array items within u32".into()))
+                .collect(),
+            _ => Err("an array".into()),
+        }
+    }
+}
+
+impl Field for FaultKind {
+    fn write(&self, out: &mut String) {
+        push_str_escaped(out, self.name());
+    }
+    fn read(val: Option<&Val>) -> Result<FaultKind, String> {
+        let name = String::read(val)?;
+        FaultKind::from_name(&name).ok_or_else(|| format!("a fault kind, not '{name}'"))
+    }
+}
 
 fn push_str_escaped(out: &mut String, s: &str) {
     out.push('"');
@@ -72,130 +218,36 @@ fn push_str_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-fn push_field_u64(out: &mut String, key: &str, v: u64) {
-    out.push(',');
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(&v.to_string());
+/// Append `,"key":value`.
+pub(crate) fn write_field<T: Field>(out: &mut String, key: &str, value: &T) {
+    let _ = write!(out, ",\"{key}\":");
+    value.write(out);
 }
 
-fn push_field_bool(out: &mut String, key: &str, v: bool) {
-    out.push(',');
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(if v { "true" } else { "false" });
+/// The field `key` of one parsed line, read as a `T`.
+pub(crate) fn read_field<T: Field>(fields: &Fields, key: &str, line: usize) -> Result<T, ParseError> {
+    T::read(fields.get(key))
+        .map_err(|want| ParseError { line, msg: format!("field '{key}': expected {want}") })
 }
 
-fn push_field_str(out: &mut String, key: &str, v: &str) {
-    out.push(',');
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    push_str_escaped(out, v);
-}
-
-fn push_field_arr(out: &mut String, key: &str, vs: &[u32]) {
-    out.push(',');
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":[");
-    for (i, v) in vs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&v.to_string());
-    }
-    out.push(']');
-}
+// ---------------------------------------------------------------- writer
 
 /// Render the header line for `meta`.
 pub fn write_header(meta: &TraceMeta) -> String {
-    let mut out = String::new();
-    out.push_str("{\"schema\":");
-    push_str_escaped(&mut out, SCHEMA_NAME);
-    push_field_u64(&mut out, "v", SCHEMA_VERSION);
-    push_field_str(&mut out, "experiment", &meta.experiment);
-    push_field_str(&mut out, "scheme", &meta.scheme);
-    push_field_u64(&mut out, "seed", meta.seed);
-    push_field_str(&mut out, "scale", &meta.scale);
+    let mut out = format!("{{\"schema\":\"{SCHEMA_NAME}\"");
+    write_field(&mut out, "v", &SCHEMA_VERSION);
+    write_field(&mut out, "experiment", &meta.experiment);
+    write_field(&mut out, "scheme", &meta.scheme);
+    write_field(&mut out, "seed", &meta.seed);
+    write_field(&mut out, "scale", &meta.scale);
     out.push('}');
     out
 }
 
 /// Render one event line.
 pub fn write_record(rec: &TraceRecord) -> String {
-    let mut out = String::new();
-    out.push_str("{\"t\":");
-    out.push_str(&rec.t_ns.to_string());
-    push_field_str(&mut out, "ev", rec.ev.name());
-    match &rec.ev {
-        TraceEvent::SlotStart { slot, link, fake } => {
-            push_field_u64(&mut out, "slot", *slot);
-            push_field_u64(&mut out, "link", u64::from(*link));
-            push_field_bool(&mut out, "fake", *fake);
-        }
-        TraceEvent::SlotEnd { link, delivered } => {
-            push_field_u64(&mut out, "link", u64::from(*link));
-            push_field_bool(&mut out, "delivered", *delivered);
-        }
-        TraceEvent::SigEmit { node, slot, targets } => {
-            push_field_u64(&mut out, "node", u64::from(*node));
-            push_field_u64(&mut out, "slot", *slot);
-            push_field_arr(&mut out, "targets", targets);
-        }
-        TraceEvent::SigDetect { node, slot } | TraceEvent::SigMiss { node, slot } => {
-            push_field_u64(&mut out, "node", u64::from(*node));
-            push_field_u64(&mut out, "slot", *slot);
-        }
-        TraceEvent::TriggerFire { node, slot } => {
-            push_field_u64(&mut out, "node", u64::from(*node));
-            push_field_u64(&mut out, "slot", *slot);
-        }
-        TraceEvent::RopPoll { ap } => {
-            push_field_u64(&mut out, "ap", u64::from(*ap));
-        }
-        TraceEvent::RopReport { client, ap, queue } => {
-            push_field_u64(&mut out, "client", u64::from(*client));
-            push_field_u64(&mut out, "ap", u64::from(*ap));
-            push_field_u64(&mut out, "queue", u64::from(*queue));
-        }
-        TraceEvent::BatchBegin { batch, first_slot, slots } => {
-            push_field_u64(&mut out, "batch", *batch);
-            push_field_u64(&mut out, "first_slot", *first_slot);
-            push_field_u64(&mut out, "slots", u64::from(*slots));
-        }
-        TraceEvent::BatchEnd { batch } => {
-            push_field_u64(&mut out, "batch", *batch);
-        }
-        TraceEvent::EpochBarrier { epoch, pending } => {
-            push_field_u64(&mut out, "epoch", *epoch);
-            push_field_u64(&mut out, "pending", u64::from(*pending));
-        }
-        TraceEvent::BackboneSend { delay_ns, spiked } => {
-            push_field_u64(&mut out, "delay_ns", *delay_ns);
-            push_field_bool(&mut out, "spiked", *spiked);
-        }
-        TraceEvent::BackboneDrop => {}
-        TraceEvent::FaultInject { kind, node } | TraceEvent::FaultRecover { kind, node } => {
-            push_field_str(&mut out, "kind", kind.name());
-            push_field_u64(&mut out, "node", u64::from(*node));
-        }
-        TraceEvent::CtrlCheckpoint { bytes } => {
-            push_field_u64(&mut out, "bytes", u64::from(*bytes));
-        }
-        TraceEvent::StandbyPromote { replayed } => {
-            push_field_u64(&mut out, "replayed", *replayed);
-        }
-        TraceEvent::LivelockCheck { events_in_window } => {
-            push_field_u64(&mut out, "events", *events_in_window);
-        }
-        TraceEvent::Livelock { events_in_window, budget } => {
-            push_field_u64(&mut out, "events", *events_in_window);
-            push_field_u64(&mut out, "budget", *budget);
-        }
-    }
+    let mut out = format!("{{\"t\":{},\"ev\":\"{}\"", rec.t_ns, rec.ev.name());
+    rec.ev.write_fields(&mut out);
     out.push('}');
     out
 }
@@ -215,7 +267,7 @@ pub fn write_trace(meta: &TraceMeta, records: &[TraceRecord]) -> String {
 
 /// A parsed flat JSON value.
 #[derive(Clone, Debug, PartialEq)]
-enum Val {
+pub(crate) enum Val {
     Str(String),
     Num(u64),
     Bool(bool),
@@ -346,7 +398,7 @@ impl<'a> Scanner<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<BTreeMap<String, Val>, ParseError> {
+    fn object(&mut self) -> Result<Fields, ParseError> {
         self.expect_byte(b'{')?;
         let mut map = BTreeMap::new();
         self.skip_ws();
@@ -375,156 +427,34 @@ impl<'a> Scanner<'a> {
     }
 }
 
-fn get_num(map: &BTreeMap<String, Val>, key: &str, line: usize) -> Result<u64, ParseError> {
-    match map.get(key) {
-        Some(Val::Num(n)) => Ok(*n),
-        _ => err(line, format!("missing numeric field '{key}'")),
-    }
-}
-
-fn get_u32(map: &BTreeMap<String, Val>, key: &str, line: usize) -> Result<u32, ParseError> {
-    u32::try_from(get_num(map, key, line)?)
-        .map_err(|_| ParseError { line, msg: format!("field '{key}' exceeds u32") })
-}
-
-fn get_str<'m>(
-    map: &'m BTreeMap<String, Val>,
-    key: &str,
-    line: usize,
-) -> Result<&'m str, ParseError> {
-    match map.get(key) {
-        Some(Val::Str(s)) => Ok(s.as_str()),
-        _ => err(line, format!("missing string field '{key}'")),
-    }
-}
-
-fn get_bool(map: &BTreeMap<String, Val>, key: &str, line: usize) -> Result<bool, ParseError> {
-    match map.get(key) {
-        Some(Val::Bool(b)) => Ok(*b),
-        _ => err(line, format!("missing boolean field '{key}'")),
-    }
-}
-
-fn get_arr_u32(
-    map: &BTreeMap<String, Val>,
-    key: &str,
-    line: usize,
-) -> Result<Vec<u32>, ParseError> {
-    match map.get(key) {
-        Some(Val::Arr(vs)) => vs
-            .iter()
-            .map(|&v| {
-                u32::try_from(v)
-                    .map_err(|_| ParseError { line, msg: format!("'{key}' item exceeds u32") })
-            })
-            .collect(),
-        _ => err(line, format!("missing array field '{key}'")),
-    }
-}
-
-fn get_fault_kind(
-    map: &BTreeMap<String, Val>,
-    line: usize,
-) -> Result<FaultKind, ParseError> {
-    let name = get_str(map, "kind", line)?;
-    FaultKind::from_name(name)
-        .ok_or_else(|| ParseError { line, msg: format!("unknown fault kind '{name}'") })
-}
+/// One parsed line's fields by key.
+pub(crate) type Fields = BTreeMap<String, Val>;
 
 /// Parse one header line.
 pub fn parse_header(text: &str, line: usize) -> Result<TraceMeta, ParseError> {
     let map = Scanner::new(text, line).object()?;
-    let schema = get_str(&map, "schema", line)?;
+    let schema: String = read_field(&map, "schema", line)?;
     if schema != SCHEMA_NAME {
         return err(line, format!("unknown schema '{schema}'"));
     }
-    let v = get_num(&map, "v", line)?;
+    let v: u64 = read_field(&map, "v", line)?;
     if v != SCHEMA_VERSION {
         return err(line, format!("unsupported schema version {v} (reader knows {SCHEMA_VERSION})"));
     }
     Ok(TraceMeta {
-        experiment: get_str(&map, "experiment", line)?.to_owned(),
-        scheme: get_str(&map, "scheme", line)?.to_owned(),
-        seed: get_num(&map, "seed", line)?,
-        scale: get_str(&map, "scale", line)?.to_owned(),
+        experiment: read_field(&map, "experiment", line)?,
+        scheme: read_field(&map, "scheme", line)?,
+        seed: read_field(&map, "seed", line)?,
+        scale: read_field(&map, "scale", line)?,
     })
 }
 
 /// Parse one event line.
 pub fn parse_record(text: &str, line: usize) -> Result<TraceRecord, ParseError> {
     let map = Scanner::new(text, line).object()?;
-    let t_ns = get_num(&map, "t", line)?;
-    let name = get_str(&map, "ev", line)?;
-    let ev = match name {
-        "slot_start" => TraceEvent::SlotStart {
-            slot: get_num(&map, "slot", line)?,
-            link: get_u32(&map, "link", line)?,
-            fake: get_bool(&map, "fake", line)?,
-        },
-        "slot_end" => TraceEvent::SlotEnd {
-            link: get_u32(&map, "link", line)?,
-            delivered: get_bool(&map, "delivered", line)?,
-        },
-        "sig_emit" => TraceEvent::SigEmit {
-            node: get_u32(&map, "node", line)?,
-            slot: get_num(&map, "slot", line)?,
-            targets: get_arr_u32(&map, "targets", line)?,
-        },
-        "sig_detect" => TraceEvent::SigDetect {
-            node: get_u32(&map, "node", line)?,
-            slot: get_num(&map, "slot", line)?,
-        },
-        "sig_miss" => TraceEvent::SigMiss {
-            node: get_u32(&map, "node", line)?,
-            slot: get_num(&map, "slot", line)?,
-        },
-        "trigger_fire" => TraceEvent::TriggerFire {
-            node: get_u32(&map, "node", line)?,
-            slot: get_num(&map, "slot", line)?,
-        },
-        "rop_poll" => TraceEvent::RopPoll { ap: get_u32(&map, "ap", line)? },
-        "rop_report" => TraceEvent::RopReport {
-            client: get_u32(&map, "client", line)?,
-            ap: get_u32(&map, "ap", line)?,
-            queue: get_u32(&map, "queue", line)?,
-        },
-        "batch_begin" => TraceEvent::BatchBegin {
-            batch: get_num(&map, "batch", line)?,
-            first_slot: get_num(&map, "first_slot", line)?,
-            slots: get_u32(&map, "slots", line)?,
-        },
-        "batch_end" => TraceEvent::BatchEnd { batch: get_num(&map, "batch", line)? },
-        "epoch_barrier" => TraceEvent::EpochBarrier {
-            epoch: get_num(&map, "epoch", line)?,
-            pending: get_u32(&map, "pending", line)?,
-        },
-        "backbone_send" => TraceEvent::BackboneSend {
-            delay_ns: get_num(&map, "delay_ns", line)?,
-            spiked: get_bool(&map, "spiked", line)?,
-        },
-        "backbone_drop" => TraceEvent::BackboneDrop,
-        "fault_inject" => TraceEvent::FaultInject {
-            kind: get_fault_kind(&map, line)?,
-            node: get_u32(&map, "node", line)?,
-        },
-        "fault_recover" => TraceEvent::FaultRecover {
-            kind: get_fault_kind(&map, line)?,
-            node: get_u32(&map, "node", line)?,
-        },
-        "ctrl_checkpoint" => TraceEvent::CtrlCheckpoint { bytes: get_u32(&map, "bytes", line)? },
-        "standby_promote" => {
-            TraceEvent::StandbyPromote { replayed: get_num(&map, "replayed", line)? }
-        }
-        "livelock_check" => TraceEvent::LivelockCheck {
-            events_in_window: get_num(&map, "events", line)?,
-        },
-        "livelock" => TraceEvent::Livelock {
-            events_in_window: get_num(&map, "events", line)?,
-            budget: get_num(&map, "budget", line)?,
-        },
-        other => return err(line, format!("unknown event '{other}'")),
-    };
-    Ok(TraceRecord { t_ns, ev })
+    let t_ns = read_field(&map, "t", line)?;
+    let name: String = read_field(&map, "ev", line)?;
+    Ok(TraceRecord { t_ns, ev: TraceEvent::read_fields(&name, &map, line)? })
 }
 
 /// Parse a full trace (header + events). Blank lines are ignored.
@@ -558,7 +488,7 @@ mod tests {
             TraceRecord { t_ns: 200, ev: TraceEvent::SlotStart { slot: 0, link: 5, fake: false } },
             TraceRecord { t_ns: 400, ev: TraceEvent::SlotEnd { link: 5, delivered: true } },
             TraceRecord { t_ns: 500, ev: TraceEvent::BackboneSend { delay_ns: 285_000, spiked: true } },
-            TraceRecord { t_ns: 510, ev: TraceEvent::BackboneDrop },
+            TraceRecord { t_ns: 510, ev: TraceEvent::BackboneDrop {} },
             TraceRecord {
                 t_ns: 600,
                 ev: TraceEvent::FaultInject { kind: FaultKind::ApCrash, node: 4 },
@@ -574,10 +504,10 @@ mod tests {
             TraceRecord { t_ns: 990, ev: TraceEvent::BatchEnd { batch: 1 } },
             TraceRecord { t_ns: 992, ev: TraceEvent::CtrlCheckpoint { bytes: 412 } },
             TraceRecord { t_ns: 993, ev: TraceEvent::StandbyPromote { replayed: 17 } },
-            TraceRecord { t_ns: 995, ev: TraceEvent::LivelockCheck { events_in_window: 12 } },
+            TraceRecord { t_ns: 995, ev: TraceEvent::LivelockCheck { events: 12 } },
             TraceRecord {
                 t_ns: 999,
-                ev: TraceEvent::Livelock { events_in_window: 5_000_001, budget: 5_000_000 },
+                ev: TraceEvent::Livelock { events: 5_000_001, budget: 5_000_000 },
             },
         ]
     }

@@ -24,6 +24,70 @@
 //!   observation-only contract as tracing (`profiled ≡ unprofiled`).
 //! * [`Probe`] — the trace and profiler handles bundled: the one value a
 //!   run threads through its engine, medium and MAC world.
+//! * [`named_enum!`] — the one declaration of a vocabulary: each variant
+//!   with its stable name, from which `ALL`, `name` and `from_name`
+//!   follow. [`FaultKind`], [`CostPath`] and the runner's scenarios and
+//!   scales are declared with it.
+
+/// Declare a fieldless enum whose variants each carry a stable name, and
+/// derive from that one list:
+///
+/// * `ALL`: every variant, in declaration order;
+/// * `name(self)`: the variant's name;
+/// * `from_name(&str)`: the variant with that name, if any.
+///
+/// ```
+/// domino_obs::named_enum! {
+///     /// A traffic light.
+///     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+///     pub enum Light {
+///         /// Stop.
+///         Red => "red",
+///         /// Go.
+///         Green => "green",
+///     }
+/// }
+/// assert_eq!(Light::ALL, [Light::Red, Light::Green]);
+/// assert_eq!(Light::Green.name(), "green");
+/// assert_eq!(Light::from_name("red"), Some(Light::Red));
+/// assert_eq!(Light::from_name("amber"), None);
+/// ```
+///
+/// The list is the vocabulary: a name written anywhere else is a second
+/// copy. Attributes before the enum and before each variant pass
+/// through (derives, docs, `#[default]`); `name` takes `self`, so the
+/// enum derives `Copy`.
+#[macro_export]
+macro_rules! named_enum {
+    ($(#[$meta:meta])* $vis:vis enum $ty:ident {
+        $($(#[$vmeta:meta])* $var:ident => $name:literal),+ $(,)?
+    }) => {
+        $(#[$meta])*
+        $vis enum $ty {
+            $($(#[$vmeta])* $var),+
+        }
+
+        impl $ty {
+            /// Every variant, in declaration order.
+            pub const ALL: [$ty; [$($name),+].len()] = [$($ty::$var),+];
+
+            /// The variant's stable name.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($ty::$var => $name),+
+                }
+            }
+
+            /// The variant named `name` (the inverse of `name`).
+            pub fn from_name(name: &str) -> Option<$ty> {
+                match name {
+                    $($name => Some($ty::$var),)+
+                    _ => None,
+                }
+            }
+        }
+    };
+}
 
 pub mod analysis;
 pub mod event;

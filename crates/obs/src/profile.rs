@@ -26,176 +26,94 @@ use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
-/// One node of the fixed cost taxonomy.
-///
-/// Each variant names a subsystem cost center with a stable folded-stack
-/// path (`group;node` with `;` separators, the flamegraph convention).
-/// The enum is the schema of the profile report: variants are appended,
-/// never renamed, so historical profiles stay diffable.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CostPath {
-    /// Events popped off the engine's timer wheel.
-    EnginePop,
-    /// Timer-wheel insertions.
-    WheelInsert,
-    /// Timer-wheel cancellations.
-    WheelCancel,
-    /// Timer nodes re-filed during a wheel-level cascade.
-    WheelCascade,
-    /// Traffic-plane events (TCP ticks, RTO timers, CSMA wakes).
-    EvTraffic,
-    /// Medium events (transmission ends).
-    EvMedium,
-    /// Controller events (batch compute, report/batch arrivals).
-    EvController,
-    /// Slot-execution events (slot starts, bursts, ACKs, watchdogs).
-    EvSlot,
-    /// ROP polling events.
-    EvRop,
-    /// Standby/failover events (heartbeats, checkpoints, probes).
-    EvStandby,
-    /// `Medium::begin` calls (transmissions put on the air).
-    MediumBegin,
-    /// `Medium::end` calls (transmissions leaving the air).
-    MediumEnd,
-    /// Data-frame reception adjudications.
-    AdjData,
-    /// MAC-ACK reception adjudications.
-    AdjMacAck,
-    /// Poll-frame reception adjudications.
-    AdjPoll,
-    /// ROP-report reception adjudications.
-    AdjRopReport,
-    /// Signature-burst detection adjudications.
-    AdjSignature,
-    /// Controller batch computations.
-    CtrlCompute,
-    /// Scheduler `schedule_batch` calls.
-    CtrlSchedule,
-    /// `Converter::convert` calls (schedule → per-AP actions).
-    CtrlConvert,
-    /// Slots produced by the converter.
-    CtrlSlots,
-    /// Per-AP actions produced by the converter.
-    CtrlActions,
-    /// Batch dispatches onto the wired backbone.
-    CtrlDispatch,
-    /// Per-AP messages sent during dispatch.
-    CtrlDispatchMsgs,
-    /// Signature bursts emitted.
-    SigEmit,
-    /// Targets addressed across all emitted bursts.
-    SigTargets,
-    /// Signature bursts detected by a targeted receiver.
-    SigDetect,
-    /// Signature bursts missed by a targeted receiver.
-    SigMiss,
-    /// ROP polls started.
-    RopPoll,
-    /// ROP queue reports received.
-    RopReport,
-    /// PHY-error stream RNG draws (medium adjudication).
-    RngPhyError,
-    /// Fault-plane stream RNG draws (all fault streams summed).
-    RngFaults,
-    /// Wired-backbone stream RNG draws (jitter, loss, spike).
-    RngWired,
-    /// DCF backoff stream RNG draws.
-    RngDcfBackoff,
-    /// Contenders the CSMA contention loop examined: the carrier-sense
-    /// scans after medium changes and the kicks after frame ends (DCF,
-    /// and CENTAUR's uplink).
-    CsmaVisits,
+crate::named_enum! {
+    /// One node of the fixed cost taxonomy.
+    ///
+    /// Each variant names a subsystem cost center with a stable folded-stack
+    /// path (`group;node` with `;` separators, the flamegraph convention).
+    /// The enum is the schema of the profile report: variants are appended,
+    /// never renamed, so historical profiles stay diffable. A variant's
+    /// discriminant is its profile cell, and `ALL` is the report order.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub enum CostPath {
+        /// Events popped off the engine's timer wheel.
+        EnginePop => "engine;pop",
+        /// Timer-wheel insertions.
+        WheelInsert => "engine;wheel;insert",
+        /// Timer-wheel cancellations.
+        WheelCancel => "engine;wheel;cancel",
+        /// Timer nodes re-filed during a wheel-level cascade.
+        WheelCascade => "engine;wheel;cascade",
+        /// Traffic-plane events (TCP ticks, RTO timers, CSMA wakes).
+        EvTraffic => "events;traffic",
+        /// Medium events (transmission ends).
+        EvMedium => "events;medium",
+        /// Controller events (batch compute, report/batch arrivals).
+        EvController => "events;controller",
+        /// Slot-execution events (slot starts, bursts, ACKs, watchdogs).
+        EvSlot => "events;slot",
+        /// ROP polling events.
+        EvRop => "events;rop",
+        /// Standby/failover events (heartbeats, checkpoints, probes).
+        EvStandby => "events;standby",
+        /// `Medium::begin` calls (transmissions put on the air).
+        MediumBegin => "medium;begin",
+        /// `Medium::end` calls (transmissions leaving the air).
+        MediumEnd => "medium;end",
+        /// Data-frame reception adjudications.
+        AdjData => "medium;adjudicate;data",
+        /// MAC-ACK reception adjudications.
+        AdjMacAck => "medium;adjudicate;mac_ack",
+        /// Poll-frame reception adjudications.
+        AdjPoll => "medium;adjudicate;poll",
+        /// ROP-report reception adjudications.
+        AdjRopReport => "medium;adjudicate;rop_report",
+        /// Signature-burst detection adjudications.
+        AdjSignature => "medium;adjudicate;signature",
+        /// Controller batch computations.
+        CtrlCompute => "controller;compute",
+        /// Scheduler `schedule_batch` calls.
+        CtrlSchedule => "controller;schedule",
+        /// `Converter::convert` calls (schedule → per-AP actions).
+        CtrlConvert => "controller;convert",
+        /// Slots produced by the converter.
+        CtrlSlots => "controller;convert;slots",
+        /// Per-AP actions produced by the converter.
+        CtrlActions => "controller;convert;actions",
+        /// Batch dispatches onto the wired backbone.
+        CtrlDispatch => "controller;dispatch",
+        /// Per-AP messages sent during dispatch.
+        CtrlDispatchMsgs => "controller;dispatch;messages",
+        /// Signature bursts emitted.
+        SigEmit => "signature;emit",
+        /// Targets addressed across all emitted bursts.
+        SigTargets => "signature;emit;targets",
+        /// Signature bursts detected by a targeted receiver.
+        SigDetect => "signature;detect",
+        /// Signature bursts missed by a targeted receiver.
+        SigMiss => "signature;miss",
+        /// ROP polls started.
+        RopPoll => "rop;poll",
+        /// ROP queue reports received.
+        RopReport => "rop;report",
+        /// PHY-error stream RNG draws (medium adjudication).
+        RngPhyError => "rng;phy_error",
+        /// Fault-plane stream RNG draws (all fault streams summed).
+        RngFaults => "rng;faults",
+        /// Wired-backbone stream RNG draws (jitter, loss, spike).
+        RngWired => "rng;wired",
+        /// DCF backoff stream RNG draws.
+        RngDcfBackoff => "rng;dcf_backoff",
+        /// Contenders the CSMA contention loop examined: the carrier-sense
+        /// scans after medium changes and the kicks after frame ends (DCF,
+        /// and CENTAUR's uplink).
+        CsmaVisits => "csma;visits",
+    }
 }
 
 impl CostPath {
     /// Number of cost centers (cells in a profile).
-    pub const COUNT: usize = 35;
-
-    /// Every cost center, in report order (taxonomy declaration order).
-    pub const ALL: [CostPath; CostPath::COUNT] = [
-        CostPath::EnginePop,
-        CostPath::WheelInsert,
-        CostPath::WheelCancel,
-        CostPath::WheelCascade,
-        CostPath::EvTraffic,
-        CostPath::EvMedium,
-        CostPath::EvController,
-        CostPath::EvSlot,
-        CostPath::EvRop,
-        CostPath::EvStandby,
-        CostPath::MediumBegin,
-        CostPath::MediumEnd,
-        CostPath::AdjData,
-        CostPath::AdjMacAck,
-        CostPath::AdjPoll,
-        CostPath::AdjRopReport,
-        CostPath::AdjSignature,
-        CostPath::CtrlCompute,
-        CostPath::CtrlSchedule,
-        CostPath::CtrlConvert,
-        CostPath::CtrlSlots,
-        CostPath::CtrlActions,
-        CostPath::CtrlDispatch,
-        CostPath::CtrlDispatchMsgs,
-        CostPath::SigEmit,
-        CostPath::SigTargets,
-        CostPath::SigDetect,
-        CostPath::SigMiss,
-        CostPath::RopPoll,
-        CostPath::RopReport,
-        CostPath::RngPhyError,
-        CostPath::RngFaults,
-        CostPath::RngWired,
-        CostPath::RngDcfBackoff,
-        CostPath::CsmaVisits,
-    ];
-
-    /// Stable folded-stack path (`;`-separated, flamegraph-compatible).
-    pub fn name(self) -> &'static str {
-        match self {
-            CostPath::EnginePop => "engine;pop",
-            CostPath::WheelInsert => "engine;wheel;insert",
-            CostPath::WheelCancel => "engine;wheel;cancel",
-            CostPath::WheelCascade => "engine;wheel;cascade",
-            CostPath::EvTraffic => "events;traffic",
-            CostPath::EvMedium => "events;medium",
-            CostPath::EvController => "events;controller",
-            CostPath::EvSlot => "events;slot",
-            CostPath::EvRop => "events;rop",
-            CostPath::EvStandby => "events;standby",
-            CostPath::MediumBegin => "medium;begin",
-            CostPath::MediumEnd => "medium;end",
-            CostPath::AdjData => "medium;adjudicate;data",
-            CostPath::AdjMacAck => "medium;adjudicate;mac_ack",
-            CostPath::AdjPoll => "medium;adjudicate;poll",
-            CostPath::AdjRopReport => "medium;adjudicate;rop_report",
-            CostPath::AdjSignature => "medium;adjudicate;signature",
-            CostPath::CtrlCompute => "controller;compute",
-            CostPath::CtrlSchedule => "controller;schedule",
-            CostPath::CtrlConvert => "controller;convert",
-            CostPath::CtrlSlots => "controller;convert;slots",
-            CostPath::CtrlActions => "controller;convert;actions",
-            CostPath::CtrlDispatch => "controller;dispatch",
-            CostPath::CtrlDispatchMsgs => "controller;dispatch;messages",
-            CostPath::SigEmit => "signature;emit",
-            CostPath::SigTargets => "signature;emit;targets",
-            CostPath::SigDetect => "signature;detect",
-            CostPath::SigMiss => "signature;miss",
-            CostPath::RopPoll => "rop;poll",
-            CostPath::RopReport => "rop;report",
-            CostPath::RngPhyError => "rng;phy_error",
-            CostPath::RngFaults => "rng;faults",
-            CostPath::RngWired => "rng;wired",
-            CostPath::RngDcfBackoff => "rng;dcf_backoff",
-            CostPath::CsmaVisits => "csma;visits",
-        }
-    }
-
-    /// Inverse of [`CostPath::name`] (used by the profile parser).
-    pub fn from_name(name: &str) -> Option<CostPath> {
-        CostPath::ALL.iter().copied().find(|p| p.name() == name)
-    }
+    pub const COUNT: usize = CostPath::ALL.len();
 
     /// Is this one of the per-event-class buckets the attribution share
     /// is computed over?

@@ -94,7 +94,7 @@ mod tests {
         let mut built = false;
         handle.emit(1, || {
             built = true;
-            TraceEvent::BackboneDrop
+            TraceEvent::BackboneDrop {}
         });
         assert!(!built, "disabled handle must not invoke the constructor");
         assert!(!handle.is_on());
@@ -106,7 +106,7 @@ mod tests {
         assert!(handle.is_on());
         handle.emit(5, || TraceEvent::RopPoll { ap: 1 });
         let also = handle.clone();
-        also.emit(9, || TraceEvent::BackboneDrop);
+        also.emit(9, || TraceEvent::BackboneDrop {});
         assert_eq!(sink.len(), 2);
         let events = sink.take();
         assert!(sink.is_empty());
@@ -114,7 +114,7 @@ mod tests {
             events,
             vec![
                 TraceRecord { t_ns: 5, ev: TraceEvent::RopPoll { ap: 1 } },
-                TraceRecord { t_ns: 9, ev: TraceEvent::BackboneDrop },
+                TraceRecord { t_ns: 9, ev: TraceEvent::BackboneDrop {} },
             ]
         );
     }

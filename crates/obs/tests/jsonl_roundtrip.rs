@@ -34,7 +34,7 @@ fn kind_index(ev: &TraceEvent) -> usize {
         TraceEvent::BatchEnd { .. } => 9,
         TraceEvent::EpochBarrier { .. } => 10,
         TraceEvent::BackboneSend { .. } => 11,
-        TraceEvent::BackboneDrop => 12,
+        TraceEvent::BackboneDrop {} => 12,
         TraceEvent::FaultInject { .. } => 13,
         TraceEvent::FaultRecover { .. } => 14,
         TraceEvent::CtrlCheckpoint { .. } => 15,
@@ -78,16 +78,13 @@ fn arbitrary_event(g: &mut Gen, kind: usize) -> TraceEvent {
         9 => TraceEvent::BatchEnd { batch: g.u64(0, u64::MAX) },
         10 => TraceEvent::EpochBarrier { epoch: g.u64(0, u64::MAX), pending: u32_of(g) },
         11 => TraceEvent::BackboneSend { delay_ns: g.u64(0, u64::MAX), spiked: g.bool() },
-        12 => TraceEvent::BackboneDrop,
+        12 => TraceEvent::BackboneDrop {},
         13 => TraceEvent::FaultInject { kind: *g.pick(&FaultKind::ALL), node: u32_of(g) },
         14 => TraceEvent::FaultRecover { kind: *g.pick(&FaultKind::ALL), node: u32_of(g) },
         15 => TraceEvent::CtrlCheckpoint { bytes: u32_of(g) },
         16 => TraceEvent::StandbyPromote { replayed: g.u64(0, u64::MAX) },
-        17 => TraceEvent::LivelockCheck { events_in_window: g.u64(0, u64::MAX) },
-        18 => TraceEvent::Livelock {
-            events_in_window: g.u64(0, u64::MAX),
-            budget: g.u64(0, u64::MAX),
-        },
+        17 => TraceEvent::LivelockCheck { events: g.u64(0, u64::MAX) },
+        18 => TraceEvent::Livelock { events: g.u64(0, u64::MAX), budget: g.u64(0, u64::MAX) },
         other => unreachable!("kind {other} out of range"),
     }
 }

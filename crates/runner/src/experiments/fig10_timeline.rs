@@ -30,7 +30,7 @@ pub fn trace(scale: Scale, seed: u64) -> String {
         .run_profiled(Scheme::Domino, handle, ProfHandle::off());
     let meta = TraceMeta {
         experiment: NAME.to_string(),
-        scheme: "domino".to_string(),
+        scheme: Scheme::Domino.label().to_ascii_lowercase(),
         seed,
         scale: scale.name().to_string(),
     };

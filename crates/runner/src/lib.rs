@@ -63,12 +63,6 @@ pub struct ExperimentRun {
     /// Shards served from the shard cache (zero without one); the rest
     /// were executed.
     pub shards_cached: usize,
-    /// Wall time of plan construction in nanoseconds.
-    pub build_ns: u64,
-    /// Wall time of the pooled shard phase in nanoseconds.
-    pub run_ns: u64,
-    /// Wall time of the index-ordered merge in nanoseconds.
-    pub merge_ns: u64,
     /// Wall time of the whole experiment (build + shards + merge).
     pub elapsed_ns: u64,
     /// Hierarchical wall breakdown rendered into the manifest's
@@ -160,9 +154,6 @@ pub fn run_experiment(
         digest,
         shard_ns,
         shards_cached,
-        build_ns,
-        run_ns,
-        merge_ns,
         elapsed_ns,
         phases,
     }
@@ -313,9 +304,6 @@ mod tests {
             },
             shard_ns: vec![1_000_000, 2_000_000],
             shards_cached: 0,
-            build_ns: 100_000,
-            run_ns: 2_500_000,
-            merge_ns: 400_000,
             elapsed_ns: 3_000_000,
             phases,
         }

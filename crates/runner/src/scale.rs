@@ -1,17 +1,20 @@
 //! Quick-vs-paper experiment scale.
 
-/// The two scales every experiment runs at.
-///
-/// Quick keeps the full suite in tens of seconds (the committed
-/// `results/` pins and the CI `--check` gate use it); full is the paper's
-/// scale — 50 s simulations and 1000-trial sweeps.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Scale {
-    /// Reduced-but-representative scale (seconds per experiment).
-    #[default]
-    Quick,
-    /// The paper's scale.
-    Full,
+domino_obs::named_enum! {
+    /// The two scales every experiment runs at.
+    ///
+    /// Quick keeps the full suite in tens of seconds (the committed
+    /// `results/` pins and the CI `--check` gate use it); full is the paper's
+    /// scale — 50 s simulations and 1000-trial sweeps. The name is what the
+    /// `--json` manifest, trace-file metadata and campaign manifests carry.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+    pub enum Scale {
+        /// Reduced-but-representative scale (seconds per experiment).
+        #[default]
+        Quick => "quick",
+        /// The paper's scale.
+        Full => "full",
+    }
 }
 
 impl Scale {
@@ -20,15 +23,6 @@ impl Scale {
         match self {
             Scale::Full => 50.0,
             Scale::Quick => quick_s,
-        }
-    }
-
-    /// Stable lower-case name (`"quick"` / `"full"`) used in the `--json`
-    /// manifest and in trace-file metadata.
-    pub fn name(self) -> &'static str {
-        match self {
-            Scale::Quick => "quick",
-            Scale::Full => "full",
         }
     }
 
@@ -53,5 +47,6 @@ mod tests {
         assert_eq!(Scale::Full.trials(80, 1000), 1000);
         assert_eq!(Scale::Quick.name(), "quick");
         assert_eq!(Scale::Full.name(), "full");
+        assert_eq!(Scale::from_name("full"), Some(Scale::Full));
     }
 }

@@ -24,33 +24,24 @@ pub const USAGE: &str = "usage: domino-run sim --scheme <dcf|centaur|domino|omni
 [--checkpoint-every-us <n> | --checkpoint-at-us <t>]... [--state-dir <dir>] \
 [--restore <file>]";
 
-/// Built-in network scenarios the subcommand can instantiate.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Scenario {
-    /// The paper's Fig. 1 topology.
-    Fig1,
-    /// The paper's Fig. 7 topology.
-    Fig7,
-    /// The standard T(6,2) enterprise topology (seeded).
-    T6x2,
-    /// The standard T(10,2) enterprise topology (seeded; seed 1 is
-    /// Fig. 12's network).
-    T10x2,
-    /// Fig. 14's random T(20,3) topology (seeded; seed 1 is Fig. 14's
-    /// first network).
-    Rt20x3,
-}
-
-impl Scenario {
-    /// Stable lowercase name (stats-block field; `domino-profile` header).
-    pub fn name(self) -> &'static str {
-        match self {
-            Scenario::Fig1 => "fig1",
-            Scenario::Fig7 => "fig7",
-            Scenario::T6x2 => "t6x2",
-            Scenario::T10x2 => "t10x2",
-            Scenario::Rt20x3 => "rt20x3",
-        }
+domino_obs::named_enum! {
+    /// Built-in network scenarios the subcommand can instantiate, by the
+    /// name `--scenario` takes (the stats block and the `domino-profile`
+    /// header print it too).
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum Scenario {
+        /// The paper's Fig. 1 topology.
+        Fig1 => "fig1",
+        /// The paper's Fig. 7 topology.
+        Fig7 => "fig7",
+        /// The standard T(6,2) enterprise topology (seeded).
+        T6x2 => "t6x2",
+        /// The standard T(10,2) enterprise topology (seeded; seed 1 is
+        /// Fig. 12's network).
+        T10x2 => "t10x2",
+        /// Fig. 14's random T(20,3) topology (seeded; seed 1 is Fig. 14's
+        /// first network).
+        Rt20x3 => "rt20x3",
     }
 }
 
@@ -92,23 +83,16 @@ impl RunSpec {
     ) -> Result<bool, String> {
         match flag {
             "--scheme" => {
-                self.scheme = match need(it, flag)?.as_str() {
-                    "dcf" => Scheme::Dcf,
-                    "centaur" => Scheme::Centaur,
-                    "domino" => Scheme::Domino,
-                    "omniscient" => Scheme::Omniscient,
-                    other => return Err(format!("unknown scheme {other}")),
-                };
+                let name = need(it, flag)?;
+                self.scheme = Scheme::ALL
+                    .into_iter()
+                    .find(|s| s.label().to_ascii_lowercase() == name)
+                    .ok_or_else(|| format!("unknown scheme {name}"))?;
             }
             "--scenario" => {
-                self.scenario = match need(it, flag)?.as_str() {
-                    "fig1" => Scenario::Fig1,
-                    "fig7" => Scenario::Fig7,
-                    "t6x2" => Scenario::T6x2,
-                    "t10x2" => Scenario::T10x2,
-                    "rt20x3" => Scenario::Rt20x3,
-                    other => return Err(format!("unknown scenario {other}")),
-                };
+                let name = need(it, flag)?;
+                self.scenario =
+                    Scenario::from_name(&name).ok_or_else(|| format!("unknown scenario {name}"))?;
             }
             "--seed" => {
                 self.seed = need(it, flag)?

@@ -72,11 +72,7 @@ pub struct CampaignOutcome {
 }
 
 fn parse_scale(name: &str) -> Result<Scale, String> {
-    match name {
-        "quick" => Ok(Scale::Quick),
-        "full" => Ok(Scale::Full),
-        other => Err(format!("campaign: unknown scale `{other}`")),
-    }
+    Scale::from_name(name).ok_or_else(|| format!("campaign: unknown scale `{name}`"))
 }
 
 fn write_atomic(path: &Path, text: &str) -> Result<(), String> {

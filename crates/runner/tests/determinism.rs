@@ -39,3 +39,26 @@ fn runs_are_reproducible_and_seed_sensitive() {
     let c = run_experiment(exp, Scale::Quick, 8, 4, None);
     assert_ne!(a.text, c.text, "a different master seed must change the sweep");
 }
+
+/// SHA-256 of each designated trace exactly as `domino-run --trace`
+/// renders it (quick scale, seed 1). The JSONL writer is generated from
+/// the event declaration, so these pins hold every byte it writes: key
+/// names, field order, number and string forms, event names.
+#[test]
+fn designated_traces_are_byte_pinned() {
+    use domino_testkit::digest::sha256_hex;
+    let pins = [
+        ("fig10_timeline", "85f7a16a9d5284df13cabf75e33d3336a23c85f7b8a49aad62eadb06492a50af"),
+        ("chaos_degradation", "946a0155e45228da5cf36c86797db8ab5ff36efc968e75cbce5429f4a1bc6b54"),
+        ("failover_recovery", "0aac75305d410c9d113266bcd9424f48919170209522369074129bdf12620558"),
+    ];
+    let traced: Vec<&str> =
+        registry::REGISTRY.iter().filter(|e| e.trace.is_some()).map(|e| e.name).collect();
+    assert_eq!(traced, pins.map(|(name, _)| name), "every designated trace is pinned");
+    for (name, want) in pins {
+        let exp = registry::find(name).expect("registered");
+        let render = exp.trace.expect("designated trace");
+        let jsonl = render(Scale::Quick, registry::DEFAULT_SEED);
+        assert_eq!(sha256_hex(jsonl.as_bytes()), want, "{name}: trace bytes moved");
+    }
+}

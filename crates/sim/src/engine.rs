@@ -278,20 +278,15 @@ impl<E> Engine<E> {
         let popped = self.pop_until(horizon);
         if let (Some((t, _)), Some(liv)) = (&popped, &mut self.liveness) {
             if *t >= liv.window_start + liv.window {
-                let closed = liv.window_events;
-                self.probe.trace.emit(t.as_nanos(), move || TraceEvent::LivelockCheck {
-                    events_in_window: closed,
-                });
+                let events = liv.window_events;
+                self.probe.trace.emit(t.as_nanos(), move || TraceEvent::LivelockCheck { events });
                 liv.window_start = *t;
                 liv.window_events = 0;
             }
             liv.window_events += 1;
             if liv.window_events > liv.budget {
                 let (events, budget) = (liv.window_events, liv.budget);
-                self.probe.trace.emit(t.as_nanos(), move || TraceEvent::Livelock {
-                    events_in_window: events,
-                    budget,
-                });
+                self.probe.trace.emit(t.as_nanos(), move || TraceEvent::Livelock { events, budget });
                 return Err(Livelock {
                     at: *t,
                     events_in_window: liv.window_events,

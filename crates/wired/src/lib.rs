@@ -161,7 +161,7 @@ impl Backbone {
         let mut deliver_at = now + self.latency.sample(&mut self.rng);
         if self.loss > 0.0 && self.faults.chance(self.loss) {
             self.lost += 1;
-            self.tracer.emit(now.as_nanos(), || TraceEvent::BackboneDrop);
+            self.tracer.emit(now.as_nanos(), || TraceEvent::BackboneDrop {});
             return None;
         }
         let mut spiked = false;
@@ -343,7 +343,7 @@ mod tests {
         }
         let events = sink.take();
         assert_eq!(events.len(), 100, "one event per message");
-        let drops = events.iter().filter(|r| r.ev == TraceEvent::BackboneDrop).count() as u64;
+        let drops = events.iter().filter(|r| r.ev == TraceEvent::BackboneDrop {}).count() as u64;
         assert_eq!(drops, traced.messages_lost());
     }
 

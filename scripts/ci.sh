@@ -49,9 +49,12 @@ echo "== observability: traced run stays byte-identical, trace validates =="
 # must still byte-match every pinned results/ file, while also writing
 # the designated JSONL traces. domino-trace check then validates each
 # trace: schema version, well-formed events, monotone timestamps.
+# failover_recovery's is the one trace with ctrl_checkpoint and
+# standby_promote events.
 TRACE_DIR="$(mktemp -d)"
 trap 'rm -rf "$TRACE_DIR"' EXIT
-./target/release/domino-run fig10_timeline chaos_degradation --check --jobs 2 --trace "$TRACE_DIR"
+./target/release/domino-run fig10_timeline chaos_degradation failover_recovery \
+    --check --jobs 2 --trace "$TRACE_DIR"
 for trace in "$TRACE_DIR"/*.jsonl; do
     ./target/release/domino-trace check "$trace"
 done

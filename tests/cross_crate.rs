@@ -187,7 +187,7 @@ fn busiest_liveness_window_is_at_most_half_the_default_budget() {
             .take()
             .iter()
             .filter_map(|r| match r.ev {
-                TraceEvent::LivelockCheck { events_in_window } => Some(events_in_window),
+                TraceEvent::LivelockCheck { events } => Some(events),
                 _ => None,
             })
             .max()
